@@ -26,7 +26,7 @@ from .infomax import (
     BottleneckParams, GaussianLatent, LossBreakdown, encode_latent, info_loss,
     mi_estimate, skl_gaussian, total_loss,
 )
-from .model import ForwardResult, ModelConfig, VQAModel
+from .model import ModelConfig, VQAModel
 from .training import (
     AblationResult, Checkpoint, CheckpointError, DivergenceError, Metrics,
     TrainConfig, TrainResult, ablate, build_model, compute_metrics, evaluate,
@@ -40,7 +40,7 @@ __all__ = [
     "AREA_BIN_EDGES", "AREA_BIN_LABELS", "BottleneckParams", "CATEGORIES",
     "Checkpoint", "CheckpointError", "Dataset", "DatasetConfig",
     "DatasetFormatError", "DimensionError", "DivergenceError", "EmbeddingConfig",
-    "EncoderParams", "ForwardResult", "FusionParams", "GaussianLatent",
+    "EncoderParams", "FusionParams", "GaussianLatent",
     "ImageObjectFeatures", "InvalidMaskError", "LabelError", "LossBreakdown",
     "Metrics", "MissingGradientError", "ModelConfig", "OBJECT_CLASSES",
     "Parameter", "QueryTokens", "RankError", "Scene", "SceneObject",

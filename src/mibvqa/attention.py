@@ -6,7 +6,10 @@ with the resulting weights (the image block fuses projections only to
 compute the scores, never the pooled output).
 
 Weight orientation convention: element vectors are rows, so every weight
-matrix is stored [in_width, out_width] and applied on the right.
+matrix is stored [in_width, out_width] and applied on the right. Both blocks
+work on a batch of B instances with n elements each: the elements are the
+rows of one [B*n, d] matrix, the scores form a [B, n] matrix, and the mask
+is a [B, n] bool array.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, DimensionError, Parameter, Tensor, matmul, mul_row,
-    relu, reshape, softmax, uniform_init, vecmat,
+    SIGNAL_INIT_SCALE, DimensionError, Parameter, Tensor, matmul, relu,
+    reshape, segment_mul, segment_pool, softmax, uniform_init,
 )
 
 
@@ -25,8 +28,9 @@ from .autodiff import (
 class AttentionResult:
     """Normalized weights over elements plus the weighted row-sum.
 
-    weights: [n] Tensor, nonnegative, summing to 1 over unmasked entries,
-    exactly 0 at masked entries. pooled: [d] Tensor = sum_i weights[i]*rows[i].
+    weights: [B, n] Tensor, nonnegative, each row summing to 1 over its
+    unmasked entries, exactly 0 at masked entries.
+    pooled: [B, d] Tensor, pooled[b] = sum_j weights[b, j] * rows[b*n + j].
     """
     weights: Tensor
     pooled: Tensor
@@ -60,10 +64,11 @@ class AttentionParams:
 
 def _score_pool(rows: Tensor, scored_rows: Tensor, score_w: Tensor,
                 score_head: Tensor, mask: np.ndarray) -> AttentionResult:
+    keep = np.asarray(mask, dtype=bool)
     logits = reshape(matmul(relu(matmul(scored_rows, score_w)), score_head),
-                     (rows.shape[0],))
-    weights = softmax(logits, mask)
-    pooled = vecmat(weights, rows)
+                     keep.shape)
+    weights = softmax(logits, keep)
+    pooled = segment_pool(weights, rows)
     return AttentionResult(weights=weights, pooled=pooled)
 
 
@@ -71,8 +76,9 @@ def query_attention(q: Tensor, mask: np.ndarray,
                     params: AttentionParams) -> AttentionResult:
     """Attend over query token embeddings and pool them.
 
-    Per-token score = score_head . relu(q_k @ query_w); weights are the
-    masked softmax of the scores; pooled = sum_k weight_k * q_k.
+    q: [B*k, d_q] token rows, mask: [B, k]. Per-token score =
+    score_head . relu(q_k @ query_w); weights are the masked softmax of each
+    query's scores; pooled[b] = sum_k weight_bk * q_bk.
     """
     return _score_pool(q, q, params.query_w.tensor, params.query_score.tensor, mask)
 
@@ -81,17 +87,21 @@ def image_attention(h: Tensor, q_star: Tensor, mask: np.ndarray,
                     params: AttentionParams) -> AttentionResult:
     """Attend over image objects, conditioned on the pooled query embedding.
 
-    Each object row and the query summary are projected to a common width
-    d_p and fused by Hadamard product; the fused rows are scored like the
-    query block. The pooled output weights the ORIGINAL object rows h_t,
-    not the fused projections.
+    h: [B*t, d_h] object rows, q_star: [B, d_q], mask: [B, t]. Each object
+    row and its query summary are projected to a common width d_p and fused
+    by Hadamard product; the fused rows are scored like the query block.
+    The pooled output weights the ORIGINAL object rows h_t, not the fused
+    projections.
     """
     if params.img_proj_w.tensor.shape[1] != params.qstar_proj_w.tensor.shape[1]:
         raise DimensionError(
             f"projection widths differ: {params.img_proj_w.tensor.shape} vs "
             f"{params.qstar_proj_w.tensor.shape}")
+    if q_star.shape[0] != np.shape(mask)[0]:
+        raise DimensionError(
+            f"{q_star.shape[0]} query summaries for {np.shape(mask)[0]} scenes")
     h_proj = matmul(h, params.img_proj_w.tensor)
-    q_proj = vecmat(q_star, params.qstar_proj_w.tensor)
-    fused = mul_row(h_proj, q_proj)
+    q_proj = matmul(q_star, params.qstar_proj_w.tensor)
+    fused = segment_mul(h_proj, q_proj)
     return _score_pool(h, fused, params.img_score_w.tensor,
                        params.img_score.tensor, mask)

@@ -2,6 +2,9 @@
 
 Exactly the operations the VQA model needs, on float64 numpy storage,
 rank <= 2, no broadcasting (row-wise ops are explicit, named operations).
+A batch of B elements with n rows each is laid out as one [B*n, d] matrix
+whose rows b*n .. b*n + n - 1 belong to element b; the segment ops
+(stack_steps, segment_pool, segment_mul) read and write that layout.
 The graph is rebuilt on every forward pass (define-by-run); `backward`
 accumulates gradients additively into every requires_grad ancestor.
 """
@@ -146,26 +149,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def matvec(a: Tensor, v: Tensor) -> Tensor:
-    """[m,k] @ [k] -> [m]."""
-    if a.data.ndim != 2 or v.data.ndim != 1:
-        raise RankError(f"matvec needs matrix and vector, got {a.shape}, {v.shape}")
-    if a.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec: {a.shape} incompatible with {v.shape}")
-    return _node(a.data @ v.data, (a, v),
-                 lambda g: (np.outer(g, v.data), a.data.T @ g))
-
-
-def vecmat(v: Tensor, a: Tensor) -> Tensor:
-    """[m] @ [m,n] -> [n]; also the weighted row-sum used by attention pooling."""
-    if v.data.ndim != 1 or a.data.ndim != 2:
-        raise RankError(f"vecmat needs vector and matrix, got {v.shape}, {a.shape}")
-    if v.shape[0] != a.shape[0]:
-        raise DimensionError(f"vecmat: {v.shape} incompatible with {a.shape}")
-    return _node(v.data @ a.data, (v, a),
-                 lambda g: (a.data @ g, np.outer(v.data, g)))
-
-
 def add_row(m: Tensor, v: Tensor) -> Tensor:
     """Add vector v to every row of m (explicit row broadcast)."""
     if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
@@ -174,12 +157,23 @@ def add_row(m: Tensor, v: Tensor) -> Tensor:
                  lambda g: (g, g.sum(axis=0)))
 
 
-def mul_row(m: Tensor, v: Tensor) -> Tensor:
-    """Multiply every row of m elementwise by v (explicit row broadcast)."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise DimensionError(f"mul_row: {m.shape} incompatible with {v.shape}")
-    return _node(m.data * v.data[None, :], (m, v),
-                 lambda g: (g * v.data[None, :], (g * m.data).sum(axis=0)))
+def segment_mul(m: Tensor, v: Tensor) -> Tensor:
+    """Multiply each row of segment b of m elementwise by row b of v.
+
+    m is [B*n, d], read as B consecutive segments of n rows; v is [B, d].
+    """
+    if m.data.ndim != 2 or v.data.ndim != 2 or m.shape[1] != v.shape[1] \
+            or v.shape[0] == 0 or m.shape[0] % v.shape[0]:
+        raise DimensionError(f"segment_mul: {m.shape} incompatible with {v.shape}")
+    b, d = v.shape
+    m3 = m.data.reshape(b, -1, d)
+    out = (m3 * v.data[:, None, :]).reshape(m.shape)
+
+    def vjp(g):
+        g3 = g.reshape(m3.shape)
+        return (g3 * v.data[:, None, :]).reshape(m.shape), (g3 * m3).sum(axis=1)
+
+    return _node(out, (m, v), vjp)
 
 
 def mask_rows(m: Tensor, keep: np.ndarray) -> Tensor:
@@ -223,30 +217,33 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def softmax(logits: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Masked stable softmax over a vector.
+    """Masked stable softmax over each row of a [B, n] matrix.
 
-    `mask` is a plain bool array marking participating entries (True = keep);
-    excluded entries get weight exactly 0 and receive zero gradient. Masking
-    is realized by adding -1e30 to excluded logits before the usual
-    max-subtraction, so the exponentials of excluded entries underflow to 0.
+    `mask` is a plain bool array of the same shape marking participating
+    entries (True = keep); excluded entries get weight exactly 0 and receive
+    zero gradient. Masking is realized by adding -1e30 to excluded logits
+    before the usual row-max subtraction, so the exponentials of excluded
+    entries underflow to 0. Every row needs at least one kept entry.
     """
-    if logits.data.ndim != 1:
-        raise RankError(f"softmax expects a vector, got {logits.shape}")
+    if logits.data.ndim != 2:
+        raise RankError(f"softmax expects a [B, n] matrix, got {logits.shape}")
     if mask is None:
-        keep = np.ones(logits.shape[0], dtype=bool)
+        keep = np.ones(logits.shape, dtype=bool)
     else:
         keep = np.asarray(mask, dtype=bool)
         if keep.shape != logits.shape:
             raise DimensionError(f"softmax: mask {keep.shape} vs logits {logits.shape}")
-    if not keep.any():
-        raise InvalidMaskError("softmax: every entry is masked")
+    empty = ~keep.any(axis=1)
+    if empty.any():
+        raise InvalidMaskError(
+            f"softmax: every entry of row {int(np.argmax(empty))} is masked")
     shifted = np.where(keep, logits.data, -1e30)
-    shifted = shifted - shifted.max()
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum()
+    out = e / e.sum(axis=1, keepdims=True)
 
     def vjp(g):
-        dot = float(np.dot(g, out))
+        dot = (g * out).sum(axis=1, keepdims=True)
         return (out * (g - dot),)
 
     return _node(out, (logits,), vjp)
@@ -290,19 +287,21 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def take_row(m: Tensor, i: int) -> Tensor:
-    """Row i of a matrix; gradient scatters back into that row."""
-    if m.data.ndim != 2:
-        raise RankError(f"take_row expects a matrix, got {m.shape}")
-    if not 0 <= i < m.shape[0]:
-        raise DimensionError(f"take_row: row {i} out of range for {m.shape}")
+def gather_rows(m: Tensor, idx: np.ndarray) -> Tensor:
+    """out[i] = m[idx[i]]; the gradient scatter-adds back, so a row picked
+    several times receives the sum of its contributions."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if m.data.ndim != 2 or idx.ndim != 1:
+        raise RankError(f"gather_rows: indices {idx.shape} vs matrix {m.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= m.shape[0]):
+        raise DimensionError(f"gather_rows: index out of range for {m.shape}")
 
     def vjp(g):
         out = np.zeros_like(m.data)
-        out[i] = g
+        np.add.at(out, idx, g)
         return (out,)
 
-    return _node(m.data[i].copy(), (m,), vjp)
+    return _node(m.data[idx], (m,), vjp)
 
 
 def take_per_row(m: Tensor, idx: np.ndarray) -> Tensor:
@@ -320,16 +319,48 @@ def take_per_row(m: Tensor, idx: np.ndarray) -> Tensor:
     return _node(m.data[rows, idx].copy(), (m,), vjp)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack same-length vectors into a matrix; gradient splits back per row."""
-    if not rows:
-        raise DimensionError("stack_rows: empty sequence")
-    n = rows[0].shape[0] if rows[0].data.ndim == 1 else None
-    for r in rows:
-        if r.data.ndim != 1 or r.shape[0] != n:
-            raise DimensionError("stack_rows: rows must be equal-length vectors")
-    out = np.stack([r.data for r in rows])
-    return _node(out, tuple(rows), lambda g: tuple(g[i] for i in range(len(rows))))
+def stack_steps(steps: Sequence[Tensor]) -> Tensor:
+    """Interleave k same-shape [B, d] step states into [B*k, d].
+
+    Row b*k + j is row b of step j, so each batch element owns k consecutive
+    rows, the segment layout that segment_pool and segment_mul read.
+    """
+    if not steps:
+        raise DimensionError("stack_steps: empty sequence")
+    shape = steps[0].shape
+    for s in steps:
+        if s.data.ndim != 2 or s.shape != shape:
+            raise DimensionError("stack_steps: steps must be equal-shape matrices")
+    b, d = shape
+    k = len(steps)
+    out = np.stack([s.data for s in steps], axis=1).reshape(b * k, d)
+
+    def vjp(g):
+        g3 = g.reshape(b, k, d)
+        return tuple(g3[:, j] for j in range(k))
+
+    return _node(out, tuple(steps), vjp)
+
+
+def segment_pool(weights: Tensor, rows: Tensor) -> Tensor:
+    """Weighted row-sum per segment: out[b] = sum_j weights[b, j] * rows[b*n + j].
+
+    weights is [B, n] and rows is [B*n, d]; the result is [B, d]. This is
+    the attention pooling of a whole batch.
+    """
+    if weights.data.ndim != 2 or rows.data.ndim != 2 \
+            or weights.data.size != rows.shape[0]:
+        raise DimensionError(f"segment_pool: weights {weights.shape} vs rows {rows.shape}")
+    b, n = weights.shape
+    w = weights.data
+    r3 = rows.data.reshape(b, n, rows.shape[1])
+    out = np.einsum("bn,bnd->bd", w, r3)
+
+    def vjp(g):
+        return (np.einsum("bd,bnd->bn", g, r3),
+                (w[:, :, None] * g[:, None, :]).reshape(rows.shape))
+
+    return _node(out, (weights, rows), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:

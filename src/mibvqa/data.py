@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -254,14 +254,6 @@ class VQASample:
     answer_index: int
     split: str
 
-    def features(self, config: DatasetConfig) -> ImageObjectFeatures:
-        return scene_features(self.scene, config.t_max)
-
-    def tokens(self, config: DatasetConfig) -> QueryTokens:
-        ids = np.asarray(self.token_ids, dtype=np.int64)
-        mask = np.arange(config.k_max) < self.n_tokens
-        return QueryTokens(token_ids=ids, token_mask=mask)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -273,17 +265,29 @@ class Dataset:
         return tuple(s for s in self.samples if s.split == name)
 
 
-def scene_features(scene: Scene, t_max: int) -> ImageObjectFeatures:
-    """Raw descriptor rows: one-hot class, x, y in [0,1], size in (0,1]."""
-    mat = np.zeros((t_max, len(OBJECT_CLASSES) + 3))
-    denom = max(scene.grid_size - 1, 1)
-    for i, obj in enumerate(scene.objects):
-        mat[i, OBJECT_CLASSES.index(obj.cls)] = 1.0
-        mat[i, len(OBJECT_CLASSES)] = obj.col / denom
-        mat[i, len(OBJECT_CLASSES) + 1] = obj.row / denom
-        mat[i, len(OBJECT_CLASSES) + 2] = SIZE_FEATURE[obj.size]
-    mask = np.arange(t_max) < len(scene.objects)
+def scene_features(scenes: Sequence[Scene], t_max: int) -> ImageObjectFeatures:
+    """Raw descriptor rows of a batch of scenes, filled into one preallocated
+    [B, t_max, d_raw] array: one-hot class, x, y in [0,1], size in (0,1]."""
+    n_cls = len(OBJECT_CLASSES)
+    mat = np.zeros((len(scenes), t_max, n_cls + 3))
+    for i, scene in enumerate(scenes):
+        denom = max(scene.grid_size - 1, 1)
+        for j, obj in enumerate(scene.objects):
+            mat[i, j, OBJECT_CLASSES.index(obj.cls)] = 1.0
+            mat[i, j, n_cls:] = (obj.col / denom, obj.row / denom,
+                                 SIZE_FEATURE[obj.size])
+    counts = np.array([len(scene.objects) for scene in scenes])
+    mask = np.arange(t_max) < counts.reshape(-1, 1)
     return ImageObjectFeatures(matrix=mat, object_mask=mask)
+
+
+def query_tokens(samples: Sequence[VQASample], k_max: int) -> QueryTokens:
+    """Token ids [B, k_max] of a batch of samples and the mask of their real
+    (non-padding) prefix."""
+    ids = np.array([s.token_ids for s in samples], dtype=np.int64)
+    n_tokens = np.array([s.n_tokens for s in samples])
+    mask = np.arange(k_max) < n_tokens.reshape(-1, 1)
+    return QueryTokens(token_ids=ids, token_mask=mask)
 
 
 def tokenize(words: tuple, k_max: int) -> tuple:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .autodiff import (
     SIGNAL_INIT_SCALE, DimensionError, InvalidMaskError, Parameter, Tensor,
-    add, add_row, mask_rows, matmul, matvec, relu, stack_rows, take_row, tanh,
-    uniform_init, vecmat,
+    add, add_row, gather_rows, mask_rows, matmul, relu, segment_pool,
+    stack_steps, tanh, transpose, uniform_init,
 )
 
 
@@ -42,21 +42,23 @@ class EmbeddingConfig:
 
 @dataclass(frozen=True)
 class ImageObjectFeatures:
-    """Per-object raw descriptor matrix [t_max, d_raw] plus a validity mask.
+    """Raw object descriptors of a batch of B scenes.
 
-    Padded rows are all-zero and masked False; at least one row is real.
+    matrix: [B, t_max, d_raw]; object_mask: [B, t_max], True at real
+    objects. Padded rows are all-zero and masked False; every scene has at
+    least one real object.
     """
     matrix: np.ndarray
     object_mask: np.ndarray
 
     def __post_init__(self):
-        if not self.object_mask.any():
+        if not self.object_mask.any(axis=-1).all():
             raise ValueError("scene has no real objects")
 
 
 @dataclass(frozen=True)
 class QueryTokens:
-    """Token ids [k_max] (PAD id in padded slots) plus a validity mask."""
+    """Token ids [B, k_max] (PAD id in padded slots) plus a validity mask."""
     token_ids: np.ndarray
     token_mask: np.ndarray
 
@@ -87,44 +89,53 @@ class EncoderParams:
 def encode_image(features: ImageObjectFeatures, params: EncoderParams) -> Tensor:
     """Per-object rows relu(raw @ img_w + img_b), with padded rows forced to zero.
 
-    Output [t_max, d_h]. Zeroing padded rows keeps them inert regardless of
-    the bias, so they contribute neither values nor gradients.
+    Output [B*t_max, d_h], rows b*t_max .. b*t_max + t_max - 1 for scene b.
+    Zeroing padded rows keeps them inert regardless of the bias, so they
+    contribute neither values nor gradients.
     """
-    x = Tensor(features.matrix)
-    if x.shape[1] != params.img_w.tensor.shape[0]:
+    matrix = np.asarray(features.matrix, dtype=np.float64)
+    if matrix.ndim != 3:
+        raise DimensionError(f"features must be [B, t_max, d_raw], got {matrix.shape}")
+    b, t, d_raw = matrix.shape
+    if d_raw != params.img_w.tensor.shape[0]:
         raise DimensionError(
-            f"feature width {x.shape[1]} != encoder d_raw {params.img_w.tensor.shape[0]}")
+            f"feature width {d_raw} != encoder d_raw {params.img_w.tensor.shape[0]}")
+    x = Tensor(matrix.reshape(b * t, d_raw))
     h = relu(add_row(matmul(x, params.img_w.tensor), params.img_b.tensor))
-    return mask_rows(h, features.object_mask)
+    return mask_rows(h, np.asarray(features.object_mask).reshape(b * t))
 
 
 def encode_query(tokens: QueryTokens, params: EncoderParams) -> Tensor:
     """Contextual token embeddings q_k = tanh(rec_w @ q_{k-1} + embed[token_k]).
 
-    Output [k_max, d_q]. Rows at padded positions are computed (the PAD
-    embedding feeds the recurrence after the real prefix) but excluded by the
-    attention mask downstream; because padding is always a suffix, the real
-    prefix rows depend only on the real tokens.
+    One batched [B, d_q] step per token position; output [B*k_max, d_q],
+    rows b*k_max .. b*k_max + k_max - 1 for query b. Rows at padded
+    positions are computed (the PAD embedding feeds the recurrence after
+    the real prefix) but excluded by the attention mask downstream; because
+    padding is always a suffix, the real prefix rows depend only on the
+    real tokens.
     """
     vocab = params.embed.tensor.shape[0]
     ids = np.asarray(tokens.token_ids, dtype=np.int64)
+    if ids.ndim != 2:
+        raise DimensionError(f"token ids must be [B, k_max], got {ids.shape}")
     if ids.min() < 0 or ids.max() >= vocab:
         bad = ids[(ids < 0) | (ids >= vocab)][0]
         raise VocabularyError(f"token id {bad} outside vocabulary of size {vocab}")
-    rows = []
-    prev = Tensor(np.zeros(params.rec_w.tensor.shape[0]))
-    for tok in ids:
-        q_k = tanh(add(matvec(params.rec_w.tensor, prev),
-                       take_row(params.embed.tensor, int(tok))))
-        rows.append(q_k)
-        prev = q_k
-    return stack_rows(rows)
+    rec_t = transpose(params.rec_w.tensor)
+    q_k = Tensor(np.zeros((ids.shape[0], rec_t.shape[1])))
+    steps = []
+    for k in range(ids.shape[1]):
+        q_k = tanh(add(matmul(q_k, rec_t), gather_rows(params.embed.tensor, ids[:, k])))
+        steps.append(q_k)
+    return stack_steps(steps)
 
 
 def masked_mean(rows: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean of the unmasked rows; the no-attention baseline pooling."""
+    """Mean of the unmasked rows of each segment; the no-attention baseline
+    pooling. rows: [B*n, d], mask: [B, n]; output [B, d]."""
     keep = np.asarray(mask, dtype=bool)
-    if not keep.any():
+    counts = keep.sum(axis=-1, keepdims=True)
+    if not counts.all():
         raise InvalidMaskError("masked_mean: every row is masked")
-    weights = Tensor(keep.astype(np.float64) / keep.sum())
-    return vecmat(weights, rows)
+    return segment_pool(Tensor(keep / counts), rows)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, Parameter, Tensor, add, hadamard, logsumexp_rows,
-    relu, scale, stack_rows, sub, sum_all, take_per_row, uniform_init, vecmat,
+    SIGNAL_INIT_SCALE, Parameter, Tensor, add_row, logsumexp_rows, matmul,
+    relu, scale, sub, sum_all, take_per_row, uniform_init,
 )
 
 
@@ -72,24 +72,19 @@ class FusionParams:
 
 
 def project_query(q_star: Tensor, params: FusionParams) -> Tensor:
-    """First fully connected layer over the pooled query embedding."""
-    return add(vecmat(q_star, params.q_w.tensor), params.q_b.tensor)
+    """First fully connected layer over the pooled query embeddings [B, d_q]."""
+    return add_row(matmul(q_star, params.q_w.tensor), params.q_b.tensor)
 
 
 def project_image(h_star: Tensor, params: FusionParams) -> Tensor:
-    """First fully connected layer over the pooled image embedding."""
-    return add(vecmat(h_star, params.h_w.tensor), params.h_b.tensor)
-
-
-def fuse(q_star: Tensor, h_star: Tensor, params: FusionParams) -> Tensor:
-    """Hadamard product of the two projected embeddings, width d_f."""
-    return hadamard(project_query(q_star, params), project_image(h_star, params))
+    """First fully connected layer over the pooled image embeddings [B, d_h]."""
+    return add_row(matmul(h_star, params.h_w.tensor), params.h_b.tensor)
 
 
 def classify(fused: Tensor, params: FusionParams) -> Tensor:
-    """Two-layer MLP logits over the answer space (no softmax baked in)."""
-    hidden = relu(add(vecmat(fused, params.mlp_w1.tensor), params.mlp_b1.tensor))
-    return add(vecmat(hidden, params.mlp_w2.tensor), params.mlp_b2.tensor)
+    """Two-layer MLP logits [B, C] over the answer space (no softmax baked in)."""
+    hidden = relu(add_row(matmul(fused, params.mlp_w1.tensor), params.mlp_b1.tensor))
+    return add_row(matmul(hidden, params.mlp_w2.tensor), params.mlp_b2.tensor)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -112,14 +107,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return scale(sum_all(sub(lse, picked)), 1.0 / b)
 
 
-def cross_entropy_single(logits: Tensor, label: int) -> Tensor:
-    """Cross-entropy of a single [C] logit vector."""
-    return cross_entropy(stack_rows([logits]), np.array([label]))
-
-
-def predict(logits) -> int:
-    """Argmax answer index; ties break to the lowest index."""
+def predict(logits) -> np.ndarray:
+    """Argmax answer index of each row of [B, C] logits; ties break to the
+    lowest index."""
     values = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if values.ndim != 1:
-        raise LabelError(f"predict expects a single logit vector, got {values.shape}")
-    return int(np.argmax(values))
+    if values.ndim != 2:
+        raise LabelError(f"predict expects [B, C] logits, got {values.shape}")
+    return np.argmax(values, axis=1)

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import (
     DimensionError, Parameter, Tensor, add, add_row, add_scalar, clamp,
     diag_part, exp, hadamard, logsumexp_rows, matmul, mean_all, scale,
-    softplus, sub, sum_all, transpose, uniform_init, vecmat,
+    softplus, sub, sum_all, transpose, uniform_init,
 )
 
 LOG_VAR_MIN = -10.0
@@ -33,14 +33,26 @@ GAMMA_RAW_INIT = math.log(math.e - 1.0)
 class GaussianLatent:
     """Diagonal-Gaussian latent: mean, clamped log-variance, and a sample.
 
-    Tensors of shape [d_z] (single) or [B, d_z] (batch). The sample is
-    mean + exp(log_var/2) * eps with eps supplied by the caller, so the
-    encoder itself is deterministic and the sample differentiates w.r.t.
-    mean and log_var with eps held fixed.
+    Tensors of shape [B, d_z]. The sample is mean + exp(log_var/2) * eps
+    with eps supplied by the caller, so the encoder itself is deterministic
+    and the sample differentiates w.r.t. mean and log_var with eps held
+    fixed.
     """
     mean: Tensor
     log_var: Tensor
     sample: Tensor
+
+
+@dataclass(frozen=True)
+class InfoLoss:
+    """The bottleneck objective and the two terms it combines.
+
+    value = -mi_estimate + gamma * skl, where skl is the batch mean of the
+    pairwise symmetrized KL.
+    """
+    mi_estimate: Tensor
+    skl: Tensor
+    value: Tensor
 
 
 @dataclass(frozen=True)
@@ -104,7 +116,7 @@ def encode_latent(x: Tensor, which: str, params: BottleneckParams,
     """Apply the mean/log-variance heads of one modality and reparameterize.
 
     which: "phi" for the query branch, "psi" for the image branch.
-    x: [d_f] or [B, d_f]; noise: same shape as the latent, zeros for the
+    x: [B, d_f]; noise: [B, d_z] like the latent, zeros for the
     deterministic (evaluation) path.
     """
     if which == "phi":
@@ -115,12 +127,8 @@ def encode_latent(x: Tensor, which: str, params: BottleneckParams,
         vw, vb = params.h_logvar_w, params.h_logvar_b
     else:
         raise ValueError(f"unknown encoder {which!r}; expected 'phi' or 'psi'")
-    if x.data.ndim == 1:
-        mean = add(vecmat(x, mw.tensor), mb.tensor)
-        log_var = add(vecmat(x, vw.tensor), vb.tensor)
-    else:
-        mean = add_row(matmul(x, mw.tensor), mb.tensor)
-        log_var = add_row(matmul(x, vw.tensor), vb.tensor)
+    mean = add_row(matmul(x, mw.tensor), mb.tensor)
+    log_var = add_row(matmul(x, vw.tensor), vb.tensor)
     log_var = clamp(log_var, LOG_VAR_MIN, LOG_VAR_MAX)
     eps = np.asarray(noise, dtype=np.float64)
     if eps.shape != mean.shape:
@@ -170,15 +178,16 @@ def mi_estimate(z_q: Tensor, z_h: Tensor, critic: Tensor) -> Tensor:
 
 
 def info_loss(z_q: Tensor, z_h: Tensor, latents_q: GaussianLatent,
-              latents_h: GaussianLatent, gamma: Tensor, critic: Tensor) -> Tensor:
-    """-mi_estimate + gamma * (mean over the batch of pairwise symmetrized KL)."""
+              latents_h: GaussianLatent, gamma: Tensor, critic: Tensor) -> InfoLoss:
+    """-mi_estimate + gamma * (mean over the batch of pairwise symmetrized KL),
+    returned together with the two terms it combines."""
     if latents_q.mean.shape != latents_h.mean.shape:
         raise DimensionError(
             f"latent batches differ: {latents_q.mean.shape} vs {latents_h.mean.shape}")
-    b = z_q.shape[0] if z_q.data.ndim == 2 else 1
     mi = mi_estimate(z_q, z_h, critic)
-    skl_mean = scale(skl_gaussian(latents_q, latents_h), 1.0 / b)
-    return add(scale(mi, -1.0), hadamard(gamma, skl_mean))
+    skl_mean = scale(skl_gaussian(latents_q, latents_h), 1.0 / z_q.shape[0])
+    value = add(scale(mi, -1.0), hadamard(gamma, skl_mean))
+    return InfoLoss(mi_estimate=mi, skl=skl_mean, value=value)
 
 
 def total_loss(ce: Tensor, info: Tensor, lam: float = 1.0) -> Tensor:

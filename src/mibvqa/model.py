@@ -9,12 +9,12 @@ its parameters entirely rather than zeroing them out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .attention import AttentionParams, AttentionResult, image_attention, query_attention
-from .autodiff import Tensor, add, hadamard, scale, stack_rows
+from .attention import AttentionParams, image_attention, query_attention
+from .autodiff import Tensor, hadamard
 from .encoders import (
     EmbeddingConfig, EncoderParams, ImageObjectFeatures, QueryTokens,
     encode_image, encode_query, masked_mean,
@@ -23,8 +23,7 @@ from .fusion import (
     FusionParams, classify, cross_entropy, predict, project_image, project_query,
 )
 from .infomax import (
-    BottleneckParams, LossBreakdown, encode_latent, mi_estimate,
-    skl_gaussian, total_loss,
+    BottleneckParams, LossBreakdown, encode_latent, info_loss, total_loss,
 )
 
 
@@ -62,21 +61,6 @@ class ModelConfig:
                        enable_infomax=infomax)
 
 
-@dataclass(frozen=True)
-class ForwardResult:
-    """Per-sample forward pass outputs.
-
-    logits: [n_classes]; f_q / f_h: [d_f] post-FC embeddings feeding both
-    the Hadamard fusion and (when enabled) the bottleneck encoders.
-    Attention results are None when the attention block is disabled.
-    """
-    logits: Tensor
-    f_q: Tensor
-    f_h: Tensor
-    query_attention: Optional[AttentionResult]
-    image_attention: Optional[AttentionResult]
-
-
 class VQAModel:
     """Bundles all parameter groups and the forward/loss computations."""
 
@@ -107,63 +91,61 @@ class VQAModel:
     def n_parameters(self) -> int:
         return sum(p.tensor.data.size for p in self.parameters())
 
-    def forward_sample(self, features: ImageObjectFeatures,
-                       tokens: QueryTokens) -> ForwardResult:
+    def _forward(self, features: ImageObjectFeatures,
+                 tokens: QueryTokens) -> tuple:
+        """Logits [B, n_classes] plus the post-FC embeddings f_q, f_h [B, d_f]
+        that feed both the Hadamard fusion and the bottleneck encoders."""
         h = encode_image(features, self.encoders)
         q = encode_query(tokens, self.encoders)
         if self.attention is not None:
-            q_att = query_attention(q, tokens.token_mask, self.attention)
-            h_att = image_attention(h, q_att.pooled, features.object_mask,
-                                    self.attention)
-            q_star, h_star = q_att.pooled, h_att.pooled
+            q_star = query_attention(q, tokens.token_mask, self.attention).pooled
+            h_star = image_attention(h, q_star, features.object_mask,
+                                     self.attention).pooled
         else:
-            q_att = h_att = None
             q_star = masked_mean(q, tokens.token_mask)
             h_star = masked_mean(h, features.object_mask)
         f_q = project_query(q_star, self.fusion)
         f_h = project_image(h_star, self.fusion)
-        logits = classify(hadamard(f_q, f_h), self.fusion)
-        return ForwardResult(logits=logits, f_q=f_q, f_h=f_h,
-                             query_attention=q_att, image_attention=h_att)
+        return classify(hadamard(f_q, f_h), self.fusion), f_q, f_h
 
-    def predict_sample(self, features: ImageObjectFeatures,
-                       tokens: QueryTokens) -> int:
-        """Answer index; never touches the bottleneck, so no sampling involved."""
-        return predict(self.forward_sample(features, tokens).logits)
+    def logits(self, features: ImageObjectFeatures, tokens: QueryTokens) -> Tensor:
+        """Answer logits [B, n_classes] of a batch."""
+        return self._forward(features, tokens)[0]
 
-    def loss_batch(self, batch: Sequence[tuple], labels: np.ndarray,
-                   lam: float = 1.0,
+    def predict(self, features: ImageObjectFeatures,
+                tokens: QueryTokens) -> np.ndarray:
+        """Answer index per sample; never touches the bottleneck, so no
+        sampling involved."""
+        return predict(self.logits(features, tokens))
+
+    def loss_batch(self, features: ImageObjectFeatures, tokens: QueryTokens,
+                   labels: np.ndarray, lam: float = 1.0,
                    noise_q: Optional[np.ndarray] = None,
                    noise_h: Optional[np.ndarray] = None) -> LossBreakdown:
-        """All loss terms over a batch of (features, tokens) pairs.
+        """All loss terms over one batch, built as a single graph.
 
-        With the bottleneck enabled, final = ce + lam * info_loss on one
-        graph (lam = 0 still routes zero gradient to the bottleneck weights,
-        keeping the optimizer contract intact). With it disabled, final IS
-        the cross-entropy tensor and the info terms are constants.
+        With the bottleneck enabled, final = ce + lam * info_loss (lam = 0
+        still routes zero gradient to the bottleneck weights, keeping the
+        optimizer contract intact). With it disabled, final IS the
+        cross-entropy tensor and the info terms are constants.
         """
-        if len(batch) == 0:
+        b = len(labels)
+        if b == 0:
             raise ValueError("loss_batch: empty batch")
-        results = [self.forward_sample(f, t) for f, t in batch]
-        logits = stack_rows([r.logits for r in results])
+        logits, f_q, f_h = self._forward(features, tokens)
         ce = cross_entropy(logits, labels)
         if self.bottleneck is None:
             zero = Tensor(np.zeros(()))
             return LossBreakdown(ce=ce, mi_estimate=zero, skl=zero,
                                  info_loss=zero, final=ce)
-        b = len(batch)
-        f_q = stack_rows([r.f_q for r in results])
-        f_h = stack_rows([r.f_h for r in results])
         if noise_q is None:
             noise_q = np.zeros((b, self.config.d_z))
         if noise_h is None:
             noise_h = np.zeros((b, self.config.d_z))
         lat_q = encode_latent(f_q, "phi", self.bottleneck, noise_q)
         lat_h = encode_latent(f_h, "psi", self.bottleneck, noise_h)
-        mi = mi_estimate(lat_q.sample, lat_h.sample, self.bottleneck.critic.tensor)
-        skl_mean = scale(skl_gaussian(lat_q, lat_h), 1.0 / b)
-        # same value as infomax.info_loss, assembled once to keep one graph
-        info = add(scale(mi, -1.0), hadamard(self.bottleneck.gamma(), skl_mean))
-        final = total_loss(ce, info, lam)
-        return LossBreakdown(ce=ce, mi_estimate=mi, skl=skl_mean,
-                             info_loss=info, final=final)
+        info = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
+                         self.bottleneck.gamma(), self.bottleneck.critic.tensor)
+        final = total_loss(ce, info.value, lam)
+        return LossBreakdown(ce=ce, mi_estimate=info.mi_estimate, skl=info.skl,
+                             info_loss=info.value, final=final)

@@ -16,7 +16,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .autodiff import Adam, backward
-from .data import CATEGORIES, Dataset, VOCABULARY, OBJECT_CLASSES
+from .data import (
+    CATEGORIES, OBJECT_CLASSES, VOCABULARY, Dataset, query_tokens, scene_features,
+)
+from .encoders import ImageObjectFeatures, QueryTokens
 from .model import ModelConfig, VQAModel
 
 
@@ -60,14 +63,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-
-    @classmethod
-    def lr_like(cls, **overrides) -> "TrainConfig":
-        return cls(**{"epochs": 150, "batch_size": 280, **overrides})
-
-    @classmethod
-    def hr_like(cls, **overrides) -> "TrainConfig":
-        return cls(**{"epochs": 35, "batch_size": 70, **overrides})
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
@@ -123,22 +118,39 @@ class TrainResult:
 
 
 @dataclass(frozen=True)
-class PreparedSample:
-    """Dataset sample converted to model inputs once, reused every epoch."""
-    features: object
-    tokens: object
-    label: int
-    category: str
+class PreparedSplit:
+    """One dataset split as model inputs, built once and reused every epoch.
+
+    features: matrix [N, t_max, d_raw] and object_mask [N, t_max];
+    tokens: token_ids and token_mask [N, k_max]; labels: answer indices
+    [N]; categories: question category per sample.
+    """
+    features: ImageObjectFeatures
+    tokens: QueryTokens
+    labels: np.ndarray
+    categories: tuple
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def batch(self, idx) -> tuple:
+        """(features, tokens, labels) of the samples at idx, an index array
+        or a slice."""
+        return (ImageObjectFeatures(self.features.matrix[idx],
+                                    self.features.object_mask[idx]),
+                QueryTokens(self.tokens.token_ids[idx], self.tokens.token_mask[idx]),
+                self.labels[idx])
 
 
-def prepare_split(dataset: Dataset, split: str) -> list:
-    out = [PreparedSample(features=s.features(dataset.config),
-                          tokens=s.tokens(dataset.config),
-                          label=s.answer_index, category=s.category)
-           for s in dataset.split(split)]
-    if not out:
+def prepare_split(dataset: Dataset, split: str) -> PreparedSplit:
+    samples = dataset.split(split)
+    if not samples:
         raise ValueError(f"dataset has no samples in split {split!r}")
-    return out
+    return PreparedSplit(
+        features=scene_features([s.scene for s in samples], dataset.config.t_max),
+        tokens=query_tokens(samples, dataset.config.k_max),
+        labels=np.array([s.answer_index for s in samples], dtype=np.int64),
+        categories=tuple(s.category for s in samples))
 
 
 def model_config_for(dataset: Dataset, train_config: TrainConfig,
@@ -179,14 +191,13 @@ def train(config: TrainConfig, dataset: Dataset,
         steps_this_epoch = 0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch = [(samples[i].features, samples[i].tokens) for i in idx]
-            labels = np.array([samples[i].label for i in idx])
+            features, tokens, labels = samples.batch(idx)
             if mc.enable_infomax:
                 noise_q = loop_rng.standard_normal((len(idx), mc.d_z))
                 noise_h = loop_rng.standard_normal((len(idx), mc.d_z))
             else:
                 noise_q = noise_h = None
-            breakdown = model.loss_batch(batch, labels, lam=lam,
+            breakdown = model.loss_batch(features, tokens, labels, lam=lam,
                                          noise_q=noise_q, noise_h=noise_h)
             values = breakdown.values()
             for term, value in values.items():
@@ -252,6 +263,13 @@ def compute_metrics(labels: Sequence[int], predictions: Sequence[int],
                    n_samples=len(labels))
 
 
+# Samples per forward graph in evaluation. A graph holds every activation
+# of its samples at once, about 50 kB per sample, so one graph over a split
+# raises peak memory with the split size; chunks of 32 to 128 evaluate at
+# the same speed and keep the peak within a few MB.
+EVAL_CHUNK = 64
+
+
 def evaluate_model(model: VQAModel, dataset: Dataset, split: str) -> Metrics:
     """Deterministic evaluation: predictions come from logits alone.
 
@@ -259,15 +277,17 @@ def evaluate_model(model: VQAModel, dataset: Dataset, split: str) -> Metrics:
     omitted from AA with a warning.
     """
     samples = prepare_split(dataset, split)
-    predictions = [model.predict_sample(s.features, s.tokens) for s in samples]
-    labels = [s.label for s in samples]
-    categories = [s.category for s in samples]
+    predictions = []
+    for start in range(0, len(samples), EVAL_CHUNK):
+        features, tokens, _ = samples.batch(slice(start, start + EVAL_CHUNK))
+        predictions.extend(model.predict(features, tokens).tolist())
+    categories = samples.categories
     expected = set(dataset.config.mix())
     present = set(categories)
     for missing in sorted(expected - present):
         warnings.warn(f"category {missing!r} absent from split {split!r}; "
                       f"omitted from average accuracy")
-    return compute_metrics(labels, predictions, categories)
+    return compute_metrics(samples.labels.tolist(), predictions, categories)
 
 
 def evaluate(checkpoint: Checkpoint, dataset: Dataset, split: str) -> Metrics:

@@ -84,28 +84,22 @@ def _scenario_matmul(rng):
     return lambda ps: out(ad.matmul(ps[0].tensor, ps[1].tensor)), [a, b]
 
 
-def _scenario_matvec(rng):
-    a, v = _param(rng, (3, 4), "a"), _param(rng, (4,), "v")
-    out = _readout(rng, (3,))
-    return lambda ps: out(ad.matvec(ps[0].tensor, ps[1].tensor)), [a, v]
-
-
-def _scenario_vecmat(rng):
-    v, a = _param(rng, (3,), "v"), _param(rng, (3, 4), "a")
-    out = _readout(rng, (4,))
-    return lambda ps: out(ad.vecmat(ps[0].tensor, ps[1].tensor)), [v, a]
-
-
 def _scenario_add_row(rng):
     m, v = _param(rng, (3, 4), "m"), _param(rng, (4,), "v")
     out = _readout(rng, (3, 4))
     return lambda ps: out(ad.add_row(ps[0].tensor, ps[1].tensor)), [m, v]
 
 
-def _scenario_mul_row(rng):
-    m, v = _param(rng, (3, 4), "m"), _param(rng, (4,), "v")
-    out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.mul_row(ps[0].tensor, ps[1].tensor)), [m, v]
+def _positive_param(rng: np.random.Generator, shape, name="p") -> ad.Parameter:
+    """Magnitudes in [0.2, 1.5], all positive: for the operand that a
+    segment op sums over, so no gradient entry cancels to near zero."""
+    return ad.Parameter(name, rng.uniform(0.2, 1.5, size=shape))
+
+
+def _scenario_segment_mul(rng):
+    m, v = _positive_param(rng, (6, 4), "m"), _param(rng, (2, 4), "v")
+    out = _readout(rng, (6, 4))
+    return lambda ps: out(ad.segment_mul(ps[0].tensor, ps[1].tensor)), [m, v]
 
 
 def _scenario_mask_rows(rng):
@@ -151,17 +145,36 @@ def _scenario_clamp(rng):
     return lambda ps: out(ad.clamp(ps[0].tensor, -1.0, 1.0)), [a]
 
 
+def _softmax_case(rng: np.random.Generator, keep: np.ndarray):
+    """Logits and readout weights for which every gradient entry of a row
+    with two or more kept entries is at least 1e-3 in magnitude.
+
+    A row's softmax gradients sum to zero, so arbitrary weights now and then
+    put one entry within finite-difference noise (~1e-11) of zero, where the
+    relative metric reports a spurious mismatch.
+    """
+    checked = keep & (keep.sum(axis=1, keepdims=True) > 1)
+    while True:
+        logits = _signed(rng, keep.shape)
+        w = rng.uniform(0.5, 1.5, size=keep.shape)
+        e = np.where(keep, np.exp(logits - logits.max(axis=1, keepdims=True)), 0.0)
+        y = e / e.sum(axis=1, keepdims=True)
+        grad = y * (w - (w * y).sum(axis=1, keepdims=True))
+        if (np.abs(grad[checked]) >= 1e-3).all():
+            return ad.Parameter("a", logits), ad.Tensor(w)
+
+
 def _scenario_softmax(rng):
-    a = _param(rng, (5,), "a")
-    out = _readout(rng, (5,))
-    return lambda ps: out(ad.softmax(ps[0].tensor)), [a]
+    a, w = _softmax_case(rng, np.ones((3, 5), dtype=bool))
+    return lambda ps: ad.sum_all(ad.hadamard(ad.softmax(ps[0].tensor), w)), [a]
 
 
 def _scenario_softmax_masked(rng):
-    a = _param(rng, (5,), "a")
-    keep = _keep_mask(rng, 5)
-    out = _readout(rng, (5,))
-    return lambda ps: out(ad.softmax(ps[0].tensor, keep)), [a]
+    keep = np.stack([_keep_mask(rng, 5) for _ in range(4)])
+    keep[0] = False  # a row with a single kept entry
+    keep[0, int(rng.integers(5))] = True
+    a, w = _softmax_case(rng, keep)
+    return lambda ps: ad.sum_all(ad.hadamard(ad.softmax(ps[0].tensor, keep), w)), [a]
 
 
 def _scenario_logsumexp_rows(rng):
@@ -188,11 +201,12 @@ def _scenario_reshape(rng):
     return lambda ps: out(ad.reshape(ps[0].tensor, (3, 4))), [a]
 
 
-def _scenario_take_row(rng):
-    a = _param(rng, (4, 3), "a")
-    i = int(rng.integers(4))
-    out = _readout(rng, (3,))
-    return lambda ps: out(ad.take_row(ps[0].tensor, i)), [a]
+def _scenario_gather_rows(rng):
+    a = _param(rng, (5, 3), "a")
+    idx = rng.integers(0, 5, size=7)
+    idx[1] = idx[0]  # a repeated row: its gradient contributions must add
+    out = _readout(rng, (7, 3))
+    return lambda ps: out(ad.gather_rows(ps[0].tensor, idx)), [a]
 
 
 def _scenario_take_per_row(rng):
@@ -202,10 +216,16 @@ def _scenario_take_per_row(rng):
     return lambda ps: out(ad.take_per_row(ps[0].tensor, idx)), [a]
 
 
-def _scenario_stack_rows(rng):
-    rows = [_param(rng, (4,), f"r{i}") for i in range(3)]
-    out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.stack_rows([p.tensor for p in ps])), rows
+def _scenario_stack_steps(rng):
+    steps = [_param(rng, (2, 4), f"s{i}") for i in range(3)]
+    out = _readout(rng, (6, 4))
+    return lambda ps: out(ad.stack_steps([p.tensor for p in ps])), steps
+
+
+def _scenario_segment_pool(rng):
+    w, rows = _param(rng, (2, 3), "w"), _positive_param(rng, (6, 4), "rows")
+    out = _readout(rng, (2, 4))
+    return lambda ps: out(ad.segment_pool(ps[0].tensor, ps[1].tensor)), [w, rows]
 
 
 def _scenario_sum_all(rng):
@@ -227,10 +247,8 @@ OP_SCENARIOS = {
     "scale": _scenario_scale,
     "add_scalar": _scenario_add_scalar,
     "matmul": _scenario_matmul,
-    "matvec": _scenario_matvec,
-    "vecmat": _scenario_vecmat,
     "add_row": _scenario_add_row,
-    "mul_row": _scenario_mul_row,
+    "segment_mul": _scenario_segment_mul,
     "mask_rows": _scenario_mask_rows,
     "relu": _scenario_relu,
     "tanh": _scenario_tanh,
@@ -243,9 +261,10 @@ OP_SCENARIOS = {
     "diag_part": _scenario_diag_part,
     "transpose": _scenario_transpose,
     "reshape": _scenario_reshape,
-    "take_row": _scenario_take_row,
+    "gather_rows": _scenario_gather_rows,
     "take_per_row": _scenario_take_per_row,
-    "stack_rows": _scenario_stack_rows,
+    "stack_steps": _scenario_stack_steps,
+    "segment_pool": _scenario_segment_pool,
     "sum_all": _scenario_sum_all,
     "mean_all": _scenario_mean_all,
 }

@@ -30,7 +30,7 @@ from mibvqa.attention import AttentionParams, image_attention, query_attention
 from mibvqa.autodiff import Tensor, grad_check
 from mibvqa.data import (
     DatasetConfig, audit_dataset, export_dataset, generate_dataset,
-    import_dataset,
+    import_dataset, query_tokens, scene_features,
 )
 from mibvqa.infomax import GaussianLatent, mi_estimate, skl_gaussian
 from mibvqa.model import VQAModel
@@ -61,15 +61,15 @@ def test_acceptance_1_gradient_oracle(micro_dataset):
     dataset = micro_dataset
     model = VQAModel(tiny_model_config(dataset, TrainConfig()), seed=3)
     samples = dataset.samples[:4]
-    batch = [(s.features(dataset.config), s.tokens(dataset.config))
-             for s in samples]
+    features = scene_features([s.scene for s in samples], dataset.config.t_max)
+    tokens = query_tokens(samples, dataset.config.k_max)
     labels = np.array([s.answer_index for s in samples])
     rng = np.random.default_rng(np.random.SeedSequence([123]))
-    noise_q = rng.standard_normal((len(batch), model.config.d_z))
-    noise_h = rng.standard_normal((len(batch), model.config.d_z))
+    noise_q = rng.standard_normal((len(samples), model.config.d_z))
+    noise_h = rng.standard_normal((len(samples), model.config.d_z))
 
     def full_objective(_params):
-        return model.loss_batch(batch, labels, lam=1.0,
+        return model.loss_batch(features, tokens, labels, lam=1.0,
                                 noise_q=noise_q, noise_h=noise_h).final
 
     full_err = grad_check(full_objective, model.parameters())
@@ -92,6 +92,18 @@ def _random_mask(rng: np.random.Generator, n: int) -> np.ndarray:
     return mask
 
 
+def _query_one(q, mask, params):
+    """query_attention on a batch of one; weights [n] and pooled [d] of it."""
+    res = query_attention(Tensor(q), mask[None], params)
+    return res.weights.data[0], res.pooled.data[0]
+
+
+def _image_one(h, q_star, mask, params):
+    """image_attention on a batch of one; weights [n] and pooled [d] of it."""
+    res = image_attention(Tensor(h), Tensor(q_star[None]), mask[None], params)
+    return res.weights.data[0], res.pooled.data[0]
+
+
 def test_acceptance_2_attention_oracle():
     t0 = time.monotonic()
     d_q, d_h, d_ff, d_p = 4, 5, 3, 6
@@ -107,52 +119,49 @@ def test_acceptance_2_attention_oracle():
         k = int(rng.integers(1, 7))
         q = rng.standard_normal((k, d_q))
         q_mask = _random_mask(rng, k)
-        q_res = query_attention(Tensor(q), q_mask, params)
+        q_weights, q_pooled = _query_one(q, q_mask, params)
         alpha, pooled = oracle_query_attention(
             q, q_mask, params.query_w.data, params.query_score.data)
         worst_elem = max(worst_elem,
-                         np.abs(q_res.weights.data - alpha).max(),
-                         np.abs(q_res.pooled.data - pooled).max())
-        worst_sum = max(worst_sum, abs(q_res.weights.data.sum() - 1.0))
+                         np.abs(q_weights - alpha).max(),
+                         np.abs(q_pooled - pooled).max())
+        worst_sum = max(worst_sum, abs(q_weights.sum() - 1.0))
 
         t = int(rng.integers(1, 7))
         h = rng.standard_normal((t, d_h))
         q_star = rng.standard_normal(d_q)
         h_mask = _random_mask(rng, t)
-        h_res = image_attention(Tensor(h), Tensor(q_star), h_mask, params)
+        h_weights, h_pooled = _image_one(h, q_star, h_mask, params)
         beta, pooled_h = oracle_image_attention(
             h, q_star, h_mask, params.img_proj_w.data,
             params.qstar_proj_w.data, params.img_score_w.data,
             params.img_score.data)
         worst_elem = max(worst_elem,
-                         np.abs(h_res.weights.data - beta).max(),
-                         np.abs(h_res.pooled.data - pooled_h).max())
-        worst_sum = max(worst_sum, abs(h_res.weights.data.sum() - 1.0))
+                         np.abs(h_weights - beta).max(),
+                         np.abs(h_pooled - pooled_h).max())
+        worst_sum = max(worst_sum, abs(h_weights.sum() - 1.0))
 
     # Singleton: one unmasked row carries the whole weight, exactly.
     params = AttentionParams(d_q, d_h, d_ff=d_ff, d_p=d_p,
                              rng=np.random.default_rng(99))
-    one_q = query_attention(Tensor(rng.standard_normal((1, d_q))),
-                            np.array([True]), params)
-    one_h = image_attention(Tensor(rng.standard_normal((1, d_h))),
-                            Tensor(rng.standard_normal(d_q)),
-                            np.array([True]), params)
-    singleton_ok = (one_q.weights.data[0] == 1.0
-                    and one_h.weights.data[0] == 1.0)
+    one_q, _ = _query_one(rng.standard_normal((1, d_q)), np.array([True]), params)
+    one_h, _ = _image_one(rng.standard_normal((1, d_h)),
+                          rng.standard_normal(d_q), np.array([True]), params)
+    singleton_ok = one_q[0] == 1.0 and one_h[0] == 1.0
 
     # Symmetry: identical rows (count a power of two) share weight exactly
     # and pooling reproduces the row bitwise.
     row_q = rng.standard_normal(d_q)
-    sym_q = query_attention(Tensor(np.tile(row_q, (4, 1))),
-                            np.ones(4, dtype=bool), params)
+    sym_q_weights, sym_q_pooled = _query_one(
+        np.tile(row_q, (4, 1)), np.ones(4, dtype=bool), params)
     row_h = rng.standard_normal(d_h)
-    sym_h = image_attention(Tensor(np.tile(row_h, (4, 1))),
-                            Tensor(rng.standard_normal(d_q)),
-                            np.ones(4, dtype=bool), params)
-    symmetry_ok = (np.all(sym_q.weights.data == 0.25)
-                   and np.array_equal(sym_q.pooled.data, row_q)
-                   and np.all(sym_h.weights.data == 0.25)
-                   and np.array_equal(sym_h.pooled.data, row_h))
+    sym_h_weights, sym_h_pooled = _image_one(
+        np.tile(row_h, (4, 1)), rng.standard_normal(d_q),
+        np.ones(4, dtype=bool), params)
+    symmetry_ok = (np.all(sym_q_weights == 0.25)
+                   and np.array_equal(sym_q_pooled, row_q)
+                   and np.all(sym_h_weights == 0.25)
+                   and np.array_equal(sym_h_pooled, row_h))
 
     elapsed = time.monotonic() - t0
     ok = (worst_elem < 1e-10 and worst_sum < 1e-9

@@ -18,6 +18,19 @@ def make_params(seed: int = 0) -> AttentionParams:
                            rng=np.random.default_rng(seed))
 
 
+def query_one(q, mask, params):
+    """query_attention on a batch of one; weights [n] and pooled [d] of it."""
+    res = query_attention(Tensor(q), np.asarray(mask)[None], params)
+    return res.weights.data[0], res.pooled.data[0]
+
+
+def image_one(h, q_star, mask, params):
+    """image_attention on a batch of one; weights [n] and pooled [d] of it."""
+    res = image_attention(Tensor(h), Tensor(np.asarray(q_star)[None]),
+                          np.asarray(mask)[None], params)
+    return res.weights.data[0], res.pooled.data[0]
+
+
 def random_mask(rng: np.random.Generator, n: int) -> np.ndarray:
     mask = rng.random(n) < 0.7
     if not mask.any():
@@ -31,22 +44,21 @@ def random_mask(rng: np.random.Generator, n: int) -> np.ndarray:
 def test_query_singleton_weight_is_exactly_one():
     params = make_params()
     q = np.random.default_rng(1).standard_normal((1, D_Q))
-    res = query_attention(Tensor(q), np.array([True]), params)
-    assert res.weights.data[0] == 1.0
-    np.testing.assert_array_equal(res.pooled.data, q[0])
+    weights, pooled = query_one(q, [True], params)
+    assert weights[0] == 1.0
+    np.testing.assert_array_equal(pooled, q[0])
 
 
 def test_query_identical_rows_uniform_weights():
     params = make_params()
     row = np.random.default_rng(2).standard_normal(D_Q)
     q = np.tile(row, (4, 1))
-    res = query_attention(Tensor(q), np.ones(4, dtype=bool), params)
-    w = res.weights.data
+    w, pooled = query_one(q, np.ones(4, dtype=bool), params)
     assert w[0] == w[1] == w[2] == w[3]  # bitwise-equal by symmetry
     assert abs(w.sum() - 1.0) < 1e-15
     # n = 4 is a power of two, so the convex combination reproduces the row
     # without rounding.
-    np.testing.assert_array_equal(res.pooled.data, row)
+    np.testing.assert_array_equal(pooled, row)
 
 
 def test_query_matches_oracle_on_random_instances():
@@ -57,16 +69,16 @@ def test_query_matches_oracle_on_random_instances():
         params = make_params(int(rng.integers(1 << 30)))
         q = rng.standard_normal((k, D_Q))
         mask = random_mask(rng, k)
-        res = query_attention(Tensor(q), mask, params)
+        weights, pooled_out = query_one(q, mask, params)
         alpha, pooled = oracle_query_attention(
             q, mask, params.query_w.data, params.query_score.data
         )
         worst = max(
             worst,
-            np.abs(res.weights.data - alpha).max(),
-            np.abs(res.pooled.data - pooled).max(),
+            np.abs(weights - alpha).max(),
+            np.abs(pooled_out - pooled).max(),
         )
-        assert abs(res.weights.data.sum() - 1.0) < 1e-9
+        assert abs(weights.sum() - 1.0) < 1e-9
     assert worst < 1e-10
 
 
@@ -75,14 +87,14 @@ def test_query_masked_weights_exactly_zero():
     rng = np.random.default_rng(4)
     q = rng.standard_normal((5, D_Q))
     mask = np.array([True, False, True, False, True])
-    res = query_attention(Tensor(q), mask, params)
-    np.testing.assert_array_equal(res.weights.data[~mask], 0.0)
+    weights, _ = query_one(q, mask, params)
+    np.testing.assert_array_equal(weights[~mask], 0.0)
 
 
 def test_query_all_masked_rejected():
     params = make_params()
     with pytest.raises(InvalidMaskError):
-        query_attention(Tensor(np.ones((3, D_Q))), np.zeros(3, dtype=bool), params)
+        query_one(np.ones((3, D_Q)), np.zeros(3, dtype=bool), params)
 
 
 # ---------------------------------------------------------------- image
@@ -93,9 +105,9 @@ def test_image_singleton_pooled_is_the_object():
     rng = np.random.default_rng(5)
     h = rng.standard_normal((1, D_H))
     q_star = rng.standard_normal(D_Q)
-    res = image_attention(Tensor(h), Tensor(q_star), np.array([True]), params)
-    assert res.weights.data[0] == 1.0
-    np.testing.assert_array_equal(res.pooled.data, h[0])
+    weights, pooled = image_one(h, q_star, [True], params)
+    assert weights[0] == 1.0
+    np.testing.assert_array_equal(pooled, h[0])
 
 
 def test_image_identical_objects_uniform_weights():
@@ -104,10 +116,9 @@ def test_image_identical_objects_uniform_weights():
     row = rng.standard_normal(D_H)
     h = np.tile(row, (4, 1))
     q_star = rng.standard_normal(D_Q)
-    res = image_attention(Tensor(h), Tensor(q_star), np.ones(4, dtype=bool), params)
-    w = res.weights.data
+    w, pooled = image_one(h, q_star, np.ones(4, dtype=bool), params)
     assert w[0] == w[1] == w[2] == w[3]
-    np.testing.assert_array_equal(res.pooled.data, row)
+    np.testing.assert_array_equal(pooled, row)
 
 
 def test_image_matches_oracle_on_random_instances():
@@ -119,7 +130,7 @@ def test_image_matches_oracle_on_random_instances():
         h = rng.standard_normal((t, D_H))
         q_star = rng.standard_normal(D_Q)
         mask = random_mask(rng, t)
-        res = image_attention(Tensor(h), Tensor(q_star), mask, params)
+        weights, pooled_out = image_one(h, q_star, mask, params)
         alpha, pooled = oracle_image_attention(
             h, q_star, mask,
             params.img_proj_w.data, params.qstar_proj_w.data,
@@ -127,20 +138,17 @@ def test_image_matches_oracle_on_random_instances():
         )
         worst = max(
             worst,
-            np.abs(res.weights.data - alpha).max(),
-            np.abs(res.pooled.data - pooled).max(),
+            np.abs(weights - alpha).max(),
+            np.abs(pooled_out - pooled).max(),
         )
-        assert abs(res.weights.data.sum() - 1.0) < 1e-9
+        assert abs(weights.sum() - 1.0) < 1e-9
     assert worst < 1e-10
 
 
 def test_image_all_masked_rejected():
     params = make_params()
     with pytest.raises(InvalidMaskError):
-        image_attention(
-            Tensor(np.ones((2, D_H))), Tensor(np.ones(D_Q)),
-            np.zeros(2, dtype=bool), params,
-        )
+        image_one(np.ones((2, D_H)), np.ones(D_Q), np.zeros(2, dtype=bool), params)
 
 
 def test_image_projection_width_mismatch_rejected():
@@ -149,12 +157,8 @@ def test_image_projection_width_mismatch_rejected():
     params.qstar_proj_w.tensor.data = np.zeros((D_Q, D_P + 1))
     rng = np.random.default_rng(8)
     with pytest.raises(DimensionError):
-        image_attention(
-            Tensor(rng.standard_normal((3, D_H))),
-            Tensor(rng.standard_normal(D_Q)),
-            np.ones(3, dtype=bool),
-            params,
-        )
+        image_one(rng.standard_normal((3, D_H)), rng.standard_normal(D_Q),
+                  np.ones(3, dtype=bool), params)
 
 
 # ---------------------------------------------------------------- gradients
@@ -165,9 +169,9 @@ def test_attention_paths_pass_finite_differences():
     params = make_params(11)
     q = Tensor(rng.standard_normal((4, D_Q)))
     h = Tensor(rng.standard_normal((5, D_H)))
-    q_mask = np.array([True, True, True, False])
-    h_mask = np.array([True, True, False, True, True])
-    readout = Tensor(rng.uniform(0.5, 1.5, D_H))
+    q_mask = np.array([[True, True, True, False]])
+    h_mask = np.array([[True, True, False, True, True]])
+    readout = Tensor(rng.uniform(0.5, 1.5, (1, D_H)))
 
     def f(ps):
         q_res = query_attention(q, q_mask, params)

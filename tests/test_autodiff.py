@@ -118,45 +118,47 @@ def test_relu_dead_region_zero_output_and_gradient():
 
 def test_softmax_symmetry_constant_input():
     for c in (0.0, -7.5, 3.25):
-        out = ad.softmax(Tensor(np.array([c, c])))
-        np.testing.assert_array_equal(out.data, [0.5, 0.5])
+        out = ad.softmax(Tensor(np.array([[c, c]])))
+        np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
 
 
 def test_softmax_hand_value():
-    out = ad.softmax(Tensor(np.array([0.0, math.log(3.0)])))
-    np.testing.assert_allclose(out.data, [0.25, 0.75], rtol=0, atol=1e-15)
+    out = ad.softmax(Tensor(np.array([[0.0, math.log(3.0)]])))
+    np.testing.assert_allclose(out.data, [[0.25, 0.75]], rtol=0, atol=1e-15)
 
 
 def test_softmax_large_inputs_no_overflow():
-    out = ad.softmax(Tensor(np.array([1000.0, 1000.0])))
-    np.testing.assert_array_equal(out.data, [0.5, 0.5])
+    out = ad.softmax(Tensor(np.array([[1000.0, 1000.0]])))
+    np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
     assert np.isfinite(out.data).all()
 
 
 def test_softmax_masked_entries_exact_zero():
-    mask = np.array([True, False, True, False])
-    out = ad.softmax(Tensor(np.array([1.0, 99.0, 2.0, 99.0])), mask)
-    assert out.data[1] == 0.0 and out.data[3] == 0.0
+    mask = np.array([[True, False, True, False]])
+    out = ad.softmax(Tensor(np.array([[1.0, 99.0, 2.0, 99.0]])), mask)
+    assert out.data[0, 1] == 0.0 and out.data[0, 3] == 0.0
     assert abs(out.data.sum() - 1.0) < 1e-12
 
 
 def test_softmax_masked_entries_zero_gradient():
-    p = Parameter("x", np.array([1.0, 5.0, 2.0]))
-    mask = np.array([True, False, True])
-    w = Tensor(np.array([0.3, 0.9, 0.4]))
+    p = Parameter("x", np.array([[1.0, 5.0, 2.0]]))
+    mask = np.array([[True, False, True]])
+    w = Tensor(np.array([[0.3, 0.9, 0.4]]))
     ad.sum_all(ad.hadamard(ad.softmax(p.tensor, mask), w)).backward()
-    assert p.grad[1] == 0.0
+    assert p.grad[0, 1] == 0.0
 
 
 def test_softmax_all_masked_rejected():
+    # one fully masked row is enough, even when the other rows are fine
     with pytest.raises(InvalidMaskError):
-        ad.softmax(Tensor(np.array([1.0, 2.0])), np.array([False, False]))
+        ad.softmax(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])),
+                   np.array([[True, False], [False, False]]))
 
 
 @given(finite_arrays)
 @settings(max_examples=50, deadline=None)
 def test_softmax_is_distribution(values):
-    out = ad.softmax(Tensor(np.asarray(values))).data
+    out = ad.softmax(Tensor(np.asarray([values]))).data
     assert abs(out.sum() - 1.0) < 1e-9
     assert (out >= 0.0).all()
 
@@ -197,10 +199,32 @@ def test_mask_rows_zeroes_dropped_rows():
     np.testing.assert_array_equal(out.data, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
 
-def test_stack_rows_and_take_row_round_trip():
-    rows = [Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0]))]
-    stacked = ad.stack_rows(rows)
-    np.testing.assert_array_equal(ad.take_row(stacked, 1).data, [3.0, 4.0])
+def test_stack_steps_and_gather_rows_round_trip():
+    # two steps of a batch of two: element b owns rows 2b and 2b + 1
+    steps = [Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])),
+             Tensor(np.array([[5.0, 6.0], [7.0, 8.0]]))]
+    stacked = ad.stack_steps(steps)
+    np.testing.assert_array_equal(
+        stacked.data, [[1.0, 2.0], [5.0, 6.0], [3.0, 4.0], [7.0, 8.0]])
+    np.testing.assert_array_equal(
+        ad.gather_rows(stacked, np.array([2, 1])).data, [[3.0, 4.0], [5.0, 6.0]])
+
+
+def test_gather_rows_repeated_index_gradients_add():
+    p = Parameter("m", np.arange(6.0).reshape(3, 2))
+    ad.sum_all(ad.gather_rows(p.tensor, np.array([1, 1, 2, 1]))).backward()
+    np.testing.assert_array_equal(p.grad, [[0.0, 0.0], [3.0, 3.0], [1.0, 1.0]])
+
+
+def test_segment_pool_and_segment_mul_hand_values():
+    rows = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]))
+    weights = Tensor(np.array([[0.25, 0.75], [1.0, 0.0]]))
+    np.testing.assert_array_equal(ad.segment_pool(weights, rows).data,
+                                  [[2.5, 3.5], [5.0, 6.0]])
+    v = Tensor(np.array([[2.0, 0.0], [-1.0, 1.0]]))
+    np.testing.assert_array_equal(
+        ad.segment_mul(rows, v).data,
+        [[2.0, 0.0], [6.0, 0.0], [-5.0, 6.0], [-7.0, 8.0]])
 
 
 def test_take_per_row_gathers_one_entry_per_row():

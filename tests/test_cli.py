@@ -303,6 +303,23 @@ def test_eval_corrupt_checkpoint_exits_with_the_data_error_code(
     assert "error:" in err
 
 
+def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
+        workdir, ckpt_path, data_path, capsys):
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    index = next(i for i, line in enumerate(lines[1:], start=1)
+                 if json.loads(line)["split"] == "test")
+    record = json.loads(lines[index])
+    record["token_ids"][0] = 999
+    lines[index] = json.dumps(record, sort_keys=True)
+    edited = workdir / "bad_token.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["eval", "--ckpt", str(ckpt_path), "--data", str(edited)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "999" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------

@@ -206,16 +206,21 @@ def test_scene_invariants_hold_across_samples():
 
 def test_scene_features_layout():
     scene = scene_of([("road", 2, 7, "large")])
-    feats = scene_features(scene, t_max=4)
-    assert feats.matrix.shape == (4, 8)
-    assert feats.object_mask.tolist() == [True, False, False, False]
-    row = feats.matrix[0]
+    other = scene_of([("tree", 0, 0, "small"), ("water", 1, 1, "small")])
+    feats = scene_features([scene, other], t_max=4)
+    assert feats.matrix.shape == (2, 4, 8)
+    assert feats.object_mask.tolist() == [[True, False, False, False],
+                                          [True, True, False, False]]
+    row = feats.matrix[0, 0]
     onehot = row[:5]
     assert onehot[OBJECT_CLASSES.index("road")] == 1.0 and onehot.sum() == 1.0
     assert row[5] == pytest.approx(7 / 7)  # x = col / (grid - 1)
     assert row[6] == pytest.approx(2 / 7)  # y = row / (grid - 1)
     assert row[7] == 1.0  # large size feature
-    np.testing.assert_array_equal(feats.matrix[1:], 0.0)
+    np.testing.assert_array_equal(feats.matrix[0, 1:], 0.0)
+    assert feats.matrix[1, 1, OBJECT_CLASSES.index("water")] == 1.0
+    assert feats.matrix[1, 1, 7] == 0.5  # small size feature
+    np.testing.assert_array_equal(feats.matrix[1, 2:], 0.0)
 
 
 # ---------------------------------------------------------------- questions

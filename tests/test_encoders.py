@@ -24,12 +24,17 @@ def make_params(seed: int = 0) -> EncoderParams:
     return EncoderParams(CFG, np.random.default_rng(seed))
 
 
+def one_scene(mat: np.ndarray, mask: np.ndarray) -> ImageObjectFeatures:
+    """A batch holding the single scene (mat [t_max, d_raw], mask [t_max])."""
+    return ImageObjectFeatures(mat[None], mask[None])
+
+
 def random_features(rng: np.random.Generator, n_objects: int) -> ImageObjectFeatures:
     mat = np.zeros((CFG.t_max, CFG.d_raw))
     mat[:n_objects] = rng.uniform(0.0, 1.0, (n_objects, CFG.d_raw))
     mask = np.zeros(CFG.t_max, dtype=bool)
     mask[:n_objects] = True
-    return ImageObjectFeatures(mat, mask)
+    return one_scene(mat, mask)
 
 
 # ---------------------------------------------------------------- image
@@ -46,7 +51,7 @@ def test_masked_rows_zero_even_for_garbage_padding():
     params = make_params()
     mat = np.full((CFG.t_max, CFG.d_raw), 123.0)  # garbage beyond the mask
     mask = np.array([True, True, False, False, False])
-    out = encode_image(ImageObjectFeatures(mat, mask), params).data
+    out = encode_image(one_scene(mat, mask), params).data
     np.testing.assert_array_equal(out[2:], np.zeros((3, CFG.d_h)))
     assert np.abs(out[:2]).sum() > 0
 
@@ -72,7 +77,7 @@ def test_identity_block_weights_reduce_to_relu_of_raw():
     mat = np.zeros((CFG.t_max, CFG.d_raw))
     mat[0] = rng.uniform(-1.0, 1.0, CFG.d_raw)  # include negatives for relu
     mask = np.array([True, False, False, False, False])
-    out = encode_image(ImageObjectFeatures(mat, mask), params).data
+    out = encode_image(one_scene(mat, mask), params).data
 
     np.testing.assert_array_equal(out[0, : CFG.d_raw], np.maximum(mat[0], 0.0))
     np.testing.assert_array_equal(out[0, CFG.d_raw :], np.zeros(CFG.d_h - CFG.d_raw))
@@ -80,7 +85,7 @@ def test_identity_block_weights_reduce_to_relu_of_raw():
 
 def test_feature_width_mismatch_rejected():
     params = make_params()
-    bad = ImageObjectFeatures(np.zeros((CFG.t_max, 5)), np.ones(CFG.t_max, dtype=bool))
+    bad = one_scene(np.zeros((CFG.t_max, 5)), np.ones(CFG.t_max, dtype=bool))
     with pytest.raises(ad.DimensionError):
         encode_image(bad, params)
 
@@ -96,10 +101,11 @@ def test_image_gradients_flow_to_weights():
 
 
 def tokens_of(ids, k_max=CFG.k_max) -> QueryTokens:
-    arr = np.zeros(k_max, dtype=np.int64)
-    arr[: len(ids)] = ids
-    mask = np.zeros(k_max, dtype=bool)
-    mask[: len(ids)] = True
+    """A batch holding the single query `ids`, padded to k_max."""
+    arr = np.zeros((1, k_max), dtype=np.int64)
+    arr[0, : len(ids)] = ids
+    mask = np.zeros((1, k_max), dtype=bool)
+    mask[0, : len(ids)] = True
     return QueryTokens(arr, mask)
 
 
@@ -134,11 +140,11 @@ def test_padding_never_reaches_pooled_output():
     ids = [1, 2, 3]
     pooled_short = masked_mean(
         encode_query(tokens_of(ids, k_max=4), params),
-        np.array([True, True, True, False]),
+        np.array([[True, True, True, False]]),
     ).data
     pooled_long = masked_mean(
         encode_query(tokens_of(ids, k_max=6), params),
-        np.array([True, True, True, False, False, False]),
+        np.array([[True, True, True, False, False, False]]),
     ).data
     np.testing.assert_array_equal(pooled_short, pooled_long)
 
@@ -180,12 +186,13 @@ def test_query_gradients_reach_only_embedding_rows_in_the_real_prefix():
 
 def test_masked_mean_hand_case():
     rows = ad.Tensor(np.array([[2.0, 4.0], [6.0, 8.0], [100.0, 100.0]]))
-    mask = np.array([True, True, False])
+    mask = np.array([[True, True, False]])
     np.testing.assert_allclose(
-        masked_mean(rows, mask).data, [4.0, 6.0], rtol=0, atol=1e-15
+        masked_mean(rows, mask).data, [[4.0, 6.0]], rtol=0, atol=1e-15
     )
 
 
 def test_masked_mean_all_masked_rejected():
     with pytest.raises(ad.InvalidMaskError):
-        masked_mean(ad.Tensor(np.ones((2, 2))), np.array([False, False]))
+        masked_mean(ad.Tensor(np.ones((4, 2))),
+                    np.array([[True, True], [False, False]]))

@@ -23,8 +23,6 @@ from mibvqa.fusion import (
     LabelError,
     classify,
     cross_entropy,
-    cross_entropy_single,
-    fuse,
     predict,
     project_image,
     project_query,
@@ -38,6 +36,16 @@ def make_params(seed: int = 0) -> FusionParams:
                         rng=np.random.default_rng(seed))
 
 
+def fuse(q_star: Tensor, h_star: Tensor, params: FusionParams) -> Tensor:
+    """The model's fusion: Hadamard product of the two projections."""
+    return ad.hadamard(project_query(q_star, params), project_image(h_star, params))
+
+
+def cross_entropy_one(logits, label: int) -> Tensor:
+    """Cross-entropy of a batch holding one logit vector."""
+    return cross_entropy(Tensor(np.array([logits], dtype=float)), np.array([label]))
+
+
 # ---------------------------------------------------------------- fuse
 
 
@@ -46,16 +54,16 @@ def test_ones_image_projection_passes_query_through():
     params.h_w.tensor.data[:] = 0.0
     params.h_b.tensor.data[:] = 1.0  # F_H(h*) == all ones
     rng = np.random.default_rng(1)
-    q_star = Tensor(rng.standard_normal(D_Q))
-    h_star = Tensor(rng.standard_normal(D_H))
+    q_star = Tensor(rng.standard_normal((3, D_Q)))
+    h_star = Tensor(rng.standard_normal((3, D_H)))
     fused = fuse(q_star, h_star, params).data
     np.testing.assert_array_equal(fused, project_query(q_star, params).data)
 
 
 def test_zero_projection_annihilates():
     rng = np.random.default_rng(2)
-    q_star = Tensor(rng.standard_normal(D_Q))
-    h_star = Tensor(rng.standard_normal(D_H))
+    q_star = Tensor(rng.standard_normal((3, D_Q)))
+    h_star = Tensor(rng.standard_normal((3, D_H)))
 
     for zero_side in ("q", "h"):
         params = make_params()
@@ -64,14 +72,14 @@ def test_zero_projection_annihilates():
         side.tensor.data[:] = 0.0
         bias.tensor.data[:] = 0.0
         np.testing.assert_array_equal(
-            fuse(q_star, h_star, params).data, np.zeros(D_F)
+            fuse(q_star, h_star, params).data, np.zeros((3, D_F))
         )
 
 
 def test_fuse_width_mismatch_rejected():
     params = make_params()
     with pytest.raises(DimensionError):
-        fuse(Tensor(np.ones(D_Q + 1)), Tensor(np.ones(D_H)), params)
+        fuse(Tensor(np.ones((1, D_Q + 1))), Tensor(np.ones((1, D_H))), params)
 
 
 # ---------------------------------------------------------------- classify
@@ -83,20 +91,20 @@ def test_zero_weights_logits_equal_output_bias():
     params.mlp_b1.tensor.data[:] = 0.0
     params.mlp_w2.tensor.data[:] = 0.0
     params.mlp_b2.tensor.data[:] = np.arange(N_CLASSES, dtype=float)
-    logits = classify(Tensor(np.ones(D_F)), params).data
-    np.testing.assert_array_equal(logits, np.arange(N_CLASSES, dtype=float))
+    logits = classify(Tensor(np.ones((2, D_F))), params).data
+    np.testing.assert_array_equal(logits, np.tile(np.arange(N_CLASSES, dtype=float), (2, 1)))
 
 
 # ---------------------------------------------------------------- cross-entropy
 
 
 def test_confident_correct_loss_near_zero():
-    loss = cross_entropy_single(Tensor(np.array([1000.0, 0.0, 0.0])), 0)
+    loss = cross_entropy_one([1000.0, 0.0, 0.0], 0)
     assert 0.0 <= loss.item() < 1e-9
 
 
 def test_uniform_logits_loss_is_log_c():
-    loss = cross_entropy_single(Tensor(np.zeros(4)), 2)
+    loss = cross_entropy_one([0.0, 0.0, 0.0, 0.0], 2)
     assert loss.item() == pytest.approx(math.log(4.0), rel=1e-15)
 
 
@@ -104,8 +112,8 @@ def test_batch_mean_reduction():
     logits = Tensor(np.array([[0.0, 0.0], [2.0, 0.0]]))
     labels = np.array([0, 0])
     per_sample = [
-        cross_entropy_single(Tensor(np.array([0.0, 0.0])), 0).item(),
-        cross_entropy_single(Tensor(np.array([2.0, 0.0])), 0).item(),
+        cross_entropy_one([0.0, 0.0], 0).item(),
+        cross_entropy_one([2.0, 0.0], 0).item(),
     ]
     batch = cross_entropy(logits, labels).item()
     assert batch == pytest.approx(sum(per_sample) / 2.0, rel=1e-15)
@@ -132,19 +140,20 @@ def test_label_out_of_range_rejected():
     with pytest.raises(LabelError):
         cross_entropy(logits, np.array([-1, 0]))
     with pytest.raises(LabelError):
-        cross_entropy_single(Tensor(np.zeros(3)), 3)
+        cross_entropy_one([0.0, 0.0, 0.0], 3)
 
 
 # ---------------------------------------------------------------- predict
 
 
 def test_predict_argmax():
-    assert predict(Tensor(np.array([0.1, 0.9, 0.2]))) == 1
+    logits = Tensor(np.array([[0.1, 0.9, 0.2], [0.7, 0.1, 0.2]]))
+    assert predict(logits).tolist() == [1, 0]
 
 
 def test_predict_tie_breaks_to_lowest_index():
-    assert predict(Tensor(np.zeros(5))) == 0
-    assert predict(Tensor(np.array([3.0, 7.0, 7.0]))) == 1
+    assert predict(Tensor(np.zeros((1, 5)))).tolist() == [0]
+    assert predict(Tensor(np.array([[3.0, 7.0, 7.0]]))).tolist() == [1]
 
 
 # ---------------------------------------------------------------- end to end
@@ -161,12 +170,12 @@ def test_full_pipeline_passes_gradient_check():
     fus = FusionParams(D_Q, D_H, N_CLASSES, d_f=D_F, d_mlp=D_MLP, rng=rng)
 
     feats = ImageObjectFeatures(
-        np.vstack([rng.uniform(0, 1, (3, 8)), np.zeros((1, 8))]),
-        np.array([True, True, True, False]),
+        np.vstack([rng.uniform(0, 1, (3, 8)), np.zeros((1, 8))])[None],
+        np.array([[True, True, True, False]]),
     )
-    tokens = QueryTokens(np.array([1, 4, 2, 0, 0]),
-                         np.array([True, True, True, False, False]))
-    label = 2
+    tokens = QueryTokens(np.array([[1, 4, 2, 0, 0]]),
+                         np.array([[True, True, True, False, False]]))
+    label = np.array([2])
 
     def f(ps):
         h = encode_image(feats, enc)
@@ -174,7 +183,7 @@ def test_full_pipeline_passes_gradient_check():
         q_res = query_attention(q, tokens.token_mask, att)
         h_res = image_attention(h, q_res.pooled, feats.object_mask, att)
         fused = fuse(q_res.pooled, h_res.pooled, fus)
-        return cross_entropy_single(classify(fused, fus), label)
+        return cross_entropy(classify(fused, fus), label)
 
     all_params = enc.parameters() + att.parameters() + fus.parameters()
     assert ad.grad_check(f, all_params) < 1e-4

@@ -189,7 +189,8 @@ def test_info_loss_gamma_zero_isolates_mi_term():
     lat_h = latent_from(rng.standard_normal((3, D_Z)), np.zeros((3, D_Z)))
     critic = Tensor(rng.standard_normal((D_Z, D_Z)))
     loss = info_loss(z_q, z_h, lat_q, lat_h, Tensor(np.array(0.0)), critic)
-    assert loss.item() == -mi_estimate(z_q, z_h, critic).item()
+    assert loss.value.item() == -mi_estimate(z_q, z_h, critic).item()
+    assert loss.mi_estimate.item() == mi_estimate(z_q, z_h, critic).item()
 
 
 def test_info_loss_identical_latents_isolates_mi_term():
@@ -202,8 +203,9 @@ def test_info_loss_identical_latents_isolates_mi_term():
     critic = Tensor(rng.standard_normal((D_Z, D_Z)))
     gamma = Tensor(np.array(2.5))
     loss = info_loss(z_q, z_h, lat, lat2, gamma, critic)
-    assert loss.item() == pytest.approx(-mi_estimate(z_q, z_h, critic).item(),
-                                        abs=1e-14)
+    assert loss.value.item() == pytest.approx(-mi_estimate(z_q, z_h, critic).item(),
+                                              abs=1e-14)
+    assert abs(loss.skl.item()) <= 1e-14
 
 
 def test_total_loss_direct_sum():
@@ -243,7 +245,7 @@ def test_bottleneck_gradients_flow_through_objective():
     lat_h = encode_latent(x_h, "psi", params, noise)
     loss = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
                      params.gamma(), params.critic.tensor)
-    loss.backward()
+    loss.value.backward()
     for p in params.parameters():
         assert p.grad is not None, p.name
     assert np.abs(params.gamma_raw.grad).max() > 0
