@@ -4,13 +4,16 @@ Exactly the operations the VQA model needs, on float64 numpy storage,
 rank <= 2, no broadcasting (row-wise ops are explicit, named operations).
 A batch of B elements with n rows each is laid out as one [B*n, d] matrix
 whose rows b*n .. b*n + n - 1 belong to element b; the segment ops
-(stack_steps, segment_pool, segment_mul) read and write that layout.
-The graph is rebuilt on every forward pass (define-by-run); `backward`
-accumulates gradients additively into every requires_grad ancestor.
+(tanh_recurrence, segment_pool, segment_mul) read and write that layout.
+The graph is rebuilt on every forward pass (define-by-run), and not built
+at all inside `no_grad()`. `backward` accumulates gradients additively into
+the leaves of the graph (requires_grad tensors that no op produced, such
+as parameters); intermediate results keep grad None.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Optional, Sequence
 
@@ -37,7 +40,8 @@ class Tensor:
     """Dense float64 array plus an optional backpropagation node.
 
     `grad` is populated (same shape as `data`) by `backward` for every
-    tensor with requires_grad that is reachable from the loss.
+    leaf, a tensor with requires_grad and no backpropagation node (such as
+    a parameter), that is reachable from the loss. Op results never get one.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
@@ -98,9 +102,29 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
+# False inside no_grad(); read by _node on every op.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph: every result is a plain Tensor.
+
+    For forward passes that are never differentiated. The previous state
+    comes back on exit, also when nested or left by an exception.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
     """Wrap an op result; skip graph bookkeeping when no parent needs grad."""
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, True, parents, vjp)
     return Tensor(data)
 
@@ -287,23 +311,6 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def gather_rows(m: Tensor, idx: np.ndarray) -> Tensor:
-    """out[i] = m[idx[i]]; the gradient scatter-adds back, so a row picked
-    several times receives the sum of its contributions."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if m.data.ndim != 2 or idx.ndim != 1:
-        raise RankError(f"gather_rows: indices {idx.shape} vs matrix {m.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.shape[0]):
-        raise DimensionError(f"gather_rows: index out of range for {m.shape}")
-
-    def vjp(g):
-        out = np.zeros_like(m.data)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return _node(m.data[idx], (m,), vjp)
-
-
 def take_per_row(m: Tensor, idx: np.ndarray) -> Tensor:
     """out[i] = m[i, idx[i]] for an int index per row."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -319,27 +326,50 @@ def take_per_row(m: Tensor, idx: np.ndarray) -> Tensor:
     return _node(m.data[rows, idx].copy(), (m,), vjp)
 
 
-def stack_steps(steps: Sequence[Tensor]) -> Tensor:
-    """Interleave k same-shape [B, d] step states into [B*k, d].
+def tanh_recurrence(table: Tensor, w: Tensor, ids: np.ndarray) -> Tensor:
+    """States of q_j = tanh(q_{j-1} @ w.T + table[ids[:, j]]), q_{-1} = 0.
 
-    Row b*k + j is row b of step j, so each batch element owns k consecutive
-    rows, the segment layout that segment_pool and segment_mul read.
+    table is [V, d], w is [d, d] and ids is an int [B, k] array; the result
+    is [B*k, d] in segment layout, row b*k + j holding q_j of element b.
+    One graph node for the whole recurrence: the VJP runs back through time
+    by hand, then forms dw in one product and scatter-adds every step's
+    gradient into dtable at once, so an id used several times receives the
+    sum of its contributions. States are kept time-major ([k, B, d]) so
+    each step reads and writes one contiguous block.
     """
-    if not steps:
-        raise DimensionError("stack_steps: empty sequence")
-    shape = steps[0].shape
-    for s in steps:
-        if s.data.ndim != 2 or s.shape != shape:
-            raise DimensionError("stack_steps: steps must be equal-shape matrices")
-    b, d = shape
-    k = len(steps)
-    out = np.stack([s.data for s in steps], axis=1).reshape(b * k, d)
+    ids = np.asarray(ids, dtype=np.int64)
+    if table.data.ndim != 2 or w.data.ndim != 2 or ids.ndim != 2:
+        raise RankError(f"tanh_recurrence: table {table.shape}, w {w.shape}, "
+                        f"ids {ids.shape}")
+    d = table.shape[1]
+    if w.shape != (d, d):
+        raise DimensionError(f"tanh_recurrence: w {w.shape} vs table {table.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise DimensionError(f"tanh_recurrence: id out of range for {table.shape}")
+    b, k = ids.shape
+    w_t = w.data.T.copy()
+    inputs = table.data[ids.T]          # [k, B, d], time-major like states
+    states = np.empty((k, b, d))
+    q = np.zeros((b, d))
+    for j in range(k):
+        q = np.tanh(q @ w_t + inputs[j])
+        states[j] = q
 
     def vjp(g):
-        g3 = g.reshape(b, k, d)
-        return tuple(g3[:, j] for j in range(k))
+        g_steps = g.reshape(b, k, d).transpose(1, 0, 2)
+        slope = 1.0 - states * states
+        dpre = np.empty_like(states)    # gradient of each step's tanh input
+        carry = np.zeros((b, d))
+        for j in range(k - 1, -1, -1):
+            dpre[j] = (g_steps[j] + carry) * slope[j]
+            carry = dpre[j] @ w.data
+        dw = dpre[1:].reshape(-1, d).T @ states[:-1].reshape(-1, d)
+        # scatter-add of every step's rows into the table rows they read
+        cells = (ids.T.reshape(-1, 1) * d + np.arange(d)).ravel()
+        dtable = np.bincount(cells, weights=dpre.ravel(), minlength=table.data.size)
+        return dtable.reshape(table.shape), dw
 
-    return _node(out, tuple(steps), vjp)
+    return _node(states.transpose(1, 0, 2).reshape(b * k, d), (table, w), vjp)
 
 
 def segment_pool(weights: Tensor, rows: Tensor) -> Tensor:
@@ -398,30 +428,31 @@ def _toposort(root: Tensor) -> list:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dt into .grad of every requires_grad ancestor.
+    """Accumulate dLoss/dt into .grad of every leaf ancestor of the loss.
 
-    Repeated calls without zeroing accumulate additively.
+    One reverse walk in topological order: each node's adjoint is complete
+    when the walk reaches it, so it is popped there, handed to the node's
+    VJP (inner node) or added into .grad (leaf). Repeated calls without
+    zeroing accumulate additively; intermediate results get no .grad.
     """
     if loss.shape != ():
         raise RankError(f"backward needs a scalar loss, got shape {loss.shape}")
-    order = _toposort(loss)
     adjoint = {id(loss): np.ones(())}
-    for node in reversed(order):
-        g = adjoint.get(id(node))
-        if g is None or node._vjp is None:
+    for node in reversed(_toposort(loss)):
+        g = adjoint.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is None:
+            if node.requires_grad:
+                g = np.array(g, dtype=np.float64).reshape(node.shape)
+                node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, contrib in zip(node._parents, node._vjp(g)):
             if contrib is None or not parent.requires_grad:
                 continue
             key = id(parent)
-            if key in adjoint:
-                adjoint[key] = adjoint[key] + contrib
-            else:
-                adjoint[key] = contrib
-    for node in order:
-        if node.requires_grad and id(node) in adjoint:
-            g = np.asarray(adjoint[id(node)], dtype=np.float64).reshape(node.shape)
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            prev = adjoint.get(key)
+            adjoint[key] = contrib if prev is None else prev + contrib
 
 
 # ---------------------------------------------------------------------------
@@ -442,25 +473,31 @@ def grad_check(f: Callable[[Sequence[Parameter]], Tensor],
     analytic = [np.zeros(p.tensor.shape) if p.grad is None else p.grad.copy()
                 for p in params]
     worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.tensor.data.ravel()
-        gflat = ga.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f(params).item()
-            flat[i] = orig - eps
-            lo = f(params).item()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
-            if err > worst:
-                worst = err
+    with no_grad():
+        for p, ga in zip(params, analytic):
+            flat = p.tensor.data.ravel()
+            gflat = ga.ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = f(params).item()
+                flat[i] = orig - eps
+                lo = f(params).item()
+                flat[i] = orig
+                numeric = (hi - lo) / (2.0 * eps)
+                err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
+                if err > worst:
+                    worst = err
     return worst
 
 
 class Adam:
-    """Adam with bias correction. Gradients are left untouched by step()."""
+    """Adam with bias correction. Gradients are left untouched by step().
+
+    The moments m and v are flat arrays over all parameters in order, so a
+    step applies the elementwise update once to the concatenated gradients
+    and writes each parameter's slice back in place.
+    """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-5,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -470,21 +507,28 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros(p.tensor.shape) for p in self.params]
-        self._v = [np.zeros(p.tensor.shape) for p in self.params]
+        bounds = np.cumsum([0] + [p.tensor.data.size for p in self.params]).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._m = np.zeros(bounds[-1])
+        self._v = np.zeros(bounds[-1])
 
     def step(self) -> None:
+        for p in self.params:
+            if p.tensor.grad is None:
+                raise MissingGradientError(f"no gradient for parameter {p.name!r}")
+            if p.tensor.grad.shape != p.tensor.shape:
+                raise DimensionError(f"gradient of {p.name!r} has shape "
+                                     f"{p.tensor.grad.shape}, parameter {p.tensor.shape}")
+        g = np.concatenate([p.tensor.grad.ravel() for p in self.params])
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.tensor.grad
-            if g is None:
-                raise MissingGradientError(f"no gradient for parameter {p.name!r}")
-            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1.0 - b2) * g * g
-            m_hat = self._m[i] / (1.0 - b1 ** self.t)
-            v_hat = self._v[i] / (1.0 - b2 ** self.t)
-            p.tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._m = b1 * self._m + (1.0 - b1) * g
+        self._v = b2 * self._v + (1.0 - b2) * g * g
+        m_hat = self._m / (1.0 - b1 ** self.t)
+        v_hat = self._v / (1.0 - b2 ** self.t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, part in zip(self.params, self._slices):
+            p.tensor.data -= update[part].reshape(p.tensor.shape)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoders import EmbeddingConfig, ImageObjectFeatures, QueryTokens
+from .encoders import ImageObjectFeatures, QueryTokens
 from .fusion import AnswerSpace
 
 
@@ -30,6 +30,7 @@ class DatasetFormatError(ValueError):
 
 
 OBJECT_CLASSES = ("building", "road", "water", "tree", "field")
+_CLASS_INDEX = {c: i for i, c in enumerate(OBJECT_CLASSES)}
 SIZES = ("small", "large")
 SIZE_FEATURE = {"small": 0.5, "large": 1.0}
 # size-weighted footprint in grid cells, used by area questions
@@ -237,11 +238,6 @@ class DatasetConfig:
             out["test2"] = self.test2_fraction
         return out
 
-    def embedding_config(self, d_h: int = 32, d_q: int = 32) -> EmbeddingConfig:
-        return EmbeddingConfig(d_h=d_h, d_q=d_q, t_max=self.t_max, k_max=self.k_max,
-                               vocab_size=len(VOCABULARY),
-                               d_raw=len(OBJECT_CLASSES) + 3)
-
 
 @dataclass(frozen=True)
 class VQASample:
@@ -265,19 +261,34 @@ class Dataset:
         return tuple(s for s in self.samples if s.split == name)
 
 
+# Scenes per fill pass of scene_features: keeps its per-object index and
+# value arrays to a few hundred kB, so the peak memory of preparing a split
+# is the result array alone.
+FEATURE_CHUNK = 256
+
+
 def scene_features(scenes: Sequence[Scene], t_max: int) -> ImageObjectFeatures:
     """Raw descriptor rows of a batch of scenes, filled into one preallocated
-    [B, t_max, d_raw] array: one-hot class, x, y in [0,1], size in (0,1]."""
+    [B, t_max, d_raw] array: one-hot class, x, y in [0,1], size in (0,1].
+
+    Each pass flattens the objects of FEATURE_CHUNK scenes into one list
+    and writes each column with one fancy-index assignment.
+    """
     n_cls = len(OBJECT_CLASSES)
-    mat = np.zeros((len(scenes), t_max, n_cls + 3))
-    for i, scene in enumerate(scenes):
-        denom = max(scene.grid_size - 1, 1)
-        for j, obj in enumerate(scene.objects):
-            mat[i, j, OBJECT_CLASSES.index(obj.cls)] = 1.0
-            mat[i, j, n_cls:] = (obj.col / denom, obj.row / denom,
-                                 SIZE_FEATURE[obj.size])
-    counts = np.array([len(scene.objects) for scene in scenes])
+    counts = np.array([len(scene.objects) for scene in scenes], dtype=np.int64)
     mask = np.arange(t_max) < counts.reshape(-1, 1)
+    mat = np.zeros((len(scenes), t_max, n_cls + 3))
+    for start in range(0, len(scenes), FEATURE_CHUNK):
+        part = slice(start, start + FEATURE_CHUNK)
+        slots = mat[part].reshape(-1, n_cls + 3)        # a view of mat
+        rows = np.flatnonzero(mask[part])               # (scene, slot) row per object
+        objects = [obj for scene in scenes[part] for obj in scene.objects]
+        denom = np.repeat([max(scene.grid_size - 1, 1) for scene in scenes[part]],
+                          counts[part])
+        slots[rows, np.array([_CLASS_INDEX[obj.cls] for obj in objects])] = 1.0
+        slots[rows, n_cls] = np.array([obj.col for obj in objects]) / denom
+        slots[rows, n_cls + 1] = np.array([obj.row for obj in objects]) / denom
+        slots[rows, n_cls + 2] = [SIZE_FEATURE[obj.size] for obj in objects]
     return ImageObjectFeatures(matrix=mat, object_mask=mask)
 
 

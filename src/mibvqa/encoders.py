@@ -15,8 +15,8 @@ import numpy as np
 
 from .autodiff import (
     SIGNAL_INIT_SCALE, DimensionError, InvalidMaskError, Parameter, Tensor,
-    add, add_row, gather_rows, mask_rows, matmul, relu, segment_pool,
-    stack_steps, tanh, transpose, uniform_init,
+    add_row, mask_rows, matmul, relu, segment_pool, tanh_recurrence,
+    uniform_init,
 )
 
 
@@ -108,7 +108,7 @@ def encode_image(features: ImageObjectFeatures, params: EncoderParams) -> Tensor
 def encode_query(tokens: QueryTokens, params: EncoderParams) -> Tensor:
     """Contextual token embeddings q_k = tanh(rec_w @ q_{k-1} + embed[token_k]).
 
-    One batched [B, d_q] step per token position; output [B*k_max, d_q],
+    One tanh_recurrence node over the batch; output [B*k_max, d_q],
     rows b*k_max .. b*k_max + k_max - 1 for query b. Rows at padded
     positions are computed (the PAD embedding feeds the recurrence after
     the real prefix) but excluded by the attention mask downstream; because
@@ -122,13 +122,7 @@ def encode_query(tokens: QueryTokens, params: EncoderParams) -> Tensor:
     if ids.min() < 0 or ids.max() >= vocab:
         bad = ids[(ids < 0) | (ids >= vocab)][0]
         raise VocabularyError(f"token id {bad} outside vocabulary of size {vocab}")
-    rec_t = transpose(params.rec_w.tensor)
-    q_k = Tensor(np.zeros((ids.shape[0], rec_t.shape[1])))
-    steps = []
-    for k in range(ids.shape[1]):
-        q_k = tanh(add(matmul(q_k, rec_t), gather_rows(params.embed.tensor, ids[:, k])))
-        steps.append(q_k)
-    return stack_steps(steps)
+    return tanh_recurrence(params.embed.tensor, params.rec_w.tensor, ids)
 
 
 def masked_mean(rows: Tensor, mask: np.ndarray) -> Tensor:

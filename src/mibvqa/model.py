@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .attention import AttentionParams, image_attention, query_attention
-from .autodiff import Tensor, hadamard
+from .autodiff import Tensor, hadamard, no_grad
 from .encoders import (
     EmbeddingConfig, EncoderParams, ImageObjectFeatures, QueryTokens,
     encode_image, encode_query, masked_mean,
@@ -115,8 +115,9 @@ class VQAModel:
     def predict(self, features: ImageObjectFeatures,
                 tokens: QueryTokens) -> np.ndarray:
         """Answer index per sample; never touches the bottleneck, so no
-        sampling involved."""
-        return predict(self.logits(features, tokens))
+        sampling involved. Runs under no_grad: no graph is recorded."""
+        with no_grad():
+            return predict(self.logits(features, tokens))
 
     def loss_batch(self, features: ImageObjectFeatures, tokens: QueryTokens,
                    labels: np.ndarray, lam: float = 1.0,

@@ -220,7 +220,10 @@ def train(config: TrainConfig, dataset: Dataset,
 
     metrics = {}
     for split in dataset.config.splits():
-        m = evaluate_model(model, dataset, split)
+        if split == "train":
+            m = _evaluate_prepared(model, samples, dataset, split)
+        else:
+            m = evaluate_model(model, dataset, split)
         metrics[split] = m.to_dict()
     checkpoint = Checkpoint(
         version=1, seed=config.seed, model_config=mc, train_config=config,
@@ -263,10 +266,10 @@ def compute_metrics(labels: Sequence[int], predictions: Sequence[int],
                    n_samples=len(labels))
 
 
-# Samples per forward graph in evaluation. A graph holds every activation
-# of its samples at once, about 50 kB per sample, so one graph over a split
-# raises peak memory with the split size; chunks of 32 to 128 evaluate at
-# the same speed and keep the peak within a few MB.
+# Samples per forward pass in evaluation. Prediction records no graph, but
+# a pass still holds several [chunk * t_max, d] intermediates at once: one
+# pass over a 500-sample split peaks about 10 MB above chunks of 64, and
+# chunks of 32 to 500 evaluate at the same speed.
 EVAL_CHUNK = 64
 
 
@@ -276,7 +279,12 @@ def evaluate_model(model: VQAModel, dataset: Dataset, split: str) -> Metrics:
     Categories configured for the dataset but absent from the split are
     omitted from AA with a warning.
     """
-    samples = prepare_split(dataset, split)
+    return _evaluate_prepared(model, prepare_split(dataset, split), dataset, split)
+
+
+def _evaluate_prepared(model: VQAModel, samples: PreparedSplit,
+                       dataset: Dataset, split: str) -> Metrics:
+    """evaluate_model on a split already prepared from dataset."""
     predictions = []
     for start in range(0, len(samples), EVAL_CHUNK):
         features, tokens, _ = samples.batch(slice(start, start + EVAL_CHUNK))
@@ -426,6 +434,17 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _parse_payload(line: str, index: int, prefix: str, parse: Callable):
+    """parse(the text after prefix) of lines[index]; a payload it rejects
+    (bad number, bad JSON, unknown config key, out-of-range value) becomes
+    a CheckpointError naming the line."""
+    try:
+        return parse(line[len(prefix):])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(
+            f"malformed {prefix.strip()!r} payload on line {index + 1}: {e}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Parse and validate; errors name the offending parameter."""
     with open(path, "r", encoding="utf-8") as f:
@@ -454,19 +473,22 @@ def load_checkpoint(path) -> Checkpoint:
     while i < len(lines):
         line = lines[i]
         if line.startswith("meta step_count "):
-            step_count = int(line.split()[-1])
+            step_count = _parse_payload(line, i, "meta step_count ", int)
             i += 1
         elif line.startswith("config model "):
-            model_config = ModelConfig(**json.loads(line[len("config model "):]))
+            model_config = _parse_payload(line, i, "config model ",
+                                          lambda p: ModelConfig(**json.loads(p)))
             i += 1
         elif line.startswith("config train "):
-            train_config = TrainConfig(**json.loads(line[len("config train "):]))
+            train_config = _parse_payload(line, i, "config train ",
+                                          lambda p: TrainConfig(**json.loads(p)))
             i += 1
         elif line.startswith("metrics "):
-            metrics = json.loads(line[len("metrics "):])
+            metrics = _parse_payload(line, i, "metrics ", json.loads)
             i += 1
         elif line.startswith("answers "):
-            answers = tuple(json.loads(line[len("answers "):]))
+            answers = _parse_payload(line, i, "answers ",
+                                     lambda p: tuple(json.loads(p)))
             i += 1
         elif line.startswith("tensor "):
             fields = line.split()

@@ -59,9 +59,10 @@ def oracle_image_attention(h, q_star, mask, img_proj_w, qstar_proj_w,
 # One graph per sample (B = 1), as the model was computed before it was
 # batched. It is built from the engine's general ops only (matmul, add,
 # hadamard, tanh, relu, exp, logsumexp_rows, ...), never from the segment
-# ops, gather_rows, stack_steps or softmax that the batched model runs on:
-# an embedding lookup is a one-hot product, stacking rows is a sum of
-# one-hot outer products (exact), and the masked softmax is exp(x - lse(x)).
+# ops (tanh_recurrence among them) or softmax that the batched model runs
+# on: the recurrence is unrolled step by step, an embedding lookup is a
+# one-hot product, stacking rows is a sum of one-hot outer products
+# (exact), and the masked softmax is exp(x - lse(x)).
 
 
 def _stack(parts):

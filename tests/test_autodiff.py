@@ -199,21 +199,24 @@ def test_mask_rows_zeroes_dropped_rows():
     np.testing.assert_array_equal(out.data, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
 
-def test_stack_steps_and_gather_rows_round_trip():
-    # two steps of a batch of two: element b owns rows 2b and 2b + 1
-    steps = [Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])),
-             Tensor(np.array([[5.0, 6.0], [7.0, 8.0]]))]
-    stacked = ad.stack_steps(steps)
-    np.testing.assert_array_equal(
-        stacked.data, [[1.0, 2.0], [5.0, 6.0], [3.0, 4.0], [7.0, 8.0]])
-    np.testing.assert_array_equal(
-        ad.gather_rows(stacked, np.array([2, 1])).data, [[3.0, 4.0], [5.0, 6.0]])
+def test_tanh_recurrence_matches_a_plain_tanh_loop():
+    rng = np.random.default_rng(6)
+    table = rng.uniform(-1.0, 1.0, (6, 4))
+    w = rng.uniform(-0.5, 0.5, (4, 4))
+    ids = np.array([[1, 4, 1], [0, 4, 5]])
+    out = ad.tanh_recurrence(Tensor(table), Tensor(w), ids).data
+    assert out.shape == (6, 4)
+    for b in range(2):
+        q = np.zeros(4)
+        for j in range(3):
+            q = np.tanh(w @ q + table[ids[b, j]])
+            np.testing.assert_allclose(out[3 * b + j], q, rtol=0, atol=1e-15)
 
 
-def test_gather_rows_repeated_index_gradients_add():
-    p = Parameter("m", np.arange(6.0).reshape(3, 2))
-    ad.sum_all(ad.gather_rows(p.tensor, np.array([1, 1, 2, 1]))).backward()
-    np.testing.assert_array_equal(p.grad, [[0.0, 0.0], [3.0, 3.0], [1.0, 1.0]])
+def test_tanh_recurrence_rejects_out_of_range_ids():
+    with pytest.raises(DimensionError):
+        ad.tanh_recurrence(Tensor(np.zeros((3, 2))), Tensor(np.eye(2)),
+                           np.array([[0, 3]]))
 
 
 def test_segment_pool_and_segment_mul_hand_values():
@@ -267,6 +270,20 @@ def test_backward_requires_scalar_loss():
     p = Parameter("x", np.ones(3))
     with pytest.raises(RankError):
         ad.relu(p.tensor).backward()
+
+
+def test_backward_writes_grad_on_leaves_only_and_accumulates():
+    a = Parameter("a", np.array([[1.0, -2.0], [0.5, 3.0]]))
+    b = Parameter("b", np.array([[0.25, 1.5], [-1.0, 0.75]]))
+    prod = ad.matmul(a.tensor, b.tensor)
+    hidden = ad.tanh(ad.add(prod, b.tensor))
+    loss = ad.sum_all(hidden)
+    loss.backward()
+    assert prod.grad is None and hidden.grad is None and loss.grad is None
+    first_a, first_b = a.grad.copy(), b.grad.copy()
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, first_a + first_a)
+    np.testing.assert_array_equal(b.grad, first_b + first_b)
 
 
 def test_backward_deep_chain_no_recursion_limit():
@@ -370,6 +387,73 @@ def test_adam_two_steps_track_reference_implementation():
         p.grad = np.array(g)
         opt.step()
     assert p.data == pytest.approx(theta, rel=1e-15)
+
+
+def _per_parameter_adam(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter Adam loop the flat optimizer replaced: the oracle."""
+    m = [np.zeros(p.shape) for p in params]
+    v = [np.zeros(p.shape) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat = m[i] / (1.0 - b1 ** t)
+            v_hat = v[i] / (1.0 - b2 ** t)
+            p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_flat_adam_matches_the_per_parameter_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    shapes = [(3, 4), (), (5,), (2, 2)]
+    start = [rng.standard_normal(s) for s in shapes]
+    grads_per_step = [[rng.standard_normal(s) for s in shapes] for _ in range(3)]
+    flat = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(start)]
+    loop = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(start)]
+    opt = Adam(flat, lr=1e-2)
+    for grads in grads_per_step:
+        for p, g in zip(flat, grads):
+            p.grad = g
+        opt.step()
+    _per_parameter_adam(loop, grads_per_step, lr=1e-2)
+    assert opt.t == 3
+    for p, q in zip(flat, loop):
+        assert p.data.shape == q.data.shape
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+def test_adam_missing_or_misshapen_gradient_changes_no_state():
+    a, b = Parameter("a", np.array([1.0, 2.0])), Parameter("b", np.array(3.0))
+    a.grad = np.array([0.5, -0.5])
+    opt = Adam([a, b], lr=0.1)
+    with pytest.raises(MissingGradientError):
+        opt.step()
+    b.grad = np.array([1.0])  # wrong shape: rejected before any change too
+    with pytest.raises(DimensionError):
+        opt.step()
+    assert opt.t == 0
+    np.testing.assert_array_equal(a.data, [1.0, 2.0])
+    assert b.data == 3.0
+    b.grad = np.array(1.0)
+    opt.step()  # the first real step still uses t = 1
+    np.testing.assert_allclose(a.data, [1.0 - 0.1, 2.0 + 0.1], rtol=1e-7)
+
+
+# ---------------------------------------------------------------- no_grad
+
+
+def test_no_grad_records_no_graph_and_restores_the_previous_state():
+    p = Parameter("x", np.array([1.0, -2.0]))
+    with ad.no_grad():
+        with ad.no_grad():
+            inner = ad.relu(p.tensor)
+        outer = ad.relu(p.tensor)
+    assert not inner.requires_grad and inner._parents == ()
+    assert not outer.requires_grad
+    assert ad.relu(p.tensor).requires_grad
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside no_grad")
+    assert ad.relu(p.tensor).requires_grad
 
 
 # ---------------------------------------------------------------- init helper

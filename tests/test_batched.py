@@ -14,8 +14,10 @@ import pytest
 
 from conftest import tiny_model_config
 from helpers_oracles import reference_forward, reference_loss
+from mibvqa import autodiff
 from mibvqa.autodiff import backward
 from mibvqa.encoders import ImageObjectFeatures, QueryTokens
+from mibvqa.fusion import predict
 from mibvqa.model import VQAModel
 from mibvqa.training import (
     TrainConfig, compute_metrics, evaluate_model, prepare_split, train,
@@ -110,8 +112,9 @@ def test_edge_batches_match_reference(small_dataset, case, cross):
 
 def test_evaluate_model_predicts_what_the_reference_predicts(small_dataset):
     cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=2e-3, seed=5)
-    model = train(cfg, small_dataset,
-                  model_config=tiny_model_config(small_dataset, cfg)).model
+    result = train(cfg, small_dataset,
+                   model_config=tiny_model_config(small_dataset, cfg))
+    model = result.model
     for split_name in ("train", "test"):  # the train split spans two chunks
         split = prepare_split(small_dataset, split_name)
         features, tokens = split.features, split.tokens
@@ -124,6 +127,29 @@ def test_evaluate_model_predicts_what_the_reference_predicts(small_dataset):
         metrics = evaluate_model(model, small_dataset, split_name)
         reference = compute_metrics(split.labels.tolist(), expected, split.categories)
         assert metrics.to_dict() == reference.to_dict()
+        # train() evaluates the train split on the arrays it trained on
+        assert result.checkpoint.metrics[split_name] == reference.to_dict()
+
+
+@pytest.mark.parametrize("cross,infomax", VARIANTS)
+def test_predict_records_no_graph_and_matches_the_graph_path(
+        small_dataset, cross, infomax, monkeypatch):
+    model = make_model(small_dataset, cross, infomax)
+    split = prepare_split(small_dataset, "test")
+    graph_logits = model.logits(split.features, split.tokens)
+    assert graph_logits.requires_grad
+    recorded = []
+    node = autodiff._node
+
+    def counting_node(*args):
+        out = node(*args)
+        recorded.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(autodiff, "_node", counting_node)
+    predictions = model.predict(split.features, split.tokens)
+    assert recorded and not any(recorded)
+    assert predictions.tolist() == predict(graph_logits).tolist()
 
 
 @pytest.mark.parametrize("cross,infomax", VARIANTS)

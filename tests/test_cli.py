@@ -303,6 +303,38 @@ def test_eval_corrupt_checkpoint_exits_with_the_data_error_code(
     assert "error:" in err
 
 
+def _edit_line(text: str, prefix: str, edit) -> tuple:
+    """(text with edit applied to the line starting with prefix, its number)."""
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[index] = edit(lines[index])
+    return "\n".join(lines) + "\n", index + 1
+
+
+def _add_bogus_key(line: str) -> str:
+    head, payload = line.split(" {", 1)
+    return f'{head} {{"bogus": 1, {payload}'
+
+
+@pytest.mark.parametrize("prefix,edit", [
+    ("meta step_count ", lambda line: "meta step_count many"),
+    ("config model ", _add_bogus_key),
+    ("config train ", _add_bogus_key),
+    ("metrics ", lambda line: line[:-1]),
+    ("answers ", lambda line: "answers [\"yes\", "),
+], ids=["step_count", "model_key", "train_key", "metrics_json", "answers_json"])
+def test_eval_malformed_checkpoint_line_exits_with_one_error_line(
+        workdir, ckpt_path, data_path, capsys, prefix, edit):
+    text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), prefix, edit)
+    broken = workdir / "broken.ckpt"
+    broken.write_text(text, encoding="utf-8")
+    code = main(["eval", "--ckpt", str(broken), "--data", str(data_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and f"line {number}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
         workdir, ckpt_path, data_path, capsys):
     lines = data_path.read_text(encoding="utf-8").splitlines()

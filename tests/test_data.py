@@ -15,6 +15,7 @@ from mibvqa.data import (
     OBJECT_CLASSES,
     PAD_TOKEN,
     SIZE_CELLS,
+    SIZE_FEATURE,
     TEMPLATES,
     TOKEN_IDS,
     VOCABULARY,
@@ -221,6 +222,29 @@ def test_scene_features_layout():
     assert feats.matrix[1, 1, OBJECT_CLASSES.index("water")] == 1.0
     assert feats.matrix[1, 1, 7] == 0.5  # small size feature
     np.testing.assert_array_equal(feats.matrix[1, 2:], 0.0)
+
+
+def _scene_features_loop(scenes, t_max):
+    """Object-by-object fill that the column-wise scene_features replaced:
+    the oracle."""
+    n_cls = len(OBJECT_CLASSES)
+    mat = np.zeros((len(scenes), t_max, n_cls + 3))
+    for i, scene in enumerate(scenes):
+        denom = max(scene.grid_size - 1, 1)
+        for j, obj in enumerate(scene.objects):
+            mat[i, j, OBJECT_CLASSES.index(obj.cls)] = 1.0
+            mat[i, j, n_cls:] = (obj.col / denom, obj.row / denom,
+                                 SIZE_FEATURE[obj.size])
+    return mat
+
+
+def test_scene_features_equal_the_object_loop_on_the_default_dataset():
+    config = DatasetConfig()
+    scenes = [s.scene for s in generate_dataset(config).samples]
+    feats = scene_features(scenes, config.t_max)
+    np.testing.assert_array_equal(feats.matrix,
+                                  _scene_features_loop(scenes, config.t_max))
+    assert feats.object_mask.sum() == sum(len(s.objects) for s in scenes)
 
 
 # ---------------------------------------------------------------- questions
