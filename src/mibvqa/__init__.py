@@ -18,8 +18,8 @@ from .data import (
     generate_dataset, import_dataset,
 )
 from .encoders import (
-    EmbeddingConfig, EncoderParams, ImageObjectFeatures, QueryTokens,
-    VocabularyError, encode_image, encode_query, masked_mean,
+    EncoderParams, ImageObjectFeatures, QueryTokens, VocabularyError,
+    encode_image, encode_query, masked_mean,
 )
 from .fusion import AnswerSpace, FusionParams, LabelError, cross_entropy, predict
 from .infomax import (
@@ -39,9 +39,9 @@ __all__ = [
     "Adam", "AblationResult", "AnswerSpace", "AttentionParams", "AttentionResult",
     "AREA_BIN_EDGES", "AREA_BIN_LABELS", "BottleneckParams", "CATEGORIES",
     "Checkpoint", "CheckpointError", "Dataset", "DatasetConfig",
-    "DatasetFormatError", "DimensionError", "DivergenceError", "EmbeddingConfig",
-    "EncoderParams", "FusionParams", "GaussianLatent",
-    "ImageObjectFeatures", "InvalidMaskError", "LabelError", "LossBreakdown",
+    "DatasetFormatError", "DimensionError", "DivergenceError", "EncoderParams",
+    "FusionParams", "GaussianLatent", "ImageObjectFeatures", "InvalidMaskError",
+    "LabelError", "LossBreakdown",
     "Metrics", "MissingGradientError", "ModelConfig", "OBJECT_CLASSES",
     "Parameter", "QueryTokens", "RankError", "Scene", "SceneObject",
     "TemplateError", "Tensor", "TrainConfig", "TrainResult", "VOCABULARY",

@@ -169,8 +169,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise RankError(f"matmul needs rank-2 operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
+    # a constant operand gets no gradient, so none is formed for it
     return _node(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+                 lambda g: (g @ b.data.T if a.requires_grad else None,
+                            a.data.T @ g if b.requires_grad else None))
 
 
 def add_row(m: Tensor, v: Tensor) -> Tensor:

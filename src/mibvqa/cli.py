@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error (argparse), 3 data or format error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -59,7 +58,8 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _build_train_config(args) -> tuple:
+def _train_setup(args, dataset: Dataset) -> tuple:
+    """(TrainConfig, ModelConfig) from --config and the flags that override it."""
     kv = read_config_file(args.config) if args.config else {}
     overrides = {}
     if args.seed is not None:
@@ -76,25 +76,16 @@ def _build_train_config(args) -> tuple:
         overrides["enable_cross_attention"] = False
     if args.no_infomax:
         overrides["enable_infomax"] = False
-    train_fields, widths = build_train_setup(kv, overrides)
+    train_fields, model_fields = build_train_setup(kv, overrides)
     try:
-        config = TrainConfig(**train_fields)
+        return TrainConfig(**train_fields), model_config_for(dataset, **model_fields)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    return config, widths
-
-
-def _model_config(dataset: Dataset, train_config: TrainConfig, widths: dict):
-    base = model_config_for(dataset, train_config)
-    if widths:
-        base = dataclasses.replace(base, **widths)
-    return base
 
 
 def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data)
-    config, widths = _build_train_config(args)
-    mc = _model_config(dataset, config, widths)
+    config, mc = _train_setup(args, dataset)
     result = train(config, dataset, model_config=mc)
     for record in result.epoch_records:
         print(f"epoch {record['epoch']:>4}  ce {record['mean_ce']:.6f}  "
@@ -123,8 +114,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     dataset = _load_dataset(args.data)
-    config, widths = _build_train_config(args)
-    mc = _model_config(dataset, config, widths)
+    config, mc = _train_setup(args, dataset)
     master = args.seed if args.seed is not None else config.seed
     result = ablate(dataset, config, master_seed=master, split=args.split,
                     model_config=mc)

@@ -7,7 +7,12 @@ CLI flags override config keys.
 
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import get_type_hints
+
 from .data import DatasetConfig
+from .model import ModelConfig
+from .training import DERIVED_MODEL_FIELDS, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -82,41 +87,25 @@ def _coerce_mix(key: str, value: str) -> dict:
     return mix
 
 
-DATASET_KEYS = {
-    "n_samples": _coerce_int,
-    "grid_size": _coerce_int,
-    "t_max": _coerce_int,
-    "k_max": _coerce_int,
-    "seed": _coerce_int,
-    "variant": lambda k, v: v,
-    "min_objects": _coerce_int,
-    "max_objects": _coerce_int,
-    "urban_threshold": _coerce_int,
-    "train_fraction": _coerce_float,
-    "test_fraction": _coerce_float,
-    "test2_fraction": _coerce_float,
-    "category_mix": _coerce_mix,
+_COERCERS = {
+    int: _coerce_int,
+    float: _coerce_float,
+    bool: _coerce_bool,
+    str: lambda key, value: value,
+    dict: _coerce_mix,
 }
 
-TRAIN_KEYS = {
-    "epochs": _coerce_int,
-    "batch_size": _coerce_int,
-    "learning_rate": _coerce_float,
-    "lam": _coerce_float,
-    "seed": _coerce_int,
-    "enable_cross_attention": _coerce_bool,
-    "enable_infomax": _coerce_bool,
-}
 
-MODEL_WIDTH_KEYS = {
-    "d_h": _coerce_int,
-    "d_q": _coerce_int,
-    "d_ff": _coerce_int,
-    "d_p": _coerce_int,
-    "d_f": _coerce_int,
-    "d_mlp": _coerce_int,
-    "d_z": _coerce_int,
-}
+def _keys_of(config_class, exclude=()) -> dict:
+    """key -> coercer for every field of a config dataclass, by field type."""
+    types = get_type_hints(config_class)
+    return {f.name: _COERCERS[types[f.name]] for f in fields(config_class)
+            if f.name not in exclude}
+
+
+DATASET_KEYS = _keys_of(DatasetConfig)
+TRAIN_KEYS = _keys_of(TrainConfig)
+MODEL_KEYS = _keys_of(ModelConfig, exclude=DERIVED_MODEL_FIELDS)
 
 
 def _coerce_known(kv: dict, known: dict, context: str) -> dict:
@@ -131,25 +120,24 @@ def _coerce_known(kv: dict, known: dict, context: str) -> dict:
 
 def build_dataset_config(kv: dict, overrides: dict | None = None) -> DatasetConfig:
     """DatasetConfig from raw config keys plus CLI overrides (already typed)."""
-    fields = _coerce_known(kv, DATASET_KEYS, "dataset config")
+    values = _coerce_known(kv, DATASET_KEYS, "dataset config")
     if overrides:
-        fields.update(overrides)
+        values.update(overrides)
     try:
-        return DatasetConfig(**fields)
+        return DatasetConfig(**values)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
 def build_train_setup(kv: dict, overrides: dict | None = None) -> tuple:
-    """(train-config fields, model width overrides) from one config file.
+    """(TrainConfig fields, ModelConfig fields) from one config file plus
+    CLI overrides (already typed).
 
-    Train keys and model width keys share the file; the caller assembles the
-    final TrainConfig/ModelConfig because width defaults depend on the dataset.
+    Train keys and model keys share the file; the caller builds the
+    ModelConfig, because three of its fields derive from the dataset.
     """
-    known = {**TRAIN_KEYS, **MODEL_WIDTH_KEYS}
-    fields = _coerce_known(kv, known, "train config")
-    widths = {k: v for k, v in fields.items() if k in MODEL_WIDTH_KEYS}
-    train_fields = {k: v for k, v in fields.items() if k in TRAIN_KEYS}
+    values = _coerce_known(kv, {**TRAIN_KEYS, **MODEL_KEYS}, "train config")
     if overrides:
-        train_fields.update(overrides)
-    return train_fields, widths
+        values.update(overrides)
+    return ({k: v for k, v in values.items() if k in TRAIN_KEYS},
+            {k: v for k, v in values.items() if k in MODEL_KEYS})

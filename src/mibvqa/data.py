@@ -455,18 +455,37 @@ def _sample_record(s: VQASample) -> dict:
 
 
 def _sample_from_record(rec: dict, line_no: int) -> VQASample:
+    """The sample of one record; a value the model cannot take (unknown
+    class or size, object off the grid, token id outside the vocabulary,
+    n_tokens beyond the ids) is a DatasetFormatError naming the line."""
     try:
         sc = rec["scene"]
-        objects = tuple(SceneObject(cls=o[0], row=int(o[1]), col=int(o[2]), size=o[3])
-                        for o in sc["objects"])
-        scene = Scene(grid_size=int(sc["grid_size"]), objects=objects,
+        grid_size = int(sc["grid_size"])
+        objects = []
+        for cls, row, col, size in sc["objects"]:
+            row, col = int(row), int(col)
+            if cls not in _CLASS_INDEX:
+                raise ValueError(f"unknown object class {cls!r}")
+            if size not in SIZE_FEATURE:
+                raise ValueError(f"unknown object size {size!r}")
+            if not (0 <= row < grid_size and 0 <= col < grid_size):
+                raise ValueError(f"object at row {row}, col {col} is off the "
+                                 f"{grid_size}x{grid_size} grid")
+            objects.append(SceneObject(cls, row, col, size))
+        scene = Scene(grid_size=grid_size, objects=tuple(objects),
                       zone_label=sc["zone_label"])
+        token_ids = tuple(int(t) for t in rec["token_ids"])
+        for t in (min(token_ids), max(token_ids)):
+            if not 0 <= t < len(VOCABULARY):
+                raise ValueError(f"token id {t} outside vocabulary of size "
+                                 f"{len(VOCABULARY)}")
+        n_tokens = int(rec["n_tokens"])
+        if not 1 <= n_tokens <= len(token_ids):
+            raise ValueError(f"n_tokens {n_tokens} outside [1, {len(token_ids)}]")
         return VQASample(scene=scene, category=rec["category"],
                          template_id=int(rec["template_id"]),
-                         slots=tuple(rec["slots"]),
-                         token_ids=tuple(int(t) for t in rec["token_ids"]),
-                         n_tokens=int(rec["n_tokens"]),
-                         answer_index=int(rec["answer_index"]),
+                         slots=tuple(rec["slots"]), token_ids=token_ids,
+                         n_tokens=n_tokens, answer_index=int(rec["answer_index"]),
                          split=rec["split"])
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DatasetFormatError(f"malformed sample record at line {line_no}: {e}") from None

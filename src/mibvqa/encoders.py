@@ -25,22 +25,6 @@ class VocabularyError(ValueError):
 
 
 @dataclass(frozen=True)
-class EmbeddingConfig:
-    """Widths and capacities shared by both encoders and everything downstream."""
-    d_h: int = 32          # image object embedding width
-    d_q: int = 32          # query token embedding width
-    t_max: int = 16        # object slots per scene
-    k_max: int = 12        # token slots per query
-    vocab_size: int = 32
-    d_raw: int = 8         # one-hot class (5) + x + y + size
-
-    def __post_init__(self):
-        for name in ("d_h", "d_q", "t_max", "k_max", "vocab_size", "d_raw"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"EmbeddingConfig.{name} must be positive")
-
-
-@dataclass(frozen=True)
 class ImageObjectFeatures:
     """Raw object descriptors of a batch of B scenes.
 
@@ -71,16 +55,16 @@ class EncoderParams:
     img_w:  [d_raw, d_h], img_b: [d_h] per-object projection
     """
 
-    def __init__(self, config: EmbeddingConfig, rng: np.random.Generator):
-        c = config
+    def __init__(self, vocab_size: int, d_q: int, d_raw: int, d_h: int,
+                 rng: np.random.Generator):
         # embed entries drive the tanh directly: unit bound keeps the states
         # in the responsive part of tanh; rec_w stays at 1/sqrt(d) so the
         # recurrence neither saturates nor explodes over the token sequence
-        self.embed = Parameter("enc.embed", rng.uniform(-1.0, 1.0, (c.vocab_size, c.d_q)))
-        self.rec_w = Parameter("enc.rec_w", uniform_init(rng, (c.d_q, c.d_q), c.d_q))
-        self.img_w = Parameter("enc.img_w", uniform_init(rng, (c.d_raw, c.d_h), c.d_raw,
+        self.embed = Parameter("enc.embed", rng.uniform(-1.0, 1.0, (vocab_size, d_q)))
+        self.rec_w = Parameter("enc.rec_w", uniform_init(rng, (d_q, d_q), d_q))
+        self.img_w = Parameter("enc.img_w", uniform_init(rng, (d_raw, d_h), d_raw,
                                                          SIGNAL_INIT_SCALE))
-        self.img_b = Parameter("enc.img_b", np.zeros(c.d_h))
+        self.img_b = Parameter("enc.img_b", np.zeros(d_h))
 
     def parameters(self):
         return [self.embed, self.rec_w, self.img_w, self.img_b]

@@ -8,16 +8,16 @@ its parameters entirely rather than zeroing them out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .attention import AttentionParams, image_attention, query_attention
 from .autodiff import Tensor, hadamard, no_grad
 from .encoders import (
-    EmbeddingConfig, EncoderParams, ImageObjectFeatures, QueryTokens,
-    encode_image, encode_query, masked_mean,
+    EncoderParams, ImageObjectFeatures, QueryTokens, encode_image, encode_query,
+    masked_mean,
 )
 from .fusion import (
     FusionParams, classify, cross_entropy, predict, project_image, project_query,
@@ -29,7 +29,8 @@ from .infomax import (
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """All widths plus the two architecture flags."""
+    """The architecture: every width plus the two flags that switch the
+    attention blocks and the bottleneck on and off."""
     d_h: int = 32
     d_q: int = 32
     d_ff: int = 16
@@ -37,8 +38,6 @@ class ModelConfig:
     d_f: int = 64
     d_mlp: int = 64
     d_z: int = 16
-    t_max: int = 16
-    k_max: int = 12
     vocab_size: int = 29
     d_raw: int = 8
     n_classes: int = 19
@@ -46,19 +45,9 @@ class ModelConfig:
     enable_infomax: bool = True
 
     def __post_init__(self):
-        for name in ("d_h", "d_q", "d_ff", "d_p", "d_f", "d_mlp", "d_z",
-                     "t_max", "k_max", "vocab_size", "d_raw", "n_classes"):
-            if getattr(self, name) <= 0:
+        for name, kind in get_type_hints(ModelConfig).items():
+            if kind is int and getattr(self, name) <= 0:
                 raise ValueError(f"ModelConfig.{name} must be positive")
-
-    def embedding_config(self) -> EmbeddingConfig:
-        return EmbeddingConfig(d_h=self.d_h, d_q=self.d_q, t_max=self.t_max,
-                               k_max=self.k_max, vocab_size=self.vocab_size,
-                               d_raw=self.d_raw)
-
-    def with_flags(self, cross_attention: bool, infomax: bool) -> "ModelConfig":
-        return replace(self, enable_cross_attention=cross_attention,
-                       enable_infomax=infomax)
 
 
 class VQAModel:
@@ -67,7 +56,8 @@ class VQAModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        self.encoders = EncoderParams(config.embedding_config(), rng)
+        self.encoders = EncoderParams(config.vocab_size, config.d_q, config.d_raw,
+                                      config.d_h, rng)
         self.attention = (AttentionParams(config.d_q, config.d_h, config.d_ff,
                                           config.d_p, rng)
                           if config.enable_cross_attention else None)

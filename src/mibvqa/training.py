@@ -17,7 +17,8 @@ import numpy as np
 
 from .autodiff import Adam, backward
 from .data import (
-    CATEGORIES, OBJECT_CLASSES, VOCABULARY, Dataset, query_tokens, scene_features,
+    CATEGORIES, OBJECT_CLASSES, VOCABULARY, Dataset, DatasetFormatError,
+    query_tokens, scene_features,
 )
 from .encoders import ImageObjectFeatures, QueryTokens
 from .model import ModelConfig, VQAModel
@@ -40,7 +41,7 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization knobs plus the two architecture flags.
+    """The optimization recipe; the architecture is the ModelConfig's.
 
     The dataclass defaults mirror the reference protocol (150 epochs,
     batch 280, Adam at 1e-5). The desk() preset is the tuned recipe for
@@ -51,8 +52,6 @@ class TrainConfig:
     learning_rate: float = 1e-5
     lam: float = 1.0
     seed: int = 42
-    enable_cross_attention: bool = True
-    enable_infomax: bool = True
 
     def __post_init__(self):
         if self.epochs <= 0:
@@ -145,7 +144,7 @@ class PreparedSplit:
 def prepare_split(dataset: Dataset, split: str) -> PreparedSplit:
     samples = dataset.split(split)
     if not samples:
-        raise ValueError(f"dataset has no samples in split {split!r}")
+        raise DatasetFormatError(f"dataset has no samples in split {split!r}")
     return PreparedSplit(
         features=scene_features([s.scene for s in samples], dataset.config.t_max),
         tokens=query_tokens(samples, dataset.config.k_max),
@@ -153,16 +152,19 @@ def prepare_split(dataset: Dataset, split: str) -> PreparedSplit:
         categories=tuple(s.category for s in samples))
 
 
-def model_config_for(dataset: Dataset, train_config: TrainConfig,
-                     base: Optional[ModelConfig] = None) -> ModelConfig:
-    """Model widths for a dataset; architecture flags come from train_config."""
-    if base is None:
-        base = ModelConfig(t_max=dataset.config.t_max, k_max=dataset.config.k_max,
-                           vocab_size=len(VOCABULARY),
-                           d_raw=len(OBJECT_CLASSES) + 3,
-                           n_classes=len(dataset.answer_space))
-    return base.with_flags(train_config.enable_cross_attention,
-                           train_config.enable_infomax)
+# ModelConfig fields that model_config_for derives from the dataset.
+DERIVED_MODEL_FIELDS = ("vocab_size", "d_raw", "n_classes")
+
+
+def model_config_for(dataset: Dataset, **overrides) -> ModelConfig:
+    """The ModelConfig for a dataset: vocab_size, d_raw and n_classes come
+    from the dataset, every other field from overrides or its default."""
+    refused = [name for name in DERIVED_MODEL_FIELDS if name in overrides]
+    if refused:
+        raise ValueError(f"{', '.join(refused)} derive from the dataset "
+                         f"and cannot be overridden")
+    return ModelConfig(vocab_size=len(VOCABULARY), d_raw=len(OBJECT_CLASSES) + 3,
+                       n_classes=len(dataset.answer_space), **overrides)
 
 
 def train(config: TrainConfig, dataset: Dataset,
@@ -174,13 +176,13 @@ def train(config: TrainConfig, dataset: Dataset,
     epoch_callback(epoch_index, model, epoch_record) may return True to make
     the surrounding harness cut the run short after a completed epoch.
     Raises DivergenceError as soon as any loss term goes non-finite.
+    model_config defaults to model_config_for(dataset).
     """
-    mc = model_config_for(dataset, config, model_config)
+    mc = model_config if model_config is not None else model_config_for(dataset)
     model = VQAModel(mc, seed=config.seed)
     samples = prepare_split(dataset, "train")
     loop_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    lam = config.lam if config.enable_infomax else 0.0
 
     step_records: list = []
     epoch_records: list = []
@@ -192,12 +194,12 @@ def train(config: TrainConfig, dataset: Dataset,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             features, tokens, labels = samples.batch(idx)
-            if mc.enable_infomax:
+            if model.bottleneck is not None:
                 noise_q = loop_rng.standard_normal((len(idx), mc.d_z))
                 noise_h = loop_rng.standard_normal((len(idx), mc.d_z))
             else:
                 noise_q = noise_h = None
-            breakdown = model.loss_batch(features, tokens, labels, lam=lam,
+            breakdown = model.loss_batch(features, tokens, labels, lam=config.lam,
                                          noise_q=noise_q, noise_h=noise_h)
             values = breakdown.values()
             for term, value in values.items():
@@ -226,7 +228,7 @@ def train(config: TrainConfig, dataset: Dataset,
             m = evaluate_model(model, dataset, split)
         metrics[split] = m.to_dict()
     checkpoint = Checkpoint(
-        version=1, seed=config.seed, model_config=mc, train_config=config,
+        version=CKPT_VERSION, seed=config.seed, model_config=mc, train_config=config,
         parameters={p.name: p.tensor.data.copy() for p in model.parameters()},
         step_count=optimizer.t, metrics=metrics,
         answers=dataset.answer_space.answers)
@@ -352,25 +354,34 @@ def ablate(dataset: Dataset, base_config: TrainConfig,
            model_config: Optional[ModelConfig] = None) -> AblationResult:
     """Train the four flag combinations and tabulate per-category, OA, AA.
 
-    Variant i trains with seed master_seed + i, so the four runs are
-    independently seeded yet fully reproducible from the master seed.
+    Each variant is model_config (default model_config_for(dataset)) with
+    its two flags set. Variant i trains with seed master_seed + i, so the
+    four runs are independently seeded yet fully reproducible from the
+    master seed. Each row is the metrics train() computed on split.
     """
+    if split not in dataset.config.splits():
+        raise DatasetFormatError(
+            f"dataset has no split {split!r} "
+            f"(splits: {', '.join(dataset.config.splits())})")
+    if model_config is None:
+        model_config = model_config_for(dataset)
     master = base_config.seed if master_seed is None else master_seed
     rows = []
     checkpoints = {}
     for index, (name, cross, infomax) in enumerate(ABLATION_VARIANTS):
-        cfg = replace(base_config, seed=master + index,
-                      enable_cross_attention=cross, enable_infomax=infomax)
-        result = train(cfg, dataset, model_config=model_config)
-        metrics = evaluate(result.checkpoint, dataset, split)
+        cfg = replace(base_config, seed=master + index)
+        mc = replace(model_config, enable_cross_attention=cross,
+                     enable_infomax=infomax)
+        result = train(cfg, dataset, model_config=mc)
+        metrics = result.checkpoint.metrics[split]
         rows.append({
             "name": name,
             "seed": cfg.seed,
             "enable_cross_attention": cross,
             "enable_infomax": infomax,
-            "per_category_accuracy": dict(metrics.per_category_accuracy),
-            "overall_accuracy": metrics.overall_accuracy,
-            "average_accuracy": metrics.average_accuracy,
+            "per_category_accuracy": dict(metrics["per_category_accuracy"]),
+            "overall_accuracy": metrics["overall_accuracy"],
+            "average_accuracy": metrics["average_accuracy"],
         })
         checkpoints[name] = result.checkpoint
     table = format_ablation_table(rows)
@@ -402,14 +413,14 @@ def format_ablation_table(rows: list) -> str:
 
 
 CKPT_MAGIC = "ckpt"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 FLOATS_PER_LINE = 8
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Plain-text format, bit-exact under round-trip.
 
-    Header `ckpt v1 <seed> <n_params>` where n_params counts parameter
+    Header `ckpt v2 <seed> <n_params>` where n_params counts parameter
     tensors; `meta`/`config`/`metrics`/`answers` lines carry JSON payloads;
     each `tensor <name> <rank> <dims...>` line is followed by its values as
     whitespace-separated floats with 17 significant digits.

@@ -2,22 +2,19 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from mibvqa import data as dt
 from mibvqa.model import ModelConfig
-from mibvqa.training import TrainConfig, model_config_for
+from mibvqa.training import model_config_for
 
 
 # Narrow widths: every dimension cut so unit-level training runs take seconds.
 TINY_WIDTHS = dict(d_h=12, d_q=12, d_ff=6, d_p=8, d_f=16, d_mlp=16, d_z=6)
 
 
-def tiny_model_config(dataset: dt.Dataset, train_config: TrainConfig) -> ModelConfig:
-    base = model_config_for(dataset, train_config)
-    return dataclasses.replace(base, **TINY_WIDTHS)
+def tiny_model_config(dataset: dt.Dataset, **flags) -> ModelConfig:
+    return model_config_for(dataset, **TINY_WIDTHS, **flags)
 
 
 @pytest.fixture(scope="session")

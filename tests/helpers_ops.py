@@ -12,6 +12,8 @@ otherwise and report a spurious mismatch that says nothing about the VJPs.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from mibvqa import autodiff as ad
@@ -286,7 +288,9 @@ def run_op_trials(op_name: str, n_trials: int, seed: int = 0) -> float:
     Returns the worst relative error seen across all trials.
     """
     build = OP_SCENARIOS[op_name]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, hash(op_name) & 0xFFFF]))
+    # crc32, not hash(): str hashes are salted per process
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, zlib.crc32(op_name.encode())]))
     worst = 0.0
     for _ in range(n_trials):
         f, params = build(rng)

@@ -59,7 +59,7 @@ def test_acceptance_1_gradient_oracle(micro_dataset):
 
     # Full objective on a 4-sample batch with frozen reparameterization noise.
     dataset = micro_dataset
-    model = VQAModel(tiny_model_config(dataset, TrainConfig()), seed=3)
+    model = VQAModel(tiny_model_config(dataset), seed=3)
     samples = dataset.samples[:4]
     features = scene_features([s.scene for s in samples], dataset.config.t_max)
     tokens = query_tokens(samples, dataset.config.k_max)
@@ -313,7 +313,7 @@ def test_training_loss_trend_is_downward(default_task_run):
 def test_acceptance_5_ablation_harness():
     dataset = generate_dataset(DatasetConfig(n_samples=400, seed=311))
     config = TrainConfig(epochs=4, batch_size=16, learning_rate=2e-3, seed=77)
-    mc = tiny_model_config(dataset, config)
+    mc = tiny_model_config(dataset)
 
     first = ablate(dataset, config, master_seed=101, split="test",
                    model_config=mc)
@@ -339,8 +339,7 @@ def test_acceptance_5_ablation_harness():
                         for n in names
                         for p in first.checkpoints[n].parameters))
 
-    standalone_cfg = dataclasses.replace(
-        config, seed=101, enable_cross_attention=False, enable_infomax=False)
+    standalone_cfg = dataclasses.replace(config, seed=101)
     standalone_mc = dataclasses.replace(
         mc, enable_cross_attention=False, enable_infomax=False)
     standalone = evaluate_model(
@@ -369,7 +368,7 @@ def test_acceptance_5_ablation_harness():
 def test_acceptance_6_determinism_and_persistence(small_dataset, tmp_path):
     dataset = small_dataset
     config = TrainConfig(epochs=3, batch_size=16, learning_rate=2e-3, seed=13)
-    mc = tiny_model_config(dataset, config)
+    mc = tiny_model_config(dataset)
 
     run_a = train(config, dataset, model_config=mc)
     run_b = train(config, dataset, model_config=mc)

@@ -67,6 +67,19 @@ def test_matmul_shape_mismatch_names_both_shapes():
     assert "(2, 3)" in str(info.value) and "(4, 2)" in str(info.value)
 
 
+@pytest.mark.parametrize("constant_side", [0, 1])
+def test_matmul_vjp_skips_the_constant_operand(constant_side):
+    rng = np.random.default_rng(8)
+    a_data, b_data = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    g = rng.standard_normal((3, 2))
+    operands = [Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)]
+    both = ad.matmul(*operands)._vjp(g)
+    operands[constant_side] = Tensor(operands[constant_side].data)
+    contribs = ad.matmul(*operands)._vjp(g)
+    assert contribs[constant_side] is None
+    np.testing.assert_array_equal(contribs[1 - constant_side], both[1 - constant_side])
+
+
 # ---------------------------------------------------------------- hadamard
 
 

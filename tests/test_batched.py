@@ -30,8 +30,9 @@ VARIANTS = [(True, True), (True, False), (False, True), (False, False)]
 
 
 def make_model(dataset, cross: bool, infomax: bool, seed: int = 3) -> VQAModel:
-    cfg = TrainConfig(enable_cross_attention=cross, enable_infomax=infomax)
-    return VQAModel(tiny_model_config(dataset, cfg), seed=seed)
+    mc = tiny_model_config(dataset, enable_cross_attention=cross,
+                           enable_infomax=infomax)
+    return VQAModel(mc, seed=seed)
 
 
 def _grads(model, loss) -> dict:
@@ -73,10 +74,11 @@ def test_random_batches_match_reference(small_dataset, cross, infomax):
         assert_matches_reference(model, *split.batch(idx), rng)
 
 
-def synthetic_batch(config, n_objects, n_tokens, rng):
-    """Random inputs with the given real-object and real-token counts per
-    sample; padding is zero features and PAD (id 0) tokens."""
-    b, t, k = len(n_objects), config.t_max, config.k_max
+def synthetic_batch(config, t, k, n_objects, n_tokens, rng):
+    """Random inputs of t object and k token slots with the given real-object
+    and real-token counts per sample; padding is zero features and PAD (id 0)
+    tokens."""
+    b = len(n_objects)
     matrix = np.zeros((b, t, config.d_raw))
     ids = np.zeros((b, k), dtype=np.int64)
     for i, (n_obj, n_tok) in enumerate(zip(n_objects, n_tokens)):
@@ -103,17 +105,18 @@ EDGE_BATCHES = {
 @pytest.mark.parametrize("case", sorted(EDGE_BATCHES))
 def test_edge_batches_match_reference(small_dataset, case, cross):
     model = make_model(small_dataset, cross, infomax=True)
-    assert (model.config.t_max, model.config.k_max) == (16, 12)
+    t_max, k_max = small_dataset.config.t_max, small_dataset.config.k_max
+    assert (t_max, k_max) == (16, 12)
     rng = np.random.default_rng(sorted(EDGE_BATCHES).index(case))
     n_objects, n_tokens = EDGE_BATCHES[case]
     assert_matches_reference(
-        model, *synthetic_batch(model.config, n_objects, n_tokens, rng), rng)
+        model, *synthetic_batch(model.config, t_max, k_max, n_objects, n_tokens,
+                                rng), rng)
 
 
 def test_evaluate_model_predicts_what_the_reference_predicts(small_dataset):
     cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=2e-3, seed=5)
-    result = train(cfg, small_dataset,
-                   model_config=tiny_model_config(small_dataset, cfg))
+    result = train(cfg, small_dataset, model_config=tiny_model_config(small_dataset))
     model = result.model
     for split_name in ("train", "test"):  # the train split spans two chunks
         split = prepare_split(small_dataset, split_name)
@@ -155,9 +158,9 @@ def test_predict_records_no_graph_and_matches_the_graph_path(
 @pytest.mark.parametrize("cross,infomax", VARIANTS)
 def test_identical_train_runs_are_bit_identical(micro_dataset, cross, infomax):
     # batch 10 leaves a short final batch in every epoch
-    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=2e-3, seed=4,
-                      enable_cross_attention=cross, enable_infomax=infomax)
-    mc = tiny_model_config(micro_dataset, cfg)
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=2e-3, seed=4)
+    mc = tiny_model_config(micro_dataset, enable_cross_attention=cross,
+                           enable_infomax=infomax)
     first = train(cfg, micro_dataset, model_config=mc)
     second = train(cfg, micro_dataset, model_config=mc)
     assert len(first.step_records) > 0

@@ -13,9 +13,12 @@ import sys
 import numpy as np
 import pytest
 
+from mibvqa import training
 from mibvqa.cli import main
 from mibvqa.data import import_dataset
-from mibvqa.training import ABLATION_VARIANTS, evaluate, load_checkpoint
+from mibvqa.training import (
+    ABLATION_VARIANTS, build_model, evaluate, evaluate_model, load_checkpoint,
+)
 
 DATASET_CFG = """\
 # tiny deterministic scene/question corpus for CLI tests
@@ -189,7 +192,7 @@ def test_train_no_infomax_flag_drops_the_bottleneck_parameters(
                  "--no-infomax"])
     assert code == 0
     ckpt = load_checkpoint(out_path)
-    assert not ckpt.train_config.enable_infomax
+    assert not ckpt.model_config.enable_infomax
     assert not any(name.startswith("ib.") for name in ckpt.parameters)
 
 
@@ -201,8 +204,21 @@ def test_train_no_cross_attention_flag_drops_the_attention_parameters(
                  "--no-cross-attention"])
     assert code == 0
     ckpt = load_checkpoint(out_path)
-    assert not ckpt.train_config.enable_cross_attention
+    assert not ckpt.model_config.enable_cross_attention
     assert not any(name.startswith("att.") for name in ckpt.parameters)
+
+
+def test_train_config_file_flag_is_a_model_key(workdir, data_path):
+    config = workdir / "no_ib.cfg"
+    config.write_text(TRAIN_CFG + "enable_infomax = false\n", encoding="utf-8")
+    out_path = workdir / "no_ib_from_file.ckpt"
+    code = main(["train", "--data", str(data_path), "--out", str(out_path),
+                 "--config", str(config), "--epochs", "1"])
+    assert code == 0
+    ckpt = load_checkpoint(out_path)
+    assert not ckpt.model_config.enable_infomax
+    assert ckpt.model_config.d_h == 12
+    assert not any(name.startswith("ib.") for name in ckpt.parameters)
 
 
 def test_train_rejects_a_dataset_key_in_the_train_config(workdir, data_path,
@@ -214,6 +230,17 @@ def test_train_rejects_a_dataset_key_in_the_train_config(workdir, data_path,
     err = capsys.readouterr().err
     assert code == 3
     assert "n_samples" in err
+
+
+def test_train_rejects_a_nonpositive_model_width(workdir, data_path, capsys):
+    bad = workdir / "zero_width.cfg"
+    bad.write_text("epochs = 1\nd_h = 0\n", encoding="utf-8")
+    code = main(["train", "--data", str(data_path),
+                 "--out", str(workdir / "never.ckpt"), "--config", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "d_h" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_missing_data_file_exits_with_the_data_error_code(workdir, capsys):
@@ -352,6 +379,71 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("field,value,shown", [
+    ("cls", "castle", "castle"),
+    ("size", "huge", "huge"),
+    ("row", 99, "row 99"),
+    ("col", -1, "col -1"),
+    ("token_id", 29, "token id 29"),
+    ("n_tokens", 13, "n_tokens 13"),
+])
+def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
+        workdir, data_path, capsys, field, value, shown):
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    object_fields = ("cls", "row", "col", "size")
+    if field in object_fields:
+        record["scene"]["objects"][0][object_fields.index(field)] = value
+    elif field == "token_id":
+        record["token_ids"][2] = value
+    else:
+        record[field] = value
+    lines[1] = json.dumps(record, sort_keys=True)
+    edited = workdir / "bad_record.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["train", "--data", str(edited),
+                 "--out", str(workdir / "never.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "line 2" in err and shown in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workdir / "never.ckpt").exists()
+
+
+def test_eval_of_a_split_the_dataset_lacks_exits_with_one_error_line(
+        ckpt_path, data_path, capsys):
+    code = main(["eval", "--ckpt", str(ckpt_path), "--data", str(data_path),
+                 "--split", "test2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "test2" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_test2_split_is_trained_reported_and_evaluated(workdir, train_cfg_path,
+                                                       capsys):
+    config = workdir / "data_test2.cfg"
+    config.write_text(DATASET_CFG + "test_fraction = 0.1\ntest2_fraction = 0.1\n",
+                      encoding="utf-8")
+    data = workdir / "test2.jsonl"
+    ckpt = workdir / "test2.ckpt"
+    json_path = workdir / "test2_metrics.json"
+    assert main(["gen-data", "--config", str(config), "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--out", str(ckpt),
+                 "--config", str(train_cfg_path), "--epochs", "1"]) == 0
+    assert "test2: OA" in capsys.readouterr().out
+    checkpoint = load_checkpoint(ckpt)
+    assert set(checkpoint.metrics) == {"train", "test", "test2"}
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--split", "test2", "--json-out", str(json_path)]) == 0
+    record = json.loads(json_path.read_text(encoding="utf-8"))
+    expected = evaluate_model(build_model(checkpoint), import_dataset(data),
+                              "test2").to_dict()
+    assert record == {"split": "test2", **expected}
+    assert checkpoint.metrics["test2"] == expected
+    assert record["n_samples"] == 12
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------
@@ -375,6 +467,22 @@ def test_ablate_writes_table_json_and_all_four_checkpoints(workdir, data_path,
         ckpt = load_checkpoint(out_dir / f"{name}.ckpt")
         assert ckpt.train_config.epochs == 1
     assert len(list(out_dir.glob("*.ckpt"))) == 4
+
+
+def test_ablate_of_a_split_the_dataset_lacks_fails_before_training(
+        workdir, data_path, train_cfg_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained before checking the split")
+
+    monkeypatch.setattr(training, "train", no_training)
+    out_dir = workdir / "ablation_bogus"
+    code = main(["ablate", "--data", str(data_path), "--out", str(out_dir),
+                 "--config", str(train_cfg_path), "--split", "bogus"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "bogus" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

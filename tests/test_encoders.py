@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mibvqa import autodiff as ad
 from mibvqa.encoders import (
-    EmbeddingConfig,
     EncoderParams,
     ImageObjectFeatures,
     QueryTokens,
@@ -17,11 +18,12 @@ from mibvqa.encoders import (
     masked_mean,
 )
 
-CFG = EmbeddingConfig(d_h=12, d_q=10, t_max=5, k_max=6, vocab_size=9, d_raw=8)
+CFG = SimpleNamespace(d_h=12, d_q=10, t_max=5, k_max=6, vocab_size=9, d_raw=8)
 
 
 def make_params(seed: int = 0) -> EncoderParams:
-    return EncoderParams(CFG, np.random.default_rng(seed))
+    return EncoderParams(CFG.vocab_size, CFG.d_q, CFG.d_raw, CFG.d_h,
+                         np.random.default_rng(seed))
 
 
 def one_scene(mat: np.ndarray, mask: np.ndarray) -> ImageObjectFeatures:

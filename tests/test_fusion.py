@@ -10,7 +10,6 @@ import pytest
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import DimensionError, Parameter, Tensor
 from mibvqa.encoders import (
-    EmbeddingConfig,
     EncoderParams,
     ImageObjectFeatures,
     QueryTokens,
@@ -162,10 +161,8 @@ def test_predict_tie_breaks_to_lowest_index():
 def test_full_pipeline_passes_gradient_check():
     # encoders -> both attentions -> fuse -> classify -> cross-entropy, all
     # trainable parameters checked at once at realistic initialization.
-    ecfg = EmbeddingConfig(d_h=D_H, d_q=D_Q, t_max=4, k_max=5, vocab_size=7,
-                           d_raw=8)
     rng = np.random.default_rng(4)
-    enc = EncoderParams(ecfg, rng)
+    enc = EncoderParams(vocab_size=7, d_q=D_Q, d_raw=8, d_h=D_H, rng=rng)
     att = AttentionParams(D_Q, D_H, d_ff=3, d_p=6, rng=rng)
     fus = FusionParams(D_Q, D_H, N_CLASSES, d_f=D_F, d_mlp=D_MLP, rng=rng)
 

@@ -36,9 +36,10 @@ def quick_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def run_quick(dataset, **overrides):
-    cfg = quick_config(**overrides)
-    return train(cfg, dataset, model_config=tiny_model_config(dataset, cfg))
+def run_quick(dataset, flags=None, **overrides):
+    """A quick_config run of the tiny model with the given flag overrides."""
+    return train(quick_config(**overrides), dataset,
+                 model_config=tiny_model_config(dataset, **(flags or {})))
 
 
 # ---------------------------------------------------------------- defaults
@@ -64,12 +65,19 @@ def test_config_validation():
 
 
 def test_model_config_for_derives_widths_from_dataset(small_dataset):
-    mc = model_config_for(small_dataset, TrainConfig())
+    mc = model_config_for(small_dataset)
     assert mc.vocab_size == len(dt.VOCABULARY)
     assert mc.n_classes == len(small_dataset.answer_space.answers)
-    assert mc.t_max == small_dataset.config.t_max
-    assert mc.k_max == small_dataset.config.k_max
     assert mc.d_raw == len(dt.OBJECT_CLASSES) + 3
+
+
+def test_model_config_for_applies_overrides_and_refuses_derived_fields(
+        small_dataset):
+    mc = model_config_for(small_dataset, d_h=5, enable_infomax=False)
+    assert (mc.d_h, mc.enable_infomax, mc.enable_cross_attention) == (5, False, True)
+    for name in ("vocab_size", "d_raw", "n_classes"):
+        with pytest.raises(ValueError, match=name):
+            model_config_for(small_dataset, **{name: 3})
 
 
 # ---------------------------------------------------------------- determinism
@@ -99,20 +107,30 @@ def test_lambda_zero_final_equals_cross_entropy_bitwise(micro_dataset):
 
 
 def test_flag_isolation_no_bottleneck_parameters(micro_dataset):
-    result = run_quick(micro_dataset, enable_infomax=False)
+    result = run_quick(micro_dataset, {"enable_infomax": False})
     names = set(result.model.parameter_map())
     assert not any(name.startswith("ib.") for name in names)
     assert not any(name.startswith("ib.") for name in result.checkpoint.parameters)
 
 
 def test_flag_isolation_no_attention_parameters(micro_dataset):
-    result = run_quick(micro_dataset, enable_cross_attention=False)
+    result = run_quick(micro_dataset, {"enable_cross_attention": False})
     names = set(result.model.parameter_map())
     assert not any(name.startswith("att.") for name in names)
 
 
+@pytest.mark.parametrize("flag,prefix", [("enable_infomax", "ib."),
+                                         ("enable_cross_attention", "att.")])
+def test_train_takes_the_flags_of_the_given_model_config(micro_dataset, flag,
+                                                         prefix):
+    mc = dataclasses.replace(tiny_model_config(micro_dataset), **{flag: False})
+    result = train(quick_config(epochs=1), micro_dataset, model_config=mc)
+    assert result.checkpoint.model_config == mc
+    assert not any(name.startswith(prefix) for name in result.checkpoint.parameters)
+
+
 def test_disabled_infomax_reports_zero_info_terms(micro_dataset):
-    result = run_quick(micro_dataset, enable_infomax=False)
+    result = run_quick(micro_dataset, {"enable_infomax": False})
     for record in result.step_records:
         assert record["mi_estimate"] == 0.0
         assert record["skl"] == 0.0
@@ -140,9 +158,8 @@ def test_epoch_callback_can_stop_training(small_dataset):
         seen.append(epoch)
         return True
 
-    cfg = quick_config(epochs=10)
-    result = train(cfg, small_dataset,
-                   model_config=tiny_model_config(small_dataset, cfg),
+    result = train(quick_config(epochs=10), small_dataset,
+                   model_config=tiny_model_config(small_dataset),
                    epoch_callback=stop_after_first)
     assert seen == [0]
     assert len(result.epoch_records) == 1
@@ -253,7 +270,7 @@ def test_checkpoint_header_shape(tmp_path, small_dataset):
     save_checkpoint(result.checkpoint, path)
     header = path.read_text().splitlines()[0].split()
     assert header[0] == "ckpt"
-    assert header[1] == "v1"
+    assert header[1] == "v2"
     assert int(header[2]) == result.checkpoint.seed
     assert int(header[3]) == len(result.checkpoint.parameters)
 
@@ -310,7 +327,7 @@ def test_checkpoint_version_mismatch_rejected(tmp_path, small_dataset):
     result = run_quick(small_dataset)
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    text = path.read_text().replace("ckpt v1 ", "ckpt v9 ", 1)
+    text = path.read_text().replace("ckpt v2 ", "ckpt v9 ", 1)
     bad = tmp_path / "v9.ckpt"
     bad.write_text(text)
     with pytest.raises(CheckpointError):
@@ -343,7 +360,7 @@ def test_evaluate_rejects_mismatched_answer_space(tmp_path, small_dataset):
 def ablation_setup():
     ds = dt.generate_dataset(dt.DatasetConfig(n_samples=160, seed=55))
     cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=2e-3, seed=77)
-    mc = tiny_model_config(ds, cfg)
+    mc = tiny_model_config(ds)
     return ds, cfg, mc
 
 
@@ -386,8 +403,7 @@ def test_ablation_rerun_byte_identical(ablation_setup, ablation_result):
 def test_ablation_baseline_consistent_with_standalone_run(ablation_setup,
                                                           ablation_result):
     ds, cfg, mc = ablation_setup
-    standalone_cfg = dataclasses.replace(
-        cfg, seed=77 + 0, enable_cross_attention=False, enable_infomax=False)
+    standalone_cfg = dataclasses.replace(cfg, seed=77 + 0)
     standalone_mc = dataclasses.replace(
         mc, enable_cross_attention=False, enable_infomax=False)
     result = train(standalone_cfg, ds, model_config=standalone_mc)
