@@ -42,6 +42,32 @@ def _load_dataset(path) -> Dataset:
     return import_dataset(path)
 
 
+def _check_output_file(path) -> None:
+    """Raise OSError unless a file can be written at path: its directory
+    exists and is writable, and path is not a directory."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise OSError(f"output path {path!r} names a directory, not a file")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise OSError(f"output directory {parent} does not exist "
+                      f"or is not a directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise OSError(f"output directory {parent} is not writable")
+
+
+def _check_output_dir(path) -> None:
+    """Raise OSError unless os.makedirs(path) can make or reuse a directory
+    there: the nearest existing path at or above it is a writable directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise OSError(f"output path {path} is not under a directory: "
+                      f"{existing} is a file")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise OSError(f"output directory {existing} is not writable")
+
+
 def _cmd_gen_data(args) -> int:
     kv = read_config_file(args.config) if args.config else {}
     overrides = {}
@@ -84,6 +110,7 @@ def _train_setup(args, dataset: Dataset) -> tuple:
 
 
 def _cmd_train(args) -> int:
+    _check_output_file(args.out)
     dataset = _load_dataset(args.data)
     config, mc = _train_setup(args, dataset)
     result = train(config, dataset, model_config=mc)
@@ -113,6 +140,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _check_output_dir(args.out)
     dataset = _load_dataset(args.data)
     config, mc = _train_setup(args, dataset)
     master = args.seed if args.seed is not None else config.seed

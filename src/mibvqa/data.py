@@ -11,6 +11,7 @@ category in the configured proportions.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
@@ -78,6 +79,18 @@ class SceneObject:
     row: int
     col: int
     size: str
+
+
+# One store of canonical SceneObjects per grid size, keyed by
+# (cls, row, col, size) and filled as objects occur: generation and import
+# take every object from it, so equal objects are one shared instance. At
+# most 10 * grid_size**2 entries (5 classes, 2 sizes), and only objects
+# that passed validation: a hit proves the object is valid on that grid.
+_OBJECT_STORES: dict = {}
+
+
+def _object_store(grid_size: int) -> dict:
+    return _OBJECT_STORES.setdefault(grid_size, {})
 
 
 @dataclass(frozen=True)
@@ -334,19 +347,26 @@ def apportion(weights: dict, n: int) -> list:
     return out
 
 
+_BUILDING = _CLASS_INDEX["building"]
+
+
 def _sample_scene(rng: np.random.Generator, config: DatasetConfig) -> Scene:
+    grid = config.grid_size
     n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
-    cells = rng.choice(config.grid_size * config.grid_size, size=n_obj, replace=False)
-    classes = rng.choice(len(OBJECT_CLASSES), size=n_obj)
-    sizes = rng.choice(2, size=n_obj)
-    objects = tuple(
-        SceneObject(cls=OBJECT_CLASSES[classes[i]],
-                    row=int(cells[i]) // config.grid_size,
-                    col=int(cells[i]) % config.grid_size,
-                    size=SIZES[sizes[i]])
-        for i in range(n_obj))
-    return Scene(grid_size=config.grid_size, objects=objects,
-                 zone_label=zone_of(objects, config.urban_threshold))
+    cells = rng.choice(grid * grid, size=n_obj, replace=False).tolist()
+    # integers(0, n, size) draws what choice(n, size) draws, at less cost per call
+    classes = rng.integers(0, len(OBJECT_CLASSES), size=n_obj).tolist()
+    sizes = rng.integers(0, len(SIZES), size=n_obj).tolist()
+    store = _object_store(grid)
+    objects = []
+    for cell, c, z in zip(cells, classes, sizes):
+        key = (OBJECT_CLASSES[c], cell // grid, cell % grid, SIZES[z])
+        obj = store.get(key)
+        if obj is None:
+            obj = store[key] = SceneObject(*key)
+        objects.append(obj)
+    zone = "urban" if classes.count(_BUILDING) >= config.urban_threshold else "rural"
+    return Scene(grid_size=grid, objects=tuple(objects), zone_label=zone)
 
 
 def _pick_balanced(rng, candidates_yes, candidates_no):
@@ -385,14 +405,21 @@ def _sample_question(rng: np.random.Generator, scene: Scene, category: str):
     raise TemplateError(f"unknown category {category!r}")
 
 
+# Per k_max there are at most 50 (template, slots) questions: 5 count,
+# 5 + 10 presence, 20 comparison, 1 rural_urban and 5 area.
+@functools.lru_cache(maxsize=1024)
+def _question_tokens(template_id: int, slots: tuple, k_max: int) -> tuple:
+    """tokenize() of the rendered question, computed once per question."""
+    return tokenize(TEMPLATES[template_id].render(slots), k_max)
+
+
 def make_sample(config: DatasetConfig, index: int, category: str,
                 split: str, answer_space: AnswerSpace) -> VQASample:
     """Sample content is a pure function of (seed, index)."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
     scene = _sample_scene(rng, config)
     template, slots = _sample_question(rng, scene, category)
-    words = template.render(slots)
-    token_ids, n_tokens = tokenize(words, config.k_max)
+    token_ids, n_tokens = _question_tokens(template.template_id, slots, config.k_max)
     answer = answer_oracle(scene, template, slots)
     return VQASample(scene=scene, category=category,
                      template_id=template.template_id, slots=slots,
@@ -454,27 +481,45 @@ def _sample_record(s: VQASample) -> dict:
     }
 
 
-def _sample_from_record(rec: dict, line_no: int) -> VQASample:
+def _record_object(store: dict, grid_size: int, cls, row, col, size) -> SceneObject:
+    """The canonical object of one record entry. A store hit is valid by
+    construction; a miss (or an unhashable field) runs every check and
+    stores the object only if it passes."""
+    try:
+        return store[cls, row, col, size]
+    except (KeyError, TypeError):
+        pass
+    row, col = int(row), int(col)
+    if cls not in _CLASS_INDEX:
+        raise ValueError(f"unknown object class {cls!r}")
+    if size not in SIZE_FEATURE:
+        raise ValueError(f"unknown object size {size!r}")
+    if not (0 <= row < grid_size and 0 <= col < grid_size):
+        raise ValueError(f"object at row {row}, col {col} is off the "
+                         f"{grid_size}x{grid_size} grid")
+    return store.setdefault((cls, row, col, size), SceneObject(cls, row, col, size))
+
+
+def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
     """The sample of one record; a value the model cannot take (unknown
-    class or size, object off the grid, token id outside the vocabulary,
-    n_tokens beyond the ids) is a DatasetFormatError naming the line."""
+    class or size, object off the grid, no objects or more than t_max, other
+    than k_max token ids, token id outside the vocabulary, n_tokens beyond the
+    ids) is a DatasetFormatError naming the line."""
     try:
         sc = rec["scene"]
         grid_size = int(sc["grid_size"])
-        objects = []
-        for cls, row, col, size in sc["objects"]:
-            row, col = int(row), int(col)
-            if cls not in _CLASS_INDEX:
-                raise ValueError(f"unknown object class {cls!r}")
-            if size not in SIZE_FEATURE:
-                raise ValueError(f"unknown object size {size!r}")
-            if not (0 <= row < grid_size and 0 <= col < grid_size):
-                raise ValueError(f"object at row {row}, col {col} is off the "
-                                 f"{grid_size}x{grid_size} grid")
-            objects.append(SceneObject(cls, row, col, size))
-        scene = Scene(grid_size=grid_size, objects=tuple(objects),
+        store = _object_store(grid_size)
+        objects = tuple(_record_object(store, grid_size, cls, row, col, size)
+                        for cls, row, col, size in sc["objects"])
+        if not 1 <= len(objects) <= config.t_max:
+            raise ValueError(f"{len(objects)} objects, expected 1 to "
+                             f"t_max={config.t_max}")
+        scene = Scene(grid_size=grid_size, objects=objects,
                       zone_label=sc["zone_label"])
         token_ids = tuple(int(t) for t in rec["token_ids"])
+        if len(token_ids) != config.k_max:
+            raise ValueError(f"{len(token_ids)} token ids, expected "
+                             f"k_max={config.k_max}")
         for t in (min(token_ids), max(token_ids)):
             if not 0 <= t < len(VOCABULARY):
                 raise ValueError(f"token id {t} outside vocabulary of size "
@@ -487,7 +532,7 @@ def _sample_from_record(rec: dict, line_no: int) -> VQASample:
                          slots=tuple(rec["slots"]), token_ids=token_ids,
                          n_tokens=n_tokens, answer_index=int(rec["answer_index"]),
                          split=rec["split"])
-    except (KeyError, IndexError, TypeError, ValueError) as e:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
         raise DatasetFormatError(f"malformed sample record at line {line_no}: {e}") from None
 
 
@@ -499,10 +544,12 @@ def export_dataset(dataset: Dataset, path) -> None:
         "n_samples": len(dataset.samples),
         "config": asdict(dataset.config),
     }
+    # one encoder for every line; json.dumps(sort_keys=True) builds one per call
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
+        f.write(encode(header) + "\n")
         for s in dataset.samples:
-            f.write(json.dumps(_sample_record(s), sort_keys=True) + "\n")
+            f.write(encode(_sample_record(s)) + "\n")
 
 
 def import_dataset(path) -> Dataset:
@@ -535,5 +582,5 @@ def import_dataset(path) -> Dataset:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise DatasetFormatError(f"malformed record at line {i}: {e}") from None
-        samples.append(_sample_from_record(rec, i))
+        samples.append(_sample_from_record(rec, i, config))
     return Dataset(config=config, samples=tuple(samples))

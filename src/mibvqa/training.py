@@ -176,11 +176,15 @@ def train(config: TrainConfig, dataset: Dataset,
     epoch_callback(epoch_index, model, epoch_record) may return True to make
     the surrounding harness cut the run short after a completed epoch.
     Raises DivergenceError as soon as any loss term goes non-finite.
-    model_config defaults to model_config_for(dataset).
+    model_config defaults to model_config_for(dataset). Every split is
+    prepared before the first step, so one without samples raises
+    DatasetFormatError before any training.
     """
     mc = model_config if model_config is not None else model_config_for(dataset)
+    prepared = {split: prepare_split(dataset, split)
+                for split in dataset.config.splits()}
     model = VQAModel(mc, seed=config.seed)
-    samples = prepare_split(dataset, "train")
+    samples = prepared["train"]
     loop_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
 
@@ -220,13 +224,8 @@ def train(config: TrainConfig, dataset: Dataset,
         if epoch_callback is not None and epoch_callback(epoch, model, epoch_record):
             break
 
-    metrics = {}
-    for split in dataset.config.splits():
-        if split == "train":
-            m = _evaluate_prepared(model, samples, dataset, split)
-        else:
-            m = evaluate_model(model, dataset, split)
-        metrics[split] = m.to_dict()
+    metrics = {split: _evaluate_prepared(model, split_samples, dataset, split).to_dict()
+               for split, split_samples in prepared.items()}
     checkpoint = Checkpoint(
         version=CKPT_VERSION, seed=config.seed, model_config=mc, train_config=config,
         parameters={p.name: p.tensor.data.copy() for p in model.parameters()},

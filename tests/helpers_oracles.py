@@ -4,14 +4,25 @@ The attention oracles are straight-line dense math coded directly from the
 published formulas with plain numpy — no Tensor, no graph, no code shared
 with the implementation under test.  Both attention suites and the
 acceptance gate compare against these.  The per-sample model reference
-below is the batched model's correctness gate (tests/test_batched.py).
+below is the batched model's correctness gate (tests/test_batched.py), and
+the data-path reference at the end is the generator's and the importer's
+(tests/test_data.py).
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 from mibvqa import autodiff as ad
+from mibvqa.data import (
+    _CLASS_INDEX, OBJECT_CLASSES, SIZE_FEATURE, SIZES, VOCABULARY, Dataset,
+    DatasetConfig, DatasetFormatError, FORMAT_NAME, FORMAT_VERSION, Scene,
+    SceneObject, VQASample, _sample_question, _sample_record, answer_oracle,
+    apportion, build_answer_space, tokenize, zone_of,
+)
 from mibvqa.fusion import cross_entropy
 from mibvqa.infomax import LossBreakdown, encode_latent, info_loss, total_loss
 
@@ -144,3 +155,108 @@ def reference_loss(model, features, tokens, labels, lam, noise_q, noise_h):
                      model.bottleneck.gamma(), model.bottleneck.critic.tensor)
     return logits, LossBreakdown(ce, info.mi_estimate, info.skl, info.value,
                                  total_loss(ce, info.value, lam))
+
+
+# ---------------------------------------------------------------------------
+# data-path reference
+#
+# Sample generation, export and record parsing as they were before scene
+# objects were shared: every object a new SceneObject, classes and sizes
+# drawn with rng.choice and indexed as NumPy scalars, the zone from
+# zone_of, every question rendered and tokenized anew, every exported line
+# from its own json.dumps, every record field checked.
+
+
+def reference_sample_scene(rng: np.random.Generator, config: DatasetConfig) -> Scene:
+    n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
+    cells = rng.choice(config.grid_size * config.grid_size, size=n_obj, replace=False)
+    classes = rng.choice(len(OBJECT_CLASSES), size=n_obj)
+    sizes = rng.choice(2, size=n_obj)
+    objects = tuple(
+        SceneObject(cls=OBJECT_CLASSES[classes[i]],
+                    row=int(cells[i]) // config.grid_size,
+                    col=int(cells[i]) % config.grid_size,
+                    size=SIZES[sizes[i]])
+        for i in range(n_obj))
+    return Scene(grid_size=config.grid_size, objects=objects,
+                 zone_label=zone_of(objects, config.urban_threshold))
+
+
+def reference_make_sample(config: DatasetConfig, index: int, category: str,
+                          split: str, answer_space) -> VQASample:
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
+    scene = reference_sample_scene(rng, config)
+    template, slots = _sample_question(rng, scene, category)
+    words = template.render(slots)
+    token_ids, n_tokens = tokenize(words, config.k_max)
+    answer = answer_oracle(scene, template, slots)
+    return VQASample(scene=scene, category=category,
+                     template_id=template.template_id, slots=slots,
+                     token_ids=token_ids, n_tokens=n_tokens,
+                     answer_index=answer_space.index_of(answer), split=split)
+
+
+def reference_generate_dataset(config: DatasetConfig) -> Dataset:
+    answer_space = build_answer_space()
+    categories = apportion(config.mix(), config.n_samples)
+    splits = apportion(config.splits(), config.n_samples)
+    samples = tuple(
+        reference_make_sample(config, i, categories[i], splits[i], answer_space)
+        for i in range(config.n_samples))
+    return Dataset(config=config, samples=samples, answer_space=answer_space)
+
+
+def reference_export_text(dataset: Dataset) -> str:
+    header = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "seed": dataset.config.seed,
+        "n_samples": len(dataset.samples),
+        "config": asdict(dataset.config),
+    }
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps(_sample_record(s), sort_keys=True) for s in dataset.samples]
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_sample_from_record(rec: dict, line_no: int) -> VQASample:
+    try:
+        sc = rec["scene"]
+        grid_size = int(sc["grid_size"])
+        objects = []
+        for cls, row, col, size in sc["objects"]:
+            row, col = int(row), int(col)
+            if cls not in _CLASS_INDEX:
+                raise ValueError(f"unknown object class {cls!r}")
+            if size not in SIZE_FEATURE:
+                raise ValueError(f"unknown object size {size!r}")
+            if not (0 <= row < grid_size and 0 <= col < grid_size):
+                raise ValueError(f"object at row {row}, col {col} is off the "
+                                 f"{grid_size}x{grid_size} grid")
+            objects.append(SceneObject(cls, row, col, size))
+        scene = Scene(grid_size=grid_size, objects=tuple(objects),
+                      zone_label=sc["zone_label"])
+        token_ids = tuple(int(t) for t in rec["token_ids"])
+        for t in (min(token_ids), max(token_ids)):
+            if not 0 <= t < len(VOCABULARY):
+                raise ValueError(f"token id {t} outside vocabulary of size "
+                                 f"{len(VOCABULARY)}")
+        n_tokens = int(rec["n_tokens"])
+        if not 1 <= n_tokens <= len(token_ids):
+            raise ValueError(f"n_tokens {n_tokens} outside [1, {len(token_ids)}]")
+        return VQASample(scene=scene, category=rec["category"],
+                         template_id=int(rec["template_id"]),
+                         slots=tuple(rec["slots"]), token_ids=token_ids,
+                         n_tokens=n_tokens, answer_index=int(rec["answer_index"]),
+                         split=rec["split"])
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise DatasetFormatError(f"malformed sample record at line {line_no}: {e}") from None
+
+
+def reference_import_samples(path) -> tuple:
+    """The samples of an exported dataset file, every record through
+    reference_sample_from_record (the header is not parsed)."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    return tuple(reference_sample_from_record(json.loads(line), i)
+                 for i, line in enumerate(lines[1:], start=2))

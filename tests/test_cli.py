@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from mibvqa import training
+from mibvqa import cli, training
 from mibvqa.cli import main
 from mibvqa.data import import_dataset
 from mibvqa.training import (
@@ -386,6 +386,9 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     ("col", -1, "col -1"),
     ("token_id", 29, "token id 29"),
     ("n_tokens", 13, "n_tokens 13"),
+    ("n_objects", 17, "17 objects, expected 1 to t_max=16"),
+    ("n_objects", 0, "0 objects, expected 1 to t_max=16"),
+    ("n_token_ids", 11, "11 token ids, expected k_max=12"),
 ])
 def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         workdir, data_path, capsys, field, value, shown):
@@ -396,6 +399,11 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         record["scene"]["objects"][0][object_fields.index(field)] = value
     elif field == "token_id":
         record["token_ids"][2] = value
+    elif field == "n_objects":
+        record["scene"]["objects"] = [["road", i // 8, i % 8, "small"]
+                                      for i in range(value)]
+    elif field == "n_token_ids":
+        record["token_ids"] = record["token_ids"][:value]
     else:
         record[field] = value
     lines[1] = json.dumps(record, sort_keys=True)
@@ -442,6 +450,29 @@ def test_test2_split_is_trained_reported_and_evaluated(workdir, train_cfg_path,
     assert record == {"split": "test2", **expected}
     assert checkpoint.metrics["test2"] == expected
     assert record["n_samples"] == 12
+
+
+@pytest.mark.parametrize("command,where", [
+    ("train", "missing_dir"),
+    ("train", "directory"),
+    ("train", "under_a_file"),
+    ("ablate", "under_a_file"),
+])
+def test_output_that_cannot_be_written_fails_before_training(
+        workdir, data_path, capsys, monkeypatch, command, where):
+    def no_training(*args, **kwargs):
+        raise AssertionError(f"{command} trained before checking --out")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(training, "train", no_training)
+    out = {"missing_dir": workdir / "no_such_dir" / "model.ckpt",
+           "directory": workdir,
+           "under_a_file": data_path / "out"}[where]
+    code = main([command, "--data", str(data_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "output" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,11 @@ from mibvqa.data import (
     tokenize,
     zone_of,
 )
+from helpers_oracles import (
+    reference_export_text,
+    reference_generate_dataset,
+    reference_import_samples,
+)
 
 
 def scene_of(objs, grid=8, urban_threshold=3) -> Scene:
@@ -423,3 +428,91 @@ def test_wrong_header_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises((DatasetFormatError, OSError)):
         import_dataset(tmp_path / "absent.jsonl")
+
+
+# ---------------------------------------------------------------- shared objects
+
+
+REFERENCE_CONFIGS = {
+    "default": DatasetConfig(),
+    "hr_like_5x5_test2": DatasetConfig(variant="hr_like", grid_size=5,
+                                       min_objects=3, max_objects=16,
+                                       train_fraction=0.8, test_fraction=0.1,
+                                       test2_fraction=0.1),
+    "urban_threshold_1": DatasetConfig(urban_threshold=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+def test_data_path_equals_the_reference_sample_for_sample(tmp_path, name):
+    config = REFERENCE_CONFIGS[name]
+    ds = generate_dataset(config)
+    reference = reference_generate_dataset(config)
+    assert len(ds.samples) == len(reference.samples) == config.n_samples
+    for index, (sample, expected) in enumerate(zip(ds.samples, reference.samples)):
+        assert sample == expected, index
+    path = tmp_path / "ds.jsonl"
+    export_dataset(ds, path)
+    assert path.read_bytes() == reference_export_text(reference).encode("utf-8")
+    imported = import_dataset(path)
+    assert imported.samples == reference_import_samples(path) == reference.samples
+
+
+def test_equal_objects_are_one_shared_instance(tmp_path):
+    config = DatasetConfig(n_samples=400, grid_size=5, seed=34)
+    ds = generate_dataset(config)
+    path = tmp_path / "ds.jsonl"
+    export_dataset(ds, path)
+    imported = import_dataset(path)
+    store = dt._OBJECT_STORES[config.grid_size]
+    for sample, back in zip(ds.samples, imported.samples):
+        for obj, obj_back in zip(sample.scene.objects, back.scene.objects):
+            assert obj is obj_back is store[obj.cls, obj.row, obj.col, obj.size]
+    for grid_size, objects in dt._OBJECT_STORES.items():
+        assert len(objects) <= len(OBJECT_CLASSES) * len(SIZE_CELLS) * grid_size ** 2
+
+
+def _edit_first_record(path, out, edit):
+    """Copy of the dataset file at path with edit(record) applied to its
+    first sample record."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record, sort_keys=True)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+def _first_object(obj, grid_size=None):
+    def edit(record):
+        record["scene"]["objects"][0] = obj
+        if grid_size is not None:
+            record["scene"]["grid_size"] = grid_size
+    return edit
+
+
+def test_import_converts_and_checks_object_fields_as_before(tmp_path):
+    ds = generate_dataset(DatasetConfig(n_samples=20, seed=35))
+    path = tmp_path / "ds.jsonl"
+    export_dataset(ds, path)
+    # a row given as a string converts as int() does, to the shared object
+    first = ds.samples[0].scene.objects[0]
+    edited = _edit_first_record(path, tmp_path / "str_row.jsonl", _first_object(
+        [first.cls, str(first.row), first.col, first.size]))
+    assert import_dataset(edited).samples[0].scene.objects[0] is first
+    # the store is per grid: an object valid on a 9x9 grid is still off an 8x8 one
+    nine = _edit_first_record(path, tmp_path / "nine.jsonl",
+                              _first_object(["road", 8, 0, "small"], grid_size=9))
+    assert import_dataset(nine).samples[0].scene.objects[0].row == 8
+    # a rejected object leaves no entry behind
+    sizes = {grid: len(objects) for grid, objects in dt._OBJECT_STORES.items()}
+    for obj, shown in [(["castle", 0, 0, "small"], "castle"),
+                       (["road", 8, 0, "small"], "row 8"),
+                       (["road", float("inf"), 0, "small"], "infinity"),
+                       ([["road"], 0, 0, "small"], "unhashable")]:
+        edited = _edit_first_record(path, tmp_path / "bad.jsonl", _first_object(obj))
+        with pytest.raises(DatasetFormatError, match=f"line 2: .*{shown}"):
+            import_dataset(edited)
+    assert {grid: len(objects) for grid, objects in dt._OBJECT_STORES.items()} == sizes
+    assert all(obj.cls in OBJECT_CLASSES for objects in dt._OBJECT_STORES.values()
+               for obj in objects.values())

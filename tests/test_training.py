@@ -11,6 +11,7 @@ import pytest
 
 from conftest import tiny_model_config
 from mibvqa import data as dt
+from mibvqa import training
 from mibvqa.training import (
     ABLATION_VARIANTS,
     Checkpoint,
@@ -163,6 +164,24 @@ def test_epoch_callback_can_stop_training(small_dataset):
                    epoch_callback=stop_after_first)
     assert seen == [0]
     assert len(result.epoch_records) == 1
+
+
+def test_a_split_without_samples_fails_before_the_first_step(monkeypatch):
+    # 2% of 10 samples rounds to none: test2 is configured but empty
+    dataset = dt.generate_dataset(dt.DatasetConfig(
+        n_samples=10, seed=3, train_fraction=0.78, test_fraction=0.2,
+        test2_fraction=0.02))
+    assert not dataset.split("test2")
+    steps = []
+    monkeypatch.setattr(training, "backward", lambda loss: steps.append(loss))
+
+    def no_epoch(epoch, model, record):
+        raise AssertionError("an epoch ran before the empty split was found")
+
+    with pytest.raises(dt.DatasetFormatError, match="test2"):
+        train(quick_config(epochs=3), dataset,
+              model_config=tiny_model_config(dataset), epoch_callback=no_epoch)
+    assert steps == []
 
 
 def test_divergence_raises_with_context(micro_dataset):
