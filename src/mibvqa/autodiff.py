@@ -36,6 +36,15 @@ class MissingGradientError(RuntimeError):
     """An optimizer step was requested before gradients were populated."""
 
 
+class NonFiniteGradientError(ArithmeticError):
+    """A gradient handed to the optimizer holds a nan or an infinity."""
+
+    def __init__(self, name: str, value: float):
+        self.name = name
+        self.value = value
+        super().__init__(f"non-finite gradient of parameter {name!r} ({value})")
+
+
 class Tensor:
     """Dense float64 array plus an optional backpropagation node.
 
@@ -160,10 +169,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), lambda g: (g * c,))
 
 
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _node(a.data + c, (a,), lambda g: (g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise RankError(f"matmul needs rank-2 operands, got {a.shape} @ {b.shape}")
@@ -175,12 +180,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                             a.data.T @ g if b.requires_grad else None))
 
 
-def add_row(m: Tensor, v: Tensor) -> Tensor:
-    """Add vector v to every row of m (explicit row broadcast)."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise DimensionError(f"add_row: {m.shape} incompatible with {v.shape}")
-    return _node(m.data + v.data[None, :], (m, v),
-                 lambda g: (g, g.sum(axis=0)))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b, the bias row added to every row of the product; one node.
+
+    As in matmul, a constant x gets no gradient and none is formed for it.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise RankError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}")
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise DimensionError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} "
+                             f"do not chain")
+    return _node(x.data @ w.data + b.data[None, :], (x, w, b),
+                 lambda g: (g @ w.data.T if x.requires_grad else None,
+                            x.data.T @ g if w.requires_grad else None,
+                            g.sum(axis=0)))
 
 
 def segment_mul(m: Tensor, v: Tensor) -> Tensor:
@@ -216,11 +229,6 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
     pos = x.data > 0.0
     return _node(out, (x,), lambda g: (g * pos,))
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _node(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -285,25 +293,6 @@ def logsumexp_rows(m: Tensor) -> Tensor:
     out = (mx + np.log(s)).ravel()
     soft = e / s
     return _node(out, (m,), lambda g: (g[:, None] * soft,))
-
-
-def diag_part(m: Tensor) -> Tensor:
-    if m.data.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"diag_part expects a square matrix, got {m.shape}")
-    n = m.shape[0]
-
-    def vjp(g):
-        out = np.zeros_like(m.data)
-        np.fill_diagonal(out, g)
-        return (out,)
-
-    return _node(np.diagonal(m.data).copy(), (m,), vjp)
-
-
-def transpose(m: Tensor) -> Tensor:
-    if m.data.ndim != 2:
-        raise RankError(f"transpose expects a matrix, got {m.shape}")
-    return _node(m.data.T.copy(), (m,), lambda g: (g.T,))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
@@ -401,11 +390,62 @@ def sum_all(x: Tensor) -> Tensor:
                  lambda g: (np.full(shape, float(g)),))
 
 
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    shape = x.shape
-    return _node(np.asarray(x.data.mean()), (x,),
-                 lambda g: (np.full(shape, float(g) / n),))
+# ---------------------------------------------------------------------------
+# fused bottleneck terms: one node each, forward in the operation order of
+# the elementwise composition they replace
+
+
+def gaussian_skl(mean_p: Tensor, log_var_p: Tensor, mean_q: Tensor,
+                 log_var_q: Tensor) -> Tensor:
+    """Symmetrized KL between diagonal Gaussians p and q, summed over entries.
+
+    0.25 * sum(t_pq + t_qp), where t_pq = e^(lp-lq) - (lp-lq)
+    + (mq-mp)^2 e^(-lq) - 1 is twice the elementwise KL(p || q).
+    """
+    for other in (log_var_p, mean_q, log_var_q):
+        _same_shape(mean_p, other, "gaussian_skl")
+    mp, lp, mq, lq = mean_p.data, log_var_p.data, mean_q.data, log_var_q.data
+    # negation is exact, so one difference and one square serve both terms
+    dmean, dlv = mq - mp, lp - lq
+    sq = dmean * dmean
+    inv_var_p, inv_var_q = np.exp(lp * -1.0), np.exp(lq * -1.0)
+    e_pq, e_qp = np.exp(dlv), np.exp(-dlv)
+    two_kl_pq = e_pq - dlv + sq * inv_var_q + -1.0
+    two_kl_qp = e_qp + dlv + sq * inv_var_p + -1.0
+    out = np.asarray((two_kl_pq + two_kl_qp).sum()) * 0.25
+
+    def vjp(g):
+        c = 0.25 * float(g)
+        d_mq = (2.0 * c) * dmean * (inv_var_q + inv_var_p)
+        return (-d_mq, c * (e_pq - e_qp - sq * inv_var_p),
+                d_mq, c * (e_qp - e_pq - sq * inv_var_q))
+
+    return _node(out, (mean_p, log_var_p, mean_q, log_var_q), vjp)
+
+
+def info_nce(z_q: Tensor, z_h: Tensor, critic: Tensor) -> Tensor:
+    """InfoNCE estimate mean_i [s_ii - logsumexp_j s_ij] + ln B of the
+    bilinear scores s = z_q @ critic @ z_h.T of a [B, d] latent pair."""
+    if z_q.data.ndim != 2 or z_h.shape != z_q.shape \
+            or critic.shape != (z_q.shape[1],) * 2:
+        raise DimensionError(f"info_nce: z_q {z_q.shape}, z_h {z_h.shape}, "
+                             f"critic {critic.shape}")
+    b = z_q.shape[0]
+    proj = z_q.data @ critic.data
+    scores = proj @ z_h.data.T.copy()   # contiguous, as the transpose node made
+    mx = scores.max(axis=1, keepdims=True)
+    e = np.exp(scores - mx)
+    s = e.sum(axis=1, keepdims=True)
+    gap = np.diagonal(scores) - (mx + np.log(s)).ravel()
+    out = np.asarray(gap.mean()) + math.log(b)
+
+    def vjp(g):
+        d_scores = (e / s) * (-float(g) / b)
+        d_scores[np.diag_indices(b)] += float(g) / b
+        d_proj = d_scores @ z_h.data
+        return (d_proj @ critic.data.T, d_scores.T @ proj, z_q.data.T @ d_proj)
+
+    return _node(out, (z_q, z_h, critic), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +536,10 @@ def grad_check(f: Callable[[Sequence[Parameter]], Tensor],
 class Adam:
     """Adam with bias correction. Gradients are left untouched by step().
 
-    The moments m and v are flat arrays over all parameters in order, so a
-    step applies the elementwise update once to the concatenated gradients
+    The moments m and v are flat arrays over all parameters in order. A
+    step concatenates the gradients into one preallocated buffer, applies
+    the elementwise update in place on preallocated arrays (the operation
+    order of the textbook formulas, so the result is the same to the bit)
     and writes each parameter's slice back in place.
     """
 
@@ -513,22 +555,45 @@ class Adam:
         self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self._m = np.zeros(bounds[-1])
         self._v = np.zeros(bounds[-1])
+        self._g = np.empty(bounds[-1])
+        self._scratch = np.empty(bounds[-1])
+        self._update = np.empty(bounds[-1])
 
     def step(self) -> None:
+        """One update. A missing, misshapen or non-finite gradient raises
+        before any state (m, v, t, the parameters) changes."""
         for p in self.params:
             if p.tensor.grad is None:
                 raise MissingGradientError(f"no gradient for parameter {p.name!r}")
             if p.tensor.grad.shape != p.tensor.shape:
                 raise DimensionError(f"gradient of {p.name!r} has shape "
                                      f"{p.tensor.grad.shape}, parameter {p.tensor.shape}")
-        g = np.concatenate([p.tensor.grad.ravel() for p in self.params])
+        g, tmp, update = self._g, self._scratch, self._update
+        np.concatenate([p.tensor.grad.ravel() for p in self.params], out=g)
+        if not np.isfinite(g).all():
+            for p, part in zip(self.params, self._slices):
+                bad = ~np.isfinite(g[part])
+                if bad.any():
+                    raise NonFiniteGradientError(p.name, float(g[part][bad][0]))
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        self._m = b1 * self._m + (1.0 - b1) * g
-        self._v = b2 * self._v + (1.0 - b2) * g * g
-        m_hat = self._m / (1.0 - b1 ** self.t)
-        v_hat = self._v / (1.0 - b2 ** self.t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        # m = b1 * m + (1 - b1) * g
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
+        # v = b2 * v + (1 - b2) * g * g
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        # update = lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - b1 ** self.t, out=update)
+        update *= self.lr
+        np.divide(v, 1.0 - b2 ** self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update /= tmp
         for p, part in zip(self.params, self._slices):
             p.tensor.data -= update[part].reshape(p.tensor.shape)
 

@@ -283,6 +283,8 @@ FEATURE_CHUNK = 256
 def scene_features(scenes: Sequence[Scene], t_max: int) -> ImageObjectFeatures:
     """Raw descriptor rows of a batch of scenes, filled into one preallocated
     [B, t_max, d_raw] array: one-hot class, x, y in [0,1], size in (0,1].
+    t_max is at least the batch's largest object count; rows past a scene's
+    objects are padding.
 
     Each pass flattens the objects of FEATURE_CHUNK scenes into one list
     and writes each column with one fancy-index assignment.
@@ -306,9 +308,12 @@ def scene_features(scenes: Sequence[Scene], t_max: int) -> ImageObjectFeatures:
 
 
 def query_tokens(samples: Sequence[VQASample], k_max: int) -> QueryTokens:
-    """Token ids [B, k_max] of a batch of samples and the mask of their real
-    (non-padding) prefix."""
+    """Token ids [B, k_max] of a batch of samples, their first k_max slots,
+    and the mask of their real (non-padding) prefix. k_max is at least the
+    batch's longest question and at most its samples' id count."""
     ids = np.array([s.token_ids for s in samples], dtype=np.int64)
+    # a copy of the kept columns: no view holds the full-width array alive
+    ids = np.ascontiguousarray(ids[:, :k_max])
     n_tokens = np.array([s.n_tokens for s in samples])
     mask = np.arange(k_max) < n_tokens.reshape(-1, 1)
     return QueryTokens(token_ids=ids, token_mask=mask)
@@ -501,13 +506,17 @@ def _record_object(store: dict, grid_size: int, cls, row, col, size) -> SceneObj
 
 
 def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
-    """The sample of one record; a value the model cannot take (unknown
-    class or size, object off the grid, no objects or more than t_max, other
-    than k_max token ids, token id outside the vocabulary, n_tokens beyond the
-    ids) is a DatasetFormatError naming the line."""
+    """The sample of one record; a value the model cannot take (a grid size
+    other than the header's, unknown class or size, object off the grid, no
+    objects or more than t_max, other than k_max token ids, token id outside
+    the vocabulary, n_tokens beyond the ids) is a DatasetFormatError naming
+    the line."""
     try:
         sc = rec["scene"]
         grid_size = int(sc["grid_size"])
+        if grid_size != config.grid_size:
+            raise ValueError(f"grid_size {grid_size}, the header's is "
+                             f"{config.grid_size}")
         store = _object_store(grid_size)
         objects = tuple(_record_object(store, grid_size, cls, row, col, size)
                         for cls, row, col, size in sc["objects"])

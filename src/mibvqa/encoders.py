@@ -15,8 +15,7 @@ import numpy as np
 
 from .autodiff import (
     SIGNAL_INIT_SCALE, DimensionError, InvalidMaskError, Parameter, Tensor,
-    add_row, mask_rows, matmul, relu, segment_pool, tanh_recurrence,
-    uniform_init,
+    linear, mask_rows, relu, segment_pool, tanh_recurrence, uniform_init,
 )
 
 
@@ -28,9 +27,9 @@ class VocabularyError(ValueError):
 class ImageObjectFeatures:
     """Raw object descriptors of a batch of B scenes.
 
-    matrix: [B, t_max, d_raw]; object_mask: [B, t_max], True at real
-    objects. Padded rows are all-zero and masked False; every scene has at
-    least one real object.
+    matrix: [B, t, d_raw]; object_mask: [B, t], True at real objects
+    (t is at most the dataset's t_max). Padded rows are all-zero and
+    masked False; every scene has at least one real object.
     """
     matrix: np.ndarray
     object_mask: np.ndarray
@@ -42,7 +41,8 @@ class ImageObjectFeatures:
 
 @dataclass(frozen=True)
 class QueryTokens:
-    """Token ids [B, k_max] (PAD id in padded slots) plus a validity mask."""
+    """Token ids [B, k] (PAD id in padded slots, k at most the dataset's
+    k_max) plus a validity mask."""
     token_ids: np.ndarray
     token_mask: np.ndarray
 
@@ -73,27 +73,27 @@ class EncoderParams:
 def encode_image(features: ImageObjectFeatures, params: EncoderParams) -> Tensor:
     """Per-object rows relu(raw @ img_w + img_b), with padded rows forced to zero.
 
-    Output [B*t_max, d_h], rows b*t_max .. b*t_max + t_max - 1 for scene b.
+    Output [B*t, d_h], rows b*t .. b*t + t - 1 for scene b.
     Zeroing padded rows keeps them inert regardless of the bias, so they
     contribute neither values nor gradients.
     """
     matrix = np.asarray(features.matrix, dtype=np.float64)
     if matrix.ndim != 3:
-        raise DimensionError(f"features must be [B, t_max, d_raw], got {matrix.shape}")
+        raise DimensionError(f"features must be [B, t, d_raw], got {matrix.shape}")
     b, t, d_raw = matrix.shape
     if d_raw != params.img_w.tensor.shape[0]:
         raise DimensionError(
             f"feature width {d_raw} != encoder d_raw {params.img_w.tensor.shape[0]}")
     x = Tensor(matrix.reshape(b * t, d_raw))
-    h = relu(add_row(matmul(x, params.img_w.tensor), params.img_b.tensor))
+    h = relu(linear(x, params.img_w.tensor, params.img_b.tensor))
     return mask_rows(h, np.asarray(features.object_mask).reshape(b * t))
 
 
 def encode_query(tokens: QueryTokens, params: EncoderParams) -> Tensor:
     """Contextual token embeddings q_k = tanh(rec_w @ q_{k-1} + embed[token_k]).
 
-    One tanh_recurrence node over the batch; output [B*k_max, d_q],
-    rows b*k_max .. b*k_max + k_max - 1 for query b. Rows at padded
+    One tanh_recurrence node over the batch; output [B*k, d_q],
+    rows b*k .. b*k + k - 1 for query b. Rows at padded
     positions are computed (the PAD embedding feeds the recurrence after
     the real prefix) but excluded by the attention mask downstream; because
     padding is always a suffix, the real prefix rows depend only on the
@@ -102,7 +102,7 @@ def encode_query(tokens: QueryTokens, params: EncoderParams) -> Tensor:
     vocab = params.embed.tensor.shape[0]
     ids = np.asarray(tokens.token_ids, dtype=np.int64)
     if ids.ndim != 2:
-        raise DimensionError(f"token ids must be [B, k_max], got {ids.shape}")
+        raise DimensionError(f"token ids must be [B, k], got {ids.shape}")
     if ids.min() < 0 or ids.max() >= vocab:
         bad = ids[(ids < 0) | (ids >= vocab)][0]
         raise VocabularyError(f"token id {bad} outside vocabulary of size {vocab}")

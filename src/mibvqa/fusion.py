@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, Parameter, Tensor, add_row, logsumexp_rows, matmul,
-    relu, scale, sub, sum_all, take_per_row, uniform_init,
+    SIGNAL_INIT_SCALE, Parameter, Tensor, linear, logsumexp_rows, relu,
+    scale, sub, sum_all, take_per_row, uniform_init,
 )
 
 
@@ -73,18 +73,18 @@ class FusionParams:
 
 def project_query(q_star: Tensor, params: FusionParams) -> Tensor:
     """First fully connected layer over the pooled query embeddings [B, d_q]."""
-    return add_row(matmul(q_star, params.q_w.tensor), params.q_b.tensor)
+    return linear(q_star, params.q_w.tensor, params.q_b.tensor)
 
 
 def project_image(h_star: Tensor, params: FusionParams) -> Tensor:
     """First fully connected layer over the pooled image embeddings [B, d_h]."""
-    return add_row(matmul(h_star, params.h_w.tensor), params.h_b.tensor)
+    return linear(h_star, params.h_w.tensor, params.h_b.tensor)
 
 
 def classify(fused: Tensor, params: FusionParams) -> Tensor:
     """Two-layer MLP logits [B, C] over the answer space (no softmax baked in)."""
-    hidden = relu(add_row(matmul(fused, params.mlp_w1.tensor), params.mlp_b1.tensor))
-    return add_row(matmul(hidden, params.mlp_w2.tensor), params.mlp_b2.tensor)
+    hidden = relu(linear(fused, params.mlp_w1.tensor, params.mlp_b1.tensor))
+    return linear(hidden, params.mlp_w2.tensor, params.mlp_b2.tensor)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

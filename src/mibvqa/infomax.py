@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    DimensionError, Parameter, Tensor, add, add_row, add_scalar, clamp,
-    diag_part, exp, hadamard, logsumexp_rows, matmul, mean_all, scale,
-    softplus, sub, sum_all, transpose, uniform_init,
+    DimensionError, Parameter, Tensor, add, clamp, exp, gaussian_skl,
+    hadamard, info_nce, linear, scale, softplus, uniform_init,
 )
 
 LOG_VAR_MIN = -10.0
@@ -127,24 +126,14 @@ def encode_latent(x: Tensor, which: str, params: BottleneckParams,
         vw, vb = params.h_logvar_w, params.h_logvar_b
     else:
         raise ValueError(f"unknown encoder {which!r}; expected 'phi' or 'psi'")
-    mean = add_row(matmul(x, mw.tensor), mb.tensor)
-    log_var = add_row(matmul(x, vw.tensor), vb.tensor)
-    log_var = clamp(log_var, LOG_VAR_MIN, LOG_VAR_MAX)
+    mean = linear(x, mw.tensor, mb.tensor)
+    log_var = clamp(linear(x, vw.tensor, vb.tensor), LOG_VAR_MIN, LOG_VAR_MAX)
     eps = np.asarray(noise, dtype=np.float64)
     if eps.shape != mean.shape:
         raise DimensionError(f"noise shape {eps.shape} != latent shape {mean.shape}")
     std = exp(scale(log_var, 0.5))
     sample = add(mean, hadamard(std, Tensor(eps)))
     return GaussianLatent(mean=mean, log_var=log_var, sample=sample)
-
-
-def _kl_terms(p: GaussianLatent, q: GaussianLatent) -> Tensor:
-    # elementwise 2*KL contribution: e^(lp-lq) + (mq-mp)^2 e^(-lq) + lq - lp - 1
-    dlv = sub(p.log_var, q.log_var)
-    dmean = sub(q.mean, p.mean)
-    inv_var_q = exp(scale(q.log_var, -1.0))
-    quad = hadamard(hadamard(dmean, dmean), inv_var_q)
-    return add_scalar(add(sub(exp(dlv), dlv), quad), -1.0)
 
 
 def skl_gaussian(p: GaussianLatent, q: GaussianLatent) -> Tensor:
@@ -156,10 +145,7 @@ def skl_gaussian(p: GaussianLatent, q: GaussianLatent) -> Tensor:
     """
     if p.mean.shape != q.mean.shape:
         raise DimensionError(f"latent shapes differ: {p.mean.shape} vs {q.mean.shape}")
-    two_kl_pq = _kl_terms(p, q)
-    two_kl_qp = _kl_terms(q, p)
-    # skl = 0.5*(kl_pq + kl_qp), each kl = 0.5*sum(terms)
-    return scale(sum_all(add(two_kl_pq, two_kl_qp)), 0.25)
+    return gaussian_skl(p.mean, p.log_var, q.mean, q.log_var)
 
 
 def mi_estimate(z_q: Tensor, z_h: Tensor, critic: Tensor) -> Tensor:
@@ -171,10 +157,7 @@ def mi_estimate(z_q: Tensor, z_h: Tensor, critic: Tensor) -> Tensor:
     """
     if z_q.shape != z_h.shape:
         raise DimensionError(f"latent batches differ: {z_q.shape} vs {z_h.shape}")
-    b = z_q.shape[0]
-    scores = matmul(matmul(z_q, critic), transpose(z_h))
-    gap = sub(diag_part(scores), logsumexp_rows(scores))
-    return add_scalar(mean_all(gap), math.log(b))
+    return info_nce(z_q, z_h, critic)
 
 
 def info_loss(z_q: Tensor, z_h: Tensor, latents_q: GaussianLatent,

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Adam, backward
+from .autodiff import Adam, NonFiniteGradientError, backward
 from .data import (
     CATEGORIES, OBJECT_CLASSES, VOCABULARY, Dataset, DatasetFormatError,
     query_tokens, scene_features,
@@ -25,14 +25,18 @@ from .model import ModelConfig, VQAModel
 
 
 class DivergenceError(RuntimeError):
-    """A loss term became non-finite during training."""
+    """A loss term or a gradient became non-finite during training.
 
-    def __init__(self, term: str, value: float, step: int):
+    term names the loss term or, for a gradient, the parameter.
+    """
+
+    def __init__(self, term: str, value: float, step: int,
+                 kind: str = "loss term"):
         self.term = term
         self.value = value
         self.step = step
         super().__init__(
-            f"non-finite loss term {term!r} ({value}) at optimizer step {step}")
+            f"non-finite {kind} {term!r} ({value}) at optimizer step {step}")
 
 
 class CheckpointError(ValueError):
@@ -120,9 +124,10 @@ class TrainResult:
 class PreparedSplit:
     """One dataset split as model inputs, built once and reused every epoch.
 
-    features: matrix [N, t_max, d_raw] and object_mask [N, t_max];
-    tokens: token_ids and token_mask [N, k_max]; labels: answer indices
-    [N]; categories: question category per sample.
+    features: matrix [N, t, d_raw] and object_mask [N, t]; tokens:
+    token_ids and token_mask [N, k]; labels: answer indices [N]; categories:
+    question category per sample. t is the split's largest object count and
+    k its longest question, so every slot is real in at least one sample.
     """
     features: ImageObjectFeatures
     tokens: QueryTokens
@@ -142,12 +147,16 @@ class PreparedSplit:
 
 
 def prepare_split(dataset: Dataset, split: str) -> PreparedSplit:
+    """The model inputs of one split, cut to its largest scene and longest
+    question: padding is a suffix on both axes and the model reads t and k
+    from the batch shape, so the cut changes shapes only."""
     samples = dataset.split(split)
     if not samples:
         raise DatasetFormatError(f"dataset has no samples in split {split!r}")
+    scenes = [s.scene for s in samples]
     return PreparedSplit(
-        features=scene_features([s.scene for s in samples], dataset.config.t_max),
-        tokens=query_tokens(samples, dataset.config.k_max),
+        features=scene_features(scenes, max(len(sc.objects) for sc in scenes)),
+        tokens=query_tokens(samples, max(s.n_tokens for s in samples)),
         labels=np.array([s.answer_index for s in samples], dtype=np.int64),
         categories=tuple(s.category for s in samples))
 
@@ -175,7 +184,8 @@ def train(config: TrainConfig, dataset: Dataset,
     The loop itself never stops early (no early stopping, no schedule);
     epoch_callback(epoch_index, model, epoch_record) may return True to make
     the surrounding harness cut the run short after a completed epoch.
-    Raises DivergenceError as soon as any loss term goes non-finite.
+    Raises DivergenceError as soon as any loss term or gradient goes
+    non-finite, before the optimizer step that would use it.
     model_config defaults to model_config_for(dataset). Every split is
     prepared before the first step, so one without samples raises
     DatasetFormatError before any training.
@@ -211,7 +221,11 @@ def train(config: TrainConfig, dataset: Dataset,
                     raise DivergenceError(term, value, optimizer.t + 1)
             optimizer.zero_grad()
             backward(breakdown.final)
-            optimizer.step()
+            try:
+                optimizer.step()
+            except NonFiniteGradientError as e:
+                raise DivergenceError(e.name, e.value, optimizer.t + 1,
+                                      kind="gradient of parameter") from None
             record = {"epoch": epoch, "step": optimizer.t, **values}
             step_records.append(record)
             steps_this_epoch += 1
@@ -268,7 +282,7 @@ def compute_metrics(labels: Sequence[int], predictions: Sequence[int],
 
 
 # Samples per forward pass in evaluation. Prediction records no graph, but
-# a pass still holds several [chunk * t_max, d] intermediates at once: one
+# a pass still holds several [chunk * t, d] intermediates at once: one
 # pass over a 500-sample split peaks about 10 MB above chunks of 64, and
 # chunks of 32 to 500 evaluate at the same speed.
 EVAL_CHUNK = 64

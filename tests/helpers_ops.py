@@ -5,6 +5,12 @@ gate (100 trials per op).  Each scenario builds fresh random parameters and a
 closure that recomputes a scalar loss from the parameters' *current* data, so
 `grad_check` can perturb entries and re-evaluate.
 
+The general ops that the model no longer calls (add_row, transpose,
+diag_part, mean_all, add_scalar, tanh) live here, built on the engine's
+node constructor: the per-sample reference and the composed bottleneck
+forms in helpers_oracles are written with them, and their scenarios keep
+them checked like every engine op.
+
 Inputs are drawn bounded away from the kinks and clip boundaries of piecewise
 ops (relu at 0, clamp at its edges): central differences straddle such points
 otherwise and report a spurious mismatch that says nothing about the VJPs.
@@ -17,6 +23,55 @@ import zlib
 import numpy as np
 
 from mibvqa import autodiff as ad
+
+# ---------------------------------------------------------------------------
+# general ops outside the engine
+
+
+def add_scalar(a: ad.Tensor, c: float) -> ad.Tensor:
+    return ad._node(a.data + c, (a,), lambda g: (g,))
+
+
+def add_row(m: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
+    """Add vector v to every row of m (explicit row broadcast)."""
+    if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
+        raise ad.DimensionError(f"add_row: {m.shape} incompatible with {v.shape}")
+    return ad._node(m.data + v.data[None, :], (m, v),
+                    lambda g: (g, g.sum(axis=0)))
+
+
+def tanh(x: ad.Tensor) -> ad.Tensor:
+    out = np.tanh(x.data)
+    return ad._node(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+
+def diag_part(m: ad.Tensor) -> ad.Tensor:
+    if m.data.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ad.DimensionError(f"diag_part expects a square matrix, got {m.shape}")
+
+    def vjp(g):
+        out = np.zeros_like(m.data)
+        np.fill_diagonal(out, g)
+        return (out,)
+
+    return ad._node(np.diagonal(m.data).copy(), (m,), vjp)
+
+
+def transpose(m: ad.Tensor) -> ad.Tensor:
+    if m.data.ndim != 2:
+        raise ad.RankError(f"transpose expects a matrix, got {m.shape}")
+    return ad._node(m.data.T.copy(), (m,), lambda g: (g.T,))
+
+
+def mean_all(x: ad.Tensor) -> ad.Tensor:
+    n = x.data.size
+    shape = x.shape
+    return ad._node(np.asarray(x.data.mean()), (x,),
+                    lambda g: (np.full(shape, float(g) / n),))
+
+
+# ---------------------------------------------------------------------------
+# scenarios
 
 
 def _signed(rng: np.random.Generator, shape, lo=0.2, hi=1.5) -> np.ndarray:
@@ -77,7 +132,7 @@ def _scenario_add_scalar(rng):
     a = _param(rng, (2, 3), "a")
     c = float(_signed(rng, ()))
     out = _readout(rng, (2, 3))
-    return lambda ps: out(ad.add_scalar(ps[0].tensor, c)), [a]
+    return lambda ps: out(add_scalar(ps[0].tensor, c)), [a]
 
 
 def _scenario_matmul(rng):
@@ -89,7 +144,13 @@ def _scenario_matmul(rng):
 def _scenario_add_row(rng):
     m, v = _param(rng, (3, 4), "m"), _param(rng, (4,), "v")
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.add_row(ps[0].tensor, ps[1].tensor)), [m, v]
+    return lambda ps: out(add_row(ps[0].tensor, ps[1].tensor)), [m, v]
+
+
+def _scenario_linear(rng):
+    x, w, b = _param(rng, (3, 4), "x"), _param(rng, (4, 2), "w"), _param(rng, (2,), "b")
+    out = _readout(rng, (3, 2))
+    return lambda ps: out(ad.linear(*(p.tensor for p in ps))), [x, w, b]
 
 
 def _positive_param(rng: np.random.Generator, shape, name="p") -> ad.Parameter:
@@ -120,7 +181,7 @@ def _scenario_relu(rng):
 def _scenario_tanh(rng):
     a = _param(rng, (3, 4), "a")
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.tanh(ps[0].tensor)), [a]
+    return lambda ps: out(tanh(ps[0].tensor)), [a]
 
 
 def _scenario_exp(rng):
@@ -188,13 +249,13 @@ def _scenario_logsumexp_rows(rng):
 def _scenario_diag_part(rng):
     a = _param(rng, (4, 4), "a")
     out = _readout(rng, (4,))
-    return lambda ps: out(ad.diag_part(ps[0].tensor)), [a]
+    return lambda ps: out(diag_part(ps[0].tensor)), [a]
 
 
 def _scenario_transpose(rng):
     a = _param(rng, (2, 5), "a")
     out = _readout(rng, (5, 2))
-    return lambda ps: out(ad.transpose(ps[0].tensor)), [a]
+    return lambda ps: out(transpose(ps[0].tensor)), [a]
 
 
 def _scenario_reshape(rng):
@@ -235,6 +296,46 @@ def _scenario_tanh_recurrence(rng):
             return f, [table, w]
 
 
+def _gradients_clear(f, params, floor: float = 1e-3) -> bool:
+    """True when every gradient entry of f at params is at least floor in
+    magnitude; the redraw test of the scenarios below."""
+    for p in params:
+        p.grad = None
+    ad.backward(f(params))
+    return all((np.abs(p.grad) >= floor).all() for p in params)
+
+
+def _scenario_gaussian_skl(rng):
+    """Means and log-variances redrawn, as for tanh_recurrence, until every
+    gradient entry is at least 1e-3 in magnitude: each is a difference of
+    terms that cancel where the two Gaussians nearly agree in a dimension."""
+    c = float(rng.uniform(0.5, 1.5))
+    while True:
+        params = [_param(rng, (2, 3), name) for name in ("mp", "lp", "mq", "lq")]
+
+        def f(ps):
+            return ad.scale(ad.gaussian_skl(*(p.tensor for p in ps)), c)
+
+        if _gradients_clear(f, params):
+            return f, params
+
+
+def _scenario_info_nce(rng):
+    """Latents and critic redrawn, as for tanh_recurrence, until every
+    gradient entry is at least 1e-3 in magnitude: each sums signed
+    contributions over the batch."""
+    c = float(rng.uniform(0.5, 1.5))
+    while True:
+        params = [_param(rng, (3, 2), "z_q"), _param(rng, (3, 2), "z_h"),
+                  _param(rng, (2, 2), "critic")]
+
+        def f(ps):
+            return ad.scale(ad.info_nce(*(p.tensor for p in ps)), c)
+
+        if _gradients_clear(f, params):
+            return f, params
+
+
 def _scenario_segment_pool(rng):
     w, rows = _param(rng, (2, 3), "w"), _positive_param(rng, (6, 4), "rows")
     out = _readout(rng, (2, 4))
@@ -250,7 +351,7 @@ def _scenario_sum_all(rng):
 def _scenario_mean_all(rng):
     a = _param(rng, (3, 4), "a")
     c = float(rng.uniform(0.5, 1.5))
-    return lambda ps: ad.scale(ad.mean_all(ps[0].tensor), c), [a]
+    return lambda ps: ad.scale(mean_all(ps[0].tensor), c), [a]
 
 
 OP_SCENARIOS = {
@@ -261,6 +362,7 @@ OP_SCENARIOS = {
     "add_scalar": _scenario_add_scalar,
     "matmul": _scenario_matmul,
     "add_row": _scenario_add_row,
+    "linear": _scenario_linear,
     "segment_mul": _scenario_segment_mul,
     "mask_rows": _scenario_mask_rows,
     "relu": _scenario_relu,
@@ -279,6 +381,8 @@ OP_SCENARIOS = {
     "segment_pool": _scenario_segment_pool,
     "sum_all": _scenario_sum_all,
     "mean_all": _scenario_mean_all,
+    "gaussian_skl": _scenario_gaussian_skl,
+    "info_nce": _scenario_info_nce,
 }
 
 

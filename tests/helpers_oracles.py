@@ -3,8 +3,10 @@
 The attention oracles are straight-line dense math coded directly from the
 published formulas with plain numpy — no Tensor, no graph, no code shared
 with the implementation under test.  Both attention suites and the
-acceptance gate compare against these.  The per-sample model reference
-below is the batched model's correctness gate (tests/test_batched.py), and
+acceptance gate compare against these.  The composed bottleneck terms are
+the fused engine nodes' reference (tests/test_infomax.py), the per-sample
+model reference below is the batched model's correctness gate
+(tests/test_batched.py), and
 the data-path reference at the end is the generator's and the importer's
 (tests/test_data.py).
 """
@@ -12,10 +14,12 @@ the data-path reference at the end is the generator's and the importer's
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 
+from helpers_ops import add_row, add_scalar, diag_part, mean_all, tanh, transpose
 from mibvqa import autodiff as ad
 from mibvqa.data import (
     _CLASS_INDEX, OBJECT_CLASSES, SIZE_FEATURE, SIZES, VOCABULARY, Dataset,
@@ -65,6 +69,38 @@ def oracle_image_attention(h, q_star, mask, img_proj_w, qstar_proj_w,
 
 
 # ---------------------------------------------------------------------------
+# composed bottleneck terms
+#
+# The symmetrized KL and the InfoNCE estimate as the model computed them
+# before each became one engine node: a graph of elementwise and
+# linear-algebra ops. The fused nodes must equal these forward and agree
+# with their gradients.
+
+
+def _two_kl_terms(mean_p, log_var_p, mean_q, log_var_q):
+    # elementwise 2*KL(p || q): e^(lp-lq) + (mq-mp)^2 e^(-lq) + lq - lp - 1
+    dlv = ad.sub(log_var_p, log_var_q)
+    dmean = ad.sub(mean_q, mean_p)
+    inv_var_q = ad.exp(ad.scale(log_var_q, -1.0))
+    quad = ad.hadamard(ad.hadamard(dmean, dmean), inv_var_q)
+    return add_scalar(ad.add(ad.sub(ad.exp(dlv), dlv), quad), -1.0)
+
+
+def composed_gaussian_skl(mean_p, log_var_p, mean_q, log_var_q):
+    """Symmetrized KL summed over every entry: 0.5 * (KL(p||q) + KL(q||p))."""
+    two_kl_pq = _two_kl_terms(mean_p, log_var_p, mean_q, log_var_q)
+    two_kl_qp = _two_kl_terms(mean_q, log_var_q, mean_p, log_var_p)
+    return ad.scale(ad.sum_all(ad.add(two_kl_pq, two_kl_qp)), 0.25)
+
+
+def composed_info_nce(z_q, z_h, critic):
+    """mean_i [s_ii - logsumexp_j s_ij] + ln B of s = z_q @ critic @ z_h.T."""
+    scores = ad.matmul(ad.matmul(z_q, critic), transpose(z_h))
+    gap = ad.sub(diag_part(scores), ad.logsumexp_rows(scores))
+    return add_scalar(mean_all(gap), math.log(z_q.shape[0]))
+
+
+# ---------------------------------------------------------------------------
 # per-sample reference of the model
 #
 # One graph per sample (B = 1), as the model was computed before it was
@@ -96,7 +132,7 @@ def _softmax_row(logits, mask):
 
 
 def _dense(x, w, b):
-    return ad.add_row(ad.matmul(x, w.tensor), b.tensor)
+    return add_row(ad.matmul(x, w.tensor), b.tensor)
 
 
 def reference_forward(model, matrix, object_mask, token_ids, token_mask):
@@ -106,13 +142,13 @@ def reference_forward(model, matrix, object_mask, token_ids, token_mask):
     h = ad.mask_rows(ad.relu(_dense(ad.Tensor(matrix), enc.img_w, enc.img_b)),
                      object_mask)
     vocab = enc.embed.shape[0]
-    rec_t = ad.transpose(enc.rec_w.tensor)
+    rec_t = transpose(enc.rec_w.tensor)
     prev = ad.Tensor(np.zeros((1, enc.rec_w.shape[0])))
     rows = []
     for tok in token_ids:
         onehot = np.zeros((1, vocab))
         onehot[0, tok] = 1.0
-        prev = ad.tanh(ad.add(ad.matmul(prev, rec_t),
+        prev = tanh(ad.add(ad.matmul(prev, rec_t),
                               ad.matmul(ad.Tensor(onehot), enc.embed.tensor)))
         rows.append(prev)
     q = _stack(rows)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_ops import OP_SCENARIOS, run_op_trials
+from helpers_ops import OP_SCENARIOS, add_row, add_scalar, mean_all, run_op_trials, tanh
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import (
     Adam,
     DimensionError,
     InvalidMaskError,
     MissingGradientError,
+    NonFiniteGradientError,
     Parameter,
     RankError,
     Tensor,
@@ -78,6 +79,47 @@ def test_matmul_vjp_skips_the_constant_operand(constant_side):
     contribs = ad.matmul(*operands)._vjp(g)
     assert contribs[constant_side] is None
     np.testing.assert_array_equal(contribs[1 - constant_side], both[1 - constant_side])
+
+
+def test_linear_equals_add_row_of_matmul_bit_for_bit():
+    rng = np.random.default_rng(9)
+    x, w, b = (Parameter(n, rng.standard_normal(s))
+               for n, s in (("x", (5, 4)), ("w", (4, 3)), ("b", (3,))))
+    fused = ad.linear(x.tensor, w.tensor, b.tensor)
+    composed = add_row(ad.matmul(x.tensor, w.tensor), b.tensor)
+    np.testing.assert_array_equal(fused.data, composed.data)
+    readout = Tensor(rng.standard_normal((5, 3)))
+    grads = []
+    for out in (fused, composed):
+        for p in (x, w, b):
+            p.grad = None
+        ad.backward(ad.sum_all(ad.hadamard(out, readout)))
+        grads.append([p.grad for p in (x, w, b)])
+    for fused_grad, composed_grad in zip(*grads):
+        np.testing.assert_array_equal(fused_grad, composed_grad)
+
+
+def test_linear_shape_errors_name_the_shapes():
+    with pytest.raises(DimensionError) as info:
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
+                  Tensor(np.zeros(5)))
+    assert "(3, 4)" in str(info.value) and "(5,)" in str(info.value)
+    with pytest.raises(RankError):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
+                  Tensor(np.zeros((1, 4))))
+
+
+def test_linear_vjp_skips_a_constant_input():
+    rng = np.random.default_rng(10)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    x = rng.standard_normal((3, 4))
+    g = rng.standard_normal((3, 2))
+    both = ad.linear(Tensor(x, requires_grad=True), w, b)._vjp(g)
+    contribs = ad.linear(Tensor(x), w, b)._vjp(g)
+    assert contribs[0] is None
+    for got, want in zip(contribs[1:], both[1:]):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------- hadamard
@@ -289,7 +331,7 @@ def test_backward_writes_grad_on_leaves_only_and_accumulates():
     a = Parameter("a", np.array([[1.0, -2.0], [0.5, 3.0]]))
     b = Parameter("b", np.array([[0.25, 1.5], [-1.0, 0.75]]))
     prod = ad.matmul(a.tensor, b.tensor)
-    hidden = ad.tanh(ad.add(prod, b.tensor))
+    hidden = tanh(ad.add(prod, b.tensor))
     loss = ad.sum_all(hidden)
     loss.backward()
     assert prod.grad is None and hidden.grad is None and loss.grad is None
@@ -304,7 +346,7 @@ def test_backward_deep_chain_no_recursion_limit():
     p = Parameter("x", np.array(1.0))
     node = p.tensor
     for _ in range(5000):
-        node = ad.add_scalar(node, 1e-6)
+        node = add_scalar(node, 1e-6)
     ad.sum_all(node).backward()
     assert p.grad == pytest.approx(1.0)
 
@@ -331,7 +373,7 @@ def test_grad_check_softmax_cross_entropy_toy():
     def f(params):
         logits = ad.matmul(x, params[0].tensor)
         picked = ad.take_per_row(logits, labels)
-        return ad.mean_all(ad.sub(ad.logsumexp_rows(logits), picked))
+        return mean_all(ad.sub(ad.logsumexp_rows(logits), picked))
 
     assert ad.grad_check(f, [w]) < 1e-6
 
@@ -449,6 +491,65 @@ def test_adam_missing_or_misshapen_gradient_changes_no_state():
     b.grad = np.array(1.0)
     opt.step()  # the first real step still uses t = 1
     np.testing.assert_allclose(a.data, [1.0 - 0.1, 2.0 + 0.1], rtol=1e-7)
+
+
+def _allocating_adam_step(params, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The flat step before the in-place rewrite, one new array per
+    operation: the oracle of the in-place step. Returns the new m and v."""
+    g = np.concatenate([p.grad.ravel() for p in params])
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    start = 0
+    for p in params:
+        p.tensor.data -= update[start:start + p.data.size].reshape(p.shape)
+        start += p.data.size
+    return m, v
+
+
+def test_in_place_adam_matches_the_allocating_step_bit_for_bit_over_1000_steps():
+    rng = np.random.default_rng(11)
+    shapes = [(6, 5), (), (7,), (3, 3)]
+    start = [rng.standard_normal(s) for s in shapes]
+    in_place = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(start)]
+    oracle = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(start)]
+    opt = Adam(in_place, lr=3e-3)
+    m = v = np.zeros(sum(x.size for x in start))
+    for t in range(1, 1001):
+        # gradients of widely spread scale, so v covers many binades
+        for p, q in zip(in_place, oracle):
+            p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 3)
+            q.grad = p.grad.copy()
+        opt.step()
+        m, v = _allocating_adam_step(oracle, m, v, t, lr=3e-3)
+    assert opt.t == 1000
+    np.testing.assert_array_equal(opt._m, m)
+    np.testing.assert_array_equal(opt._v, v)
+    for p, q in zip(in_place, oracle):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_adam_non_finite_gradient_names_the_parameter_and_changes_no_state(bad):
+    a, b, c = (Parameter("a", np.array([1.0, 2.0])), Parameter("b", np.ones((2, 2))),
+               Parameter("c", np.array(3.0)))
+    opt = Adam([a, b, c], lr=0.1)
+    a.grad, b.grad, c.grad = np.array([0.5, -0.5]), np.ones((2, 2)), np.array(2.0)
+    opt.step()
+    before = ([p.data.copy() for p in (a, b, c)], opt._m.copy(), opt._v.copy())
+    b.grad = np.array([[0.25, 1.0], [bad, -1.0]])
+    c.grad = np.array(math.nan)  # a later parameter: the first one is named
+    with pytest.raises(NonFiniteGradientError) as info:
+        opt.step()
+    assert info.value.name == "b" and "'b'" in str(info.value)
+    assert info.value.value == bad or (math.isnan(bad) and math.isnan(info.value.value))
+    assert opt.t == 1
+    for p, data in zip((a, b, c), before[0]):
+        np.testing.assert_array_equal(p.data, data)
+    np.testing.assert_array_equal(opt._m, before[1])
+    np.testing.assert_array_equal(opt._v, before[2])
 
 
 # ---------------------------------------------------------------- no_grad

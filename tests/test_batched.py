@@ -3,8 +3,10 @@
 The model builds one graph per minibatch; the reference builds one graph per
 sample from the engine's general ops. Logits, all five loss terms and every
 parameter gradient must agree within TOL, for every flag variant and for
-batches at the padding extremes. Evaluation must predict what the reference
-predicts, and training must stay bit-for-bit reproducible.
+batches at the padding extremes. A prepared split, cut to its largest scene
+and longest question, must give what the same samples give at the full
+t_max/k_max width. Evaluation must predict what the reference predicts, and
+training must stay bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ import pytest
 from conftest import tiny_model_config
 from helpers_oracles import reference_forward, reference_loss
 from mibvqa import autodiff
+from mibvqa import data as dt
 from mibvqa.autodiff import backward
+from mibvqa.data import query_tokens, scene_features
 from mibvqa.encoders import ImageObjectFeatures, QueryTokens
 from mibvqa.fusion import predict
 from mibvqa.model import VQAModel
 from mibvqa.training import (
-    TrainConfig, compute_metrics, evaluate_model, prepare_split, train,
+    PreparedSplit, TrainConfig, compute_metrics, evaluate_model, prepare_split,
+    train,
 )
 
 TOL = 1e-10
@@ -112,6 +117,73 @@ def test_edge_batches_match_reference(small_dataset, case, cross):
     assert_matches_reference(
         model, *synthetic_batch(model.config, t_max, k_max, n_objects, n_tokens,
                                 rng), rng)
+
+
+def full_width_split(dataset, split) -> PreparedSplit:
+    """The samples of a split at the dataset's t_max/k_max width: the
+    untrimmed reference of prepare_split."""
+    samples = dataset.split(split)
+    return PreparedSplit(
+        features=scene_features([s.scene for s in samples], dataset.config.t_max),
+        tokens=query_tokens(samples, dataset.config.k_max),
+        labels=np.array([s.answer_index for s in samples], dtype=np.int64),
+        categories=tuple(s.category for s in samples))
+
+
+@pytest.fixture(scope="module")
+def hr_dataset():
+    """hr_like scenes of 3 to 16 objects, with a test2 split."""
+    return dt.generate_dataset(dt.DatasetConfig(
+        n_samples=150, seed=21, variant="hr_like", min_objects=3, max_objects=16,
+        train_fraction=0.6, test_fraction=0.2, test2_fraction=0.2))
+
+
+@pytest.mark.parametrize("cross,infomax", VARIANTS)
+@pytest.mark.parametrize("which", ["default", "hr_like"])
+def test_trimmed_split_matches_the_full_width_split(
+        small_dataset, hr_dataset, which, cross, infomax):
+    dataset = small_dataset if which == "default" else hr_dataset
+    config = dataset.config
+    model = make_model(dataset, cross, infomax)
+    rng = np.random.default_rng(23)
+    assert which == "default" or "test2" in config.splits()
+    for split_name in config.splits():
+        samples = dataset.split(split_name)
+        n = len(samples)
+        t = max(len(s.scene.objects) for s in samples)
+        k = max(s.n_tokens for s in samples)
+        # default scenes have 10 objects and questions at most 8 tokens,
+        # so both axes are cut (t_max = 16, k_max = 12)
+        assert which != "default" or (t, k) == (10, 8)
+        trimmed = prepare_split(dataset, split_name)
+        full = full_width_split(dataset, split_name)
+        features, tokens = trimmed.features, trimmed.tokens
+        assert features.matrix.shape == (n, t, model.config.d_raw)
+        assert features.object_mask.shape == (n, t)
+        assert tokens.token_ids.shape == tokens.token_mask.shape == (n, k)
+        # arrays of their own: no view keeps a full-width array alive
+        assert features.matrix.base is None and tokens.token_ids.base is None
+        assert trimmed.labels.tolist() == full.labels.tolist()
+
+        noise_q = rng.standard_normal((n, model.config.d_z))
+        noise_h = rng.standard_normal((n, model.config.d_z))
+        terms, grads, logits = [], [], []
+        for part in (trimmed, full):
+            breakdown = model.loss_batch(part.features, part.tokens, part.labels,
+                                         lam=LAM, noise_q=noise_q, noise_h=noise_h)
+            terms.append(breakdown.values())
+            grads.append(_grads(model, breakdown.final))
+            logits.append(model.logits(part.features, part.tokens).data)
+        assert np.abs(logits[0] - logits[1]).max() < TOL
+        for term, value in terms[0].items():
+            assert abs(value - terms[1][term]) < TOL, term
+        for name, grad in grads[0].items():
+            assert np.abs(grad - grads[1][name]).max() < TOL, name
+
+        expected = model.predict(full.features, full.tokens).tolist()
+        assert model.predict(features, tokens).tolist() == expected
+        reference = compute_metrics(full.labels.tolist(), expected, full.categories)
+        assert evaluate_model(model, dataset, split_name).to_dict() == reference.to_dict()
 
 
 def test_evaluate_model_predicts_what_the_reference_predicts(small_dataset):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from mibvqa import cli, training
+from mibvqa import autodiff, cli, training
 from mibvqa.cli import main
 from mibvqa.data import import_dataset
 from mibvqa.training import (
@@ -277,6 +277,27 @@ def test_divergent_learning_rate_exits_with_the_divergence_code(
     assert not (workdir / "never.ckpt").exists()
 
 
+def test_non_finite_gradient_exits_with_the_divergence_code(
+        workdir, data_path, train_cfg_path, capsys, monkeypatch):
+    backward = training.backward
+
+    def poisoned(loss):
+        backward(loss)
+        next(node for node in autodiff._toposort(loss)
+             if node._vjp is None).grad.flat[0] = np.inf
+
+    monkeypatch.setattr(training, "backward", poisoned)
+    code = main(["train", "--data", str(data_path),
+                 "--out", str(workdir / "never.ckpt"),
+                 "--config", str(train_cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: non-finite gradient of parameter ")
+    assert "(inf) at optimizer step 1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workdir / "never.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -389,6 +410,7 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     ("n_objects", 17, "17 objects, expected 1 to t_max=16"),
     ("n_objects", 0, "0 objects, expected 1 to t_max=16"),
     ("n_token_ids", 11, "11 token ids, expected k_max=12"),
+    ("grid_size", 9, "grid_size 9, the header's is 8"),
 ])
 def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         workdir, data_path, capsys, field, value, shown):
@@ -404,6 +426,8 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
                                       for i in range(value)]
     elif field == "n_token_ids":
         record["token_ids"] = record["token_ids"][:value]
+    elif field == "grid_size":
+        record["scene"]["grid_size"] = value
     else:
         record[field] = value
     lines[1] = json.dumps(record, sort_keys=True)

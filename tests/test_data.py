@@ -500,10 +500,12 @@ def test_import_converts_and_checks_object_fields_as_before(tmp_path):
     edited = _edit_first_record(path, tmp_path / "str_row.jsonl", _first_object(
         [first.cls, str(first.row), first.col, first.size]))
     assert import_dataset(edited).samples[0].scene.objects[0] is first
-    # the store is per grid: an object valid on a 9x9 grid is still off an 8x8 one
+    # a record's grid must be the header's: a 9x9 scene in an 8x8 file is
+    # rejected before its objects are read
     nine = _edit_first_record(path, tmp_path / "nine.jsonl",
                               _first_object(["road", 8, 0, "small"], grid_size=9))
-    assert import_dataset(nine).samples[0].scene.objects[0].row == 8
+    with pytest.raises(DatasetFormatError, match="line 2: grid_size 9, the header's is 8"):
+        import_dataset(nine)
     # a rejected object leaves no entry behind
     sizes = {grid: len(objects) for grid, objects in dt._OBJECT_STORES.items()}
     for obj, shown in [(["castle", 0, 0, "small"], "castle"),

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers_oracles import composed_gaussian_skl, composed_info_nce
 from mibvqa import autodiff as ad
-from mibvqa.autodiff import DimensionError, Tensor
+from mibvqa.autodiff import DimensionError, Parameter, Tensor
 from mibvqa.infomax import (
     GAMMA_RAW_INIT,
     BottleneckParams,
@@ -176,6 +177,58 @@ def test_infonce_batch_mismatch_rejected():
             Tensor(rng.standard_normal((4, D_Z))),
             Tensor(np.eye(D_Z)),
         )
+
+
+# ---------------------------------------------------------------- fused nodes
+
+FUSED_TOL = 1e-10
+
+
+def _value_and_grads(fn, params):
+    for p in params:
+        p.grad = None
+    out = fn(*(p.tensor for p in params))
+    ad.backward(out)
+    return out.item(), [p.grad.copy() for p in params]
+
+
+def _assert_fused_matches_composed(fused, composed, params):
+    value, grads = _value_and_grads(fused, params)
+    ref_value, ref_grads = _value_and_grads(composed, params)
+    assert value == ref_value
+    for p, grad, ref in zip(params, grads, ref_grads):
+        assert np.abs(grad - ref).max() < FUSED_TOL, p.name
+
+
+@pytest.mark.parametrize("shape", [(D_Z,), (1, D_Z), (7, D_Z)])
+def test_gaussian_skl_node_equals_the_composed_form(shape):
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        params = [Parameter("mean_p", rng.uniform(-2, 2, shape)),
+                  Parameter("log_var_p", rng.uniform(-3, 3, shape)),
+                  Parameter("mean_q", rng.uniform(-2, 2, shape)),
+                  Parameter("log_var_q", rng.uniform(-3, 3, shape))]
+        _assert_fused_matches_composed(ad.gaussian_skl, composed_gaussian_skl, params)
+
+
+@pytest.mark.parametrize("b", [1, 2, 9])
+def test_info_nce_node_equals_the_composed_form(b):
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        scale = rng.uniform(0.5, 3.0)
+        params = [Parameter("z_q", rng.standard_normal((b, D_Z)) * scale),
+                  Parameter("z_h", rng.standard_normal((b, D_Z)) * scale),
+                  Parameter("critic", rng.standard_normal((D_Z, D_Z)))]
+        _assert_fused_matches_composed(ad.info_nce, composed_info_nce, params)
+
+
+def test_fused_nodes_reject_mismatched_shapes():
+    with pytest.raises(DimensionError):
+        ad.gaussian_skl(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                        Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+    with pytest.raises(DimensionError):
+        ad.info_nce(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                    Tensor(np.zeros((2, 2))))
 
 
 # ---------------------------------------------------------------- objective

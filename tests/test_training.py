@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_model_config
+from mibvqa import autodiff as ad
 from mibvqa import data as dt
 from mibvqa import training
 from mibvqa.training import (
@@ -192,6 +193,34 @@ def test_divergence_raises_with_context(micro_dataset):
     assert err.term in {"ce", "mi_estimate", "skl", "info_loss", "final"}
     assert err.step >= 0
     assert not math.isfinite(err.value) or math.isnan(err.value)
+
+
+def poison_gradient_at_step(monkeypatch, step: int, shape: tuple) -> None:
+    """Make training.backward leave a nan in the gradient of the parameter of
+    the given shape at the given optimizer step (1-based)."""
+    backward = training.backward
+    calls = []
+
+    def poisoned(loss):
+        backward(loss)
+        calls.append(loss)
+        if len(calls) == step:
+            leaf = next(node for node in ad._toposort(loss)
+                        if node._vjp is None and node.shape == shape)
+            leaf.grad[1, 2] = math.nan
+
+    monkeypatch.setattr(training, "backward", poisoned)
+
+
+def test_non_finite_gradient_is_divergence(micro_dataset, monkeypatch):
+    mc = tiny_model_config(micro_dataset)
+    poison_gradient_at_step(monkeypatch, 2, (mc.vocab_size, mc.d_q))
+    with pytest.raises(DivergenceError) as info:
+        train(quick_config(), micro_dataset, model_config=mc)
+    err = info.value
+    assert (err.term, err.step) == ("enc.embed", 2) and math.isnan(err.value)
+    assert str(err) == ("non-finite gradient of parameter 'enc.embed' (nan) "
+                        "at optimizer step 2")
 
 
 # ---------------------------------------------------------------- metrics
