@@ -45,6 +45,7 @@ AREA_BIN_EDGES = (2, 5, 8)
 AREA_BIN_LABELS = ("0-1", "2-4", "5-7", "8+")
 
 COUNT_LABELS = tuple(str(i) for i in range(10)) + ("10+",)
+ANSWERS = ("no", "yes") + COUNT_LABELS + ("rural", "urban") + AREA_BIN_LABELS
 
 CATEGORIES = ("count", "presence", "comparison", "rural_urban", "area")
 
@@ -62,7 +63,6 @@ TOKEN_IDS = {w: i for i, w in enumerate(VOCABULARY)}
 
 def build_answer_space() -> AnswerSpace:
     """Single answer space covering all five categories."""
-    answers = ("no", "yes") + COUNT_LABELS + ("rural", "urban") + AREA_BIN_LABELS
     per_category = {
         "count": COUNT_LABELS,
         "presence": ("no", "yes"),
@@ -70,7 +70,7 @@ def build_answer_space() -> AnswerSpace:
         "rural_urban": ("rural", "urban"),
         "area": AREA_BIN_LABELS,
     }
-    return AnswerSpace(answers=answers, category_answers=per_category)
+    return AnswerSpace(answers=ANSWERS, category_answers=per_category)
 
 
 @dataclass(frozen=True)
@@ -509,7 +509,8 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
     """The sample of one record; a value the model cannot take (a grid size
     other than the header's, unknown class or size, object off the grid, no
     objects or more than t_max, other than k_max token ids, token id outside
-    the vocabulary, n_tokens beyond the ids) is a DatasetFormatError naming
+    the vocabulary, n_tokens beyond the ids, unknown template, answer index
+    outside ANSWERS, split not in the header) is a DatasetFormatError naming
     the line."""
     try:
         sc = rec["scene"]
@@ -536,11 +537,17 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
         n_tokens = int(rec["n_tokens"])
         if not 1 <= n_tokens <= len(token_ids):
             raise ValueError(f"n_tokens {n_tokens} outside [1, {len(token_ids)}]")
+        template_id, answer_index = int(rec["template_id"]), int(rec["answer_index"])
+        if template_id not in TEMPLATES:
+            raise ValueError(f"unknown template_id {template_id}")
+        if not 0 <= answer_index < len(ANSWERS):
+            raise ValueError(f"answer_index {answer_index} outside [0, {len(ANSWERS)})")
+        if rec["split"] not in config.splits():
+            raise ValueError(f"split {rec['split']!r} is not among the header's splits")
         return VQASample(scene=scene, category=rec["category"],
-                         template_id=int(rec["template_id"]),
-                         slots=tuple(rec["slots"]), token_ids=token_ids,
-                         n_tokens=n_tokens, answer_index=int(rec["answer_index"]),
-                         split=rec["split"])
+                         template_id=template_id, slots=tuple(rec["slots"]),
+                         token_ids=token_ids, n_tokens=n_tokens,
+                         answer_index=answer_index, split=rec["split"])
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
         raise DatasetFormatError(f"malformed sample record at line {line_no}: {e}") from None
 

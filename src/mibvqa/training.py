@@ -8,7 +8,9 @@ SeedSequence([seed]) and the loop stream from SeedSequence([seed, 1]).
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -102,7 +104,6 @@ class Metrics:
 @dataclass(frozen=True)
 class Checkpoint:
     """Everything needed to rebuild and evaluate a trained model."""
-    version: int
     seed: int
     model_config: ModelConfig
     train_config: TrainConfig
@@ -241,7 +242,7 @@ def train(config: TrainConfig, dataset: Dataset,
     metrics = {split: _evaluate_prepared(model, split_samples, dataset, split).to_dict()
                for split, split_samples in prepared.items()}
     checkpoint = Checkpoint(
-        version=CKPT_VERSION, seed=config.seed, model_config=mc, train_config=config,
+        seed=config.seed, model_config=mc, train_config=config,
         parameters={p.name: p.tensor.data.copy() for p in model.parameters()},
         step_count=optimizer.t, metrics=metrics,
         answers=dataset.answer_space.answers)
@@ -426,19 +427,19 @@ def format_ablation_table(rows: list) -> str:
 
 
 CKPT_MAGIC = "ckpt"
-CKPT_VERSION = 2
-FLOATS_PER_LINE = 8
+CKPT_VERSION = 3
+CKPT_DTYPE = "<f8"
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Plain-text format, bit-exact under round-trip.
 
-    Header `ckpt v2 <seed> <n_params>` where n_params counts parameter
+    Header `ckpt v3 <seed> <n_params>` where n_params counts parameter
     tensors; `meta`/`config`/`metrics`/`answers` lines carry JSON payloads;
-    each `tensor <name> <rank> <dims...>` line is followed by its values as
-    whitespace-separated floats with 17 significant digits.
+    each `tensor <name> <rank> <dims...>` line is followed by exactly one
+    line, the base64 of the tensor's little-endian float64 bytes in C order.
     """
-    lines = [f"{CKPT_MAGIC} v{checkpoint.version} {checkpoint.seed} "
+    lines = [f"{CKPT_MAGIC} v{CKPT_VERSION} {checkpoint.seed} "
              f"{len(checkpoint.parameters)}"]
     lines.append(f"meta step_count {checkpoint.step_count}")
     lines.append("config model " + json.dumps(asdict(checkpoint.model_config),
@@ -450,10 +451,8 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     for name, array in checkpoint.parameters.items():
         dims = " ".join(str(d) for d in array.shape)
         lines.append(f"tensor {name} {array.ndim}{' ' + dims if dims else ''}")
-        flat = array.ravel()
-        for start in range(0, flat.size, FLOATS_PER_LINE):
-            chunk = flat[start:start + FLOATS_PER_LINE]
-            lines.append(" ".join(f"{x:.17g}" for x in chunk))
+        raw = np.ascontiguousarray(array, dtype=CKPT_DTYPE).tobytes()
+        lines.append(base64.b64encode(raw).decode("ascii"))
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -470,10 +469,9 @@ def _parse_payload(line: str, index: int, prefix: str, parse: Callable):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse and validate; errors name the offending parameter."""
+    """Parse and validate; errors name the offending parameter or line."""
     with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    lines = text.splitlines()
+        lines = f.read().splitlines()
     if not lines or not lines[0].startswith(CKPT_MAGIC + " "):
         raise CheckpointError("not a checkpoint file (bad magic)")
     head = lines[0].split()
@@ -482,10 +480,11 @@ def load_checkpoint(path) -> Checkpoint:
     if head[1] != f"v{CKPT_VERSION}":
         raise CheckpointError(f"unsupported checkpoint version {head[1]!r}")
     try:
-        seed = int(head[2])
-        n_tensors = int(head[3])
+        seed, n_tensors = int(head[2]), int(head[3])
     except ValueError:
         raise CheckpointError(f"malformed header line: {lines[0]!r}") from None
+    if seed < 0:
+        raise CheckpointError(f"negative seed in header line: {lines[0]!r}")
 
     step_count = 0
     model_config = None
@@ -498,69 +497,62 @@ def load_checkpoint(path) -> Checkpoint:
         line = lines[i]
         if line.startswith("meta step_count "):
             step_count = _parse_payload(line, i, "meta step_count ", int)
-            i += 1
         elif line.startswith("config model "):
             model_config = _parse_payload(line, i, "config model ",
                                           lambda p: ModelConfig(**json.loads(p)))
-            i += 1
         elif line.startswith("config train "):
             train_config = _parse_payload(line, i, "config train ",
                                           lambda p: TrainConfig(**json.loads(p)))
-            i += 1
         elif line.startswith("metrics "):
             metrics = _parse_payload(line, i, "metrics ", json.loads)
-            i += 1
+            if not (isinstance(metrics, dict)
+                    and all(isinstance(m, dict) for m in metrics.values())):
+                raise CheckpointError(f"malformed 'metrics' payload on line {i + 1}: "
+                                      f"expected an object mapping splits to objects")
         elif line.startswith("answers "):
             answers = _parse_payload(line, i, "answers ",
                                      lambda p: tuple(json.loads(p)))
-            i += 1
         elif line.startswith("tensor "):
             fields = line.split()
-            name = fields[1]
+            name = fields[1] if len(fields) > 1 else ""
             try:
                 rank = int(fields[2])
                 dims = tuple(int(d) for d in fields[3:])
-            except ValueError:
+            except (IndexError, ValueError):
                 raise CheckpointError(
                     f"malformed shape line for parameter {name!r}: {line!r}") from None
             if len(dims) != rank:
                 raise CheckpointError(
                     f"shape line for parameter {name!r} declares rank {rank} "
                     f"but {len(dims)} dims")
-            size = 1
-            for d in dims:
-                if d <= 0:
-                    raise CheckpointError(
-                        f"nonpositive dim in shape of parameter {name!r}")
-                size *= d
-            values: list = []
+            if any(d <= 0 for d in dims):
+                raise CheckpointError(f"nonpositive dim in shape of parameter {name!r}")
             i += 1
-            while len(values) < size:
-                if i >= len(lines):
-                    raise CheckpointError(
-                        f"truncated values for parameter {name!r}: expected "
-                        f"{size}, found {len(values)}")
-                for token in lines[i].split():
-                    try:
-                        values.append(float(token))
-                    except ValueError:
-                        raise CheckpointError(
-                            f"malformed float {token!r} in parameter {name!r}") from None
-                i += 1
-            if len(values) != size:
+            if i == len(lines):
                 raise CheckpointError(
-                    f"too many values for parameter {name!r}: expected {size}, "
-                    f"found {len(values)}")
-            parameters[name] = np.array(values).reshape(dims)
-        elif not line.strip():
-            i += 1
-        else:
+                    f"truncated file: no values line for parameter {name!r}")
+            try:
+                raw = base64.b64decode(lines[i], validate=True)
+            except ValueError as e:
+                raise CheckpointError(
+                    f"malformed values line for parameter {name!r}: {e}") from None
+            size = math.prod(dims)
+            if len(raw) != 8 * size:
+                raise CheckpointError(
+                    f"values line for parameter {name!r} holds {len(raw)} bytes, "
+                    f"expected {8 * size} ({size} float64 values)")
+            values = np.frombuffer(raw, dtype=CKPT_DTYPE).reshape(dims)
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"non-finite value in parameter {name!r}")
+            parameters[name] = values.astype(np.float64)  # a native, writable copy
+        elif line.strip():
             raise CheckpointError(f"unrecognized line {i + 1}: {line!r}")
+        i += 1
     if len(parameters) != n_tensors:
         raise CheckpointError(
             f"header declares {n_tensors} tensors, file has {len(parameters)}")
     if model_config is None or train_config is None:
         raise CheckpointError("checkpoint missing config lines")
-    return Checkpoint(version=CKPT_VERSION, seed=seed, model_config=model_config,
+    return Checkpoint(seed=seed, model_config=model_config,
                       train_config=train_config, parameters=parameters,
                       step_count=step_count, metrics=metrics, answers=answers)

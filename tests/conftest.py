@@ -1,13 +1,20 @@
-"""Shared fixtures: small datasets and a narrow model profile for fast runs."""
+"""Shared fixtures: small datasets, a narrow model profile for fast runs,
+and the Hypothesis profile every property test runs under."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from mibvqa import data as dt
 from mibvqa.model import ModelConfig
 from mibvqa.training import model_config_for
 
+
+# Property tests draw the same examples on every run, so a failure replays;
+# each test keeps its own max_examples.
+settings.register_profile("mibvqa", derandomize=True, deadline=None)
+settings.load_profile("mibvqa")
 
 # Narrow widths: every dimension cut so unit-level training runs take seconds.
 TINY_WIDTHS = dict(d_h=12, d_q=12, d_ff=6, d_p=8, d_f=16, d_mlp=16, d_z=6)

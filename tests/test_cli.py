@@ -6,6 +6,7 @@ subprocess.  Datasets and training runs use deliberately tiny configurations
 to keep the whole file fast.
 """
 
+import base64
 import json
 import subprocess
 import sys
@@ -369,8 +370,11 @@ def _add_bogus_key(line: str) -> str:
     ("config model ", _add_bogus_key),
     ("config train ", _add_bogus_key),
     ("metrics ", lambda line: line[:-1]),
+    ("metrics ", lambda line: "metrics []"),
+    ("metrics ", lambda line: 'metrics {"test": 1}'),
     ("answers ", lambda line: "answers [\"yes\", "),
-], ids=["step_count", "model_key", "train_key", "metrics_json", "answers_json"])
+], ids=["step_count", "model_key", "train_key", "metrics_json", "metrics_list",
+        "metrics_value", "answers_json"])
 def test_eval_malformed_checkpoint_line_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, prefix, edit):
     text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), prefix, edit)
@@ -380,6 +384,47 @@ def test_eval_malformed_checkpoint_line_exits_with_one_error_line(
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and f"line {number}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _first_block_nan(lines: list) -> list:
+    index = next(i for i, line in enumerate(lines) if line.startswith("tensor ")) + 1
+    values = np.frombuffer(base64.b64decode(lines[index]), dtype="<f8").copy()
+    values[0] = np.nan
+    lines[index] = base64.b64encode(values.tobytes()).decode()
+    return lines
+
+
+def _header_field(position: int, value: str):
+    def edit(lines: list) -> list:
+        head = lines[0].split()
+        head[position] = value
+        lines[0] = " ".join(head)
+        return lines
+    return edit
+
+
+def _first_shape_without_rank(lines: list) -> list:
+    index = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
+    lines[index] = " ".join(lines[index].split()[:2])
+    return lines
+
+
+@pytest.mark.parametrize("edit,shown", [
+    (_header_field(1, "v2"), "unsupported checkpoint version 'v2'"),
+    (_header_field(2, "-5"), "negative seed"),
+    (_first_block_nan, "non-finite value in parameter"),
+    (_first_shape_without_rank, "malformed shape line for parameter"),
+], ids=["v2", "negative_seed", "nan", "no_rank"])
+def test_eval_rejected_checkpoint_exits_with_one_error_line(
+        workdir, ckpt_path, data_path, capsys, edit, shown):
+    lines = edit(ckpt_path.read_text(encoding="utf-8").splitlines())
+    broken = workdir / "rejected.ckpt"
+    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["eval", "--ckpt", str(broken), "--data", str(data_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and shown in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -411,6 +456,10 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     ("n_objects", 0, "0 objects, expected 1 to t_max=16"),
     ("n_token_ids", 11, "11 token ids, expected k_max=12"),
     ("grid_size", 9, "grid_size 9, the header's is 8"),
+    ("answer_index", 99, "answer_index 99 outside [0, 19)"),
+    ("answer_index", -1, "answer_index -1 outside [0, 19)"),
+    ("template_id", 99, "unknown template_id 99"),
+    ("split", "bogus", "split 'bogus' is not among the header's splits"),
 ])
 def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         workdir, data_path, capsys, field, value, shown):

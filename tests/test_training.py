@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import tiny_model_config
 from mibvqa import autodiff as ad
 from mibvqa import data as dt
 from mibvqa import training
+from mibvqa.model import ModelConfig
 from mibvqa.training import (
     ABLATION_VARIANTS,
     Checkpoint,
@@ -318,7 +323,7 @@ def test_checkpoint_header_shape(tmp_path, small_dataset):
     save_checkpoint(result.checkpoint, path)
     header = path.read_text().splitlines()[0].split()
     assert header[0] == "ckpt"
-    assert header[1] == "v2"
+    assert header[1] == "v3"
     assert int(header[2]) == result.checkpoint.seed
     assert int(header[3]) == len(result.checkpoint.parameters)
 
@@ -375,11 +380,87 @@ def test_checkpoint_version_mismatch_rejected(tmp_path, small_dataset):
     result = run_quick(small_dataset)
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    text = path.read_text().replace("ckpt v2 ", "ckpt v9 ", 1)
+    text = path.read_text().replace("ckpt v3 ", "ckpt v9 ", 1)
     bad = tmp_path / "v9.ckpt"
     bad.write_text(text)
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+
+
+# Float64 values a lossy encoding would change: signed zero, the smallest
+# subnormals and the largest finite magnitudes.
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+tensors = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=5),
+    elements=st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(EDGE_FLOATS))
+
+
+@pytest.fixture(scope="module")
+def block_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("blocks")
+
+
+@given(arrays=st.lists(tensors, min_size=1, max_size=4))
+@settings(max_examples=40)
+def test_checkpoint_blocks_round_trip_bit_exact_and_writable(block_dir, arrays):
+    checkpoint = Checkpoint(
+        seed=0, model_config=ModelConfig(), train_config=TrainConfig(),
+        parameters={f"p{i}": a for i, a in enumerate(arrays)},
+        step_count=0, metrics={}, answers=("no", "yes"))
+    first, second = block_dir / "first.ckpt", block_dir / "second.ckpt"
+    save_checkpoint(checkpoint, first)
+    loaded = load_checkpoint(first)
+    save_checkpoint(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    for name, array in checkpoint.parameters.items():
+        got = loaded.parameters[name]
+        assert got.dtype == np.float64 and got.shape == array.shape
+        assert got.tobytes() == array.tobytes()
+        assert got.flags.writeable and got.flags.owndata
+
+
+@pytest.fixture(scope="module")
+def saved_lines(tmp_path_factory, small_dataset) -> list:
+    path = tmp_path_factory.mktemp("saved") / "model.ckpt"
+    save_checkpoint(run_quick(small_dataset).checkpoint, path)
+    return path.read_text().splitlines()
+
+
+def _recoded(edit):
+    """An edit of a block line that decodes it, applies edit to its bytes
+    and encodes the result again."""
+    return lambda block: [base64.b64encode(edit(base64.b64decode(block))).decode()]
+
+
+def _first_value_nan(raw: bytes) -> bytes:
+    values = np.frombuffer(raw, dtype="<f8").copy()
+    values[0] = np.nan
+    return values.tobytes()
+
+
+@pytest.mark.parametrize("target,edit,shown", [
+    ("fus.mlp_b2", _recoded(lambda raw: raw[:-8]), "bytes"),
+    ("fus.mlp_b2", _recoded(lambda raw: raw + bytes(8)), "bytes"),
+    ("fus.mlp_b2", lambda block: [block[:4] + "!" + block[4:]],
+     "malformed values line"),
+    ("fus.mlp_b2", _recoded(_first_value_nan), "non-finite value"),
+    ("last", lambda block: [], "no values line"),
+], ids=["one_value_short", "one_value_long", "not_base64", "nan", "missing_line"])
+def test_checkpoint_bad_block_names_the_parameter(tmp_path, saved_lines, target,
+                                                  edit, shown):
+    shape_lines = [i for i, line in enumerate(saved_lines) if line.startswith("tensor ")]
+    index = shape_lines[-1] if target == "last" else next(
+        i for i in shape_lines if saved_lines[i].split()[1] == target)
+    name = saved_lines[index].split()[1]
+    lines = (saved_lines[:index + 1] + edit(saved_lines[index + 1])
+             + saved_lines[index + 2:])
+    bad = tmp_path / "bad_block.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(bad)
+    assert repr(name) in str(info.value) and shown in str(info.value)
 
 
 def test_build_model_missing_parameter_named(small_dataset):
