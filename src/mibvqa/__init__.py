@@ -8,7 +8,7 @@ contrastive information-bottleneck term regularizes the paired latents.
 
 from .autodiff import (
     Adam, DimensionError, InvalidMaskError, MissingGradientError, Parameter,
-    RankError, Tensor, backward, grad_check,
+    RankError, Tensor, backward,
 )
 from .attention import AttentionParams, AttentionResult, image_attention, query_attention
 from .data import (
@@ -49,7 +49,7 @@ __all__ = [
     "audit_dataset", "backward", "build_answer_space", "build_model",
     "compute_metrics", "cross_entropy", "encode_image", "encode_latent",
     "encode_query", "evaluate", "evaluate_model", "export_dataset",
-    "generate_dataset", "grad_check", "image_attention", "import_dataset",
+    "generate_dataset", "image_attention", "import_dataset",
     "info_loss", "load_checkpoint", "masked_mean", "mi_estimate", "predict",
     "query_attention", "save_checkpoint", "skl_gaussian", "total_loss", "train",
 ]

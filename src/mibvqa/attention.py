@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, DimensionError, Parameter, Tensor, matmul, relu,
-    reshape, segment_mul, segment_pool, softmax, uniform_init,
+    SIGNAL_INIT_SCALE, DimensionError, Parameter, Tensor, attention_pool,
+    matmul, segment_mul, uniform_init,
 )
 
 
@@ -29,7 +29,8 @@ class AttentionResult:
     """Normalized weights over elements plus the weighted row-sum.
 
     weights: [B, n] Tensor, nonnegative, each row summing to 1 over its
-    unmasked entries, exactly 0 at masked entries.
+    unmasked entries, exactly 0 at masked entries. It is graph-free, for
+    inspection only: gradients reach the scores through pooled.
     pooled: [B, d] Tensor, pooled[b] = sum_j weights[b, j] * rows[b*n + j].
     """
     weights: Tensor
@@ -64,12 +65,8 @@ class AttentionParams:
 
 def _score_pool(rows: Tensor, scored_rows: Tensor, score_w: Tensor,
                 score_head: Tensor, mask: np.ndarray) -> AttentionResult:
-    keep = np.asarray(mask, dtype=bool)
-    logits = reshape(matmul(relu(matmul(scored_rows, score_w)), score_head),
-                     keep.shape)
-    weights = softmax(logits, keep)
-    pooled = segment_pool(weights, rows)
-    return AttentionResult(weights=weights, pooled=pooled)
+    pooled, weights = attention_pool(rows, scored_rows, score_w, score_head, mask)
+    return AttentionResult(weights=Tensor(weights), pooled=pooled)
 
 
 def query_attention(q: Tensor, mask: np.ndarray,

@@ -4,11 +4,12 @@ Exactly the operations the VQA model needs, on float64 numpy storage,
 rank <= 2, no broadcasting (row-wise ops are explicit, named operations).
 A batch of B elements with n rows each is laid out as one [B*n, d] matrix
 whose rows b*n .. b*n + n - 1 belong to element b; the segment ops
-(tanh_recurrence, segment_pool, segment_mul) read and write that layout.
-The graph is rebuilt on every forward pass (define-by-run), and not built
-at all inside `no_grad()`. `backward` accumulates gradients additively into
-the leaves of the graph (requires_grad tensors that no op produced, such
-as parameters); intermediate results keep grad None.
+(tanh_recurrence, segment_pool, segment_mul, attention_pool) read and
+write that layout. The graph is rebuilt on every forward pass
+(define-by-run), and not built at all inside `no_grad()`. `backward`
+accumulates gradients additively into the leaves of the graph
+(requires_grad tensors that no op produced, such as parameters);
+intermediate results keep grad None.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ class Tensor:
             raise RankError(f"item() requires a scalar, got shape {self.shape}")
         return float(self.data)
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -132,10 +130,25 @@ def no_grad():
 
 
 def _node(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
-    """Wrap an op result; skip graph bookkeeping when no parent needs grad."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, True, parents, vjp)
-    return Tensor(data)
+    """Wrap an op result; skip graph bookkeeping when no parent needs grad.
+
+    Every op hands over float64 data of rank <= 2, so the result is built
+    without Tensor.__init__'s conversion and rank check.
+    """
+    t = object.__new__(Tensor)
+    t.data = data
+    t.grad = None
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                t.requires_grad = True
+                t._parents = parents
+                t._vjp = vjp
+                return t
+    t.requires_grad = False
+    t._parents = ()
+    t._vjp = None
+    return t
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -150,11 +163,6 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
     return _node(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    return _node(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -231,11 +239,6 @@ def relu(x: Tensor) -> Tensor:
     return _node(out, (x,), lambda g: (g * pos,))
 
 
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return _node(out, (x,), lambda g: (g * out,))
-
-
 def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), computed overflow-free."""
     out = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
@@ -248,73 +251,6 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(x.data, lo, hi)
     inside = (x.data >= lo) & (x.data <= hi)
     return _node(out, (x,), lambda g: (g * inside,))
-
-
-def softmax(logits: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Masked stable softmax over each row of a [B, n] matrix.
-
-    `mask` is a plain bool array of the same shape marking participating
-    entries (True = keep); excluded entries get weight exactly 0 and receive
-    zero gradient. Masking is realized by adding -1e30 to excluded logits
-    before the usual row-max subtraction, so the exponentials of excluded
-    entries underflow to 0. Every row needs at least one kept entry.
-    """
-    if logits.data.ndim != 2:
-        raise RankError(f"softmax expects a [B, n] matrix, got {logits.shape}")
-    if mask is None:
-        keep = np.ones(logits.shape, dtype=bool)
-    else:
-        keep = np.asarray(mask, dtype=bool)
-        if keep.shape != logits.shape:
-            raise DimensionError(f"softmax: mask {keep.shape} vs logits {logits.shape}")
-    empty = ~keep.any(axis=1)
-    if empty.any():
-        raise InvalidMaskError(
-            f"softmax: every entry of row {int(np.argmax(empty))} is masked")
-    shifted = np.where(keep, logits.data, -1e30)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _node(out, (logits,), vjp)
-
-
-def logsumexp_rows(m: Tensor) -> Tensor:
-    """Row-wise log(sum(exp(.))) of a matrix, max-subtracted for stability."""
-    if m.data.ndim != 2:
-        raise RankError(f"logsumexp_rows expects a matrix, got {m.shape}")
-    mx = m.data.max(axis=1, keepdims=True)
-    e = np.exp(m.data - mx)
-    s = e.sum(axis=1, keepdims=True)
-    out = (mx + np.log(s)).ravel()
-    soft = e / s
-    return _node(out, (m,), lambda g: (g[:, None] * soft,))
-
-
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
-        raise DimensionError(f"reshape: {x.shape} has wrong size for {shape}")
-    old = x.shape
-    return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-
-
-def take_per_row(m: Tensor, idx: np.ndarray) -> Tensor:
-    """out[i] = m[i, idx[i]] for an int index per row."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if m.data.ndim != 2 or idx.shape != (m.shape[0],):
-        raise DimensionError(f"take_per_row: indices {idx.shape} vs matrix {m.shape}")
-    rows = np.arange(m.shape[0])
-
-    def vjp(g):
-        out = np.zeros_like(m.data)
-        out[rows, idx] = g
-        return (out,)
-
-    return _node(m.data[rows, idx].copy(), (m,), vjp)
 
 
 def tanh_recurrence(table: Tensor, w: Tensor, ids: np.ndarray) -> Tensor:
@@ -347,13 +283,16 @@ def tanh_recurrence(table: Tensor, w: Tensor, ids: np.ndarray) -> Tensor:
         states[j] = q
 
     def vjp(g):
-        g_steps = g.reshape(b, k, d).transpose(1, 0, 2)
+        # one contiguous time-major copy of g, turned in place into the
+        # gradient of each step's tanh input
+        dpre = g.reshape(b, k, d).transpose(1, 0, 2).copy()
         slope = 1.0 - states * states
-        dpre = np.empty_like(states)    # gradient of each step's tanh input
         carry = np.zeros((b, d))
         for j in range(k - 1, -1, -1):
-            dpre[j] = (g_steps[j] + carry) * slope[j]
-            carry = dpre[j] @ w.data
+            step = dpre[j]
+            step += carry
+            step *= slope[j]
+            np.matmul(step, w.data, out=carry)
         dw = dpre[1:].reshape(-1, d).T @ states[:-1].reshape(-1, d)
         # scatter-add of every step's rows into the table rows they read
         cells = (ids.T.reshape(-1, 1) * d + np.arange(d)).ravel()
@@ -375,19 +314,112 @@ def segment_pool(weights: Tensor, rows: Tensor) -> Tensor:
     b, n = weights.shape
     w = weights.data
     r3 = rows.data.reshape(b, n, rows.shape[1])
-    out = np.einsum("bn,bnd->bd", w, r3)
+    out = (w[:, None, :] @ r3).reshape(b, rows.shape[1])
 
     def vjp(g):
-        return (np.einsum("bd,bnd->bn", g, r3),
-                (w[:, :, None] * g[:, None, :]).reshape(rows.shape))
+        return ((r3 @ g[:, :, None]).reshape(b, n) if weights.requires_grad else None,
+                (w[:, :, None] * g[:, None, :]).reshape(rows.shape)
+                if rows.requires_grad else None)
 
     return _node(out, (weights, rows), vjp)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    shape = x.shape
-    return _node(np.asarray(x.data.sum()), (x,),
-                 lambda g: (np.full(shape, float(g)),))
+def attention_pool(rows: Tensor, scored_rows: Tensor, score_w: Tensor,
+                   score_head: Tensor, mask: np.ndarray) -> tuple:
+    """Score, normalize and pool one batch of attention blocks; one node.
+
+    rows [B*n, d] are pooled and scored_rows [B*n, d_s] are scored (the
+    same tensor for self-attention): logits[b, j] = relu(scored_rows[b*n + j]
+    @ score_w) @ score_head with score_w [d_s, d_ff] and score_head
+    [d_ff, 1]. The weights are the masked softmax of each row of logits:
+    mask is a plain [B, n] bool array (True = keep), excluded logits are
+    replaced by -1e30 before the row-max subtraction, so their weights
+    underflow to exactly 0 and they get zero gradient; every row needs a
+    kept entry. pooled[b] = sum_j weights[b, j] * rows[b*n + j].
+
+    Returns the pooled [B, d] Tensor and the weights as a plain [B, n]
+    array outside the graph: gradients reach the scores through pooled.
+    """
+    keep = np.asarray(mask, dtype=bool)
+    if rows.data.ndim != 2 or scored_rows.data.ndim != 2 or keep.ndim != 2 \
+            or rows.shape[0] != keep.size or scored_rows.shape[0] != keep.size \
+            or score_w.data.ndim != 2 or score_w.shape[0] != scored_rows.shape[1] \
+            or score_head.shape != (score_w.shape[1], 1):
+        raise DimensionError(f"attention_pool: rows {rows.shape}, scored rows "
+                             f"{scored_rows.shape}, score_w {score_w.shape}, "
+                             f"score_head {score_head.shape}, mask {keep.shape}")
+    filled = keep.any(axis=1)
+    if not filled.all():
+        raise InvalidMaskError(
+            f"attention_pool: every entry of row {int(np.argmin(filled))} is masked")
+    b, n = keep.shape
+    d = rows.shape[1]
+    pre = scored_rows.data @ score_w.data
+    hidden = np.maximum(pre, 0.0)
+    weights = np.where(keep, (hidden @ score_head.data).reshape(b, n), -1e30)
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    r3 = rows.data.reshape(b, n, d)
+    pooled = (weights[:, None, :] @ r3).reshape(b, d)
+
+    def vjp(g):
+        d_weights = (r3 @ g[:, :, None]).reshape(b, n)
+        d_logits = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
+        d_logits = d_logits.reshape(b * n, 1)
+        d_pre = (d_logits @ score_head.data.T) * (pre > 0.0)
+        return ((weights[:, :, None] * g[:, None, :]).reshape(b * n, d)
+                if rows.requires_grad else None,
+                d_pre @ score_w.data.T if scored_rows.requires_grad else None,
+                scored_rows.data.T @ d_pre if score_w.requires_grad else None,
+                hidden.T @ d_logits if score_head.requires_grad else None)
+
+    return _node(pooled, (rows, scored_rows, score_w, score_head), vjp), weights
+
+
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean over rows of logsumexp(logits[i]) - logits[i, labels[i]]: the
+    cross-entropy of each row's softmax against an int label; one node.
+
+    logits is [B, C] with B >= 1 and labels an int [B] array whose values
+    the caller has checked to lie in [0, C) (fusion.cross_entropy does).
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if logits.data.ndim != 2 or logits.shape[0] == 0 \
+            or labels.shape != (logits.shape[0],):
+        raise DimensionError(f"softmax_cross_entropy: logits {logits.shape}, "
+                             f"labels {labels.shape}")
+    b = logits.shape[0]
+    m = logits.data
+    rows = np.arange(b)
+    mx = m.max(axis=1, keepdims=True)
+    e = np.exp(m - mx)
+    s = e.sum(axis=1, keepdims=True)
+    lse = (mx + np.log(s)).ravel()
+    out = np.asarray((lse - m[rows, labels]).sum()) * (1.0 / b)
+
+    def vjp(g):
+        per_row = float(g) * (1.0 / b)
+        d_logits = per_row * (e / s)
+        d_logits[rows, labels] -= per_row
+        return (d_logits,)
+
+    return _node(out, (logits,), vjp)
+
+
+def gaussian_sample(mean: Tensor, log_var: Tensor, eps: np.ndarray) -> Tensor:
+    """Reparameterized draw mean + exp(log_var / 2) * eps; one node.
+
+    eps is plain noise of the latent's shape, held fixed: the draw
+    differentiates with respect to mean and log_var only.
+    """
+    _same_shape(mean, log_var, "gaussian_sample")
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != mean.shape:
+        raise DimensionError(f"noise shape {eps.shape} != latent shape {mean.shape}")
+    std = np.exp(log_var.data * 0.5)
+    return _node(mean.data + std * eps, (mean, log_var),
+                 lambda g: (g, g * eps * std * 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -498,39 +530,7 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# gradient checking and optimization
-
-
-def grad_check(f: Callable[[Sequence[Parameter]], Tensor],
-               params: Sequence[Parameter], eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    f must be deterministic for fixed parameters (freeze any sampling noise).
-    Error per entry: |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    for p in params:
-        p.tensor.grad = None
-    loss = f(params)
-    backward(loss)
-    analytic = [np.zeros(p.tensor.shape) if p.grad is None else p.grad.copy()
-                for p in params]
-    worst = 0.0
-    with no_grad():
-        for p, ga in zip(params, analytic):
-            flat = p.tensor.data.ravel()
-            gflat = ga.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = f(params).item()
-                flat[i] = orig - eps
-                lo = f(params).item()
-                flat[i] = orig
-                numeric = (hi - lo) / (2.0 * eps)
-                err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
-                if err > worst:
-                    worst = err
-    return worst
+# optimization
 
 
 class Adam:

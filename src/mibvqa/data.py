@@ -588,7 +588,11 @@ def import_dataset(path) -> Dataset:
         config = DatasetConfig(**cfg_dict)
     except (KeyError, TypeError, ValueError) as e:
         raise DatasetFormatError(f"bad config echo in header: {e}") from None
-    expected = int(header.get("n_samples", -1))
+    try:
+        expected = int(header.get("n_samples", -1))
+    except (TypeError, ValueError):
+        raise DatasetFormatError(
+            f"bad n_samples in header: {header.get('n_samples')!r}") from None
     if expected != len(lines) - 1:
         raise DatasetFormatError(
             f"truncated dataset: header says {expected} samples, file has {len(lines) - 1}")

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, Parameter, Tensor, linear, logsumexp_rows, relu,
-    scale, sub, sum_all, take_per_row, uniform_init,
+    SIGNAL_INIT_SCALE, Parameter, Tensor, linear, relu, softmax_cross_entropy,
+    uniform_init,
 )
 
 
@@ -102,9 +102,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         bad = labels[(labels < 0) | (labels >= c)][0]
         raise LabelError(f"label {bad} out of range for {c} classes")
-    lse = logsumexp_rows(logits)
-    picked = take_per_row(logits, labels)
-    return scale(sum_all(sub(lse, picked)), 1.0 / b)
+    return softmax_cross_entropy(logits, labels)
 
 
 def predict(logits) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    DimensionError, Parameter, Tensor, add, clamp, exp, gaussian_skl,
-    hadamard, info_nce, linear, scale, softplus, uniform_init,
+    DimensionError, Parameter, Tensor, add, clamp, gaussian_sample,
+    gaussian_skl, hadamard, info_nce, linear, scale, softplus, uniform_init,
 )
 
 LOG_VAR_MIN = -10.0
@@ -128,12 +128,8 @@ def encode_latent(x: Tensor, which: str, params: BottleneckParams,
         raise ValueError(f"unknown encoder {which!r}; expected 'phi' or 'psi'")
     mean = linear(x, mw.tensor, mb.tensor)
     log_var = clamp(linear(x, vw.tensor, vb.tensor), LOG_VAR_MIN, LOG_VAR_MAX)
-    eps = np.asarray(noise, dtype=np.float64)
-    if eps.shape != mean.shape:
-        raise DimensionError(f"noise shape {eps.shape} != latent shape {mean.shape}")
-    std = exp(scale(log_var, 0.5))
-    sample = add(mean, hadamard(std, Tensor(eps)))
-    return GaussianLatent(mean=mean, log_var=log_var, sample=sample)
+    return GaussianLatent(mean=mean, log_var=log_var,
+                          sample=gaussian_sample(mean, log_var, noise))
 
 
 def skl_gaussian(p: GaussianLatent, q: GaussianLatent) -> Tensor:

@@ -283,10 +283,15 @@ def compute_metrics(labels: Sequence[int], predictions: Sequence[int],
 
 
 # Samples per forward pass in evaluation. Prediction records no graph, but
-# a pass still holds several [chunk * t, d] intermediates at once: one
-# pass over a 500-sample split peaks about 10 MB above chunks of 64, and
-# chunks of 32 to 500 evaluate at the same speed.
-EVAL_CHUNK = 64
+# a pass still holds several [chunk * t, d] intermediates at once, so
+# memory grows with the chunk. Median time of one pass over the 500-sample
+# test split after one desk epoch (40 interleaved repetitions, 2-core
+# x86-64, NumPy 2.4, one BLAS thread):
+#   chunk   32      64      128     256     512
+#   ms      5.45    4.26    3.78    4.09    5.15
+# 128 is the fastest; the benchmark's eval_split peaks at 49.1 MB with it
+# (48.9 MB with 64).
+EVAL_CHUNK = 128
 
 
 def evaluate_model(model: VQAModel, dataset: Dataset, split: str) -> Metrics:

@@ -6,10 +6,12 @@ closure that recomputes a scalar loss from the parameters' *current* data, so
 `grad_check` can perturb entries and re-evaluate.
 
 The general ops that the model no longer calls (add_row, transpose,
-diag_part, mean_all, add_scalar, tanh) live here, built on the engine's
-node constructor: the per-sample reference and the composed bottleneck
-forms in helpers_oracles are written with them, and their scenarios keep
-them checked like every engine op.
+diag_part, mean_all, add_scalar, tanh, sub, exp, softmax, logsumexp_rows,
+reshape, take_per_row, sum_all) live here, built on the engine's node
+constructor: the per-sample reference and the composed forms of the fused
+nodes in helpers_oracles are written with them, and their scenarios keep
+them checked like every engine op. `grad_check`, the finite-difference
+oracle itself, lives here too.
 
 Inputs are drawn bounded away from the kinks and clip boundaries of piecewise
 ops (relu at 0, clamp at its edges): central differences straddle such points
@@ -19,6 +21,7 @@ otherwise and report a spurious mismatch that says nothing about the VJPs.
 from __future__ import annotations
 
 import zlib
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +43,86 @@ def add_row(m: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
                     lambda g: (g, g.sum(axis=0)))
 
 
+def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    ad._same_shape(a, b, "sub")
+    return ad._node(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
 def tanh(x: ad.Tensor) -> ad.Tensor:
     out = np.tanh(x.data)
     return ad._node(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+
+def exp(x: ad.Tensor) -> ad.Tensor:
+    out = np.exp(x.data)
+    return ad._node(out, (x,), lambda g: (g * out,))
+
+
+def softmax(logits: ad.Tensor, mask: Optional[np.ndarray] = None) -> ad.Tensor:
+    """Masked stable softmax over each row of a [B, n] matrix.
+
+    `mask` is a plain bool array of the same shape marking participating
+    entries (True = keep); excluded entries get weight exactly 0 and receive
+    zero gradient. Excluded logits are replaced by -1e30 before the usual
+    row-max subtraction, so their exponentials underflow to 0. Every row
+    needs at least one kept entry.
+    """
+    if logits.data.ndim != 2:
+        raise ad.RankError(f"softmax expects a [B, n] matrix, got {logits.shape}")
+    if mask is None:
+        keep = np.ones(logits.shape, dtype=bool)
+    else:
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape != logits.shape:
+            raise ad.DimensionError(f"softmax: mask {keep.shape} vs logits {logits.shape}")
+    empty = ~keep.any(axis=1)
+    if empty.any():
+        raise ad.InvalidMaskError(
+            f"softmax: every entry of row {int(np.argmax(empty))} is masked")
+    shifted = np.where(keep, logits.data, -1e30)
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        dot = (g * out).sum(axis=1, keepdims=True)
+        return (out * (g - dot),)
+
+    return ad._node(out, (logits,), vjp)
+
+
+def logsumexp_rows(m: ad.Tensor) -> ad.Tensor:
+    """Row-wise log(sum(exp(.))) of a matrix, max-subtracted for stability."""
+    if m.data.ndim != 2:
+        raise ad.RankError(f"logsumexp_rows expects a matrix, got {m.shape}")
+    mx = m.data.max(axis=1, keepdims=True)
+    e = np.exp(m.data - mx)
+    s = e.sum(axis=1, keepdims=True)
+    out = (mx + np.log(s)).ravel()
+    soft = e / s
+    return ad._node(out, (m,), lambda g: (g[:, None] * soft,))
+
+
+def reshape(x: ad.Tensor, shape: tuple) -> ad.Tensor:
+    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
+        raise ad.DimensionError(f"reshape: {x.shape} has wrong size for {shape}")
+    old = x.shape
+    return ad._node(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
+
+
+def take_per_row(m: ad.Tensor, idx: np.ndarray) -> ad.Tensor:
+    """out[i] = m[i, idx[i]] for an int index per row."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if m.data.ndim != 2 or idx.shape != (m.shape[0],):
+        raise ad.DimensionError(f"take_per_row: indices {idx.shape} vs matrix {m.shape}")
+    rows = np.arange(m.shape[0])
+
+    def vjp(g):
+        out = np.zeros_like(m.data)
+        out[rows, idx] = g
+        return (out,)
+
+    return ad._node(m.data[rows, idx].copy(), (m,), vjp)
 
 
 def diag_part(m: ad.Tensor) -> ad.Tensor:
@@ -63,11 +143,52 @@ def transpose(m: ad.Tensor) -> ad.Tensor:
     return ad._node(m.data.T.copy(), (m,), lambda g: (g.T,))
 
 
+def sum_all(x: ad.Tensor) -> ad.Tensor:
+    shape = x.shape
+    return ad._node(np.asarray(x.data.sum()), (x,),
+                    lambda g: (np.full(shape, float(g)),))
+
+
 def mean_all(x: ad.Tensor) -> ad.Tensor:
     n = x.data.size
     shape = x.shape
     return ad._node(np.asarray(x.data.mean()), (x,),
                     lambda g: (np.full(shape, float(g) / n),))
+
+
+# ---------------------------------------------------------------------------
+# finite-difference oracle
+
+
+def grad_check(f: Callable[[Sequence[ad.Parameter]], ad.Tensor],
+               params: Sequence[ad.Parameter], eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    f must be deterministic for fixed parameters (freeze any sampling noise).
+    Error per entry: |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    """
+    for p in params:
+        p.tensor.grad = None
+    ad.backward(f(params))
+    analytic = [np.zeros(p.tensor.shape) if p.grad is None else p.grad.copy()
+                for p in params]
+    worst = 0.0
+    with ad.no_grad():
+        for p, ga in zip(params, analytic):
+            flat = p.tensor.data.ravel()
+            gflat = ga.ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = f(params).item()
+                flat[i] = orig - eps
+                lo = f(params).item()
+                flat[i] = orig
+                numeric = (hi - lo) / (2.0 * eps)
+                err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
+                if err > worst:
+                    worst = err
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +211,7 @@ def _readout(rng: np.random.Generator, shape):
     w = ad.Tensor(np.asarray(rng.uniform(0.5, 1.5, size=shape)))
 
     def collapse(out: ad.Tensor) -> ad.Tensor:
-        return ad.sum_all(ad.hadamard(out, w))
+        return sum_all(ad.hadamard(out, w))
 
     return collapse
 
@@ -112,7 +233,7 @@ def _scenario_add(rng):
 def _scenario_sub(rng):
     a, b = _param(rng, (2, 3), "a"), _param(rng, (2, 3), "b")
     out = _readout(rng, (2, 3))
-    return lambda ps: out(ad.sub(ps[0].tensor, ps[1].tensor)), [a, b]
+    return lambda ps: out(sub(ps[0].tensor, ps[1].tensor)), [a, b]
 
 
 def _scenario_hadamard(rng):
@@ -187,7 +308,7 @@ def _scenario_tanh(rng):
 def _scenario_exp(rng):
     a = _param(rng, (3, 4), "a")
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.exp(ps[0].tensor)), [a]
+    return lambda ps: out(exp(ps[0].tensor)), [a]
 
 
 def _scenario_softplus(rng):
@@ -229,7 +350,7 @@ def _softmax_case(rng: np.random.Generator, keep: np.ndarray):
 
 def _scenario_softmax(rng):
     a, w = _softmax_case(rng, np.ones((3, 5), dtype=bool))
-    return lambda ps: ad.sum_all(ad.hadamard(ad.softmax(ps[0].tensor), w)), [a]
+    return lambda ps: sum_all(ad.hadamard(softmax(ps[0].tensor), w)), [a]
 
 
 def _scenario_softmax_masked(rng):
@@ -237,13 +358,13 @@ def _scenario_softmax_masked(rng):
     keep[0] = False  # a row with a single kept entry
     keep[0, int(rng.integers(5))] = True
     a, w = _softmax_case(rng, keep)
-    return lambda ps: ad.sum_all(ad.hadamard(ad.softmax(ps[0].tensor, keep), w)), [a]
+    return lambda ps: sum_all(ad.hadamard(softmax(ps[0].tensor, keep), w)), [a]
 
 
 def _scenario_logsumexp_rows(rng):
     a = _param(rng, (3, 4), "a")
     out = _readout(rng, (3,))
-    return lambda ps: out(ad.logsumexp_rows(ps[0].tensor)), [a]
+    return lambda ps: out(logsumexp_rows(ps[0].tensor)), [a]
 
 
 def _scenario_diag_part(rng):
@@ -261,14 +382,14 @@ def _scenario_transpose(rng):
 def _scenario_reshape(rng):
     a = _param(rng, (2, 6), "a")
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.reshape(ps[0].tensor, (3, 4))), [a]
+    return lambda ps: out(reshape(ps[0].tensor, (3, 4))), [a]
 
 
 def _scenario_take_per_row(rng):
     a = _param(rng, (4, 5), "a")
     idx = rng.integers(0, 5, size=4)
     out = _readout(rng, (4,))
-    return lambda ps: out(ad.take_per_row(ps[0].tensor, idx)), [a]
+    return lambda ps: out(take_per_row(ps[0].tensor, idx)), [a]
 
 
 def _scenario_tanh_recurrence(rng):
@@ -298,11 +419,15 @@ def _scenario_tanh_recurrence(rng):
 
 def _gradients_clear(f, params, floor: float = 1e-3) -> bool:
     """True when every gradient entry of f at params is at least floor in
-    magnitude; the redraw test of the scenarios below."""
+    magnitude or exactly 0; the redraw test of the scenarios below.
+
+    An exact 0 is structural (a masked element, a row whose only kept entry
+    has weight exactly 1, a score unit relu leaves dead on every row), and
+    the finite difference of such an entry is exactly 0 too."""
     for p in params:
         p.grad = None
     ad.backward(f(params))
-    return all((np.abs(p.grad) >= floor).all() for p in params)
+    return all(((p.grad == 0.0) | (np.abs(p.grad) >= floor)).all() for p in params)
 
 
 def _scenario_gaussian_skl(rng):
@@ -336,6 +461,60 @@ def _scenario_info_nce(rng):
             return f, params
 
 
+def _attention_case(rng, shared: bool):
+    """Rows, scored rows, score weights and readout of attention_pool over
+    3 elements of 3 rows each; row 0 of the mask keeps a single entry.
+
+    Redrawn until the relu pre-activations are at least 1e-2 away from the
+    kink and the gradients are clear: like softmax, the score gradients sum
+    signed terms that now and then cancel.
+    """
+    keep = np.stack([_keep_mask(rng, 3) for _ in range(3)])
+    keep[0] = False
+    keep[0, int(rng.integers(3))] = True
+    while True:
+        rows = _positive_param(rng, (9, 2), "rows")
+        scored = rows if shared else _param(rng, (9, 3), "scored_rows")
+        score_w = _param(rng, (scored.shape[1], 3), "score_w")
+        score_head = _param(rng, (3, 1), "score_head")
+        params = ([rows] if shared else [rows, scored]) + [score_w, score_head]
+        out = _readout(rng, (3, 2))
+
+        def f(ps):
+            r, s = ps[0].tensor, ps[0 if shared else 1].tensor
+            return out(ad.attention_pool(r, s, ps[-2].tensor, ps[-1].tensor, keep)[0])
+
+        if (np.abs(scored.data @ score_w.data) >= 1e-2).all() \
+                and _gradients_clear(f, params):
+            return f, params
+
+
+def _scenario_attention_pool(rng):
+    return _attention_case(rng, shared=False)
+
+
+def _scenario_attention_pool_shared(rng):
+    """Self-attention: the pooled rows are the scored rows, one parameter
+    that receives both contributions."""
+    return _attention_case(rng, shared=True)
+
+
+def _scenario_softmax_cross_entropy(rng):
+    a = _param(rng, (4, 5), "logits")
+    labels = rng.integers(0, 5, size=4)
+    labels[2] = labels[0]  # a repeated label
+    c = float(rng.uniform(0.5, 1.5))
+    return lambda ps: ad.scale(ad.softmax_cross_entropy(ps[0].tensor, labels), c), [a]
+
+
+def _scenario_gaussian_sample(rng):
+    mean, log_var = _param(rng, (3, 4), "mean"), _param(rng, (3, 4), "log_var")
+    eps = _signed(rng, (3, 4))
+    out = _readout(rng, (3, 4))
+    return lambda ps: out(ad.gaussian_sample(ps[0].tensor, ps[1].tensor, eps)), \
+        [mean, log_var]
+
+
 def _scenario_segment_pool(rng):
     w, rows = _param(rng, (2, 3), "w"), _positive_param(rng, (6, 4), "rows")
     out = _readout(rng, (2, 4))
@@ -345,7 +524,7 @@ def _scenario_segment_pool(rng):
 def _scenario_sum_all(rng):
     a = _param(rng, (3, 4), "a")
     c = float(rng.uniform(0.5, 1.5))
-    return lambda ps: ad.scale(ad.sum_all(ps[0].tensor), c), [a]
+    return lambda ps: ad.scale(sum_all(ps[0].tensor), c), [a]
 
 
 def _scenario_mean_all(rng):
@@ -383,6 +562,10 @@ OP_SCENARIOS = {
     "mean_all": _scenario_mean_all,
     "gaussian_skl": _scenario_gaussian_skl,
     "info_nce": _scenario_info_nce,
+    "attention_pool": _scenario_attention_pool,
+    "attention_pool_shared": _scenario_attention_pool_shared,
+    "softmax_cross_entropy": _scenario_softmax_cross_entropy,
+    "gaussian_sample": _scenario_gaussian_sample,
 }
 
 
@@ -398,5 +581,5 @@ def run_op_trials(op_name: str, n_trials: int, seed: int = 0) -> float:
     worst = 0.0
     for _ in range(n_trials):
         f, params = build(rng)
-        worst = max(worst, ad.grad_check(f, params))
+        worst = max(worst, grad_check(f, params))
     return worst

@@ -3,12 +3,11 @@
 The attention oracles are straight-line dense math coded directly from the
 published formulas with plain numpy — no Tensor, no graph, no code shared
 with the implementation under test.  Both attention suites and the
-acceptance gate compare against these.  The composed bottleneck terms are
-the fused engine nodes' reference (tests/test_infomax.py), the per-sample
-model reference below is the batched model's correctness gate
-(tests/test_batched.py), and
-the data-path reference at the end is the generator's and the importer's
-(tests/test_data.py).
+acceptance gate compare against these.  The composed forms are the fused
+engine nodes' reference (test_attention, test_fusion, test_infomax), the
+per-sample model reference below is the batched model's correctness gate
+(tests/test_batched.py), and the data-path reference at the end is the
+generator's and the importer's (tests/test_data.py).
 """
 
 from __future__ import annotations
@@ -19,7 +18,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from helpers_ops import add_row, add_scalar, diag_part, mean_all, tanh, transpose
+from helpers_ops import (
+    add_row, add_scalar, diag_part, exp, logsumexp_rows, mean_all, reshape,
+    softmax, sub, sum_all, take_per_row, tanh, transpose,
+)
 from mibvqa import autodiff as ad
 from mibvqa.data import (
     _CLASS_INDEX, OBJECT_CLASSES, SIZE_FEATURE, SIZES, VOCABULARY, Dataset,
@@ -69,34 +71,53 @@ def oracle_image_attention(h, q_star, mask, img_proj_w, qstar_proj_w,
 
 
 # ---------------------------------------------------------------------------
-# composed bottleneck terms
+# composed forms of the fused nodes
 #
-# The symmetrized KL and the InfoNCE estimate as the model computed them
-# before each became one engine node: a graph of elementwise and
-# linear-algebra ops. The fused nodes must equal these forward and agree
-# with their gradients.
+# Attention scoring and pooling, the cross-entropy, the reparameterized
+# sample, the symmetrized KL and the InfoNCE estimate as the model computed
+# them before each became one engine node: a graph of elementwise and
+# linear-algebra ops. The fused nodes must agree with these forward and in
+# their gradients.
+
+
+def composed_attention_pool(rows, scored_rows, score_w, score_head, mask):
+    """Pooled rows and weights, both Tensors on the graph."""
+    keep = np.asarray(mask, dtype=bool)
+    logits = reshape(ad.matmul(ad.relu(ad.matmul(scored_rows, score_w)), score_head),
+                     keep.shape)
+    weights = softmax(logits, keep)
+    return ad.segment_pool(weights, rows), weights
+
+
+def composed_softmax_cross_entropy(logits, labels):
+    picked = take_per_row(logits, labels)
+    return ad.scale(sum_all(sub(logsumexp_rows(logits), picked)), 1.0 / len(labels))
+
+
+def composed_gaussian_sample(mean, log_var, eps):
+    return ad.add(mean, ad.hadamard(exp(ad.scale(log_var, 0.5)), ad.Tensor(eps)))
 
 
 def _two_kl_terms(mean_p, log_var_p, mean_q, log_var_q):
     # elementwise 2*KL(p || q): e^(lp-lq) + (mq-mp)^2 e^(-lq) + lq - lp - 1
-    dlv = ad.sub(log_var_p, log_var_q)
-    dmean = ad.sub(mean_q, mean_p)
-    inv_var_q = ad.exp(ad.scale(log_var_q, -1.0))
+    dlv = sub(log_var_p, log_var_q)
+    dmean = sub(mean_q, mean_p)
+    inv_var_q = exp(ad.scale(log_var_q, -1.0))
     quad = ad.hadamard(ad.hadamard(dmean, dmean), inv_var_q)
-    return add_scalar(ad.add(ad.sub(ad.exp(dlv), dlv), quad), -1.0)
+    return add_scalar(ad.add(sub(exp(dlv), dlv), quad), -1.0)
 
 
 def composed_gaussian_skl(mean_p, log_var_p, mean_q, log_var_q):
     """Symmetrized KL summed over every entry: 0.5 * (KL(p||q) + KL(q||p))."""
     two_kl_pq = _two_kl_terms(mean_p, log_var_p, mean_q, log_var_q)
     two_kl_qp = _two_kl_terms(mean_q, log_var_q, mean_p, log_var_p)
-    return ad.scale(ad.sum_all(ad.add(two_kl_pq, two_kl_qp)), 0.25)
+    return ad.scale(sum_all(ad.add(two_kl_pq, two_kl_qp)), 0.25)
 
 
 def composed_info_nce(z_q, z_h, critic):
     """mean_i [s_ii - logsumexp_j s_ij] + ln B of s = z_q @ critic @ z_h.T."""
     scores = ad.matmul(ad.matmul(z_q, critic), transpose(z_h))
-    gap = ad.sub(diag_part(scores), ad.logsumexp_rows(scores))
+    gap = sub(diag_part(scores), logsumexp_rows(scores))
     return add_scalar(mean_all(gap), math.log(z_q.shape[0]))
 
 
@@ -127,8 +148,8 @@ def _softmax_row(logits, mask):
     """Masked softmax of a [1, n] logit row."""
     n = logits.shape[1]
     shifted = ad.add(logits, ad.Tensor(np.where(mask, 0.0, NEG_INF)[None, :]))
-    lse = ad.reshape(ad.logsumexp_rows(shifted), (1, 1))
-    return ad.exp(ad.sub(shifted, ad.matmul(lse, ad.Tensor(np.ones((1, n))))))
+    lse = reshape(logsumexp_rows(shifted), (1, 1))
+    return exp(sub(shifted, ad.matmul(lse, ad.Tensor(np.ones((1, n))))))
 
 
 def _dense(x, w, b):
@@ -155,14 +176,14 @@ def reference_forward(model, matrix, object_mask, token_ids, token_mask):
     if att is not None:
         scores = ad.matmul(ad.relu(ad.matmul(q, att.query_w.tensor)),
                            att.query_score.tensor)
-        alpha = _softmax_row(ad.reshape(scores, (1, len(token_ids))), token_mask)
+        alpha = _softmax_row(reshape(scores, (1, len(token_ids))), token_mask)
         q_star = ad.matmul(alpha, q)
         q_proj = ad.matmul(q_star, att.qstar_proj_w.tensor)
         fused = ad.hadamard(ad.matmul(h, att.img_proj_w.tensor),
                             ad.matmul(ad.Tensor(np.ones((h.shape[0], 1))), q_proj))
         scores = ad.matmul(ad.relu(ad.matmul(fused, att.img_score_w.tensor)),
                            att.img_score.tensor)
-        beta = _softmax_row(ad.reshape(scores, (1, h.shape[0])), object_mask)
+        beta = _softmax_row(reshape(scores, (1, h.shape[0])), object_mask)
         h_star = ad.matmul(beta, h)
     else:
         q_star = ad.matmul(ad.Tensor(token_mask[None, :] / token_mask.sum()), q)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers_oracles import oracle_image_attention, oracle_query_attention
+from helpers_ops import sum_all
+from helpers_oracles import (
+    composed_attention_pool, oracle_image_attention, oracle_query_attention,
+)
 from mibvqa import autodiff as ad
 from mibvqa.attention import AttentionParams, image_attention, query_attention
-from mibvqa.autodiff import DimensionError, InvalidMaskError, Tensor
+from mibvqa.autodiff import DimensionError, InvalidMaskError, Parameter, Tensor
 
 D_Q, D_H, D_FF, D_P = 4, 5, 3, 6
 
@@ -176,7 +179,7 @@ def test_attention_paths_pass_finite_differences():
     def f(ps):
         q_res = query_attention(q, q_mask, params)
         h_res = image_attention(h, q_res.pooled, h_mask, params)
-        return ad.sum_all(ad.hadamard(h_res.pooled, readout))
+        return sum_all(ad.hadamard(h_res.pooled, readout))
 
     # Mixed absolute/relative comparison: relu-gated score weights carry
     # analytic gradients down to ~1e-9 here, where a purely relative metric
@@ -184,7 +187,7 @@ def test_attention_paths_pass_finite_differences():
     loss = f(params.parameters())
     for p in params.parameters():
         p.grad = None
-    loss.backward()
+    ad.backward(loss)
     eps = 1e-5
     for p in params.parameters():
         analytic = p.grad.copy()
@@ -202,3 +205,72 @@ def test_attention_paths_pass_finite_differences():
             assert gap <= 1e-6 * max(1.0, abs(a), abs(numeric)), (
                 f"{p.name}[{i}]: analytic {a:.3e} vs numeric {numeric:.3e}"
             )
+
+
+# ---------------------------------------------------------------- fused node
+
+
+def _pool_value_and_grads(pool, params, mask, readout):
+    """Pooled rows, weights and the gradient of every distinct parameter
+    under a fixed linear readout of the pooled rows. params are rows,
+    scored rows, score_w and score_head."""
+    distinct = list({id(p): p for p in params}.values())
+    for p in distinct:
+        p.grad = None
+    pooled, weights = pool(*(p.tensor for p in params), mask)
+    ad.backward(sum_all(ad.hadamard(pooled, readout)))
+    weights = weights.data if isinstance(weights, Tensor) else weights
+    return pooled.data, weights, [p.grad.copy() for p in distinct]
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["self", "image"])
+@pytest.mark.parametrize("b", [1, 2, 9])
+def test_attention_pool_node_matches_the_composed_form(shared, b):
+    rng = np.random.default_rng(30 + b)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        mask = np.stack([random_mask(rng, n) for _ in range(b)])
+        mask[0] = False  # a row that keeps a single entry
+        mask[0, int(rng.integers(n))] = True
+        rows = Parameter("rows", rng.standard_normal((b * n, D_H)))
+        scored = rows if shared else Parameter("scored", rng.standard_normal((b * n, D_P)))
+        score_w = Parameter("score_w", rng.standard_normal((scored.shape[1], D_FF)))
+        score_head = Parameter("score_head", rng.standard_normal((D_FF, 1)))
+        readout = Tensor(rng.standard_normal((b, D_H)))
+        params = (rows, scored, score_w, score_head)
+        pooled, weights, grads = _pool_value_and_grads(
+            ad.attention_pool, params, mask, readout)
+        ref_pooled, ref_weights, ref_grads = _pool_value_and_grads(
+            composed_attention_pool, params, mask, readout)
+        np.testing.assert_array_equal(weights, ref_weights)
+        np.testing.assert_allclose(pooled, ref_pooled, rtol=1e-12, atol=0)
+        for grad, ref in zip(grads, ref_grads):
+            assert np.abs(grad - ref).max() < 1e-10
+
+
+def test_attention_pool_weights_are_graph_free_and_gradients_flow_through_pooled():
+    params = make_params(4)
+    rng = np.random.default_rng(5)
+    mask = np.array([[True, True, False], [True, True, True]])
+    q = Tensor(rng.standard_normal((6, D_Q)), requires_grad=True)
+    res = query_attention(q, mask, params)
+    assert not res.weights.requires_grad and res.weights._parents == ()
+    assert res.pooled.requires_grad
+    ad.backward(sum_all(res.pooled))
+    assert np.abs(params.query_w.grad).sum() > 0
+    assert np.abs(params.query_score.grad).sum() > 0
+
+
+def test_attention_pool_rejects_bad_shapes_and_empty_rows():
+    rows, w, head = Tensor(np.ones((6, 2))), Tensor(np.ones((2, 3))), Tensor(np.ones((3, 1)))
+    with pytest.raises(InvalidMaskError, match="row 1"):
+        ad.attention_pool(rows, rows, w, head, np.array([[True, False, True],
+                                                         [False, False, False]]))
+    with pytest.raises(DimensionError):  # mask of the wrong size
+        ad.attention_pool(rows, rows, w, head, np.ones((2, 2), dtype=bool))
+    with pytest.raises(DimensionError):  # score head of the wrong width
+        ad.attention_pool(rows, rows, w, Tensor(np.ones((2, 1))),
+                          np.ones((2, 3), dtype=bool))
+    with pytest.raises(DimensionError):  # scored rows of the wrong width
+        ad.attention_pool(rows, Tensor(np.ones((6, 3))), w, head,
+                          np.ones((2, 3), dtype=bool))

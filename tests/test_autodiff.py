@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_ops import OP_SCENARIOS, add_row, add_scalar, mean_all, run_op_trials, tanh
+import helpers_ops
+from helpers_ops import (
+    OP_SCENARIOS, add_row, add_scalar, grad_check, logsumexp_rows, mean_all,
+    reshape, run_op_trials, softmax, sub, sum_all, take_per_row, tanh,
+)
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import (
     Adam,
@@ -93,7 +98,7 @@ def test_linear_equals_add_row_of_matmul_bit_for_bit():
     for out in (fused, composed):
         for p in (x, w, b):
             p.grad = None
-        ad.backward(ad.sum_all(ad.hadamard(out, readout)))
+        ad.backward(sum_all(ad.hadamard(out, readout)))
         grads.append([p.grad for p in (x, w, b)])
     for fused_grad, composed_grad in zip(*grads):
         np.testing.assert_array_equal(fused_grad, composed_grad)
@@ -164,7 +169,7 @@ def test_relu_dead_region_zero_output_and_gradient():
     p = Parameter("x", np.array([-3.0, -1.0, -0.5]))
     out = ad.relu(p.tensor)
     np.testing.assert_array_equal(out.data, np.zeros(3))
-    ad.sum_all(out).backward()
+    ad.backward(sum_all(out))
     np.testing.assert_array_equal(p.grad, np.zeros(3))
 
 
@@ -173,24 +178,24 @@ def test_relu_dead_region_zero_output_and_gradient():
 
 def test_softmax_symmetry_constant_input():
     for c in (0.0, -7.5, 3.25):
-        out = ad.softmax(Tensor(np.array([[c, c]])))
+        out = softmax(Tensor(np.array([[c, c]])))
         np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
 
 
 def test_softmax_hand_value():
-    out = ad.softmax(Tensor(np.array([[0.0, math.log(3.0)]])))
+    out = softmax(Tensor(np.array([[0.0, math.log(3.0)]])))
     np.testing.assert_allclose(out.data, [[0.25, 0.75]], rtol=0, atol=1e-15)
 
 
 def test_softmax_large_inputs_no_overflow():
-    out = ad.softmax(Tensor(np.array([[1000.0, 1000.0]])))
+    out = softmax(Tensor(np.array([[1000.0, 1000.0]])))
     np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
     assert np.isfinite(out.data).all()
 
 
 def test_softmax_masked_entries_exact_zero():
     mask = np.array([[True, False, True, False]])
-    out = ad.softmax(Tensor(np.array([[1.0, 99.0, 2.0, 99.0]])), mask)
+    out = softmax(Tensor(np.array([[1.0, 99.0, 2.0, 99.0]])), mask)
     assert out.data[0, 1] == 0.0 and out.data[0, 3] == 0.0
     assert abs(out.data.sum() - 1.0) < 1e-12
 
@@ -199,21 +204,21 @@ def test_softmax_masked_entries_zero_gradient():
     p = Parameter("x", np.array([[1.0, 5.0, 2.0]]))
     mask = np.array([[True, False, True]])
     w = Tensor(np.array([[0.3, 0.9, 0.4]]))
-    ad.sum_all(ad.hadamard(ad.softmax(p.tensor, mask), w)).backward()
+    ad.backward(sum_all(ad.hadamard(softmax(p.tensor, mask), w)))
     assert p.grad[0, 1] == 0.0
 
 
 def test_softmax_all_masked_rejected():
     # one fully masked row is enough, even when the other rows are fine
     with pytest.raises(InvalidMaskError):
-        ad.softmax(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])),
+        softmax(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])),
                    np.array([[True, False], [False, False]]))
 
 
 @given(finite_arrays)
 @settings(max_examples=50)
 def test_softmax_is_distribution(values):
-    out = ad.softmax(Tensor(np.asarray([values]))).data
+    out = softmax(Tensor(np.asarray([values]))).data
     assert abs(out.sum() - 1.0) < 1e-9
     assert (out >= 0.0).all()
 
@@ -224,7 +229,7 @@ def test_softmax_is_distribution(values):
 def test_logsumexp_rows_matches_numpy():
     rng = np.random.default_rng(4)
     m = rng.standard_normal((3, 5)) * 3
-    out = ad.logsumexp_rows(Tensor(m)).data
+    out = logsumexp_rows(Tensor(m)).data
     expected = np.log(np.exp(m - m.max(axis=1, keepdims=True)).sum(axis=1)) + m.max(
         axis=1
     )
@@ -232,7 +237,7 @@ def test_logsumexp_rows_matches_numpy():
 
 
 def test_logsumexp_rows_stable_at_large_values():
-    out = ad.logsumexp_rows(Tensor(np.full((2, 3), 1000.0))).data
+    out = logsumexp_rows(Tensor(np.full((2, 3), 1000.0))).data
     np.testing.assert_allclose(out, 1000.0 + math.log(3.0), rtol=1e-15)
 
 
@@ -243,7 +248,7 @@ def test_clamp_values():
 
 def test_clamp_gradient_zero_outside_range():
     p = Parameter("x", np.array([-20.0, 0.5, 20.0]))
-    ad.sum_all(ad.clamp(p.tensor, -10.0, 10.0)).backward()
+    ad.backward(sum_all(ad.clamp(p.tensor, -10.0, 10.0)))
     np.testing.assert_array_equal(p.grad, [0.0, 1.0, 0.0])
 
 
@@ -287,13 +292,13 @@ def test_segment_pool_and_segment_mul_hand_values():
 
 def test_take_per_row_gathers_one_entry_per_row():
     m = Tensor(np.arange(12.0).reshape(3, 4))
-    out = ad.take_per_row(m, np.array([0, 2, 3]))
+    out = take_per_row(m, np.array([0, 2, 3]))
     np.testing.assert_array_equal(out.data, [0.0, 6.0, 11.0])
 
 
 def test_reshape_requires_matching_size():
     with pytest.raises(DimensionError):
-        ad.reshape(Tensor(np.zeros((2, 3))), (4, 2))
+        reshape(Tensor(np.zeros((2, 3))), (4, 2))
 
 
 # ---------------------------------------------------------------- backward
@@ -301,14 +306,14 @@ def test_reshape_requires_matching_size():
 
 def test_backward_sum_gives_ones():
     p = Parameter("x", np.array([[1.0, -2.0], [0.5, 3.0]]))
-    ad.sum_all(p.tensor).backward()
+    ad.backward(sum_all(p.tensor))
     np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
 
 
 def test_backward_sum_of_square_gives_two_x():
     x = np.array([1.5, -2.0, 0.25])
     p = Parameter("x", x)
-    ad.sum_all(ad.hadamard(p.tensor, p.tensor)).backward()
+    ad.backward(sum_all(ad.hadamard(p.tensor, p.tensor)))
     np.testing.assert_allclose(p.grad, 2 * x, rtol=1e-15)
 
 
@@ -316,15 +321,15 @@ def test_backward_accumulates_across_reuse():
     # y = sum(x*x) + sum(x): both branches read x, grads must add to 2x + 1.
     x = np.array([0.5, -1.25, 2.0])
     p = Parameter("x", x)
-    loss = ad.add(ad.sum_all(ad.hadamard(p.tensor, p.tensor)), ad.sum_all(p.tensor))
-    loss.backward()
+    loss = ad.add(sum_all(ad.hadamard(p.tensor, p.tensor)), sum_all(p.tensor))
+    ad.backward(loss)
     np.testing.assert_allclose(p.grad, 2 * x + 1.0, rtol=1e-15)
 
 
 def test_backward_requires_scalar_loss():
     p = Parameter("x", np.ones(3))
     with pytest.raises(RankError):
-        ad.relu(p.tensor).backward()
+        ad.backward(ad.relu(p.tensor))
 
 
 def test_backward_writes_grad_on_leaves_only_and_accumulates():
@@ -332,11 +337,11 @@ def test_backward_writes_grad_on_leaves_only_and_accumulates():
     b = Parameter("b", np.array([[0.25, 1.5], [-1.0, 0.75]]))
     prod = ad.matmul(a.tensor, b.tensor)
     hidden = tanh(ad.add(prod, b.tensor))
-    loss = ad.sum_all(hidden)
-    loss.backward()
+    loss = sum_all(hidden)
+    ad.backward(loss)
     assert prod.grad is None and hidden.grad is None and loss.grad is None
     first_a, first_b = a.grad.copy(), b.grad.copy()
-    loss.backward()
+    ad.backward(loss)
     np.testing.assert_array_equal(a.grad, first_a + first_a)
     np.testing.assert_array_equal(b.grad, first_b + first_b)
 
@@ -347,7 +352,7 @@ def test_backward_deep_chain_no_recursion_limit():
     node = p.tensor
     for _ in range(5000):
         node = add_scalar(node, 1e-6)
-    ad.sum_all(node).backward()
+    ad.backward(sum_all(node))
     assert p.grad == pytest.approx(1.0)
 
 
@@ -359,9 +364,9 @@ def test_grad_check_linear_is_nearly_exact():
     p = Parameter("x", rng.standard_normal((3, 4)))
 
     def f(params):
-        return ad.sum_all(params[0].tensor)
+        return sum_all(params[0].tensor)
 
-    assert ad.grad_check(f, [p]) < 1e-10
+    assert grad_check(f, [p]) < 1e-10
 
 
 def test_grad_check_softmax_cross_entropy_toy():
@@ -372,10 +377,20 @@ def test_grad_check_softmax_cross_entropy_toy():
 
     def f(params):
         logits = ad.matmul(x, params[0].tensor)
-        picked = ad.take_per_row(logits, labels)
-        return mean_all(ad.sub(ad.logsumexp_rows(logits), picked))
+        picked = take_per_row(logits, labels)
+        return mean_all(sub(logsumexp_rows(logits), picked))
 
-    assert ad.grad_check(f, [w]) < 1e-6
+    assert grad_check(f, [w]) < 1e-6
+
+
+def test_every_node_recording_function_has_a_finite_difference_scenario():
+    # acceptance 1 checks "every differentiable op" through OP_SCENARIOS, so
+    # an op that records a node without a scenario would go unchecked
+    for module in (ad, helpers_ops):
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ \
+                    and name != "_node" and "_node" in fn.__code__.co_names:
+                assert name in OP_SCENARIOS, f"{module.__name__}.{name} has no scenario"
 
 
 def test_grad_check_per_op_spot_sweep():

@@ -491,6 +491,37 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
     assert not (workdir / "never.ckpt").exists()
 
 
+def _header_edit(key: str, value):
+    def edit(header: dict) -> dict:
+        header[key] = value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit,shown", [
+    (_header_edit("n_samples", "many"), "bad n_samples in header: 'many'"),
+    (_header_edit("n_samples", [120]), "bad n_samples in header: [120]"),
+    (_header_edit("n_samples", 7), "header says 7 samples"),
+    (_header_edit("version", 99), "unsupported dataset version 99"),
+    (_header_edit("format", "other"), "bad format marker"),
+    (_header_edit("config", {"bogus": 1}), "bad config echo in header"),
+], ids=["n_samples_text", "n_samples_list", "n_samples_wrong", "version",
+        "format", "config"])
+def test_malformed_dataset_header_exits_with_one_error_line(
+        workdir, data_path, capsys, edit, shown):
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps(edit(json.loads(lines[0])), sort_keys=True)
+    edited = workdir / "bad_header.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["train", "--data", str(edited),
+                 "--out", str(workdir / "never.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and shown in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workdir / "never.ckpt").exists()
+
+
 def test_eval_of_a_split_the_dataset_lacks_exits_with_one_error_line(
         ckpt_path, data_path, capsys):
     code = main(["eval", "--ckpt", str(ckpt_path), "--data", str(data_path),

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers_ops import sum_all
 from mibvqa import autodiff as ad
 from mibvqa.encoders import (
     EncoderParams,
@@ -95,7 +96,7 @@ def test_feature_width_mismatch_rejected():
 def test_image_gradients_flow_to_weights():
     params = make_params()
     feats = random_features(np.random.default_rng(4), n_objects=3)
-    ad.sum_all(encode_image(feats, params)).backward()
+    ad.backward(sum_all(encode_image(feats, params)))
     assert params.img_w.grad is not None and np.abs(params.img_w.grad).sum() > 0
 
 
@@ -175,7 +176,7 @@ def test_query_gradients_reach_only_embedding_rows_in_the_real_prefix():
     params = make_params()
     tokens = tokens_of([3, 3])
     pooled = masked_mean(encode_query(tokens, params), tokens.token_mask)
-    ad.sum_all(pooled).backward()
+    ad.backward(sum_all(pooled))
     grad = params.embed.grad
     assert grad is not None
     assert np.abs(grad[3]).sum() > 0

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers_ops import grad_check
+from helpers_oracles import composed_softmax_cross_entropy
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import DimensionError, Parameter, Tensor
 from mibvqa.encoders import (
@@ -123,13 +125,39 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot_over_batch():
     raw = rng.standard_normal((3, 5))
     p = Parameter("logits", raw)
     labels = np.array([1, 4, 0])
-    cross_entropy(p.tensor, labels).backward()
+    ad.backward(cross_entropy(p.tensor, labels))
 
     e = np.exp(raw - raw.max(axis=1, keepdims=True))
     soft = e / e.sum(axis=1, keepdims=True)
     onehot = np.zeros_like(raw)
     onehot[np.arange(3), labels] = 1.0
     np.testing.assert_allclose(p.grad, (soft - onehot) / 3.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("b", [1, 2, 9])
+def test_softmax_cross_entropy_node_equals_the_composed_form(b):
+    rng = np.random.default_rng(20 + b)
+    for _ in range(20):
+        raw = rng.standard_normal((b, N_CLASSES)) * rng.uniform(0.5, 5.0)
+        labels = rng.integers(0, N_CLASSES, size=b)
+        labels[-1] = labels[0]  # a repeated label when b > 1
+        results = []
+        for loss_fn in (ad.softmax_cross_entropy, composed_softmax_cross_entropy):
+            p = Parameter("logits", raw.copy())
+            loss = loss_fn(p.tensor, labels)
+            ad.backward(loss)
+            results.append((loss.item(), p.grad))
+        (value, grad), (ref_value, ref_grad) = results
+        assert value == ref_value
+        assert np.abs(grad - ref_grad).max() < 1e-10
+
+
+def test_softmax_cross_entropy_node_rejects_mismatched_shapes():
+    for logits, labels in ((np.zeros((2, 3)), np.array([0])),
+                           (np.zeros(3), np.array([0])),
+                           (np.zeros((0, 3)), np.zeros(0, dtype=int))):
+        with pytest.raises(DimensionError):
+            ad.softmax_cross_entropy(Tensor(logits), labels)
 
 
 def test_label_out_of_range_rejected():
@@ -183,4 +211,4 @@ def test_full_pipeline_passes_gradient_check():
         return cross_entropy(classify(fused, fus), label)
 
     all_params = enc.parameters() + att.parameters() + fus.parameters()
-    assert ad.grad_check(f, all_params) < 1e-4
+    assert grad_check(f, all_params) < 1e-4

@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers_oracles import composed_gaussian_skl, composed_info_nce
+from helpers_ops import sum_all
+from helpers_oracles import (
+    composed_gaussian_sample, composed_gaussian_skl, composed_info_nce,
+)
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import DimensionError, Parameter, Tensor
 from mibvqa.infomax import (
@@ -222,6 +225,27 @@ def test_info_nce_node_equals_the_composed_form(b):
         _assert_fused_matches_composed(ad.info_nce, composed_info_nce, params)
 
 
+@pytest.mark.parametrize("shape", [(D_Z,), (1, D_Z), (7, D_Z)])
+def test_gaussian_sample_node_equals_the_composed_form(shape):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        eps = rng.standard_normal(shape)
+        readout = Tensor(rng.standard_normal(shape))
+        params = [Parameter("mean", rng.uniform(-2, 2, shape)),
+                  Parameter("log_var", rng.uniform(-3, 3, shape))]
+        results = []
+        for sample_fn in (ad.gaussian_sample, composed_gaussian_sample):
+            for p in params:
+                p.grad = None
+            sample = sample_fn(params[0].tensor, params[1].tensor, eps)
+            ad.backward(sum_all(ad.hadamard(sample, readout)))
+            results.append((sample.data, [p.grad.copy() for p in params]))
+        (value, grads), (ref_value, ref_grads) = results
+        np.testing.assert_array_equal(value, ref_value)
+        for grad, ref in zip(grads, ref_grads):
+            assert np.abs(grad - ref).max() < FUSED_TOL
+
+
 def test_fused_nodes_reject_mismatched_shapes():
     with pytest.raises(DimensionError):
         ad.gaussian_skl(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
@@ -229,6 +253,12 @@ def test_fused_nodes_reject_mismatched_shapes():
     with pytest.raises(DimensionError):
         ad.info_nce(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
                     Tensor(np.zeros((2, 2))))
+    with pytest.raises(DimensionError):
+        ad.gaussian_sample(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                           np.zeros((3, 2)))
+    with pytest.raises(DimensionError):
+        ad.gaussian_sample(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))),
+                           np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------- objective
@@ -298,7 +328,7 @@ def test_bottleneck_gradients_flow_through_objective():
     lat_h = encode_latent(x_h, "psi", params, noise)
     loss = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
                      params.gamma(), params.critic.tensor)
-    loss.value.backward()
+    ad.backward(loss.value)
     for p in params.parameters():
         assert p.grad is not None, p.name
     assert np.abs(params.gamma_raw.grad).max() > 0
