@@ -77,7 +77,7 @@ def query_attention(q: Tensor, mask: np.ndarray,
     score_head . relu(q_k @ query_w); weights are the masked softmax of each
     query's scores; pooled[b] = sum_k weight_bk * q_bk.
     """
-    return _score_pool(q, q, params.query_w.tensor, params.query_score.tensor, mask)
+    return _score_pool(q, q, params.query_w, params.query_score, mask)
 
 
 def image_attention(h: Tensor, q_star: Tensor, mask: np.ndarray,
@@ -90,15 +90,14 @@ def image_attention(h: Tensor, q_star: Tensor, mask: np.ndarray,
     The pooled output weights the ORIGINAL object rows h_t, not the fused
     projections.
     """
-    if params.img_proj_w.tensor.shape[1] != params.qstar_proj_w.tensor.shape[1]:
+    if params.img_proj_w.shape[1] != params.qstar_proj_w.shape[1]:
         raise DimensionError(
-            f"projection widths differ: {params.img_proj_w.tensor.shape} vs "
-            f"{params.qstar_proj_w.tensor.shape}")
+            f"projection widths differ: {params.img_proj_w.shape} vs "
+            f"{params.qstar_proj_w.shape}")
     if q_star.shape[0] != np.shape(mask)[0]:
         raise DimensionError(
             f"{q_star.shape[0]} query summaries for {np.shape(mask)[0]} scenes")
-    h_proj = matmul(h, params.img_proj_w.tensor)
-    q_proj = matmul(q_star, params.qstar_proj_w.tensor)
+    h_proj = matmul(h, params.img_proj_w)
+    q_proj = matmul(q_star, params.qstar_proj_w)
     fused = segment_mul(h_proj, q_proj)
-    return _score_pool(h, fused, params.img_score_w.tensor,
-                       params.img_score.tensor, mask)
+    return _score_pool(h, fused, params.img_score_w, params.img_score, mask)

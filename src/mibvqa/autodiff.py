@@ -80,33 +80,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-class Parameter:
-    """Named trainable tensor. Names are unique within a model."""
+class Parameter(Tensor):
+    """Named trainable leaf tensor. Names are unique within a model."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def shape(self) -> tuple:
-        return self.tensor.shape
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        return self.tensor.grad
-
-    @grad.setter
-    def grad(self, value: Optional[np.ndarray]) -> None:
-        self.tensor.grad = value
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 # False inside no_grad(); read by _node on every op.
@@ -551,7 +535,7 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        bounds = np.cumsum([0] + [p.tensor.data.size for p in self.params]).tolist()
+        bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self._m = np.zeros(bounds[-1])
         self._v = np.zeros(bounds[-1])
@@ -563,13 +547,13 @@ class Adam:
         """One update. A missing, misshapen or non-finite gradient raises
         before any state (m, v, t, the parameters) changes."""
         for p in self.params:
-            if p.tensor.grad is None:
+            if p.grad is None:
                 raise MissingGradientError(f"no gradient for parameter {p.name!r}")
-            if p.tensor.grad.shape != p.tensor.shape:
+            if p.grad.shape != p.shape:
                 raise DimensionError(f"gradient of {p.name!r} has shape "
-                                     f"{p.tensor.grad.shape}, parameter {p.tensor.shape}")
+                                     f"{p.grad.shape}, parameter {p.shape}")
         g, tmp, update = self._g, self._scratch, self._update
-        np.concatenate([p.tensor.grad.ravel() for p in self.params], out=g)
+        np.concatenate([p.grad.ravel() for p in self.params], out=g)
         if not np.isfinite(g).all():
             for p, part in zip(self.params, self._slices):
                 bad = ~np.isfinite(g[part])
@@ -595,11 +579,11 @@ class Adam:
         tmp += self.eps
         update /= tmp
         for p, part in zip(self.params, self._slices):
-            p.tensor.data -= update[part].reshape(p.tensor.shape)
+            p.data -= update[part].reshape(p.shape)
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.tensor.grad = None
+            p.grad = None
 
 
 # Weight-matrix init scale for the signal path. The forward activations here

@@ -14,12 +14,11 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .encoders import ImageObjectFeatures, QueryTokens
-from .fusion import AnswerSpace
 
 
 class TemplateError(ValueError):
@@ -45,7 +44,10 @@ AREA_BIN_EDGES = (2, 5, 8)
 AREA_BIN_LABELS = ("0-1", "2-4", "5-7", "8+")
 
 COUNT_LABELS = tuple(str(i) for i in range(10)) + ("10+",)
-ANSWERS = ("no", "yes") + COUNT_LABELS + ("rural", "urban") + AREA_BIN_LABELS
+ZONE_LABELS = ("rural", "urban")
+# The one answer space of every category; a label is an index into it.
+ANSWERS = ("no", "yes") + COUNT_LABELS + ZONE_LABELS + AREA_BIN_LABELS
+ANSWER_INDEX = {a: i for i, a in enumerate(ANSWERS)}
 
 CATEGORIES = ("count", "presence", "comparison", "rural_urban", "area")
 
@@ -59,18 +61,6 @@ VOCABULARY = (
     "building", "road", "water", "tree", "field",
 )
 TOKEN_IDS = {w: i for i, w in enumerate(VOCABULARY)}
-
-
-def build_answer_space() -> AnswerSpace:
-    """Single answer space covering all five categories."""
-    per_category = {
-        "count": COUNT_LABELS,
-        "presence": ("no", "yes"),
-        "comparison": ("no", "yes"),
-        "rural_urban": ("rural", "urban"),
-        "area": AREA_BIN_LABELS,
-    }
-    return AnswerSpace(answers=ANSWERS, category_answers=per_category)
 
 
 @dataclass(frozen=True)
@@ -99,11 +89,6 @@ class Scene:
     grid_size: int
     objects: tuple
     zone_label: str
-
-
-def zone_of(objects: Iterable[SceneObject], urban_threshold: int) -> str:
-    buildings = sum(1 for o in objects if o.cls == "building")
-    return "urban" if buildings >= urban_threshold else "rural"
 
 
 def count_class(scene: Scene, cls: str, size: str | None = None) -> int:
@@ -268,7 +253,6 @@ class VQASample:
 class Dataset:
     config: DatasetConfig
     samples: tuple
-    answer_space: AnswerSpace = field(default_factory=build_answer_space)
 
     def split(self, name: str) -> tuple:
         return tuple(s for s in self.samples if s.split == name)
@@ -419,7 +403,7 @@ def _question_tokens(template_id: int, slots: tuple, k_max: int) -> tuple:
 
 
 def make_sample(config: DatasetConfig, index: int, category: str,
-                split: str, answer_space: AnswerSpace) -> VQASample:
+                split: str) -> VQASample:
     """Sample content is a pure function of (seed, index)."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
     scene = _sample_scene(rng, config)
@@ -429,18 +413,17 @@ def make_sample(config: DatasetConfig, index: int, category: str,
     return VQASample(scene=scene, category=category,
                      template_id=template.template_id, slots=slots,
                      token_ids=token_ids, n_tokens=n_tokens,
-                     answer_index=answer_space.index_of(answer), split=split)
+                     answer_index=ANSWER_INDEX[answer], split=split)
 
 
 def generate_dataset(config: DatasetConfig) -> Dataset:
     """Seeded, reproducible dataset with interleaved category/split schedules."""
-    answer_space = build_answer_space()
     categories = apportion(config.mix(), config.n_samples)
     splits = apportion(config.splits(), config.n_samples)
     samples = tuple(
-        make_sample(config, i, categories[i], splits[i], answer_space)
+        make_sample(config, i, categories[i], splits[i])
         for i in range(config.n_samples))
-    return Dataset(config=config, samples=samples, answer_space=answer_space)
+    return Dataset(config=config, samples=samples)
 
 
 def audit_dataset(dataset: Dataset) -> int:
@@ -448,8 +431,7 @@ def audit_dataset(dataset: Dataset) -> int:
     mismatches = 0
     for s in dataset.samples:
         template = TEMPLATES[s.template_id]
-        expected = dataset.answer_space.index_of(
-            answer_oracle(s.scene, template, s.slots))
+        expected = ANSWER_INDEX.get(answer_oracle(s.scene, template, s.slots))
         if expected != s.answer_index:
             mismatches += 1
         if s.n_tokens > dataset.config.k_max or len(s.token_ids) != dataset.config.k_max:
@@ -508,8 +490,9 @@ def _record_object(store: dict, grid_size: int, cls, row, col, size) -> SceneObj
 def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
     """The sample of one record; a value the model cannot take (a grid size
     other than the header's, unknown class or size, object off the grid, no
-    objects or more than t_max, other than k_max token ids, token id outside
-    the vocabulary, n_tokens beyond the ids, unknown template, answer index
+    objects or more than t_max, zone other than rural or urban, other than
+    k_max token ids, token id outside the vocabulary, n_tokens beyond the
+    ids, unknown template, category other than the template's, answer index
     outside ANSWERS, split not in the header) is a DatasetFormatError naming
     the line."""
     try:
@@ -524,6 +507,8 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
         if not 1 <= len(objects) <= config.t_max:
             raise ValueError(f"{len(objects)} objects, expected 1 to "
                              f"t_max={config.t_max}")
+        if sc["zone_label"] not in ZONE_LABELS:
+            raise ValueError(f"unknown zone_label {sc['zone_label']!r}")
         scene = Scene(grid_size=grid_size, objects=objects,
                       zone_label=sc["zone_label"])
         token_ids = tuple(int(t) for t in rec["token_ids"])
@@ -540,6 +525,9 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
         template_id, answer_index = int(rec["template_id"]), int(rec["answer_index"])
         if template_id not in TEMPLATES:
             raise ValueError(f"unknown template_id {template_id}")
+        if rec["category"] != TEMPLATES[template_id].category:
+            raise ValueError(f"category {rec['category']!r} is not template "
+                             f"{template_id}'s {TEMPLATES[template_id].category!r}")
         if not 0 <= answer_index < len(ANSWERS):
             raise ValueError(f"answer_index {answer_index} outside [0, {len(ANSWERS)})")
         if rec["split"] not in config.splits():

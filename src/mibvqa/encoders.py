@@ -81,11 +81,11 @@ def encode_image(features: ImageObjectFeatures, params: EncoderParams) -> Tensor
     if matrix.ndim != 3:
         raise DimensionError(f"features must be [B, t, d_raw], got {matrix.shape}")
     b, t, d_raw = matrix.shape
-    if d_raw != params.img_w.tensor.shape[0]:
+    if d_raw != params.img_w.shape[0]:
         raise DimensionError(
-            f"feature width {d_raw} != encoder d_raw {params.img_w.tensor.shape[0]}")
+            f"feature width {d_raw} != encoder d_raw {params.img_w.shape[0]}")
     x = Tensor(matrix.reshape(b * t, d_raw))
-    h = relu(linear(x, params.img_w.tensor, params.img_b.tensor))
+    h = relu(linear(x, params.img_w, params.img_b))
     return mask_rows(h, np.asarray(features.object_mask).reshape(b * t))
 
 
@@ -99,14 +99,14 @@ def encode_query(tokens: QueryTokens, params: EncoderParams) -> Tensor:
     padding is always a suffix, the real prefix rows depend only on the
     real tokens.
     """
-    vocab = params.embed.tensor.shape[0]
+    vocab = params.embed.shape[0]
     ids = np.asarray(tokens.token_ids, dtype=np.int64)
     if ids.ndim != 2:
         raise DimensionError(f"token ids must be [B, k], got {ids.shape}")
     if ids.min() < 0 or ids.max() >= vocab:
         bad = ids[(ids < 0) | (ids >= vocab)][0]
         raise VocabularyError(f"token id {bad} outside vocabulary of size {vocab}")
-    return tanh_recurrence(params.embed.tensor, params.rec_w.tensor, ids)
+    return tanh_recurrence(params.embed, params.rec_w, ids)
 
 
 def masked_mean(rows: Tensor, mask: np.ndarray) -> Tensor:

@@ -3,12 +3,10 @@
 The pooled query and image embeddings are projected by two fully connected
 layers to a common width, fused by Hadamard product, and classified by a
 two-layer MLP over a single answer space that covers every question
-category (per-category masks exist for evaluation slicing only).
+category.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,33 +18,6 @@ from .autodiff import (
 
 class LabelError(ValueError):
     """A label index falls outside the answer space."""
-
-
-@dataclass(frozen=True)
-class AnswerSpace:
-    """Ordered answer vocabulary plus the valid subset per question category."""
-    answers: tuple
-    category_answers: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(set(self.answers)) != len(self.answers):
-            raise ValueError("answers must be unique")
-        for cat, subset in self.category_answers.items():
-            for a in subset:
-                if a not in self.answers:
-                    raise ValueError(f"category {cat!r} lists unknown answer {a!r}")
-
-    def __len__(self) -> int:
-        return len(self.answers)
-
-    def index_of(self, answer: str) -> int:
-        try:
-            return self.answers.index(answer)
-        except ValueError:
-            raise LabelError(f"unknown answer {answer!r}") from None
-
-    def indices_for(self, category: str) -> tuple:
-        return tuple(self.answers.index(a) for a in self.category_answers[category])
 
 
 class FusionParams:
@@ -73,18 +44,18 @@ class FusionParams:
 
 def project_query(q_star: Tensor, params: FusionParams) -> Tensor:
     """First fully connected layer over the pooled query embeddings [B, d_q]."""
-    return linear(q_star, params.q_w.tensor, params.q_b.tensor)
+    return linear(q_star, params.q_w, params.q_b)
 
 
 def project_image(h_star: Tensor, params: FusionParams) -> Tensor:
     """First fully connected layer over the pooled image embeddings [B, d_h]."""
-    return linear(h_star, params.h_w.tensor, params.h_b.tensor)
+    return linear(h_star, params.h_w, params.h_b)
 
 
 def classify(fused: Tensor, params: FusionParams) -> Tensor:
     """Two-layer MLP logits [B, C] over the answer space (no softmax baked in)."""
-    hidden = relu(linear(fused, params.mlp_w1.tensor, params.mlp_b1.tensor))
-    return linear(hidden, params.mlp_w2.tensor, params.mlp_b2.tensor)
+    hidden = relu(linear(fused, params.mlp_w1, params.mlp_b1))
+    return linear(hidden, params.mlp_w2, params.mlp_b2)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    DimensionError, Parameter, Tensor, add, clamp, gaussian_sample,
-    gaussian_skl, hadamard, info_nce, linear, scale, softplus, uniform_init,
+    Parameter, Tensor, add, clamp, gaussian_sample, gaussian_skl, hadamard,
+    info_nce, linear, scale, softplus, uniform_init,
 )
 
 LOG_VAR_MIN = -10.0
@@ -107,7 +107,7 @@ class BottleneckParams:
 
     def gamma(self) -> Tensor:
         """Effective skl coefficient, strictly positive."""
-        return softplus(self.gamma_raw.tensor)
+        return softplus(self.gamma_raw)
 
 
 def encode_latent(x: Tensor, which: str, params: BottleneckParams,
@@ -126,45 +126,21 @@ def encode_latent(x: Tensor, which: str, params: BottleneckParams,
         vw, vb = params.h_logvar_w, params.h_logvar_b
     else:
         raise ValueError(f"unknown encoder {which!r}; expected 'phi' or 'psi'")
-    mean = linear(x, mw.tensor, mb.tensor)
-    log_var = clamp(linear(x, vw.tensor, vb.tensor), LOG_VAR_MIN, LOG_VAR_MAX)
+    mean = linear(x, mw, mb)
+    log_var = clamp(linear(x, vw, vb), LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianLatent(mean=mean, log_var=log_var,
                           sample=gaussian_sample(mean, log_var, noise))
-
-
-def skl_gaussian(p: GaussianLatent, q: GaussianLatent) -> Tensor:
-    """Symmetrized KL between two diagonal Gaussians, closed form.
-
-    Mean of the two KL directions, summed over latent dimensions. Zero iff
-    the parameter vectors coincide. For batch latents [B, d_z] the result
-    is the sum over the whole batch (divide by B for the per-pair mean).
-    """
-    if p.mean.shape != q.mean.shape:
-        raise DimensionError(f"latent shapes differ: {p.mean.shape} vs {q.mean.shape}")
-    return gaussian_skl(p.mean, p.log_var, q.mean, q.log_var)
-
-
-def mi_estimate(z_q: Tensor, z_h: Tensor, critic: Tensor) -> Tensor:
-    """InfoNCE lower bound on the mutual information of paired latents.
-
-    score(i, j) = z_q[i] @ critic @ z_h[j]; the estimate is
-    mean_i [score(i,i) - logsumexp_j score(i,j)] + ln B, which is <= ln B
-    for every input and exactly 0 at B = 1.
-    """
-    if z_q.shape != z_h.shape:
-        raise DimensionError(f"latent batches differ: {z_q.shape} vs {z_h.shape}")
-    return info_nce(z_q, z_h, critic)
 
 
 def info_loss(z_q: Tensor, z_h: Tensor, latents_q: GaussianLatent,
               latents_h: GaussianLatent, gamma: Tensor, critic: Tensor) -> InfoLoss:
     """-mi_estimate + gamma * (mean over the batch of pairwise symmetrized KL),
-    returned together with the two terms it combines."""
-    if latents_q.mean.shape != latents_h.mean.shape:
-        raise DimensionError(
-            f"latent batches differ: {latents_q.mean.shape} vs {latents_h.mean.shape}")
-    mi = mi_estimate(z_q, z_h, critic)
-    skl_mean = scale(skl_gaussian(latents_q, latents_h), 1.0 / z_q.shape[0])
+    returned together with the two terms it combines. Both nodes check
+    that the two latents' shapes agree (DimensionError)."""
+    mi = info_nce(z_q, z_h, critic)
+    skl = gaussian_skl(latents_q.mean, latents_q.log_var,
+                       latents_h.mean, latents_h.log_var)
+    skl_mean = scale(skl, 1.0 / z_q.shape[0])
     value = add(scale(mi, -1.0), hadamard(gamma, skl_mean))
     return InfoLoss(mi_estimate=mi, skl=skl_mean, value=value)
 

@@ -79,7 +79,7 @@ class VQAModel:
         return {p.name: p for p in self.parameters()}
 
     def n_parameters(self) -> int:
-        return sum(p.tensor.data.size for p in self.parameters())
+        return sum(p.data.size for p in self.parameters())
 
     def _forward(self, features: ImageObjectFeatures,
                  tokens: QueryTokens) -> tuple:
@@ -136,7 +136,7 @@ class VQAModel:
         lat_q = encode_latent(f_q, "phi", self.bottleneck, noise_q)
         lat_h = encode_latent(f_h, "psi", self.bottleneck, noise_h)
         info = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
-                         self.bottleneck.gamma(), self.bottleneck.critic.tensor)
+                         self.bottleneck.gamma(), self.bottleneck.critic)
         final = total_loss(ce, info.value, lam)
         return LossBreakdown(ce=ce, mi_estimate=info.mi_estimate, skl=info.skl,
                              info_loss=info.value, final=final)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Adam, NonFiniteGradientError, backward
 from .data import (
-    CATEGORIES, OBJECT_CLASSES, VOCABULARY, Dataset, DatasetFormatError,
+    ANSWERS, CATEGORIES, OBJECT_CLASSES, VOCABULARY, Dataset, DatasetFormatError,
     query_tokens, scene_features,
 )
 from .encoders import ImageObjectFeatures, QueryTokens
@@ -168,13 +168,14 @@ DERIVED_MODEL_FIELDS = ("vocab_size", "d_raw", "n_classes")
 
 def model_config_for(dataset: Dataset, **overrides) -> ModelConfig:
     """The ModelConfig for a dataset: vocab_size, d_raw and n_classes come
-    from the dataset, every other field from overrides or its default."""
+    from the data format (VOCABULARY, OBJECT_CLASSES, ANSWERS), every other
+    field from overrides or its default."""
     refused = [name for name in DERIVED_MODEL_FIELDS if name in overrides]
     if refused:
         raise ValueError(f"{', '.join(refused)} derive from the dataset "
                          f"and cannot be overridden")
     return ModelConfig(vocab_size=len(VOCABULARY), d_raw=len(OBJECT_CLASSES) + 3,
-                       n_classes=len(dataset.answer_space), **overrides)
+                       n_classes=len(ANSWERS), **overrides)
 
 
 def train(config: TrainConfig, dataset: Dataset,
@@ -243,9 +244,9 @@ def train(config: TrainConfig, dataset: Dataset,
                for split, split_samples in prepared.items()}
     checkpoint = Checkpoint(
         seed=config.seed, model_config=mc, train_config=config,
-        parameters={p.name: p.tensor.data.copy() for p in model.parameters()},
+        parameters={p.name: p.data.copy() for p in model.parameters()},
         step_count=optimizer.t, metrics=metrics,
-        answers=dataset.answer_space.answers)
+        answers=ANSWERS)
     return TrainResult(checkpoint=checkpoint, step_records=step_records,
                        epoch_records=epoch_records, model=model)
 
@@ -321,7 +322,7 @@ def _evaluate_prepared(model: VQAModel, samples: PreparedSplit,
 
 def evaluate(checkpoint: Checkpoint, dataset: Dataset, split: str) -> Metrics:
     """Evaluate a stored model on a dataset split."""
-    if checkpoint.answers != dataset.answer_space.answers:
+    if checkpoint.answers != ANSWERS:
         raise CheckpointError("checkpoint answer space does not match dataset")
     return evaluate_model(build_model(checkpoint), dataset, split)
 
@@ -337,11 +338,11 @@ def build_model(checkpoint: Checkpoint) -> VQAModel:
             f"parameter names do not match config: extra={sorted(extra)}, "
             f"missing={sorted(missing)}")
     for name, array in checkpoint.parameters.items():
-        if params[name].tensor.shape != array.shape:
+        if params[name].shape != array.shape:
             raise CheckpointError(
                 f"shape mismatch for parameter {name!r}: config expects "
-                f"{params[name].tensor.shape}, checkpoint has {array.shape}")
-        params[name].tensor.data = array.copy()
+                f"{params[name].shape}, checkpoint has {array.shape}")
+        params[name].data = array.copy()
     return model
 
 

@@ -168,14 +168,14 @@ def grad_check(f: Callable[[Sequence[ad.Parameter]], ad.Tensor],
     Error per entry: |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
     for p in params:
-        p.tensor.grad = None
+        p.grad = None
     ad.backward(f(params))
-    analytic = [np.zeros(p.tensor.shape) if p.grad is None else p.grad.copy()
+    analytic = [np.zeros(p.shape) if p.grad is None else p.grad.copy()
                 for p in params]
     worst = 0.0
     with ad.no_grad():
         for p, ga in zip(params, analytic):
-            flat = p.tensor.data.ravel()
+            flat = p.data.ravel()
             gflat = ga.ravel()
             for i in range(flat.size):
                 orig = flat[i]
@@ -227,51 +227,51 @@ def _keep_mask(rng: np.random.Generator, n: int) -> np.ndarray:
 def _scenario_add(rng):
     a, b = _param(rng, (2, 3), "a"), _param(rng, (2, 3), "b")
     out = _readout(rng, (2, 3))
-    return lambda ps: out(ad.add(ps[0].tensor, ps[1].tensor)), [a, b]
+    return lambda ps: out(ad.add(ps[0], ps[1])), [a, b]
 
 
 def _scenario_sub(rng):
     a, b = _param(rng, (2, 3), "a"), _param(rng, (2, 3), "b")
     out = _readout(rng, (2, 3))
-    return lambda ps: out(sub(ps[0].tensor, ps[1].tensor)), [a, b]
+    return lambda ps: out(sub(ps[0], ps[1])), [a, b]
 
 
 def _scenario_hadamard(rng):
     a, b = _param(rng, (2, 3), "a"), _param(rng, (2, 3), "b")
     out = _readout(rng, (2, 3))
-    return lambda ps: out(ad.hadamard(ps[0].tensor, ps[1].tensor)), [a, b]
+    return lambda ps: out(ad.hadamard(ps[0], ps[1])), [a, b]
 
 
 def _scenario_scale(rng):
     a = _param(rng, (2, 3), "a")
     c = float(_signed(rng, ()))
     out = _readout(rng, (2, 3))
-    return lambda ps: out(ad.scale(ps[0].tensor, c)), [a]
+    return lambda ps: out(ad.scale(ps[0], c)), [a]
 
 
 def _scenario_add_scalar(rng):
     a = _param(rng, (2, 3), "a")
     c = float(_signed(rng, ()))
     out = _readout(rng, (2, 3))
-    return lambda ps: out(add_scalar(ps[0].tensor, c)), [a]
+    return lambda ps: out(add_scalar(ps[0], c)), [a]
 
 
 def _scenario_matmul(rng):
     a, b = _param(rng, (2, 3), "a"), _param(rng, (3, 4), "b")
     out = _readout(rng, (2, 4))
-    return lambda ps: out(ad.matmul(ps[0].tensor, ps[1].tensor)), [a, b]
+    return lambda ps: out(ad.matmul(ps[0], ps[1])), [a, b]
 
 
 def _scenario_add_row(rng):
     m, v = _param(rng, (3, 4), "m"), _param(rng, (4,), "v")
     out = _readout(rng, (3, 4))
-    return lambda ps: out(add_row(ps[0].tensor, ps[1].tensor)), [m, v]
+    return lambda ps: out(add_row(ps[0], ps[1])), [m, v]
 
 
 def _scenario_linear(rng):
     x, w, b = _param(rng, (3, 4), "x"), _param(rng, (4, 2), "w"), _param(rng, (2,), "b")
     out = _readout(rng, (3, 2))
-    return lambda ps: out(ad.linear(*(p.tensor for p in ps))), [x, w, b]
+    return lambda ps: out(ad.linear(*ps)), [x, w, b]
 
 
 def _positive_param(rng: np.random.Generator, shape, name="p") -> ad.Parameter:
@@ -283,38 +283,38 @@ def _positive_param(rng: np.random.Generator, shape, name="p") -> ad.Parameter:
 def _scenario_segment_mul(rng):
     m, v = _positive_param(rng, (6, 4), "m"), _param(rng, (2, 4), "v")
     out = _readout(rng, (6, 4))
-    return lambda ps: out(ad.segment_mul(ps[0].tensor, ps[1].tensor)), [m, v]
+    return lambda ps: out(ad.segment_mul(ps[0], ps[1])), [m, v]
 
 
 def _scenario_mask_rows(rng):
     m = _param(rng, (4, 3), "m")
     keep = _keep_mask(rng, 4)
     out = _readout(rng, (4, 3))
-    return lambda ps: out(ad.mask_rows(ps[0].tensor, keep)), [m]
+    return lambda ps: out(ad.mask_rows(ps[0], keep)), [m]
 
 
 def _scenario_relu(rng):
     a = _param(rng, (3, 4), "a")  # |entries| >= 0.2: off the kink
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.relu(ps[0].tensor)), [a]
+    return lambda ps: out(ad.relu(ps[0])), [a]
 
 
 def _scenario_tanh(rng):
     a = _param(rng, (3, 4), "a")
     out = _readout(rng, (3, 4))
-    return lambda ps: out(tanh(ps[0].tensor)), [a]
+    return lambda ps: out(tanh(ps[0])), [a]
 
 
 def _scenario_exp(rng):
     a = _param(rng, (3, 4), "a")
     out = _readout(rng, (3, 4))
-    return lambda ps: out(exp(ps[0].tensor)), [a]
+    return lambda ps: out(exp(ps[0])), [a]
 
 
 def _scenario_softplus(rng):
     a = _param(rng, (3, 4), "a")
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.softplus(ps[0].tensor)), [a]
+    return lambda ps: out(ad.softplus(ps[0])), [a]
 
 
 def _scenario_clamp(rng):
@@ -326,7 +326,7 @@ def _scenario_clamp(rng):
     data = mag * rng.choice([-1.0, 1.0], size=(3, 4))
     a = ad.Parameter("a", data)
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.clamp(ps[0].tensor, -1.0, 1.0)), [a]
+    return lambda ps: out(ad.clamp(ps[0], -1.0, 1.0)), [a]
 
 
 def _softmax_case(rng: np.random.Generator, keep: np.ndarray):
@@ -350,7 +350,7 @@ def _softmax_case(rng: np.random.Generator, keep: np.ndarray):
 
 def _scenario_softmax(rng):
     a, w = _softmax_case(rng, np.ones((3, 5), dtype=bool))
-    return lambda ps: sum_all(ad.hadamard(softmax(ps[0].tensor), w)), [a]
+    return lambda ps: sum_all(ad.hadamard(softmax(ps[0]), w)), [a]
 
 
 def _scenario_softmax_masked(rng):
@@ -358,38 +358,38 @@ def _scenario_softmax_masked(rng):
     keep[0] = False  # a row with a single kept entry
     keep[0, int(rng.integers(5))] = True
     a, w = _softmax_case(rng, keep)
-    return lambda ps: sum_all(ad.hadamard(softmax(ps[0].tensor, keep), w)), [a]
+    return lambda ps: sum_all(ad.hadamard(softmax(ps[0], keep), w)), [a]
 
 
 def _scenario_logsumexp_rows(rng):
     a = _param(rng, (3, 4), "a")
     out = _readout(rng, (3,))
-    return lambda ps: out(logsumexp_rows(ps[0].tensor)), [a]
+    return lambda ps: out(logsumexp_rows(ps[0])), [a]
 
 
 def _scenario_diag_part(rng):
     a = _param(rng, (4, 4), "a")
     out = _readout(rng, (4,))
-    return lambda ps: out(diag_part(ps[0].tensor)), [a]
+    return lambda ps: out(diag_part(ps[0])), [a]
 
 
 def _scenario_transpose(rng):
     a = _param(rng, (2, 5), "a")
     out = _readout(rng, (5, 2))
-    return lambda ps: out(transpose(ps[0].tensor)), [a]
+    return lambda ps: out(transpose(ps[0])), [a]
 
 
 def _scenario_reshape(rng):
     a = _param(rng, (2, 6), "a")
     out = _readout(rng, (3, 4))
-    return lambda ps: out(reshape(ps[0].tensor, (3, 4))), [a]
+    return lambda ps: out(reshape(ps[0], (3, 4))), [a]
 
 
 def _scenario_take_per_row(rng):
     a = _param(rng, (4, 5), "a")
     idx = rng.integers(0, 5, size=4)
     out = _readout(rng, (4,))
-    return lambda ps: out(take_per_row(ps[0].tensor, idx)), [a]
+    return lambda ps: out(take_per_row(ps[0], idx)), [a]
 
 
 def _scenario_tanh_recurrence(rng):
@@ -410,7 +410,7 @@ def _scenario_tanh_recurrence(rng):
         out = _readout(rng, (12, 3))
 
         def f(ps):
-            return out(ad.tanh_recurrence(ps[0].tensor, ps[1].tensor, ids))
+            return out(ad.tanh_recurrence(ps[0], ps[1], ids))
 
         ad.backward(f([table, w]))
         if (np.abs(table.grad[used]) >= 1e-3).all() and (np.abs(w.grad) >= 1e-3).all():
@@ -439,7 +439,7 @@ def _scenario_gaussian_skl(rng):
         params = [_param(rng, (2, 3), name) for name in ("mp", "lp", "mq", "lq")]
 
         def f(ps):
-            return ad.scale(ad.gaussian_skl(*(p.tensor for p in ps)), c)
+            return ad.scale(ad.gaussian_skl(*ps), c)
 
         if _gradients_clear(f, params):
             return f, params
@@ -455,7 +455,7 @@ def _scenario_info_nce(rng):
                   _param(rng, (2, 2), "critic")]
 
         def f(ps):
-            return ad.scale(ad.info_nce(*(p.tensor for p in ps)), c)
+            return ad.scale(ad.info_nce(*ps), c)
 
         if _gradients_clear(f, params):
             return f, params
@@ -481,8 +481,8 @@ def _attention_case(rng, shared: bool):
         out = _readout(rng, (3, 2))
 
         def f(ps):
-            r, s = ps[0].tensor, ps[0 if shared else 1].tensor
-            return out(ad.attention_pool(r, s, ps[-2].tensor, ps[-1].tensor, keep)[0])
+            r, s = ps[0], ps[0 if shared else 1]
+            return out(ad.attention_pool(r, s, ps[-2], ps[-1], keep)[0])
 
         if (np.abs(scored.data @ score_w.data) >= 1e-2).all() \
                 and _gradients_clear(f, params):
@@ -504,33 +504,33 @@ def _scenario_softmax_cross_entropy(rng):
     labels = rng.integers(0, 5, size=4)
     labels[2] = labels[0]  # a repeated label
     c = float(rng.uniform(0.5, 1.5))
-    return lambda ps: ad.scale(ad.softmax_cross_entropy(ps[0].tensor, labels), c), [a]
+    return lambda ps: ad.scale(ad.softmax_cross_entropy(ps[0], labels), c), [a]
 
 
 def _scenario_gaussian_sample(rng):
     mean, log_var = _param(rng, (3, 4), "mean"), _param(rng, (3, 4), "log_var")
     eps = _signed(rng, (3, 4))
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.gaussian_sample(ps[0].tensor, ps[1].tensor, eps)), \
+    return lambda ps: out(ad.gaussian_sample(ps[0], ps[1], eps)), \
         [mean, log_var]
 
 
 def _scenario_segment_pool(rng):
     w, rows = _param(rng, (2, 3), "w"), _positive_param(rng, (6, 4), "rows")
     out = _readout(rng, (2, 4))
-    return lambda ps: out(ad.segment_pool(ps[0].tensor, ps[1].tensor)), [w, rows]
+    return lambda ps: out(ad.segment_pool(ps[0], ps[1])), [w, rows]
 
 
 def _scenario_sum_all(rng):
     a = _param(rng, (3, 4), "a")
     c = float(rng.uniform(0.5, 1.5))
-    return lambda ps: ad.scale(sum_all(ps[0].tensor), c), [a]
+    return lambda ps: ad.scale(sum_all(ps[0]), c), [a]
 
 
 def _scenario_mean_all(rng):
     a = _param(rng, (3, 4), "a")
     c = float(rng.uniform(0.5, 1.5))
-    return lambda ps: ad.scale(mean_all(ps[0].tensor), c), [a]
+    return lambda ps: ad.scale(mean_all(ps[0]), c), [a]
 
 
 OP_SCENARIOS = {

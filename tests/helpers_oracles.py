@@ -24,10 +24,10 @@ from helpers_ops import (
 )
 from mibvqa import autodiff as ad
 from mibvqa.data import (
-    _CLASS_INDEX, OBJECT_CLASSES, SIZE_FEATURE, SIZES, VOCABULARY, Dataset,
-    DatasetConfig, DatasetFormatError, FORMAT_NAME, FORMAT_VERSION, Scene,
-    SceneObject, VQASample, _sample_question, _sample_record, answer_oracle,
-    apportion, build_answer_space, tokenize, zone_of,
+    _CLASS_INDEX, ANSWERS, OBJECT_CLASSES, SIZE_FEATURE, SIZES, VOCABULARY,
+    Dataset, DatasetConfig, DatasetFormatError, FORMAT_NAME, FORMAT_VERSION,
+    Scene, SceneObject, VQASample, _sample_question, _sample_record,
+    answer_oracle, apportion, tokenize,
 )
 from mibvqa.fusion import cross_entropy
 from mibvqa.infomax import LossBreakdown, encode_latent, info_loss, total_loss
@@ -153,7 +153,7 @@ def _softmax_row(logits, mask):
 
 
 def _dense(x, w, b):
-    return add_row(ad.matmul(x, w.tensor), b.tensor)
+    return add_row(ad.matmul(x, w), b)
 
 
 def reference_forward(model, matrix, object_mask, token_ids, token_mask):
@@ -163,26 +163,26 @@ def reference_forward(model, matrix, object_mask, token_ids, token_mask):
     h = ad.mask_rows(ad.relu(_dense(ad.Tensor(matrix), enc.img_w, enc.img_b)),
                      object_mask)
     vocab = enc.embed.shape[0]
-    rec_t = transpose(enc.rec_w.tensor)
+    rec_t = transpose(enc.rec_w)
     prev = ad.Tensor(np.zeros((1, enc.rec_w.shape[0])))
     rows = []
     for tok in token_ids:
         onehot = np.zeros((1, vocab))
         onehot[0, tok] = 1.0
         prev = tanh(ad.add(ad.matmul(prev, rec_t),
-                              ad.matmul(ad.Tensor(onehot), enc.embed.tensor)))
+                              ad.matmul(ad.Tensor(onehot), enc.embed)))
         rows.append(prev)
     q = _stack(rows)
     if att is not None:
-        scores = ad.matmul(ad.relu(ad.matmul(q, att.query_w.tensor)),
-                           att.query_score.tensor)
+        scores = ad.matmul(ad.relu(ad.matmul(q, att.query_w)),
+                           att.query_score)
         alpha = _softmax_row(reshape(scores, (1, len(token_ids))), token_mask)
         q_star = ad.matmul(alpha, q)
-        q_proj = ad.matmul(q_star, att.qstar_proj_w.tensor)
-        fused = ad.hadamard(ad.matmul(h, att.img_proj_w.tensor),
+        q_proj = ad.matmul(q_star, att.qstar_proj_w)
+        fused = ad.hadamard(ad.matmul(h, att.img_proj_w),
                             ad.matmul(ad.Tensor(np.ones((h.shape[0], 1))), q_proj))
-        scores = ad.matmul(ad.relu(ad.matmul(fused, att.img_score_w.tensor)),
-                           att.img_score.tensor)
+        scores = ad.matmul(ad.relu(ad.matmul(fused, att.img_score_w)),
+                           att.img_score)
         beta = _softmax_row(reshape(scores, (1, h.shape[0])), object_mask)
         h_star = ad.matmul(beta, h)
     else:
@@ -209,7 +209,7 @@ def reference_loss(model, features, tokens, labels, lam, noise_q, noise_h):
     lat_q = encode_latent(f_q, "phi", model.bottleneck, noise_q)
     lat_h = encode_latent(f_h, "psi", model.bottleneck, noise_h)
     info = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
-                     model.bottleneck.gamma(), model.bottleneck.critic.tensor)
+                     model.bottleneck.gamma(), model.bottleneck.critic)
     return logits, LossBreakdown(ce, info.mi_estimate, info.skl, info.value,
                                  total_loss(ce, info.value, lam))
 
@@ -222,6 +222,12 @@ def reference_loss(model, features, tokens, labels, lam, noise_q, noise_h):
 # drawn with rng.choice and indexed as NumPy scalars, the zone from
 # zone_of, every question rendered and tokenized anew, every exported line
 # from its own json.dumps, every record field checked.
+
+
+def zone_of(objects, urban_threshold: int) -> str:
+    """The zone of a scene: urban from urban_threshold buildings on."""
+    buildings = sum(1 for o in objects if o.cls == "building")
+    return "urban" if buildings >= urban_threshold else "rural"
 
 
 def reference_sample_scene(rng: np.random.Generator, config: DatasetConfig) -> Scene:
@@ -240,7 +246,7 @@ def reference_sample_scene(rng: np.random.Generator, config: DatasetConfig) -> S
 
 
 def reference_make_sample(config: DatasetConfig, index: int, category: str,
-                          split: str, answer_space) -> VQASample:
+                          split: str) -> VQASample:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
     scene = reference_sample_scene(rng, config)
     template, slots = _sample_question(rng, scene, category)
@@ -250,17 +256,16 @@ def reference_make_sample(config: DatasetConfig, index: int, category: str,
     return VQASample(scene=scene, category=category,
                      template_id=template.template_id, slots=slots,
                      token_ids=token_ids, n_tokens=n_tokens,
-                     answer_index=answer_space.index_of(answer), split=split)
+                     answer_index=ANSWERS.index(answer), split=split)
 
 
 def reference_generate_dataset(config: DatasetConfig) -> Dataset:
-    answer_space = build_answer_space()
     categories = apportion(config.mix(), config.n_samples)
     splits = apportion(config.splits(), config.n_samples)
     samples = tuple(
-        reference_make_sample(config, i, categories[i], splits[i], answer_space)
+        reference_make_sample(config, i, categories[i], splits[i])
         for i in range(config.n_samples))
-    return Dataset(config=config, samples=samples, answer_space=answer_space)
+    return Dataset(config=config, samples=samples)
 
 
 def reference_export_text(dataset: Dataset) -> str:

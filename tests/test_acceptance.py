@@ -27,12 +27,11 @@ from helpers_oracles import oracle_image_attention, oracle_query_attention
 from helpers_ops import OP_SCENARIOS, grad_check, run_op_trials
 
 from mibvqa.attention import AttentionParams, image_attention, query_attention
-from mibvqa.autodiff import Tensor
+from mibvqa.autodiff import Tensor, gaussian_skl, info_nce
 from mibvqa.data import (
     DatasetConfig, audit_dataset, export_dataset, generate_dataset,
     import_dataset, query_tokens, scene_features,
 )
-from mibvqa.infomax import GaussianLatent, mi_estimate, skl_gaussian
 from mibvqa.model import VQAModel
 from mibvqa.training import (
     ABLATION_VARIANTS, TrainConfig, ablate, evaluate, evaluate_model,
@@ -178,9 +177,10 @@ def test_acceptance_2_attention_oracle():
 # 3. bottleneck terms vs Monte Carlo and analytic bounds
 # ---------------------------------------------------------------------------
 
-def _latent(mean: np.ndarray, log_var: np.ndarray) -> GaussianLatent:
-    m, lv = Tensor(np.asarray(mean, float)), Tensor(np.asarray(log_var, float))
-    return GaussianLatent(m, lv, m)
+def _skl(mean_p, lv_p, mean_q, lv_q) -> float:
+    """The library's closed-form symmetrized KL of two diagonal Gaussians."""
+    return gaussian_skl(*(Tensor(np.asarray(a, float))
+                          for a in (mean_p, lv_p, mean_q, lv_q))).item()
 
 
 def _mc_skl(mean_p, lv_p, mean_q, lv_q, n_samples: int, rng) -> float:
@@ -213,7 +213,7 @@ def test_acceptance_3_bottleneck_oracle():
         # 2% relative comparison is meaningful at 1e5 samples.
         mean_q = mean_p + np.sign(rng.standard_normal(d)) * rng.uniform(0.5, 1.5, d)
         lv_q = rng.uniform(-1.5, 1.5, d)
-        closed = skl_gaussian(_latent(mean_p, lv_p), _latent(mean_q, lv_q)).item()
+        closed = _skl(mean_p, lv_p, mean_q, lv_q)
         mc = _mc_skl(mean_p, lv_p, mean_q, lv_q, 100_000, rng)
         worst_rel = max(worst_rel, abs(closed - mc) / abs(closed))
 
@@ -221,22 +221,20 @@ def test_acceptance_3_bottleneck_oracle():
     for _ in range(10):
         mean = rng.normal(0.0, 1.0, d)
         lv = rng.uniform(-1.5, 1.5, d)
-        worst_self = max(worst_self,
-                         abs(skl_gaussian(_latent(mean, lv),
-                                          _latent(mean, lv)).item()))
+        worst_self = max(worst_self, abs(_skl(mean, lv, mean, lv)))
 
     worst_excess = -math.inf
     for _ in range(1000):
         b = int(rng.integers(2, 9))
         d_z = int(rng.integers(2, 7))
-        estimate = mi_estimate(Tensor(rng.standard_normal((b, d_z))),
-                               Tensor(rng.standard_normal((b, d_z))),
-                               Tensor(rng.standard_normal((d_z, d_z)))).item()
+        estimate = info_nce(Tensor(rng.standard_normal((b, d_z))),
+                            Tensor(rng.standard_normal((b, d_z))),
+                            Tensor(rng.standard_normal((d_z, d_z)))).item()
         worst_excess = max(worst_excess, estimate - math.log(b))
 
-    single = mi_estimate(Tensor(rng.standard_normal((1, 3))),
-                         Tensor(rng.standard_normal((1, 3))),
-                         Tensor(rng.standard_normal((3, 3)))).item()
+    single = info_nce(Tensor(rng.standard_normal((1, 3))),
+                      Tensor(rng.standard_normal((1, 3))),
+                      Tensor(rng.standard_normal((3, 3)))).item()
 
     elapsed = time.monotonic() - t0
     ok = (worst_rel < 0.02 and worst_self <= 1e-12

@@ -157,7 +157,7 @@ def test_image_all_masked_rejected():
 def test_image_projection_width_mismatch_rejected():
     # Corrupt one projection so the two d_p widths disagree.
     params = make_params()
-    params.qstar_proj_w.tensor.data = np.zeros((D_Q, D_P + 1))
+    params.qstar_proj_w.data = np.zeros((D_Q, D_P + 1))
     rng = np.random.default_rng(8)
     with pytest.raises(DimensionError):
         image_one(rng.standard_normal((3, D_H)), rng.standard_normal(D_Q),
@@ -191,7 +191,7 @@ def test_attention_paths_pass_finite_differences():
     eps = 1e-5
     for p in params.parameters():
         analytic = p.grad.copy()
-        flat = p.tensor.data.ravel()
+        flat = p.data.ravel()
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
@@ -217,7 +217,7 @@ def _pool_value_and_grads(pool, params, mask, readout):
     distinct = list({id(p): p for p in params}.values())
     for p in distinct:
         p.grad = None
-    pooled, weights = pool(*(p.tensor for p in params), mask)
+    pooled, weights = pool(*params, mask)
     ad.backward(sum_all(ad.hadamard(pooled, readout)))
     weights = weights.data if isinstance(weights, Tensor) else weights
     return pooled.data, weights, [p.grad.copy() for p in distinct]

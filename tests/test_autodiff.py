@@ -90,8 +90,8 @@ def test_linear_equals_add_row_of_matmul_bit_for_bit():
     rng = np.random.default_rng(9)
     x, w, b = (Parameter(n, rng.standard_normal(s))
                for n, s in (("x", (5, 4)), ("w", (4, 3)), ("b", (3,))))
-    fused = ad.linear(x.tensor, w.tensor, b.tensor)
-    composed = add_row(ad.matmul(x.tensor, w.tensor), b.tensor)
+    fused = ad.linear(x, w, b)
+    composed = add_row(ad.matmul(x, w), b)
     np.testing.assert_array_equal(fused.data, composed.data)
     readout = Tensor(rng.standard_normal((5, 3)))
     grads = []
@@ -167,7 +167,7 @@ def test_relu_definition():
 
 def test_relu_dead_region_zero_output_and_gradient():
     p = Parameter("x", np.array([-3.0, -1.0, -0.5]))
-    out = ad.relu(p.tensor)
+    out = ad.relu(p)
     np.testing.assert_array_equal(out.data, np.zeros(3))
     ad.backward(sum_all(out))
     np.testing.assert_array_equal(p.grad, np.zeros(3))
@@ -204,7 +204,7 @@ def test_softmax_masked_entries_zero_gradient():
     p = Parameter("x", np.array([[1.0, 5.0, 2.0]]))
     mask = np.array([[True, False, True]])
     w = Tensor(np.array([[0.3, 0.9, 0.4]]))
-    ad.backward(sum_all(ad.hadamard(softmax(p.tensor, mask), w)))
+    ad.backward(sum_all(ad.hadamard(softmax(p, mask), w)))
     assert p.grad[0, 1] == 0.0
 
 
@@ -248,7 +248,7 @@ def test_clamp_values():
 
 def test_clamp_gradient_zero_outside_range():
     p = Parameter("x", np.array([-20.0, 0.5, 20.0]))
-    ad.backward(sum_all(ad.clamp(p.tensor, -10.0, 10.0)))
+    ad.backward(sum_all(ad.clamp(p, -10.0, 10.0)))
     np.testing.assert_array_equal(p.grad, [0.0, 1.0, 0.0])
 
 
@@ -306,14 +306,14 @@ def test_reshape_requires_matching_size():
 
 def test_backward_sum_gives_ones():
     p = Parameter("x", np.array([[1.0, -2.0], [0.5, 3.0]]))
-    ad.backward(sum_all(p.tensor))
+    ad.backward(sum_all(p))
     np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
 
 
 def test_backward_sum_of_square_gives_two_x():
     x = np.array([1.5, -2.0, 0.25])
     p = Parameter("x", x)
-    ad.backward(sum_all(ad.hadamard(p.tensor, p.tensor)))
+    ad.backward(sum_all(ad.hadamard(p, p)))
     np.testing.assert_allclose(p.grad, 2 * x, rtol=1e-15)
 
 
@@ -321,7 +321,7 @@ def test_backward_accumulates_across_reuse():
     # y = sum(x*x) + sum(x): both branches read x, grads must add to 2x + 1.
     x = np.array([0.5, -1.25, 2.0])
     p = Parameter("x", x)
-    loss = ad.add(sum_all(ad.hadamard(p.tensor, p.tensor)), sum_all(p.tensor))
+    loss = ad.add(sum_all(ad.hadamard(p, p)), sum_all(p))
     ad.backward(loss)
     np.testing.assert_allclose(p.grad, 2 * x + 1.0, rtol=1e-15)
 
@@ -329,14 +329,14 @@ def test_backward_accumulates_across_reuse():
 def test_backward_requires_scalar_loss():
     p = Parameter("x", np.ones(3))
     with pytest.raises(RankError):
-        ad.backward(ad.relu(p.tensor))
+        ad.backward(ad.relu(p))
 
 
 def test_backward_writes_grad_on_leaves_only_and_accumulates():
     a = Parameter("a", np.array([[1.0, -2.0], [0.5, 3.0]]))
     b = Parameter("b", np.array([[0.25, 1.5], [-1.0, 0.75]]))
-    prod = ad.matmul(a.tensor, b.tensor)
-    hidden = tanh(ad.add(prod, b.tensor))
+    prod = ad.matmul(a, b)
+    hidden = tanh(ad.add(prod, b))
     loss = sum_all(hidden)
     ad.backward(loss)
     assert prod.grad is None and hidden.grad is None and loss.grad is None
@@ -349,7 +349,7 @@ def test_backward_writes_grad_on_leaves_only_and_accumulates():
 def test_backward_deep_chain_no_recursion_limit():
     # 5000 sequential ops: an iterative traversal must handle this easily.
     p = Parameter("x", np.array(1.0))
-    node = p.tensor
+    node = p
     for _ in range(5000):
         node = add_scalar(node, 1e-6)
     ad.backward(sum_all(node))
@@ -364,7 +364,7 @@ def test_grad_check_linear_is_nearly_exact():
     p = Parameter("x", rng.standard_normal((3, 4)))
 
     def f(params):
-        return sum_all(params[0].tensor)
+        return sum_all(params[0])
 
     assert grad_check(f, [p]) < 1e-10
 
@@ -376,7 +376,7 @@ def test_grad_check_softmax_cross_entropy_toy():
     labels = np.array([0, 2])
 
     def f(params):
-        logits = ad.matmul(x, params[0].tensor)
+        logits = ad.matmul(x, params[0])
         picked = take_per_row(logits, labels)
         return mean_all(sub(logsumexp_rows(logits), picked))
 
@@ -469,7 +469,7 @@ def _per_parameter_adam(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
             v[i] = b2 * v[i] + (1.0 - b2) * g * g
             m_hat = m[i] / (1.0 - b1 ** t)
             v_hat = v[i] / (1.0 - b2 ** t)
-            p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def test_flat_adam_matches_the_per_parameter_loop_bit_for_bit():
@@ -519,7 +519,7 @@ def _allocating_adam_step(params, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     update = lr * m_hat / (np.sqrt(v_hat) + eps)
     start = 0
     for p in params:
-        p.tensor.data -= update[start:start + p.data.size].reshape(p.shape)
+        p.data -= update[start:start + p.data.size].reshape(p.shape)
         start += p.data.size
     return m, v
 
@@ -574,15 +574,15 @@ def test_no_grad_records_no_graph_and_restores_the_previous_state():
     p = Parameter("x", np.array([1.0, -2.0]))
     with ad.no_grad():
         with ad.no_grad():
-            inner = ad.relu(p.tensor)
-        outer = ad.relu(p.tensor)
+            inner = ad.relu(p)
+        outer = ad.relu(p)
     assert not inner.requires_grad and inner._parents == ()
     assert not outer.requires_grad
-    assert ad.relu(p.tensor).requires_grad
+    assert ad.relu(p).requires_grad
     with pytest.raises(RuntimeError):
         with ad.no_grad():
             raise RuntimeError("inside no_grad")
-    assert ad.relu(p.tensor).requires_grad
+    assert ad.relu(p).requires_grad
 
 
 # ---------------------------------------------------------------- init helper

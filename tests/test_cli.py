@@ -460,6 +460,8 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     ("answer_index", -1, "answer_index -1 outside [0, 19)"),
     ("template_id", 99, "unknown template_id 99"),
     ("split", "bogus", "split 'bogus' is not among the header's splits"),
+    ("category", "bogus", "category 'bogus' is not template"),
+    ("zone_label", "x", "unknown zone_label 'x'"),
 ])
 def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         workdir, data_path, capsys, field, value, shown):
@@ -475,8 +477,8 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
                                       for i in range(value)]
     elif field == "n_token_ids":
         record["token_ids"] = record["token_ids"][:value]
-    elif field == "grid_size":
-        record["scene"]["grid_size"] = value
+    elif field in ("grid_size", "zone_label"):
+        record["scene"][field] = value
     else:
         record[field] = value
     lines[1] = json.dumps(record, sort_keys=True)

@@ -10,6 +10,8 @@ import pytest
 
 from mibvqa import data as dt
 from mibvqa.data import (
+    ANSWER_INDEX,
+    ANSWERS,
     AREA_BIN_LABELS,
     CATEGORIES,
     OBJECT_CLASSES,
@@ -28,7 +30,6 @@ from mibvqa.data import (
     apportion,
     area_label,
     audit_dataset,
-    build_answer_space,
     count_class,
     count_label,
     class_area,
@@ -37,12 +38,12 @@ from mibvqa.data import (
     import_dataset,
     scene_features,
     tokenize,
-    zone_of,
 )
 from helpers_oracles import (
     reference_export_text,
     reference_generate_dataset,
     reference_import_samples,
+    zone_of,
 )
 
 
@@ -69,19 +70,19 @@ def test_area_labels_follow_frozen_edges():
 
 
 def test_answer_space_has_nineteen_distinct_answers():
-    space = build_answer_space()
-    assert len(space.answers) == 19
-    assert len(set(space.answers)) == 19
-    for labels, category in [
-        (("no", "yes"), "presence"),
-        (tuple(str(i) for i in range(10)) + ("10+",), "count"),
-        (("rural", "urban"), "rural_urban"),
-        (AREA_BIN_LABELS, "area"),
-    ]:
+    assert len(ANSWERS) == 19
+    assert len(set(ANSWERS)) == 19
+    per_category = [
+        ("no", "yes"),                                  # presence, comparison
+        tuple(str(i) for i in range(10)) + ("10+",),    # count
+        ("rural", "urban"),                             # rural_urban
+        AREA_BIN_LABELS,                                # area
+    ]
+    for labels in per_category:
         for label in labels:
-            assert space.answers[space.index_of(label)] == label
-        for idx in space.indices_for(category):
-            assert space.answers[idx] in labels
+            assert ANSWERS[ANSWER_INDEX[label]] == label
+    # the per-category label sets partition the answer space
+    assert sorted(a for labels in per_category for a in labels) == sorted(ANSWERS)
 
 
 def test_zone_threshold_counts_buildings():
@@ -90,6 +91,9 @@ def test_zone_threshold_counts_buildings():
     assert zone_of(tuple(SceneObject(*o) for o in base), 3) == "rural"
     urban = base + [("building", 3, 3, "small")]
     assert zone_of(tuple(SceneObject(*o) for o in urban), 3) == "urban"
+    # generation inlines the same rule
+    for s in generate_dataset(DatasetConfig(n_samples=200, seed=5)).samples:
+        assert s.scene.zone_label == zone_of(s.scene.objects, 3)
 
 
 # ---------------------------------------------------------------- oracle
@@ -149,7 +153,6 @@ def test_independent_recount_of_generated_answers():
     # Recompute every answer with logic written here from scratch (loops and
     # dict arithmetic only) and compare against the stored labels.
     ds = generate_dataset(DatasetConfig(n_samples=1000, seed=21))
-    space = ds.answer_space
     for sample in ds.samples:
         template = TEMPLATES[sample.template_id]
         slots = sample.slots
@@ -186,7 +189,7 @@ def test_independent_recount_of_generated_answers():
                 expected = "5-7"
             else:
                 expected = "8+"
-        assert space.answers[sample.answer_index] == expected
+        assert ANSWERS[sample.answer_index] == expected
 
 
 def test_audit_finds_zero_mismatches():
@@ -336,9 +339,8 @@ def test_variant_category_sets():
 
 def test_presence_answers_are_balanced():
     ds = generate_dataset(DatasetConfig(n_samples=1200, seed=28))
-    space = ds.answer_space
     pres = [s for s in ds.samples if s.category == "presence"]
-    yes = sum(1 for s in pres if space.answers[s.answer_index] == "yes")
+    yes = sum(1 for s in pres if ANSWERS[s.answer_index] == "yes")
     assert 0.35 <= yes / len(pres) <= 0.65
 
 

@@ -73,8 +73,8 @@ def test_identity_block_weights_reduce_to_relu_of_raw():
     params = make_params()
     w = np.zeros((CFG.d_raw, CFG.d_h))
     w[:, : CFG.d_raw] = np.eye(CFG.d_raw)
-    params.img_w.tensor.data[:] = w
-    params.img_b.tensor.data[:] = 0.0
+    params.img_w.data[:] = w
+    params.img_b.data[:] = 0.0
 
     rng = np.random.default_rng(3)
     mat = np.zeros((CFG.t_max, CFG.d_raw))
@@ -114,7 +114,7 @@ def tokens_of(ids, k_max=CFG.k_max) -> QueryTokens:
 
 def test_single_token_zero_recurrence_is_tanh_embedding():
     params = make_params()
-    params.rec_w.tensor.data[:] = 0.0
+    params.rec_w.data[:] = 0.0
     out = encode_query(tokens_of([4]), params).data
     np.testing.assert_allclose(
         out[0], np.tanh(params.embed.data[4]), rtol=0, atol=1e-15

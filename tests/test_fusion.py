@@ -52,8 +52,8 @@ def cross_entropy_one(logits, label: int) -> Tensor:
 
 def test_ones_image_projection_passes_query_through():
     params = make_params()
-    params.h_w.tensor.data[:] = 0.0
-    params.h_b.tensor.data[:] = 1.0  # F_H(h*) == all ones
+    params.h_w.data[:] = 0.0
+    params.h_b.data[:] = 1.0  # F_H(h*) == all ones
     rng = np.random.default_rng(1)
     q_star = Tensor(rng.standard_normal((3, D_Q)))
     h_star = Tensor(rng.standard_normal((3, D_H)))
@@ -70,8 +70,8 @@ def test_zero_projection_annihilates():
         params = make_params()
         side = params.q_w if zero_side == "q" else params.h_w
         bias = params.q_b if zero_side == "q" else params.h_b
-        side.tensor.data[:] = 0.0
-        bias.tensor.data[:] = 0.0
+        side.data[:] = 0.0
+        bias.data[:] = 0.0
         np.testing.assert_array_equal(
             fuse(q_star, h_star, params).data, np.zeros((3, D_F))
         )
@@ -88,10 +88,10 @@ def test_fuse_width_mismatch_rejected():
 
 def test_zero_weights_logits_equal_output_bias():
     params = make_params()
-    params.mlp_w1.tensor.data[:] = 0.0
-    params.mlp_b1.tensor.data[:] = 0.0
-    params.mlp_w2.tensor.data[:] = 0.0
-    params.mlp_b2.tensor.data[:] = np.arange(N_CLASSES, dtype=float)
+    params.mlp_w1.data[:] = 0.0
+    params.mlp_b1.data[:] = 0.0
+    params.mlp_w2.data[:] = 0.0
+    params.mlp_b2.data[:] = np.arange(N_CLASSES, dtype=float)
     logits = classify(Tensor(np.ones((2, D_F))), params).data
     np.testing.assert_array_equal(logits, np.tile(np.arange(N_CLASSES, dtype=float), (2, 1)))
 
@@ -125,7 +125,7 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot_over_batch():
     raw = rng.standard_normal((3, 5))
     p = Parameter("logits", raw)
     labels = np.array([1, 4, 0])
-    ad.backward(cross_entropy(p.tensor, labels))
+    ad.backward(cross_entropy(p, labels))
 
     e = np.exp(raw - raw.max(axis=1, keepdims=True))
     soft = e / e.sum(axis=1, keepdims=True)
@@ -144,7 +144,7 @@ def test_softmax_cross_entropy_node_equals_the_composed_form(b):
         results = []
         for loss_fn in (ad.softmax_cross_entropy, composed_softmax_cross_entropy):
             p = Parameter("logits", raw.copy())
-            loss = loss_fn(p.tensor, labels)
+            loss = loss_fn(p, labels)
             ad.backward(loss)
             results.append((loss.item(), p.grad))
         (value, grad), (ref_value, ref_grad) = results

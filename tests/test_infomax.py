@@ -19,8 +19,6 @@ from mibvqa.infomax import (
     GaussianLatent,
     encode_latent,
     info_loss,
-    mi_estimate,
-    skl_gaussian,
     total_loss,
 )
 
@@ -34,6 +32,11 @@ def make_params(seed: int = 0) -> BottleneckParams:
 def latent_from(mean: np.ndarray, log_var: np.ndarray) -> GaussianLatent:
     m, lv = Tensor(np.asarray(mean, float)), Tensor(np.asarray(log_var, float))
     return GaussianLatent(m, lv, m)
+
+
+def skl(p: GaussianLatent, q: GaussianLatent) -> Tensor:
+    """The fused symmetrized KL of two latents, summed over the batch."""
+    return ad.gaussian_skl(p.mean, p.log_var, q.mean, q.log_var)
 
 
 def mc_skl(mean_p, lv_p, mean_q, lv_q, n_samples: int, rng) -> float:
@@ -61,8 +64,8 @@ def test_zero_noise_sample_equals_mean():
 
 def test_unit_variance_sample_is_mean_plus_noise():
     params = make_params()
-    params.q_logvar_w.tensor.data[:] = 0.0
-    params.q_logvar_b.tensor.data[:] = 0.0  # log_var == 0 -> std == 1
+    params.q_logvar_w.data[:] = 0.0
+    params.q_logvar_b.data[:] = 0.0  # log_var == 0 -> std == 1
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((2, D_F)))
     noise = rng.standard_normal((2, D_Z))
@@ -72,13 +75,13 @@ def test_unit_variance_sample_is_mean_plus_noise():
 
 def test_log_variance_clamped_to_documented_range():
     params = make_params()
-    params.q_logvar_w.tensor.data[:] = 0.0
-    params.q_logvar_b.tensor.data[:] = 50.0
+    params.q_logvar_w.data[:] = 0.0
+    params.q_logvar_b.data[:] = 50.0
     x = Tensor(np.ones((1, D_F)))
     lat = encode_latent(x, "phi", params, noise=np.zeros((1, D_Z)))
     np.testing.assert_array_equal(lat.log_var.data, np.full((1, D_Z), 10.0))
 
-    params.q_logvar_b.tensor.data[:] = -50.0
+    params.q_logvar_b.data[:] = -50.0
     lat = encode_latent(x, "phi", params, noise=np.zeros((1, D_Z)))
     np.testing.assert_array_equal(lat.log_var.data, np.full((1, D_Z), -10.0))
 
@@ -98,14 +101,14 @@ def test_skl_identical_gaussians_is_zero():
     rng = np.random.default_rng(4)
     mean, lv = rng.standard_normal(D_Z), rng.uniform(-1, 1, D_Z)
     p, q = latent_from(mean, lv), latent_from(mean.copy(), lv.copy())
-    assert abs(skl_gaussian(p, q).item()) <= 1e-12
+    assert abs(skl(p, q).item()) <= 1e-12
 
 
 def test_skl_hand_case_half():
     # N(0,1) vs N(1,1) in one dimension: each directed KL is 1/2, SKL = 1/2.
     p = latent_from([0.0], [0.0])
     q = latent_from([1.0], [0.0])
-    assert skl_gaussian(p, q).item() == pytest.approx(0.5, abs=1e-15)
+    assert skl(p, q).item() == pytest.approx(0.5, abs=1e-15)
 
 
 def test_skl_symmetric_in_arguments():
@@ -113,7 +116,7 @@ def test_skl_symmetric_in_arguments():
     for _ in range(20):
         p = latent_from(rng.uniform(-2, 2, D_Z), rng.uniform(-1.5, 1.5, D_Z))
         q = latent_from(rng.uniform(-2, 2, D_Z), rng.uniform(-1.5, 1.5, D_Z))
-        assert abs(skl_gaussian(p, q).item() - skl_gaussian(q, p).item()) <= 1e-12
+        assert abs(skl(p, q).item() - skl(q, p).item()) <= 1e-12
 
 
 def test_skl_batch_sums_over_rows():
@@ -123,7 +126,7 @@ def test_skl_batch_sums_over_rows():
     p = latent_from(means, lvs)
     q = latent_from(other, lvs)
     # rows: SKL(N(0,1),N(1,1)) = 0.5 and SKL(N(2,1),N(2,1)) = 0
-    assert skl_gaussian(p, q).item() == pytest.approx(0.5, abs=1e-14)
+    assert skl(p, q).item() == pytest.approx(0.5, abs=1e-14)
 
 
 def test_skl_matches_monte_carlo():
@@ -132,7 +135,7 @@ def test_skl_matches_monte_carlo():
         mean_p = rng.uniform(-2, 2, 4)
         mean_q = mean_p + rng.choice([-1.0, 1.0], 4) * rng.uniform(0.5, 1.5, 4)
         lv_p, lv_q = rng.uniform(-1.5, 1.5, 4), rng.uniform(-1.5, 1.5, 4)
-        closed = skl_gaussian(latent_from(mean_p, lv_p), latent_from(mean_q, lv_q)).item()
+        closed = skl(latent_from(mean_p, lv_p), latent_from(mean_q, lv_q)).item()
         mc = mc_skl(mean_p, lv_p, mean_q, lv_q, 100_000, rng)
         assert abs(closed - mc) / abs(closed) < 0.02
 
@@ -144,14 +147,14 @@ def test_infonce_single_pair_is_exactly_zero():
     rng = np.random.default_rng(7)
     z = Tensor(rng.standard_normal((1, D_Z)))
     critic = Tensor(rng.standard_normal((D_Z, D_Z)))
-    assert mi_estimate(z, Tensor(rng.standard_normal((1, D_Z))), critic).item() == 0.0
+    assert ad.info_nce(z, Tensor(rng.standard_normal((1, D_Z))), critic).item() == 0.0
 
 
 def test_infonce_zero_critic_is_exactly_zero():
     rng = np.random.default_rng(8)
     z_q = Tensor(rng.standard_normal((5, D_Z)))
     z_h = Tensor(rng.standard_normal((5, D_Z)))
-    assert mi_estimate(z_q, z_h, Tensor(np.zeros((D_Z, D_Z)))).item() == 0.0
+    assert ad.info_nce(z_q, z_h, Tensor(np.zeros((D_Z, D_Z)))).item() == 0.0
 
 
 def test_infonce_bounded_by_log_batch():
@@ -161,21 +164,21 @@ def test_infonce_bounded_by_log_batch():
         z_q = Tensor(rng.standard_normal((b, d)) * rng.uniform(0.5, 3))
         z_h = Tensor(rng.standard_normal((b, d)) * rng.uniform(0.5, 3))
         critic = Tensor(rng.standard_normal((d, d)))
-        assert mi_estimate(z_q, z_h, critic).item() <= math.log(b) + 1e-9
+        assert ad.info_nce(z_q, z_h, critic).item() <= math.log(b) + 1e-9
 
 
 def test_infonce_saturates_at_log_batch_for_diagonal_scores():
     b = 4
     z = Tensor(np.eye(b))
     critic = Tensor(50.0 * np.eye(b))
-    est = mi_estimate(z, z, critic).item()
+    est = ad.info_nce(z, z, critic).item()
     assert math.log(b) - 1e-3 < est <= math.log(b)
 
 
 def test_infonce_batch_mismatch_rejected():
     rng = np.random.default_rng(10)
     with pytest.raises(DimensionError):
-        mi_estimate(
+        ad.info_nce(
             Tensor(rng.standard_normal((3, D_Z))),
             Tensor(rng.standard_normal((4, D_Z))),
             Tensor(np.eye(D_Z)),
@@ -190,7 +193,7 @@ FUSED_TOL = 1e-10
 def _value_and_grads(fn, params):
     for p in params:
         p.grad = None
-    out = fn(*(p.tensor for p in params))
+    out = fn(*params)
     ad.backward(out)
     return out.item(), [p.grad.copy() for p in params]
 
@@ -237,7 +240,7 @@ def test_gaussian_sample_node_equals_the_composed_form(shape):
         for sample_fn in (ad.gaussian_sample, composed_gaussian_sample):
             for p in params:
                 p.grad = None
-            sample = sample_fn(params[0].tensor, params[1].tensor, eps)
+            sample = sample_fn(params[0], params[1], eps)
             ad.backward(sum_all(ad.hadamard(sample, readout)))
             results.append((sample.data, [p.grad.copy() for p in params]))
         (value, grads), (ref_value, ref_grads) = results
@@ -272,8 +275,8 @@ def test_info_loss_gamma_zero_isolates_mi_term():
     lat_h = latent_from(rng.standard_normal((3, D_Z)), np.zeros((3, D_Z)))
     critic = Tensor(rng.standard_normal((D_Z, D_Z)))
     loss = info_loss(z_q, z_h, lat_q, lat_h, Tensor(np.array(0.0)), critic)
-    assert loss.value.item() == -mi_estimate(z_q, z_h, critic).item()
-    assert loss.mi_estimate.item() == mi_estimate(z_q, z_h, critic).item()
+    assert loss.value.item() == -ad.info_nce(z_q, z_h, critic).item()
+    assert loss.mi_estimate.item() == ad.info_nce(z_q, z_h, critic).item()
 
 
 def test_info_loss_identical_latents_isolates_mi_term():
@@ -286,9 +289,18 @@ def test_info_loss_identical_latents_isolates_mi_term():
     critic = Tensor(rng.standard_normal((D_Z, D_Z)))
     gamma = Tensor(np.array(2.5))
     loss = info_loss(z_q, z_h, lat, lat2, gamma, critic)
-    assert loss.value.item() == pytest.approx(-mi_estimate(z_q, z_h, critic).item(),
+    assert loss.value.item() == pytest.approx(-ad.info_nce(z_q, z_h, critic).item(),
                                               abs=1e-14)
     assert abs(loss.skl.item()) <= 1e-14
+
+
+def test_info_loss_rejects_latents_of_different_shapes():
+    rng = np.random.default_rng(13)
+    z = Tensor(rng.standard_normal((3, D_Z)))
+    lat = latent_from(rng.standard_normal((3, D_Z)), np.zeros((3, D_Z)))
+    wide = latent_from(rng.standard_normal((3, D_Z + 1)), np.zeros((3, D_Z + 1)))
+    with pytest.raises(DimensionError):
+        info_loss(z, z, lat, wide, Tensor(np.array(1.0)), Tensor(np.eye(D_Z)))
 
 
 def test_total_loss_direct_sum():
@@ -314,7 +326,7 @@ def test_gamma_initializes_to_one():
 def test_gamma_positive_for_any_raw_value():
     params = make_params()
     for raw in (-100.0, -5.0, 0.0, 5.0, 100.0):
-        params.gamma_raw.tensor.data[...] = raw
+        params.gamma_raw.data[...] = raw
         assert params.gamma().item() > 0.0
 
 
@@ -327,7 +339,7 @@ def test_bottleneck_gradients_flow_through_objective():
     lat_q = encode_latent(x_q, "phi", params, noise)
     lat_h = encode_latent(x_h, "psi", params, noise)
     loss = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
-                     params.gamma(), params.critic.tensor)
+                     params.gamma(), params.critic)
     ad.backward(loss.value)
     for p in params.parameters():
         assert p.grad is not None, p.name

@@ -74,7 +74,7 @@ def test_config_validation():
 def test_model_config_for_derives_widths_from_dataset(small_dataset):
     mc = model_config_for(small_dataset)
     assert mc.vocab_size == len(dt.VOCABULARY)
-    assert mc.n_classes == len(small_dataset.answer_space.answers)
+    assert mc.n_classes == len(dt.ANSWERS)
     assert mc.d_raw == len(dt.OBJECT_CLASSES) + 3
 
 
