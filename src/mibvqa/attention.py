@@ -45,11 +45,8 @@ class AttentionParams:
     img_score_w:  [d_p, d_ff], img_score: [d_ff, 1]
     """
 
-    def __init__(self, d_q: int, d_h: int, d_ff: int = 16, d_p: int = 32,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.d_ff = d_ff
-        self.d_p = d_p
+    def __init__(self, d_q: int, d_h: int, d_ff: int, d_p: int,
+                 rng: np.random.Generator):
         s = SIGNAL_INIT_SCALE
         self.query_w = Parameter("att.query_w", uniform_init(rng, (d_q, d_ff), d_q, s))
         self.query_score = Parameter("att.query_score", uniform_init(rng, (d_ff, 1), d_ff, s))

@@ -16,9 +16,10 @@ from .data import (
     Dataset, DatasetFormatError, export_dataset, generate_dataset, import_dataset,
 )
 from .encoders import VocabularyError
+from .model import ModelConfig
 from .training import (
     CheckpointError, DivergenceError, Metrics, TrainConfig, ablate, evaluate,
-    load_checkpoint, model_config_for, save_checkpoint, train,
+    load_checkpoint, save_checkpoint, train,
 )
 
 EXIT_OK = 0
@@ -84,7 +85,7 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _train_setup(args, dataset: Dataset) -> tuple:
+def _train_setup(args) -> tuple:
     """(TrainConfig, ModelConfig) from --config and the flags that override it."""
     kv = read_config_file(args.config) if args.config else {}
     overrides = {}
@@ -104,15 +105,15 @@ def _train_setup(args, dataset: Dataset) -> tuple:
         overrides["enable_infomax"] = False
     train_fields, model_fields = build_train_setup(kv, overrides)
     try:
-        return TrainConfig(**train_fields), model_config_for(dataset, **model_fields)
+        return TrainConfig(**train_fields), ModelConfig(**model_fields)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
 def _cmd_train(args) -> int:
     _check_output_file(args.out)
+    config, mc = _train_setup(args)
     dataset = _load_dataset(args.data)
-    config, mc = _train_setup(args, dataset)
     result = train(config, dataset, model_config=mc)
     for record in result.epoch_records:
         print(f"epoch {record['epoch']:>4}  ce {record['mean_ce']:.6f}  "
@@ -141,8 +142,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     _check_output_dir(args.out)
+    config, mc = _train_setup(args)
     dataset = _load_dataset(args.data)
-    config, mc = _train_setup(args, dataset)
     master = args.seed if args.seed is not None else config.seed
     result = ablate(dataset, config, master_seed=master, split=args.split,
                     model_config=mc)

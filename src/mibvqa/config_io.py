@@ -12,7 +12,7 @@ from typing import get_type_hints
 
 from .data import DatasetConfig
 from .model import ModelConfig
-from .training import DERIVED_MODEL_FIELDS, TrainConfig
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -96,16 +96,15 @@ _COERCERS = {
 }
 
 
-def _keys_of(config_class, exclude=()) -> dict:
+def _keys_of(config_class) -> dict:
     """key -> coercer for every field of a config dataclass, by field type."""
     types = get_type_hints(config_class)
-    return {f.name: _COERCERS[types[f.name]] for f in fields(config_class)
-            if f.name not in exclude}
+    return {f.name: _COERCERS[types[f.name]] for f in fields(config_class)}
 
 
 DATASET_KEYS = _keys_of(DatasetConfig)
 TRAIN_KEYS = _keys_of(TrainConfig)
-MODEL_KEYS = _keys_of(ModelConfig, exclude=DERIVED_MODEL_FIELDS)
+MODEL_KEYS = _keys_of(ModelConfig)
 
 
 def _coerce_known(kv: dict, known: dict, context: str) -> dict:
@@ -131,11 +130,7 @@ def build_dataset_config(kv: dict, overrides: dict | None = None) -> DatasetConf
 
 def build_train_setup(kv: dict, overrides: dict | None = None) -> tuple:
     """(TrainConfig fields, ModelConfig fields) from one config file plus
-    CLI overrides (already typed).
-
-    Train keys and model keys share the file; the caller builds the
-    ModelConfig, because three of its fields derive from the dataset.
-    """
+    CLI overrides (already typed); train keys and model keys share the file."""
     values = _coerce_known(kv, {**TRAIN_KEYS, **MODEL_KEYS}, "train config")
     if overrides:
         values.update(overrides)

@@ -33,6 +33,8 @@ OBJECT_CLASSES = ("building", "road", "water", "tree", "field")
 _CLASS_INDEX = {c: i for i, c in enumerate(OBJECT_CLASSES)}
 SIZES = ("small", "large")
 SIZE_FEATURE = {"small": 0.5, "large": 1.0}
+# An object's descriptor row: one-hot class, then x, y and size.
+FEATURE_WIDTH = len(OBJECT_CLASSES) + 3
 # size-weighted footprint in grid cells, used by area questions
 SIZE_CELLS = {"small": 1, "large": 4}
 
@@ -266,7 +268,8 @@ FEATURE_CHUNK = 256
 
 def scene_features(scenes: Sequence[Scene], t_max: int) -> ImageObjectFeatures:
     """Raw descriptor rows of a batch of scenes, filled into one preallocated
-    [B, t_max, d_raw] array: one-hot class, x, y in [0,1], size in (0,1].
+    [B, t_max, FEATURE_WIDTH] array: one-hot class, x, y in [0,1], size in
+    (0,1].
     t_max is at least the batch's largest object count; rows past a scene's
     objects are padding.
 
@@ -276,10 +279,10 @@ def scene_features(scenes: Sequence[Scene], t_max: int) -> ImageObjectFeatures:
     n_cls = len(OBJECT_CLASSES)
     counts = np.array([len(scene.objects) for scene in scenes], dtype=np.int64)
     mask = np.arange(t_max) < counts.reshape(-1, 1)
-    mat = np.zeros((len(scenes), t_max, n_cls + 3))
+    mat = np.zeros((len(scenes), t_max, FEATURE_WIDTH))
     for start in range(0, len(scenes), FEATURE_CHUNK):
         part = slice(start, start + FEATURE_CHUNK)
-        slots = mat[part].reshape(-1, n_cls + 3)        # a view of mat
+        slots = mat[part].reshape(-1, FEATURE_WIDTH)    # a view of mat
         rows = np.flatnonzero(mask[part])               # (scene, slot) row per object
         objects = [obj for scene in scenes[part] for obj in scene.objects]
         denom = np.repeat([max(scene.grid_size - 1, 1) for scene in scenes[part]],

@@ -23,10 +23,8 @@ class LabelError(ValueError):
 class FusionParams:
     """Two projection layers to a common width d_f, then a d_f->d_mlp->C MLP."""
 
-    def __init__(self, d_q: int, d_h: int, n_classes: int, d_f: int = 64,
-                 d_mlp: int = 64, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.d_f = d_f
+    def __init__(self, d_q: int, d_h: int, n_classes: int, d_f: int,
+                 d_mlp: int, rng: np.random.Generator):
         s = SIGNAL_INIT_SCALE
         self.q_w = Parameter("fus.q_w", uniform_init(rng, (d_q, d_f), d_q, s))
         self.q_b = Parameter("fus.q_b", np.zeros(d_f))

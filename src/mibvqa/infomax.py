@@ -80,10 +80,7 @@ class BottleneckParams:
     parameterization of the raw scalar.
     """
 
-    def __init__(self, d_f: int, d_z: int = 16,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.d_z = d_z
+    def __init__(self, d_f: int, d_z: int, rng: np.random.Generator):
 
         def head(prefix):
             return (

@@ -15,6 +15,7 @@ import numpy as np
 
 from .attention import AttentionParams, image_attention, query_attention
 from .autodiff import Tensor, hadamard, no_grad
+from .data import ANSWERS, FEATURE_WIDTH, VOCABULARY
 from .encoders import (
     EncoderParams, ImageObjectFeatures, QueryTokens, encode_image, encode_query,
     masked_mean,
@@ -29,8 +30,10 @@ from .infomax import (
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """The architecture: every width plus the two flags that switch the
-    attention blocks and the bottleneck on and off."""
+    """The architecture: every layer width plus the two flags that switch
+    the attention blocks and the bottleneck on and off. The input and output
+    sizes are the data format's: len(VOCABULARY), FEATURE_WIDTH and
+    len(ANSWERS)."""
     d_h: int = 32
     d_q: int = 32
     d_ff: int = 16
@@ -38,9 +41,6 @@ class ModelConfig:
     d_f: int = 64
     d_mlp: int = 64
     d_z: int = 16
-    vocab_size: int = 29
-    d_raw: int = 8
-    n_classes: int = 19
     enable_cross_attention: bool = True
     enable_infomax: bool = True
 
@@ -56,12 +56,12 @@ class VQAModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        self.encoders = EncoderParams(config.vocab_size, config.d_q, config.d_raw,
+        self.encoders = EncoderParams(len(VOCABULARY), config.d_q, FEATURE_WIDTH,
                                       config.d_h, rng)
         self.attention = (AttentionParams(config.d_q, config.d_h, config.d_ff,
                                           config.d_p, rng)
                           if config.enable_cross_attention else None)
-        self.fusion = FusionParams(config.d_q, config.d_h, config.n_classes,
+        self.fusion = FusionParams(config.d_q, config.d_h, len(ANSWERS),
                                    config.d_f, config.d_mlp, rng)
         self.bottleneck = (BottleneckParams(config.d_f, config.d_z, rng)
                            if config.enable_infomax else None)
@@ -78,12 +78,9 @@ class VQAModel:
     def parameter_map(self) -> dict:
         return {p.name: p for p in self.parameters()}
 
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def _forward(self, features: ImageObjectFeatures,
                  tokens: QueryTokens) -> tuple:
-        """Logits [B, n_classes] plus the post-FC embeddings f_q, f_h [B, d_f]
+        """Logits [B, len(ANSWERS)] plus the post-FC embeddings f_q, f_h [B, d_f]
         that feed both the Hadamard fusion and the bottleneck encoders."""
         h = encode_image(features, self.encoders)
         q = encode_query(tokens, self.encoders)
@@ -99,7 +96,7 @@ class VQAModel:
         return classify(hadamard(f_q, f_h), self.fusion), f_q, f_h
 
     def logits(self, features: ImageObjectFeatures, tokens: QueryTokens) -> Tensor:
-        """Answer logits [B, n_classes] of a batch."""
+        """Answer logits [B, len(ANSWERS)] of a batch."""
         return self._forward(features, tokens)[0]
 
     def predict(self, features: ImageObjectFeatures,

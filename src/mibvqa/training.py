@@ -19,8 +19,7 @@ import numpy as np
 
 from .autodiff import Adam, NonFiniteGradientError, backward
 from .data import (
-    ANSWERS, CATEGORIES, OBJECT_CLASSES, VOCABULARY, Dataset, DatasetFormatError,
-    query_tokens, scene_features,
+    ANSWERS, CATEGORIES, Dataset, DatasetFormatError, query_tokens, scene_features,
 )
 from .encoders import ImageObjectFeatures, QueryTokens
 from .model import ModelConfig, VQAModel
@@ -103,7 +102,9 @@ class Metrics:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Everything needed to rebuild and evaluate a trained model."""
+    """Everything needed to rebuild and evaluate a trained model. The data
+    format fixes its input and output sizes; answers echoes the answer
+    space it was trained with."""
     seed: int
     model_config: ModelConfig
     train_config: TrainConfig
@@ -162,24 +163,8 @@ def prepare_split(dataset: Dataset, split: str) -> PreparedSplit:
         categories=tuple(s.category for s in samples))
 
 
-# ModelConfig fields that model_config_for derives from the dataset.
-DERIVED_MODEL_FIELDS = ("vocab_size", "d_raw", "n_classes")
-
-
-def model_config_for(dataset: Dataset, **overrides) -> ModelConfig:
-    """The ModelConfig for a dataset: vocab_size, d_raw and n_classes come
-    from the data format (VOCABULARY, OBJECT_CLASSES, ANSWERS), every other
-    field from overrides or its default."""
-    refused = [name for name in DERIVED_MODEL_FIELDS if name in overrides]
-    if refused:
-        raise ValueError(f"{', '.join(refused)} derive from the dataset "
-                         f"and cannot be overridden")
-    return ModelConfig(vocab_size=len(VOCABULARY), d_raw=len(OBJECT_CLASSES) + 3,
-                       n_classes=len(ANSWERS), **overrides)
-
-
 def train(config: TrainConfig, dataset: Dataset,
-          model_config: Optional[ModelConfig] = None,
+          model_config: ModelConfig = ModelConfig(),
           epoch_callback: Optional[Callable] = None) -> TrainResult:
     """Run the full optimization and return checkpoint plus loss history.
 
@@ -187,15 +172,13 @@ def train(config: TrainConfig, dataset: Dataset,
     epoch_callback(epoch_index, model, epoch_record) may return True to make
     the surrounding harness cut the run short after a completed epoch.
     Raises DivergenceError as soon as any loss term or gradient goes
-    non-finite, before the optimizer step that would use it.
-    model_config defaults to model_config_for(dataset). Every split is
-    prepared before the first step, so one without samples raises
+    non-finite, before the optimizer step that would use it. Every split
+    is prepared before the first step, so one without samples raises
     DatasetFormatError before any training.
     """
-    mc = model_config if model_config is not None else model_config_for(dataset)
     prepared = {split: prepare_split(dataset, split)
                 for split in dataset.config.splits()}
-    model = VQAModel(mc, seed=config.seed)
+    model = VQAModel(model_config, seed=config.seed)
     samples = prepared["train"]
     loop_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
@@ -211,8 +194,8 @@ def train(config: TrainConfig, dataset: Dataset,
             idx = order[start:start + config.batch_size]
             features, tokens, labels = samples.batch(idx)
             if model.bottleneck is not None:
-                noise_q = loop_rng.standard_normal((len(idx), mc.d_z))
-                noise_h = loop_rng.standard_normal((len(idx), mc.d_z))
+                noise_q = loop_rng.standard_normal((len(idx), model_config.d_z))
+                noise_h = loop_rng.standard_normal((len(idx), model_config.d_z))
             else:
                 noise_q = noise_h = None
             breakdown = model.loss_batch(features, tokens, labels, lam=config.lam,
@@ -243,7 +226,7 @@ def train(config: TrainConfig, dataset: Dataset,
     metrics = {split: _evaluate_prepared(model, split_samples, dataset, split).to_dict()
                for split, split_samples in prepared.items()}
     checkpoint = Checkpoint(
-        seed=config.seed, model_config=mc, train_config=config,
+        seed=config.seed, model_config=model_config, train_config=config,
         parameters={p.name: p.data.copy() for p in model.parameters()},
         step_count=optimizer.t, metrics=metrics,
         answers=ANSWERS)
@@ -371,20 +354,18 @@ class AblationResult:
 
 def ablate(dataset: Dataset, base_config: TrainConfig,
            master_seed: Optional[int] = None, split: str = "test",
-           model_config: Optional[ModelConfig] = None) -> AblationResult:
+           model_config: ModelConfig = ModelConfig()) -> AblationResult:
     """Train the four flag combinations and tabulate per-category, OA, AA.
 
-    Each variant is model_config (default model_config_for(dataset)) with
-    its two flags set. Variant i trains with seed master_seed + i, so the
-    four runs are independently seeded yet fully reproducible from the
-    master seed. Each row is the metrics train() computed on split.
+    Each variant is model_config with its two flags set. Variant i trains
+    with seed master_seed + i, so the four runs are independently seeded
+    yet fully reproducible from the master seed. Each row is the metrics
+    train() computed on split.
     """
     if split not in dataset.config.splits():
         raise DatasetFormatError(
             f"dataset has no split {split!r} "
             f"(splits: {', '.join(dataset.config.splits())})")
-    if model_config is None:
-        model_config = model_config_for(dataset)
     master = base_config.seed if master_seed is None else master_seed
     rows = []
     checkpoints = {}
@@ -433,15 +414,16 @@ def format_ablation_table(rows: list) -> str:
 
 
 CKPT_MAGIC = "ckpt"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 CKPT_DTYPE = "<f8"
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Plain-text format, bit-exact under round-trip.
 
-    Header `ckpt v3 <seed> <n_params>` where n_params counts parameter
-    tensors; `meta`/`config`/`metrics`/`answers` lines carry JSON payloads;
+    Header `ckpt v4 <seed> <n_params>` where n_params counts parameter
+    tensors; `meta`/`config`/`metrics`/`answers` lines carry JSON payloads
+    (`config model` holds the ModelConfig: seven widths and two flags);
     each `tensor <name> <rank> <dims...>` line is followed by exactly one
     line, the base64 of the tensor's little-endian float64 bytes in C order.
     """

@@ -8,7 +8,6 @@ from hypothesis import settings
 
 from mibvqa import data as dt
 from mibvqa.model import ModelConfig
-from mibvqa.training import model_config_for
 
 
 # Property tests draw the same examples on every run, so a failure replays;
@@ -20,8 +19,8 @@ settings.load_profile("mibvqa")
 TINY_WIDTHS = dict(d_h=12, d_q=12, d_ff=6, d_p=8, d_f=16, d_mlp=16, d_z=6)
 
 
-def tiny_model_config(dataset: dt.Dataset, **flags) -> ModelConfig:
-    return model_config_for(dataset, **TINY_WIDTHS, **flags)
+def tiny_model_config(**flags) -> ModelConfig:
+    return ModelConfig(**TINY_WIDTHS, **flags)
 
 
 @pytest.fixture(scope="session")

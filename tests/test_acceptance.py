@@ -58,7 +58,7 @@ def test_acceptance_1_gradient_oracle(micro_dataset):
 
     # Full objective on a 4-sample batch with frozen reparameterization noise.
     dataset = micro_dataset
-    model = VQAModel(tiny_model_config(dataset), seed=3)
+    model = VQAModel(tiny_model_config(), seed=3)
     samples = dataset.samples[:4]
     features = scene_features([s.scene for s in samples], dataset.config.t_max)
     tokens = query_tokens(samples, dataset.config.k_max)
@@ -311,7 +311,7 @@ def test_training_loss_trend_is_downward(default_task_run):
 def test_acceptance_5_ablation_harness():
     dataset = generate_dataset(DatasetConfig(n_samples=400, seed=311))
     config = TrainConfig(epochs=4, batch_size=16, learning_rate=2e-3, seed=77)
-    mc = tiny_model_config(dataset)
+    mc = tiny_model_config()
 
     first = ablate(dataset, config, master_seed=101, split="test",
                    model_config=mc)
@@ -366,7 +366,7 @@ def test_acceptance_5_ablation_harness():
 def test_acceptance_6_determinism_and_persistence(small_dataset, tmp_path):
     dataset = small_dataset
     config = TrainConfig(epochs=3, batch_size=16, learning_rate=2e-3, seed=13)
-    mc = tiny_model_config(dataset)
+    mc = tiny_model_config()
 
     run_a = train(config, dataset, model_config=mc)
     run_b = train(config, dataset, model_config=mc)

@@ -34,8 +34,8 @@ LAM = 0.7
 VARIANTS = [(True, True), (True, False), (False, True), (False, False)]
 
 
-def make_model(dataset, cross: bool, infomax: bool, seed: int = 3) -> VQAModel:
-    mc = tiny_model_config(dataset, enable_cross_attention=cross,
+def make_model(cross: bool, infomax: bool, seed: int = 3) -> VQAModel:
+    mc = tiny_model_config(enable_cross_attention=cross,
                            enable_infomax=infomax)
     return VQAModel(mc, seed=seed)
 
@@ -60,7 +60,7 @@ def assert_matches_reference(model, features, tokens, labels, rng) -> None:
     ref_grads = _grads(model, ref.final)
 
     logits = model.logits(features, tokens).data
-    assert logits.shape == ref_logits.shape == (b, model.config.n_classes)
+    assert logits.shape == ref_logits.shape == (b, len(dt.ANSWERS))
     assert np.abs(logits - ref_logits.data).max() < TOL
     for term, value in batched.values().items():
         assert abs(value - ref.values()[term]) < TOL, term
@@ -71,7 +71,7 @@ def assert_matches_reference(model, features, tokens, labels, rng) -> None:
 
 @pytest.mark.parametrize("cross,infomax", VARIANTS)
 def test_random_batches_match_reference(small_dataset, cross, infomax):
-    model = make_model(small_dataset, cross, infomax)
+    model = make_model(cross, infomax)
     split = prepare_split(small_dataset, "train")
     rng = np.random.default_rng(17)
     for size in (8, 5):
@@ -79,19 +79,19 @@ def test_random_batches_match_reference(small_dataset, cross, infomax):
         assert_matches_reference(model, *split.batch(idx), rng)
 
 
-def synthetic_batch(config, t, k, n_objects, n_tokens, rng):
+def synthetic_batch(t, k, n_objects, n_tokens, rng):
     """Random inputs of t object and k token slots with the given real-object
     and real-token counts per sample; padding is zero features and PAD (id 0)
     tokens."""
     b = len(n_objects)
-    matrix = np.zeros((b, t, config.d_raw))
+    matrix = np.zeros((b, t, dt.FEATURE_WIDTH))
     ids = np.zeros((b, k), dtype=np.int64)
     for i, (n_obj, n_tok) in enumerate(zip(n_objects, n_tokens)):
-        matrix[i, :n_obj] = rng.uniform(0.0, 1.0, (n_obj, config.d_raw))
-        ids[i, :n_tok] = rng.integers(1, config.vocab_size, n_tok)
+        matrix[i, :n_obj] = rng.uniform(0.0, 1.0, (n_obj, dt.FEATURE_WIDTH))
+        ids[i, :n_tok] = rng.integers(1, len(dt.VOCABULARY), n_tok)
     features = ImageObjectFeatures(matrix, np.arange(t) < np.array(n_objects)[:, None])
     tokens = QueryTokens(ids, np.arange(k) < np.array(n_tokens)[:, None])
-    labels = rng.integers(0, config.n_classes, b)
+    labels = rng.integers(0, len(dt.ANSWERS), b)
     return features, tokens, labels
 
 
@@ -109,14 +109,13 @@ EDGE_BATCHES = {
 @pytest.mark.parametrize("cross", [True, False])
 @pytest.mark.parametrize("case", sorted(EDGE_BATCHES))
 def test_edge_batches_match_reference(small_dataset, case, cross):
-    model = make_model(small_dataset, cross, infomax=True)
+    model = make_model(cross, infomax=True)
     t_max, k_max = small_dataset.config.t_max, small_dataset.config.k_max
     assert (t_max, k_max) == (16, 12)
     rng = np.random.default_rng(sorted(EDGE_BATCHES).index(case))
     n_objects, n_tokens = EDGE_BATCHES[case]
     assert_matches_reference(
-        model, *synthetic_batch(model.config, t_max, k_max, n_objects, n_tokens,
-                                rng), rng)
+        model, *synthetic_batch(t_max, k_max, n_objects, n_tokens, rng), rng)
 
 
 def full_width_split(dataset, split) -> PreparedSplit:
@@ -144,7 +143,7 @@ def test_trimmed_split_matches_the_full_width_split(
         small_dataset, hr_dataset, which, cross, infomax):
     dataset = small_dataset if which == "default" else hr_dataset
     config = dataset.config
-    model = make_model(dataset, cross, infomax)
+    model = make_model(cross, infomax)
     rng = np.random.default_rng(23)
     assert which == "default" or "test2" in config.splits()
     for split_name in config.splits():
@@ -158,7 +157,7 @@ def test_trimmed_split_matches_the_full_width_split(
         trimmed = prepare_split(dataset, split_name)
         full = full_width_split(dataset, split_name)
         features, tokens = trimmed.features, trimmed.tokens
-        assert features.matrix.shape == (n, t, model.config.d_raw)
+        assert features.matrix.shape == (n, t, dt.FEATURE_WIDTH)
         assert features.object_mask.shape == (n, t)
         assert tokens.token_ids.shape == tokens.token_mask.shape == (n, k)
         # arrays of their own: no view keeps a full-width array alive
@@ -188,7 +187,7 @@ def test_trimmed_split_matches_the_full_width_split(
 
 def test_evaluate_model_predicts_what_the_reference_predicts(small_dataset):
     cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=2e-3, seed=5)
-    result = train(cfg, small_dataset, model_config=tiny_model_config(small_dataset))
+    result = train(cfg, small_dataset, model_config=tiny_model_config())
     model = result.model
     for split_name in ("train", "test"):  # the train split spans two chunks
         split = prepare_split(small_dataset, split_name)
@@ -209,7 +208,7 @@ def test_evaluate_model_predicts_what_the_reference_predicts(small_dataset):
 @pytest.mark.parametrize("cross,infomax", VARIANTS)
 def test_predict_records_no_graph_and_matches_the_graph_path(
         small_dataset, cross, infomax, monkeypatch):
-    model = make_model(small_dataset, cross, infomax)
+    model = make_model(cross, infomax)
     split = prepare_split(small_dataset, "test")
     graph_logits = model.logits(split.features, split.tokens)
     assert graph_logits.requires_grad
@@ -231,7 +230,7 @@ def test_predict_records_no_graph_and_matches_the_graph_path(
 def test_identical_train_runs_are_bit_identical(micro_dataset, cross, infomax):
     # batch 10 leaves a short final batch in every epoch
     cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=2e-3, seed=4)
-    mc = tiny_model_config(micro_dataset, enable_cross_attention=cross,
+    mc = tiny_model_config(enable_cross_attention=cross,
                            enable_infomax=infomax)
     first = train(cfg, micro_dataset, model_config=mc)
     second = train(cfg, micro_dataset, model_config=mc)

@@ -244,6 +244,20 @@ def test_train_rejects_a_nonpositive_model_width(workdir, data_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("key", ["bogus", "vocab_size"])
+def test_train_config_error_is_reported_before_the_dataset_is_read(
+        workdir, capsys, command, key):
+    bad = workdir / f"{key}.cfg"
+    bad.write_text(f"epochs = 1\n{key} = 29\n", encoding="utf-8")
+    code = main([command, "--data", str(workdir / "no_such.jsonl"),
+                 "--out", str(workdir / "never"), "--config", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: unknown train config key {key!r}")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_data_file_exits_with_the_data_error_code(workdir, capsys):
     code = main(["train", "--data", str(workdir / "no_such.jsonl"),
                  "--out", str(workdir / "never.ckpt")])
@@ -410,12 +424,26 @@ def _first_shape_without_rank(lines: list) -> list:
     return lines
 
 
+def _payload_edit(prefix: str, change):
+    """Apply change to the JSON payload of the line starting with prefix."""
+    def edit(lines: list) -> list:
+        index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[index] = prefix + json.dumps(change(json.loads(lines[index][len(prefix):])))
+        return lines
+    return edit
+
+
 @pytest.mark.parametrize("edit,shown", [
     (_header_field(1, "v2"), "unsupported checkpoint version 'v2'"),
+    (_header_field(1, "v3"), "unsupported checkpoint version 'v3'"),
     (_header_field(2, "-5"), "negative seed"),
     (_first_block_nan, "non-finite value in parameter"),
     (_first_shape_without_rank, "malformed shape line for parameter"),
-], ids=["v2", "negative_seed", "nan", "no_rank"])
+    (_payload_edit("config model ", lambda mc: {**mc, "d_h": mc["d_h"] + 1}),
+     "shape mismatch for parameter"),
+    (_payload_edit("answers ", lambda answers: answers[::-1]),
+     "answer space does not match"),
+], ids=["v2", "v3", "negative_seed", "nan", "no_rank", "model_width", "answers"])
 def test_eval_rejected_checkpoint_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, edit, shown):
     lines = edit(ckpt_path.read_text(encoding="utf-8").splitlines())

@@ -17,7 +17,7 @@ from conftest import tiny_model_config
 from mibvqa import autodiff as ad
 from mibvqa import data as dt
 from mibvqa import training
-from mibvqa.model import ModelConfig
+from mibvqa.model import ModelConfig, VQAModel
 from mibvqa.training import (
     ABLATION_VARIANTS,
     Checkpoint,
@@ -31,7 +31,6 @@ from mibvqa.training import (
     evaluate_model,
     format_ablation_table,
     load_checkpoint,
-    model_config_for,
     save_checkpoint,
     train,
 )
@@ -46,7 +45,7 @@ def quick_config(**overrides) -> TrainConfig:
 def run_quick(dataset, flags=None, **overrides):
     """A quick_config run of the tiny model with the given flag overrides."""
     return train(quick_config(**overrides), dataset,
-                 model_config=tiny_model_config(dataset, **(flags or {})))
+                 model_config=tiny_model_config(**(flags or {})))
 
 
 # ---------------------------------------------------------------- defaults
@@ -71,20 +70,14 @@ def test_config_validation():
         TrainConfig(lam=-0.5)
 
 
-def test_model_config_for_derives_widths_from_dataset(small_dataset):
-    mc = model_config_for(small_dataset)
-    assert mc.vocab_size == len(dt.VOCABULARY)
-    assert mc.n_classes == len(dt.ANSWERS)
-    assert mc.d_raw == len(dt.OBJECT_CLASSES) + 3
-
-
-def test_model_config_for_applies_overrides_and_refuses_derived_fields(
-        small_dataset):
-    mc = model_config_for(small_dataset, d_h=5, enable_infomax=False)
-    assert (mc.d_h, mc.enable_infomax, mc.enable_cross_attention) == (5, False, True)
-    for name in ("vocab_size", "d_raw", "n_classes"):
-        with pytest.raises(ValueError, match=name):
-            model_config_for(small_dataset, **{name: 3})
+def test_data_format_fixes_the_model_input_and_output_sizes():
+    model = VQAModel(ModelConfig(d_h=5, d_q=7, d_mlp=9), seed=0)
+    assert model.encoders.embed.shape == (len(dt.VOCABULARY), 7)
+    assert model.encoders.img_w.shape == (dt.FEATURE_WIDTH, 5)
+    assert model.fusion.mlp_w2.shape == (9, len(dt.ANSWERS))
+    assert dt.FEATURE_WIDTH == len(dt.OBJECT_CLASSES) + 3
+    with pytest.raises(TypeError):
+        ModelConfig(vocab_size=3)
 
 
 # ---------------------------------------------------------------- determinism
@@ -130,7 +123,7 @@ def test_flag_isolation_no_attention_parameters(micro_dataset):
                                          ("enable_cross_attention", "att.")])
 def test_train_takes_the_flags_of_the_given_model_config(micro_dataset, flag,
                                                          prefix):
-    mc = dataclasses.replace(tiny_model_config(micro_dataset), **{flag: False})
+    mc = dataclasses.replace(tiny_model_config(), **{flag: False})
     result = train(quick_config(epochs=1), micro_dataset, model_config=mc)
     assert result.checkpoint.model_config == mc
     assert not any(name.startswith(prefix) for name in result.checkpoint.parameters)
@@ -166,7 +159,7 @@ def test_epoch_callback_can_stop_training(small_dataset):
         return True
 
     result = train(quick_config(epochs=10), small_dataset,
-                   model_config=tiny_model_config(small_dataset),
+                   model_config=tiny_model_config(),
                    epoch_callback=stop_after_first)
     assert seen == [0]
     assert len(result.epoch_records) == 1
@@ -186,7 +179,7 @@ def test_a_split_without_samples_fails_before_the_first_step(monkeypatch):
 
     with pytest.raises(dt.DatasetFormatError, match="test2"):
         train(quick_config(epochs=3), dataset,
-              model_config=tiny_model_config(dataset), epoch_callback=no_epoch)
+              model_config=tiny_model_config(), epoch_callback=no_epoch)
     assert steps == []
 
 
@@ -218,8 +211,8 @@ def poison_gradient_at_step(monkeypatch, step: int, shape: tuple) -> None:
 
 
 def test_non_finite_gradient_is_divergence(micro_dataset, monkeypatch):
-    mc = tiny_model_config(micro_dataset)
-    poison_gradient_at_step(monkeypatch, 2, (mc.vocab_size, mc.d_q))
+    mc = tiny_model_config()
+    poison_gradient_at_step(monkeypatch, 2, (len(dt.VOCABULARY), mc.d_q))
     with pytest.raises(DivergenceError) as info:
         train(quick_config(), micro_dataset, model_config=mc)
     err = info.value
@@ -323,7 +316,7 @@ def test_checkpoint_header_shape(tmp_path, small_dataset):
     save_checkpoint(result.checkpoint, path)
     header = path.read_text().splitlines()[0].split()
     assert header[0] == "ckpt"
-    assert header[1] == "v3"
+    assert header[1] == "v4"
     assert int(header[2]) == result.checkpoint.seed
     assert int(header[3]) == len(result.checkpoint.parameters)
 
@@ -380,7 +373,7 @@ def test_checkpoint_version_mismatch_rejected(tmp_path, small_dataset):
     result = run_quick(small_dataset)
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    text = path.read_text().replace("ckpt v3 ", "ckpt v9 ", 1)
+    text = path.read_text().replace("ckpt v4 ", "ckpt v9 ", 1)
     bad = tmp_path / "v9.ckpt"
     bad.write_text(text)
     with pytest.raises(CheckpointError):
@@ -489,7 +482,7 @@ def test_evaluate_rejects_mismatched_answer_space(tmp_path, small_dataset):
 def ablation_setup():
     ds = dt.generate_dataset(dt.DatasetConfig(n_samples=160, seed=55))
     cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=2e-3, seed=77)
-    mc = tiny_model_config(ds)
+    mc = tiny_model_config()
     return ds, cfg, mc
 
 
