@@ -76,8 +76,14 @@ def test_data_format_fixes_the_model_input_and_output_sizes():
     assert model.encoders.img_w.shape == (dt.FEATURE_WIDTH, 5)
     assert model.fusion.mlp_w2.shape == (9, len(dt.ANSWERS))
     assert dt.FEATURE_WIDTH == len(dt.OBJECT_CLASSES) + 3
-    with pytest.raises(TypeError):
-        ModelConfig(vocab_size=3)
+
+
+def test_model_config_takes_widths_and_flags_but_no_data_format_sizes():
+    mc = ModelConfig(d_h=5, enable_infomax=False)
+    assert (mc.d_h, mc.enable_infomax, mc.enable_cross_attention) == (5, False, True)
+    for name in ("vocab_size", "d_raw", "n_classes"):
+        with pytest.raises(TypeError, match=name):
+            ModelConfig(**{name: 3})
 
 
 # ---------------------------------------------------------------- determinism
