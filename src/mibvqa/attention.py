@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, DimensionError, Parameter, Tensor, attention_pool,
-    matmul, segment_mul, uniform_init,
+    SIGNAL_INIT_SCALE, DimensionError, Tensor, attention_pool, matmul,
+    segment_mul, uniform_init,
 )
 
 
@@ -47,17 +47,17 @@ class AttentionParams:
 
     def __init__(self, d_q: int, d_h: int, d_ff: int, d_p: int,
                  rng: np.random.Generator):
-        s = SIGNAL_INIT_SCALE
-        self.query_w = Parameter("att.query_w", uniform_init(rng, (d_q, d_ff), d_q, s))
-        self.query_score = Parameter("att.query_score", uniform_init(rng, (d_ff, 1), d_ff, s))
-        self.img_proj_w = Parameter("att.img_proj_w", uniform_init(rng, (d_h, d_p), d_h, s))
-        self.qstar_proj_w = Parameter("att.qstar_proj_w", uniform_init(rng, (d_q, d_p), d_q, s))
-        self.img_score_w = Parameter("att.img_score_w", uniform_init(rng, (d_p, d_ff), d_p, s))
-        self.img_score = Parameter("att.img_score", uniform_init(rng, (d_ff, 1), d_ff, s))
 
-    def parameters(self):
-        return [self.query_w, self.query_score, self.img_proj_w,
-                self.qstar_proj_w, self.img_score_w, self.img_score]
+        def weight(fan_in, fan_out):
+            return Tensor(uniform_init(rng, (fan_in, fan_out), fan_in,
+                                       SIGNAL_INIT_SCALE), requires_grad=True)
+
+        self.query_w = weight(d_q, d_ff)
+        self.query_score = weight(d_ff, 1)
+        self.img_proj_w = weight(d_h, d_p)
+        self.qstar_proj_w = weight(d_q, d_p)
+        self.img_score_w = weight(d_p, d_ff)
+        self.img_score = weight(d_ff, 1)
 
 
 def _score_pool(rows: Tensor, scored_rows: Tensor, score_w: Tensor,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -78,19 +78,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-class Parameter(Tensor):
-    """Named trainable leaf tensor. Names are unique within a model."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, data):
-        super().__init__(data, requires_grad=True)
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 # False inside no_grad(); read by _node on every op.
@@ -520,22 +507,25 @@ def backward(loss: Tensor) -> None:
 class Adam:
     """Adam with bias correction. Gradients are left untouched by step().
 
-    The moments m and v are flat arrays over all parameters in order. A
-    step concatenates the gradients into one preallocated buffer, applies
-    the elementwise update in place on preallocated arrays (the operation
-    order of the textbook formulas, so the result is the same to the bit)
-    and writes each parameter's slice back in place.
+    params maps each parameter's name to its leaf tensor; the names only
+    label errors. The moments m and v are flat arrays over all parameters
+    in the mapping's order. A step concatenates the gradients into one
+    preallocated buffer, applies the elementwise update in place on
+    preallocated arrays (the operation order of the textbook formulas, so
+    the result is the same to the bit) and writes each parameter's slice
+    back in place.
     """
 
-    def __init__(self, params: Sequence[Parameter], lr: float = 1e-5,
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-5,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        self.params = dict(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        sizes = [p.data.size for p in self.params.values()]
+        bounds = np.cumsum([0] + sizes).tolist()
         self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self._m = np.zeros(bounds[-1])
         self._v = np.zeros(bounds[-1])
@@ -546,19 +536,19 @@ class Adam:
     def step(self) -> None:
         """One update. A missing, misshapen or non-finite gradient raises
         before any state (m, v, t, the parameters) changes."""
-        for p in self.params:
+        for name, p in self.params.items():
             if p.grad is None:
-                raise MissingGradientError(f"no gradient for parameter {p.name!r}")
+                raise MissingGradientError(f"no gradient for parameter {name!r}")
             if p.grad.shape != p.shape:
-                raise DimensionError(f"gradient of {p.name!r} has shape "
+                raise DimensionError(f"gradient of {name!r} has shape "
                                      f"{p.grad.shape}, parameter {p.shape}")
         g, tmp, update = self._g, self._scratch, self._update
-        np.concatenate([p.grad.ravel() for p in self.params], out=g)
+        np.concatenate([p.grad.ravel() for p in self.params.values()], out=g)
         if not np.isfinite(g).all():
-            for p, part in zip(self.params, self._slices):
+            for name, part in zip(self.params, self._slices):
                 bad = ~np.isfinite(g[part])
                 if bad.any():
-                    raise NonFiniteGradientError(p.name, float(g[part][bad][0]))
+                    raise NonFiniteGradientError(name, float(g[part][bad][0]))
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         m, v = self._m, self._v
@@ -578,11 +568,11 @@ class Adam:
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
         update /= tmp
-        for p, part in zip(self.params, self._slices):
+        for p, part in zip(self.params.values(), self._slices):
             p.data -= update[part].reshape(p.shape)
 
     def zero_grad(self) -> None:
-        for p in self.params:
+        for p in self.params.values():
             p.grad = None
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, DimensionError, InvalidMaskError, Parameter, Tensor,
-    linear, mask_rows, relu, segment_pool, tanh_recurrence, uniform_init,
+    SIGNAL_INIT_SCALE, DimensionError, InvalidMaskError, Tensor, linear,
+    mask_rows, relu, segment_pool, tanh_recurrence, uniform_init,
 )
 
 
@@ -48,7 +48,7 @@ class QueryTokens:
 
 
 class EncoderParams:
-    """Parameters of both stand-in extractors.
+    """Weights of both stand-in extractors.
 
     embed:  [vocab_size, d_q] token embedding table
     rec_w:  [d_q, d_q] tanh recurrence weight (no bias)
@@ -60,14 +60,12 @@ class EncoderParams:
         # embed entries drive the tanh directly: unit bound keeps the states
         # in the responsive part of tanh; rec_w stays at 1/sqrt(d) so the
         # recurrence neither saturates nor explodes over the token sequence
-        self.embed = Parameter("enc.embed", rng.uniform(-1.0, 1.0, (vocab_size, d_q)))
-        self.rec_w = Parameter("enc.rec_w", uniform_init(rng, (d_q, d_q), d_q))
-        self.img_w = Parameter("enc.img_w", uniform_init(rng, (d_raw, d_h), d_raw,
-                                                         SIGNAL_INIT_SCALE))
-        self.img_b = Parameter("enc.img_b", np.zeros(d_h))
-
-    def parameters(self):
-        return [self.embed, self.rec_w, self.img_w, self.img_b]
+        self.embed = Tensor(rng.uniform(-1.0, 1.0, (vocab_size, d_q)),
+                            requires_grad=True)
+        self.rec_w = Tensor(uniform_init(rng, (d_q, d_q), d_q), requires_grad=True)
+        self.img_w = Tensor(uniform_init(rng, (d_raw, d_h), d_raw, SIGNAL_INIT_SCALE),
+                            requires_grad=True)
+        self.img_b = Tensor(np.zeros(d_h), requires_grad=True)
 
 
 def encode_image(features: ImageObjectFeatures, params: EncoderParams) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, Parameter, Tensor, linear, relu, softmax_cross_entropy,
+    SIGNAL_INIT_SCALE, Tensor, linear, relu, softmax_cross_entropy,
     uniform_init,
 )
 
@@ -25,19 +25,16 @@ class FusionParams:
 
     def __init__(self, d_q: int, d_h: int, n_classes: int, d_f: int,
                  d_mlp: int, rng: np.random.Generator):
-        s = SIGNAL_INIT_SCALE
-        self.q_w = Parameter("fus.q_w", uniform_init(rng, (d_q, d_f), d_q, s))
-        self.q_b = Parameter("fus.q_b", np.zeros(d_f))
-        self.h_w = Parameter("fus.h_w", uniform_init(rng, (d_h, d_f), d_h, s))
-        self.h_b = Parameter("fus.h_b", np.zeros(d_f))
-        self.mlp_w1 = Parameter("fus.mlp_w1", uniform_init(rng, (d_f, d_mlp), d_f, s))
-        self.mlp_b1 = Parameter("fus.mlp_b1", np.zeros(d_mlp))
-        self.mlp_w2 = Parameter("fus.mlp_w2", uniform_init(rng, (d_mlp, n_classes), d_mlp, s))
-        self.mlp_b2 = Parameter("fus.mlp_b2", np.zeros(n_classes))
 
-    def parameters(self):
-        return [self.q_w, self.q_b, self.h_w, self.h_b,
-                self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2]
+        def layer(fan_in, fan_out):
+            return (Tensor(uniform_init(rng, (fan_in, fan_out), fan_in,
+                                        SIGNAL_INIT_SCALE), requires_grad=True),
+                    Tensor(np.zeros(fan_out), requires_grad=True))
+
+        self.q_w, self.q_b = layer(d_q, d_f)
+        self.h_w, self.h_b = layer(d_h, d_f)
+        self.mlp_w1, self.mlp_b1 = layer(d_f, d_mlp)
+        self.mlp_w2, self.mlp_b2 = layer(d_mlp, n_classes)
 
 
 def project_query(q_star: Tensor, params: FusionParams) -> Tensor:

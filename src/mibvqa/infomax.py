@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Parameter, Tensor, add, clamp, gaussian_sample, gaussian_skl, hadamard,
-    info_nce, linear, scale, softplus, uniform_init,
+    Tensor, add, clamp, gaussian_sample, gaussian_skl, hadamard, info_nce,
+    linear, scale, softplus, uniform_init,
 )
 
 LOG_VAR_MIN = -10.0
@@ -82,25 +82,16 @@ class BottleneckParams:
 
     def __init__(self, d_f: int, d_z: int, rng: np.random.Generator):
 
-        def head(prefix):
-            return (
-                Parameter(f"ib.{prefix}_mean_w", uniform_init(rng, (d_f, d_z), d_f)),
-                Parameter(f"ib.{prefix}_mean_b", np.zeros(d_z)),
-                Parameter(f"ib.{prefix}_logvar_w", uniform_init(rng, (d_f, d_z), d_f)),
-                Parameter(f"ib.{prefix}_logvar_b", np.zeros(d_z)),
-            )
+        def layer():
+            return (Tensor(uniform_init(rng, (d_f, d_z), d_f), requires_grad=True),
+                    Tensor(np.zeros(d_z), requires_grad=True))
 
-        (self.q_mean_w, self.q_mean_b,
-         self.q_logvar_w, self.q_logvar_b) = head("q")
-        (self.h_mean_w, self.h_mean_b,
-         self.h_logvar_w, self.h_logvar_b) = head("h")
-        self.critic = Parameter("ib.critic", uniform_init(rng, (d_z, d_z), d_z))
-        self.gamma_raw = Parameter("ib.gamma_raw", np.asarray(GAMMA_RAW_INIT))
-
-    def parameters(self):
-        return [self.q_mean_w, self.q_mean_b, self.q_logvar_w, self.q_logvar_b,
-                self.h_mean_w, self.h_mean_b, self.h_logvar_w, self.h_logvar_b,
-                self.critic, self.gamma_raw]
+        self.q_mean_w, self.q_mean_b = layer()
+        self.q_logvar_w, self.q_logvar_b = layer()
+        self.h_mean_w, self.h_mean_b = layer()
+        self.h_logvar_w, self.h_logvar_b = layer()
+        self.critic = Tensor(uniform_init(rng, (d_z, d_z), d_z), requires_grad=True)
+        self.gamma_raw = Tensor(GAMMA_RAW_INIT, requires_grad=True)
 
     def gamma(self) -> Tensor:
         """Effective skl coefficient, strictly positive."""

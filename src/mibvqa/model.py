@@ -1,9 +1,13 @@
 """Full VQA model: encoders, optional attention, fusion, optional bottleneck.
 
-Parameter allocation order is fixed (encoders, attention if enabled, fusion,
-bottleneck if enabled) and drawn from a single seeded generator, so a
-(config, seed) pair pins every initial weight. Disabling a block removes
-its parameters entirely rather than zeroing them out.
+The weights are allocated in a fixed order (encoders, attention if enabled,
+fusion, bottleneck if enabled; within a group, the order its attributes are
+set) from a single seeded generator, so a (config, seed) pair pins every
+initial weight. Every attribute of a group is one trainable leaf
+Tensor; VQAModel.parameters() names it <group>.<attribute> with the group
+prefixes enc, att, fus and ib, so name order is allocation order.
+Disabling a block removes its parameters entirely rather than zeroing
+them out.
 """
 
 from __future__ import annotations
@@ -66,17 +70,13 @@ class VQAModel:
         self.bottleneck = (BottleneckParams(config.d_f, config.d_z, rng)
                            if config.enable_infomax else None)
 
-    def parameters(self) -> list:
-        params = list(self.encoders.parameters())
-        if self.attention is not None:
-            params.extend(self.attention.parameters())
-        params.extend(self.fusion.parameters())
-        if self.bottleneck is not None:
-            params.extend(self.bottleneck.parameters())
-        return params
-
-    def parameter_map(self) -> dict:
-        return {p.name: p for p in self.parameters()}
+    def parameters(self) -> dict:
+        """Every trainable leaf tensor by name, in allocation order."""
+        groups = (("enc", self.encoders), ("att", self.attention),
+                  ("fus", self.fusion), ("ib", self.bottleneck))
+        return {f"{prefix}.{attribute}": tensor
+                for prefix, group in groups if group is not None
+                for attribute, tensor in vars(group).items()}
 
     def _forward(self, features: ImageObjectFeatures,
                  tokens: QueryTokens) -> tuple:

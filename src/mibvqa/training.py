@@ -12,7 +12,7 @@ import base64
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -227,7 +227,7 @@ def train(config: TrainConfig, dataset: Dataset,
                for split, split_samples in prepared.items()}
     checkpoint = Checkpoint(
         seed=config.seed, model_config=model_config, train_config=config,
-        parameters={p.name: p.data.copy() for p in model.parameters()},
+        parameters={name: p.data.copy() for name, p in model.parameters().items()},
         step_count=optimizer.t, metrics=metrics,
         answers=ANSWERS)
     return TrainResult(checkpoint=checkpoint, step_records=step_records,
@@ -313,7 +313,7 @@ def evaluate(checkpoint: Checkpoint, dataset: Dataset, split: str) -> Metrics:
 def build_model(checkpoint: Checkpoint) -> VQAModel:
     """Instantiate the model and overwrite every parameter from the checkpoint."""
     model = VQAModel(checkpoint.model_config, seed=checkpoint.seed)
-    params = model.parameter_map()
+    params = model.parameters()
     if set(params) != set(checkpoint.parameters):
         extra = set(checkpoint.parameters) - set(params)
         missing = set(params) - set(checkpoint.parameters)

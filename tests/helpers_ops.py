@@ -160,8 +160,8 @@ def mean_all(x: ad.Tensor) -> ad.Tensor:
 # finite-difference oracle
 
 
-def grad_check(f: Callable[[Sequence[ad.Parameter]], ad.Tensor],
-               params: Sequence[ad.Parameter], eps: float = 1e-5) -> float:
+def grad_check(f: Callable[[Sequence[ad.Tensor]], ad.Tensor],
+               params: Sequence[ad.Tensor], eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     f must be deterministic for fixed parameters (freeze any sampling noise).
@@ -202,8 +202,8 @@ def _signed(rng: np.random.Generator, shape, lo=0.2, hi=1.5) -> np.ndarray:
     return mag * sign
 
 
-def _param(rng: np.random.Generator, shape, name="p") -> ad.Parameter:
-    return ad.Parameter(name, _signed(rng, shape))
+def _param(rng: np.random.Generator, shape) -> ad.Tensor:
+    return ad.Tensor(_signed(rng, shape), requires_grad=True)
 
 
 def _readout(rng: np.random.Generator, shape):
@@ -225,94 +225,94 @@ def _keep_mask(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _scenario_add(rng):
-    a, b = _param(rng, (2, 3), "a"), _param(rng, (2, 3), "b")
+    a, b = _param(rng, (2, 3)), _param(rng, (2, 3))
     out = _readout(rng, (2, 3))
     return lambda ps: out(ad.add(ps[0], ps[1])), [a, b]
 
 
 def _scenario_sub(rng):
-    a, b = _param(rng, (2, 3), "a"), _param(rng, (2, 3), "b")
+    a, b = _param(rng, (2, 3)), _param(rng, (2, 3))
     out = _readout(rng, (2, 3))
     return lambda ps: out(sub(ps[0], ps[1])), [a, b]
 
 
 def _scenario_hadamard(rng):
-    a, b = _param(rng, (2, 3), "a"), _param(rng, (2, 3), "b")
+    a, b = _param(rng, (2, 3)), _param(rng, (2, 3))
     out = _readout(rng, (2, 3))
     return lambda ps: out(ad.hadamard(ps[0], ps[1])), [a, b]
 
 
 def _scenario_scale(rng):
-    a = _param(rng, (2, 3), "a")
+    a = _param(rng, (2, 3))
     c = float(_signed(rng, ()))
     out = _readout(rng, (2, 3))
     return lambda ps: out(ad.scale(ps[0], c)), [a]
 
 
 def _scenario_add_scalar(rng):
-    a = _param(rng, (2, 3), "a")
+    a = _param(rng, (2, 3))
     c = float(_signed(rng, ()))
     out = _readout(rng, (2, 3))
     return lambda ps: out(add_scalar(ps[0], c)), [a]
 
 
 def _scenario_matmul(rng):
-    a, b = _param(rng, (2, 3), "a"), _param(rng, (3, 4), "b")
+    a, b = _param(rng, (2, 3)), _param(rng, (3, 4))
     out = _readout(rng, (2, 4))
     return lambda ps: out(ad.matmul(ps[0], ps[1])), [a, b]
 
 
 def _scenario_add_row(rng):
-    m, v = _param(rng, (3, 4), "m"), _param(rng, (4,), "v")
+    m, v = _param(rng, (3, 4)), _param(rng, (4,))
     out = _readout(rng, (3, 4))
     return lambda ps: out(add_row(ps[0], ps[1])), [m, v]
 
 
 def _scenario_linear(rng):
-    x, w, b = _param(rng, (3, 4), "x"), _param(rng, (4, 2), "w"), _param(rng, (2,), "b")
+    x, w, b = _param(rng, (3, 4)), _param(rng, (4, 2)), _param(rng, (2,))
     out = _readout(rng, (3, 2))
     return lambda ps: out(ad.linear(*ps)), [x, w, b]
 
 
-def _positive_param(rng: np.random.Generator, shape, name="p") -> ad.Parameter:
+def _positive_param(rng: np.random.Generator, shape) -> ad.Tensor:
     """Magnitudes in [0.2, 1.5], all positive: for the operand that a
     segment op sums over, so no gradient entry cancels to near zero."""
-    return ad.Parameter(name, rng.uniform(0.2, 1.5, size=shape))
+    return ad.Tensor(rng.uniform(0.2, 1.5, size=shape), requires_grad=True)
 
 
 def _scenario_segment_mul(rng):
-    m, v = _positive_param(rng, (6, 4), "m"), _param(rng, (2, 4), "v")
+    m, v = _positive_param(rng, (6, 4)), _param(rng, (2, 4))
     out = _readout(rng, (6, 4))
     return lambda ps: out(ad.segment_mul(ps[0], ps[1])), [m, v]
 
 
 def _scenario_mask_rows(rng):
-    m = _param(rng, (4, 3), "m")
+    m = _param(rng, (4, 3))
     keep = _keep_mask(rng, 4)
     out = _readout(rng, (4, 3))
     return lambda ps: out(ad.mask_rows(ps[0], keep)), [m]
 
 
 def _scenario_relu(rng):
-    a = _param(rng, (3, 4), "a")  # |entries| >= 0.2: off the kink
+    a = _param(rng, (3, 4))  # |entries| >= 0.2: off the kink
     out = _readout(rng, (3, 4))
     return lambda ps: out(ad.relu(ps[0])), [a]
 
 
 def _scenario_tanh(rng):
-    a = _param(rng, (3, 4), "a")
+    a = _param(rng, (3, 4))
     out = _readout(rng, (3, 4))
     return lambda ps: out(tanh(ps[0])), [a]
 
 
 def _scenario_exp(rng):
-    a = _param(rng, (3, 4), "a")
+    a = _param(rng, (3, 4))
     out = _readout(rng, (3, 4))
     return lambda ps: out(exp(ps[0])), [a]
 
 
 def _scenario_softplus(rng):
-    a = _param(rng, (3, 4), "a")
+    a = _param(rng, (3, 4))
     out = _readout(rng, (3, 4))
     return lambda ps: out(ad.softplus(ps[0])), [a]
 
@@ -324,7 +324,7 @@ def _scenario_clamp(rng):
     mag = np.where(inner, rng.uniform(0.2, 0.8, (3, 4)),
                    rng.uniform(1.2, 1.8, (3, 4)))
     data = mag * rng.choice([-1.0, 1.0], size=(3, 4))
-    a = ad.Parameter("a", data)
+    a = ad.Tensor(data, requires_grad=True)
     out = _readout(rng, (3, 4))
     return lambda ps: out(ad.clamp(ps[0], -1.0, 1.0)), [a]
 
@@ -345,7 +345,7 @@ def _softmax_case(rng: np.random.Generator, keep: np.ndarray):
         y = e / e.sum(axis=1, keepdims=True)
         grad = y * (w - (w * y).sum(axis=1, keepdims=True))
         if (np.abs(grad[checked]) >= 1e-3).all():
-            return ad.Parameter("a", logits), ad.Tensor(w)
+            return ad.Tensor(logits, requires_grad=True), ad.Tensor(w)
 
 
 def _scenario_softmax(rng):
@@ -362,31 +362,31 @@ def _scenario_softmax_masked(rng):
 
 
 def _scenario_logsumexp_rows(rng):
-    a = _param(rng, (3, 4), "a")
+    a = _param(rng, (3, 4))
     out = _readout(rng, (3,))
     return lambda ps: out(logsumexp_rows(ps[0])), [a]
 
 
 def _scenario_diag_part(rng):
-    a = _param(rng, (4, 4), "a")
+    a = _param(rng, (4, 4))
     out = _readout(rng, (4,))
     return lambda ps: out(diag_part(ps[0])), [a]
 
 
 def _scenario_transpose(rng):
-    a = _param(rng, (2, 5), "a")
+    a = _param(rng, (2, 5))
     out = _readout(rng, (5, 2))
     return lambda ps: out(transpose(ps[0])), [a]
 
 
 def _scenario_reshape(rng):
-    a = _param(rng, (2, 6), "a")
+    a = _param(rng, (2, 6))
     out = _readout(rng, (3, 4))
     return lambda ps: out(reshape(ps[0], (3, 4))), [a]
 
 
 def _scenario_take_per_row(rng):
-    a = _param(rng, (4, 5), "a")
+    a = _param(rng, (4, 5))
     idx = rng.integers(0, 5, size=4)
     out = _readout(rng, (4,))
     return lambda ps: out(take_per_row(ps[0], idx)), [a]
@@ -406,7 +406,7 @@ def _scenario_tanh_recurrence(rng):
     ids[1, 1] = ids[0, 1]  # and across rows: its contributions must add
     used = np.isin(np.arange(5), ids)
     while True:
-        table, w = _param(rng, (5, 3), "table"), _param(rng, (3, 3), "w")
+        table, w = _param(rng, (5, 3)), _param(rng, (3, 3))
         out = _readout(rng, (12, 3))
 
         def f(ps):
@@ -436,7 +436,7 @@ def _scenario_gaussian_skl(rng):
     terms that cancel where the two Gaussians nearly agree in a dimension."""
     c = float(rng.uniform(0.5, 1.5))
     while True:
-        params = [_param(rng, (2, 3), name) for name in ("mp", "lp", "mq", "lq")]
+        params = [_param(rng, (2, 3)) for _ in range(4)]
 
         def f(ps):
             return ad.scale(ad.gaussian_skl(*ps), c)
@@ -451,8 +451,8 @@ def _scenario_info_nce(rng):
     contributions over the batch."""
     c = float(rng.uniform(0.5, 1.5))
     while True:
-        params = [_param(rng, (3, 2), "z_q"), _param(rng, (3, 2), "z_h"),
-                  _param(rng, (2, 2), "critic")]
+        params = [_param(rng, (3, 2)), _param(rng, (3, 2)),  # z_q, z_h
+                  _param(rng, (2, 2))]                      # critic
 
         def f(ps):
             return ad.scale(ad.info_nce(*ps), c)
@@ -473,10 +473,10 @@ def _attention_case(rng, shared: bool):
     keep[0] = False
     keep[0, int(rng.integers(3))] = True
     while True:
-        rows = _positive_param(rng, (9, 2), "rows")
-        scored = rows if shared else _param(rng, (9, 3), "scored_rows")
-        score_w = _param(rng, (scored.shape[1], 3), "score_w")
-        score_head = _param(rng, (3, 1), "score_head")
+        rows = _positive_param(rng, (9, 2))
+        scored = rows if shared else _param(rng, (9, 3))
+        score_w = _param(rng, (scored.shape[1], 3))
+        score_head = _param(rng, (3, 1))
         params = ([rows] if shared else [rows, scored]) + [score_w, score_head]
         out = _readout(rng, (3, 2))
 
@@ -500,7 +500,7 @@ def _scenario_attention_pool_shared(rng):
 
 
 def _scenario_softmax_cross_entropy(rng):
-    a = _param(rng, (4, 5), "logits")
+    a = _param(rng, (4, 5))
     labels = rng.integers(0, 5, size=4)
     labels[2] = labels[0]  # a repeated label
     c = float(rng.uniform(0.5, 1.5))
@@ -508,7 +508,7 @@ def _scenario_softmax_cross_entropy(rng):
 
 
 def _scenario_gaussian_sample(rng):
-    mean, log_var = _param(rng, (3, 4), "mean"), _param(rng, (3, 4), "log_var")
+    mean, log_var = _param(rng, (3, 4)), _param(rng, (3, 4))
     eps = _signed(rng, (3, 4))
     out = _readout(rng, (3, 4))
     return lambda ps: out(ad.gaussian_sample(ps[0], ps[1], eps)), \
@@ -516,19 +516,19 @@ def _scenario_gaussian_sample(rng):
 
 
 def _scenario_segment_pool(rng):
-    w, rows = _param(rng, (2, 3), "w"), _positive_param(rng, (6, 4), "rows")
+    w, rows = _param(rng, (2, 3)), _positive_param(rng, (6, 4))
     out = _readout(rng, (2, 4))
     return lambda ps: out(ad.segment_pool(ps[0], ps[1])), [w, rows]
 
 
 def _scenario_sum_all(rng):
-    a = _param(rng, (3, 4), "a")
+    a = _param(rng, (3, 4))
     c = float(rng.uniform(0.5, 1.5))
     return lambda ps: ad.scale(sum_all(ps[0]), c), [a]
 
 
 def _scenario_mean_all(rng):
-    a = _param(rng, (3, 4), "a")
+    a = _param(rng, (3, 4))
     c = float(rng.uniform(0.5, 1.5))
     return lambda ps: ad.scale(mean_all(ps[0]), c), [a]
 

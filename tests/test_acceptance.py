@@ -71,7 +71,7 @@ def test_acceptance_1_gradient_oracle(micro_dataset):
         return model.loss_batch(features, tokens, labels, lam=1.0,
                                 noise_q=noise_q, noise_h=noise_h).final
 
-    full_err = grad_check(full_objective, model.parameters())
+    full_err = grad_check(full_objective, list(model.parameters().values()))
     elapsed = time.monotonic() - t0
 
     ok = per_op_worst < 1e-6 and full_err < 1e-4 and elapsed < 60.0

@@ -11,7 +11,7 @@ from helpers_oracles import (
 )
 from mibvqa import autodiff as ad
 from mibvqa.attention import AttentionParams, image_attention, query_attention
-from mibvqa.autodiff import DimensionError, InvalidMaskError, Parameter, Tensor
+from mibvqa.autodiff import DimensionError, InvalidMaskError, Tensor
 
 D_Q, D_H, D_FF, D_P = 4, 5, 3, 6
 
@@ -184,26 +184,27 @@ def test_attention_paths_pass_finite_differences():
     # Mixed absolute/relative comparison: relu-gated score weights carry
     # analytic gradients down to ~1e-9 here, where a purely relative metric
     # only measures the finite-difference noise floor.
-    loss = f(params.parameters())
-    for p in params.parameters():
+    weights = vars(params)
+    loss = f(weights)
+    for p in weights.values():
         p.grad = None
     ad.backward(loss)
     eps = 1e-5
-    for p in params.parameters():
+    for name, p in weights.items():
         analytic = p.grad.copy()
         flat = p.data.ravel()
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            up = f(params.parameters()).item()
+            up = f(weights).item()
             flat[i] = keep - eps
-            down = f(params.parameters()).item()
+            down = f(weights).item()
             flat[i] = keep
             numeric = (up - down) / (2 * eps)
             a = analytic.ravel()[i]
             gap = abs(a - numeric)
             assert gap <= 1e-6 * max(1.0, abs(a), abs(numeric)), (
-                f"{p.name}[{i}]: analytic {a:.3e} vs numeric {numeric:.3e}"
+                f"{name}[{i}]: analytic {a:.3e} vs numeric {numeric:.3e}"
             )
 
 
@@ -232,10 +233,10 @@ def test_attention_pool_node_matches_the_composed_form(shared, b):
         mask = np.stack([random_mask(rng, n) for _ in range(b)])
         mask[0] = False  # a row that keeps a single entry
         mask[0, int(rng.integers(n))] = True
-        rows = Parameter("rows", rng.standard_normal((b * n, D_H)))
-        scored = rows if shared else Parameter("scored", rng.standard_normal((b * n, D_P)))
-        score_w = Parameter("score_w", rng.standard_normal((scored.shape[1], D_FF)))
-        score_head = Parameter("score_head", rng.standard_normal((D_FF, 1)))
+        rows = Tensor(rng.standard_normal((b * n, D_H)), requires_grad=True)
+        scored = rows if shared else Tensor(rng.standard_normal((b * n, D_P)), requires_grad=True)
+        score_w = Tensor(rng.standard_normal((scored.shape[1], D_FF)), requires_grad=True)
+        score_head = Tensor(rng.standard_normal((D_FF, 1)), requires_grad=True)
         readout = Tensor(rng.standard_normal((b, D_H)))
         params = (rows, scored, score_w, score_head)
         pooled, weights, grads = _pool_value_and_grads(

@@ -22,7 +22,6 @@ from mibvqa.autodiff import (
     InvalidMaskError,
     MissingGradientError,
     NonFiniteGradientError,
-    Parameter,
     RankError,
     Tensor,
 )
@@ -88,8 +87,8 @@ def test_matmul_vjp_skips_the_constant_operand(constant_side):
 
 def test_linear_equals_add_row_of_matmul_bit_for_bit():
     rng = np.random.default_rng(9)
-    x, w, b = (Parameter(n, rng.standard_normal(s))
-               for n, s in (("x", (5, 4)), ("w", (4, 3)), ("b", (3,))))
+    x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+               for s in ((5, 4), (4, 3), (3,)))
     fused = ad.linear(x, w, b)
     composed = add_row(ad.matmul(x, w), b)
     np.testing.assert_array_equal(fused.data, composed.data)
@@ -166,7 +165,7 @@ def test_relu_definition():
 
 
 def test_relu_dead_region_zero_output_and_gradient():
-    p = Parameter("x", np.array([-3.0, -1.0, -0.5]))
+    p = Tensor(np.array([-3.0, -1.0, -0.5]), requires_grad=True)
     out = ad.relu(p)
     np.testing.assert_array_equal(out.data, np.zeros(3))
     ad.backward(sum_all(out))
@@ -201,7 +200,7 @@ def test_softmax_masked_entries_exact_zero():
 
 
 def test_softmax_masked_entries_zero_gradient():
-    p = Parameter("x", np.array([[1.0, 5.0, 2.0]]))
+    p = Tensor(np.array([[1.0, 5.0, 2.0]]), requires_grad=True)
     mask = np.array([[True, False, True]])
     w = Tensor(np.array([[0.3, 0.9, 0.4]]))
     ad.backward(sum_all(ad.hadamard(softmax(p, mask), w)))
@@ -247,7 +246,7 @@ def test_clamp_values():
 
 
 def test_clamp_gradient_zero_outside_range():
-    p = Parameter("x", np.array([-20.0, 0.5, 20.0]))
+    p = Tensor(np.array([-20.0, 0.5, 20.0]), requires_grad=True)
     ad.backward(sum_all(ad.clamp(p, -10.0, 10.0)))
     np.testing.assert_array_equal(p.grad, [0.0, 1.0, 0.0])
 
@@ -305,14 +304,14 @@ def test_reshape_requires_matching_size():
 
 
 def test_backward_sum_gives_ones():
-    p = Parameter("x", np.array([[1.0, -2.0], [0.5, 3.0]]))
+    p = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
     ad.backward(sum_all(p))
     np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
 
 
 def test_backward_sum_of_square_gives_two_x():
     x = np.array([1.5, -2.0, 0.25])
-    p = Parameter("x", x)
+    p = Tensor(x, requires_grad=True)
     ad.backward(sum_all(ad.hadamard(p, p)))
     np.testing.assert_allclose(p.grad, 2 * x, rtol=1e-15)
 
@@ -320,21 +319,21 @@ def test_backward_sum_of_square_gives_two_x():
 def test_backward_accumulates_across_reuse():
     # y = sum(x*x) + sum(x): both branches read x, grads must add to 2x + 1.
     x = np.array([0.5, -1.25, 2.0])
-    p = Parameter("x", x)
+    p = Tensor(x, requires_grad=True)
     loss = ad.add(sum_all(ad.hadamard(p, p)), sum_all(p))
     ad.backward(loss)
     np.testing.assert_allclose(p.grad, 2 * x + 1.0, rtol=1e-15)
 
 
 def test_backward_requires_scalar_loss():
-    p = Parameter("x", np.ones(3))
+    p = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(RankError):
         ad.backward(ad.relu(p))
 
 
 def test_backward_writes_grad_on_leaves_only_and_accumulates():
-    a = Parameter("a", np.array([[1.0, -2.0], [0.5, 3.0]]))
-    b = Parameter("b", np.array([[0.25, 1.5], [-1.0, 0.75]]))
+    a = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    b = Tensor(np.array([[0.25, 1.5], [-1.0, 0.75]]), requires_grad=True)
     prod = ad.matmul(a, b)
     hidden = tanh(ad.add(prod, b))
     loss = sum_all(hidden)
@@ -348,7 +347,7 @@ def test_backward_writes_grad_on_leaves_only_and_accumulates():
 
 def test_backward_deep_chain_no_recursion_limit():
     # 5000 sequential ops: an iterative traversal must handle this easily.
-    p = Parameter("x", np.array(1.0))
+    p = Tensor(np.array(1.0), requires_grad=True)
     node = p
     for _ in range(5000):
         node = add_scalar(node, 1e-6)
@@ -361,7 +360,7 @@ def test_backward_deep_chain_no_recursion_limit():
 
 def test_grad_check_linear_is_nearly_exact():
     rng = np.random.default_rng(1)
-    p = Parameter("x", rng.standard_normal((3, 4)))
+    p = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
     def f(params):
         return sum_all(params[0])
@@ -371,7 +370,7 @@ def test_grad_check_linear_is_nearly_exact():
 
 def test_grad_check_softmax_cross_entropy_toy():
     rng = np.random.default_rng(2)
-    w = Parameter("w", rng.uniform(-1, 1, (4, 3)))
+    w = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
     x = Tensor(rng.uniform(-1, 1, (2, 4)))
     labels = np.array([0, 2])
 
@@ -405,37 +404,37 @@ def test_grad_check_per_op_spot_sweep():
 
 
 def test_adam_zero_gradient_is_fixed_point():
-    p = Parameter("x", np.array([1.0, -2.0]))
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.zeros(2)
-    Adam([p], lr=0.1).step()
+    Adam({"x": p}, lr=0.1).step()
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
 
 def test_adam_first_step_matches_hand_formulas():
     # t=1: m_hat = g, v_hat = g^2, step = lr * g / (sqrt(g^2) + eps).
-    p = Parameter("x", np.array(1.0))
+    p = Tensor(np.array(1.0), requires_grad=True)
     p.grad = np.array(1.0)
-    Adam([p], lr=1e-5).step()
+    Adam({"x": p}, lr=1e-5).step()
     expected = 1.0 - 1e-5 * (1.0 / (1.0 + 1e-8))
     assert p.data == pytest.approx(expected, abs=1e-18)
 
 
 def test_adam_default_hyperparameters():
-    opt = Adam([Parameter("x", np.array(0.0))])
+    opt = Adam({"x": Tensor(np.array(0.0), requires_grad=True)})
     assert (opt.lr, opt.beta1, opt.beta2, opt.eps) == (1e-5, 0.9, 0.999, 1e-8)
 
 
 def test_adam_missing_gradient_names_parameter():
-    p = Parameter("enc.embed", np.zeros(2))
+    p = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(MissingGradientError) as info:
-        Adam([p]).step()
+        Adam({"enc.embed": p}).step()
     assert "enc.embed" in str(info.value)
 
 
 def test_adam_zero_grad_clears():
-    p = Parameter("x", np.array([1.0]))
+    p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([5.0])
-    opt = Adam([p])
+    opt = Adam({"x": p})
     opt.zero_grad()
     assert p.grad is None
 
@@ -451,8 +450,8 @@ def test_adam_two_steps_track_reference_implementation():
         v_hat = v / (1 - b2**t)
         theta -= lr * m_hat / (math.sqrt(v_hat) + eps)
 
-    p = Parameter("x", np.array(2.0))
-    opt = Adam([p], lr=lr)
+    p = Tensor(np.array(2.0), requires_grad=True)
+    opt = Adam({"x": p}, lr=lr)
     for g in (g1, g2):
         p.grad = np.array(g)
         opt.step()
@@ -477,9 +476,9 @@ def test_flat_adam_matches_the_per_parameter_loop_bit_for_bit():
     shapes = [(3, 4), (), (5,), (2, 2)]
     start = [rng.standard_normal(s) for s in shapes]
     grads_per_step = [[rng.standard_normal(s) for s in shapes] for _ in range(3)]
-    flat = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(start)]
-    loop = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(start)]
-    opt = Adam(flat, lr=1e-2)
+    flat = [Tensor(x.copy(), requires_grad=True) for x in start]
+    loop = [Tensor(x.copy(), requires_grad=True) for x in start]
+    opt = Adam({f"p{i}": p for i, p in enumerate(flat)}, lr=1e-2)
     for grads in grads_per_step:
         for p, g in zip(flat, grads):
             p.grad = g
@@ -492,9 +491,10 @@ def test_flat_adam_matches_the_per_parameter_loop_bit_for_bit():
 
 
 def test_adam_missing_or_misshapen_gradient_changes_no_state():
-    a, b = Parameter("a", np.array([1.0, 2.0])), Parameter("b", np.array(3.0))
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array(3.0), requires_grad=True)
     a.grad = np.array([0.5, -0.5])
-    opt = Adam([a, b], lr=0.1)
+    opt = Adam({"a": a, "b": b}, lr=0.1)
     with pytest.raises(MissingGradientError):
         opt.step()
     b.grad = np.array([1.0])  # wrong shape: rejected before any change too
@@ -528,9 +528,9 @@ def test_in_place_adam_matches_the_allocating_step_bit_for_bit_over_1000_steps()
     rng = np.random.default_rng(11)
     shapes = [(6, 5), (), (7,), (3, 3)]
     start = [rng.standard_normal(s) for s in shapes]
-    in_place = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(start)]
-    oracle = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(start)]
-    opt = Adam(in_place, lr=3e-3)
+    in_place = [Tensor(x.copy(), requires_grad=True) for x in start]
+    oracle = [Tensor(x.copy(), requires_grad=True) for x in start]
+    opt = Adam({f"p{i}": p for i, p in enumerate(in_place)}, lr=3e-3)
     m = v = np.zeros(sum(x.size for x in start))
     for t in range(1, 1001):
         # gradients of widely spread scale, so v covers many binades
@@ -548,9 +548,9 @@ def test_in_place_adam_matches_the_allocating_step_bit_for_bit_over_1000_steps()
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_adam_non_finite_gradient_names_the_parameter_and_changes_no_state(bad):
-    a, b, c = (Parameter("a", np.array([1.0, 2.0])), Parameter("b", np.ones((2, 2))),
-               Parameter("c", np.array(3.0)))
-    opt = Adam([a, b, c], lr=0.1)
+    a, b, c = (Tensor(v, requires_grad=True)
+               for v in (np.array([1.0, 2.0]), np.ones((2, 2)), np.array(3.0)))
+    opt = Adam({"a": a, "b": b, "c": c}, lr=0.1)
     a.grad, b.grad, c.grad = np.array([0.5, -0.5]), np.ones((2, 2)), np.array(2.0)
     opt.step()
     before = ([p.data.copy() for p in (a, b, c)], opt._m.copy(), opt._v.copy())
@@ -571,7 +571,7 @@ def test_adam_non_finite_gradient_names_the_parameter_and_changes_no_state(bad):
 
 
 def test_no_grad_records_no_graph_and_restores_the_previous_state():
-    p = Parameter("x", np.array([1.0, -2.0]))
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     with ad.no_grad():
         with ad.no_grad():
             inner = ad.relu(p)

@@ -41,10 +41,11 @@ def make_model(cross: bool, infomax: bool, seed: int = 3) -> VQAModel:
 
 
 def _grads(model, loss) -> dict:
-    for p in model.parameters():
+    params = model.parameters()
+    for p in params.values():
         p.grad = None
     backward(loss)
-    return {p.name: p.grad for p in model.parameters()}
+    return {name: p.grad for name, p in params.items()}
 
 
 def assert_matches_reference(model, features, tokens, labels, rng) -> None:

@@ -13,7 +13,6 @@ from mibvqa.data import (
     ANSWER_INDEX,
     ANSWERS,
     AREA_BIN_LABELS,
-    CATEGORIES,
     OBJECT_CLASSES,
     PAD_TOKEN,
     SIZE_CELLS,
@@ -30,7 +29,6 @@ from mibvqa.data import (
     apportion,
     area_label,
     audit_dataset,
-    count_class,
     count_label,
     class_area,
     export_dataset,

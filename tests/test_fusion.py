@@ -10,7 +10,7 @@ import pytest
 from helpers_ops import grad_check
 from helpers_oracles import composed_softmax_cross_entropy
 from mibvqa import autodiff as ad
-from mibvqa.autodiff import DimensionError, Parameter, Tensor
+from mibvqa.autodiff import DimensionError, Tensor
 from mibvqa.encoders import (
     EncoderParams,
     ImageObjectFeatures,
@@ -123,7 +123,7 @@ def test_batch_mean_reduction():
 def test_cross_entropy_gradient_is_softmax_minus_onehot_over_batch():
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((3, 5))
-    p = Parameter("logits", raw)
+    p = Tensor(raw, requires_grad=True)
     labels = np.array([1, 4, 0])
     ad.backward(cross_entropy(p, labels))
 
@@ -143,7 +143,7 @@ def test_softmax_cross_entropy_node_equals_the_composed_form(b):
         labels[-1] = labels[0]  # a repeated label when b > 1
         results = []
         for loss_fn in (ad.softmax_cross_entropy, composed_softmax_cross_entropy):
-            p = Parameter("logits", raw.copy())
+            p = Tensor(raw.copy(), requires_grad=True)
             loss = loss_fn(p, labels)
             ad.backward(loss)
             results.append((loss.item(), p.grad))
@@ -210,5 +210,5 @@ def test_full_pipeline_passes_gradient_check():
         fused = fuse(q_res.pooled, h_res.pooled, fus)
         return cross_entropy(classify(fused, fus), label)
 
-    all_params = enc.parameters() + att.parameters() + fus.parameters()
+    all_params = [*vars(enc).values(), *vars(att).values(), *vars(fus).values()]
     assert grad_check(f, all_params) < 1e-4

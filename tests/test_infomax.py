@@ -12,7 +12,7 @@ from helpers_oracles import (
     composed_gaussian_sample, composed_gaussian_skl, composed_info_nce,
 )
 from mibvqa import autodiff as ad
-from mibvqa.autodiff import DimensionError, Parameter, Tensor
+from mibvqa.autodiff import DimensionError, Tensor
 from mibvqa.infomax import (
     GAMMA_RAW_INIT,
     BottleneckParams,
@@ -202,18 +202,19 @@ def _assert_fused_matches_composed(fused, composed, params):
     value, grads = _value_and_grads(fused, params)
     ref_value, ref_grads = _value_and_grads(composed, params)
     assert value == ref_value
-    for p, grad, ref in zip(params, grads, ref_grads):
-        assert np.abs(grad - ref).max() < FUSED_TOL, p.name
+    for i, (grad, ref) in enumerate(zip(grads, ref_grads)):
+        assert np.abs(grad - ref).max() < FUSED_TOL, f"operand {i}"
 
 
 @pytest.mark.parametrize("shape", [(D_Z,), (1, D_Z), (7, D_Z)])
 def test_gaussian_skl_node_equals_the_composed_form(shape):
     rng = np.random.default_rng(15)
     for _ in range(20):
-        params = [Parameter("mean_p", rng.uniform(-2, 2, shape)),
-                  Parameter("log_var_p", rng.uniform(-3, 3, shape)),
-                  Parameter("mean_q", rng.uniform(-2, 2, shape)),
-                  Parameter("log_var_q", rng.uniform(-3, 3, shape))]
+        # mean_p, log_var_p, mean_q, log_var_q
+        params = [Tensor(rng.uniform(-2, 2, shape), requires_grad=True),
+                  Tensor(rng.uniform(-3, 3, shape), requires_grad=True),
+                  Tensor(rng.uniform(-2, 2, shape), requires_grad=True),
+                  Tensor(rng.uniform(-3, 3, shape), requires_grad=True)]
         _assert_fused_matches_composed(ad.gaussian_skl, composed_gaussian_skl, params)
 
 
@@ -222,9 +223,10 @@ def test_info_nce_node_equals_the_composed_form(b):
     rng = np.random.default_rng(16)
     for _ in range(20):
         scale = rng.uniform(0.5, 3.0)
-        params = [Parameter("z_q", rng.standard_normal((b, D_Z)) * scale),
-                  Parameter("z_h", rng.standard_normal((b, D_Z)) * scale),
-                  Parameter("critic", rng.standard_normal((D_Z, D_Z)))]
+        # z_q, z_h, critic
+        params = [Tensor(rng.standard_normal((b, D_Z)) * scale, requires_grad=True),
+                  Tensor(rng.standard_normal((b, D_Z)) * scale, requires_grad=True),
+                  Tensor(rng.standard_normal((D_Z, D_Z)), requires_grad=True)]
         _assert_fused_matches_composed(ad.info_nce, composed_info_nce, params)
 
 
@@ -234,8 +236,8 @@ def test_gaussian_sample_node_equals_the_composed_form(shape):
     for _ in range(20):
         eps = rng.standard_normal(shape)
         readout = Tensor(rng.standard_normal(shape))
-        params = [Parameter("mean", rng.uniform(-2, 2, shape)),
-                  Parameter("log_var", rng.uniform(-3, 3, shape))]
+        params = [Tensor(rng.uniform(-2, 2, shape), requires_grad=True),
+                  Tensor(rng.uniform(-3, 3, shape), requires_grad=True)]
         results = []
         for sample_fn in (ad.gaussian_sample, composed_gaussian_sample):
             for p in params:
@@ -341,6 +343,6 @@ def test_bottleneck_gradients_flow_through_objective():
     loss = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
                      params.gamma(), params.critic)
     ad.backward(loss.value)
-    for p in params.parameters():
-        assert p.grad is not None, p.name
+    for name, p in vars(params).items():
+        assert p.grad is not None, name
     assert np.abs(params.gamma_raw.grad).max() > 0

@@ -5,7 +5,6 @@ from __future__ import annotations
 import base64
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -112,17 +111,48 @@ def test_lambda_zero_final_equals_cross_entropy_bitwise(micro_dataset):
 # ---------------------------------------------------------------- flags
 
 
-def test_flag_isolation_no_bottleneck_parameters(micro_dataset):
-    result = run_quick(micro_dataset, {"enable_infomax": False})
-    names = set(result.model.parameter_map())
-    assert not any(name.startswith("ib.") for name in names)
-    assert not any(name.startswith("ib.") for name in result.checkpoint.parameters)
+# Every parameter of ModelConfig(), <group>.<attribute>, in allocation order.
+PARAMETER_NAMES = [
+    "enc.embed", "enc.rec_w", "enc.img_w", "enc.img_b",
+    "att.query_w", "att.query_score", "att.img_proj_w", "att.qstar_proj_w",
+    "att.img_score_w", "att.img_score",
+    "fus.q_w", "fus.q_b", "fus.h_w", "fus.h_b",
+    "fus.mlp_w1", "fus.mlp_b1", "fus.mlp_w2", "fus.mlp_b2",
+    "ib.q_mean_w", "ib.q_mean_b", "ib.q_logvar_w", "ib.q_logvar_b",
+    "ib.h_mean_w", "ib.h_mean_b", "ib.h_logvar_w", "ib.h_logvar_b",
+    "ib.critic", "ib.gamma_raw",
+]
 
 
-def test_flag_isolation_no_attention_parameters(micro_dataset):
-    result = run_quick(micro_dataset, {"enable_cross_attention": False})
-    names = set(result.model.parameter_map())
-    assert not any(name.startswith("att.") for name in names)
+def assert_parameters_named(flag, prefix, dataset, tmp_path):
+    """With flag off, exactly the prefix entries drop out of PARAMETER_NAMES;
+    the model, the checkpoint and the saved file list the rest in order."""
+    assert len(PARAMETER_NAMES) == 28
+    assert list(VQAModel(ModelConfig()).parameters()) == PARAMETER_NAMES
+    expected = [n for n in PARAMETER_NAMES if not n.startswith(prefix)]
+    assert len(expected) < len(PARAMETER_NAMES)
+    assert list(VQAModel(ModelConfig(**{flag: False})).parameters()) == expected
+    result = run_quick(dataset, {flag: False})
+    params = result.model.parameters()
+    assert list(params) == expected
+    for name, p in params.items():
+        assert type(p) is ad.Tensor, name
+        assert p.requires_grad and p._vjp is None and p._parents == (), name
+    assert list(result.checkpoint.parameters) == expected
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(result.checkpoint, path)
+    tensor_lines = [line.split()[1] for line in path.read_text().splitlines()
+                    if line.startswith("tensor ")]
+    assert tensor_lines == expected
+
+
+def test_flag_isolation_no_bottleneck_parameters(micro_dataset, tmp_path):
+    assert_parameters_named("enable_infomax", "ib.", micro_dataset, tmp_path)
+
+
+def test_flag_isolation_no_attention_parameters(micro_dataset, tmp_path):
+    assert_parameters_named("enable_cross_attention", "att.", micro_dataset,
+                            tmp_path)
 
 
 @pytest.mark.parametrize("flag,prefix", [("enable_infomax", "ib."),
