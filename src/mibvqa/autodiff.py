@@ -56,16 +56,15 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _vjp: Optional[Callable] = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 2:
             raise RankError(f"rank {arr.ndim} tensors unsupported (max 2)")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self._parents = _parents
-        self._vjp = _vjp
+        self._parents = ()
+        self._vjp = None
 
     @property
     def shape(self) -> tuple:

@@ -16,10 +16,9 @@ from .data import (
     Dataset, DatasetFormatError, export_dataset, generate_dataset, import_dataset,
 )
 from .encoders import VocabularyError
-from .model import ModelConfig
 from .training import (
-    CheckpointError, DivergenceError, Metrics, TrainConfig, ablate, evaluate,
-    load_checkpoint, save_checkpoint, train,
+    CheckpointError, DivergenceError, Metrics, ablate, evaluate, load_checkpoint,
+    save_checkpoint, train,
 )
 
 EXIT_OK = 0
@@ -71,10 +70,7 @@ def _check_output_dir(path) -> None:
 
 def _cmd_gen_data(args) -> int:
     kv = read_config_file(args.config) if args.config else {}
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = build_dataset_config(kv, overrides)
+    config = build_dataset_config(kv, vars(args))
     dataset = generate_dataset(config)
     export_dataset(dataset, args.out)
     counts = {}
@@ -88,26 +84,7 @@ def _cmd_gen_data(args) -> int:
 def _train_setup(args) -> tuple:
     """(TrainConfig, ModelConfig) from --config and the flags that override it."""
     kv = read_config_file(args.config) if args.config else {}
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.lr is not None:
-        overrides["learning_rate"] = args.lr
-    if args.no_cross_attention:
-        overrides["enable_cross_attention"] = False
-    if args.no_infomax:
-        overrides["enable_infomax"] = False
-    train_fields, model_fields = build_train_setup(kv, overrides)
-    try:
-        return TrainConfig(**train_fields), ModelConfig(**model_fields)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return build_train_setup(kv, vars(args))
 
 
 def _cmd_train(args) -> int:
@@ -144,9 +121,7 @@ def _cmd_ablate(args) -> int:
     _check_output_dir(args.out)
     config, mc = _train_setup(args)
     dataset = _load_dataset(args.data)
-    master = args.seed if args.seed is not None else config.seed
-    result = ablate(dataset, config, master_seed=master, split=args.split,
-                    model_config=mc)
+    result = ablate(dataset, config, split=args.split, model_config=mc)
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "ablation.txt")
     with open(table_path, "w", encoding="utf-8") as f:
@@ -165,16 +140,18 @@ def _cmd_ablate(args) -> int:
 def _add_train_flags(parser) -> None:
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--no-cross-attention", action="store_true",
+    parser.add_argument("--no-cross-attention", dest="enable_cross_attention",
+                        action="store_false", default=None,
                         help="replace both attention blocks with masked mean pooling")
-    parser.add_argument("--no-infomax", action="store_true",
+    parser.add_argument("--no-infomax", dest="enable_infomax",
+                        action="store_false", default=None,
                         help="drop the information-bottleneck loss and parameters")
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="weight of the bottleneck loss term")
     parser.add_argument("--epochs", type=int, default=None)
     parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None,
-                        help="Adam learning rate")
+    parser.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                        default=None, help="Adam learning rate")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,8 @@
 
 Format: one `key = value` per line; blank lines and `#` comments (full-line
 or trailing) are ignored. Unknown keys are rejected so typos fail loudly.
-CLI flags override config keys.
+A CLI flag's argparse dest is the name of the field it sets, and flags
+override config keys.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def read_config_file(path) -> dict:
             return parse_config_text(f.read())
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
 
 
 def _coerce_int(key: str, value: str) -> int:
@@ -107,32 +110,38 @@ TRAIN_KEYS = _keys_of(TrainConfig)
 MODEL_KEYS = _keys_of(ModelConfig)
 
 
-def _coerce_known(kv: dict, known: dict, context: str) -> dict:
-    out = {}
+def _merge(kv: dict, flags: dict, known: dict, context: str) -> dict:
+    """Typed values of the file keys, then of every flag whose dest names a
+    known field and was given (not None); flags win."""
+    values = {}
     for key, value in kv.items():
         if key not in known:
             raise ConfigError(f"unknown {context} key {key!r} "
                               f"(known: {', '.join(sorted(known))})")
-        out[key] = known[key](key, value)
-    return out
+        values[key] = known[key](key, value)
+    values.update((k, v) for k, v in flags.items()
+                  if k in known and v is not None)
+    return values
 
 
-def build_dataset_config(kv: dict, overrides: dict | None = None) -> DatasetConfig:
-    """DatasetConfig from raw config keys plus CLI overrides (already typed)."""
-    values = _coerce_known(kv, DATASET_KEYS, "dataset config")
-    if overrides:
-        values.update(overrides)
+def _build(config_class, values: dict):
+    """config_class from the entries of values that name its fields; its
+    ValueError becomes a ConfigError."""
+    names = {f.name for f in fields(config_class)}
     try:
-        return DatasetConfig(**values)
+        return config_class(**{k: v for k, v in values.items() if k in names})
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
-def build_train_setup(kv: dict, overrides: dict | None = None) -> tuple:
-    """(TrainConfig fields, ModelConfig fields) from one config file plus
-    CLI overrides (already typed); train keys and model keys share the file."""
-    values = _coerce_known(kv, {**TRAIN_KEYS, **MODEL_KEYS}, "train config")
-    if overrides:
-        values.update(overrides)
-    return ({k: v for k, v in values.items() if k in TRAIN_KEYS},
-            {k: v for k, v in values.items() if k in MODEL_KEYS})
+def build_dataset_config(kv: dict, flags: dict) -> DatasetConfig:
+    """DatasetConfig from raw config keys plus the CLI flags (already typed)."""
+    values = _merge(kv, flags, DATASET_KEYS, "dataset config")
+    return _build(DatasetConfig, values)
+
+
+def build_train_setup(kv: dict, flags: dict) -> tuple:
+    """(TrainConfig, ModelConfig) from one config file plus the CLI flags
+    (already typed); train keys and model keys share the file."""
+    values = _merge(kv, flags, {**TRAIN_KEYS, **MODEL_KEYS}, "train config")
+    return _build(TrainConfig, values), _build(ModelConfig, values)

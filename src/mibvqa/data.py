@@ -561,8 +561,11 @@ def export_dataset(dataset: Dataset, path) -> None:
 
 def import_dataset(path) -> Dataset:
     """Parse an exported dataset; raises DatasetFormatError, never a partial result."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError:
+        raise DatasetFormatError(f"dataset file {path} is not UTF-8 text") from None
     if not lines:
         raise DatasetFormatError("empty dataset file")
     try:

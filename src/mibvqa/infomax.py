@@ -103,8 +103,8 @@ def encode_latent(x: Tensor, which: str, params: BottleneckParams,
     """Apply the mean/log-variance heads of one modality and reparameterize.
 
     which: "phi" for the query branch, "psi" for the image branch.
-    x: [B, d_f]; noise: [B, d_z] like the latent, zeros for the
-    deterministic (evaluation) path.
+    x: [B, d_f]; noise: [B, d_z] standard-normal draws like the latent.
+    Only training runs this; evaluation never touches the bottleneck.
     """
     if which == "phi":
         mw, mb = params.q_mean_w, params.q_mean_b

@@ -50,7 +50,12 @@ class ModelConfig:
 
     def __post_init__(self):
         for name, kind in get_type_hints(ModelConfig).items():
-            if kind is int and getattr(self, name) <= 0:
+            value = getattr(self, name)
+            # type(), not isinstance: a bool is an int but not a width
+            if type(value) is not kind:
+                raise ValueError(f"ModelConfig.{name} must be {kind.__name__}, "
+                                 f"got {value!r}")
+            if kind is int and value <= 0:
                 raise ValueError(f"ModelConfig.{name} must be positive")
 
 
@@ -114,11 +119,11 @@ class VQAModel:
 
         With the bottleneck enabled, final = ce + lam * info_loss (lam = 0
         still routes zero gradient to the bottleneck weights, keeping the
-        optimizer contract intact). With it disabled, final IS the
-        cross-entropy tensor and the info terms are constants.
+        optimizer contract intact) and noise_q, noise_h are the [B, d_z]
+        standard-normal draws of its two samples. With it disabled, final
+        IS the cross-entropy tensor and the info terms are constants.
         """
-        b = len(labels)
-        if b == 0:
+        if len(labels) == 0:
             raise ValueError("loss_batch: empty batch")
         logits, f_q, f_h = self._forward(features, tokens)
         ce = cross_entropy(logits, labels)
@@ -126,10 +131,6 @@ class VQAModel:
             zero = Tensor(np.zeros(()))
             return LossBreakdown(ce=ce, mi_estimate=zero, skl=zero,
                                  info_loss=zero, final=ce)
-        if noise_q is None:
-            noise_q = np.zeros((b, self.config.d_z))
-        if noise_h is None:
-            noise_h = np.zeros((b, self.config.d_z))
         lat_q = encode_latent(f_q, "phi", self.bottleneck, noise_q)
         lat_h = encode_latent(f_h, "psi", self.bottleneck, noise_h)
         info = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,

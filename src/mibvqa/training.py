@@ -352,25 +352,23 @@ class AblationResult:
         return {"master_seed": self.master_seed, "variants": self.rows}
 
 
-def ablate(dataset: Dataset, base_config: TrainConfig,
-           master_seed: Optional[int] = None, split: str = "test",
+def ablate(dataset: Dataset, base_config: TrainConfig, split: str = "test",
            model_config: ModelConfig = ModelConfig()) -> AblationResult:
     """Train the four flag combinations and tabulate per-category, OA, AA.
 
     Each variant is model_config with its two flags set. Variant i trains
-    with seed master_seed + i, so the four runs are independently seeded
-    yet fully reproducible from the master seed. Each row is the metrics
-    train() computed on split.
+    with seed base_config.seed + i, so the four runs are independently
+    seeded yet fully reproducible from that master seed. Each row is the
+    metrics train() computed on split.
     """
     if split not in dataset.config.splits():
         raise DatasetFormatError(
             f"dataset has no split {split!r} "
             f"(splits: {', '.join(dataset.config.splits())})")
-    master = base_config.seed if master_seed is None else master_seed
     rows = []
     checkpoints = {}
     for index, (name, cross, infomax) in enumerate(ABLATION_VARIANTS):
-        cfg = replace(base_config, seed=master + index)
+        cfg = replace(base_config, seed=base_config.seed + index)
         mc = replace(model_config, enable_cross_attention=cross,
                      enable_infomax=infomax)
         result = train(cfg, dataset, model_config=mc)
@@ -386,7 +384,7 @@ def ablate(dataset: Dataset, base_config: TrainConfig,
         })
         checkpoints[name] = result.checkpoint
     table = format_ablation_table(rows)
-    return AblationResult(master_seed=master, rows=rows, table=table,
+    return AblationResult(master_seed=base_config.seed, rows=rows, table=table,
                           checkpoints=checkpoints)
 
 
@@ -458,8 +456,11 @@ def _parse_payload(line: str, index: int, prefix: str, parse: Callable):
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse and validate; errors name the offending parameter or line."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"checkpoint file {path} is not UTF-8 text") from None
     if not lines or not lines[0].startswith(CKPT_MAGIC + " "):
         raise CheckpointError("not a checkpoint file (bad magic)")
     head = lines[0].split()

@@ -313,10 +313,10 @@ def test_acceptance_5_ablation_harness():
     config = TrainConfig(epochs=4, batch_size=16, learning_rate=2e-3, seed=77)
     mc = tiny_model_config()
 
-    first = ablate(dataset, config, master_seed=101, split="test",
-                   model_config=mc)
-    again = ablate(dataset, config, master_seed=101, split="test",
-                   model_config=mc)
+    first = ablate(dataset, dataclasses.replace(config, seed=101),
+                   split="test", model_config=mc)
+    again = ablate(dataset, dataclasses.replace(config, seed=101),
+                   split="test", model_config=mc)
 
     names = [name for name, _, _ in ABLATION_VARIANTS]
     categories = sorted({s.category for s in dataset.samples})

@@ -6,7 +6,9 @@ subprocess.  Datasets and training runs use deliberately tiny configurations
 to keep the whole file fast.
 """
 
+import argparse
 import base64
+import dataclasses
 import json
 import subprocess
 import sys
@@ -15,10 +17,12 @@ import numpy as np
 import pytest
 
 from mibvqa import autodiff, cli, training
-from mibvqa.cli import main
-from mibvqa.data import import_dataset
+from mibvqa.cli import build_parser, main
+from mibvqa.data import DatasetConfig, import_dataset
+from mibvqa.model import ModelConfig
 from mibvqa.training import (
-    ABLATION_VARIANTS, build_model, evaluate, evaluate_model, load_checkpoint,
+    ABLATION_VARIANTS, TrainConfig, build_model, evaluate, evaluate_model,
+    load_checkpoint,
 )
 
 DATASET_CFG = """\
@@ -81,6 +85,30 @@ def ckpt_path(workdir, data_path, train_cfg_path):
 # ---------------------------------------------------------------------------
 # usage errors (argparse owns these: SystemExit with code 2)
 # ---------------------------------------------------------------------------
+
+# Arguments of a subcommand that set no config field.
+NON_CONFIG_DESTS = {"help", "config", "data", "out", "split"}
+
+
+@pytest.mark.parametrize("command,config_classes", [
+    ("gen-data", (DatasetConfig,)),
+    ("train", (TrainConfig, ModelConfig)),
+    ("ablate", (TrainConfig, ModelConfig)),
+], ids=["gen-data", "train", "ablate"])
+def test_every_flag_dest_is_a_config_field_or_a_named_argument(
+        command, config_classes):
+    # config_io drops a flag whose dest names no field, so a misnamed dest
+    # would make the flag a silent no-op.
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    field_names = {f.name for cls in config_classes
+                   for f in dataclasses.fields(cls)}
+    for action in subparsers.choices[command]._actions:
+        assert action.dest in field_names | NON_CONFIG_DESTS, action.option_strings
+        if action.dest in field_names:
+            # A flag left out must not override the config file.
+            assert action.default is None, action.option_strings
+
 
 def test_no_arguments_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
@@ -379,6 +407,12 @@ def _add_bogus_key(line: str) -> str:
     return f'{head} {{"bogus": 1, {payload}'
 
 
+def _set_model_field(name: str, value):
+    prefix = "config model "
+    return lambda line: prefix + json.dumps(
+        {**json.loads(line[len(prefix):]), name: value}, sort_keys=True)
+
+
 @pytest.mark.parametrize("prefix,edit", [
     ("meta step_count ", lambda line: "meta step_count many"),
     ("config model ", _add_bogus_key),
@@ -387,8 +421,10 @@ def _add_bogus_key(line: str) -> str:
     ("metrics ", lambda line: "metrics []"),
     ("metrics ", lambda line: 'metrics {"test": 1}'),
     ("answers ", lambda line: "answers [\"yes\", "),
+    ("config model ", _set_model_field("d_h", 12.0)),
+    ("config model ", _set_model_field("enable_infomax", "no")),
 ], ids=["step_count", "model_key", "train_key", "metrics_json", "metrics_list",
-        "metrics_value", "answers_json"])
+        "metrics_value", "answers_json", "model_width_float", "model_flag_text"])
 def test_eval_malformed_checkpoint_line_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, prefix, edit):
     text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), prefix, edit)
@@ -550,6 +586,25 @@ def test_malformed_dataset_header_exits_with_one_error_line(
     assert err.startswith("error:") and shown in err
     assert len(err.strip().splitlines()) == 1
     assert not (workdir / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--ckpt", "--data", "--config"])
+def test_file_that_is_not_utf8_text_exits_with_one_error_line(
+        workdir, ckpt_path, data_path, capsys, flag):
+    binary = workdir / "binary.bin"
+    binary.write_bytes(bytes(range(256)))
+    never = str(workdir / "never.ckpt")
+    argv = {
+        "--ckpt": ["eval", "--ckpt", str(binary), "--data", str(data_path)],
+        "--data": ["train", "--data", str(binary), "--out", never],
+        "--config": ["train", "--data", str(data_path), "--out", never,
+                     "--config", str(binary)],
+    }[flag]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "is not UTF-8 text" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_eval_of_a_split_the_dataset_lacks_exits_with_one_error_line(

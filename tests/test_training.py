@@ -525,7 +525,7 @@ def ablation_setup():
 @pytest.fixture(scope="module")
 def ablation_result(ablation_setup):
     ds, cfg, mc = ablation_setup
-    return ablate(ds, cfg, master_seed=77, model_config=mc)
+    return ablate(ds, dataclasses.replace(cfg, seed=77), model_config=mc)
 
 
 def test_ablation_has_four_structured_rows(ablation_result):
@@ -549,7 +549,7 @@ def test_ablation_table_contains_columns(ablation_result):
 
 def test_ablation_rerun_byte_identical(ablation_setup, ablation_result):
     ds, cfg, mc = ablation_setup
-    again = ablate(ds, cfg, master_seed=77, model_config=mc)
+    again = ablate(ds, dataclasses.replace(cfg, seed=77), model_config=mc)
     assert again.table == ablation_result.table
     assert again.rows == ablation_result.rows
     for name, ckpt in ablation_result.checkpoints.items():
