@@ -52,9 +52,11 @@ class Tensor:
     `grad` is populated (same shape as `data`) by `backward` for every
     leaf, a tensor with requires_grad and no backpropagation node (such as
     a parameter), that is reachable from the loss. Op results never get one.
+    `_grad_view` is the leaf's slice of an `Adam` gradient buffer, which
+    `backward` writes into; it is None on every tensor no `Adam` owns.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_grad_view")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -65,6 +67,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._parents = ()
         self._vjp = None
+        self._grad_view: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple:
@@ -108,6 +111,7 @@ def _node(data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
     t = object.__new__(Tensor)
     t.data = data
     t.grad = None
+    t._grad_view = None
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:
@@ -478,6 +482,10 @@ def backward(loss: Tensor) -> None:
     when the walk reaches it, so it is popped there, handed to the node's
     VJP (inner node) or added into .grad (leaf). Repeated calls without
     zeroing accumulate additively; intermediate results get no .grad.
+    A leaf an `Adam` owns gets its gradient in its slice of the optimizer's
+    gradient buffer: the first contribution is copied there and .grad
+    becomes that view, later ones are added in place. Every contribution
+    is reshaped to the leaf's shape, so a wrong-size one raises.
     """
     if loss.shape != ():
         raise RankError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -488,8 +496,17 @@ def backward(loss: Tensor) -> None:
             continue
         if node._vjp is None:
             if node.requires_grad:
-                g = np.array(g, dtype=np.float64).reshape(node.shape)
-                node.grad = g if node.grad is None else node.grad + g
+                view = node._grad_view
+                if view is None:
+                    g = np.array(g, dtype=np.float64).reshape(node.shape)
+                    node.grad = g if node.grad is None else node.grad + g
+                else:
+                    g = np.asarray(g).reshape(node.shape)
+                    if node.grad is None:
+                        view[...] = g
+                    else:
+                        np.add(node.grad, g, out=view)
+                    node.grad = view
             continue
         for parent, contrib in zip(node._parents, node._vjp(g)):
             if contrib is None or not parent.requires_grad:
@@ -507,12 +524,15 @@ class Adam:
     """Adam with bias correction. Gradients are left untouched by step().
 
     params maps each parameter's name to its leaf tensor; the names only
-    label errors. The moments m and v are flat arrays over all parameters
-    in the mapping's order. A step concatenates the gradients into one
-    preallocated buffer, applies the elementwise update in place on
-    preallocated arrays (the operation order of the textbook formulas, so
-    the result is the same to the bit) and writes each parameter's slice
-    back in place.
+    label errors. The optimizer owns two flat float64 buffers over all
+    parameters in the mapping's order, one for the values and one for the
+    gradients. Construction copies each parameter's data into its slice of
+    the first and binds the parameter's `data` to that slice; rebinding
+    `p.data` afterwards detaches the parameter, whose later updates then
+    never reach it. `backward` writes each parameter's gradient into its
+    slice of the second. A step applies the elementwise update to the flat
+    arrays in place (the operation order of the textbook formulas, so the
+    result is the same to the bit), with no per-parameter copy.
     """
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-5,
@@ -526,23 +546,32 @@ class Adam:
         sizes = [p.data.size for p in self.params.values()]
         bounds = np.cumsum([0] + sizes).tolist()
         self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._p = np.empty(bounds[-1])
+        self._g = np.empty(bounds[-1])
+        for p, part in zip(self.params.values(), self._slices):
+            self._p[part] = p.data.ravel()
+            p.data = self._p[part].reshape(p.shape)
+            p._grad_view = self._g[part].reshape(p.shape)
         self._m = np.zeros(bounds[-1])
         self._v = np.zeros(bounds[-1])
-        self._g = np.empty(bounds[-1])
         self._scratch = np.empty(bounds[-1])
         self._update = np.empty(bounds[-1])
 
     def step(self) -> None:
         """One update. A missing, misshapen or non-finite gradient raises
-        before any state (m, v, t, the parameters) changes."""
+        before any state (m, v, t, the parameters) changes. A gradient set
+        by hand rather than by `backward` is copied into the buffer."""
         for name, p in self.params.items():
-            if p.grad is None:
+            grad = p.grad
+            if grad is p._grad_view:
+                continue
+            if grad is None:
                 raise MissingGradientError(f"no gradient for parameter {name!r}")
-            if p.grad.shape != p.shape:
+            if grad.shape != p.shape:
                 raise DimensionError(f"gradient of {name!r} has shape "
-                                     f"{p.grad.shape}, parameter {p.shape}")
+                                     f"{grad.shape}, parameter {p.shape}")
+            p._grad_view[...] = grad
         g, tmp, update = self._g, self._scratch, self._update
-        np.concatenate([p.grad.ravel() for p in self.params.values()], out=g)
         if not np.isfinite(g).all():
             for name, part in zip(self.params, self._slices):
                 bad = ~np.isfinite(g[part])
@@ -567,8 +596,7 @@ class Adam:
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
         update /= tmp
-        for p, part in zip(self.params.values(), self._slices):
-            p.data -= update[part].reshape(p.shape)
+        self._p -= update
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -185,6 +185,22 @@ VARIANT_CATEGORIES = {
 }
 
 
+# get_type_hints evaluates every annotation string on each call (about
+# 0.1 ms for ModelConfig, paid by every checkpoint load), so once per class
+_field_types = functools.cache(get_type_hints)
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError unless every field of the dataclass config holds
+    exactly its annotated type, or an int in a float field. type(), not
+    isinstance: a bool is an int, but never a count, a seed or a rate."""
+    for name, kind in _field_types(type(config)).items():
+        value = getattr(config, name)
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ValueError(f"{type(config).__name__}.{name} must be "
+                             f"{kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     """Generator knobs. The defaults are the desk-scale benchmark task.
@@ -208,6 +224,7 @@ class DatasetConfig:
     category_mix: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if self.variant not in VARIANT_CATEGORIES:

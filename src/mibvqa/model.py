@@ -12,14 +12,14 @@ them out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, get_type_hints
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
 from .attention import AttentionParams, image_attention, query_attention
 from .autodiff import Tensor, hadamard, no_grad
-from .data import ANSWERS, FEATURE_WIDTH, VOCABULARY
+from .data import ANSWERS, FEATURE_WIDTH, VOCABULARY, check_field_types
 from .encoders import (
     EncoderParams, ImageObjectFeatures, QueryTokens, encode_image, encode_query,
     masked_mean,
@@ -49,14 +49,11 @@ class ModelConfig:
     enable_infomax: bool = True
 
     def __post_init__(self):
-        for name, kind in get_type_hints(ModelConfig).items():
-            value = getattr(self, name)
-            # type(), not isinstance: a bool is an int but not a width
-            if type(value) is not kind:
-                raise ValueError(f"ModelConfig.{name} must be {kind.__name__}, "
-                                 f"got {value!r}")
-            if kind is int and value <= 0:
-                raise ValueError(f"ModelConfig.{name} must be positive")
+        check_field_types(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is int and value <= 0:
+                raise ValueError(f"ModelConfig.{f.name} must be positive")
 
 
 class VQAModel:

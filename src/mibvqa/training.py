@@ -19,7 +19,8 @@ import numpy as np
 
 from .autodiff import Adam, NonFiniteGradientError, backward
 from .data import (
-    ANSWERS, CATEGORIES, Dataset, DatasetFormatError, query_tokens, scene_features,
+    ANSWERS, CATEGORIES, Dataset, DatasetFormatError, check_field_types, query_tokens,
+    scene_features,
 )
 from .encoders import ImageObjectFeatures, QueryTokens
 from .model import ModelConfig, VQAModel
@@ -59,6 +60,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.batch_size <= 0:

@@ -567,6 +567,102 @@ def test_adam_non_finite_gradient_names_the_parameter_and_changes_no_state(bad):
     np.testing.assert_array_equal(opt._v, before[2])
 
 
+def _flat_offset(view: np.ndarray, flat: np.ndarray) -> int:
+    """Index into flat of view's first element."""
+    start = view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+    return start // flat.itemsize
+
+
+def _reuse_loss(a: Tensor, b: Tensor) -> Tensor:
+    """A scalar graph that reads a three times and b twice."""
+    prod = ad.matmul(a, b)
+    return ad.add(sum_all(tanh(ad.add(prod, b))), sum_all(ad.hadamard(a, a)))
+
+
+def test_adam_binds_data_and_backward_grads_to_two_flat_buffers_in_name_order():
+    rng = np.random.default_rng(5)
+    shapes = {"w": (3, 4), "s": (), "v": (5,), "m": (2, 2)}
+    start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    params = {name: Tensor(x.copy(), requires_grad=True) for name, x in start.items()}
+    opt = Adam(params, lr=1e-2)
+    loss = sum_all(ad.hadamard(params["w"], params["w"]))
+    for name in ("s", "v", "m"):
+        loss = ad.add(loss, sum_all(ad.hadamard(params[name], params[name])))
+    ad.backward(loss)
+    offset = 0
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, start[name])
+        for view, flat in ((p.data, opt._p), (p.grad, opt._g)):
+            assert view.shape == shapes[name]
+            assert np.shares_memory(view, flat)
+            assert _flat_offset(view, flat) == offset
+        np.testing.assert_array_equal(p.grad, 2.0 * start[name])
+        offset += p.data.size
+    assert offset == opt._p.size == opt._g.size
+    grads = [p.grad for p in params.values()]
+    opt.step()
+    for p, grad in zip(params.values(), grads):
+        assert np.shares_memory(p.data, opt._p) and p.grad is grad
+    assert not np.array_equal(params["w"].data, start["w"])
+
+
+def test_owned_leaf_gradients_match_the_unowned_path_bit_for_bit():
+    # Tensors no Adam owns take the allocating path, the oracle here.
+    rng = np.random.default_rng(6)
+    start = [rng.standard_normal((2, 2)) for _ in range(2)]
+    owned = [Tensor(x.copy(), requires_grad=True) for x in start]
+    plain = [Tensor(x.copy(), requires_grad=True) for x in start]
+    opt = Adam({"a": owned[0], "b": owned[1]})
+
+    def check():
+        for p, q in zip(owned, plain):
+            np.testing.assert_array_equal(p.grad, q.grad)
+
+    for tensors in (owned, plain):
+        ad.backward(_reuse_loss(*tensors))   # a leaf reached several times
+    check()
+    for tensors in (owned, plain):
+        ad.backward(_reuse_loss(*tensors))   # no zero_grad: accumulates
+    check()
+    hand = rng.standard_normal((2, 2))
+    opt.zero_grad()
+    owned[0].grad, plain[0].grad = hand.copy(), hand.copy()
+    plain[1].grad = None
+    for tensors in (owned, plain):
+        ad.backward(_reuse_loss(*tensors))   # added to a gradient set by hand
+    check()
+    assert all(np.shares_memory(p.grad, opt._g) for p in owned)
+
+
+@pytest.mark.parametrize("contribution", [np.ones(()), np.ones(3)],
+                         ids=["scalar", "three"])
+def test_wrong_size_contribution_into_an_owned_leaf_raises(contribution):
+    p = Tensor(np.zeros((2, 2)), requires_grad=True)
+    opt = Adam({"p": p})
+    out = ad._node(np.asarray(0.0), (p,), lambda g: (contribution,))
+    with pytest.raises(ValueError):
+        ad.backward(out)
+    assert p.grad is None and opt.t == 0
+
+
+def test_owned_leaf_the_walk_misses_makes_step_name_it():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array(3.0), requires_grad=True)
+    opt = Adam({"a": a, "b": b}, lr=0.1)
+    ad.backward(ad.add(sum_all(a), sum_all(b)))
+    opt.step()
+    before = (a.data.copy(), b.data.copy())
+    opt.zero_grad()
+    ad.backward(sum_all(a))   # b's slice still holds the last gradient
+    assert b.grad is None
+    with pytest.raises(MissingGradientError) as info:
+        opt.step()
+    assert "'b'" in str(info.value)
+    assert opt.t == 1
+    np.testing.assert_array_equal(a.data, before[0])
+    assert b.data == before[1]
+
+
 # ---------------------------------------------------------------- no_grad
 
 

@@ -1,7 +1,7 @@
 """End-to-end tests for the command-line interface.
 
 Every test drives ``mibvqa.cli.main`` in-process so exit codes and output can
-be asserted directly; one smoke test runs the installed module through a real
+be asserted directly; one smoke test runs the module entry point through a real
 subprocess.  Datasets and training runs use deliberately tiny configurations
 to keep the whole file fast.
 """
@@ -10,6 +10,7 @@ import argparse
 import base64
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -407,8 +408,8 @@ def _add_bogus_key(line: str) -> str:
     return f'{head} {{"bogus": 1, {payload}'
 
 
-def _set_model_field(name: str, value):
-    prefix = "config model "
+def _set_config_field(section: str, name: str, value):
+    prefix = f"config {section} "
     return lambda line: prefix + json.dumps(
         {**json.loads(line[len(prefix):]), name: value}, sort_keys=True)
 
@@ -421,10 +422,14 @@ def _set_model_field(name: str, value):
     ("metrics ", lambda line: "metrics []"),
     ("metrics ", lambda line: 'metrics {"test": 1}'),
     ("answers ", lambda line: "answers [\"yes\", "),
-    ("config model ", _set_model_field("d_h", 12.0)),
-    ("config model ", _set_model_field("enable_infomax", "no")),
+    ("config model ", _set_config_field("model", "d_h", 12.0)),
+    ("config model ", _set_config_field("model", "enable_infomax", "no")),
+    ("config train ", _set_config_field("train", "epochs", 2.5)),
+    ("config train ", _set_config_field("train", "batch_size", True)),
+    ("config train ", _set_config_field("train", "learning_rate", True)),
 ], ids=["step_count", "model_key", "train_key", "metrics_json", "metrics_list",
-        "metrics_value", "answers_json", "model_width_float", "model_flag_text"])
+        "metrics_value", "answers_json", "model_width_float", "model_flag_text",
+        "train_epochs_float", "train_batch_size_bool", "train_rate_bool"])
 def test_eval_malformed_checkpoint_line_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, prefix, edit):
     text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), prefix, edit)
@@ -564,6 +569,13 @@ def _header_edit(key: str, value):
     return edit
 
 
+def _config_echo_edit(key: str, value):
+    def edit(header: dict) -> dict:
+        header["config"][key] = value
+        return header
+    return edit
+
+
 @pytest.mark.parametrize("edit,shown", [
     (_header_edit("n_samples", "many"), "bad n_samples in header: 'many'"),
     (_header_edit("n_samples", [120]), "bad n_samples in header: [120]"),
@@ -571,8 +583,15 @@ def _header_edit(key: str, value):
     (_header_edit("version", 99), "unsupported dataset version 99"),
     (_header_edit("format", "other"), "bad format marker"),
     (_header_edit("config", {"bogus": 1}), "bad config echo in header"),
+    (_config_echo_edit("seed", 7.5),
+     "bad config echo in header: DatasetConfig.seed must be int, got 7.5"),
+    (_config_echo_edit("grid_size", 8.0),
+     "bad config echo in header: DatasetConfig.grid_size must be int, got 8.0"),
+    (_config_echo_edit("seed", True),
+     "bad config echo in header: DatasetConfig.seed must be int, got True"),
 ], ids=["n_samples_text", "n_samples_list", "n_samples_wrong", "version",
-        "format", "config"])
+        "format", "config", "config_seed_float", "config_grid_size_float",
+        "config_seed_bool"])
 def test_malformed_dataset_header_exits_with_one_error_line(
         workdir, data_path, capsys, edit, shown):
     lines = data_path.read_text(encoding="utf-8").splitlines()
@@ -711,10 +730,14 @@ def test_ablate_of_a_split_the_dataset_lacks_fails_before_training(
 
 def test_module_entry_point_runs_in_a_subprocess(workdir, dataset_cfg_path):
     out_path = workdir / "subprocess.jsonl"
+    # the child imports the package this test imported, installed or not
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "mibvqa", "gen-data",
          "--config", str(dataset_cfg_path), "--out", str(out_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "wrote 120 samples" in proc.stdout
     assert out_path.exists()

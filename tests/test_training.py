@@ -67,6 +67,12 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lam=-0.5)
+    for bad in ({"epochs": 2.5}, {"batch_size": True}, {"seed": "3"},
+                {"learning_rate": True}, {"lam": None}):
+        with pytest.raises(ValueError, match="must be"):
+            TrainConfig(**bad)
+    # a float field takes an int
+    assert TrainConfig(learning_rate=1, lam=0).learning_rate == 1
 
 
 def test_data_format_fixes_the_model_input_and_output_sizes():
