@@ -356,7 +356,11 @@ def apportion(weights: dict, n: int) -> list:
     return out
 
 
-_BUILDING = _CLASS_INDEX["building"]
+def _scene(config: DatasetConfig, objects: tuple) -> Scene:
+    """The scene of drawn objects: urban from urban_threshold buildings on."""
+    buildings = sum(1 for o in objects if o.cls == "building")
+    zone = "urban" if buildings >= config.urban_threshold else "rural"
+    return Scene(grid_size=config.grid_size, objects=objects, zone_label=zone)
 
 
 def _sample_scene(rng: np.random.Generator, config: DatasetConfig) -> Scene:
@@ -374,8 +378,7 @@ def _sample_scene(rng: np.random.Generator, config: DatasetConfig) -> Scene:
         if obj is None:
             obj = store[key] = SceneObject(*key)
         objects.append(obj)
-    zone = "urban" if classes.count(_BUILDING) >= config.urban_threshold else "rural"
-    return Scene(grid_size=grid, objects=tuple(objects), zone_label=zone)
+    return _scene(config, tuple(objects))
 
 
 def _pick_balanced(rng, candidates_yes, candidates_no):
@@ -422,18 +425,25 @@ def _question_tokens(template_id: int, slots: tuple, k_max: int) -> tuple:
     return tokenize(TEMPLATES[template_id].render(slots), k_max)
 
 
+def _sample(config: DatasetConfig, scene: Scene, template_id: int, slots: tuple,
+            split: str) -> VQASample:
+    """Every sample, generated or imported, is built here from its drawn parts."""
+    template = TEMPLATES[template_id]
+    token_ids, n_tokens = _question_tokens(template_id, slots, config.k_max)
+    return VQASample(scene=scene, category=template.category,
+                     template_id=template_id, slots=slots,
+                     token_ids=token_ids, n_tokens=n_tokens,
+                     answer_index=ANSWER_INDEX[answer_oracle(scene, template, slots)],
+                     split=split)
+
+
 def make_sample(config: DatasetConfig, index: int, category: str,
                 split: str) -> VQASample:
     """Sample content is a pure function of (seed, index)."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
     scene = _sample_scene(rng, config)
     template, slots = _sample_question(rng, scene, category)
-    token_ids, n_tokens = _question_tokens(template.template_id, slots, config.k_max)
-    answer = answer_oracle(scene, template, slots)
-    return VQASample(scene=scene, category=category,
-                     template_id=template.template_id, slots=slots,
-                     token_ids=token_ids, n_tokens=n_tokens,
-                     answer_index=ANSWER_INDEX[answer], split=split)
+    return _sample(config, scene, template.template_id, slots, split)
 
 
 def generate_dataset(config: DatasetConfig) -> Dataset:
@@ -508,13 +518,10 @@ def _record_object(store: dict, grid_size: int, cls, row, col, size) -> SceneObj
 
 
 def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
-    """The sample of one record; a value the model cannot take (a grid size
-    other than the header's, unknown class or size, object off the grid, no
-    objects or more than t_max, zone other than rural or urban, other than
-    k_max token ids, token id outside the vocabulary, n_tokens beyond the
-    ids, unknown template, category other than the template's, answer index
-    outside ANSWERS, split not in the header) is a DatasetFormatError naming
-    the line."""
+    """The sample of one record, rebuilt from its objects, template, slots and
+    split as generation builds it. A drawn field generation cannot give (the
+    grid, an object, the object or slot count, the template, the split) or a
+    stored derived field other than the rebuilt one is a DatasetFormatError."""
     try:
         sc = rec["scene"]
         grid_size = int(sc["grid_size"])
@@ -527,35 +534,25 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
         if not 1 <= len(objects) <= config.t_max:
             raise ValueError(f"{len(objects)} objects, expected 1 to "
                              f"t_max={config.t_max}")
-        if sc["zone_label"] not in ZONE_LABELS:
-            raise ValueError(f"unknown zone_label {sc['zone_label']!r}")
-        scene = Scene(grid_size=grid_size, objects=objects,
-                      zone_label=sc["zone_label"])
-        token_ids = tuple(int(t) for t in rec["token_ids"])
-        if len(token_ids) != config.k_max:
-            raise ValueError(f"{len(token_ids)} token ids, expected "
-                             f"k_max={config.k_max}")
-        for t in (min(token_ids), max(token_ids)):
-            if not 0 <= t < len(VOCABULARY):
-                raise ValueError(f"token id {t} outside vocabulary of size "
-                                 f"{len(VOCABULARY)}")
-        n_tokens = int(rec["n_tokens"])
-        if not 1 <= n_tokens <= len(token_ids):
-            raise ValueError(f"n_tokens {n_tokens} outside [1, {len(token_ids)}]")
-        template_id, answer_index = int(rec["template_id"]), int(rec["answer_index"])
+        template_id, slots = int(rec["template_id"]), tuple(rec["slots"])
+        split = rec["split"]
         if template_id not in TEMPLATES:
             raise ValueError(f"unknown template_id {template_id}")
-        if rec["category"] != TEMPLATES[template_id].category:
-            raise ValueError(f"category {rec['category']!r} is not template "
-                             f"{template_id}'s {TEMPLATES[template_id].category!r}")
-        if not 0 <= answer_index < len(ANSWERS):
-            raise ValueError(f"answer_index {answer_index} outside [0, {len(ANSWERS)})")
-        if rec["split"] not in config.splits():
-            raise ValueError(f"split {rec['split']!r} is not among the header's splits")
-        return VQASample(scene=scene, category=rec["category"],
-                         template_id=template_id, slots=tuple(rec["slots"]),
-                         token_ids=token_ids, n_tokens=n_tokens,
-                         answer_index=answer_index, split=rec["split"])
+        if len(slots) != len(TEMPLATES[template_id].slot_names):
+            raise ValueError(f"{len(slots)} slots for template {template_id}")
+        if split not in config.splits():
+            raise ValueError(f"split {split!r} is not among the header's splits")
+        sample = _sample(config, _scene(config, objects), template_id, slots, split)
+        for name, value, expected in (
+                ("zone_label", sc["zone_label"], sample.scene.zone_label),
+                ("category", rec["category"], sample.category),
+                ("token_ids", rec["token_ids"], list(sample.token_ids)),
+                ("n_tokens", rec["n_tokens"], sample.n_tokens),
+                ("answer_index", rec["answer_index"], sample.answer_index)):
+            if value != expected:
+                raise ValueError(f"{name} {value!r} is not the rebuilt sample's "
+                                 f"{expected!r}")
+        return sample
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
         raise DatasetFormatError(f"malformed sample record at line {line_no}: {e}") from None
 

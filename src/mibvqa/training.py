@@ -445,19 +445,49 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _parse_payload(line: str, index: int, prefix: str, parse: Callable):
-    """parse(the text after prefix) of lines[index]; a payload it rejects
-    (bad number, bad JSON, unknown config key, out-of-range value) becomes
-    a CheckpointError naming the line."""
+def _step_count(payload: str) -> int:
+    step_count = int(payload)
+    if step_count < 0:
+        raise ValueError(f"negative step count {step_count}")
+    return step_count
+
+
+def _metrics(payload: str) -> dict:
+    metrics = json.loads(payload)
+    if not (isinstance(metrics, dict)
+            and all(isinstance(m, dict) for m in metrics.values())):
+        raise ValueError("expected an object mapping splits to objects")
+    return metrics
+
+
+# The lines save_checkpoint writes after the header, in order: prefix, parser.
+_CKPT_LINES = (
+    ("meta step_count ", _step_count),
+    ("config model ", lambda p: ModelConfig(**json.loads(p))),
+    ("config train ", lambda p: TrainConfig(**json.loads(p))),
+    ("metrics ", _metrics),
+    ("answers ", lambda p: tuple(json.loads(p))),
+)
+
+
+def _parse_line(lines: list, index: int, prefix: str, parse: Callable):
+    """parse(the text after prefix on lines[index]); a missing line, another
+    prefix or a payload parse rejects (bad number, bad JSON, unknown config
+    key, out-of-range value) is a CheckpointError naming the line."""
+    if index == len(lines) or not lines[index].startswith(prefix):
+        found = repr(lines[index][:60]) if index < len(lines) else "the end of the file"
+        raise CheckpointError(f"line {index + 1} should be the {prefix.strip()!r} "
+                              f"line, found {found}")
     try:
-        return parse(line[len(prefix):])
+        return parse(lines[index][len(prefix):])
     except (TypeError, ValueError) as e:
         raise CheckpointError(
             f"malformed {prefix.strip()!r} payload on line {index + 1}: {e}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse and validate; errors name the offending parameter or line."""
+    """Parse and validate in the order save_checkpoint writes; errors name
+    the offending parameter or line."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -466,84 +496,56 @@ def load_checkpoint(path) -> Checkpoint:
     if not lines or not lines[0].startswith(CKPT_MAGIC + " "):
         raise CheckpointError("not a checkpoint file (bad magic)")
     head = lines[0].split()
-    if len(head) != 4:
-        raise CheckpointError(f"malformed header line: {lines[0]!r}")
-    if head[1] != f"v{CKPT_VERSION}":
+    if len(head) == 4 and head[1] != f"v{CKPT_VERSION}":
         raise CheckpointError(f"unsupported checkpoint version {head[1]!r}")
     try:
-        seed, n_tensors = int(head[2]), int(head[3])
-    except ValueError:
+        seed, n_tensors = (int(field) for field in head[2:])
+    except ValueError:  # not two integers after the version
         raise CheckpointError(f"malformed header line: {lines[0]!r}") from None
-    if seed < 0:
-        raise CheckpointError(f"negative seed in header line: {lines[0]!r}")
+    if min(seed, n_tensors) < 0:
+        raise CheckpointError(f"negative seed or count in header line: {lines[0]!r}")
 
-    step_count = 0
-    model_config = None
-    train_config = None
-    metrics: dict = {}
-    answers: tuple = ()
+    step_count, model_config, train_config, metrics, answers = (
+        _parse_line(lines, index, prefix, parse)
+        for index, (prefix, parse) in enumerate(_CKPT_LINES, start=1))
     parameters: dict = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("meta step_count "):
-            step_count = _parse_payload(line, i, "meta step_count ", int)
-        elif line.startswith("config model "):
-            model_config = _parse_payload(line, i, "config model ",
-                                          lambda p: ModelConfig(**json.loads(p)))
-        elif line.startswith("config train "):
-            train_config = _parse_payload(line, i, "config train ",
-                                          lambda p: TrainConfig(**json.loads(p)))
-        elif line.startswith("metrics "):
-            metrics = _parse_payload(line, i, "metrics ", json.loads)
-            if not (isinstance(metrics, dict)
-                    and all(isinstance(m, dict) for m in metrics.values())):
-                raise CheckpointError(f"malformed 'metrics' payload on line {i + 1}: "
-                                      f"expected an object mapping splits to objects")
-        elif line.startswith("answers "):
-            answers = _parse_payload(line, i, "answers ",
-                                     lambda p: tuple(json.loads(p)))
-        elif line.startswith("tensor "):
-            fields = line.split()
-            name = fields[1] if len(fields) > 1 else ""
-            try:
-                rank = int(fields[2])
-                dims = tuple(int(d) for d in fields[3:])
-            except (IndexError, ValueError):
-                raise CheckpointError(
-                    f"malformed shape line for parameter {name!r}: {line!r}") from None
-            if len(dims) != rank:
-                raise CheckpointError(
-                    f"shape line for parameter {name!r} declares rank {rank} "
-                    f"but {len(dims)} dims")
-            if any(d <= 0 for d in dims):
-                raise CheckpointError(f"nonpositive dim in shape of parameter {name!r}")
-            i += 1
-            if i == len(lines):
-                raise CheckpointError(
-                    f"truncated file: no values line for parameter {name!r}")
-            try:
-                raw = base64.b64decode(lines[i], validate=True)
-            except ValueError as e:
-                raise CheckpointError(
-                    f"malformed values line for parameter {name!r}: {e}") from None
-            size = math.prod(dims)
-            if len(raw) != 8 * size:
-                raise CheckpointError(
-                    f"values line for parameter {name!r} holds {len(raw)} bytes, "
-                    f"expected {8 * size} ({size} float64 values)")
-            values = np.frombuffer(raw, dtype=CKPT_DTYPE).reshape(dims)
-            if not np.isfinite(values).all():
-                raise CheckpointError(f"non-finite value in parameter {name!r}")
-            parameters[name] = values.astype(np.float64)  # a native, writable copy
-        elif line.strip():
-            raise CheckpointError(f"unrecognized line {i + 1}: {line!r}")
-        i += 1
-    if len(parameters) != n_tensors:
-        raise CheckpointError(
-            f"header declares {n_tensors} tensors, file has {len(parameters)}")
-    if model_config is None or train_config is None:
-        raise CheckpointError("checkpoint missing config lines")
+    end = len(_CKPT_LINES) + 1 + 2 * n_tensors
+    for index in range(len(_CKPT_LINES) + 1, end, 2):
+        fields = _parse_line(lines, index, "tensor ", str.split)
+        name = fields[0] if fields else ""
+        if name in parameters:
+            raise CheckpointError(f"parameter {name!r} repeated on line {index + 1}")
+        try:
+            rank = int(fields[1])
+            dims = tuple(int(d) for d in fields[2:])
+        except (IndexError, ValueError):
+            raise CheckpointError(
+                f"malformed shape line for parameter {name!r}: {lines[index]!r}") from None
+        if len(dims) != rank:
+            raise CheckpointError(
+                f"shape line for parameter {name!r} declares rank {rank} "
+                f"but {len(dims)} dims")
+        if any(d <= 0 for d in dims):
+            raise CheckpointError(f"nonpositive dim in shape of parameter {name!r}")
+        if index + 1 == len(lines):
+            raise CheckpointError(f"truncated file: no values line for parameter {name!r}")
+        try:
+            raw = base64.b64decode(lines[index + 1], validate=True)
+        except ValueError as e:
+            raise CheckpointError(
+                f"malformed values line for parameter {name!r}: {e}") from None
+        size = math.prod(dims)
+        if len(raw) != 8 * size:
+            raise CheckpointError(
+                f"values line for parameter {name!r} holds {len(raw)} bytes, "
+                f"expected {8 * size} ({size} float64 values)")
+        values = np.frombuffer(raw, dtype=CKPT_DTYPE).reshape(dims)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"non-finite value in parameter {name!r}")
+        parameters[name] = values.astype(np.float64)  # a native, writable copy
+    if len(lines) > end:
+        raise CheckpointError(f"line {end + 1} follows the header's last tensor: "
+                              f"{lines[end][:60]!r}")
     return Checkpoint(seed=seed, model_config=model_config,
                       train_config=train_config, parameters=parameters,
                       step_count=step_count, metrics=metrics, answers=answers)

@@ -416,6 +416,7 @@ def _set_config_field(section: str, name: str, value):
 
 @pytest.mark.parametrize("prefix,edit", [
     ("meta step_count ", lambda line: "meta step_count many"),
+    ("meta step_count ", lambda line: "meta step_count -7"),
     ("config model ", _add_bogus_key),
     ("config train ", _add_bogus_key),
     ("metrics ", lambda line: line[:-1]),
@@ -427,8 +428,8 @@ def _set_config_field(section: str, name: str, value):
     ("config train ", _set_config_field("train", "epochs", 2.5)),
     ("config train ", _set_config_field("train", "batch_size", True)),
     ("config train ", _set_config_field("train", "learning_rate", True)),
-], ids=["step_count", "model_key", "train_key", "metrics_json", "metrics_list",
-        "metrics_value", "answers_json", "model_width_float", "model_flag_text",
+], ids=["step_count", "step_count_negative", "model_key", "train_key",
+        "metrics_json", "metrics_list", "metrics_value", "answers_json", "model_width_float", "model_flag_text",
         "train_epochs_float", "train_batch_size_bool", "train_rate_bool"])
 def test_eval_malformed_checkpoint_line_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, prefix, edit):
@@ -474,6 +475,27 @@ def _payload_edit(prefix: str, change):
     return edit
 
 
+def _without(prefix: str):
+    return lambda lines: [line for line in lines if not line.startswith(prefix)]
+
+
+def _repeated(prefix: str):
+    def edit(lines: list) -> list:
+        index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        return lines[:index + 1] + lines[index:]
+    return edit
+
+
+def _config_lines_swapped(lines: list) -> list:
+    lines[2], lines[3] = lines[3], lines[2]
+    return lines
+
+
+def _first_block_twice(lines: list) -> list:
+    index = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
+    return lines[:index + 2] + lines[index:]
+
+
 @pytest.mark.parametrize("edit,shown", [
     (_header_field(1, "v2"), "unsupported checkpoint version 'v2'"),
     (_header_field(1, "v3"), "unsupported checkpoint version 'v3'"),
@@ -484,7 +506,16 @@ def _payload_edit(prefix: str, change):
      "shape mismatch for parameter"),
     (_payload_edit("answers ", lambda answers: answers[::-1]),
      "answer space does not match"),
-], ids=["v2", "v3", "negative_seed", "nan", "no_rank", "model_width", "answers"])
+    (_first_block_twice, "parameter 'enc.embed' repeated on line 9"),
+    (_without("meta "), "line 2 should be the 'meta step_count' line"),
+    (_without("metrics "), "line 5 should be the 'metrics' line"),
+    (_without("answers "), "line 6 should be the 'answers' line"),
+    (_repeated("config train "), "line 5 should be the 'metrics' line"),
+    (_config_lines_swapped, "line 3 should be the 'config model' line"),
+    (lambda lines: lines + [""], "follows the header's last tensor"),
+], ids=["v2", "v3", "negative_seed", "nan", "no_rank", "model_width", "answers",
+        "block_twice", "no_meta", "no_metrics", "no_answers", "config_train_twice",
+        "config_swapped", "blank_last_line"])
 def test_eval_rejected_checkpoint_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, edit, shown):
     lines = edit(ckpt_path.read_text(encoding="utf-8").splitlines())
@@ -519,18 +550,25 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     ("size", "huge", "huge"),
     ("row", 99, "row 99"),
     ("col", -1, "col -1"),
-    ("token_id", 29, "token id 29"),
+    ("token_id", 29, "token_ids [1, 2, 29, 3,"),
+    ("token_id", 24, "token_ids [1, 2, 24, 3,"),
     ("n_tokens", 13, "n_tokens 13"),
+    ("n_tokens", 7, "n_tokens 7 is not the rebuilt sample's 8"),
     ("n_objects", 17, "17 objects, expected 1 to t_max=16"),
     ("n_objects", 0, "0 objects, expected 1 to t_max=16"),
-    ("n_token_ids", 11, "11 token ids, expected k_max=12"),
+    ("n_token_ids", 11, "token_ids [1, 2, 26, 3, 4, 5, 6, 7, 0, 0, 0] is not"),
     ("grid_size", 9, "grid_size 9, the header's is 8"),
-    ("answer_index", 99, "answer_index 99 outside [0, 19)"),
-    ("answer_index", -1, "answer_index -1 outside [0, 19)"),
+    ("answer_index", 99, "answer_index 99 is not the rebuilt sample's 4"),
+    ("answer_index", -1, "answer_index -1 is not the rebuilt sample's 4"),
+    ("answer_index", 5, "answer_index 5 is not the rebuilt sample's 4"),
     ("template_id", 99, "unknown template_id 99"),
+    ("slots", ["road"], "token_ids [1, 2, 26, 3, 4, 5, 6, 7, 0, 0, 0, 0] is not the "
+                        "rebuilt sample's [1, 2, 25,"),
+    ("slots", ["water", "road"], "2 slots for template 0"),
     ("split", "bogus", "split 'bogus' is not among the header's splits"),
-    ("category", "bogus", "category 'bogus' is not template"),
-    ("zone_label", "x", "unknown zone_label 'x'"),
+    ("category", "bogus", "category 'bogus' is not the rebuilt sample's 'count'"),
+    ("zone_label", "x", "zone_label 'x' is not the rebuilt sample's 'rural'"),
+    ("zone_label", "urban", "zone_label 'urban' is not the rebuilt sample's 'rural'"),
 ])
 def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         workdir, data_path, capsys, field, value, shown):

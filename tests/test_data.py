@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mibvqa import data as dt
 from mibvqa.data import (
@@ -470,6 +472,48 @@ def test_equal_objects_are_one_shared_instance(tmp_path):
             assert obj is obj_back is store[obj.cls, obj.row, obj.col, obj.size]
     for grid_size, objects in dt._OBJECT_STORES.items():
         assert len(objects) <= len(OBJECT_CLASSES) * len(SIZE_CELLS) * grid_size ** 2
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory) -> tuple:
+    """(a directory for edited copies, the lines of an exported dataset)."""
+    path = tmp_path_factory.mktemp("exported") / "ds.jsonl"
+    export_dataset(generate_dataset(DatasetConfig(n_samples=30, seed=36)), path)
+    return path.parent, path.read_text(encoding="utf-8").splitlines()
+
+
+def _other(current, values) -> st.SearchStrategy:
+    return st.sampled_from([v for v in values if v != current])
+
+
+@given(data=st.data())
+@settings(max_examples=25)
+def test_import_rejects_a_derived_field_changed_to_another_valid_value(
+        exported, data):
+    # import rebuilds every derived field from the drawn ones, so no stored
+    # derived value but the generator's own passes
+    directory, lines = exported
+    line = data.draw(st.integers(2, len(lines)), label="line")
+    record = json.loads(lines[line - 1])
+    field = data.draw(st.sampled_from(
+        ["answer_index", "zone_label", "n_tokens", "token_ids"]), label="field")
+    if field == "zone_label":
+        scene = record["scene"]
+        scene[field] = data.draw(_other(scene[field], ("rural", "urban")))
+    elif field == "token_ids":
+        ids = record[field]
+        position = data.draw(st.integers(0, len(ids) - 1), label="position")
+        ids[position] = data.draw(_other(ids[position], range(len(VOCABULARY))))
+    elif field == "n_tokens":
+        k_max = len(record["token_ids"])
+        record[field] = data.draw(_other(record[field], range(1, k_max + 1)))
+    else:
+        record[field] = data.draw(_other(record[field], range(len(ANSWERS))))
+    edited = directory / "edited.jsonl"
+    edited.write_text("\n".join(lines[:line - 1] + [json.dumps(record, sort_keys=True)]
+                                + lines[line:]) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"at line {line}: {field}"):
+        import_dataset(edited)
 
 
 def _edit_first_record(path, out, edit):

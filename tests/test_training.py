@@ -498,6 +498,26 @@ def test_checkpoint_bad_block_names_the_parameter(tmp_path, saved_lines, target,
     assert repr(name) in str(info.value) and shown in str(info.value)
 
 
+@given(data=st.data())
+@settings(max_examples=25)
+def test_load_rejects_a_deleted_duplicated_or_swapped_line(block_dir, saved_lines, data):
+    # the loader reads the lines in the order save_checkpoint writes them
+    lines = list(saved_lines)
+    index = data.draw(st.integers(1, len(lines) - 1), label="index")
+    edits = ["delete", "duplicate"] + (["swap"] if index + 1 < len(lines) else [])
+    edit = data.draw(st.sampled_from(edits), label="edit")
+    if edit == "delete":
+        del lines[index]
+    elif edit == "duplicate":
+        lines.insert(index, lines[index])
+    else:
+        lines[index], lines[index + 1] = lines[index + 1], lines[index]
+    edited = block_dir / "edited.ckpt"
+    edited.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(edited)
+
+
 def test_build_model_missing_parameter_named(small_dataset):
     result = run_quick(small_dataset)
     ckpt = result.checkpoint
