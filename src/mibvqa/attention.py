@@ -87,10 +87,6 @@ def image_attention(h: Tensor, q_star: Tensor, mask: np.ndarray,
     The pooled output weights the ORIGINAL object rows h_t, not the fused
     projections.
     """
-    if params.img_proj_w.shape[1] != params.qstar_proj_w.shape[1]:
-        raise DimensionError(
-            f"projection widths differ: {params.img_proj_w.shape} vs "
-            f"{params.qstar_proj_w.shape}")
     if q_star.shape[0] != np.shape(mask)[0]:
         raise DimensionError(
             f"{q_star.shape[0]} query summaries for {np.shape(mask)[0]} scenes")

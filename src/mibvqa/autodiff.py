@@ -197,15 +197,6 @@ def segment_mul(m: Tensor, v: Tensor) -> Tensor:
     return _node(out, (m, v), vjp)
 
 
-def mask_rows(m: Tensor, keep: np.ndarray) -> Tensor:
-    """Zero out rows of m where keep is False. keep is a plain bool array."""
-    keep = np.asarray(keep, dtype=bool)
-    if m.data.ndim != 2 or keep.shape != (m.shape[0],):
-        raise DimensionError(f"mask_rows: mask {keep.shape} incompatible with {m.shape}")
-    out = np.where(keep[:, None], m.data, 0.0)
-    return _node(out, (m,), lambda g: (np.where(keep[:, None], g, 0.0),))
-
-
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at 0 is 0."""
     out = np.maximum(x.data, 0.0)

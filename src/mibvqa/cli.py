@@ -15,7 +15,6 @@ from .config_io import ConfigError, build_dataset_config, build_train_setup, rea
 from .data import (
     Dataset, DatasetFormatError, export_dataset, generate_dataset, import_dataset,
 )
-from .encoders import VocabularyError
 from .training import (
     CheckpointError, DivergenceError, Metrics, ablate, evaluate, load_checkpoint,
     save_checkpoint, train,
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetFormatError, CheckpointError, VocabularyError) as e:
+    except (ConfigError, DatasetFormatError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:

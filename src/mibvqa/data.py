@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence, get_type_hints
 
@@ -233,15 +234,26 @@ class DatasetConfig:
             raise ValueError("need 1 <= min_objects <= max_objects <= t_max")
         if self.max_objects > self.grid_size * self.grid_size:
             raise ValueError("more objects than grid cells")
+        # comparisons with nan are False, so each bound also rejects nan
+        if not (0 < self.train_fraction < math.inf
+                and 0 < self.test_fraction < math.inf
+                and 0 <= self.test2_fraction < math.inf):
+            raise ValueError(
+                f"split fractions must be finite, train and test > 0, test2 >= 0; "
+                f"got {self.train_fraction}, {self.test_fraction}, "
+                f"{self.test2_fraction}")
         fr = self.train_fraction + self.test_fraction + self.test2_fraction
         if abs(fr - 1.0) > 1e-9:
             raise ValueError(f"split fractions sum to {fr}, expected 1")
         mix = self.mix()
-        if abs(sum(mix.values()) - 1.0) > 1e-9:
-            raise ValueError(f"category mix sums to {sum(mix.values())}, expected 1")
-        for cat in mix:
+        for cat, share in mix.items():
             if cat not in VARIANT_CATEGORIES[self.variant]:
                 raise ValueError(f"category {cat!r} not in variant {self.variant!r}")
+            if type(share) not in (int, float) or not 0 < share < math.inf:
+                raise ValueError(f"category {cat!r} share must be a finite "
+                                 f"number > 0, got {share!r}")
+        if abs(sum(mix.values()) - 1.0) > 1e-9:
+            raise ValueError(f"category mix sums to {sum(mix.values())}, expected 1")
 
     def mix(self) -> dict:
         if self.category_mix:

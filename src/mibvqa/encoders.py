@@ -4,7 +4,8 @@ The image side maps per-object raw descriptors (one-hot class, normalized
 position, normalized size) to a row of object embeddings. The query side is
 a learned token embedding followed by a unidirectional tanh recurrence, so
 word order matters for comparison-style questions. Widths are config-driven
-and desk-sized.
+and desk-sized. On both sides, rows at padded positions are computed like
+real ones and made inert by the masks of the pooling that consumes them.
 """
 
 from __future__ import annotations
@@ -14,13 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, DimensionError, InvalidMaskError, Tensor, linear,
-    mask_rows, relu, segment_pool, tanh_recurrence, uniform_init,
+    SIGNAL_INIT_SCALE, DimensionError, InvalidMaskError, Tensor, linear, relu,
+    segment_pool, tanh_recurrence, uniform_init,
 )
-
-
-class VocabularyError(ValueError):
-    """A token id falls outside the fixed vocabulary."""
 
 
 @dataclass(frozen=True)
@@ -33,10 +30,6 @@ class ImageObjectFeatures:
     """
     matrix: np.ndarray
     object_mask: np.ndarray
-
-    def __post_init__(self):
-        if not self.object_mask.any(axis=-1).all():
-            raise ValueError("scene has no real objects")
 
 
 @dataclass(frozen=True)
@@ -69,22 +62,19 @@ class EncoderParams:
 
 
 def encode_image(features: ImageObjectFeatures, params: EncoderParams) -> Tensor:
-    """Per-object rows relu(raw @ img_w + img_b), with padded rows forced to zero.
+    """Per-object rows relu(raw @ img_w + img_b).
 
-    Output [B*t, d_h], rows b*t .. b*t + t - 1 for scene b.
-    Zeroing padded rows keeps them inert regardless of the bias, so they
-    contribute neither values nor gradients.
+    Output [B*t, d_h], rows b*t .. b*t + t - 1 for scene b. Rows at padded
+    objects are computed (relu(img_b) for all-zero padding) but, as on the
+    query side, the object mask gives them weight exactly 0 in either
+    pooling, so they contribute neither values nor gradients.
     """
     matrix = np.asarray(features.matrix, dtype=np.float64)
     if matrix.ndim != 3:
         raise DimensionError(f"features must be [B, t, d_raw], got {matrix.shape}")
     b, t, d_raw = matrix.shape
-    if d_raw != params.img_w.shape[0]:
-        raise DimensionError(
-            f"feature width {d_raw} != encoder d_raw {params.img_w.shape[0]}")
-    x = Tensor(matrix.reshape(b * t, d_raw))
-    h = relu(linear(x, params.img_w, params.img_b))
-    return mask_rows(h, np.asarray(features.object_mask).reshape(b * t))
+    return relu(linear(Tensor(matrix.reshape(b * t, d_raw)),
+                       params.img_w, params.img_b))
 
 
 def encode_query(tokens: QueryTokens, params: EncoderParams) -> Tensor:
@@ -97,14 +87,7 @@ def encode_query(tokens: QueryTokens, params: EncoderParams) -> Tensor:
     padding is always a suffix, the real prefix rows depend only on the
     real tokens.
     """
-    vocab = params.embed.shape[0]
-    ids = np.asarray(tokens.token_ids, dtype=np.int64)
-    if ids.ndim != 2:
-        raise DimensionError(f"token ids must be [B, k], got {ids.shape}")
-    if ids.min() < 0 or ids.max() >= vocab:
-        bad = ids[(ids < 0) | (ids >= vocab)][0]
-        raise VocabularyError(f"token id {bad} outside vocabulary of size {vocab}")
-    return tanh_recurrence(params.embed, params.rec_w, ids)
+    return tanh_recurrence(params.embed, params.rec_w, tokens.token_ids)
 
 
 def masked_mean(rows: Tensor, mask: np.ndarray) -> Tensor:

@@ -65,10 +65,12 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        # comparisons with nan are False, so each bound also rejects nan
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":

@@ -5,13 +5,13 @@ gate (100 trials per op).  Each scenario builds fresh random parameters and a
 closure that recomputes a scalar loss from the parameters' *current* data, so
 `grad_check` can perturb entries and re-evaluate.
 
-The general ops that the model no longer calls (add_row, transpose,
-diag_part, mean_all, add_scalar, tanh, sub, exp, softmax, logsumexp_rows,
-reshape, take_per_row, sum_all) live here, built on the engine's node
-constructor: the per-sample reference and the composed forms of the fused
-nodes in helpers_oracles are written with them, and their scenarios keep
-them checked like every engine op. `grad_check`, the finite-difference
-oracle itself, lives here too.
+The general ops that the model no longer calls (add_row, mask_rows,
+transpose, diag_part, mean_all, add_scalar, tanh, sub, exp, softmax,
+logsumexp_rows, reshape, take_per_row, sum_all) live here, built on the
+engine's node constructor: the per-sample reference and the composed forms
+of the fused nodes in helpers_oracles are written with them, and their
+scenarios keep them checked like every engine op. `grad_check`, the
+finite-difference oracle itself, lives here too.
 
 Inputs are drawn bounded away from the kinks and clip boundaries of piecewise
 ops (relu at 0, clamp at its edges): central differences straddle such points
@@ -41,6 +41,16 @@ def add_row(m: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
         raise ad.DimensionError(f"add_row: {m.shape} incompatible with {v.shape}")
     return ad._node(m.data + v.data[None, :], (m, v),
                     lambda g: (g, g.sum(axis=0)))
+
+
+def mask_rows(m: ad.Tensor, keep: np.ndarray) -> ad.Tensor:
+    """Zero out rows of m where keep is False. keep is a plain bool array."""
+    keep = np.asarray(keep, dtype=bool)
+    if m.data.ndim != 2 or keep.shape != (m.shape[0],):
+        raise ad.DimensionError(
+            f"mask_rows: mask {keep.shape} incompatible with {m.shape}")
+    out = np.where(keep[:, None], m.data, 0.0)
+    return ad._node(out, (m,), lambda g: (np.where(keep[:, None], g, 0.0),))
 
 
 def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
@@ -290,7 +300,7 @@ def _scenario_mask_rows(rng):
     m = _param(rng, (4, 3))
     keep = _keep_mask(rng, 4)
     out = _readout(rng, (4, 3))
-    return lambda ps: out(ad.mask_rows(ps[0], keep)), [m]
+    return lambda ps: out(mask_rows(ps[0], keep)), [m]
 
 
 def _scenario_relu(rng):

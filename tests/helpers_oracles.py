@@ -19,8 +19,8 @@ from dataclasses import asdict
 import numpy as np
 
 from helpers_ops import (
-    add_row, add_scalar, diag_part, exp, logsumexp_rows, mean_all, reshape,
-    softmax, sub, sum_all, take_per_row, tanh, transpose,
+    add_row, add_scalar, diag_part, exp, logsumexp_rows, mask_rows, mean_all,
+    reshape, softmax, sub, sum_all, take_per_row, tanh, transpose,
 )
 from mibvqa import autodiff as ad
 from mibvqa.data import (
@@ -160,8 +160,10 @@ def reference_forward(model, matrix, object_mask, token_ids, token_mask):
     """Logits, f_q and f_h ([1, .] each) of one sample: matrix [t, d_raw],
     object_mask [t], token_ids [k], token_mask [k]."""
     enc, att, fus = model.encoders, model.attention, model.fusion
-    h = ad.mask_rows(ad.relu(_dense(ad.Tensor(matrix), enc.img_w, enc.img_b)),
-                     object_mask)
+    # padded rows zeroed here, unlike the model, which leaves them to the
+    # pooling masks: the two must still agree
+    h = mask_rows(ad.relu(_dense(ad.Tensor(matrix), enc.img_w, enc.img_b)),
+                  object_mask)
     vocab = enc.embed.shape[0]
     rec_t = transpose(enc.rec_w)
     prev = ad.Tensor(np.zeros((1, enc.rec_w.shape[0])))

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import helpers_ops
 from helpers_ops import (
-    OP_SCENARIOS, add_row, add_scalar, grad_check, logsumexp_rows, mean_all,
-    reshape, run_op_trials, softmax, sub, sum_all, take_per_row, tanh,
+    OP_SCENARIOS, add_row, add_scalar, grad_check, logsumexp_rows, mask_rows,
+    mean_all, reshape, run_op_trials, softmax, sub, sum_all, take_per_row, tanh,
 )
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import (
@@ -254,7 +254,7 @@ def test_clamp_gradient_zero_outside_range():
 def test_mask_rows_zeroes_dropped_rows():
     m = Tensor(np.ones((3, 2)))
     keep = np.array([True, False, True])
-    out = ad.mask_rows(m, keep)
+    out = mask_rows(m, keep)
     np.testing.assert_array_equal(out.data, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
 

@@ -5,8 +5,9 @@ sample from the engine's general ops. Logits, all five loss terms and every
 parameter gradient must agree within TOL, for every flag variant and for
 batches at the padding extremes. A prepared split, cut to its largest scene
 and longest question, must give what the same samples give at the full
-t_max/k_max width. Evaluation must predict what the reference predicts, and
-training must stay bit-for-bit reproducible.
+t_max/k_max width. Garbage in padded image rows must change nothing.
+Evaluation must predict what the reference predicts, and training must stay
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from mibvqa import autodiff
 from mibvqa import data as dt
 from mibvqa.autodiff import backward
 from mibvqa.data import query_tokens, scene_features
-from mibvqa.encoders import ImageObjectFeatures, QueryTokens
+from mibvqa.encoders import ImageObjectFeatures, QueryTokens, encode_image
 from mibvqa.fusion import predict
 from mibvqa.model import VQAModel
 from mibvqa.training import (
@@ -117,6 +118,38 @@ def test_edge_batches_match_reference(small_dataset, case, cross):
     n_objects, n_tokens = EDGE_BATCHES[case]
     assert_matches_reference(
         model, *synthetic_batch(t_max, k_max, n_objects, n_tokens, rng), rng)
+
+
+@pytest.mark.parametrize("cross", [True, False])
+def test_image_padding_is_inert_end_to_end(cross):
+    # The image encoder computes padded rows like real ones; only the object
+    # mask of the pooling keeps them out. With a non-zero bias, garbage in
+    # the padded rows must leave every output and gradient bit for bit where
+    # zero padding puts it.
+    model = make_model(cross, infomax=True)
+    model.encoders.img_b.data[:] = 0.7
+    rng = np.random.default_rng(8)
+    features, tokens, labels = synthetic_batch(
+        16, 12, *EDGE_BATCHES["mixed-padding"], rng)
+    noise_q, noise_h = rng.standard_normal((2, len(labels), model.config.d_z))
+    padded = ~features.object_mask
+    garbage = features.matrix.copy()
+    garbage[padded] = 123.0
+    # zero padding already reaches the pooling as relu(img_b) rows
+    assert (encode_image(features, model.encoders).data[padded.ravel()] == 0.7).all()
+    runs = []
+    for matrix in (features.matrix, garbage):
+        feats = ImageObjectFeatures(matrix, features.object_mask)
+        loss = model.loss_batch(feats, tokens, labels, lam=LAM,
+                                noise_q=noise_q, noise_h=noise_h)
+        runs.append((model.logits(feats, tokens).data, loss.values(),
+                     _grads(model, loss.final)))
+    (logits, terms, grads), (g_logits, g_terms, g_grads) = runs
+    np.testing.assert_array_equal(g_logits, logits)
+    assert len(terms) == 5 and g_terms == terms
+    assert grads.keys() == g_grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(g_grads[name], grad, err_msg=name)
 
 
 def full_width_split(dataset, split) -> PreparedSplit:

@@ -167,11 +167,11 @@ def test_gen_data_seed_flag_overrides_the_config_file(workdir,
     assert dataset.config.seed == 12
 
 
-def test_gen_data_rejects_an_unknown_config_key(workdir, capsys):
-    bad = workdir / "bad.cfg"
+def test_gen_data_rejects_an_unknown_config_key(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
     bad.write_text("n_samples = 10\nbogus = 1\n", encoding="utf-8")
     code = main(["gen-data", "--config", str(bad),
-                 "--out", str(workdir / "never.jsonl")])
+                 "--out", str(tmp_path / "never.jsonl")])
     err = capsys.readouterr().err
     assert code == 3
     assert "bogus" in err
@@ -251,22 +251,22 @@ def test_train_config_file_flag_is_a_model_key(workdir, data_path):
     assert not any(name.startswith("ib.") for name in ckpt.parameters)
 
 
-def test_train_rejects_a_dataset_key_in_the_train_config(workdir, data_path,
+def test_train_rejects_a_dataset_key_in_the_train_config(tmp_path, data_path,
                                                          capsys):
-    bad = workdir / "mixed.cfg"
+    bad = tmp_path / "mixed.cfg"
     bad.write_text("epochs = 1\nn_samples = 10\n", encoding="utf-8")
     code = main(["train", "--data", str(data_path),
-                 "--out", str(workdir / "never.ckpt"), "--config", str(bad)])
+                 "--out", str(tmp_path / "never.ckpt"), "--config", str(bad)])
     err = capsys.readouterr().err
     assert code == 3
     assert "n_samples" in err
 
 
-def test_train_rejects_a_nonpositive_model_width(workdir, data_path, capsys):
-    bad = workdir / "zero_width.cfg"
+def test_train_rejects_a_nonpositive_model_width(tmp_path, data_path, capsys):
+    bad = tmp_path / "zero_width.cfg"
     bad.write_text("epochs = 1\nd_h = 0\n", encoding="utf-8")
     code = main(["train", "--data", str(data_path),
-                 "--out", str(workdir / "never.ckpt"), "--config", str(bad)])
+                 "--out", str(tmp_path / "never.ckpt"), "--config", str(bad)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and "d_h" in err
@@ -276,53 +276,91 @@ def test_train_rejects_a_nonpositive_model_width(workdir, data_path, capsys):
 @pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("key", ["bogus", "vocab_size"])
 def test_train_config_error_is_reported_before_the_dataset_is_read(
-        workdir, capsys, command, key):
-    bad = workdir / f"{key}.cfg"
+        tmp_path, capsys, command, key):
+    bad = tmp_path / f"{key}.cfg"
     bad.write_text(f"epochs = 1\n{key} = 29\n", encoding="utf-8")
-    code = main([command, "--data", str(workdir / "no_such.jsonl"),
-                 "--out", str(workdir / "never"), "--config", str(bad)])
+    code = main([command, "--data", str(tmp_path / "no_such.jsonl"),
+                 "--out", str(tmp_path / "never"), "--config", str(bad)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith(f"error: unknown train config key {key!r}")
     assert len(err.strip().splitlines()) == 1
 
 
-def test_missing_data_file_exits_with_the_data_error_code(workdir, capsys):
-    code = main(["train", "--data", str(workdir / "no_such.jsonl"),
-                 "--out", str(workdir / "never.ckpt")])
+@pytest.mark.parametrize("text,shown", [
+    ("test_fraction = nan", "split fractions must be finite"),
+    ("train_fraction = 1.2\ntest_fraction = -0.2", "split fractions must be finite"),
+    ("test2_fraction = inf", "split fractions must be finite"),
+    ("category_mix = count:1.5,presence:-0.5",
+     "category 'presence' share must be a finite number > 0, got -0.5"),
+    ("category_mix = count:nan,presence:1",
+     "category 'count' share must be a finite number > 0, got nan"),
+])
+def test_gen_data_rejects_a_non_finite_or_negative_fraction(tmp_path, capsys,
+                                                           text, shown):
+    config = tmp_path / "data.cfg"
+    config.write_text(f"{DATASET_CFG}{text}\n", encoding="utf-8")
+    out = tmp_path / "never.jsonl"
+    code = main(["gen-data", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and shown in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,shown", [
+    (["--lr", "nan"], "learning_rate must be finite and positive, got nan"),
+    (["--lr", "inf"], "learning_rate must be finite and positive, got inf"),
+    (["--lambda", "nan"], "lam must be finite and nonnegative, got nan"),
+    (["--lambda", "inf"], "lam must be finite and nonnegative, got inf"),
+])
+def test_train_rejects_a_non_finite_rate_before_the_dataset_is_read(
+        tmp_path, capsys, args, shown):
+    code = main(["train", "--data", str(tmp_path / "no_such.jsonl"),
+                 "--out", str(tmp_path / "never.ckpt"), *args])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {shown}")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_data_file_exits_with_the_data_error_code(tmp_path, capsys):
+    code = main(["train", "--data", str(tmp_path / "no_such.jsonl"),
+                 "--out", str(tmp_path / "never.ckpt")])
     err = capsys.readouterr().err
     assert code == 3
     assert "error:" in err and "no_such.jsonl" in err
 
 
-def test_truncated_dataset_file_exits_with_the_data_error_code(workdir,
+def test_truncated_dataset_file_exits_with_the_data_error_code(tmp_path,
                                                                data_path,
                                                                capsys):
-    clipped = workdir / "clipped.jsonl"
+    clipped = tmp_path / "clipped.jsonl"
     raw = data_path.read_bytes()
     clipped.write_bytes(raw[: len(raw) * 2 // 3])
     code = main(["train", "--data", str(clipped),
-                 "--out", str(workdir / "never.ckpt")])
+                 "--out", str(tmp_path / "never.ckpt")])
     err = capsys.readouterr().err
     assert code == 3
     assert "error:" in err
 
 
 def test_divergent_learning_rate_exits_with_the_divergence_code(
-        workdir, data_path, train_cfg_path, capsys):
+        tmp_path, data_path, train_cfg_path, capsys):
     with np.errstate(all="ignore"):
         code = main(["train", "--data", str(data_path),
-                     "--out", str(workdir / "never.ckpt"),
+                     "--out", str(tmp_path / "never.ckpt"),
                      "--config", str(train_cfg_path),
                      "--epochs", "1", "--lr", "1e150"])
     err = capsys.readouterr().err
     assert code == 4
     assert "error:" in err
-    assert not (workdir / "never.ckpt").exists()
+    assert not (tmp_path / "never.ckpt").exists()
 
 
 def test_non_finite_gradient_exits_with_the_divergence_code(
-        workdir, data_path, train_cfg_path, capsys, monkeypatch):
+        tmp_path, data_path, train_cfg_path, capsys, monkeypatch):
     backward = training.backward
 
     def poisoned(loss):
@@ -332,14 +370,14 @@ def test_non_finite_gradient_exits_with_the_divergence_code(
 
     monkeypatch.setattr(training, "backward", poisoned)
     code = main(["train", "--data", str(data_path),
-                 "--out", str(workdir / "never.ckpt"),
+                 "--out", str(tmp_path / "never.ckpt"),
                  "--config", str(train_cfg_path)])
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: non-finite gradient of parameter ")
     assert "(inf) at optimizer step 1" in err
     assert len(err.strip().splitlines()) == 1
-    assert not (workdir / "never.ckpt").exists()
+    assert not (tmp_path / "never.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +609,7 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     ("zone_label", "urban", "zone_label 'urban' is not the rebuilt sample's 'rural'"),
 ])
 def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
-        workdir, data_path, capsys, field, value, shown):
+        tmp_path, data_path, capsys, field, value, shown):
     lines = data_path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[1])
     object_fields = ("cls", "row", "col", "size")
@@ -589,15 +627,15 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
     else:
         record[field] = value
     lines[1] = json.dumps(record, sort_keys=True)
-    edited = workdir / "bad_record.jsonl"
+    edited = tmp_path / "bad_record.jsonl"
     edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code = main(["train", "--data", str(edited),
-                 "--out", str(workdir / "never.ckpt")])
+                 "--out", str(tmp_path / "never.ckpt")])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and "line 2" in err and shown in err
     assert len(err.strip().splitlines()) == 1
-    assert not (workdir / "never.ckpt").exists()
+    assert not (tmp_path / "never.ckpt").exists()
 
 
 def _header_edit(key: str, value):
@@ -631,26 +669,26 @@ def _config_echo_edit(key: str, value):
         "format", "config", "config_seed_float", "config_grid_size_float",
         "config_seed_bool"])
 def test_malformed_dataset_header_exits_with_one_error_line(
-        workdir, data_path, capsys, edit, shown):
+        tmp_path, data_path, capsys, edit, shown):
     lines = data_path.read_text(encoding="utf-8").splitlines()
     lines[0] = json.dumps(edit(json.loads(lines[0])), sort_keys=True)
-    edited = workdir / "bad_header.jsonl"
+    edited = tmp_path / "bad_header.jsonl"
     edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code = main(["train", "--data", str(edited),
-                 "--out", str(workdir / "never.ckpt")])
+                 "--out", str(tmp_path / "never.ckpt")])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and shown in err
     assert len(err.strip().splitlines()) == 1
-    assert not (workdir / "never.ckpt").exists()
+    assert not (tmp_path / "never.ckpt").exists()
 
 
 @pytest.mark.parametrize("flag", ["--ckpt", "--data", "--config"])
 def test_file_that_is_not_utf8_text_exits_with_one_error_line(
-        workdir, ckpt_path, data_path, capsys, flag):
-    binary = workdir / "binary.bin"
+        tmp_path, ckpt_path, data_path, capsys, flag):
+    binary = tmp_path / "binary.bin"
     binary.write_bytes(bytes(range(256)))
-    never = str(workdir / "never.ckpt")
+    never = str(tmp_path / "never.ckpt")
     argv = {
         "--ckpt": ["eval", "--ckpt", str(binary), "--data", str(data_path)],
         "--data": ["train", "--data", str(binary), "--out", never],

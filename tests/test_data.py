@@ -353,6 +353,18 @@ def test_config_validation():
         DatasetConfig(variant="satellite")
     with pytest.raises(ValueError):
         DatasetConfig(category_mix={"count": 1.0, "unknown": 1.0})
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"test_fraction": nan}, {"train_fraction": inf},
+                {"train_fraction": 1.2, "test_fraction": -0.2},
+                {"train_fraction": 1.0, "test_fraction": 0.0},
+                {"test2_fraction": nan}, {"test2_fraction": -0.1},
+                {"category_mix": {"count": 1.5, "presence": -0.5}},
+                {"category_mix": {"count": nan, "presence": 1.0}},
+                {"category_mix": {"count": inf}},
+                {"category_mix": {"count": 0.0, "presence": 1.0}},
+                {"category_mix": {"count": "1"}}):
+        with pytest.raises(ValueError, match="must be a finite|must be finite"):
+            DatasetConfig(**bad)
 
 
 # ---------------------------------------------------------------- determinism

@@ -67,6 +67,10 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lam=-0.5)
+    for bad in ({"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+                {"lam": float("nan")}, {"lam": float("inf")}):
+        with pytest.raises(ValueError, match="must be finite"):
+            TrainConfig(**bad)
     for bad in ({"epochs": 2.5}, {"batch_size": True}, {"seed": "3"},
                 {"learning_rate": True}, {"lam": None}):
         with pytest.raises(ValueError, match="must be"):
