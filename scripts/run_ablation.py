@@ -2,9 +2,10 @@
 """Reproduce the component ablation: four flag variants on the default task.
 
 Trains baseline (mean pooling, no bottleneck), cross-attention only,
-bottleneck only, and the full model — variant i seeded master + i — then
-tabulates per-category accuracy, overall accuracy, and average accuracy on
-the held-out split.  Artifacts (all via the standard CLI):
+bottleneck only, and the full model with the default training recipe —
+variant i seeded master + i — then tabulates per-category accuracy, overall
+accuracy, and average accuracy on the held-out split.  Artifacts (all via
+the standard CLI):
 
     <out>/dataset.jsonl               the shared dataset
     <out>/ablation.txt                fixed-width results table
@@ -20,7 +21,6 @@ import argparse
 import os
 
 from mibvqa.cli import main
-from mibvqa.training import TrainConfig
 
 
 def run() -> int:
@@ -29,17 +29,13 @@ def run() -> int:
     parser.add_argument("--out", default="runs/ablation",
                         help="output directory (default: runs/ablation)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (default: the desk recipe's)")
+                        help="master seed (default: the training default)")
     parser.add_argument("--epochs", type=int, default=None,
-                        help="override the desk epoch budget (for quick runs)")
+                        help="override the default epoch budget (for quick runs)")
     parser.add_argument("--data", default=None,
                         help="reuse an existing dataset file instead of "
                              "generating one")
     args = parser.parse_args()
-
-    desk = TrainConfig.desk()
-    seed = desk.seed if args.seed is None else args.seed
-    epochs = desk.epochs if args.epochs is None else args.epochs
 
     os.makedirs(args.out, exist_ok=True)
     if args.data is None:
@@ -50,10 +46,12 @@ def run() -> int:
     else:
         data_path = args.data
 
-    return main(["ablate", "--data", data_path, "--out", args.out,
-                 "--seed", str(seed), "--epochs", str(epochs),
-                 "--batch-size", str(desk.batch_size),
-                 "--lr", repr(desk.learning_rate)])
+    argv = ["ablate", "--data", data_path, "--out", args.out]
+    if args.seed is not None:
+        argv += ["--seed", str(args.seed)]
+    if args.epochs is not None:
+        argv += ["--epochs", str(args.epochs)]
+    return main(argv)
 
 
 if __name__ == "__main__":

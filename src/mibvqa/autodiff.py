@@ -511,6 +511,12 @@ def backward(loss: Tensor) -> None:
 # optimization
 
 
+# Adam's moment decay rates and denominator guard; every run uses these.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction. Gradients are left untouched by step().
 
@@ -526,13 +532,9 @@ class Adam:
     result is the same to the bit), with no per-parameter copy.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-5,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Mapping[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         sizes = [p.data.size for p in self.params.values()]
         bounds = np.cumsum([0] + sizes).tolist()
@@ -569,7 +571,7 @@ class Adam:
                 if bad.any():
                     raise NonFiniteGradientError(name, float(g[part][bad][0]))
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         m, v = self._m, self._v
         # m = b1 * m + (1 - b1) * g
         m *= b1
@@ -585,7 +587,7 @@ class Adam:
         update *= self.lr
         np.divide(v, 1.0 - b2 ** self.t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += ADAM_EPS
         update /= tmp
         self._p -= update
 

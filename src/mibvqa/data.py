@@ -154,6 +154,9 @@ TEMPLATES = {
                      ("cls",)),
 }
 
+# Each slot renders to one token, so a question has its pattern's length.
+MAX_QUESTION_TOKENS = max(len(t.pattern) for t in TEMPLATES.values())
+
 
 def answer_oracle(scene: Scene, template: QueryTemplate, slots: tuple) -> str:
     """Ground-truth answer string for a rendered question about a scene.
@@ -230,6 +233,9 @@ class DatasetConfig:
             raise ValueError("n_samples must be positive")
         if self.variant not in VARIANT_CATEGORIES:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.k_max < MAX_QUESTION_TOKENS:
+            raise ValueError(f"k_max must be at least {MAX_QUESTION_TOKENS}, "
+                             f"the longest question's token count; got {self.k_max}")
         if not 1 <= self.min_objects <= self.max_objects <= self.t_max:
             raise ValueError("need 1 <= min_objects <= max_objects <= t_max")
         if self.max_objects > self.grid_size * self.grid_size:

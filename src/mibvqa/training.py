@@ -49,13 +49,13 @@ class CheckpointError(ValueError):
 class TrainConfig:
     """The optimization recipe; the architecture is the ModelConfig's.
 
-    The dataclass defaults mirror the reference protocol (150 epochs,
-    batch 280, Adam at 1e-5). The desk() preset is the tuned recipe for
-    the synthetic benchmark task, sized to converge in minutes on one core.
+    The defaults are the recipe that learns the synthetic benchmark task:
+    trained with them, the full model passes 85% held-out overall accuracy
+    on the default dataset within the 60 epochs (acceptance criterion 4).
     """
-    epochs: int = 150
-    batch_size: int = 280
-    learning_rate: float = 1e-5
+    epochs: int = 60
+    batch_size: int = 32
+    learning_rate: float = 5e-3
     lam: float = 1.0
     seed: int = 42
 
@@ -74,9 +74,8 @@ class TrainConfig:
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
-        """Recipe for the synthetic desk-scale task (minutes on one core)."""
-        return cls(**{"epochs": 60, "batch_size": 32, "learning_rate": 5e-3,
-                      **overrides})
+        """Alias of TrainConfig(**overrides); bench/workloads.py still calls it."""
+        return cls(**overrides)
 
 
 @dataclass(frozen=True)
@@ -273,8 +272,8 @@ def compute_metrics(labels: Sequence[int], predictions: Sequence[int],
 # Samples per forward pass in evaluation. Prediction records no graph, but
 # a pass still holds several [chunk * t, d] intermediates at once, so
 # memory grows with the chunk. Median time of one pass over the 500-sample
-# test split after one desk epoch (40 interleaved repetitions, 2-core
-# x86-64, NumPy 2.4, one BLAS thread):
+# test split after one epoch of the default recipe (40 interleaved
+# repetitions, 2-core x86-64, NumPy 2.4, one BLAS thread):
 #   chunk   32      64      128     256     512
 #   ms      5.45    4.26    3.78    4.09    5.15
 # 128 is the fastest; the benchmark's eval_split peaks at 49.1 MB with it

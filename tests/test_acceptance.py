@@ -252,14 +252,14 @@ def test_acceptance_3_bottleneck_oracle():
 
 @pytest.fixture(scope="module")
 def default_task_run():
-    """Full-width model on the default dataset with the desk recipe.
+    """Full-width model on the default dataset with the default recipe.
 
     The callback probes held-out accuracy every 5 epochs once 30 epochs have
     completed and stops the run at the first probe >= 0.85, so the criterion
     measures time-to-target rather than always paying for 60 epochs.
     """
     dataset = generate_dataset(DatasetConfig())
-    config = TrainConfig.desk()
+    config = TrainConfig()
     probes: dict[int, float] = {}
 
     def probe(epoch: int, model, record: dict) -> bool:

@@ -419,22 +419,17 @@ def test_adam_first_step_matches_hand_formulas():
     assert p.data == pytest.approx(expected, abs=1e-18)
 
 
-def test_adam_default_hyperparameters():
-    opt = Adam({"x": Tensor(np.array(0.0), requires_grad=True)})
-    assert (opt.lr, opt.beta1, opt.beta2, opt.eps) == (1e-5, 0.9, 0.999, 1e-8)
-
-
 def test_adam_missing_gradient_names_parameter():
     p = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(MissingGradientError) as info:
-        Adam({"enc.embed": p}).step()
+        Adam({"enc.embed": p}, lr=0.1).step()
     assert "enc.embed" in str(info.value)
 
 
 def test_adam_zero_grad_clears():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([5.0])
-    opt = Adam({"x": p})
+    opt = Adam({"x": p}, lr=0.1)
     opt.zero_grad()
     assert p.grad is None
 
@@ -612,7 +607,7 @@ def test_owned_leaf_gradients_match_the_unowned_path_bit_for_bit():
     start = [rng.standard_normal((2, 2)) for _ in range(2)]
     owned = [Tensor(x.copy(), requires_grad=True) for x in start]
     plain = [Tensor(x.copy(), requires_grad=True) for x in start]
-    opt = Adam({"a": owned[0], "b": owned[1]})
+    opt = Adam({"a": owned[0], "b": owned[1]}, lr=0.1)
 
     def check():
         for p, q in zip(owned, plain):
@@ -638,7 +633,7 @@ def test_owned_leaf_gradients_match_the_unowned_path_bit_for_bit():
                          ids=["scalar", "three"])
 def test_wrong_size_contribution_into_an_owned_leaf_raises(contribution):
     p = Tensor(np.zeros((2, 2)), requires_grad=True)
-    opt = Adam({"p": p})
+    opt = Adam({"p": p}, lr=0.1)
     out = ad._node(np.asarray(0.0), (p,), lambda g: (contribution,))
     with pytest.raises(ValueError):
         ad.backward(out)

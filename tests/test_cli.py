@@ -214,6 +214,16 @@ def test_train_flag_overrides_beat_the_config_file(workdir, data_path,
     assert ckpt.train_config.seed == 9
 
 
+def test_train_without_recipe_flags_uses_the_train_config_defaults(tmp_path,
+                                                                   data_path):
+    bare, spelled = tmp_path / "bare.ckpt", tmp_path / "spelled.ckpt"
+    common = ["train", "--data", str(data_path), "--epochs", "1"]
+    assert main([*common, "--out", str(bare)]) == 0
+    assert main([*common, "--out", str(spelled), "--batch-size", "32",
+                 "--lr", "5e-3", "--seed", "42"]) == 0
+    assert bare.read_bytes() == spelled.read_bytes()
+
+
 def test_train_no_infomax_flag_drops_the_bottleneck_parameters(
         workdir, data_path, train_cfg_path):
     out_path = workdir / "no_ib.ckpt"
@@ -295,6 +305,8 @@ def test_train_config_error_is_reported_before_the_dataset_is_read(
      "category 'presence' share must be a finite number > 0, got -0.5"),
     ("category_mix = count:nan,presence:1",
      "category 'count' share must be a finite number > 0, got nan"),
+    ("k_max = 4",
+     "k_max must be at least 8, the longest question's token count; got 4"),
 ])
 def test_gen_data_rejects_a_non_finite_or_negative_fraction(tmp_path, capsys,
                                                            text, shown):
@@ -665,9 +677,11 @@ def _config_echo_edit(key: str, value):
      "bad config echo in header: DatasetConfig.grid_size must be int, got 8.0"),
     (_config_echo_edit("seed", True),
      "bad config echo in header: DatasetConfig.seed must be int, got True"),
+    (_config_echo_edit("k_max", 4),
+     "bad config echo in header: k_max must be at least 8"),
 ], ids=["n_samples_text", "n_samples_list", "n_samples_wrong", "version",
         "format", "config", "config_seed_float", "config_grid_size_float",
-        "config_seed_bool"])
+        "config_seed_bool", "config_k_max_short"])
 def test_malformed_dataset_header_exits_with_one_error_line(
         tmp_path, data_path, capsys, edit, shown):
     lines = data_path.read_text(encoding="utf-8").splitlines()

@@ -353,6 +353,10 @@ def test_config_validation():
         DatasetConfig(variant="satellite")
     with pytest.raises(ValueError):
         DatasetConfig(category_mix={"count": 1.0, "unknown": 1.0})
+    with pytest.raises(ValueError, match="k_max must be at least 8, the longest "
+                                         "question's token count; got 7"):
+        DatasetConfig(k_max=7)
+    assert DatasetConfig(k_max=8).k_max == 8
     nan, inf = float("nan"), float("inf")
     for bad in ({"test_fraction": nan}, {"train_fraction": inf},
                 {"train_fraction": 1.2, "test_fraction": -0.2},

@@ -50,12 +50,13 @@ def run_quick(dataset, flags=None, **overrides):
 # ---------------------------------------------------------------- defaults
 
 
-def test_default_train_config_follows_published_protocol():
+def test_default_train_config_is_the_recipe_that_learns():
     cfg = TrainConfig()
-    assert cfg.epochs == 150
-    assert cfg.batch_size == 280
-    assert cfg.learning_rate == 1e-5
+    assert cfg.epochs == 60
+    assert cfg.batch_size == 32
+    assert cfg.learning_rate == 5e-3
     assert cfg.lam == 1.0
+    assert cfg.seed == 42
 
 
 def test_config_validation():
