@@ -22,7 +22,8 @@ import numpy as np
 
 
 class DimensionError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
+    """Operand shapes are incompatible for the requested operation, or an
+    index operand falls outside the axis it indexes."""
 
 
 class RankError(ValueError):
@@ -346,15 +347,19 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean over rows of logsumexp(logits[i]) - logits[i, labels[i]]: the
     cross-entropy of each row's softmax against an int label; one node.
 
-    logits is [B, C] with B >= 1 and labels an int [B] array whose values
-    the caller has checked to lie in [0, C) (fusion.cross_entropy does).
+    logits is [B, C] with B >= 1 and labels an int [B] array with values in
+    [0, C); anything else is a DimensionError.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if logits.data.ndim != 2 or logits.shape[0] == 0 \
             or labels.shape != (logits.shape[0],):
         raise DimensionError(f"softmax_cross_entropy: logits {logits.shape}, "
                              f"labels {labels.shape}")
-    b = logits.shape[0]
+    b, c = logits.shape
+    if labels.min() < 0 or labels.max() >= c:
+        bad = labels[(labels < 0) | (labels >= c)][0]
+        raise DimensionError(f"softmax_cross_entropy: label {bad} out of range "
+                             f"for {c} classes")
     m = logits.data
     rows = np.arange(b)
     mx = m.max(axis=1, keepdims=True)

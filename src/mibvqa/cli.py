@@ -12,9 +12,7 @@ import os
 import sys
 
 from .config_io import ConfigError, build_dataset_config, build_train_setup, read_config_file
-from .data import (
-    Dataset, DatasetFormatError, export_dataset, generate_dataset, import_dataset,
-)
+from .data import DatasetFormatError, export_dataset, generate_dataset, import_dataset
 from .training import (
     CheckpointError, DivergenceError, Metrics, ablate, evaluate, load_checkpoint,
     save_checkpoint, train,
@@ -33,12 +31,6 @@ def _metrics_text(metrics: Metrics, split: str) -> str:
     lines.append(f"{'overall_accuracy':<16}{metrics.overall_accuracy:>10.4f}")
     lines.append(f"{'average_accuracy':<16}{metrics.average_accuracy:>10.4f}")
     return "\n".join(lines)
-
-
-def _load_dataset(path) -> Dataset:
-    if not os.path.exists(path):
-        raise DatasetFormatError(f"dataset file not found: {path}")
-    return import_dataset(path)
 
 
 def _check_output_file(path) -> None:
@@ -89,7 +81,7 @@ def _train_setup(args) -> tuple:
 def _cmd_train(args) -> int:
     _check_output_file(args.out)
     config, mc = _train_setup(args)
-    dataset = _load_dataset(args.data)
+    dataset = import_dataset(args.data)
     result = train(config, dataset, model_config=mc)
     for record in result.epoch_records:
         print(f"epoch {record['epoch']:>4}  ce {record['mean_ce']:.6f}  "
@@ -104,7 +96,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     checkpoint = load_checkpoint(args.ckpt)
-    dataset = _load_dataset(args.data)
+    dataset = import_dataset(args.data)
     metrics = evaluate(checkpoint, dataset, args.split)
     print(_metrics_text(metrics, args.split))
     if args.json_out:
@@ -119,7 +111,7 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     _check_output_dir(args.out)
     config, mc = _train_setup(args)
-    dataset = _load_dataset(args.data)
+    dataset = import_dataset(args.data)
     result = ablate(dataset, config, split=args.split, model_config=mc)
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "ablation.txt")
@@ -193,16 +185,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetFormatError, CheckpointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (ConfigError, DatasetFormatError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

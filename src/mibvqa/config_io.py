@@ -44,8 +44,6 @@ def read_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return parse_config_text(f.read())
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
 

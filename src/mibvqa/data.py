@@ -154,6 +154,10 @@ TEMPLATES = {
                      ("cls",)),
 }
 
+# The values generation draws for each slot name.
+SLOT_VALUES = {"cls": OBJECT_CLASSES, "cls_a": OBJECT_CLASSES,
+               "cls_b": OBJECT_CLASSES, "size": SIZES}
+
 # Each slot renders to one token, so a question has its pattern's length.
 MAX_QUESTION_TOKENS = max(len(t.pattern) for t in TEMPLATES.values())
 
@@ -231,6 +235,8 @@ class DatasetConfig:
         check_field_types(self)
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.variant not in VARIANT_CATEGORIES:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.k_max < MAX_QUESTION_TOKENS:
@@ -517,14 +523,16 @@ def _sample_record(s: VQASample) -> dict:
 
 
 def _record_object(store: dict, grid_size: int, cls, row, col, size) -> SceneObject:
-    """The canonical object of one record entry. A store hit is valid by
-    construction; a miss (or an unhashable field) runs every check and
-    stores the object only if it passes."""
+    """The canonical object of one record entry. Once row and col are ints
+    (JSON true and 1.0 both equal 1, so either would hit the store), a store
+    hit is valid by construction; a miss (or an unhashable field) runs every
+    check and stores the object only if it passes."""
+    if type(row) is not int or type(col) is not int:
+        raise ValueError(f"object row {row!r}, col {col!r}: expected integers")
     try:
         return store[cls, row, col, size]
     except (KeyError, TypeError):
         pass
-    row, col = int(row), int(col)
     if cls not in _CLASS_INDEX:
         raise ValueError(f"unknown object class {cls!r}")
     if size not in SIZE_FEATURE:
@@ -535,16 +543,26 @@ def _record_object(store: dict, grid_size: int, cls, row, col, size) -> SceneObj
     return store.setdefault((cls, row, col, size), SceneObject(cls, row, col, size))
 
 
+def _same(value, expected) -> bool:
+    """value == expected, with the same type item by item: to ==, JSON true
+    is 1 and 1.0 is 1."""
+    return value == expected and (
+        list(map(type, value)) == list(map(type, expected))
+        if type(value) is list else type(value) is type(expected))
+
+
 def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
     """The sample of one record, rebuilt from its objects, template, slots and
     split as generation builds it. A drawn field generation cannot give (the
     grid, an object, the object or slot count, the template, the split) or a
-    stored derived field other than the rebuilt one is a DatasetFormatError."""
+    stored derived field other than the rebuilt one is a DatasetFormatError,
+    and so is a value of another JSON type than the one export writes. Each
+    slot must hold a value of its kind, and a comparison two classes."""
     try:
         sc = rec["scene"]
-        grid_size = int(sc["grid_size"])
-        if grid_size != config.grid_size:
-            raise ValueError(f"grid_size {grid_size}, the header's is "
+        grid_size = sc["grid_size"]
+        if type(grid_size) is not int or grid_size != config.grid_size:
+            raise ValueError(f"grid_size {grid_size!r}, the header's is "
                              f"{config.grid_size}")
         store = _object_store(grid_size)
         objects = tuple(_record_object(store, grid_size, cls, row, col, size)
@@ -552,12 +570,21 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
         if not 1 <= len(objects) <= config.t_max:
             raise ValueError(f"{len(objects)} objects, expected 1 to "
                              f"t_max={config.t_max}")
-        template_id, slots = int(rec["template_id"]), tuple(rec["slots"])
-        split = rec["split"]
-        if template_id not in TEMPLATES:
-            raise ValueError(f"unknown template_id {template_id}")
-        if len(slots) != len(TEMPLATES[template_id].slot_names):
+        template_id, slots, split = rec["template_id"], rec["slots"], rec["split"]
+        if type(template_id) is not int or template_id not in TEMPLATES:
+            raise ValueError(f"unknown template_id {template_id!r}")
+        template = TEMPLATES[template_id]
+        if type(slots) is not list:
+            raise ValueError(f"slots {slots!r} is not a list")
+        if len(slots) != len(template.slot_names):
             raise ValueError(f"{len(slots)} slots for template {template_id}")
+        slots = tuple(slots)
+        for name, value in zip(template.slot_names, slots):
+            if value not in SLOT_VALUES[name]:
+                raise ValueError(f"slot {name} {value!r} is not one of "
+                                 f"{', '.join(SLOT_VALUES[name])}")
+        if template.category == "comparison" and slots[0] == slots[1]:
+            raise ValueError(f"comparison of {slots[0]!r} with itself")
         if split not in config.splits():
             raise ValueError(f"split {split!r} is not among the header's splits")
         sample = _sample(config, _scene(config, objects), template_id, slots, split)
@@ -567,7 +594,7 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
                 ("token_ids", rec["token_ids"], list(sample.token_ids)),
                 ("n_tokens", rec["n_tokens"], sample.n_tokens),
                 ("answer_index", rec["answer_index"], sample.answer_index)):
-            if value != expected:
+            if not _same(value, expected):
                 raise ValueError(f"{name} {value!r} is not the rebuilt sample's "
                                  f"{expected!r}")
         return sample
@@ -609,16 +636,16 @@ def import_dataset(path) -> Dataset:
     if header.get("version") != FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported dataset version {header.get('version')}")
     try:
-        cfg_dict = dict(header["config"])
-        cfg_dict["category_mix"] = dict(cfg_dict.get("category_mix") or {})
-        config = DatasetConfig(**cfg_dict)
+        config = DatasetConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as e:
         raise DatasetFormatError(f"bad config echo in header: {e}") from None
-    try:
-        expected = int(header.get("n_samples", -1))
-    except (TypeError, ValueError):
-        raise DatasetFormatError(
-            f"bad n_samples in header: {header.get('n_samples')!r}") from None
+    seed = header.get("seed")
+    if type(seed) is not int or seed != config.seed:
+        raise DatasetFormatError(f"header seed {seed!r} is not its config "
+                                 f"echo's {config.seed}")
+    expected = header.get("n_samples")
+    if type(expected) is not int:
+        raise DatasetFormatError(f"bad n_samples in header: {expected!r}")
     if expected != len(lines) - 1:
         raise DatasetFormatError(
             f"truncated dataset: header says {expected} samples, file has {len(lines) - 1}")

@@ -11,13 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, Tensor, linear, relu, softmax_cross_entropy,
-    uniform_init,
+    SIGNAL_INIT_SCALE, DimensionError, Tensor, linear, relu,
+    softmax_cross_entropy, uniform_init,
 )
-
-
-class LabelError(ValueError):
-    """A label index falls outside the answer space."""
 
 
 class FusionParams:
@@ -56,25 +52,15 @@ def classify(fused: Tensor, params: FusionParams) -> Tensor:
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label].
 
-    logits: [B, C]; labels: int[B]. Mean (not sum) reduction keeps the
-    learning rate stable across batch sizes.
+    logits: [B, C]; labels: int[B] in [0, C), checked by the node. Mean (not
+    sum) reduction keeps the learning rate stable across batch sizes.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2:
-        raise LabelError(f"cross_entropy expects [B, C] logits, got {logits.shape}")
-    b, c = logits.shape
-    if labels.shape != (b,):
-        raise LabelError(f"labels shape {labels.shape} does not match batch {b}")
-    if labels.min() < 0 or labels.max() >= c:
-        bad = labels[(labels < 0) | (labels >= c)][0]
-        raise LabelError(f"label {bad} out of range for {c} classes")
     return softmax_cross_entropy(logits, labels)
 
 
-def predict(logits) -> np.ndarray:
+def predict(logits: Tensor) -> np.ndarray:
     """Argmax answer index of each row of [B, C] logits; ties break to the
     lowest index."""
-    values = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if values.ndim != 2:
-        raise LabelError(f"predict expects [B, C] logits, got {values.shape}")
-    return np.argmax(values, axis=1)
+    if logits.data.ndim != 2:
+        raise DimensionError(f"predict expects [B, C] logits, got {logits.shape}")
+    return np.argmax(logits.data, axis=1)

@@ -120,8 +120,6 @@ class VQAModel:
         standard-normal draws of its two samples. With it disabled, final
         IS the cross-entropy tensor and the info terms are constants.
         """
-        if len(labels) == 0:
-            raise ValueError("loss_batch: empty batch")
         logits, f_q, f_h = self._forward(features, tokens)
         ce = cross_entropy(logits, labels)
         if self.bottleneck is None:

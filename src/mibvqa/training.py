@@ -29,7 +29,8 @@ from .model import ModelConfig, VQAModel
 class DivergenceError(RuntimeError):
     """A loss term or a gradient became non-finite during training.
 
-    term names the loss term or, for a gradient, the parameter.
+    term names the loss term or, for a gradient, the parameter. Pickles
+    with its fields, so it can cross a process boundary.
     """
 
     def __init__(self, term: str, value: float, step: int,
@@ -37,8 +38,12 @@ class DivergenceError(RuntimeError):
         self.term = term
         self.value = value
         self.step = step
+        self.kind = kind
         super().__init__(
             f"non-finite {kind} {term!r} ({value}) at optimizer step {step}")
+
+    def __reduce__(self):
+        return type(self), (self.term, self.value, self.step, self.kind)
 
 
 class CheckpointError(ValueError):
@@ -65,6 +70,8 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # comparisons with nan are False, so each bound also rejects nan
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and positive, "
@@ -509,6 +516,9 @@ def load_checkpoint(path) -> Checkpoint:
     step_count, model_config, train_config, metrics, answers = (
         _parse_line(lines, index, prefix, parse)
         for index, (prefix, parse) in enumerate(_CKPT_LINES, start=1))
+    if seed != train_config.seed:
+        raise CheckpointError(f"header seed {seed} is not the 'config train' "
+                              f"line's {train_config.seed}")
     parameters: dict = {}
     end = len(_CKPT_LINES) + 1 + 2 * n_tensors
     for index in range(len(_CKPT_LINES) + 1, end, 2):

@@ -8,18 +8,28 @@ to keep the whole file fast.
 
 import argparse
 import base64
+import contextlib
 import dataclasses
+import functools
+import io
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mibvqa import autodiff, cli, training
 from mibvqa.cli import build_parser, main
-from mibvqa.data import DatasetConfig, import_dataset
+from mibvqa.data import (
+    ANSWER_INDEX, CATEGORIES, TEMPLATES, VOCABULARY, DatasetConfig, Scene,
+    SceneObject, answer_oracle, import_dataset, tokenize,
+)
 from mibvqa.model import ModelConfig
 from mibvqa.training import (
     ABLATION_VARIANTS, TrainConfig, build_model, evaluate, evaluate_model,
@@ -307,11 +317,13 @@ def test_train_config_error_is_reported_before_the_dataset_is_read(
      "category 'count' share must be a finite number > 0, got nan"),
     ("k_max = 4",
      "k_max must be at least 8, the longest question's token count; got 4"),
+    ("seed = -1", "seed must be nonnegative, got -1"),
 ])
 def test_gen_data_rejects_a_non_finite_or_negative_fraction(tmp_path, capsys,
                                                            text, shown):
     config = tmp_path / "data.cfg"
-    config.write_text(f"{DATASET_CFG}{text}\n", encoding="utf-8")
+    # no seed line: a row may set it
+    config.write_text(f"n_samples = 120\n{text}\n", encoding="utf-8")
     out = tmp_path / "never.jsonl"
     code = main(["gen-data", "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err
@@ -326,6 +338,7 @@ def test_gen_data_rejects_a_non_finite_or_negative_fraction(tmp_path, capsys,
     (["--lr", "inf"], "learning_rate must be finite and positive, got inf"),
     (["--lambda", "nan"], "lam must be finite and nonnegative, got nan"),
     (["--lambda", "inf"], "lam must be finite and nonnegative, got inf"),
+    (["--seed", "-1"], "seed must be nonnegative, got -1"),
 ])
 def test_train_rejects_a_non_finite_rate_before_the_dataset_is_read(
         tmp_path, capsys, args, shown):
@@ -343,6 +356,24 @@ def test_missing_data_file_exits_with_the_data_error_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "error:" in err and "no_such.jsonl" in err
+
+
+@pytest.mark.parametrize("flag", ["--data", "--config", "--ckpt"])
+def test_missing_input_file_exits_with_the_os_error_line(
+        tmp_path, ckpt_path, data_path, capsys, flag):
+    # open() is the one check that an input file exists
+    missing = tmp_path / "no_such_file"
+    never = str(tmp_path / "never.ckpt")
+    argv = {
+        "--data": ["train", "--data", str(missing), "--out", never],
+        "--config": ["train", "--data", str(data_path), "--out", never,
+                     "--config", str(missing)],
+        "--ckpt": ["eval", "--ckpt", str(missing), "--data", str(data_path)],
+    }[flag]
+    code = main(argv)
+    assert code == 3
+    assert capsys.readouterr().err == (f"error: [Errno 2] No such file or "
+                                       f"directory: '{missing}'\n")
 
 
 def test_truncated_dataset_file_exits_with_the_data_error_code(tmp_path,
@@ -563,9 +594,13 @@ def _first_block_twice(lines: list) -> list:
     (_repeated("config train "), "line 5 should be the 'metrics' line"),
     (_config_lines_swapped, "line 3 should be the 'config model' line"),
     (lambda lines: lines + [""], "follows the header's last tensor"),
+    (_payload_edit("config train ", lambda tc: {**tc, "seed": -1}),
+     "malformed 'config train' payload on line 4: seed must be nonnegative, got -1"),
+    (_header_field(2, "77"), "header seed 77 is not the 'config train' line's 5"),
 ], ids=["v2", "v3", "negative_seed", "nan", "no_rank", "model_width", "answers",
         "block_twice", "no_meta", "no_metrics", "no_answers", "config_train_twice",
-        "config_swapped", "blank_last_line"])
+        "config_swapped", "blank_last_line", "config_train_seed_negative",
+        "seed_mismatch"])
 def test_eval_rejected_checkpoint_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, edit, shown):
     lines = edit(ckpt_path.read_text(encoding="utf-8").splitlines())
@@ -595,6 +630,19 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     assert len(err.strip().splitlines()) == 1
 
 
+def _rebuild_derived_fields(record: dict, k_max: int) -> None:
+    """Set the category, token ids and answer of a record to the ones its
+    scene, template and slots give, so only a drawn field can be wrong."""
+    template, slots = TEMPLATES[record["template_id"]], tuple(record["slots"])
+    sc = record["scene"]
+    scene = Scene(sc["grid_size"], tuple(SceneObject(*o) for o in sc["objects"]),
+                  sc["zone_label"])
+    token_ids, n_tokens = tokenize(template.render(slots), k_max)
+    record.update(category=template.category, token_ids=list(token_ids),
+                  n_tokens=n_tokens,
+                  answer_index=ANSWER_INDEX[answer_oracle(scene, template, slots)])
+
+
 @pytest.mark.parametrize("field,value,shown", [
     ("cls", "castle", "castle"),
     ("size", "huge", "huge"),
@@ -619,6 +667,11 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     ("category", "bogus", "category 'bogus' is not the rebuilt sample's 'count'"),
     ("zone_label", "x", "zone_label 'x' is not the rebuilt sample's 'rural'"),
     ("zone_label", "urban", "zone_label 'urban' is not the rebuilt sample's 'rural'"),
+    ("question", (0, ["small"]),
+     "slot cls 'small' is not one of building, road, water, tree, field"),
+    ("question", (1, ["how"]), "slot cls 'how' is not one of building,"),
+    ("question", (2, ["road", "small"]), "slot size 'road' is not one of small, large"),
+    ("question", (3, ["road", "road"]), "comparison of 'road' with itself"),
 ])
 def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         tmp_path, data_path, capsys, field, value, shown):
@@ -636,6 +689,9 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         record["token_ids"] = record["token_ids"][:value]
     elif field in ("grid_size", "zone_label"):
         record["scene"][field] = value
+    elif field == "question":
+        record["template_id"], record["slots"] = value
+        _rebuild_derived_fields(record, json.loads(lines[0])["config"]["k_max"])
     else:
         record[field] = value
     lines[1] = json.dumps(record, sort_keys=True)
@@ -648,6 +704,71 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
     assert err.startswith("error:") and "line 2" in err and shown in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "never.ckpt").exists()
+
+
+# Every string a field of a valid record can hold: words, categories, splits.
+RECORD_WORDS = set(VOCABULARY) | set(CATEGORIES) | {"train", "test", "test2"}
+
+# A value of each JSON type; a wrong-type edit draws one of another type.
+ANY_JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=5), st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _paths(value, path=()):
+    """The path of every field in a JSON value: dict keys and list indices."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+def _bad_value(kind: str, old):
+    """A strategy for a value that makes the field holding old invalid."""
+    if kind == "wrong type":
+        return ANY_JSON_VALUE.filter(lambda new: type(new) is not type(old))
+    if kind == "non-finite":
+        return st.sampled_from([math.nan, math.inf, -math.inf])
+    # out of range: no integer field takes a negative value or one of 1000
+    # or more, and no string field a string outside RECORD_WORDS
+    if type(old) is int:
+        return st.integers(max_value=-1) | st.integers(min_value=1000)
+    return st.text(max_size=8).filter(lambda new: new not in RECORD_WORDS)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_eval_of_a_record_with_one_bad_field_exits_with_one_error_line(
+        workdir, ckpt_path, data_path, data):
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    index = data.draw(st.integers(1, len(lines) - 1), label="record")
+    record = json.loads(lines[index])
+    kind = data.draw(st.sampled_from(
+        ["wrong type", "out of range", "non-finite", "deleted key"]), label="kind")
+    paths = list(_paths(record))
+    if kind == "deleted key":
+        paths = [path for path in paths if isinstance(path[-1], str)]
+    elif kind != "wrong type":  # a number or a string, not an object or list
+        paths = [path for path in paths if not isinstance(
+            functools.reduce(operator.getitem, path, record), (dict, list))]
+    *parents, last = data.draw(st.sampled_from(paths), label="field")
+    holder = functools.reduce(operator.getitem, parents, record)
+    if kind == "deleted key":
+        del holder[last]
+    else:
+        holder[last] = data.draw(_bad_value(kind, holder[last]), label="value")
+    lines[index] = json.dumps(record, sort_keys=True)
+    edited = workdir / "bad_field.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--ckpt", str(ckpt_path), "--data", str(edited)])
+    assert code == 3
+    assert err.getvalue().startswith(f"error: malformed sample record at line "
+                                     f"{index + 1}: ")
+    assert len(err.getvalue().strip().splitlines()) == 1
 
 
 def _header_edit(key: str, value):
@@ -679,9 +800,18 @@ def _config_echo_edit(key: str, value):
      "bad config echo in header: DatasetConfig.seed must be int, got True"),
     (_config_echo_edit("k_max", 4),
      "bad config echo in header: k_max must be at least 8"),
+    (_config_echo_edit("seed", -1),
+     "bad config echo in header: seed must be nonnegative, got -1"),
+    (_header_edit("seed", 999), "header seed 999 is not its config echo's 11"),
+    (_config_echo_edit("category_mix", None),
+     "bad config echo in header: DatasetConfig.category_mix must be dict, got None"),
+    (_config_echo_edit("category_mix", [[c, 0.25] for c in CATEGORIES[:4]]),
+     "bad config echo in header: DatasetConfig.category_mix must be dict, "
+     "got [['count', 0.25],"),
 ], ids=["n_samples_text", "n_samples_list", "n_samples_wrong", "version",
         "format", "config", "config_seed_float", "config_grid_size_float",
-        "config_seed_bool", "config_k_max_short"])
+        "config_seed_bool", "config_k_max_short", "config_seed_negative",
+        "seed_mismatch", "config_mix_null", "config_mix_pairs"])
 def test_malformed_dataset_header_exits_with_one_error_line(
         tmp_path, data_path, capsys, edit, shown):
     lines = data_path.read_text(encoding="utf-8").splitlines()

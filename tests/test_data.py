@@ -357,6 +357,9 @@ def test_config_validation():
                                          "question's token count; got 7"):
         DatasetConfig(k_max=7)
     assert DatasetConfig(k_max=8).k_max == 8
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        DatasetConfig(seed=-1)
+    assert DatasetConfig(seed=0).seed == 0
     nan, inf = float("nan"), float("inf")
     for bad in ({"test_fraction": nan}, {"train_fraction": inf},
                 {"train_fraction": 1.2, "test_fraction": -0.2},
@@ -551,26 +554,32 @@ def _first_object(obj, grid_size=None):
     return edit
 
 
-def test_import_converts_and_checks_object_fields_as_before(tmp_path):
+def test_import_checks_object_fields_and_stores_only_valid_objects(tmp_path):
     ds = generate_dataset(DatasetConfig(n_samples=20, seed=35))
     path = tmp_path / "ds.jsonl"
     export_dataset(ds, path)
-    # a row given as a string converts as int() does, to the shared object
+    # an imported object is the shared one generation made
     first = ds.samples[0].scene.objects[0]
-    edited = _edit_first_record(path, tmp_path / "str_row.jsonl", _first_object(
-        [first.cls, str(first.row), first.col, first.size]))
-    assert import_dataset(edited).samples[0].scene.objects[0] is first
+    assert import_dataset(path).samples[0].scene.objects[0] is first
     # a record's grid must be the header's: a 9x9 scene in an 8x8 file is
     # rejected before its objects are read
     nine = _edit_first_record(path, tmp_path / "nine.jsonl",
                               _first_object(["road", 8, 0, "small"], grid_size=9))
     with pytest.raises(DatasetFormatError, match="line 2: grid_size 9, the header's is 8"):
         import_dataset(nine)
-    # a rejected object leaves no entry behind
+    # a rejected object leaves no entry behind; export writes row and col as
+    # JSON integers, so a string, a float or a boolean is rejected even where
+    # it equals the stored value
     sizes = {grid: len(objects) for grid, objects in dt._OBJECT_STORES.items()}
     for obj, shown in [(["castle", 0, 0, "small"], "castle"),
                        (["road", 8, 0, "small"], "row 8"),
-                       (["road", float("inf"), 0, "small"], "infinity"),
+                       (["road", float("inf"), 0, "small"], "row inf"),
+                       ([first.cls, str(first.row), first.col, first.size],
+                        f"row '{first.row}'"),
+                       ([first.cls, float(first.row), first.col, first.size],
+                        f"row {float(first.row)}"),
+                       ([first.cls, first.row, first.col == 1, first.size],
+                        f"col {first.col == 1}"),
                        ([["road"], 0, 0, "small"], "unhashable")]:
         edited = _edit_first_record(path, tmp_path / "bad.jsonl", _first_object(obj))
         with pytest.raises(DatasetFormatError, match=f"line 2: .*{shown}"):

@@ -21,7 +21,6 @@ from mibvqa.encoders import (
 from mibvqa.attention import AttentionParams, image_attention, query_attention
 from mibvqa.fusion import (
     FusionParams,
-    LabelError,
     classify,
     cross_entropy,
     predict,
@@ -160,13 +159,21 @@ def test_softmax_cross_entropy_node_rejects_mismatched_shapes():
             ad.softmax_cross_entropy(Tensor(logits), labels)
 
 
+@pytest.mark.parametrize("labels,bad", [([0, 3], 3), ([-1, 0], -1),
+                                        ([2, -1], -1), ([5, -2], 5)])
+def test_softmax_cross_entropy_node_rejects_a_label_outside_the_classes(
+        labels, bad):
+    with pytest.raises(DimensionError, match=f"label {bad} out of range for 3"):
+        ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array(labels))
+
+
 def test_label_out_of_range_rejected():
     logits = Tensor(np.zeros((2, 3)))
-    with pytest.raises(LabelError):
+    with pytest.raises(DimensionError):
         cross_entropy(logits, np.array([0, 3]))
-    with pytest.raises(LabelError):
+    with pytest.raises(DimensionError):
         cross_entropy(logits, np.array([-1, 0]))
-    with pytest.raises(LabelError):
+    with pytest.raises(DimensionError):
         cross_entropy_one([0.0, 0.0, 0.0], 3)
 
 
@@ -181,6 +188,12 @@ def test_predict_argmax():
 def test_predict_tie_breaks_to_lowest_index():
     assert predict(Tensor(np.zeros((1, 5)))).tolist() == [0]
     assert predict(Tensor(np.array([[3.0, 7.0, 7.0]]))).tolist() == [1]
+
+
+def test_predict_rejects_logits_that_are_not_a_matrix():
+    for shape in ((), (5,)):
+        with pytest.raises(DimensionError, match="predict expects"):
+            predict(Tensor(np.zeros(shape)))
 
 
 # ---------------------------------------------------------------- end to end

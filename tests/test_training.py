@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +69,9 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lam=-0.5)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(seed=0).seed == 0
     for bad in ({"learning_rate": float("nan")}, {"learning_rate": float("inf")},
                 {"lam": float("nan")}, {"lam": float("inf")}):
         with pytest.raises(ValueError, match="must be finite"):
@@ -238,6 +242,17 @@ def test_divergence_raises_with_context(micro_dataset):
     assert err.term in {"ce", "mi_estimate", "skl", "info_loss", "final"}
     assert err.step >= 0
     assert not math.isfinite(err.value) or math.isnan(err.value)
+
+
+@pytest.mark.parametrize("kind", ["loss term", "gradient of parameter"])
+def test_divergence_error_pickles_with_its_fields(kind):
+    # worker processes hand their exceptions back pickled
+    err = DivergenceError("ce", math.nan, 3, kind=kind)
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is DivergenceError
+    assert (copy.term, copy.step, copy.kind) == ("ce", 3, kind)
+    assert math.isnan(copy.value)
+    assert str(copy) == str(err) == f"non-finite {kind} 'ce' (nan) at optimizer step 3"
 
 
 def poison_gradient_at_step(monkeypatch, step: int, shape: tuple) -> None:
@@ -446,7 +461,7 @@ def block_dir(tmp_path_factory):
 @settings(max_examples=40)
 def test_checkpoint_blocks_round_trip_bit_exact_and_writable(block_dir, arrays):
     checkpoint = Checkpoint(
-        seed=0, model_config=ModelConfig(), train_config=TrainConfig(),
+        seed=0, model_config=ModelConfig(), train_config=TrainConfig(seed=0),
         parameters={f"p{i}": a for i, a in enumerate(arrays)},
         step_count=0, metrics={}, answers=("no", "yes"))
     first, second = block_dir / "first.ckpt", block_dir / "second.ckpt"
