@@ -115,7 +115,6 @@ class Checkpoint:
     """Everything needed to rebuild and evaluate a trained model. The data
     format fixes its input and output sizes; answers echoes the answer
     space it was trained with."""
-    seed: int
     model_config: ModelConfig
     train_config: TrainConfig
     parameters: dict                 # name -> np.ndarray, allocation order
@@ -236,7 +235,7 @@ def train(config: TrainConfig, dataset: Dataset,
     metrics = {split: _evaluate_prepared(model, split_samples, dataset, split).to_dict()
                for split, split_samples in prepared.items()}
     checkpoint = Checkpoint(
-        seed=config.seed, model_config=model_config, train_config=config,
+        model_config=model_config, train_config=config,
         parameters={name: p.data.copy() for name, p in model.parameters().items()},
         step_count=optimizer.t, metrics=metrics,
         answers=ANSWERS)
@@ -322,7 +321,7 @@ def evaluate(checkpoint: Checkpoint, dataset: Dataset, split: str) -> Metrics:
 
 def build_model(checkpoint: Checkpoint) -> VQAModel:
     """Instantiate the model and overwrite every parameter from the checkpoint."""
-    model = VQAModel(checkpoint.model_config, seed=checkpoint.seed)
+    model = VQAModel(checkpoint.model_config, seed=checkpoint.train_config.seed)
     params = model.parameters()
     if set(params) != set(checkpoint.parameters):
         extra = set(checkpoint.parameters) - set(params)
@@ -429,13 +428,14 @@ CKPT_DTYPE = "<f8"
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Plain-text format, bit-exact under round-trip.
 
-    Header `ckpt v4 <seed> <n_params>` where n_params counts parameter
-    tensors; `meta`/`config`/`metrics`/`answers` lines carry JSON payloads
-    (`config model` holds the ModelConfig: seven widths and two flags);
+    Header `ckpt v4 <seed> <n_params>`: the train config's seed and the
+    count of parameter tensors. `meta`/`config`/`metrics`/`answers` lines
+    carry JSON payloads (`config model` holds the ModelConfig: seven widths
+    and two flags);
     each `tensor <name> <rank> <dims...>` line is followed by exactly one
     line, the base64 of the tensor's little-endian float64 bytes in C order.
     """
-    lines = [f"{CKPT_MAGIC} v{CKPT_VERSION} {checkpoint.seed} "
+    lines = [f"{CKPT_MAGIC} v{CKPT_VERSION} {checkpoint.train_config.seed} "
              f"{len(checkpoint.parameters)}"]
     lines.append(f"meta step_count {checkpoint.step_count}")
     lines.append("config model " + json.dumps(asdict(checkpoint.model_config),
@@ -557,6 +557,6 @@ def load_checkpoint(path) -> Checkpoint:
     if len(lines) > end:
         raise CheckpointError(f"line {end + 1} follows the header's last tensor: "
                               f"{lines[end][:60]!r}")
-    return Checkpoint(seed=seed, model_config=model_config,
+    return Checkpoint(model_config=model_config,
                       train_config=train_config, parameters=parameters,
                       step_count=step_count, metrics=metrics, answers=answers)

@@ -672,6 +672,7 @@ def _rebuild_derived_fields(record: dict, k_max: int) -> None:
     ("question", (1, ["how"]), "slot cls 'how' is not one of building,"),
     ("question", (2, ["road", "small"]), "slot size 'road' is not one of small, large"),
     ("question", (3, ["road", "road"]), "comparison of 'road' with itself"),
+    ("shared_cell", 1, "10 objects on 9 grid cells"),
 ])
 def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         tmp_path, data_path, capsys, field, value, shown):
@@ -685,6 +686,10 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
     elif field == "n_objects":
         record["scene"]["objects"] = [["road", i // 8, i % 8, "small"]
                                       for i in range(value)]
+    elif field == "shared_cell":
+        # answers read classes and sizes only, so the derived fields still hold
+        objects = record["scene"]["objects"]
+        objects[value][1:3] = objects[0][1:3]
     elif field == "n_token_ids":
         record["token_ids"] = record["token_ids"][:value]
     elif field in ("grid_size", "zone_label"):
@@ -790,6 +795,7 @@ def _config_echo_edit(key: str, value):
     (_header_edit("n_samples", [120]), "bad n_samples in header: [120]"),
     (_header_edit("n_samples", 7), "header says 7 samples"),
     (_header_edit("version", 99), "unsupported dataset version 99"),
+    (_header_edit("version", True), "unsupported dataset version True"),
     (_header_edit("format", "other"), "bad format marker"),
     (_header_edit("config", {"bogus": 1}), "bad config echo in header"),
     (_config_echo_edit("seed", 7.5),
@@ -809,9 +815,10 @@ def _config_echo_edit(key: str, value):
      "bad config echo in header: DatasetConfig.category_mix must be dict, "
      "got [['count', 0.25],"),
 ], ids=["n_samples_text", "n_samples_list", "n_samples_wrong", "version",
-        "format", "config", "config_seed_float", "config_grid_size_float",
-        "config_seed_bool", "config_k_max_short", "config_seed_negative",
-        "seed_mismatch", "config_mix_null", "config_mix_pairs"])
+        "version_true", "format", "config", "config_seed_float",
+        "config_grid_size_float", "config_seed_bool", "config_k_max_short",
+        "config_seed_negative", "seed_mismatch", "config_mix_null",
+        "config_mix_pairs"])
 def test_malformed_dataset_header_exits_with_one_error_line(
         tmp_path, data_path, capsys, edit, shown):
     lines = data_path.read_text(encoding="utf-8").splitlines()

@@ -347,6 +347,10 @@ def test_presence_answers_are_balanced():
 def test_config_validation():
     with pytest.raises(ValueError):
         DatasetConfig(n_samples=0)
+    with pytest.raises(ValueError, match=r"n_samples must be 1 to 4294967296, "
+                                         r"got 4294967297"):
+        DatasetConfig(n_samples=2**32 + 1)
+    assert DatasetConfig(n_samples=2**32).n_samples == 2**32
     with pytest.raises(ValueError):
         DatasetConfig(train_fraction=0.9, test_fraction=0.2)
     with pytest.raises(ValueError):
@@ -375,6 +379,30 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------- determinism
+
+
+def numpy_stream_state(seed: int, index: int) -> dict:
+    return np.random.PCG64(np.random.SeedSequence([seed, index])).state
+
+
+# one entropy word, the largest one-word seed, two and three words, and
+# more words than SeedSequence's pool of four
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5],
+                         ids=["0", "1", "2^32-1", "2^32", "2^64+3", "2^128+5"])
+def test_sample_streams_start_where_numpy_seeds_them(seed):
+    n = dt.STREAM_CHUNK + 3
+    checked = (0, 1, dt.STREAM_CHUNK - 1, dt.STREAM_CHUNK, n - 1)
+    states = {i: rng.bit_generator.state
+              for i, rng in enumerate(dt._sample_streams(seed, n)) if i in checked}
+    assert states == {i: numpy_stream_state(seed, i) for i in checked}
+
+
+@given(seed=st.integers(0, 2**130), index=st.integers(0, dt.MAX_SAMPLES - 1))
+@settings(max_examples=60)
+def test_stream_state_equals_numpys_for_any_seed_and_index(seed, index):
+    expected = numpy_stream_state(seed, index)["state"]
+    assert dt._stream_states(seed, np.array([index], dtype=np.uint32)) == [
+        (expected["state"], expected["inc"])]
 
 
 def test_same_seed_reproduces_dataset_exactly():
@@ -461,6 +489,8 @@ REFERENCE_CONFIGS = {
                                        train_fraction=0.8, test_fraction=0.1,
                                        test2_fraction=0.1),
     "urban_threshold_1": DatasetConfig(urban_threshold=1),
+    # a three-word seed: the first entropy words are the seed's, not the index
+    "seed_2_64_plus_3": DatasetConfig(seed=2**64 + 3),
 }
 
 

@@ -379,7 +379,7 @@ def test_checkpoint_header_shape(tmp_path, small_dataset):
     header = path.read_text().splitlines()[0].split()
     assert header[0] == "ckpt"
     assert header[1] == "v4"
-    assert int(header[2]) == result.checkpoint.seed
+    assert int(header[2]) == result.checkpoint.train_config.seed
     assert int(header[3]) == len(result.checkpoint.parameters)
 
 
@@ -461,7 +461,7 @@ def block_dir(tmp_path_factory):
 @settings(max_examples=40)
 def test_checkpoint_blocks_round_trip_bit_exact_and_writable(block_dir, arrays):
     checkpoint = Checkpoint(
-        seed=0, model_config=ModelConfig(), train_config=TrainConfig(seed=0),
+        model_config=ModelConfig(), train_config=TrainConfig(seed=0),
         parameters={f"p{i}": a for i, a in enumerate(arrays)},
         step_count=0, metrics={}, answers=("no", "yes"))
     first, second = block_dir / "first.ckpt", block_dir / "second.ckpt"
