@@ -78,14 +78,17 @@ def _train_setup(args) -> tuple:
     return build_train_setup(kv, vars(args))
 
 
+def _print_epoch(epoch: int, model, record: dict) -> None:
+    """train's epoch_callback: one line per epoch, printed as it ends."""
+    print(f"epoch {epoch:>4}  ce {record['mean_ce']:.6f}  "
+          f"final {record['mean_final']:.6f}", flush=True)
+
+
 def _cmd_train(args) -> int:
     _check_output_file(args.out)
     config, mc = _train_setup(args)
     dataset = import_dataset(args.data)
-    result = train(config, dataset, model_config=mc)
-    for record in result.epoch_records:
-        print(f"epoch {record['epoch']:>4}  ce {record['mean_ce']:.6f}  "
-              f"final {record['mean_final']:.6f}")
+    result = train(config, dataset, model_config=mc, epoch_callback=_print_epoch)
     save_checkpoint(result.checkpoint, args.out)
     print(f"saved checkpoint to {args.out}")
     for split, metrics in result.checkpoint.metrics.items():

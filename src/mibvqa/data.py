@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -212,6 +212,20 @@ def check_field_types(config) -> None:
                              f"{kind.__name__}, got {value!r}")
 
 
+def config_from_json(config_class, value):
+    """config_class from the JSON object a file echoes it as. Its keys must
+    be exactly the class's fields: a reader never fills in a default."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{config_class.__name__} must be a JSON object, got {value!r}")
+    names = [f.name for f in fields(config_class)]
+    missing = [name for name in names if name not in value]
+    unknown = sorted(set(value) - set(names))
+    if missing or unknown:
+        raise ValueError(f"{config_class.__name__} keys: missing {missing}, "
+                         f"unknown {unknown}")
+    return config_class(**value)
+
+
 # A sample's index is one uint32 word of its stream's entropy.
 MAX_SAMPLES = 1 << 32
 
@@ -252,6 +266,8 @@ class DatasetConfig:
                              f"the longest question's token count; got {self.k_max}")
         if not 1 <= self.min_objects <= self.max_objects <= self.t_max:
             raise ValueError("need 1 <= min_objects <= max_objects <= t_max")
+        if self.grid_size < 1:
+            raise ValueError(f"grid_size must be positive, got {self.grid_size}")
         if self.max_objects > self.grid_size * self.grid_size:
             raise ValueError("more objects than grid cells")
         # comparisons with nan are False, so each bound also rejects nan
@@ -747,8 +763,8 @@ def import_dataset(path) -> Dataset:
     if type(version) is not int or version != FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported dataset version {version!r}")
     try:
-        config = DatasetConfig(**header["config"])
-    except (KeyError, TypeError, ValueError) as e:
+        config = config_from_json(DatasetConfig, header.get("config"))
+    except ValueError as e:
         raise DatasetFormatError(f"bad config echo in header: {e}") from None
     seed = header.get("seed")
     if type(seed) is not int or seed != config.seed:

@@ -11,7 +11,7 @@ conditional Gaussians, weighted by a learnable positive coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,18 +43,6 @@ class GaussianLatent:
 
 
 @dataclass(frozen=True)
-class InfoLoss:
-    """The bottleneck objective and the two terms it combines.
-
-    value = -mi_estimate + gamma * skl, where skl is the batch mean of the
-    pairwise symmetrized KL.
-    """
-    mi_estimate: Tensor
-    skl: Tensor
-    value: Tensor
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     """All loss terms of one training step. final = ce + lam * info_loss exactly."""
     ce: Tensor
@@ -64,13 +52,8 @@ class LossBreakdown:
     final: Tensor
 
     def values(self) -> dict:
-        return {
-            "ce": self.ce.item(),
-            "mi_estimate": self.mi_estimate.item(),
-            "skl": self.skl.item(),
-            "info_loss": self.info_loss.item(),
-            "final": self.final.item(),
-        }
+        """Each term's float value by field name, in field order."""
+        return {f.name: getattr(self, f.name).item() for f in fields(self)}
 
 
 class BottleneckParams:
@@ -120,19 +103,20 @@ def encode_latent(x: Tensor, which: str, params: BottleneckParams,
                           sample=gaussian_sample(mean, log_var, noise))
 
 
-def info_loss(z_q: Tensor, z_h: Tensor, latents_q: GaussianLatent,
-              latents_h: GaussianLatent, gamma: Tensor, critic: Tensor) -> InfoLoss:
-    """-mi_estimate + gamma * (mean over the batch of pairwise symmetrized KL),
-    returned together with the two terms it combines. Both nodes check
-    that the two latents' shapes agree (DimensionError)."""
-    mi = info_nce(z_q, z_h, critic)
-    skl = gaussian_skl(latents_q.mean, latents_q.log_var,
-                       latents_h.mean, latents_h.log_var)
-    skl_mean = scale(skl, 1.0 / z_q.shape[0])
-    value = add(scale(mi, -1.0), hadamard(gamma, skl_mean))
-    return InfoLoss(mi_estimate=mi, skl=skl_mean, value=value)
+def info_loss(lat_q: GaussianLatent, lat_h: GaussianLatent,
+              params: BottleneckParams) -> tuple:
+    """(mi_estimate, skl, value) of the bottleneck objective on the two
+    latents' samples and Gaussians: mi_estimate is InfoNCE under
+    params.critic, skl the batch mean of the pairwise symmetrized KL, and
+    value = -mi_estimate + params.gamma() * skl. Both nodes check that the
+    two latents' shapes agree (DimensionError)."""
+    mi = info_nce(lat_q.sample, lat_h.sample, params.critic)
+    skl = gaussian_skl(lat_q.mean, lat_q.log_var, lat_h.mean, lat_h.log_var)
+    skl_mean = scale(skl, 1.0 / lat_q.sample.shape[0])
+    value = add(scale(mi, -1.0), hadamard(params.gamma(), skl_mean))
+    return mi, skl_mean, value
 
 
-def total_loss(ce: Tensor, info: Tensor, lam: float = 1.0) -> Tensor:
+def total_loss(ce: Tensor, info: Tensor, lam: float) -> Tensor:
     """ce + lam * info; lam = 0 recovers cross-entropy-only training."""
     return add(ce, scale(info, lam))

@@ -13,7 +13,6 @@ them out.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -109,16 +108,16 @@ class VQAModel:
             return predict(self.logits(features, tokens))
 
     def loss_batch(self, features: ImageObjectFeatures, tokens: QueryTokens,
-                   labels: np.ndarray, lam: float = 1.0,
-                   noise_q: Optional[np.ndarray] = None,
-                   noise_h: Optional[np.ndarray] = None) -> LossBreakdown:
+                   labels: np.ndarray, lam: float,
+                   rng: np.random.Generator) -> LossBreakdown:
         """All loss terms over one batch, built as a single graph.
 
         With the bottleneck enabled, final = ce + lam * info_loss (lam = 0
         still routes zero gradient to the bottleneck weights, keeping the
-        optimizer contract intact) and noise_q, noise_h are the [B, d_z]
-        standard-normal draws of its two samples. With it disabled, final
-        IS the cross-entropy tensor and the info terms are constants.
+        optimizer contract intact), and its two samples reparameterize
+        rng.standard_normal((B, d_z)) draws: the query latent's, then the
+        image latent's. With it disabled, rng is not drawn from, final IS
+        the cross-entropy tensor and the info terms are constants.
         """
         logits, f_q, f_h = self._forward(features, tokens)
         ce = cross_entropy(logits, labels)
@@ -126,10 +125,9 @@ class VQAModel:
             zero = Tensor(np.zeros(()))
             return LossBreakdown(ce=ce, mi_estimate=zero, skl=zero,
                                  info_loss=zero, final=ce)
-        lat_q = encode_latent(f_q, "phi", self.bottleneck, noise_q)
-        lat_h = encode_latent(f_h, "psi", self.bottleneck, noise_h)
-        info = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
-                         self.bottleneck.gamma(), self.bottleneck.critic)
-        final = total_loss(ce, info.value, lam)
-        return LossBreakdown(ce=ce, mi_estimate=info.mi_estimate, skl=info.skl,
-                             info_loss=info.value, final=final)
+        shape = (len(labels), self.config.d_z)
+        lat_q = encode_latent(f_q, "phi", self.bottleneck, rng.standard_normal(shape))
+        lat_h = encode_latent(f_h, "psi", self.bottleneck, rng.standard_normal(shape))
+        mi, skl, info = info_loss(lat_q, lat_h, self.bottleneck)
+        return LossBreakdown(ce=ce, mi_estimate=mi, skl=skl, info_loss=info,
+                             final=total_loss(ce, info, lam))

@@ -3,7 +3,9 @@
 Determinism contract: (seed, config, dataset) pins the initial weights, the
 shuffle order, the reparameterization noise, and therefore the entire loss
 trajectory and all downstream metrics. The model is initialized from
-SeedSequence([seed]) and the loop stream from SeedSequence([seed, 1]).
+SeedSequence([seed]) and the loop stream from SeedSequence([seed, 1]): each
+epoch draws its shuffle from it, and each step hands it to
+VQAModel.loss_batch, which draws the bottleneck's noise.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .autodiff import Adam, NonFiniteGradientError, backward
 from .data import (
-    ANSWERS, CATEGORIES, Dataset, DatasetFormatError, check_field_types, query_tokens,
-    scene_features,
+    ANSWERS, CATEGORIES, Dataset, DatasetFormatError, check_field_types,
+    config_from_json, query_tokens, scene_features,
 )
 from .encoders import ImageObjectFeatures, QueryTokens
 from .model import ModelConfig, VQAModel
@@ -202,13 +204,8 @@ def train(config: TrainConfig, dataset: Dataset,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             features, tokens, labels = samples.batch(idx)
-            if model.bottleneck is not None:
-                noise_q = loop_rng.standard_normal((len(idx), model_config.d_z))
-                noise_h = loop_rng.standard_normal((len(idx), model_config.d_z))
-            else:
-                noise_q = noise_h = None
-            breakdown = model.loss_batch(features, tokens, labels, lam=config.lam,
-                                         noise_q=noise_q, noise_h=noise_h)
+            breakdown = model.loss_batch(features, tokens, labels, config.lam,
+                                         loop_rng)
             values = breakdown.values()
             for term, value in values.items():
                 if not np.isfinite(value):
@@ -471,8 +468,8 @@ def _metrics(payload: str) -> dict:
 # The lines save_checkpoint writes after the header, in order: prefix, parser.
 _CKPT_LINES = (
     ("meta step_count ", _step_count),
-    ("config model ", lambda p: ModelConfig(**json.loads(p))),
-    ("config train ", lambda p: TrainConfig(**json.loads(p))),
+    ("config model ", lambda p: config_from_json(ModelConfig, json.loads(p))),
+    ("config train ", lambda p: config_from_json(TrainConfig, json.loads(p))),
     ("metrics ", _metrics),
     ("answers ", lambda p: tuple(json.loads(p))),
 )
@@ -480,8 +477,9 @@ _CKPT_LINES = (
 
 def _parse_line(lines: list, index: int, prefix: str, parse: Callable):
     """parse(the text after prefix on lines[index]); a missing line, another
-    prefix or a payload parse rejects (bad number, bad JSON, unknown config
-    key, out-of-range value) is a CheckpointError naming the line."""
+    prefix or a payload parse rejects (bad number, bad JSON, missing or
+    unknown config key, out-of-range value) is a CheckpointError naming the
+    line."""
     if index == len(lines) or not lines[index].startswith(prefix):
         found = repr(lines[index][:60]) if index < len(lines) else "the end of the file"
         raise CheckpointError(f"line {index + 1} should be the {prefix.strip()!r} "

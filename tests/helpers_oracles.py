@@ -210,10 +210,8 @@ def reference_loss(model, features, tokens, labels, lam, noise_q, noise_h):
         return logits, LossBreakdown(ce, zero, zero, zero, ce)
     lat_q = encode_latent(f_q, "phi", model.bottleneck, noise_q)
     lat_h = encode_latent(f_h, "psi", model.bottleneck, noise_h)
-    info = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
-                     model.bottleneck.gamma(), model.bottleneck.critic)
-    return logits, LossBreakdown(ce, info.mi_estimate, info.skl, info.value,
-                                 total_loss(ce, info.value, lam))
+    mi, skl, info = info_loss(lat_q, lat_h, model.bottleneck)
+    return logits, LossBreakdown(ce, mi, skl, info, total_loss(ce, info, lam))
 
 
 # ---------------------------------------------------------------------------

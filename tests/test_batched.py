@@ -12,6 +12,8 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -51,12 +53,16 @@ def _grads(model, loss) -> dict:
 
 def assert_matches_reference(model, features, tokens, labels, rng) -> None:
     b, d_z = len(labels), model.config.d_z
-    noise_q = rng.standard_normal((b, d_z))
-    noise_h = rng.standard_normal((b, d_z))
-
-    batched = model.loss_batch(features, tokens, labels, lam=LAM,
-                               noise_q=noise_q, noise_h=noise_h)
+    stream = copy.deepcopy(rng)
+    batched = model.loss_batch(features, tokens, labels, LAM, stream)
     batched_grads = _grads(model, batched.final)
+    # the bottleneck draws its two samples' noise, query first; no
+    # bottleneck, no draw
+    noise_q = noise_h = None
+    if model.bottleneck is not None:
+        noise_q = rng.standard_normal((b, d_z))
+        noise_h = rng.standard_normal((b, d_z))
+    assert stream.bit_generator.state == rng.bit_generator.state
     ref_logits, ref = reference_loss(model, features, tokens, labels, LAM,
                                      noise_q, noise_h)
     ref_grads = _grads(model, ref.final)
@@ -131,7 +137,6 @@ def test_image_padding_is_inert_end_to_end(cross):
     rng = np.random.default_rng(8)
     features, tokens, labels = synthetic_batch(
         16, 12, *EDGE_BATCHES["mixed-padding"], rng)
-    noise_q, noise_h = rng.standard_normal((2, len(labels), model.config.d_z))
     padded = ~features.object_mask
     garbage = features.matrix.copy()
     garbage[padded] = 123.0
@@ -140,8 +145,7 @@ def test_image_padding_is_inert_end_to_end(cross):
     runs = []
     for matrix in (features.matrix, garbage):
         feats = ImageObjectFeatures(matrix, features.object_mask)
-        loss = model.loss_batch(feats, tokens, labels, lam=LAM,
-                                noise_q=noise_q, noise_h=noise_h)
+        loss = model.loss_batch(feats, tokens, labels, LAM, copy.deepcopy(rng))
         runs.append((model.logits(feats, tokens).data, loss.values(),
                      _grads(model, loss.final)))
     (logits, terms, grads), (g_logits, g_terms, g_grads) = runs
@@ -198,12 +202,10 @@ def test_trimmed_split_matches_the_full_width_split(
         assert features.matrix.base is None and tokens.token_ids.base is None
         assert trimmed.labels.tolist() == full.labels.tolist()
 
-        noise_q = rng.standard_normal((n, model.config.d_z))
-        noise_h = rng.standard_normal((n, model.config.d_z))
         terms, grads, logits = [], [], []
         for part in (trimmed, full):
             breakdown = model.loss_batch(part.features, part.tokens, part.labels,
-                                         lam=LAM, noise_q=noise_q, noise_h=noise_h)
+                                         LAM, copy.deepcopy(rng))
             terms.append(breakdown.values())
             grads.append(_grads(model, breakdown.final))
             logits.append(model.logits(part.features, part.tokens).data)

@@ -27,8 +27,9 @@ from hypothesis import strategies as st
 from mibvqa import autodiff, cli, training
 from mibvqa.cli import build_parser, main
 from mibvqa.data import (
-    ANSWER_INDEX, CATEGORIES, TEMPLATES, VOCABULARY, DatasetConfig, Scene,
-    SceneObject, answer_oracle, import_dataset, tokenize,
+    ANSWER_INDEX, CATEGORIES, FORMAT_NAME, TEMPLATES, VARIANT_CATEGORIES,
+    VOCABULARY, DatasetConfig, Scene, SceneObject, answer_oracle, import_dataset,
+    tokenize,
 )
 from mibvqa.model import ModelConfig
 from mibvqa.training import (
@@ -318,6 +319,8 @@ def test_train_config_error_is_reported_before_the_dataset_is_read(
     ("k_max = 4",
      "k_max must be at least 8, the longest question's token count; got 4"),
     ("seed = -1", "seed must be nonnegative, got -1"),
+    ("grid_size = -3\nmin_objects = 1\nmax_objects = 5",
+     "grid_size must be positive, got -3"),
 ])
 def test_gen_data_rejects_a_non_finite_or_negative_fraction(tmp_path, capsys,
                                                            text, shown):
@@ -419,6 +422,31 @@ def test_non_finite_gradient_exits_with_the_divergence_code(
     assert code == 4
     assert err.startswith("error: non-finite gradient of parameter ")
     assert "(inf) at optimizer step 1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+def test_train_prints_each_epoch_line_as_the_epoch_ends(
+        tmp_path, data_path, train_cfg_path, capsys, monkeypatch):
+    real_train = training.train
+
+    def diverging_train(*args, epoch_callback=None, **kwargs):
+        def callback(epoch, model, record):
+            if epoch_callback is not None:
+                epoch_callback(epoch, model, record)
+            if epoch == 1:
+                raise training.DivergenceError("final", math.nan, 12)
+        return real_train(*args, epoch_callback=callback, **kwargs)
+
+    monkeypatch.setattr(cli, "train", diverging_train)
+    code = main(["train", "--data", str(data_path),
+                 "--out", str(tmp_path / "never.ckpt"),
+                 "--config", str(train_cfg_path), "--epochs", "3"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["epoch", "0"], ["epoch", "1"]]
+    assert err.startswith("error: non-finite loss term 'final'")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "never.ckpt").exists()
 
@@ -597,10 +625,14 @@ def _first_block_twice(lines: list) -> list:
     (_payload_edit("config train ", lambda tc: {**tc, "seed": -1}),
      "malformed 'config train' payload on line 4: seed must be nonnegative, got -1"),
     (_header_field(2, "77"), "header seed 77 is not the 'config train' line's 5"),
+    (_payload_edit("config train ", lambda tc: {k: v for k, v in tc.items()
+                                                 if k != "epochs"}),
+     "malformed 'config train' payload on line 4: TrainConfig keys: "
+     "missing ['epochs'], unknown []"),
 ], ids=["v2", "v3", "negative_seed", "nan", "no_rank", "model_width", "answers",
         "block_twice", "no_meta", "no_metrics", "no_answers", "config_train_twice",
         "config_swapped", "blank_last_line", "config_train_seed_negative",
-        "seed_mismatch"])
+        "seed_mismatch", "config_train_no_epochs"])
 def test_eval_rejected_checkpoint_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, edit, shown):
     lines = edit(ckpt_path.read_text(encoding="utf-8").splitlines())
@@ -776,6 +808,89 @@ def test_eval_of_a_record_with_one_bad_field_exits_with_one_error_line(
     assert len(err.getvalue().strip().splitlines()) == 1
 
 
+# The header lines a one-field edit targets: file, line index, and the text
+# before the fields. The checkpoint header and meta line hold space-separated
+# tokens, the rest JSON objects; the config echo is the dataset header's
+# "config" object. The checkpoint's metrics line is out of scope: any JSON
+# object of objects is a valid one.
+HEADER_LINES = {
+    "checkpoint header": ("ckpt", 0, "ckpt "),
+    "meta step_count": ("ckpt", 1, "meta step_count "),
+    "config model": ("ckpt", 2, "config model "),
+    "config train": ("ckpt", 3, "config train "),
+    "dataset header": ("data", 0, ""),
+    "config echo": ("data", 0, ""),
+}
+# Every string a header field can hold: the format marker and the variants.
+HEADER_WORDS = {FORMAT_NAME, *VARIANT_CATEGORIES}
+
+
+def _token_value(token: str):
+    """The JSON value a header token spells, or the token itself ("v4")."""
+    try:
+        return json.loads(token)
+    except ValueError:
+        return token
+
+
+def _bad_header_value(kind: str, old):
+    """A strategy for a value that makes the header field holding old
+    invalid: an int is a valid float, and no number field takes a negative."""
+    if kind == "wrong type":
+        return ANY_JSON_VALUE.filter(lambda new: type(new) is not type(old) and not (
+            type(old) is float and type(new) is int))
+    if kind == "non-finite":
+        return st.sampled_from([math.nan, math.inf, -math.inf])
+    if type(old) is int:
+        return st.integers(max_value=-1)
+    if type(old) is float:
+        return st.floats(max_value=-1e-9, allow_infinity=False)
+    return st.text(max_size=8).filter(lambda new: new not in HEADER_WORDS)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_eval_with_one_bad_header_field_exits_with_one_error_line(
+        workdir, ckpt_path, data_path, data):
+    paths = {"ckpt": ckpt_path, "data": data_path}
+    target = data.draw(st.sampled_from(sorted(HEADER_LINES)), label="target")
+    file, index, prefix = HEADER_LINES[target]
+    lines = paths[file].read_text(encoding="utf-8").splitlines()
+    text = lines[index][len(prefix):]
+    tokens = file == "ckpt" and index < 2
+    if tokens:
+        holder = text.split()
+        values = {key: _token_value(token) for key, token in enumerate(holder)}
+    else:
+        payload = json.loads(text)
+        holder = payload["config"] if target == "config echo" else payload
+        values = dict(holder)
+    kind = data.draw(st.sampled_from(
+        ["wrong type", "out of range", "non-finite", "deleted key"]), label="kind")
+    keys = list(values)
+    if kind in ("out of range", "non-finite"):  # a scalar, not an object or list
+        keys = [key for key in keys if not isinstance(values[key], (dict, list))]
+    if kind == "out of range":  # a flag has no range, only a type
+        keys = [key for key in keys if type(values[key]) is not bool]
+    key = data.draw(st.sampled_from(keys), label="field")
+    if kind == "deleted key":
+        del holder[key]
+    else:
+        new = data.draw(_bad_header_value(kind, values[key]), label="value")
+        holder[key] = json.dumps(new) if tokens else new
+    lines[index] = prefix + (" ".join(holder) if tokens
+                             else json.dumps(payload, sort_keys=True))
+    paths[file] = workdir / f"bad_header.{file}"
+    paths[file].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--ckpt", str(paths["ckpt"]),
+                     "--data", str(paths["data"])])
+    assert code == 3
+    assert err.getvalue().startswith("error: ")
+    assert len(err.getvalue().strip().splitlines()) == 1
+
+
 def _header_edit(key: str, value):
     def edit(header: dict) -> dict:
         header[key] = value
@@ -786,6 +901,14 @@ def _header_edit(key: str, value):
 def _config_echo_edit(key: str, value):
     def edit(header: dict) -> dict:
         header["config"][key] = value
+        return header
+    return edit
+
+
+def _config_echo_without(*keys: str):
+    def edit(header: dict) -> dict:
+        for key in keys:
+            del header["config"][key]
         return header
     return edit
 
@@ -814,11 +937,16 @@ def _config_echo_edit(key: str, value):
     (_config_echo_edit("category_mix", [[c, 0.25] for c in CATEGORIES[:4]]),
      "bad config echo in header: DatasetConfig.category_mix must be dict, "
      "got [['count', 0.25],"),
+    (_config_echo_without("t_max", "urban_threshold"),
+     "bad config echo in header: DatasetConfig keys: "
+     "missing ['t_max', 'urban_threshold'], unknown []"),
+    (_header_edit("config", [8]),
+     "bad config echo in header: DatasetConfig must be a JSON object, got [8]"),
 ], ids=["n_samples_text", "n_samples_list", "n_samples_wrong", "version",
         "version_true", "format", "config", "config_seed_float",
         "config_grid_size_float", "config_seed_bool", "config_k_max_short",
         "config_seed_negative", "seed_mismatch", "config_mix_null",
-        "config_mix_pairs"])
+        "config_mix_pairs", "config_without_keys", "config_list"])
 def test_malformed_dataset_header_exits_with_one_error_line(
         tmp_path, data_path, capsys, edit, shown):
     lines = data_path.read_text(encoding="utf-8").splitlines()

@@ -364,6 +364,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
         DatasetConfig(seed=-1)
     assert DatasetConfig(seed=0).seed == 0
+    # a negative grid squares to enough cells for the objects
+    with pytest.raises(ValueError, match="grid_size must be positive, got -3"):
+        DatasetConfig(grid_size=-3, min_objects=1, max_objects=5)
+    assert DatasetConfig(grid_size=1, min_objects=1, max_objects=1).grid_size == 1
     nan, inf = float("nan"), float("inf")
     for bad in ({"test_fraction": nan}, {"train_fraction": inf},
                 {"train_fraction": 1.2, "test_fraction": -0.2},

@@ -271,38 +271,43 @@ def test_fused_nodes_reject_mismatched_shapes():
 
 def test_info_loss_gamma_zero_isolates_mi_term():
     rng = np.random.default_rng(11)
+    params = make_params()
+    params.gamma_raw.data[...] = -1000.0
+    params.critic.data[...] = rng.standard_normal((D_Z, D_Z))
     z_q = Tensor(rng.standard_normal((3, D_Z)))
     z_h = Tensor(rng.standard_normal((3, D_Z)))
-    lat_q = latent_from(rng.standard_normal((3, D_Z)), np.zeros((3, D_Z)))
-    lat_h = latent_from(rng.standard_normal((3, D_Z)), np.zeros((3, D_Z)))
-    critic = Tensor(rng.standard_normal((D_Z, D_Z)))
-    loss = info_loss(z_q, z_h, lat_q, lat_h, Tensor(np.array(0.0)), critic)
-    assert loss.value.item() == -ad.info_nce(z_q, z_h, critic).item()
-    assert loss.mi_estimate.item() == ad.info_nce(z_q, z_h, critic).item()
+    lat_q = GaussianLatent(Tensor(rng.standard_normal((3, D_Z))),
+                           Tensor(np.zeros((3, D_Z))), z_q)
+    lat_h = GaussianLatent(Tensor(rng.standard_normal((3, D_Z))),
+                           Tensor(np.zeros((3, D_Z))), z_h)
+    # softplus(-1000) underflows to exactly 0 (its sigmoid's exp overflows)
+    with np.errstate(over="ignore"):
+        assert params.gamma().item() == 0.0
+        mi, _, value = info_loss(lat_q, lat_h, params)
+    assert value.item() == -ad.info_nce(z_q, z_h, params.critic).item()
+    assert mi.item() == ad.info_nce(z_q, z_h, params.critic).item()
 
 
 def test_info_loss_identical_latents_isolates_mi_term():
     rng = np.random.default_rng(12)
-    z_q = Tensor(rng.standard_normal((3, D_Z)))
-    z_h = Tensor(rng.standard_normal((3, D_Z)))
+    params = make_params()
+    params.gamma_raw.data[...] = 2.5
+    params.critic.data[...] = rng.standard_normal((D_Z, D_Z))
     mean = rng.standard_normal((3, D_Z))
     lat = latent_from(mean, np.zeros((3, D_Z)))
     lat2 = latent_from(mean.copy(), np.zeros((3, D_Z)))
-    critic = Tensor(rng.standard_normal((D_Z, D_Z)))
-    gamma = Tensor(np.array(2.5))
-    loss = info_loss(z_q, z_h, lat, lat2, gamma, critic)
-    assert loss.value.item() == pytest.approx(-ad.info_nce(z_q, z_h, critic).item(),
-                                              abs=1e-14)
-    assert abs(loss.skl.item()) <= 1e-14
+    _, skl, value = info_loss(lat, lat2, params)
+    mi = ad.info_nce(lat.sample, lat2.sample, params.critic).item()
+    assert value.item() == pytest.approx(-mi, abs=1e-14)
+    assert abs(skl.item()) <= 1e-14
 
 
 def test_info_loss_rejects_latents_of_different_shapes():
     rng = np.random.default_rng(13)
-    z = Tensor(rng.standard_normal((3, D_Z)))
     lat = latent_from(rng.standard_normal((3, D_Z)), np.zeros((3, D_Z)))
     wide = latent_from(rng.standard_normal((3, D_Z + 1)), np.zeros((3, D_Z + 1)))
     with pytest.raises(DimensionError):
-        info_loss(z, z, lat, wide, Tensor(np.array(1.0)), Tensor(np.eye(D_Z)))
+        info_loss(lat, wide, make_params())
 
 
 def test_total_loss_direct_sum():
@@ -340,9 +345,7 @@ def test_bottleneck_gradients_flow_through_objective():
     noise = np.zeros((3, D_Z))
     lat_q = encode_latent(x_q, "phi", params, noise)
     lat_h = encode_latent(x_h, "psi", params, noise)
-    loss = info_loss(lat_q.sample, lat_h.sample, lat_q, lat_h,
-                     params.gamma(), params.critic)
-    ad.backward(loss.value)
+    ad.backward(info_loss(lat_q, lat_h, params)[2])
     for name, p in vars(params).items():
         assert p.grad is not None, name
     assert np.abs(params.gamma_raw.grad).max() > 0

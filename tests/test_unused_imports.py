@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(path for folder in ("src/mibvqa", "tests", "scripts")
+MODULES = sorted(path for folder in ("src/mibvqa", "tests")
                  for path in (ROOT / folder).glob("*.py"))
 
 
