@@ -60,6 +60,7 @@ def _check_output_dir(path) -> None:
 
 
 def _cmd_gen_data(args) -> int:
+    _check_output_file(args.out)
     kv = read_config_file(args.config) if args.config else {}
     config = build_dataset_config(kv, vars(args))
     dataset = generate_dataset(config)
@@ -98,6 +99,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.json_out:
+        _check_output_file(args.json_out)
     checkpoint = load_checkpoint(args.ckpt)
     dataset = import_dataset(args.data)
     metrics = evaluate(checkpoint, dataset, args.split)

@@ -124,7 +124,6 @@ def area_label(cells: int) -> str:
 @dataclass(frozen=True)
 class QueryTemplate:
     """Token pattern with named slots plus the ground-truth answer rule."""
-    template_id: int
     category: str
     pattern: tuple
     slot_names: tuple
@@ -135,34 +134,35 @@ class QueryTemplate:
                      for tok in self.pattern)
 
 
-TEMPLATES = {
-    0: QueryTemplate(0, "count",
-                     ("how", "many", "{cls}", "objects", "are", "in", "the", "scene"),
-                     ("cls",)),
-    1: QueryTemplate(1, "presence",
-                     ("is", "there", "any", "{cls}", "in", "the", "scene"),
-                     ("cls",)),
-    2: QueryTemplate(2, "presence",
-                     ("is", "there", "a", "{size}", "{cls}", "in", "the", "scene"),
-                     ("size", "cls")),
-    3: QueryTemplate(3, "comparison",
-                     ("are", "there", "more", "{cls_a}", "objects", "than",
-                      "{cls_b}", "objects"),
-                     ("cls_a", "cls_b")),
-    4: QueryTemplate(4, "rural_urban",
-                     ("is", "this", "area", "rural", "or", "urban"),
-                     ()),
-    5: QueryTemplate(5, "area",
-                     ("what", "is", "the", "total", "area", "of", "{cls}"),
-                     ("cls",)),
-}
+# A template's id is its index.
+TEMPLATES = (
+    QueryTemplate("count",
+                  ("how", "many", "{cls}", "objects", "are", "in", "the", "scene"),
+                  ("cls",)),
+    QueryTemplate("presence",
+                  ("is", "there", "any", "{cls}", "in", "the", "scene"),
+                  ("cls",)),
+    QueryTemplate("presence",
+                  ("is", "there", "a", "{size}", "{cls}", "in", "the", "scene"),
+                  ("size", "cls")),
+    QueryTemplate("comparison",
+                  ("are", "there", "more", "{cls_a}", "objects", "than",
+                   "{cls_b}", "objects"),
+                  ("cls_a", "cls_b")),
+    QueryTemplate("rural_urban",
+                  ("is", "this", "area", "rural", "or", "urban"),
+                  ()),
+    QueryTemplate("area",
+                  ("what", "is", "the", "total", "area", "of", "{cls}"),
+                  ("cls",)),
+)
 
 # The values generation draws for each slot name.
 SLOT_VALUES = {"cls": OBJECT_CLASSES, "cls_a": OBJECT_CLASSES,
                "cls_b": OBJECT_CLASSES, "size": SIZES}
 
 # Each slot renders to one token, so a question has its pattern's length.
-MAX_QUESTION_TOKENS = max(len(t.pattern) for t in TEMPLATES.values())
+MAX_QUESTION_TOKENS = max(len(t.pattern) for t in TEMPLATES)
 
 
 def answer_oracle(scene: Scene, template: QueryTemplate, slots: tuple) -> str:
@@ -270,6 +270,10 @@ class DatasetConfig:
             raise ValueError(f"grid_size must be positive, got {self.grid_size}")
         if self.max_objects > self.grid_size * self.grid_size:
             raise ValueError("more objects than grid cells")
+        # outside this range every scene gets the same zone
+        if not 1 <= self.urban_threshold <= self.max_objects:
+            raise ValueError(f"urban_threshold must be 1 to max_objects="
+                             f"{self.max_objects}, got {self.urban_threshold}")
         # comparisons with nan are False, so each bound also rejects nan
         if not (0 < self.train_fraction < math.inf
                 and 0 < self.test_fraction < math.inf
@@ -448,29 +452,29 @@ def _pick_balanced(rng, candidates_yes, candidates_no):
 
 
 def _sample_question(rng: np.random.Generator, scene: Scene, category: str):
-    """Pick a template and slots for the category; returns (template, slots)."""
+    """Pick a template and slots for the category; returns (template_id, slots)."""
     if category == "count":
         cls = OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))]
-        return TEMPLATES[0], (cls,)
+        return 0, (cls,)
     if category == "presence":
         if rng.random() < 0.5:
             present = sorted({o.cls for o in scene.objects})
             absent = sorted(set(OBJECT_CLASSES) - set(present))
             cls = _pick_balanced(rng, present, absent)
-            return TEMPLATES[1], (cls,)
+            return 1, (cls,)
         pairs = [(s, c) for s in SIZES for c in OBJECT_CLASSES]
         have = {(o.size, o.cls) for o in scene.objects}
         yes = [p for p in pairs if p in have]
         no = [p for p in pairs if p not in have]
-        return TEMPLATES[2], tuple(_pick_balanced(rng, yes, no))
+        return 2, tuple(_pick_balanced(rng, yes, no))
     if category == "comparison":
         a, b = rng.choice(len(OBJECT_CLASSES), size=2, replace=False)
-        return TEMPLATES[3], (OBJECT_CLASSES[a], OBJECT_CLASSES[b])
+        return 3, (OBJECT_CLASSES[a], OBJECT_CLASSES[b])
     if category == "rural_urban":
-        return TEMPLATES[4], ()
+        return 4, ()
     if category == "area":
         cls = OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))]
-        return TEMPLATES[5], (cls,)
+        return 5, (cls,)
     raise TemplateError(f"unknown category {category!r}")
 
 
@@ -596,8 +600,8 @@ def generate_dataset(config: DatasetConfig) -> Dataset:
     for rng, category, split in zip(_sample_streams(config.seed, config.n_samples),
                                     categories, splits):
         scene = _sample_scene(rng, config)
-        template, slots = _sample_question(rng, scene, category)
-        samples.append(_sample(config, scene, template.template_id, slots, split))
+        template_id, slots = _sample_question(rng, scene, category)
+        samples.append(_sample(config, scene, template_id, slots, split))
     return Dataset(config=config, samples=tuple(samples))
 
 
@@ -623,13 +627,12 @@ def audit_dataset(dataset: Dataset) -> int:
 
 
 FORMAT_NAME = "mibvqa-dataset"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _sample_record(s: VQASample) -> dict:
     return {
         "scene": {
-            "grid_size": s.scene.grid_size,
             "objects": [[o.cls, o.row, o.col, o.size] for o in s.scene.objects],
             "zone_label": s.scene.zone_label,
         },
@@ -674,20 +677,17 @@ def _same(value, expected) -> bool:
 
 def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
     """The sample of one record, rebuilt from its objects, template, slots and
-    split as generation builds it. A drawn field generation cannot give (the
-    grid, an object, the object or slot count, the template, the split) or a
-    stored derived field other than the rebuilt one is a DatasetFormatError,
-    and so is a value of another JSON type than the one export writes. Each
-    object must sit on its own cell, each slot hold a value of its kind,
-    and a comparison two classes."""
+    split as generation builds it, on the grid of the config echo: a record
+    states no grid of its own. A drawn field generation cannot give (an
+    object off that grid or unknown, the object or slot count, the template,
+    the split) or a stored derived field other than the rebuilt one is a
+    DatasetFormatError, and so is a value of another JSON type than the one
+    export writes. Each object must sit on its own cell, each slot hold a
+    value of its kind, and a comparison two classes."""
     try:
         sc = rec["scene"]
-        grid_size = sc["grid_size"]
-        if type(grid_size) is not int or grid_size != config.grid_size:
-            raise ValueError(f"grid_size {grid_size!r}, the header's is "
-                             f"{config.grid_size}")
-        store = _object_store(grid_size)
-        objects = tuple(_record_object(store, grid_size, cls, row, col, size)
+        store = _object_store(config.grid_size)
+        objects = tuple(_record_object(store, config.grid_size, cls, row, col, size)
                         for cls, row, col, size in sc["objects"])
         if not 1 <= len(objects) <= config.t_max:
             raise ValueError(f"{len(objects)} objects, expected 1 to "
@@ -697,7 +697,7 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
             raise ValueError(f"{len(objects)} objects on {len(cells)} grid "
                              f"cells: generation puts each on its own cell")
         template_id, slots, split = rec["template_id"], rec["slots"], rec["split"]
-        if type(template_id) is not int or template_id not in TEMPLATES:
+        if type(template_id) is not int or not 0 <= template_id < len(TEMPLATES):
             raise ValueError(f"unknown template_id {template_id!r}")
         template = TEMPLATES[template_id]
         if type(slots) is not list:
@@ -729,13 +729,11 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
 
 
 def export_dataset(dataset: Dataset, path) -> None:
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "seed": dataset.config.seed,
-        "n_samples": len(dataset.samples),
-        "config": asdict(dataset.config),
-    }
+    """One header line, then one record per sample. The header holds the
+    format name, its version and the config echo, whose n_samples is the
+    record count."""
+    header = {"config": asdict(dataset.config), "format": FORMAT_NAME,
+              "version": FORMAT_VERSION}
     # one encoder for every line; json.dumps(sort_keys=True) builds one per call
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as f:
@@ -766,16 +764,9 @@ def import_dataset(path) -> Dataset:
         config = config_from_json(DatasetConfig, header.get("config"))
     except ValueError as e:
         raise DatasetFormatError(f"bad config echo in header: {e}") from None
-    seed = header.get("seed")
-    if type(seed) is not int or seed != config.seed:
-        raise DatasetFormatError(f"header seed {seed!r} is not its config "
-                                 f"echo's {config.seed}")
-    expected = header.get("n_samples")
-    if type(expected) is not int:
-        raise DatasetFormatError(f"bad n_samples in header: {expected!r}")
-    if expected != len(lines) - 1:
-        raise DatasetFormatError(
-            f"truncated dataset: header says {expected} samples, file has {len(lines) - 1}")
+    if config.n_samples != len(lines) - 1:
+        raise DatasetFormatError(f"truncated dataset: config echo says "
+                                 f"{config.n_samples} samples, file has {len(lines) - 1}")
     samples = []
     for i, line in enumerate(lines[1:], start=2):
         try:

@@ -418,22 +418,21 @@ def format_ablation_table(rows: list) -> str:
 
 
 CKPT_MAGIC = "ckpt"
-CKPT_VERSION = 4
+CKPT_VERSION = 5
 CKPT_DTYPE = "<f8"
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Plain-text format, bit-exact under round-trip.
 
-    Header `ckpt v4 <seed> <n_params>`: the train config's seed and the
-    count of parameter tensors. `meta`/`config`/`metrics`/`answers` lines
-    carry JSON payloads (`config model` holds the ModelConfig: seven widths
-    and two flags);
-    each `tensor <name> <rank> <dims...>` line is followed by exactly one
-    line, the base64 of the tensor's little-endian float64 bytes in C order.
+    Header `ckpt v5 <n_tensors>`: the count of parameter tensors.
+    `meta`/`config`/`metrics`/`answers` lines carry JSON payloads (`config
+    model` holds the ModelConfig: seven widths and two flags; `config train`
+    the recipe, seed included); each `tensor <name> <dims...>` line (no dims
+    for a scalar) is followed by exactly one line, the base64 of the
+    tensor's little-endian float64 bytes in C order.
     """
-    lines = [f"{CKPT_MAGIC} v{CKPT_VERSION} {checkpoint.train_config.seed} "
-             f"{len(checkpoint.parameters)}"]
+    lines = [f"{CKPT_MAGIC} v{CKPT_VERSION} {len(checkpoint.parameters)}"]
     lines.append(f"meta step_count {checkpoint.step_count}")
     lines.append("config model " + json.dumps(asdict(checkpoint.model_config),
                                               sort_keys=True))
@@ -442,8 +441,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     lines.append("metrics " + json.dumps(checkpoint.metrics, sort_keys=True))
     lines.append("answers " + json.dumps(list(checkpoint.answers)))
     for name, array in checkpoint.parameters.items():
-        dims = " ".join(str(d) for d in array.shape)
-        lines.append(f"tensor {name} {array.ndim}{' ' + dims if dims else ''}")
+        lines.append(" ".join(["tensor", name, *map(str, array.shape)]))
         raw = np.ascontiguousarray(array, dtype=CKPT_DTYPE).tobytes()
         lines.append(base64.b64encode(raw).decode("ascii"))
     with open(path, "w", encoding="utf-8") as f:
@@ -493,7 +491,8 @@ def _parse_line(lines: list, index: int, prefix: str, parse: Callable):
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse and validate in the order save_checkpoint writes; errors name
-    the offending parameter or line."""
+    the offending parameter or line. The version is checked first, so a
+    file of another version fails with its version whatever its layout."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -502,21 +501,19 @@ def load_checkpoint(path) -> Checkpoint:
     if not lines or not lines[0].startswith(CKPT_MAGIC + " "):
         raise CheckpointError("not a checkpoint file (bad magic)")
     head = lines[0].split()
-    if len(head) == 4 and head[1] != f"v{CKPT_VERSION}":
-        raise CheckpointError(f"unsupported checkpoint version {head[1]!r}")
+    version = head[1] if len(head) > 1 else ""
+    if version != f"v{CKPT_VERSION}":
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
     try:
-        seed, n_tensors = (int(field) for field in head[2:])
-    except ValueError:  # not two integers after the version
+        (n_tensors,) = (int(field) for field in head[2:])
+    except ValueError:  # not one integer after the version
         raise CheckpointError(f"malformed header line: {lines[0]!r}") from None
-    if min(seed, n_tensors) < 0:
-        raise CheckpointError(f"negative seed or count in header line: {lines[0]!r}")
+    if n_tensors < 0:
+        raise CheckpointError(f"negative tensor count in header line: {lines[0]!r}")
 
     step_count, model_config, train_config, metrics, answers = (
         _parse_line(lines, index, prefix, parse)
         for index, (prefix, parse) in enumerate(_CKPT_LINES, start=1))
-    if seed != train_config.seed:
-        raise CheckpointError(f"header seed {seed} is not the 'config train' "
-                              f"line's {train_config.seed}")
     parameters: dict = {}
     end = len(_CKPT_LINES) + 1 + 2 * n_tensors
     for index in range(len(_CKPT_LINES) + 1, end, 2):
@@ -525,15 +522,10 @@ def load_checkpoint(path) -> Checkpoint:
         if name in parameters:
             raise CheckpointError(f"parameter {name!r} repeated on line {index + 1}")
         try:
-            rank = int(fields[1])
-            dims = tuple(int(d) for d in fields[2:])
-        except (IndexError, ValueError):
+            dims = tuple(int(d) for d in fields[1:])
+        except ValueError:
             raise CheckpointError(
                 f"malformed shape line for parameter {name!r}: {lines[index]!r}") from None
-        if len(dims) != rank:
-            raise CheckpointError(
-                f"shape line for parameter {name!r} declares rank {rank} "
-                f"but {len(dims)} dims")
         if any(d <= 0 for d in dims):
             raise CheckpointError(f"nonpositive dim in shape of parameter {name!r}")
         if index + 1 == len(lines):

@@ -24,10 +24,9 @@ from helpers_ops import (
 )
 from mibvqa import autodiff as ad
 from mibvqa.data import (
-    _CLASS_INDEX, ANSWERS, OBJECT_CLASSES, SIZE_FEATURE, SIZES, VOCABULARY,
-    Dataset, DatasetConfig, DatasetFormatError, FORMAT_NAME, FORMAT_VERSION,
-    Scene, SceneObject, VQASample, _sample_question, _sample_record,
-    answer_oracle, apportion, tokenize,
+    _CLASS_INDEX, ANSWERS, OBJECT_CLASSES, SIZE_FEATURE, SIZES, TEMPLATES,
+    VOCABULARY, Dataset, DatasetConfig, DatasetFormatError, Scene, SceneObject,
+    VQASample, _sample_question, answer_oracle, apportion, tokenize,
 )
 from mibvqa.fusion import cross_entropy
 from mibvqa.infomax import LossBreakdown, encode_latent, info_loss, total_loss
@@ -221,7 +220,10 @@ def reference_loss(model, features, tokens, labels, lam, noise_q, noise_h):
 # objects were shared: every object a new SceneObject, classes and sizes
 # drawn with rng.choice and indexed as NumPy scalars, the zone from
 # zone_of, every question rendered and tokenized anew, every exported line
-# from its own json.dumps, every record field checked.
+# from its own json.dumps of a record built here, every record field
+# checked. The file layout is dataset version 2's, written out in full:
+# the header holds the config echo, the format name and the version, and a
+# record's objects lie on the echo's grid.
 
 
 def zone_of(objects, urban_threshold: int) -> str:
@@ -249,12 +251,13 @@ def reference_make_sample(config: DatasetConfig, index: int, category: str,
                           split: str) -> VQASample:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
     scene = reference_sample_scene(rng, config)
-    template, slots = _sample_question(rng, scene, category)
+    template_id, slots = _sample_question(rng, scene, category)
+    template = TEMPLATES[template_id]
     words = template.render(slots)
     token_ids, n_tokens = tokenize(words, config.k_max)
     answer = answer_oracle(scene, template, slots)
     return VQASample(scene=scene, category=category,
-                     template_id=template.template_id, slots=slots,
+                     template_id=template_id, slots=slots,
                      token_ids=token_ids, n_tokens=n_tokens,
                      answer_index=ANSWERS.index(answer), split=split)
 
@@ -268,23 +271,33 @@ def reference_generate_dataset(config: DatasetConfig) -> Dataset:
     return Dataset(config=config, samples=samples)
 
 
-def reference_export_text(dataset: Dataset) -> str:
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "seed": dataset.config.seed,
-        "n_samples": len(dataset.samples),
-        "config": asdict(dataset.config),
+def reference_record(s: VQASample) -> dict:
+    return {
+        "scene": {
+            "objects": [[o.cls, o.row, o.col, o.size] for o in s.scene.objects],
+            "zone_label": s.scene.zone_label,
+        },
+        "category": s.category,
+        "template_id": s.template_id,
+        "slots": list(s.slots),
+        "token_ids": list(s.token_ids),
+        "n_tokens": s.n_tokens,
+        "answer_index": s.answer_index,
+        "split": s.split,
     }
+
+
+def reference_export_text(dataset: Dataset) -> str:
+    header = {"format": "mibvqa-dataset", "version": 2,
+              "config": asdict(dataset.config)}
     lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(_sample_record(s), sort_keys=True) for s in dataset.samples]
+    lines += [json.dumps(reference_record(s), sort_keys=True) for s in dataset.samples]
     return "".join(line + "\n" for line in lines)
 
 
-def reference_sample_from_record(rec: dict, line_no: int) -> VQASample:
+def reference_sample_from_record(rec: dict, line_no: int, grid_size: int) -> VQASample:
     try:
         sc = rec["scene"]
-        grid_size = int(sc["grid_size"])
         objects = []
         for cls, row, col, size in sc["objects"]:
             row, col = int(row), int(col)
@@ -317,8 +330,10 @@ def reference_sample_from_record(rec: dict, line_no: int) -> VQASample:
 
 def reference_import_samples(path) -> tuple:
     """The samples of an exported dataset file, every record through
-    reference_sample_from_record (the header is not parsed)."""
+    reference_sample_from_record on the grid of the header's config echo
+    (the only header field read)."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
-    return tuple(reference_sample_from_record(json.loads(line), i)
+    grid_size = json.loads(lines[0])["config"]["grid_size"]
+    return tuple(reference_sample_from_record(json.loads(line), i, grid_size)
                  for i, line in enumerate(lines[1:], start=2))

@@ -321,6 +321,8 @@ def test_train_config_error_is_reported_before_the_dataset_is_read(
     ("seed = -1", "seed must be nonnegative, got -1"),
     ("grid_size = -3\nmin_objects = 1\nmax_objects = 5",
      "grid_size must be positive, got -3"),
+    ("urban_threshold = 0", "urban_threshold must be 1 to max_objects=10, got 0"),
+    ("urban_threshold = 11", "urban_threshold must be 1 to max_objects=10, got 11"),
 ])
 def test_gen_data_rejects_a_non_finite_or_negative_fraction(tmp_path, capsys,
                                                            text, shown):
@@ -569,9 +571,9 @@ def _header_field(position: int, value: str):
     return edit
 
 
-def _first_shape_without_rank(lines: list) -> list:
+def _first_shape_dim_text(lines: list) -> list:
     index = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
-    lines[index] = " ".join(lines[index].split()[:2])
+    lines[index] += " x"
     return lines
 
 
@@ -608,9 +610,9 @@ def _first_block_twice(lines: list) -> list:
 @pytest.mark.parametrize("edit,shown", [
     (_header_field(1, "v2"), "unsupported checkpoint version 'v2'"),
     (_header_field(1, "v3"), "unsupported checkpoint version 'v3'"),
-    (_header_field(2, "-5"), "negative seed"),
+    (_header_field(2, "-5"), "negative tensor count in header line: 'ckpt v5 -5'"),
     (_first_block_nan, "non-finite value in parameter"),
-    (_first_shape_without_rank, "malformed shape line for parameter"),
+    (_first_shape_dim_text, "malformed shape line for parameter 'enc.embed'"),
     (_payload_edit("config model ", lambda mc: {**mc, "d_h": mc["d_h"] + 1}),
      "shape mismatch for parameter"),
     (_payload_edit("answers ", lambda answers: answers[::-1]),
@@ -624,15 +626,14 @@ def _first_block_twice(lines: list) -> list:
     (lambda lines: lines + [""], "follows the header's last tensor"),
     (_payload_edit("config train ", lambda tc: {**tc, "seed": -1}),
      "malformed 'config train' payload on line 4: seed must be nonnegative, got -1"),
-    (_header_field(2, "77"), "header seed 77 is not the 'config train' line's 5"),
     (_payload_edit("config train ", lambda tc: {k: v for k, v in tc.items()
                                                  if k != "epochs"}),
      "malformed 'config train' payload on line 4: TrainConfig keys: "
      "missing ['epochs'], unknown []"),
-], ids=["v2", "v3", "negative_seed", "nan", "no_rank", "model_width", "answers",
+], ids=["v2", "v3", "negative_count", "nan", "dim_text", "model_width", "answers",
         "block_twice", "no_meta", "no_metrics", "no_answers", "config_train_twice",
         "config_swapped", "blank_last_line", "config_train_seed_negative",
-        "seed_mismatch", "config_train_no_epochs"])
+        "config_train_no_epochs"])
 def test_eval_rejected_checkpoint_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, edit, shown):
     lines = edit(ckpt_path.read_text(encoding="utf-8").splitlines())
@@ -662,14 +663,15 @@ def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
     assert len(err.strip().splitlines()) == 1
 
 
-def _rebuild_derived_fields(record: dict, k_max: int) -> None:
+def _rebuild_derived_fields(record: dict, config: dict) -> None:
     """Set the category, token ids and answer of a record to the ones its
-    scene, template and slots give, so only a drawn field can be wrong."""
+    scene, template and slots give on the grid and k_max of the config
+    echo, so only a drawn field can be wrong."""
     template, slots = TEMPLATES[record["template_id"]], tuple(record["slots"])
     sc = record["scene"]
-    scene = Scene(sc["grid_size"], tuple(SceneObject(*o) for o in sc["objects"]),
+    scene = Scene(config["grid_size"], tuple(SceneObject(*o) for o in sc["objects"]),
                   sc["zone_label"])
-    token_ids, n_tokens = tokenize(template.render(slots), k_max)
+    token_ids, n_tokens = tokenize(template.render(slots), config["k_max"])
     record.update(category=template.category, token_ids=list(token_ids),
                   n_tokens=n_tokens,
                   answer_index=ANSWER_INDEX[answer_oracle(scene, template, slots)])
@@ -687,7 +689,7 @@ def _rebuild_derived_fields(record: dict, k_max: int) -> None:
     ("n_objects", 17, "17 objects, expected 1 to t_max=16"),
     ("n_objects", 0, "0 objects, expected 1 to t_max=16"),
     ("n_token_ids", 11, "token_ids [1, 2, 26, 3, 4, 5, 6, 7, 0, 0, 0] is not"),
-    ("grid_size", 9, "grid_size 9, the header's is 8"),
+    ("row", 8, "row 8, col 1 is off the 8x8 grid"),
     ("answer_index", 99, "answer_index 99 is not the rebuilt sample's 4"),
     ("answer_index", -1, "answer_index -1 is not the rebuilt sample's 4"),
     ("answer_index", 5, "answer_index 5 is not the rebuilt sample's 4"),
@@ -724,11 +726,11 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
         objects[value][1:3] = objects[0][1:3]
     elif field == "n_token_ids":
         record["token_ids"] = record["token_ids"][:value]
-    elif field in ("grid_size", "zone_label"):
+    elif field == "zone_label":
         record["scene"][field] = value
     elif field == "question":
         record["template_id"], record["slots"] = value
-        _rebuild_derived_fields(record, json.loads(lines[0])["config"]["k_max"])
+        _rebuild_derived_fields(record, json.loads(lines[0])["config"])
     else:
         record[field] = value
     lines[1] = json.dumps(record, sort_keys=True)
@@ -891,6 +893,106 @@ def test_eval_with_one_bad_header_field_exits_with_one_error_line(
     assert len(err.getvalue().strip().splitlines()) == 1
 
 
+# The JSON lines an equivalent rewrite targets: file, line index (None for a
+# drawn sample record) and the text before the JSON payload.
+JSON_LINES = {
+    "dataset record": ("data", None, ""),
+    "dataset header": ("data", 0, ""),
+    "config model": ("ckpt", 2, "config model "),
+    "config train": ("ckpt", 3, "config train "),
+    "metrics": ("ckpt", 4, "metrics "),
+    "answers": ("ckpt", 5, "answers "),
+}
+
+
+def _reordered(value, data):
+    """value with the keys of each of its objects in a drawn order."""
+    if isinstance(value, dict):
+        keys = data.draw(st.permutations(sorted(value)), label="key order")
+        return {key: _reordered(value[key], data) for key in keys}
+    if isinstance(value, list):
+        return [_reordered(item, data) for item in value]
+    return value
+
+
+def _eval_output(ckpt, data, json_path) -> tuple:
+    """(exit code, stdout, --json-out text) of eval on the test split."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--json-out", str(json_path)])
+    return code, out.getvalue(), json_path.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def unedited_eval(workdir, ckpt_path, data_path) -> tuple:
+    return _eval_output(ckpt_path, data_path, workdir / "same_metrics.json")
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_eval_of_an_equivalently_rewritten_line_prints_the_same_metrics(
+        workdir, ckpt_path, data_path, unedited_eval, data):
+    # a reader takes the JSON value of a line, not its text: key order,
+    # whitespace and separators change nothing
+    paths = {"ckpt": ckpt_path, "data": data_path}
+    target = data.draw(st.sampled_from(sorted(JSON_LINES)), label="target")
+    file, index, prefix = JSON_LINES[target]
+    lines = paths[file].read_text(encoding="utf-8").splitlines()
+    if index is None:
+        index = data.draw(st.integers(1, len(lines) - 1), label="record")
+    payload = _reordered(json.loads(lines[index][len(prefix):]), data)
+    separators = (data.draw(st.sampled_from([",", ", ", " , ", ",\t"]), label="item"),
+                  data.draw(st.sampled_from([":", ": ", " : ", ":\t"]), label="key"))
+    lines[index] = prefix + json.dumps(payload, separators=separators)
+    paths[file] = workdir / f"rewritten.{file}"
+    paths[file].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert unedited_eval[0] == 0
+    assert _eval_output(paths["ckpt"], paths["data"],
+                        workdir / "same_metrics.json") == unedited_eval
+
+
+def _as_v4(lines: list) -> list:
+    """The lines in checkpoint v4's layout: the train seed in the header and
+    each tensor's rank before its dims."""
+    seed = json.loads(lines[3][len("config train "):])["seed"]
+    lines[0] = lines[0].replace(" v5 ", f" v4 {seed} ")
+    for index, line in enumerate(lines):
+        if line.startswith("tensor "):
+            name, *dims = line.split()[1:]
+            lines[index] = " ".join(["tensor", name, str(len(dims)), *dims])
+    return lines
+
+
+def _as_dataset_v1(lines: list) -> list:
+    """The lines in dataset version 1's layout: the seed and the sample count
+    beside the config echo in the header, and the grid in each record."""
+    header = json.loads(lines[0])
+    config = header["config"]
+    header.update(version=1, seed=config["seed"], n_samples=config["n_samples"])
+    records = [json.loads(line) for line in lines[1:]]
+    for record in records:
+        record["scene"]["grid_size"] = config["grid_size"]
+    return [json.dumps(value, sort_keys=True) for value in [header, *records]]
+
+
+@pytest.mark.parametrize("file,shown", [
+    ("data", "error: unsupported dataset version 1\n"),
+    ("ckpt", "error: unsupported checkpoint version 'v4'\n"),
+], ids=["dataset_v1", "checkpoint_v4"])
+def test_a_file_in_the_previous_format_exits_with_its_version(
+        workdir, ckpt_path, data_path, capsys, file, shown):
+    paths = {"ckpt": ckpt_path, "data": data_path}
+    convert = {"ckpt": _as_v4, "data": _as_dataset_v1}[file]
+    lines = convert(paths[file].read_text(encoding="utf-8").splitlines())
+    paths[file] = workdir / f"previous.{file}"
+    paths[file].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["eval", "--ckpt", str(paths["ckpt"]), "--data", str(paths["data"])])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == shown and captured.out == ""
+
+
 def _header_edit(key: str, value):
     def edit(header: dict) -> dict:
         header[key] = value
@@ -914,9 +1016,14 @@ def _config_echo_without(*keys: str):
 
 
 @pytest.mark.parametrize("edit,shown", [
-    (_header_edit("n_samples", "many"), "bad n_samples in header: 'many'"),
-    (_header_edit("n_samples", [120]), "bad n_samples in header: [120]"),
-    (_header_edit("n_samples", 7), "header says 7 samples"),
+    (_config_echo_edit("n_samples", "many"),
+     "bad config echo in header: DatasetConfig.n_samples must be int, got 'many'"),
+    (_config_echo_edit("n_samples", [120]),
+     "bad config echo in header: DatasetConfig.n_samples must be int, got [120]"),
+    (_config_echo_edit("n_samples", 7),
+     "truncated dataset: config echo says 7 samples, file has 120"),
+    (_config_echo_edit("n_samples", 5000),
+     "truncated dataset: config echo says 5000 samples, file has 120"),
     (_header_edit("version", 99), "unsupported dataset version 99"),
     (_header_edit("version", True), "unsupported dataset version True"),
     (_header_edit("format", "other"), "bad format marker"),
@@ -931,7 +1038,6 @@ def _config_echo_without(*keys: str):
      "bad config echo in header: k_max must be at least 8"),
     (_config_echo_edit("seed", -1),
      "bad config echo in header: seed must be nonnegative, got -1"),
-    (_header_edit("seed", 999), "header seed 999 is not its config echo's 11"),
     (_config_echo_edit("category_mix", None),
      "bad config echo in header: DatasetConfig.category_mix must be dict, got None"),
     (_config_echo_edit("category_mix", [[c, 0.25] for c in CATEGORIES[:4]]),
@@ -942,11 +1048,11 @@ def _config_echo_without(*keys: str):
      "missing ['t_max', 'urban_threshold'], unknown []"),
     (_header_edit("config", [8]),
      "bad config echo in header: DatasetConfig must be a JSON object, got [8]"),
-], ids=["n_samples_text", "n_samples_list", "n_samples_wrong", "version",
-        "version_true", "format", "config", "config_seed_float",
+], ids=["n_samples_text", "n_samples_list", "n_samples_wrong", "n_samples_5000",
+        "version", "version_true", "format", "config", "config_seed_float",
         "config_grid_size_float", "config_seed_bool", "config_k_max_short",
-        "config_seed_negative", "seed_mismatch", "config_mix_null",
-        "config_mix_pairs", "config_without_keys", "config_list"])
+        "config_seed_negative", "config_mix_null", "config_mix_pairs",
+        "config_without_keys", "config_list"])
 def test_malformed_dataset_header_exits_with_one_error_line(
         tmp_path, data_path, capsys, edit, shown):
     lines = data_path.read_text(encoding="utf-8").splitlines()
@@ -1041,6 +1147,26 @@ def test_output_that_cannot_be_written_fails_before_training(
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["gen-data", "eval"])
+def test_output_that_cannot_be_written_fails_before_any_work(
+        workdir, ckpt_path, data_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} worked before checking its output path")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_work)
+    monkeypatch.setattr(cli, "evaluate", no_work)
+    out = str(workdir / "no_such_dir" / "out")
+    argv = {"gen-data": ["gen-data", "--out", out],
+            "eval": ["eval", "--ckpt", str(ckpt_path), "--data", str(data_path),
+                     "--json-out", out]}[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error:") and "output" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+
 
 def test_ablate_writes_table_json_and_all_four_checkpoints(workdir, data_path,
                                                            train_cfg_path,

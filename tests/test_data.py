@@ -367,7 +367,16 @@ def test_config_validation():
     # a negative grid squares to enough cells for the objects
     with pytest.raises(ValueError, match="grid_size must be positive, got -3"):
         DatasetConfig(grid_size=-3, min_objects=1, max_objects=5)
-    assert DatasetConfig(grid_size=1, min_objects=1, max_objects=1).grid_size == 1
+    assert DatasetConfig(grid_size=1, min_objects=1, max_objects=1,
+                         urban_threshold=1).grid_size == 1
+    # a threshold below 1 makes every scene urban, one above max_objects
+    # every scene rural
+    for bad in (-2, 0, 11):
+        with pytest.raises(ValueError, match=f"urban_threshold must be 1 to "
+                                             f"max_objects=10, got {bad}"):
+            DatasetConfig(urban_threshold=bad)
+    assert DatasetConfig(urban_threshold=1).urban_threshold == 1
+    assert DatasetConfig(urban_threshold=10).urban_threshold == 10
     nan, inf = float("nan"), float("inf")
     for bad in ({"test_fraction": nan}, {"train_fraction": inf},
                 {"train_fraction": 1.2, "test_fraction": -0.2},
@@ -580,11 +589,9 @@ def _edit_first_record(path, out, edit):
     return out
 
 
-def _first_object(obj, grid_size=None):
+def _first_object(obj):
     def edit(record):
         record["scene"]["objects"][0] = obj
-        if grid_size is not None:
-            record["scene"]["grid_size"] = grid_size
     return edit
 
 
@@ -595,12 +602,6 @@ def test_import_checks_object_fields_and_stores_only_valid_objects(tmp_path):
     # an imported object is the shared one generation made
     first = ds.samples[0].scene.objects[0]
     assert import_dataset(path).samples[0].scene.objects[0] is first
-    # a record's grid must be the header's: a 9x9 scene in an 8x8 file is
-    # rejected before its objects are read
-    nine = _edit_first_record(path, tmp_path / "nine.jsonl",
-                              _first_object(["road", 8, 0, "small"], grid_size=9))
-    with pytest.raises(DatasetFormatError, match="line 2: grid_size 9, the header's is 8"):
-        import_dataset(nine)
     # a rejected object leaves no entry behind; export writes row and col as
     # JSON integers, so a string, a float or a boolean is rejected even where
     # it equals the stored value

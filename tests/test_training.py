@@ -376,11 +376,13 @@ def test_checkpoint_header_shape(tmp_path, small_dataset):
     result = run_quick(small_dataset)
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    header = path.read_text().splitlines()[0].split()
-    assert header[0] == "ckpt"
-    assert header[1] == "v4"
-    assert int(header[2]) == result.checkpoint.train_config.seed
-    assert int(header[3]) == len(result.checkpoint.parameters)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"ckpt v5 {len(result.checkpoint.parameters)}"
+    # each tensor line holds its name and its dims, nothing else
+    shapes = [line.split()[1:] for line in lines if line.startswith("tensor ")]
+    assert shapes == [[name, *map(str, array.shape)]
+                      for name, array in result.checkpoint.parameters.items()]
+    assert ["ib.gamma_raw"] in shapes
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
@@ -435,11 +437,14 @@ def test_checkpoint_version_mismatch_rejected(tmp_path, small_dataset):
     result = run_quick(small_dataset)
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    text = path.read_text().replace("ckpt v4 ", "ckpt v9 ", 1)
-    bad = tmp_path / "v9.ckpt"
-    bad.write_text(text)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(bad)
+    text = path.read_text()
+    bad = tmp_path / "other.ckpt"
+    # the version is checked before the layout: v4's header held the seed too
+    for head, version in (("ckpt v9 ", "v9"), ("ckpt v4 13 ", "v4")):
+        bad.write_text(text.replace("ckpt v5 ", head, 1))
+        with pytest.raises(CheckpointError,
+                           match=f"^unsupported checkpoint version '{version}'$"):
+            load_checkpoint(bad)
 
 
 # Float64 values a lossy encoding would change: signed zero, the smallest
