@@ -6,10 +6,12 @@ question categories count / presence / comparison / rural_urban / area.
 Sample i is a pure function of (seed, i): it draws from PCG64 seeded by
 SeedSequence([seed, i]), as default_rng would seed it, so generation is
 reproducible and order-independent. Generation derives the PCG64 states
-of a chunk of indices in one vectorized pass and reseeds one Generator
-per sample. Categories and split tags are interleaved by a
-Webster/Sainte-Lague apportionment schedule so every split carries every
-category in the configured proportions.
+of a chunk of indices in one vectorized pass, reads each stream's first
+raw outputs, and makes a whole chunk's scene draws with array operations,
+value for value as NumPy's Generator makes them (see "sample streams").
+Categories and split tags are interleaved by a Webster/Sainte-Lague
+apportionment schedule so every split carries every category in the
+configured proportions.
 """
 
 from __future__ import annotations
@@ -87,6 +89,27 @@ _OBJECT_STORES: dict = {}
 
 def _object_store(grid_size: int) -> dict:
     return _OBJECT_STORES.setdefault(grid_size, {})
+
+
+class _CodedObjects(dict):
+    """The objects of one grid's store by the code generation draws them
+    as, (cell * 5 + class) * 2 + size: one int per object. A code seen for
+    the first time takes the store's object, or makes it there."""
+
+    def __init__(self, grid_size: int):
+        super().__init__()
+        self.grid_size = grid_size
+        self.store = _object_store(grid_size)
+
+    def __missing__(self, code: int) -> SceneObject:
+        cell, kind = divmod(code, len(OBJECT_CLASSES) * len(SIZES))
+        c, z = divmod(kind, len(SIZES))
+        key = (OBJECT_CLASSES[c], *divmod(cell, self.grid_size), SIZES[z])
+        obj = self[code] = self.store.setdefault(key, SceneObject(*key))
+        return obj
+
+
+_objects_by_code = functools.cache(_CodedObjects)
 
 
 @dataclass(frozen=True)
@@ -212,17 +235,21 @@ def check_field_types(config) -> None:
                              f"{kind.__name__}, got {value!r}")
 
 
+def check_keys(value, keys: Sequence, what: str) -> None:
+    """Raise ValueError unless value is a JSON object with exactly these
+    keys: a reader never skips a key it does not read, nor fills in one."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    if len(value) != len(keys) or not all(map(value.__contains__, keys)):
+        missing = [key for key in keys if key not in value]
+        unknown = sorted(set(value) - set(keys))
+        raise ValueError(f"{what} keys: missing {missing}, unknown {unknown}")
+
+
 def config_from_json(config_class, value):
     """config_class from the JSON object a file echoes it as. Its keys must
     be exactly the class's fields: a reader never fills in a default."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{config_class.__name__} must be a JSON object, got {value!r}")
-    names = [f.name for f in fields(config_class)]
-    missing = [name for name in names if name not in value]
-    unknown = sorted(set(value) - set(names))
-    if missing or unknown:
-        raise ValueError(f"{config_class.__name__} keys: missing {missing}, "
-                         f"unknown {unknown}")
+    check_keys(value, [f.name for f in fields(config_class)], config_class.__name__)
     return config_class(**value)
 
 
@@ -394,17 +421,24 @@ def tokenize(words: tuple, k_max: int) -> tuple:
 def apportion(weights: dict, n: int) -> list:
     """Deterministic interleaved schedule of n labels matching the weights.
 
-    Webster/Sainte-Lague style: position i gets the label maximizing
-    weight * (i_assigned + 1) deficit; final counts are within 1 of
-    weight * n. Keys are processed in insertion order for tie stability.
+    Webster/Sainte-Lague style: position i (from 1) goes to the label with
+    the largest deficit weight * i - (its count so far), the first such
+    label in insertion order on a tie; final counts are within 1 of
+    weight * n.
     """
     labels = list(weights)
-    counts = {k: 0 for k in labels}
+    shares = list(weights.values())
+    counts = [0] * len(labels)
+    others = range(1, len(labels))
     out = []
-    for i in range(n):
-        best = max(labels, key=lambda k: (weights[k] * (i + 1) - counts[k]))
+    for i in range(1, n + 1):
+        best, top = 0, shares[0] * i - counts[0]
+        for k in others:
+            deficit = shares[k] * i - counts[k]
+            if deficit > top:
+                best, top = k, deficit
         counts[best] += 1
-        out.append(best)
+        out.append(labels[best])
     return out
 
 
@@ -415,31 +449,18 @@ def _scene(config: DatasetConfig, objects: tuple) -> Scene:
     return Scene(grid_size=config.grid_size, objects=objects, zone_label=zone)
 
 
-@functools.cache
-def _class_size_highs(n_obj: int) -> np.ndarray:
-    """The exclusive upper bounds of n_obj class draws, then n_obj size draws."""
-    highs = np.array([len(OBJECT_CLASSES)] * n_obj + [len(SIZES)] * n_obj)
-    highs.flags.writeable = False   # one cached array serves every call
-    return highs
-
-
 def _sample_scene(rng: np.random.Generator, config: DatasetConfig) -> Scene:
+    """A scene drawn through NumPy's Generator, for the configs whose cell
+    choice the chunked draws do not make (see _draws_in_chunks)."""
     grid = config.grid_size
     n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
     cells = rng.choice(grid * grid, size=n_obj, replace=False).tolist()
-    # Both integers() forms draw each value from one uint32 of the stream,
-    # in order: this one call draws what choice(5, n_obj) and then
-    # choice(2, n_obj) draw, at less cost than two calls.
-    drawn = rng.integers(0, _class_size_highs(n_obj)).tolist()
-    store = _object_store(grid)
-    objects = []
-    for cell, c, z in zip(cells, drawn[:n_obj], drawn[n_obj:]):
-        key = (OBJECT_CLASSES[c], cell // grid, cell % grid, SIZES[z])
-        obj = store.get(key)
-        if obj is None:
-            obj = store[key] = SceneObject(*key)
-        objects.append(obj)
-    return _scene(config, tuple(objects))
+    classes = rng.integers(len(OBJECT_CLASSES), size=n_obj).tolist()
+    sizes = rng.integers(len(SIZES), size=n_obj).tolist()
+    objects = _objects_by_code(grid)
+    return _scene(config, tuple(
+        objects[(cell * len(OBJECT_CLASSES) + c) * len(SIZES) + z]
+        for cell, c, z in zip(cells, classes, sizes)))
 
 
 def _pick_balanced(rng, candidates_yes, candidates_no):
@@ -451,8 +472,10 @@ def _pick_balanced(rng, candidates_yes, candidates_no):
     return pool[int(rng.integers(len(pool)))]
 
 
-def _sample_question(rng: np.random.Generator, scene: Scene, category: str):
-    """Pick a template and slots for the category; returns (template_id, slots)."""
+def _sample_question(rng, scene: Scene, category: str):
+    """Pick a template and slots for the category; returns (template_id, slots).
+    rng is the sample's Generator, or its _Stream where its scene stopped:
+    either one draws with random() and integers(high) alone."""
     if category == "count":
         cls = OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))]
         return 0, (cls,)
@@ -468,7 +491,15 @@ def _sample_question(rng: np.random.Generator, scene: Scene, category: str):
         no = [p for p in pairs if p not in have]
         return 2, tuple(_pick_balanced(rng, yes, no))
     if category == "comparison":
-        a, b = rng.choice(len(OBJECT_CLASSES), size=2, replace=False)
+        # the draws of choice(5, size=2, replace=False): Floyd's picks on
+        # [0, 3] and on [0, 4] (4 if that repeats the first), then the one
+        # swap draw of its Fisher-Yates pass, on [0, 1]
+        a = int(rng.integers(4))
+        b = int(rng.integers(5))
+        if b == a:
+            b = 4
+        if rng.integers(2) == 0:
+            a, b = b, a
         return 3, (OBJECT_CLASSES[a], OBJECT_CLASSES[b])
     if category == "rural_urban":
         return 4, ()
@@ -501,13 +532,36 @@ def _sample(config: DatasetConfig, scene: Scene, template_id: int, slots: tuple,
 # ---------------------------------------------------------------------------
 # sample streams
 #
-# Sample i draws from PCG64(SeedSequence([seed, i])). Building that
-# SeedSequence and its Generator costs about 20 us in NumPy's Python-level
-# constructors; the same PCG64 states, derived below for a chunk of indices
-# at once, cost about 2 us each, and reseeding one Generator about 2.5 us
-# (2-core Xeon, NumPy 2.4). The constants are SeedSequence's
-# (numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
-# (numpy/random/src/pcg64/pcg64.h).
+# Sample i draws from PCG64(SeedSequence([seed, i])), the stream default_rng
+# gives that seed sequence. Generation derives the PCG64 states of a chunk
+# of indices in one vectorized pass: SeedSequence's pool mix and
+# generate_state(4, uint64) over uint32 lanes (constants from
+# numpy/random/bit_generator.pyx), then PCG64's seeding with its 128-bit LCG
+# multiplier (numpy/random/src/pcg64/pcg64.h). It reseeds one PCG64 per
+# sample only to read the stream's first raw outputs, and makes the draws
+# itself, value for value as NumPy's Generator makes them
+# (numpy/random/src/distributions/distributions.c):
+# - A 32-bit draw (next_uint32) takes the low half of a raw output, then
+#   its high half. random() takes a whole fresh output x, as
+#   (x >> 11) * 2**-53, and leaves a pending high half for the next 32-bit
+#   draw.
+# - integers(high), high up to 2**32, is Lemire's method on 32-bit words w:
+#   m = w * high is rejected, and the next word tried, while
+#   m mod 2**32 < (2**32 - high) mod high; the value is m >> 32. A bound of
+#   1 takes no word and gives 0.
+# - choice(n, k, replace=False), for n <= 10000 or k <= n // 50, is Floyd's
+#   algorithm: a draw on [0, j] for j = n-k ... n-1, each pick the draw, or
+#   j where the draw was picked before; then a Fisher-Yates pass over the
+#   picks with draws on [0, i] for i = k-1 ... 1. Past those sizes NumPy
+#   shuffles a tail of range(n) instead, and a grid of more than 2**32
+#   cells takes 64-bit draws: configs that can reach either draw each
+#   sample through a Generator.
+# A scene's draws are all 32-bit, so one array op makes the same draw on
+# every stream of a chunk, each from its own word; each question then
+# takes its few draws, one sample at a time, from the words where its scene
+# stopped. Deriving a state costs about 1 us, reseeding and reading about
+# 3 us, where NumPy's SeedSequence and Generator constructors cost about
+# 20 us and each Generator call 2.5 to 12 us (2-core Xeon, NumPy 2.4).
 
 _MASK32 = 0xFFFF_FFFF
 _MASK128 = (1 << 128) - 1
@@ -516,8 +570,8 @@ _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875      # entropy mixing
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED      # generate_state
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-# Indices per vectorized pass: bounds the pass's arrays and state list.
-STREAM_CHUNK = 1024
+# Indices per vectorized pass: bounds the pass's arrays and per-sample lists.
+STREAM_CHUNK = 512
 
 
 def _uint32_words(n: int) -> list:
@@ -578,30 +632,198 @@ def _stream_states(seed: int, indices: np.ndarray) -> list:
     return states
 
 
-def _sample_streams(seed: int, n: int):
-    """Yield, for i in range(n), one Generator set to the start of stream
-    PCG64(SeedSequence([seed, i])): the same Generator each time, reseeded."""
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
+def _chunk_states(seed: int, n: int):
+    """Yield (start, states) for each chunk of indices 0 ... n-1: the first
+    index and the _stream_states of the chunk's indices."""
     for start in range(0, n, STREAM_CHUNK):
         indices = np.arange(start, min(start + STREAM_CHUNK, n), dtype=np.uint32)
-        for state, inc in _stream_states(seed, indices):
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield rng
+        yield start, _stream_states(seed, indices)
+
+
+def _reseed(bit_generator: np.random.PCG64, state: int, inc: int) -> None:
+    """Set bit_generator to the start of the stream with this state and inc."""
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+
+
+def _raw_outputs(bit_generator: np.random.PCG64, states: list,
+                 n_outputs: int) -> np.ndarray:
+    """[len(states), n_outputs] uint64: the first raw outputs of each stream."""
+    outputs = np.empty((len(states), n_outputs), dtype=np.uint64)
+    for row, (state, inc) in zip(outputs, states):
+        _reseed(bit_generator, state, inc)
+        row[:] = bit_generator.random_raw(n_outputs)
+    return outputs
+
+
+class _OutOfWords(Exception):
+    """A draw needs more of its stream than was read: Lemire's method
+    rejected words. The chunk is drawn again from longer reads."""
+
+
+def _outputs_per_stream(config: DatasetConfig) -> int:
+    """Raw outputs read per stream: the scene takes at most 4 words per
+    object (a Floyd pick, a shuffle swap, a class and a size, with the
+    object count's draw in place of the last swap), the question at most
+    3 outputs (two random() calls and one 32-bit draw), and one is spare.
+    Only Lemire rejections take more."""
+    return 2 * config.max_objects + 4
+
+
+class _Words:
+    """The 32-bit words of a chunk of streams, one row per stream, in the
+    order next_uint32 takes them from the raw outputs, and each stream's
+    next word. integers() makes one Generator draw on every stream at once."""
+
+    def __init__(self, outputs: np.ndarray):
+        self.words = outputs.astype("<u8", copy=False).view("<u4")
+        self.lanes = np.arange(len(outputs))
+        self.next = np.zeros(len(outputs), dtype=np.int64)
+
+    def _read(self, at: np.ndarray) -> np.ndarray:
+        if at.max() >= self.words.shape[1]:
+            raise _OutOfWords
+        return self.words[self.lanes, at].astype(np.uint64)
+
+    def integers(self, high) -> np.ndarray:
+        """Generator.integers(high) on each stream, for a bound of 1 to 2**32
+        (one int, or an array of one per stream): Lemire's method."""
+        high = np.asarray(high, dtype=np.uint64)
+        threshold = (np.uint64(1 << 32) - high) % high
+        at = self.next
+        m = self._read(at) * high
+        rejected = (m & np.uint64(_MASK32)) < threshold
+        while rejected.any():
+            at = at + rejected
+            m = np.where(rejected, self._read(at) * high, m)
+            rejected &= (m & np.uint64(_MASK32)) < threshold
+        self.next = at + (high > 1)
+        return (m >> np.uint64(32)).astype(np.int64)
+
+
+class _Stream:
+    """Generator.random() and .integers(high), for a bound of 1 to 2**32,
+    drawn from one stream's raw outputs (a uint64 array) from its word-th
+    32-bit word on."""
+
+    def __init__(self, outputs: np.ndarray, word: int):
+        self.outputs = outputs
+        self.next = (word + 1) // 2                   # the next whole output
+        # next_uint32's pending high half, if the scene stopped inside an output
+        self.half = int(outputs[word // 2]) >> 32 if word % 2 else None
+
+    def _output(self) -> int:
+        if self.next == len(self.outputs):
+            raise _OutOfWords
+        self.next += 1
+        return int(self.outputs[self.next - 1])
+
+    def _uint32(self) -> int:
+        if self.half is None:
+            out = self._output()
+            self.half = out >> 32
+            return out & _MASK32
+        word, self.half = self.half, None
+        return word
+
+    def random(self) -> float:
+        return (self._output() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, high: int) -> int:
+        if high == 1:
+            return 0
+        threshold = ((1 << 32) - high) % high
+        m = self._uint32() * high
+        while m & _MASK32 < threshold:
+            m = self._uint32() * high
+        return m >> 32
+
+
+def _floyd_choice(words: _Words, n: int, count: np.ndarray, width: int) -> np.ndarray:
+    """Generator.choice(n, count, replace=False) on each stream, in NumPy's
+    Floyd branch with 32-bit draws: [streams, width] picks, the first count
+    of each row drawn. A row past its count draws on [0, 0], taking no word."""
+    picks = np.zeros((len(count), width), dtype=np.int64)
+    for f in range(width):
+        j = n - count + f
+        drawn = words.integers(np.where(f < count, j + 1, 1))
+        seen = (picks[:, :f] == drawn[:, None]).any(axis=1)
+        picks[:, f] = np.where(seen, j, drawn)
+    lanes = np.arange(len(count))
+    for step in range(width - 1):
+        i = np.maximum(count - 1 - step, 0)
+        j = words.integers(i + 1)
+        picks[lanes, i], picks[lanes, j] = picks[lanes, j], picks[lanes, i]
+    return picks
+
+
+def _draw_objects(words: _Words, config: DatasetConfig) -> tuple:
+    """Each stream's object count and [streams, max_objects] object codes,
+    the first count of each row drawn as _sample_scene's Generator calls
+    draw them: the count, the cells, then every class, then every size."""
+    width = config.max_objects
+    count = config.min_objects + words.integers(width - config.min_objects + 1)
+    cells = _floyd_choice(words, config.grid_size ** 2, count, width)
+    live = np.arange(width) < count[:, None]
+
+    def each_object(high: int) -> np.ndarray:
+        return np.stack([words.integers(np.where(live[:, f], high, 1))
+                         for f in range(width)], axis=1)
+
+    classes = each_object(len(OBJECT_CLASSES))
+    sizes = each_object(len(SIZES))
+    return count, (cells * len(OBJECT_CLASSES) + classes) * len(SIZES) + sizes
+
+
+def _draws_in_chunks(config: DatasetConfig) -> bool:
+    """Whether every cell choice the config makes is in NumPy's Floyd branch
+    with 32-bit draws, the choice _floyd_choice makes."""
+    n = config.grid_size ** 2
+    return n <= 10000 or (config.max_objects <= n // 50 and n <= 1 << 32)
+
+
+def _chunk_scenes(config: DatasetConfig, bit_generator: np.random.PCG64,
+                  states: list, n_outputs: int):
+    """Yield (scene, rng) for each stream of a chunk: its scene, and the
+    source of the draws that follow it, good until the next scene is taken
+    (a Generator is reseeded for it). Raises _OutOfWords if n_outputs raw
+    outputs of a stream are not enough."""
+    if not _draws_in_chunks(config):
+        rng = np.random.Generator(bit_generator)
+        for state, inc in states:
+            _reseed(bit_generator, state, inc)
+            yield _sample_scene(rng, config), rng
+        return
+    outputs = _raw_outputs(bit_generator, states, n_outputs)
+    words = _Words(outputs)
+    count, codes = _draw_objects(words, config)
+    objects = _objects_by_code(config.grid_size)
+    for row, n_obj, row_codes, word in zip(outputs, count.tolist(), codes.tolist(),
+                                           words.next.tolist()):
+        yield (_scene(config, tuple(map(objects.__getitem__, row_codes[:n_obj]))),
+               _Stream(row, word))
 
 
 def generate_dataset(config: DatasetConfig) -> Dataset:
     """Seeded, reproducible dataset with interleaved category/split schedules."""
     categories = apportion(config.mix(), config.n_samples)
     splits = apportion(config.splits(), config.n_samples)
+    bit_generator = np.random.PCG64(0)
+    n_outputs = _outputs_per_stream(config)
     samples = []
-    for rng, category, split in zip(_sample_streams(config.seed, config.n_samples),
-                                    categories, splits):
-        scene = _sample_scene(rng, config)
-        template_id, slots = _sample_question(rng, scene, category)
-        samples.append(_sample(config, scene, template_id, slots, split))
+    for start, states in _chunk_states(config.seed, config.n_samples):
+        part = slice(start, start + len(states))
+        while True:
+            try:
+                samples += [
+                    _sample(config, scene, *_sample_question(rng, scene, category), split)
+                    for (scene, rng), category, split in zip(
+                        _chunk_scenes(config, bit_generator, states, n_outputs),
+                        categories[part], splits[part])]
+                break
+            except _OutOfWords:
+                n_outputs *= 2
     return Dataset(config=config, samples=tuple(samples))
 
 
@@ -629,21 +851,28 @@ def audit_dataset(dataset: Dataset) -> int:
 FORMAT_NAME = "mibvqa-dataset"
 FORMAT_VERSION = 2
 
+# The keys of each kind of JSON object in a dataset file, stated once:
+# export writes exactly these, in this order, and import reads them in the
+# same order and rejects an object with a key missing or one more.
+HEADER_KEYS = ("config", "format", "version")
+RECORD_KEYS = ("scene", "category", "template_id", "slots", "token_ids",
+               "n_tokens", "answer_index", "split")
+SCENE_KEYS = ("objects", "zone_label")
+
 
 def _sample_record(s: VQASample) -> dict:
-    return {
-        "scene": {
-            "objects": [[o.cls, o.row, o.col, o.size] for o in s.scene.objects],
-            "zone_label": s.scene.zone_label,
-        },
-        "category": s.category,
-        "template_id": s.template_id,
-        "slots": list(s.slots),
-        "token_ids": list(s.token_ids),
-        "n_tokens": s.n_tokens,
-        "answer_index": s.answer_index,
-        "split": s.split,
-    }
+    scene = ([[o.cls, o.row, o.col, o.size] for o in s.scene.objects],
+             s.scene.zone_label)
+    return dict(zip(RECORD_KEYS, (
+        dict(zip(SCENE_KEYS, scene, strict=True)), s.category, s.template_id,
+        list(s.slots), list(s.token_ids), s.n_tokens, s.answer_index, s.split),
+        strict=True))
+
+
+def _values(value: dict, keys: tuple, what: str) -> list:
+    """The values of keys in the JSON object value, which has exactly these."""
+    check_keys(value, keys, what)
+    return list(map(value.__getitem__, keys))
 
 
 def _record_object(store: dict, grid_size: int, cls, row, col, size) -> SceneObject:
@@ -682,13 +911,16 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
     object off that grid or unknown, the object or slot count, the template,
     the split) or a stored derived field other than the rebuilt one is a
     DatasetFormatError, and so is a value of another JSON type than the one
-    export writes. Each object must sit on its own cell, each slot hold a
-    value of its kind, and a comparison two classes."""
+    export writes, or a record or scene object with other keys than export
+    writes. Each object must sit on its own cell, each slot hold a value of
+    its kind, and a comparison two classes."""
     try:
-        sc = rec["scene"]
+        (scene, category, template_id, slots, token_ids, n_tokens, answer_index,
+         split) = _values(rec, RECORD_KEYS, "record")
+        entries, zone_label = _values(scene, SCENE_KEYS, "scene")
         store = _object_store(config.grid_size)
         objects = tuple(_record_object(store, config.grid_size, cls, row, col, size)
-                        for cls, row, col, size in sc["objects"])
+                        for cls, row, col, size in entries)
         if not 1 <= len(objects) <= config.t_max:
             raise ValueError(f"{len(objects)} objects, expected 1 to "
                              f"t_max={config.t_max}")
@@ -696,7 +928,6 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
         if len(cells) != len(objects):
             raise ValueError(f"{len(objects)} objects on {len(cells)} grid "
                              f"cells: generation puts each on its own cell")
-        template_id, slots, split = rec["template_id"], rec["slots"], rec["split"]
         if type(template_id) is not int or not 0 <= template_id < len(TEMPLATES):
             raise ValueError(f"unknown template_id {template_id!r}")
         template = TEMPLATES[template_id]
@@ -715,11 +946,11 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
             raise ValueError(f"split {split!r} is not among the header's splits")
         sample = _sample(config, _scene(config, objects), template_id, slots, split)
         for name, value, expected in (
-                ("zone_label", sc["zone_label"], sample.scene.zone_label),
-                ("category", rec["category"], sample.category),
-                ("token_ids", rec["token_ids"], list(sample.token_ids)),
-                ("n_tokens", rec["n_tokens"], sample.n_tokens),
-                ("answer_index", rec["answer_index"], sample.answer_index)):
+                ("zone_label", zone_label, sample.scene.zone_label),
+                ("category", category, sample.category),
+                ("token_ids", token_ids, list(sample.token_ids)),
+                ("n_tokens", n_tokens, sample.n_tokens),
+                ("answer_index", answer_index, sample.answer_index)):
             if not _same(value, expected):
                 raise ValueError(f"{name} {value!r} is not the rebuilt sample's "
                                  f"{expected!r}")
@@ -732,8 +963,8 @@ def export_dataset(dataset: Dataset, path) -> None:
     """One header line, then one record per sample. The header holds the
     format name, its version and the config echo, whose n_samples is the
     record count."""
-    header = {"config": asdict(dataset.config), "format": FORMAT_NAME,
-              "version": FORMAT_VERSION}
+    header = dict(zip(HEADER_KEYS, (asdict(dataset.config), FORMAT_NAME,
+                                    FORMAT_VERSION), strict=True))
     # one encoder for every line; json.dumps(sort_keys=True) builds one per call
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as f:
@@ -761,7 +992,11 @@ def import_dataset(path) -> Dataset:
     if type(version) is not int or version != FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported dataset version {version!r}")
     try:
-        config = config_from_json(DatasetConfig, header.get("config"))
+        config_echo, _, _ = _values(header, HEADER_KEYS, "header")
+    except ValueError as e:
+        raise DatasetFormatError(f"malformed header line: {e}") from None
+    try:
+        config = config_from_json(DatasetConfig, config_echo)
     except ValueError as e:
         raise DatasetFormatError(f"bad config echo in header: {e}") from None
     if config.n_samples != len(lines) - 1:

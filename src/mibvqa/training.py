@@ -14,7 +14,7 @@ import base64
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .autodiff import Adam, NonFiniteGradientError, backward
 from .data import (
     ANSWERS, CATEGORIES, Dataset, DatasetFormatError, check_field_types,
-    config_from_json, query_tokens, scene_features,
+    check_keys, config_from_json, query_tokens, scene_features,
 )
 from .encoders import ImageObjectFeatures, QueryTokens
 from .model import ModelConfig, VQAModel
@@ -456,10 +456,13 @@ def _step_count(payload: str) -> int:
 
 
 def _metrics(payload: str) -> dict:
+    """Each split's Metrics.to_dict(): exactly the Metrics fields."""
     metrics = json.loads(payload)
-    if not (isinstance(metrics, dict)
-            and all(isinstance(m, dict) for m in metrics.values())):
+    if not isinstance(metrics, dict):
         raise ValueError("expected an object mapping splits to objects")
+    names = [f.name for f in fields(Metrics)]
+    for split, split_metrics in metrics.items():
+        check_keys(split_metrics, names, f"metrics of split {split!r}")
     return metrics
 
 
@@ -517,12 +520,12 @@ def load_checkpoint(path) -> Checkpoint:
     parameters: dict = {}
     end = len(_CKPT_LINES) + 1 + 2 * n_tensors
     for index in range(len(_CKPT_LINES) + 1, end, 2):
-        fields = _parse_line(lines, index, "tensor ", str.split)
-        name = fields[0] if fields else ""
+        tokens = _parse_line(lines, index, "tensor ", str.split)
+        name = tokens[0] if tokens else ""
         if name in parameters:
             raise CheckpointError(f"parameter {name!r} repeated on line {index + 1}")
         try:
-            dims = tuple(int(d) for d in fields[1:])
+            dims = tuple(int(d) for d in tokens[1:])
         except ValueError:
             raise CheckpointError(
                 f"malformed shape line for parameter {name!r}: {lines[index]!r}") from None

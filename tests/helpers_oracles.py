@@ -26,7 +26,7 @@ from mibvqa import autodiff as ad
 from mibvqa.data import (
     _CLASS_INDEX, ANSWERS, OBJECT_CLASSES, SIZE_FEATURE, SIZES, TEMPLATES,
     VOCABULARY, Dataset, DatasetConfig, DatasetFormatError, Scene, SceneObject,
-    VQASample, _sample_question, answer_oracle, apportion, tokenize,
+    VQASample, answer_oracle, tokenize,
 )
 from mibvqa.fusion import cross_entropy
 from mibvqa.infomax import LossBreakdown, encode_latent, info_loss, total_loss
@@ -217,13 +217,27 @@ def reference_loss(model, features, tokens, labels, lam, noise_q, noise_h):
 # data-path reference
 #
 # Sample generation, export and record parsing as they were before scene
-# objects were shared: every object a new SceneObject, classes and sizes
-# drawn with rng.choice and indexed as NumPy scalars, the zone from
-# zone_of, every question rendered and tokenized anew, every exported line
-# from its own json.dumps of a record built here, every record field
-# checked. The file layout is dataset version 2's, written out in full:
-# the header holds the config echo, the format name and the version, and a
-# record's objects lie on the echo's grid.
+# objects were shared and before generation made NumPy's draws itself: one
+# SeedSequence and one Generator per sample, every draw a Generator call
+# (cells, the comparison's classes and each presence slot by rng.choice or
+# rng.integers), every object a new SceneObject, classes and sizes indexed
+# as NumPy scalars, the zone from zone_of, every question rendered and
+# tokenized anew, the schedules from the max(key=...) form of apportion,
+# every exported line from its own json.dumps of a record built here, every
+# record field checked. The file layout is dataset version 2's, written out
+# in full: the header holds the config echo, the format name and the
+# version, and a record's objects lie on the echo's grid.
+
+
+def reference_apportion(weights: dict, n: int) -> list:
+    labels = list(weights)
+    counts = {k: 0 for k in labels}
+    out = []
+    for i in range(n):
+        best = max(labels, key=lambda k: (weights[k] * (i + 1) - counts[k]))
+        counts[best] += 1
+        out.append(best)
+    return out
 
 
 def zone_of(objects, urban_threshold: int) -> str:
@@ -247,11 +261,43 @@ def reference_sample_scene(rng: np.random.Generator, config: DatasetConfig) -> S
                  zone_label=zone_of(objects, config.urban_threshold))
 
 
+def _reference_pick_balanced(rng, candidates_yes, candidates_no):
+    want_yes = rng.random() < 0.5
+    pool = candidates_yes if want_yes else candidates_no
+    if not pool:
+        pool = candidates_no if want_yes else candidates_yes
+    return pool[int(rng.integers(len(pool)))]
+
+
+def reference_sample_question(rng: np.random.Generator, scene: Scene, category: str):
+    """(template_id, slots) of the category's question."""
+    if category == "count":
+        return 0, (OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))],)
+    if category == "presence":
+        if rng.random() < 0.5:
+            present = sorted({o.cls for o in scene.objects})
+            absent = sorted(set(OBJECT_CLASSES) - set(present))
+            return 1, (_reference_pick_balanced(rng, present, absent),)
+        pairs = [(s, c) for s in SIZES for c in OBJECT_CLASSES]
+        have = {(o.size, o.cls) for o in scene.objects}
+        yes = [p for p in pairs if p in have]
+        no = [p for p in pairs if p not in have]
+        return 2, tuple(_reference_pick_balanced(rng, yes, no))
+    if category == "comparison":
+        a, b = rng.choice(len(OBJECT_CLASSES), size=2, replace=False)
+        return 3, (OBJECT_CLASSES[a], OBJECT_CLASSES[b])
+    if category == "rural_urban":
+        return 4, ()
+    if category == "area":
+        return 5, (OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))],)
+    raise ValueError(f"unknown category {category!r}")
+
+
 def reference_make_sample(config: DatasetConfig, index: int, category: str,
                           split: str) -> VQASample:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
     scene = reference_sample_scene(rng, config)
-    template_id, slots = _sample_question(rng, scene, category)
+    template_id, slots = reference_sample_question(rng, scene, category)
     template = TEMPLATES[template_id]
     words = template.render(slots)
     token_ids, n_tokens = tokenize(words, config.k_max)
@@ -263,8 +309,8 @@ def reference_make_sample(config: DatasetConfig, index: int, category: str,
 
 
 def reference_generate_dataset(config: DatasetConfig) -> Dataset:
-    categories = apportion(config.mix(), config.n_samples)
-    splits = apportion(config.splits(), config.n_samples)
+    categories = reference_apportion(config.mix(), config.n_samples)
+    splits = reference_apportion(config.splits(), config.n_samples)
     samples = tuple(
         reference_make_sample(config, i, categories[i], splits[i])
         for i in range(config.n_samples))

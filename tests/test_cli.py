@@ -11,6 +11,7 @@ import base64
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -164,6 +165,16 @@ def test_gen_data_is_byte_identical_across_reruns(workdir, dataset_cfg_path,
                  "--out", str(again)])
     assert code == 0
     assert again.read_bytes() == data_path.read_bytes()
+
+
+def test_default_gen_data_output_keeps_its_digest(tmp_path):
+    # generation makes NumPy's Generator draws itself: the default dataset
+    # keeps the bytes the Generator gave it
+    path = tmp_path / "dataset.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-data", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ac92bc739e6d6b98c6148d346b2c6e717a4813b7a570179e4d6b25359ea78d76")
 
 
 def test_gen_data_seed_flag_overrides_the_config_file(workdir,
@@ -785,19 +796,26 @@ def test_eval_of_a_record_with_one_bad_field_exits_with_one_error_line(
     index = data.draw(st.integers(1, len(lines) - 1), label="record")
     record = json.loads(lines[index])
     kind = data.draw(st.sampled_from(
-        ["wrong type", "out of range", "non-finite", "deleted key"]), label="kind")
-    paths = list(_paths(record))
-    if kind == "deleted key":
-        paths = [path for path in paths if isinstance(path[-1], str)]
-    elif kind != "wrong type":  # a number or a string, not an object or list
-        paths = [path for path in paths if not isinstance(
-            functools.reduce(operator.getitem, path, record), (dict, list))]
-    *parents, last = data.draw(st.sampled_from(paths), label="field")
-    holder = functools.reduce(operator.getitem, parents, record)
-    if kind == "deleted key":
-        del holder[last]
+        ["wrong type", "out of range", "non-finite", "deleted key", "extra key"]),
+        label="kind")
+    if kind == "extra key":  # one more key in the record or in its scene
+        holder = data.draw(st.sampled_from([record, record["scene"]]), label="object")
+        new_key = data.draw(st.text(max_size=8).filter(lambda k: k not in holder),
+                            label="new key")
+        holder[new_key] = data.draw(ANY_JSON_VALUE, label="value")
     else:
-        holder[last] = data.draw(_bad_value(kind, holder[last]), label="value")
+        paths = list(_paths(record))
+        if kind == "deleted key":
+            paths = [path for path in paths if isinstance(path[-1], str)]
+        elif kind != "wrong type":  # a number or a string, not an object or list
+            paths = [path for path in paths if not isinstance(
+                functools.reduce(operator.getitem, path, record), (dict, list))]
+        *parents, last = data.draw(st.sampled_from(paths), label="field")
+        holder = functools.reduce(operator.getitem, parents, record)
+        if kind == "deleted key":
+            del holder[last]
+        else:
+            holder[last] = data.draw(_bad_value(kind, holder[last]), label="value")
     lines[index] = json.dumps(record, sort_keys=True)
     edited = workdir / "bad_field.jsonl"
     edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -813,8 +831,8 @@ def test_eval_of_a_record_with_one_bad_field_exits_with_one_error_line(
 # The header lines a one-field edit targets: file, line index, and the text
 # before the fields. The checkpoint header and meta line hold space-separated
 # tokens, the rest JSON objects; the config echo is the dataset header's
-# "config" object. The checkpoint's metrics line is out of scope: any JSON
-# object of objects is a valid one.
+# "config" object. The checkpoint's metrics line is out of scope but for
+# its keys: loading reads no value of it back.
 HEADER_LINES = {
     "checkpoint header": ("ckpt", 0, "ckpt "),
     "meta step_count": ("ckpt", 1, "meta step_count "),
@@ -822,6 +840,13 @@ HEADER_LINES = {
     "config train": ("ckpt", 3, "config train "),
     "dataset header": ("data", 0, ""),
     "config echo": ("data", 0, ""),
+}
+# The JSON objects an extra key goes into: those of HEADER_LINES, and the
+# metrics of one split.
+EXTRA_KEY_LINES = {
+    **{target: line for target, line in HEADER_LINES.items()
+       if line[0] == "data" or line[1] >= 2},
+    "metrics": ("ckpt", 4, "metrics "),
 }
 # Every string a header field can hold: the format marker and the variants.
 HEADER_WORDS = {FORMAT_NAME, *VARIANT_CATEGORIES}
@@ -850,13 +875,17 @@ def _bad_header_value(kind: str, old):
     return st.text(max_size=8).filter(lambda new: new not in HEADER_WORDS)
 
 
-@settings(max_examples=25)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_eval_with_one_bad_header_field_exits_with_one_error_line(
         workdir, ckpt_path, data_path, data):
     paths = {"ckpt": ckpt_path, "data": data_path}
-    target = data.draw(st.sampled_from(sorted(HEADER_LINES)), label="target")
-    file, index, prefix = HEADER_LINES[target]
+    kind = data.draw(st.sampled_from(
+        ["wrong type", "out of range", "non-finite", "deleted key", "extra key"]),
+        label="kind")
+    targets = EXTRA_KEY_LINES if kind == "extra key" else HEADER_LINES
+    target = data.draw(st.sampled_from(sorted(targets)), label="target")
+    file, index, prefix = targets[target]
     lines = paths[file].read_text(encoding="utf-8").splitlines()
     text = lines[index][len(prefix):]
     tokens = file == "ckpt" and index < 2
@@ -865,21 +894,26 @@ def test_eval_with_one_bad_header_field_exits_with_one_error_line(
         values = {key: _token_value(token) for key, token in enumerate(holder)}
     else:
         payload = json.loads(text)
-        holder = payload["config"] if target == "config echo" else payload
+        holder = (payload["config"] if target == "config echo"
+                  else payload[data.draw(st.sampled_from(sorted(payload)), label="split")]
+                  if target == "metrics" else payload)
         values = dict(holder)
-    kind = data.draw(st.sampled_from(
-        ["wrong type", "out of range", "non-finite", "deleted key"]), label="kind")
-    keys = list(values)
-    if kind in ("out of range", "non-finite"):  # a scalar, not an object or list
-        keys = [key for key in keys if not isinstance(values[key], (dict, list))]
-    if kind == "out of range":  # a flag has no range, only a type
-        keys = [key for key in keys if type(values[key]) is not bool]
-    key = data.draw(st.sampled_from(keys), label="field")
-    if kind == "deleted key":
-        del holder[key]
+    if kind == "extra key":
+        new_key = data.draw(st.text(max_size=8).filter(lambda k: k not in holder),
+                            label="new key")
+        holder[new_key] = data.draw(ANY_JSON_VALUE, label="value")
     else:
-        new = data.draw(_bad_header_value(kind, values[key]), label="value")
-        holder[key] = json.dumps(new) if tokens else new
+        keys = list(values)
+        if kind in ("out of range", "non-finite"):  # a scalar, not an object or list
+            keys = [key for key in keys if not isinstance(values[key], (dict, list))]
+        if kind == "out of range":  # a flag has no range, only a type
+            keys = [key for key in keys if type(values[key]) is not bool]
+        key = data.draw(st.sampled_from(keys), label="field")
+        if kind == "deleted key":
+            del holder[key]
+        else:
+            new = data.draw(_bad_header_value(kind, values[key]), label="value")
+            holder[key] = json.dumps(new) if tokens else new
     lines[index] = prefix + (" ".join(holder) if tokens
                              else json.dumps(payload, sort_keys=True))
     paths[file] = workdir / f"bad_header.{file}"

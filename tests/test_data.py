@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -40,9 +41,11 @@ from mibvqa.data import (
     tokenize,
 )
 from helpers_oracles import (
+    reference_apportion,
     reference_export_text,
     reference_generate_dataset,
     reference_import_samples,
+    reference_sample_question,
     zone_of,
 )
 
@@ -301,6 +304,15 @@ def test_apportion_exact_hand_case():
     assert Counter(schedule) == {"a": 1, "b": 2}
 
 
+@given(shares=st.lists(st.sampled_from([0.1, 0.2, 0.25, 1 / 3, 0.5, 2 / 3, 0.8])
+                       | st.floats(0.01, 1.0), min_size=1, max_size=5),
+       n=st.integers(0, 300))
+def test_apportion_equals_its_max_key_form(shares, n):
+    # ties between equal shares are common; the first label must win them
+    weights = {f"c{i}": share for i, share in enumerate(shares)}
+    assert apportion(weights, n) == reference_apportion(weights, n)
+
+
 def test_apportion_sums_and_bounds():
     rng = np.random.default_rng(25)
     for _ in range(50):
@@ -403,11 +415,20 @@ def numpy_stream_state(seed: int, index: int) -> dict:
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5],
                          ids=["0", "1", "2^32-1", "2^32", "2^64+3", "2^128+5"])
 def test_sample_streams_start_where_numpy_seeds_them(seed):
+    # the chunks generation derives, across a chunk boundary; reseeding
+    # gives NumPy's state, and reading it NumPy's first raw outputs
     n = dt.STREAM_CHUNK + 3
     checked = (0, 1, dt.STREAM_CHUNK - 1, dt.STREAM_CHUNK, n - 1)
-    states = {i: rng.bit_generator.state
-              for i, rng in enumerate(dt._sample_streams(seed, n)) if i in checked}
-    assert states == {i: numpy_stream_state(seed, i) for i in checked}
+    states = {start + k: state for start, chunk in dt._chunk_states(seed, n)
+              for k, state in enumerate(chunk) if start + k in checked}
+    assert sorted(states) == list(checked)
+    bit_generator = np.random.PCG64(0)
+    for i in checked:
+        dt._reseed(bit_generator, *states[i])
+        assert bit_generator.state == numpy_stream_state(seed, i)
+        expected = np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(6)
+        np.testing.assert_array_equal(
+            dt._raw_outputs(bit_generator, [states[i]], 6), [expected])
 
 
 @given(seed=st.integers(0, 2**130), index=st.integers(0, dt.MAX_SAMPLES - 1))
@@ -416,6 +437,177 @@ def test_stream_state_equals_numpys_for_any_seed_and_index(seed, index):
     expected = numpy_stream_state(seed, index)["state"]
     assert dt._stream_states(seed, np.array([index], dtype=np.uint32)) == [
         (expected["state"], expected["inc"])]
+
+
+# ---------------------------------------------------------------- draws
+#
+# Generation makes NumPy's Generator draws itself, from each stream's raw
+# PCG64 outputs: one array op per draw for a chunk's scenes (dt._Words),
+# one sample at a time for its question (dt._Stream). Each property below
+# checks one equivalence that relies on against the Generator itself.
+
+SEEDS = st.integers(0, 2**64)
+MASK32 = 0xFFFF_FFFF
+
+
+def _outputs(seed: int, n: int) -> np.ndarray:
+    return np.random.PCG64(seed).random_raw(n)
+
+
+def _generator(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _words(seeds, n_outputs: int) -> dt._Words:
+    return dt._Words(np.array([_outputs(seed, n_outputs) for seed in seeds]))
+
+
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=4), data=st.data())
+@settings(max_examples=80)
+def test_choice_is_floyd_then_a_shuffle(seeds, data):
+    # each stream of a chunk draws choice(n, k) with its own k, and the
+    # draw after it starts where NumPy's does
+    n = data.draw(st.integers(1, 10000) | st.integers(10001, 2**32), label="n")
+    most = min(n if n <= 10000 else n // 50, 40)
+    counts = data.draw(st.lists(st.integers(1, most), min_size=len(seeds),
+                                max_size=len(seeds)), label="counts")
+    words = _words(seeds, 2 * most + 8)
+    picks = dt._floyd_choice(words, n, np.array(counts), most)
+    after = words.integers(7)
+    for seed, k, row, next_draw in zip(seeds, counts, picks, after):
+        rng = _generator(seed)
+        assert row[:k].tolist() == rng.choice(n, size=k, replace=False).tolist()
+        assert next_draw == rng.integers(7)
+
+
+@given(seed=SEEDS)
+@settings(max_examples=40)
+def test_comparison_draws_are_a_choice_of_two_classes(seed):
+    scene = scene_of([("road", 0, 0, "small")])
+    expected = reference_sample_question(_generator(seed), scene, "comparison")
+    assert dt._sample_question(_generator(seed), scene, "comparison") == expected
+    stream = dt._Stream(_outputs(seed, 4), 0)
+    assert dt._sample_question(stream, scene, "comparison") == expected
+
+
+@given(seed=SEEDS, high=st.integers(2, 2**32))
+@settings(max_examples=40)
+def test_a_bound_of_one_takes_no_word(seed, high):
+    rng = _generator(seed)
+    bounds = (1, high, 1, 1, high)
+    expected = [int(rng.integers(h)) for h in bounds]
+    assert expected[0] == expected[2] == expected[3] == 0
+    words = _words([seed], 8)
+    assert [int(words.integers(h)[0]) for h in bounds] == expected
+    stream = dt._Stream(_outputs(seed, 8), 0)
+    assert [stream.integers(h) for h in bounds] == expected
+
+
+@given(seed=SEEDS)
+@settings(max_examples=40)
+def test_32_bit_draws_take_the_low_half_then_the_high_half(seed):
+    first, second = _outputs(seed, 2).tolist()
+    halves = [first & MASK32, first >> 32, second & MASK32, second >> 32]
+    assert _generator(seed).integers(2**32, size=4).tolist() == halves
+    words = _words([seed], 2)
+    assert [int(words.integers(2**32)[0]) for _ in halves] == halves
+    stream = dt._Stream(_outputs(seed, 2), 0)
+    assert [stream.integers(2**32) for _ in halves] == halves
+
+
+@given(seed=SEEDS, word=st.integers(0, 3),
+       draws=st.lists(st.sampled_from(["random", 2, 5, 2**32]), max_size=8))
+@settings(max_examples=80)
+def test_random_takes_a_whole_fresh_output_and_leaves_the_pending_half(
+        seed, word, draws):
+    first, second = _outputs(seed, 2).tolist()
+    stream = dt._Stream(_outputs(seed, 2), 0)
+    assert stream.integers(2**32) == first & MASK32
+    assert stream.random() == (second >> 11) * 2.0**-53
+    assert stream.integers(2**32) == first >> 32
+    # from any word on, in any order of draws, as the Generator draws them
+    rng = _generator(seed)
+    for _ in range(word):
+        rng.integers(2**32)
+    stream = dt._Stream(_outputs(seed, 16), word)
+    for draw in draws:
+        if draw == "random":
+            assert stream.random() == rng.random()
+        else:
+            assert stream.integers(draw) == rng.integers(draw)
+
+
+@given(seed=SEEDS, high=st.integers(3, 2**32 - 1).filter(lambda h: h & (h - 1)))
+@settings(max_examples=40)
+def test_a_lemire_rejection_draws_again_from_the_next_word(seed, high):
+    # A pending word of 0 gives m = 0, which every bound but a power of 2
+    # rejects. Crafted outputs start with that word; a stream beside them
+    # in the chunk rejects nothing, or rejects on its own.
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.state = {**bit_generator.state, "has_uint32": 1, "uinteger": 0}
+    rng = np.random.Generator(bit_generator)
+    expected = [int(rng.integers(high)) for _ in range(3)]
+    halves = [half for out in _outputs(seed, 8).tolist()
+              for half in (out & MASK32, out >> 32)]
+    words = [0] + halves
+    crafted = np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
+                       dtype=np.uint64)
+    chunk = dt._Words(np.array([crafted, _outputs(seed + 1, 8)]))
+    beside = _generator(seed + 1)
+    for value in expected:
+        assert chunk.integers(high).tolist() == [value, beside.integers(high)]
+    stream = dt._Stream(crafted, 0)
+    assert [stream.integers(high) for _ in expected] == expected
+
+
+def test_draws_past_the_outputs_read_raise_out_of_words():
+    words = _words([1, 2], 1)
+    words.integers(5), words.integers(5)
+    with pytest.raises(dt._OutOfWords):
+        words.integers(5)
+    stream = dt._Stream(_outputs(1, 1), 1)
+    stream.integers(5)
+    with pytest.raises(dt._OutOfWords):
+        stream.random()
+
+
+@pytest.mark.parametrize("n_outputs", [1, 20])
+def test_a_chunk_that_runs_out_of_words_is_drawn_again(monkeypatch, n_outputs):
+    # a default scene takes 39 words: with 1 output the scene runs out, with
+    # 20 a question; the chunk is read again with twice as many outputs
+    read = []
+    raw_outputs = dt._raw_outputs
+
+    def spy(bit_generator, states, n):
+        read.append(n)
+        return raw_outputs(bit_generator, states, n)
+
+    monkeypatch.setattr(dt, "_outputs_per_stream", lambda config: n_outputs)
+    monkeypatch.setattr(dt, "_raw_outputs", spy)
+    config = DatasetConfig(n_samples=300, seed=37)
+    assert generate_dataset(config).samples == reference_generate_dataset(config).samples
+    assert read[0] == n_outputs and read[-1] >= 2 * n_outputs
+
+
+@given(data=st.data())
+@settings(max_examples=40)
+def test_generation_equals_the_reference_on_random_configs(data):
+    grid = data.draw(st.integers(1, 12), label="grid_size")
+    most = data.draw(st.integers(1, min(grid * grid, 16)), label="max_objects")
+    splits = data.draw(st.sampled_from(
+        [{}, {"train_fraction": 0.6, "test_fraction": 0.2, "test2_fraction": 0.2}]),
+        label="splits")
+    config = DatasetConfig(
+        n_samples=data.draw(st.integers(1, 60), label="n_samples"),
+        seed=data.draw(st.integers(0, 2**70), label="seed"),
+        grid_size=grid, max_objects=most,
+        min_objects=data.draw(st.integers(1, most), label="min_objects"),
+        urban_threshold=data.draw(st.integers(1, most), label="urban_threshold"),
+        variant=data.draw(st.sampled_from(sorted(dt.VARIANT_CATEGORIES)),
+                          label="variant"),
+        **splits)
+    samples = generate_dataset(config).samples
+    assert samples == reference_generate_dataset(config).samples
 
 
 def test_same_seed_reproduces_dataset_exactly():
@@ -487,6 +679,34 @@ def test_wrong_header_rejected(tmp_path):
         import_dataset(path)
 
 
+@pytest.mark.parametrize("line,edit,shown", [
+    (0, lambda header: header.update(seed=42),
+     "malformed header line: header keys: missing [], unknown ['seed']"),
+    (0, lambda header: header.pop("config"),
+     "malformed header line: header keys: missing ['config'], unknown []"),
+    (1, lambda record: record.update(note="x"),
+     "line 2: record keys: missing [], unknown ['note']"),
+    (1, lambda record: record.pop("split"),
+     "line 2: record keys: missing ['split'], unknown []"),
+    (1, lambda record: record["scene"].update(grid_size=8),
+     "line 2: scene keys: missing [], unknown ['grid_size']"),
+    (1, lambda record: record["scene"].pop("zone_label"),
+     "line 2: scene keys: missing ['zone_label'], unknown []"),
+], ids=["header_extra", "header_missing", "record_extra", "record_missing",
+        "scene_extra", "scene_missing"])
+def test_import_rejects_a_key_it_does_not_read_or_a_missing_one(exported, line,
+                                                                 edit, shown):
+    directory, lines = exported
+    lines = list(lines)
+    edited_line = json.loads(lines[line])
+    edit(edited_line)
+    lines[line] = json.dumps(edited_line)
+    edited = directory / "keys.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(shown)):
+        import_dataset(edited)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises((DatasetFormatError, OSError)):
         import_dataset(tmp_path / "absent.jsonl")
@@ -504,6 +724,12 @@ REFERENCE_CONFIGS = {
     "urban_threshold_1": DatasetConfig(urban_threshold=1),
     # a three-word seed: the first entropy words are the seed's, not the index
     "seed_2_64_plus_3": DatasetConfig(seed=2**64 + 3),
+    # more than 10000 cells: Floyd's choice up to n // 50 = 204 objects, and
+    # NumPy's tail shuffle past it, which only a Generator draws
+    "grid_101_floyd": DatasetConfig(n_samples=400, grid_size=101, max_objects=16,
+                                    min_objects=1, urban_threshold=1),
+    "grid_101_tail_shuffle": DatasetConfig(n_samples=40, grid_size=101, t_max=210,
+                                           min_objects=200, max_objects=210),
 }
 
 

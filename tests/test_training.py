@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mibvqa.training import (
     Checkpoint,
     CheckpointError,
     DivergenceError,
+    Metrics,
     TrainConfig,
     ablate,
     build_model,
@@ -541,6 +544,25 @@ def test_load_rejects_a_deleted_duplicated_or_swapped_line(block_dir, saved_line
     edited.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError):
         load_checkpoint(edited)
+
+
+@pytest.mark.parametrize("edit,shown", [
+    (lambda split: split.pop("confusion"), "missing ['confusion'], unknown []"),
+    (lambda split: split.update(loss=1.0), "missing [], unknown ['loss']"),
+], ids=["missing_key", "extra_key"])
+def test_load_rejects_metrics_without_exactly_the_metrics_fields(
+        tmp_path, saved_lines, edit, shown):
+    index = next(i for i, line in enumerate(saved_lines) if line.startswith("metrics "))
+    metrics = json.loads(saved_lines[index][len("metrics "):])
+    names = sorted(f.name for f in dataclasses.fields(Metrics))
+    assert [sorted(split) for split in metrics.values()] == [names] * len(metrics)
+    edit(metrics["test"])
+    lines = list(saved_lines)
+    lines[index] = "metrics " + json.dumps(metrics, sort_keys=True)
+    bad = tmp_path / "bad_metrics.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=f"metrics of split 'test' keys: {re.escape(shown)}"):
+        load_checkpoint(bad)
 
 
 def test_build_model_missing_parameter_named(small_dataset):
