@@ -2,8 +2,8 @@
 
 A from-scratch reverse-mode autodiff engine trains a model that encodes a
 symbolic grid scene and a templated question, attends over both modalities,
-fuses them by Hadamard product, and classifies the answer while a
-contrastive information-bottleneck term regularizes the paired latents.
+fuses them by Hadamard product, and classifies the answer from a
+variational information bottleneck's latent code of the fused vector.
 """
 
 from .data import (

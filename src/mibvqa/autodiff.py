@@ -205,13 +205,6 @@ def relu(x: Tensor) -> Tensor:
     return _node(out, (x,), lambda g: (g * pos,))
 
 
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + e^x), computed overflow-free."""
-    out = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    return _node(out, (x,), lambda g: (g * sig,))
-
-
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only through the interior."""
     out = np.clip(x.data, lo, hi)
@@ -427,7 +420,10 @@ def gaussian_skl(mean_p: Tensor, log_var_p: Tensor, mean_q: Tensor,
 
 def info_nce(z_q: Tensor, z_h: Tensor, critic: Tensor) -> Tensor:
     """InfoNCE estimate mean_i [s_ii - logsumexp_j s_ij] + ln B of the
-    bilinear scores s = z_q @ critic @ z_h.T of a [B, d] latent pair."""
+    bilinear scores s = z_q @ critic @ z_h.T of a [B, d] latent pair.
+
+    A contrastive mutual-information lower bound kept beside the model,
+    which does not call it."""
     if z_q.data.ndim != 2 or z_h.shape != z_q.shape \
             or critic.shape != (z_q.shape[1],) * 2:
         raise DimensionError(f"info_nce: z_q {z_q.shape}, z_h {z_h.shape}, "

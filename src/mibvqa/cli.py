@@ -80,9 +80,11 @@ def _train_setup(args) -> tuple:
 
 
 def _print_epoch(epoch: int, model, record: dict) -> None:
-    """train's epoch_callback: one line per epoch, printed as it ends."""
-    print(f"epoch {epoch:>4}  ce {record['mean_ce']:.6f}  "
-          f"final {record['mean_final']:.6f}", flush=True)
+    """train's epoch_callback: one line per epoch, printed as it ends, with
+    every mean loss term of the epoch record."""
+    terms = "  ".join(f"{key[len('mean_'):]} {value:.6f}"
+                      for key, value in record.items() if key.startswith("mean_"))
+    print(f"epoch {epoch:>4}  {terms}", flush=True)
 
 
 def _cmd_train(args) -> int:
@@ -142,9 +144,12 @@ def _add_train_flags(parser) -> None:
                         help="replace both attention blocks with masked mean pooling")
     parser.add_argument("--no-infomax", dest="enable_infomax",
                         action="store_false", default=None,
-                        help="drop the information-bottleneck loss and parameters")
+                        help="drop the information bottleneck: the classifier "
+                             "reads the fused vector, and the loss is the "
+                             "cross-entropy alone")
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="weight of the bottleneck loss term")
+                        help="the bottleneck's beta: weight of the KL between "
+                             "its latent and the standard normal prior")
     parser.add_argument("--epochs", type=int, default=None)
     parser.add_argument("--batch-size", type=int, default=None)
     parser.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,

@@ -1,9 +1,9 @@
 """Modality fusion, answer classification, and cross-entropy.
 
 The pooled query and image embeddings are projected by two fully connected
-layers to a common width, fused by Hadamard product, and classified by a
-two-layer MLP over a single answer space that covers every question
-category.
+layers to a common width and fused by Hadamard product. A two-layer MLP
+classifies the fused vector, or the bottleneck's latent code of it, over a
+single answer space that covers every question category.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ from .autodiff import (
 
 
 class FusionParams:
-    """Two projection layers to a common width d_f, then a d_f->d_mlp->C MLP."""
+    """Two projection layers to a common width d_f, then a d_in->d_mlp->C
+    MLP. The classifier reads d_in = d_f inputs, or the latent width when a
+    bottleneck sits between fusion and classifier."""
 
     def __init__(self, d_q: int, d_h: int, n_classes: int, d_f: int,
-                 d_mlp: int, rng: np.random.Generator):
+                 d_in: int, d_mlp: int, rng: np.random.Generator):
 
         def layer(fan_in, fan_out):
             return (Tensor(uniform_init(rng, (fan_in, fan_out), fan_in,
@@ -29,7 +31,7 @@ class FusionParams:
 
         self.q_w, self.q_b = layer(d_q, d_f)
         self.h_w, self.h_b = layer(d_h, d_f)
-        self.mlp_w1, self.mlp_b1 = layer(d_f, d_mlp)
+        self.mlp_w1, self.mlp_b1 = layer(d_in, d_mlp)
         self.mlp_w2, self.mlp_b2 = layer(d_mlp, n_classes)
 
 
@@ -43,9 +45,10 @@ def project_image(h_star: Tensor, params: FusionParams) -> Tensor:
     return linear(h_star, params.h_w, params.h_b)
 
 
-def classify(fused: Tensor, params: FusionParams) -> Tensor:
-    """Two-layer MLP logits [B, C] over the answer space (no softmax baked in)."""
-    hidden = relu(linear(fused, params.mlp_w1, params.mlp_b1))
+def classify(x: Tensor, params: FusionParams) -> Tensor:
+    """Two-layer MLP logits [B, C] of x [B, d_in] over the answer space (no
+    softmax baked in)."""
+    hidden = relu(linear(x, params.mlp_w1, params.mlp_b1))
     return linear(hidden, params.mlp_w2, params.mlp_b2)
 
 

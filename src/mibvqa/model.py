@@ -1,4 +1,5 @@
-"""Full VQA model: encoders, optional attention, fusion, optional bottleneck.
+"""Full VQA model: encoders, optional attention, fusion, optional
+bottleneck, classifier.
 
 The weights are allocated in a fixed order (encoders, attention if enabled,
 fusion, bottleneck if enabled; within a group, the order its attributes are
@@ -27,7 +28,8 @@ from .fusion import (
     FusionParams, classify, cross_entropy, predict, project_image, project_query,
 )
 from .infomax import (
-    BottleneckParams, LossBreakdown, encode_latent, info_loss, total_loss,
+    BottleneckParams, LossBreakdown, encode_latent, info_loss, latent_mean,
+    total_loss,
 )
 
 
@@ -66,8 +68,9 @@ class VQAModel:
         self.attention = (AttentionParams(config.d_q, config.d_h, config.d_ff,
                                           config.d_p, rng)
                           if config.enable_cross_attention else None)
-        self.fusion = FusionParams(config.d_q, config.d_h, len(ANSWERS),
-                                   config.d_f, config.d_mlp, rng)
+        self.fusion = FusionParams(
+            config.d_q, config.d_h, len(ANSWERS), config.d_f,
+            config.d_z if config.enable_infomax else config.d_f, config.d_mlp, rng)
         self.bottleneck = (BottleneckParams(config.d_f, config.d_z, rng)
                            if config.enable_infomax else None)
 
@@ -79,10 +82,10 @@ class VQAModel:
                 for prefix, group in groups if group is not None
                 for attribute, tensor in vars(group).items()}
 
-    def _forward(self, features: ImageObjectFeatures,
-                 tokens: QueryTokens) -> tuple:
-        """Logits [B, len(ANSWERS)] plus the post-FC embeddings f_q, f_h [B, d_f]
-        that feed both the Hadamard fusion and the bottleneck encoders."""
+    def _fused(self, features: ImageObjectFeatures,
+               tokens: QueryTokens) -> Tensor:
+        """The fused vector f_q ⊙ f_h [B, d_f] of the post-FC query and image
+        embeddings."""
         h = encode_image(features, self.encoders)
         q = encode_query(tokens, self.encoders)
         if self.attention is not None:
@@ -92,18 +95,22 @@ class VQAModel:
         else:
             q_star = masked_mean(q, tokens.token_mask)
             h_star = masked_mean(h, features.object_mask)
-        f_q = project_query(q_star, self.fusion)
-        f_h = project_image(h_star, self.fusion)
-        return classify(hadamard(f_q, f_h), self.fusion), f_q, f_h
+        return hadamard(project_query(q_star, self.fusion),
+                        project_image(h_star, self.fusion))
 
     def logits(self, features: ImageObjectFeatures, tokens: QueryTokens) -> Tensor:
-        """Answer logits [B, len(ANSWERS)] of a batch."""
-        return self._forward(features, tokens)[0]
+        """Answer logits [B, len(ANSWERS)] of a batch. With the bottleneck,
+        the classifier reads the latent mean: only the mean head runs, with
+        no log-variance head and no noise."""
+        fused = self._fused(features, tokens)
+        if self.bottleneck is not None:
+            fused = latent_mean(fused, self.bottleneck)
+        return classify(fused, self.fusion)
 
     def predict(self, features: ImageObjectFeatures,
                 tokens: QueryTokens) -> np.ndarray:
-        """Answer index per sample; never touches the bottleneck, so no
-        sampling involved. Runs under no_grad: no graph is recorded."""
+        """Answer index per sample, from the logits, so no sampling is
+        involved. Runs under no_grad: no graph is recorded."""
         with no_grad():
             return predict(self.logits(features, tokens))
 
@@ -112,22 +119,19 @@ class VQAModel:
                    rng: np.random.Generator) -> LossBreakdown:
         """All loss terms over one batch, built as a single graph.
 
-        With the bottleneck enabled, final = ce + lam * info_loss (lam = 0
-        still routes zero gradient to the bottleneck weights, keeping the
-        optimizer contract intact), and its two samples reparameterize
-        rng.standard_normal((B, d_z)) draws: the query latent's, then the
-        image latent's. With it disabled, rng is not drawn from, final IS
-        the cross-entropy tensor and the info terms are constants.
+        With the bottleneck enabled, the classifier reads the latent sample,
+        which reparameterizes one rng.standard_normal((B, d_z)) draw, and
+        final = ce + lam * skl; both heads lie on the cross-entropy's path,
+        so each gets a gradient at any lam. With it disabled, rng is not
+        drawn from, final IS the cross-entropy tensor and skl is a constant
+        zero.
         """
-        logits, f_q, f_h = self._forward(features, tokens)
-        ce = cross_entropy(logits, labels)
+        fused = self._fused(features, tokens)
         if self.bottleneck is None:
-            zero = Tensor(np.zeros(()))
-            return LossBreakdown(ce=ce, mi_estimate=zero, skl=zero,
-                                 info_loss=zero, final=ce)
-        shape = (len(labels), self.config.d_z)
-        lat_q = encode_latent(f_q, "phi", self.bottleneck, rng.standard_normal(shape))
-        lat_h = encode_latent(f_h, "psi", self.bottleneck, rng.standard_normal(shape))
-        mi, skl, info = info_loss(lat_q, lat_h, self.bottleneck)
-        return LossBreakdown(ce=ce, mi_estimate=mi, skl=skl, info_loss=info,
-                             final=total_loss(ce, info, lam))
+            ce = cross_entropy(classify(fused, self.fusion), labels)
+            return LossBreakdown(ce=ce, skl=Tensor(np.zeros(())), final=ce)
+        latent = encode_latent(fused, self.bottleneck,
+                               rng.standard_normal((len(labels), self.config.d_z)))
+        ce = cross_entropy(classify(latent.sample, self.fusion), labels)
+        skl = info_loss(latent)
+        return LossBreakdown(ce=ce, skl=skl, final=total_loss(ce, skl, lam))

@@ -5,7 +5,8 @@ shuffle order, the reparameterization noise, and therefore the entire loss
 trajectory and all downstream metrics. The model is initialized from
 SeedSequence([seed]) and the loop stream from SeedSequence([seed, 1]): each
 epoch draws its shuffle from it, and each step hands it to
-VQAModel.loss_batch, which draws the bottleneck's noise.
+VQAModel.loss_batch, which draws the bottleneck's noise. Evaluation reads
+the bottleneck's mean and draws nothing.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 32
     learning_rate: float = 5e-3
-    lam: float = 1.0
+    lam: float = 0.01
     seed: int = 42
 
     def __post_init__(self):
@@ -418,14 +419,14 @@ def format_ablation_table(rows: list) -> str:
 
 
 CKPT_MAGIC = "ckpt"
-CKPT_VERSION = 5
+CKPT_VERSION = 6
 CKPT_DTYPE = "<f8"
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Plain-text format, bit-exact under round-trip.
 
-    Header `ckpt v5 <n_tensors>`: the count of parameter tensors.
+    Header `ckpt v6 <n_tensors>`: the count of parameter tensors.
     `meta`/`config`/`metrics`/`answers` lines carry JSON payloads (`config
     model` holds the ModelConfig: seven widths and two flags; `config train`
     the recipe, seed included); each `tensor <name> <dims...>` line (no dims

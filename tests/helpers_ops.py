@@ -321,12 +321,6 @@ def _scenario_exp(rng):
     return lambda ps: out(exp(ps[0])), [a]
 
 
-def _scenario_softplus(rng):
-    a = _param(rng, (3, 4))
-    out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.softplus(ps[0])), [a]
-
-
 def _scenario_clamp(rng):
     # Bands [0.2, 0.8] (pass-through) and [1.2, 1.8] (clipped), both at least
     # 0.2 away from the clamp edges at +-1.
@@ -557,7 +551,6 @@ OP_SCENARIOS = {
     "relu": _scenario_relu,
     "tanh": _scenario_tanh,
     "exp": _scenario_exp,
-    "softplus": _scenario_softplus,
     "clamp": _scenario_clamp,
     "softmax": _scenario_softmax,
     "softmax_masked": _scenario_softmax_masked,

@@ -29,7 +29,7 @@ from mibvqa.data import (
     VQASample, answer_oracle, tokenize,
 )
 from mibvqa.fusion import cross_entropy
-from mibvqa.infomax import LossBreakdown, encode_latent, info_loss, total_loss
+from mibvqa.infomax import LOG_VAR_MAX, LOG_VAR_MIN, LossBreakdown, total_loss
 
 NEG_INF = -1e30  # same additive mask constant the engine documents
 
@@ -155,10 +155,15 @@ def _dense(x, w, b):
     return add_row(ad.matmul(x, w), b)
 
 
-def reference_forward(model, matrix, object_mask, token_ids, token_mask):
-    """Logits, f_q and f_h ([1, .] each) of one sample: matrix [t, d_raw],
-    object_mask [t], token_ids [k], token_mask [k]."""
+def reference_forward(model, matrix, object_mask, token_ids, token_mask,
+                      noise=None):
+    """Logits [1, C] of one sample (matrix [t, d_raw], object_mask [t],
+    token_ids [k], token_mask [k]) and its latent mean and log-variance
+    [1, d_z], None without the bottleneck. The classifier reads the latent
+    mean, as evaluation does, or with noise [d_z] the sample
+    mean + exp(log_var / 2) * noise, as training does."""
     enc, att, fus = model.encoders, model.attention, model.fusion
+    ib = model.bottleneck
     # padded rows zeroed here, unlike the model, which leaves them to the
     # pooling masks: the two must still agree
     h = mask_rows(ad.relu(_dense(ad.Tensor(matrix), enc.img_w, enc.img_b)),
@@ -189,28 +194,39 @@ def reference_forward(model, matrix, object_mask, token_ids, token_mask):
     else:
         q_star = ad.matmul(ad.Tensor(token_mask[None, :] / token_mask.sum()), q)
         h_star = ad.matmul(ad.Tensor(object_mask[None, :] / object_mask.sum()), h)
-    f_q = _dense(q_star, fus.q_w, fus.q_b)
-    f_h = _dense(h_star, fus.h_w, fus.h_b)
-    hidden = ad.relu(_dense(ad.hadamard(f_q, f_h), fus.mlp_w1, fus.mlp_b1))
-    return _dense(hidden, fus.mlp_w2, fus.mlp_b2), f_q, f_h
+    fused = ad.hadamard(_dense(q_star, fus.q_w, fus.q_b),
+                        _dense(h_star, fus.h_w, fus.h_b))
+    mean = log_var = None
+    if ib is not None:
+        mean = _dense(fused, ib.mean_w, ib.mean_b)
+        log_var = ad.clamp(_dense(fused, ib.logvar_w, ib.logvar_b),
+                           LOG_VAR_MIN, LOG_VAR_MAX)
+        fused = (mean if noise is None
+                 else composed_gaussian_sample(mean, log_var, noise[None, :]))
+    hidden = ad.relu(_dense(fused, fus.mlp_w1, fus.mlp_b1))
+    return _dense(hidden, fus.mlp_w2, fus.mlp_b2), mean, log_var
 
 
-def reference_loss(model, features, tokens, labels, lam, noise_q, noise_h):
-    """Logits [B, C] and the five loss terms of a batch, every sample on its
-    own graph; the batch-level terms reuse the library's loss functions."""
-    per_sample = [reference_forward(model, features.matrix[i],
-                                    features.object_mask[i],
-                                    tokens.token_ids[i], tokens.token_mask[i])
-                  for i in range(len(labels))]
-    logits, f_q, f_h = (_stack(list(part)) for part in zip(*per_sample))
-    ce = cross_entropy(logits, labels)
+def reference_loss(model, features, tokens, labels, lam, noise):
+    """Evaluation logits [B, C] and the loss terms of a batch, every sample
+    on its own graph; noise [B, d_z] is the bottleneck's (None without it).
+    The skl is the composed symmetrized KL to N(0, I), over the batch."""
+
+    def forward(i, eps=None):
+        return reference_forward(model, features.matrix[i], features.object_mask[i],
+                                 tokens.token_ids[i], tokens.token_mask[i], eps)
+
+    b = len(labels)
+    logits = _stack([forward(i)[0] for i in range(b)])
     if model.bottleneck is None:
-        zero = ad.Tensor(np.zeros(()))
-        return logits, LossBreakdown(ce, zero, zero, zero, ce)
-    lat_q = encode_latent(f_q, "phi", model.bottleneck, noise_q)
-    lat_h = encode_latent(f_h, "psi", model.bottleneck, noise_h)
-    mi, skl, info = info_loss(lat_q, lat_h, model.bottleneck)
-    return logits, LossBreakdown(ce, mi, skl, info, total_loss(ce, info, lam))
+        ce = cross_entropy(logits, labels)
+        return logits, LossBreakdown(ce, ad.Tensor(np.zeros(())), ce)
+    per_sample = [forward(i, noise[i]) for i in range(b)]
+    train_logits, mean, log_var = (_stack(list(part)) for part in zip(*per_sample))
+    ce = cross_entropy(train_logits, labels)
+    prior = ad.Tensor(np.zeros(mean.shape))
+    skl = ad.scale(composed_gaussian_skl(mean, log_var, prior, prior), 1.0 / b)
+    return logits, LossBreakdown(ce, skl, total_loss(ce, skl, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The batched model against the per-sample reference in helpers_oracles.
 
 The model builds one graph per minibatch; the reference builds one graph per
-sample from the engine's general ops. Logits, all five loss terms and every
+sample from the engine's general ops. Logits, all three loss terms and every
 parameter gradient must agree within TOL, for every flag variant and for
 batches at the padding extremes. A prepared split, cut to its largest scene
 and longest question, must give what the same samples give at the full
@@ -21,6 +21,7 @@ from conftest import tiny_model_config
 from helpers_oracles import reference_forward, reference_loss
 from mibvqa import autodiff
 from mibvqa import data as dt
+from mibvqa import model as model_module
 from mibvqa.autodiff import backward
 from mibvqa.data import query_tokens, scene_features
 from mibvqa.encoders import ImageObjectFeatures, QueryTokens, encode_image
@@ -56,15 +57,11 @@ def assert_matches_reference(model, features, tokens, labels, rng) -> None:
     stream = copy.deepcopy(rng)
     batched = model.loss_batch(features, tokens, labels, LAM, stream)
     batched_grads = _grads(model, batched.final)
-    # the bottleneck draws its two samples' noise, query first; no
-    # bottleneck, no draw
-    noise_q = noise_h = None
-    if model.bottleneck is not None:
-        noise_q = rng.standard_normal((b, d_z))
-        noise_h = rng.standard_normal((b, d_z))
+    # the bottleneck draws its sample's noise; no bottleneck, no draw
+    noise = (rng.standard_normal((b, d_z)) if model.bottleneck is not None
+             else None)
     assert stream.bit_generator.state == rng.bit_generator.state
-    ref_logits, ref = reference_loss(model, features, tokens, labels, LAM,
-                                     noise_q, noise_h)
+    ref_logits, ref = reference_loss(model, features, tokens, labels, LAM, noise)
     ref_grads = _grads(model, ref.final)
 
     logits = model.logits(features, tokens).data
@@ -150,7 +147,7 @@ def test_image_padding_is_inert_end_to_end(cross):
                      _grads(model, loss.final)))
     (logits, terms, grads), (g_logits, g_terms, g_grads) = runs
     np.testing.assert_array_equal(g_logits, logits)
-    assert len(terms) == 5 and g_terms == terms
+    assert len(terms) == 3 and g_terms == terms
     assert grads.keys() == g_grads.keys()
     for name, grad in grads.items():
         np.testing.assert_array_equal(g_grads[name], grad, err_msg=name)
@@ -260,6 +257,45 @@ def test_predict_records_no_graph_and_matches_the_graph_path(
     predictions = model.predict(split.features, split.tokens)
     assert recorded and not any(recorded)
     assert predictions.tolist() == predict(graph_logits).tolist()
+
+
+class ZeroNoise:
+    """A stand-in loop stream whose standard-normal draws are all zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+@pytest.mark.parametrize("cross", [True, False])
+def test_training_at_zero_noise_reads_the_latent_evaluation_reads(
+        small_dataset, cross, monkeypatch):
+    model = make_model(cross, infomax=True)
+    features, tokens, labels = prepare_split(small_dataset, "train").batch(
+        np.arange(9))
+    seen = []
+
+    def recording_cross_entropy(logits, labels):
+        seen.append(logits.data)
+        return real_cross_entropy(logits, labels)
+
+    real_cross_entropy = model_module.cross_entropy
+    monkeypatch.setattr(model_module, "cross_entropy", recording_cross_entropy)
+    model.loss_batch(features, tokens, labels, LAM, ZeroNoise())
+    (train_logits,) = seen
+    np.testing.assert_array_equal(train_logits,
+                                  model.logits(features, tokens).data)
+
+
+def test_lambda_zero_still_trains_the_mean_head_through_the_cross_entropy(
+        small_dataset):
+    model = make_model(True, infomax=True)
+    features, tokens, labels = prepare_split(small_dataset, "train").batch(
+        np.arange(9))
+    loss = model.loss_batch(features, tokens, labels, 0.0,
+                            np.random.default_rng(2))
+    assert loss.final.item() == loss.ce.item()
+    grads = _grads(model, loss.final)
+    assert np.abs(grads["ib.mean_w"]).max() > 0
 
 
 @pytest.mark.parametrize("cross,infomax", VARIANTS)

@@ -425,7 +425,7 @@ def test_non_finite_gradient_exits_with_the_divergence_code(
     def poisoned(loss):
         backward(loss)
         next(node for node in autodiff._toposort(loss)
-             if node._vjp is None).grad.flat[0] = np.inf
+             if node._vjp is None and node.requires_grad).grad.flat[0] = np.inf
 
     monkeypatch.setattr(training, "backward", poisoned)
     code = main(["train", "--data", str(data_path),
@@ -457,8 +457,12 @@ def test_train_prints_each_epoch_line_as_the_epoch_ends(
                  "--config", str(train_cfg_path), "--epochs", "3"])
     out, err = capsys.readouterr()
     assert code == 4
-    assert [line.split()[:2] for line in out.splitlines()] == [
-        ["epoch", "0"], ["epoch", "1"]]
+    lines = [line.split() for line in out.splitlines()]
+    assert [line[:2] for line in lines] == [["epoch", "0"], ["epoch", "1"]]
+    # every mean loss term of the epoch record, in LossBreakdown's order
+    for line in lines:
+        assert line[2::2] == ["ce", "skl", "final"]
+        assert all(math.isfinite(float(value)) for value in line[3::2])
     assert err.startswith("error: non-finite loss term 'final'")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "never.ckpt").exists()
@@ -621,7 +625,7 @@ def _first_block_twice(lines: list) -> list:
 @pytest.mark.parametrize("edit,shown", [
     (_header_field(1, "v2"), "unsupported checkpoint version 'v2'"),
     (_header_field(1, "v3"), "unsupported checkpoint version 'v3'"),
-    (_header_field(2, "-5"), "negative tensor count in header line: 'ckpt v5 -5'"),
+    (_header_field(2, "-5"), "negative tensor count in header line: 'ckpt v6 -5'"),
     (_first_block_nan, "non-finite value in parameter"),
     (_first_shape_dim_text, "malformed shape line for parameter 'enc.embed'"),
     (_payload_edit("config model ", lambda mc: {**mc, "d_h": mc["d_h"] + 1}),
@@ -990,11 +994,18 @@ def _as_v4(lines: list) -> list:
     """The lines in checkpoint v4's layout: the train seed in the header and
     each tensor's rank before its dims."""
     seed = json.loads(lines[3][len("config train "):])["seed"]
-    lines[0] = lines[0].replace(" v5 ", f" v4 {seed} ")
+    lines[0] = lines[0].replace(" v6 ", f" v4 {seed} ")
     for index, line in enumerate(lines):
         if line.startswith("tensor "):
             name, *dims = line.split()[1:]
             lines[index] = " ".join(["tensor", name, str(len(dims)), *dims])
+    return lines
+
+
+def _as_v5(lines: list) -> list:
+    """The lines under checkpoint v5's header. v5 had v6's layout but the
+    parameters of another bottleneck, so only its header tells it apart."""
+    lines[0] = lines[0].replace(" v6 ", " v5 ")
     return lines
 
 
@@ -1010,14 +1021,14 @@ def _as_dataset_v1(lines: list) -> list:
     return [json.dumps(value, sort_keys=True) for value in [header, *records]]
 
 
-@pytest.mark.parametrize("file,shown", [
-    ("data", "error: unsupported dataset version 1\n"),
-    ("ckpt", "error: unsupported checkpoint version 'v4'\n"),
-], ids=["dataset_v1", "checkpoint_v4"])
+@pytest.mark.parametrize("file,convert,shown", [
+    ("data", _as_dataset_v1, "error: unsupported dataset version 1\n"),
+    ("ckpt", _as_v4, "error: unsupported checkpoint version 'v4'\n"),
+    ("ckpt", _as_v5, "error: unsupported checkpoint version 'v5'\n"),
+], ids=["dataset_v1", "checkpoint_v4", "checkpoint_v5"])
 def test_a_file_in_the_previous_format_exits_with_its_version(
-        workdir, ckpt_path, data_path, capsys, file, shown):
+        workdir, ckpt_path, data_path, capsys, file, convert, shown):
     paths = {"ckpt": ckpt_path, "data": data_path}
-    convert = {"ckpt": _as_v4, "data": _as_dataset_v1}[file]
     lines = convert(paths[file].read_text(encoding="utf-8").splitlines())
     paths[file] = workdir / f"previous.{file}"
     paths[file].write_text("\n".join(lines) + "\n", encoding="utf-8")

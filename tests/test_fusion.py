@@ -32,7 +32,7 @@ D_Q, D_H, D_F, D_MLP, N_CLASSES = 4, 5, 6, 7, 4
 
 
 def make_params(seed: int = 0) -> FusionParams:
-    return FusionParams(D_Q, D_H, N_CLASSES, d_f=D_F, d_mlp=D_MLP,
+    return FusionParams(D_Q, D_H, N_CLASSES, d_f=D_F, d_in=D_F, d_mlp=D_MLP,
                         rng=np.random.default_rng(seed))
 
 
@@ -205,7 +205,8 @@ def test_full_pipeline_passes_gradient_check():
     rng = np.random.default_rng(4)
     enc = EncoderParams(vocab_size=7, d_q=D_Q, d_raw=8, d_h=D_H, rng=rng)
     att = AttentionParams(D_Q, D_H, d_ff=3, d_p=6, rng=rng)
-    fus = FusionParams(D_Q, D_H, N_CLASSES, d_f=D_F, d_mlp=D_MLP, rng=rng)
+    fus = FusionParams(D_Q, D_H, N_CLASSES, d_f=D_F, d_in=D_F, d_mlp=D_MLP,
+                       rng=rng)
 
     feats = ImageObjectFeatures(
         np.vstack([rng.uniform(0, 1, (3, 8)), np.zeros((1, 8))])[None],

@@ -1,4 +1,5 @@
-"""Bottleneck objective: reparameterization, closed-form SKL, InfoNCE, gamma."""
+"""Bottleneck: the Gaussian head, reparameterization, closed-form SKL, the
+KL to the prior, and the InfoNCE estimator."""
 
 from __future__ import annotations
 
@@ -14,11 +15,11 @@ from helpers_oracles import (
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import DimensionError, Tensor
 from mibvqa.infomax import (
-    GAMMA_RAW_INIT,
     BottleneckParams,
     GaussianLatent,
     encode_latent,
     info_loss,
+    latent_mean,
     total_loss,
 )
 
@@ -58,40 +59,34 @@ def mc_skl(mean_p, lv_p, mean_q, lv_q, n_samples: int, rng) -> float:
 def test_zero_noise_sample_equals_mean():
     params = make_params()
     x = Tensor(np.random.default_rng(1).standard_normal((2, D_F)))
-    lat = encode_latent(x, "phi", params, noise=np.zeros((2, D_Z)))
+    lat = encode_latent(x, params, noise=np.zeros((2, D_Z)))
     np.testing.assert_array_equal(lat.sample.data, lat.mean.data)
+    # evaluation's mean head alone gives the same mean
+    np.testing.assert_array_equal(latent_mean(x, params).data, lat.mean.data)
 
 
 def test_unit_variance_sample_is_mean_plus_noise():
     params = make_params()
-    params.q_logvar_w.data[:] = 0.0
-    params.q_logvar_b.data[:] = 0.0  # log_var == 0 -> std == 1
+    params.logvar_w.data[:] = 0.0
+    params.logvar_b.data[:] = 0.0  # log_var == 0 -> std == 1
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((2, D_F)))
     noise = rng.standard_normal((2, D_Z))
-    lat = encode_latent(x, "phi", params, noise=noise)
+    lat = encode_latent(x, params, noise=noise)
     np.testing.assert_array_equal(lat.sample.data, lat.mean.data + noise)
 
 
 def test_log_variance_clamped_to_documented_range():
     params = make_params()
-    params.q_logvar_w.data[:] = 0.0
-    params.q_logvar_b.data[:] = 50.0
+    params.logvar_w.data[:] = 0.0
+    params.logvar_b.data[:] = 50.0
     x = Tensor(np.ones((1, D_F)))
-    lat = encode_latent(x, "phi", params, noise=np.zeros((1, D_Z)))
+    lat = encode_latent(x, params, noise=np.zeros((1, D_Z)))
     np.testing.assert_array_equal(lat.log_var.data, np.full((1, D_Z), 10.0))
 
-    params.q_logvar_b.data[:] = -50.0
-    lat = encode_latent(x, "phi", params, noise=np.zeros((1, D_Z)))
+    params.logvar_b.data[:] = -50.0
+    lat = encode_latent(x, params, noise=np.zeros((1, D_Z)))
     np.testing.assert_array_equal(lat.log_var.data, np.full((1, D_Z), -10.0))
-
-
-def test_latent_heads_are_separate_per_modality():
-    params = make_params()
-    x = Tensor(np.random.default_rng(3).standard_normal((1, D_F)))
-    zq = encode_latent(x, "phi", params, noise=np.zeros((1, D_Z)))
-    zh = encode_latent(x, "psi", params, noise=np.zeros((1, D_Z)))
-    assert np.abs(zq.mean.data - zh.mean.data).max() > 0
 
 
 # ---------------------------------------------------------------- SKL
@@ -269,45 +264,35 @@ def test_fused_nodes_reject_mismatched_shapes():
 # ---------------------------------------------------------------- objective
 
 
-def test_info_loss_gamma_zero_isolates_mi_term():
-    rng = np.random.default_rng(11)
-    params = make_params()
-    params.gamma_raw.data[...] = -1000.0
-    params.critic.data[...] = rng.standard_normal((D_Z, D_Z))
-    z_q = Tensor(rng.standard_normal((3, D_Z)))
-    z_h = Tensor(rng.standard_normal((3, D_Z)))
-    lat_q = GaussianLatent(Tensor(rng.standard_normal((3, D_Z))),
-                           Tensor(np.zeros((3, D_Z))), z_q)
-    lat_h = GaussianLatent(Tensor(rng.standard_normal((3, D_Z))),
-                           Tensor(np.zeros((3, D_Z))), z_h)
-    # softplus(-1000) underflows to exactly 0 (its sigmoid's exp overflows)
-    with np.errstate(over="ignore"):
-        assert params.gamma().item() == 0.0
-        mi, _, value = info_loss(lat_q, lat_h, params)
-    assert value.item() == -ad.info_nce(z_q, z_h, params.critic).item()
-    assert mi.item() == ad.info_nce(z_q, z_h, params.critic).item()
+def test_info_loss_of_the_prior_is_zero():
+    lat = latent_from(np.zeros((3, D_Z)), np.zeros((3, D_Z)))
+    assert info_loss(lat).item() == 0.0
 
 
-def test_info_loss_identical_latents_isolates_mi_term():
+def test_info_loss_is_the_batch_mean_skl_to_the_standard_normal():
+    # row 0 is N(1, 1) in every entry: each directed KL to N(0, 1) is 1/2,
+    # so each entry's SKL is 1/2; row 1 is the prior itself
+    mean = np.array([[1.0] * D_Z, [0.0] * D_Z])
+    lat = latent_from(mean, np.zeros((2, D_Z)))
+    assert info_loss(lat).item() == pytest.approx(0.5 * D_Z / 2, abs=1e-14)
     rng = np.random.default_rng(12)
-    params = make_params()
-    params.gamma_raw.data[...] = 2.5
-    params.critic.data[...] = rng.standard_normal((D_Z, D_Z))
-    mean = rng.standard_normal((3, D_Z))
-    lat = latent_from(mean, np.zeros((3, D_Z)))
-    lat2 = latent_from(mean.copy(), np.zeros((3, D_Z)))
-    _, skl, value = info_loss(lat, lat2, params)
-    mi = ad.info_nce(lat.sample, lat2.sample, params.critic).item()
-    assert value.item() == pytest.approx(-mi, abs=1e-14)
-    assert abs(skl.item()) <= 1e-14
+    for _ in range(10):
+        mean, lv = rng.uniform(-2, 2, (4, D_Z)), rng.uniform(-1.5, 1.5, (4, D_Z))
+        zero = Tensor(np.zeros((4, D_Z)))
+        expected = composed_gaussian_skl(Tensor(mean), Tensor(lv), zero,
+                                         zero).item() / 4
+        assert info_loss(latent_from(mean, lv)).item() == pytest.approx(
+            expected, rel=1e-14)
 
 
 def test_info_loss_rejects_latents_of_different_shapes():
+    # a latent whose mean and log-variance disagree in shape
     rng = np.random.default_rng(13)
-    lat = latent_from(rng.standard_normal((3, D_Z)), np.zeros((3, D_Z)))
-    wide = latent_from(rng.standard_normal((3, D_Z + 1)), np.zeros((3, D_Z + 1)))
+    lat = GaussianLatent(Tensor(rng.standard_normal((3, D_Z))),
+                         Tensor(np.zeros((3, D_Z + 1))),
+                         Tensor(rng.standard_normal((3, D_Z))))
     with pytest.raises(DimensionError):
-        info_loss(lat, wide, make_params())
+        info_loss(lat)
 
 
 def test_total_loss_direct_sum():
@@ -321,31 +306,14 @@ def test_total_loss_lambda_zero_is_cross_entropy_only():
     assert out.item() == ce.item()
 
 
-# ---------------------------------------------------------------- gamma
-
-
-def test_gamma_initializes_to_one():
-    params = make_params()
-    assert params.gamma_raw.data == pytest.approx(GAMMA_RAW_INIT)
-    assert params.gamma().item() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_gamma_positive_for_any_raw_value():
-    params = make_params()
-    for raw in (-100.0, -5.0, 0.0, 5.0, 100.0):
-        params.gamma_raw.data[...] = raw
-        assert params.gamma().item() > 0.0
-
-
 def test_bottleneck_gradients_flow_through_objective():
     params = make_params(seed=13)
     rng = np.random.default_rng(14)
-    x_q = Tensor(rng.standard_normal((3, D_F)))
-    x_h = Tensor(rng.standard_normal((3, D_F)))
-    noise = np.zeros((3, D_Z))
-    lat_q = encode_latent(x_q, "phi", params, noise)
-    lat_h = encode_latent(x_h, "psi", params, noise)
-    ad.backward(info_loss(lat_q, lat_h, params)[2])
+    x = Tensor(rng.standard_normal((3, D_F)))
+    lat = encode_latent(x, params, rng.standard_normal((3, D_Z)))
+    readout = Tensor(rng.standard_normal((3, D_Z)))
+    loss = total_loss(sum_all(ad.hadamard(lat.sample, readout)), info_loss(lat),
+                      lam=0.5)
+    ad.backward(loss)
     for name, p in vars(params).items():
-        assert p.grad is not None, name
-    assert np.abs(params.gamma_raw.grad).max() > 0
+        assert p.grad is not None and np.abs(p.grad).max() > 0, name

@@ -45,9 +45,9 @@ def _bench_tracer():
 def test_every_name_the_bench_tracer_wraps_exists_on_its_owner():
     # A wrapped name that is missing is skipped by Tracer.install and reads
     # zero calls, so a renamed import would silently zero a per-layer figure.
-    # infomax.info_loss calls the fused gaussian_skl and info_nce nodes
-    # directly and its span encloses their work; the tracer's separate
-    # mi_estimate and skl_gaussian entries have no owner name to wrap.
+    # infomax.info_loss calls the fused gaussian_skl node directly and its
+    # span encloses its work; the tracer's separate mi_estimate and
+    # skl_gaussian entries have no owner name to wrap.
     enclosed = {"infomax.mi_estimate", "infomax.skl_gaussian"}
     missing = {name for name, (owner, attr, _) in _bench_tracer().WRAPPED.items()
                if attr not in owner.__dict__}
