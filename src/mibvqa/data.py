@@ -17,8 +17,10 @@ configured proportions.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence, get_type_hints
 
@@ -73,10 +75,28 @@ TOKEN_IDS = {w: i for i, w in enumerate(VOCABULARY)}
 
 @dataclass(frozen=True)
 class SceneObject:
+    """One object of a scene. Its two renderings are computed once per
+    instance from its four fields and kept in its __dict__, outside the
+    fields that ==, hash and repr read; equal objects are one instance (see
+    the object store), so each distinct object is rendered once."""
     cls: str
     row: int
     col: int
     size: str
+
+    @functools.cached_property
+    def json_fragment(self) -> str:
+        """The object as a dataset record lists it: ["road", 3, 4, "small"]."""
+        return json.dumps([self.cls, self.row, self.col, self.size])
+
+    @functools.cached_property
+    def feature_row(self) -> bytes:
+        """The float64 bytes of its descriptor row before the grid scaling:
+        one-hot class, col, row, size feature."""
+        row = np.zeros(FEATURE_WIDTH)
+        row[_CLASS_INDEX[self.cls]] = 1.0
+        row[len(OBJECT_CLASSES):] = self.col, self.row, SIZE_FEATURE[self.size]
+        return row.tobytes()
 
 
 # One store of canonical SceneObjects per grid size, keyed by
@@ -356,9 +376,9 @@ class Dataset:
         return tuple(s for s in self.samples if s.split == name)
 
 
-# Scenes per fill pass of scene_features: keeps its per-object index and
-# value arrays to a few hundred kB, so the peak memory of preparing a split
-# is the result array alone.
+# Scenes per fill pass of scene_features: bounds the pass's joined rows
+# and index arrays to a few hundred kB, so the peak memory of preparing a
+# split is the result array alone, whatever the split's size.
 FEATURE_CHUNK = 256
 
 
@@ -367,37 +387,42 @@ def scene_features(scenes: Sequence[Scene], t_max: int) -> ImageObjectFeatures:
     [B, t_max, FEATURE_WIDTH] array: one-hot class, x, y in [0,1], size in
     (0,1].
     t_max is at least the batch's largest object count; rows past a scene's
-    objects are padding.
+    objects are padding. Scenes may lie on grids of different sizes.
 
-    Each pass flattens the objects of FEATURE_CHUNK scenes into one list
-    and writes each column with one fancy-index assignment.
+    Each pass joins the cached feature_row bytes of the objects of
+    FEATURE_CHUNK scenes into one array, divides its x and y columns by each
+    object's grid denominator max(grid_size - 1, 1) in float64, as NumPy's
+    true division of ints does, and scatters it through the mask.
     """
     n_cls = len(OBJECT_CLASSES)
-    counts = np.array([len(scene.objects) for scene in scenes], dtype=np.int64)
+    counts = np.fromiter((len(scene.objects) for scene in scenes),
+                         dtype=np.int64, count=len(scenes))
     mask = np.arange(t_max) < counts.reshape(-1, 1)
     mat = np.zeros((len(scenes), t_max, FEATURE_WIDTH))
     for start in range(0, len(scenes), FEATURE_CHUNK):
         part = slice(start, start + FEATURE_CHUNK)
-        slots = mat[part].reshape(-1, FEATURE_WIDTH)    # a view of mat
-        rows = np.flatnonzero(mask[part])               # (scene, slot) row per object
-        objects = [obj for scene in scenes[part] for obj in scene.objects]
-        denom = np.repeat([max(scene.grid_size - 1, 1) for scene in scenes[part]],
+        rows = np.frombuffer(bytearray().join(
+            obj.feature_row for scene in scenes[part] for obj in scene.objects))
+        rows = rows.reshape(-1, FEATURE_WIDTH)
+        denom = np.repeat([float(max(scene.grid_size - 1, 1)) for scene in scenes[part]],
                           counts[part])
-        slots[rows, np.array([_CLASS_INDEX[obj.cls] for obj in objects])] = 1.0
-        slots[rows, n_cls] = np.array([obj.col for obj in objects]) / denom
-        slots[rows, n_cls + 1] = np.array([obj.row for obj in objects]) / denom
-        slots[rows, n_cls + 2] = [SIZE_FEATURE[obj.size] for obj in objects]
+        rows[:, n_cls:n_cls + 2] /= denom.reshape(-1, 1)
+        mat[part][mask[part]] = rows
     return ImageObjectFeatures(matrix=mat, object_mask=mask)
 
 
 def query_tokens(samples: Sequence[VQASample], k_max: int) -> QueryTokens:
     """Token ids [B, k_max] of a batch of samples, their first k_max slots,
     and the mask of their real (non-padding) prefix. k_max is at least the
-    batch's longest question and at most its samples' id count."""
-    ids = np.array([s.token_ids for s in samples], dtype=np.int64)
+    batch's longest question and at most its samples' id count, which is
+    the same for every sample."""
+    width = len(samples[0].token_ids)
+    ids = np.fromiter(itertools.chain.from_iterable(s.token_ids for s in samples),
+                      dtype=np.int64, count=len(samples) * width)
     # a copy of the kept columns: no view holds the full-width array alive
-    ids = np.ascontiguousarray(ids[:, :k_max])
-    n_tokens = np.array([s.n_tokens for s in samples])
+    ids = np.ascontiguousarray(ids.reshape(-1, width)[:, :k_max])
+    n_tokens = np.fromiter((s.n_tokens for s in samples), dtype=np.int64,
+                           count=len(samples))
     mask = np.arange(k_max) < n_tokens.reshape(-1, 1)
     return QueryTokens(token_ids=ids, token_mask=mask)
 
@@ -829,6 +854,7 @@ def generate_dataset(config: DatasetConfig) -> Dataset:
 
 def audit_dataset(dataset: Dataset) -> int:
     """Recompute every answer and validate structural bounds; returns mismatches."""
+    vocabulary_ids = frozenset(range(len(VOCABULARY)))
     mismatches = 0
     for s in dataset.samples:
         template = TEMPLATES[s.template_id]
@@ -839,7 +865,7 @@ def audit_dataset(dataset: Dataset) -> int:
             mismatches += 1
         if not 1 <= len(s.scene.objects) <= dataset.config.t_max:
             mismatches += 1
-        if any(t >= len(VOCABULARY) for t in s.token_ids):
+        if not vocabulary_ids.issuperset(s.token_ids):
             mismatches += 1
     return mismatches
 
@@ -852,21 +878,41 @@ FORMAT_NAME = "mibvqa-dataset"
 FORMAT_VERSION = 2
 
 # The keys of each kind of JSON object in a dataset file, stated once:
-# export writes exactly these, in this order, and import reads them in the
-# same order and rejects an object with a key missing or one more.
+# export writes exactly these, sorted, and import reads them in this order
+# and rejects an object with a key missing or one more.
 HEADER_KEYS = ("config", "format", "version")
 RECORD_KEYS = ("scene", "category", "template_id", "slots", "token_ids",
                "n_tokens", "answer_index", "split")
 SCENE_KEYS = ("objects", "zone_label")
 
 
-def _sample_record(s: VQASample) -> dict:
-    scene = ([[o.cls, o.row, o.col, o.size] for o in s.scene.objects],
-             s.scene.zone_label)
-    return dict(zip(RECORD_KEYS, (
-        dict(zip(SCENE_KEYS, scene, strict=True)), s.category, s.template_id,
-        list(s.slots), list(s.token_ids), s.n_tokens, s.answer_index, s.split),
-        strict=True))
+def _json_pattern(keys: tuple, nested: dict) -> str:
+    """The %-format pattern of a JSON object with these keys as
+    json.dumps(sort_keys=True) writes it: a %s for each key's value, or
+    nested[key], the pattern of a nested object, in its place."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {nested.get(key, '%s')}"
+                           for key in sorted(keys)) + "}"
+
+
+# A record line, and the sample attribute each of its %s stands for, in
+# the pattern's order: the record keys', with the scene keys' in the
+# scene's place. The objects list is rendered from the objects' own
+# fragments, every other value by _json_value.
+_RECORD_LINE = _json_pattern(RECORD_KEYS, {"scene": _json_pattern(SCENE_KEYS, {})}) + "\n"
+_RECORD_PATHS = [path for key in sorted(RECORD_KEYS) for path in (
+    [f"scene.{k}" for k in sorted(SCENE_KEYS)] if key == "scene" else [key])]
+_OBJECTS_AT = _RECORD_PATHS.index("scene.objects")
+_record_values = operator.attrgetter(*_RECORD_PATHS[:_OBJECTS_AT],
+                                     *_RECORD_PATHS[_OBJECTS_AT + 1:])
+
+
+# A dataset repeats few distinct values per field: under 50 questions' slots
+# and token ids per k_max, and a handful of categories, zones, splits and
+# small ints. typed: json.dumps(True) is "true", where 1's is "1".
+@functools.lru_cache(maxsize=1024, typed=True)
+def _json_value(value) -> str:
+    """json.dumps(value) of a hashable value, a tuple written as a list."""
+    return json.dumps(value)
 
 
 def _values(value: dict, keys: tuple, what: str) -> list:
@@ -962,15 +1008,20 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
 def export_dataset(dataset: Dataset, path) -> None:
     """One header line, then one record per sample. The header holds the
     format name, its version and the config echo, whose n_samples is the
-    record count."""
+    record count.
+
+    Each line is what json.dumps(sort_keys=True) writes, assembled from
+    cached fragments (SceneObject.json_fragment and _json_value) and written
+    as it is built: the file is never held whole in memory."""
     header = dict(zip(HEADER_KEYS, (asdict(dataset.config), FORMAT_NAME,
                                     FORMAT_VERSION), strict=True))
-    # one encoder for every line; json.dumps(sort_keys=True) builds one per call
-    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as f:
-        f.write(encode(header) + "\n")
+        f.write(json.dumps(header, sort_keys=True) + "\n")
         for s in dataset.samples:
-            f.write(encode(_sample_record(s)) + "\n")
+            values = list(map(_json_value, _record_values(s)))
+            values.insert(_OBJECTS_AT, "[" + ", ".join(
+                [obj.json_fragment for obj in s.scene.objects]) + "]")
+            f.write(_RECORD_LINE % tuple(values))
 
 
 def import_dataset(path) -> Dataset:

@@ -171,7 +171,8 @@ def prepare_split(dataset: Dataset, split: str) -> PreparedSplit:
     return PreparedSplit(
         features=scene_features(scenes, max(len(sc.objects) for sc in scenes)),
         tokens=query_tokens(samples, max(s.n_tokens for s in samples)),
-        labels=np.array([s.answer_index for s in samples], dtype=np.int64),
+        labels=np.fromiter((s.answer_index for s in samples), dtype=np.int64,
+                           count=len(samples)),
         categories=tuple(s.category for s in samples))
 
 
@@ -277,11 +278,17 @@ def compute_metrics(labels: Sequence[int], predictions: Sequence[int],
 # a pass still holds several [chunk * t, d] intermediates at once, so
 # memory grows with the chunk. Median time of one pass over the 500-sample
 # test split after one epoch of the default recipe (40 interleaved
-# repetitions, 2-core x86-64, NumPy 2.4, one BLAS thread):
+# repetitions, 2-core x86-64, NumPy 2.4, one BLAS thread; the second row
+# in a slower phase of the host):
 #   chunk   32      64      128     256     512
-#   ms      5.45    4.26    3.78    4.09    5.15
-# 128 is the fastest; the benchmark's eval_split peaks at 49.1 MB with it
-# (48.9 MB with 64).
+#   ms      3.78    2.83    2.82    4.16    5.17
+#   ms      6.29    4.73    4.30    6.33    6.77
+# Past 128 a pass's intermediates no longer fit in the memory the allocator
+# kept from the last pass, and every pass maps fresh pages: a pass over
+# 2,000 samples takes no minor page fault at chunk 128, about 4,100 at 256
+# and 4,800 at 512 (getrusage ru_minflt), and each fault costs more than
+# the per-call overhead the larger chunk saves. The benchmark's eval_split
+# peaks at 47.6 MB with 128.
 EVAL_CHUNK = 128
 
 

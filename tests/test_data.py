@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import re
 from collections import Counter
 
@@ -200,6 +202,16 @@ def test_audit_finds_zero_mismatches():
     assert audit_dataset(ds) == 0
 
 
+@pytest.mark.parametrize("bad_id", [-1, len(VOCABULARY)])
+def test_audit_counts_a_token_id_outside_the_vocabulary(bad_id):
+    ds = generate_dataset(DatasetConfig(n_samples=4, seed=22))
+    sample = ds.samples[0]
+    token_ids = (bad_id,) + sample.token_ids[1:]
+    edited = dataclasses.replace(sample, token_ids=token_ids)
+    hand_built = dt.Dataset(config=ds.config, samples=(edited,) + ds.samples[1:])
+    assert audit_dataset(hand_built) == 1
+
+
 # ---------------------------------------------------------------- scenes
 
 
@@ -236,8 +248,8 @@ def test_scene_features_layout():
 
 
 def _scene_features_loop(scenes, t_max):
-    """Object-by-object fill that the column-wise scene_features replaced:
-    the oracle."""
+    """Object-by-object fill, each field read from the object: the oracle
+    of scene_features."""
     n_cls = len(OBJECT_CLASSES)
     mat = np.zeros((len(scenes), t_max, n_cls + 3))
     for i, scene in enumerate(scenes):
@@ -249,13 +261,53 @@ def _scene_features_loop(scenes, t_max):
     return mat
 
 
-def test_scene_features_equal_the_object_loop_on_the_default_dataset():
-    config = DatasetConfig()
-    scenes = [s.scene for s in generate_dataset(config).samples]
-    feats = scene_features(scenes, config.t_max)
-    np.testing.assert_array_equal(feats.matrix,
-                                  _scene_features_loop(scenes, config.t_max))
-    assert feats.object_mask.sum() == sum(len(s.objects) for s in scenes)
+def _scene_on(grid_size: int) -> st.SearchStrategy:
+    """Scenes on one grid, their objects built directly, each on its own cell."""
+    objects = st.builds(SceneObject, st.sampled_from(OBJECT_CLASSES),
+                        st.integers(0, grid_size - 1), st.integers(0, grid_size - 1),
+                        st.sampled_from(sorted(SIZE_FEATURE)))
+    return st.lists(objects, min_size=1, max_size=min(6, grid_size ** 2),
+                    unique_by=lambda o: (o.row, o.col)).map(
+        lambda objs: Scene(grid_size, tuple(objs), "rural"))
+
+
+@given(data=st.data())
+@settings(max_examples=30)
+def test_scene_features_equal_the_object_loop(data):
+    # a grid-1 scene and scenes of other grids, repeated in a random order
+    # into one call of a few scenes or of more than FEATURE_CHUNK
+    pool = [data.draw(_scene_on(1), label="grid_1_scene")] + data.draw(
+        st.lists(st.integers(2, 12).flatmap(_scene_on), min_size=1, max_size=5),
+        label="scenes")
+    n = data.draw(st.integers(1, 8) | st.integers(dt.FEATURE_CHUNK + 1,
+                                                  3 * dt.FEATURE_CHUNK), label="n")
+    picks = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scenes = [pool[i] for i in picks.integers(len(pool), size=n)]
+    t_max = max(len(s.objects) for s in scenes) + data.draw(st.integers(0, 2))
+    feats = scene_features(scenes, t_max)
+    assert feats.matrix.tobytes() == _scene_features_loop(scenes, t_max).tobytes()
+    assert feats.object_mask.tolist() == [[j < len(s.objects) for j in range(t_max)]
+                                          for s in scenes]
+
+
+@given(data=st.data())
+@settings(max_examples=30)
+def test_query_tokens_equal_the_cut_id_array(data):
+    width = data.draw(st.integers(1, 16), label="width")
+    samples = data.draw(st.lists(st.builds(
+        lambda ids, n: dt.VQASample(scene=scene_of([("road", 0, 0, "small")]),
+                                    category="count", template_id=0, slots=("road",),
+                                    token_ids=tuple(ids), n_tokens=n,
+                                    answer_index=0, split="train"),
+        st.lists(st.integers(0, len(VOCABULARY) - 1), min_size=width, max_size=width),
+        st.integers(1, width)), min_size=1, max_size=40), label="samples")
+    k = data.draw(st.integers(max(s.n_tokens for s in samples), width), label="k")
+    tokens = dt.query_tokens(samples, k)
+    expected = np.array([s.token_ids for s in samples])[:, :k]
+    assert tokens.token_ids.dtype == np.int64 and tokens.token_ids.flags.c_contiguous
+    assert tokens.token_ids.tobytes() == expected.tobytes()
+    assert tokens.token_mask.tolist() == [[j < s.n_tokens for j in range(k)]
+                                          for s in samples]
 
 
 # ---------------------------------------------------------------- questions
@@ -746,6 +798,21 @@ def test_data_path_equals_the_reference_sample_for_sample(tmp_path, name):
     assert path.read_bytes() == reference_export_text(reference).encode("utf-8")
     imported = import_dataset(path)
     assert imported.samples == reference_import_samples(path) == reference.samples
+
+
+def test_scene_object_renderings_change_no_identity():
+    obj = SceneObject("road", 3, 4, "small")
+    twin = SceneObject("road", 3, 4, "small")
+    before = (hash(obj), repr(obj))
+    assert obj.json_fragment == '["road", 3, 4, "small"]'
+    row = np.frombuffer(obj.feature_row)
+    assert row.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 4.0, 3.0, 0.5]
+    # the renderings are cached on the instance, outside its fields
+    assert obj.feature_row is obj.feature_row
+    assert (hash(obj), repr(obj)) == before == (hash(twin), repr(twin))
+    assert obj == twin and twin == obj and obj != SceneObject("road", 3, 4, "large")
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    assert dataclasses.astuple(obj) == ("road", 3, 4, "small")
 
 
 def test_equal_objects_are_one_shared_instance(tmp_path):
