@@ -82,7 +82,10 @@ def _coerce_mix(key: str, value: str) -> dict:
             raise ConfigError(f"key {key!r}: expected 'category:fraction' "
                               f"entries, got {part!r}")
         cat, frac = part.split(":", 1)
-        mix[cat.strip()] = _coerce_float(key, frac.strip())
+        cat = cat.strip()
+        if cat in mix:
+            raise ConfigError(f"key {key!r}: duplicate category {cat!r}")
+        mix[cat] = _coerce_float(key, frac.strip())
     if not mix:
         raise ConfigError(f"key {key!r}: empty category mix")
     return mix

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence, get_type_hints
 
@@ -130,6 +131,33 @@ class _CodedObjects(dict):
 
 
 _objects_by_code = functools.cache(_CodedObjects)
+
+
+class _FragmentObjects(dict):
+    """The valid objects of one grid's store by their json_fragment's text
+    between its outer brackets ('"road", 3, 4, "small"'), as a record line
+    exactly as export writes it lists them. A text seen for the first time
+    is decoded and checked once through _record_object, and kept only if it
+    is the object's own rendering; a text that is not raises KeyError."""
+
+    def __init__(self, grid_size: int):
+        super().__init__()
+        self.grid_size = grid_size
+        self.store = _object_store(grid_size)
+
+    def __missing__(self, body: str) -> SceneObject:
+        fragment = "[" + body + "]"
+        try:
+            obj = _record_object(self.store, self.grid_size, *json.loads(fragment))
+        except (TypeError, ValueError, RecursionError):
+            raise KeyError(body) from None
+        if obj.json_fragment != fragment:
+            raise KeyError(body)
+        self[body] = obj
+        return obj
+
+
+_objects_by_fragment = functools.cache(_FragmentObjects)
 
 
 @dataclass(frozen=True)
@@ -534,7 +562,7 @@ def _sample_question(rng, scene: Scene, category: str):
     raise TemplateError(f"unknown category {category!r}")
 
 
-# Per k_max there are at most 50 (template, slots) questions: 5 count,
+# Per k_max there are 46 (template, slots) questions: 5 count,
 # 5 + 10 presence, 20 comparison, 1 rural_urban and 5 area.
 @functools.lru_cache(maxsize=1024)
 def _question_tokens(template_id: int, slots: tuple, k_max: int) -> tuple:
@@ -905,6 +933,22 @@ _OBJECTS_AT = _RECORD_PATHS.index("scene.objects")
 _record_values = operator.attrgetter(*_RECORD_PATHS[:_OBJECTS_AT],
                                      *_RECORD_PATHS[_OBJECTS_AT + 1:])
 
+# The same line as a regex, without its newline: a group for each %s, in
+# _RECORD_PATHS order. Each value export writes there is a list with no
+# list inside, or a scalar with no comma or bracket; the objects list opens
+# with "[[" and closes with "]]", and its group holds the objects' fragments
+# without their outer brackets, joined by "], [". _record_texts takes the
+# groups in the order _sample_from_text reads them: the question's last, the
+# key of its table.
+_QUESTION_PATHS = ("category", "n_tokens", "slots", "template_id", "token_ids")
+_RECORD_TEXT = re.compile("".join(
+    re.escape(literal) + group for literal, group in zip(
+        _RECORD_LINE.rstrip("\n").split("%s"),
+        [r"\[\[([^{}]*)\]\]" if at == _OBJECTS_AT else r"(\[[^\]]*\]|[^,\[]*)"
+         for at in range(len(_RECORD_PATHS))] + [""])))
+_record_texts = operator.itemgetter(*map(_RECORD_PATHS.index, (
+    "scene.objects", "scene.zone_label", "answer_index", "split", *_QUESTION_PATHS)))
+
 
 # A dataset repeats few distinct values per field: under 50 questions' slots
 # and token ids per k_max, and a handful of categories, zones, splits and
@@ -951,9 +995,11 @@ def _same(value, expected) -> bool:
 
 
 def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
-    """The sample of one record, rebuilt from its objects, template, slots and
-    split as generation builds it, on the grid of the config echo: a record
-    states no grid of its own. A drawn field generation cannot give (an
+    """The sample of one decoded record, rebuilt from its objects, template,
+    slots and split as generation builds it, on the grid of the config echo:
+    a record states no grid of its own. import_dataset calls it for every
+    line _sample_from_text does not read, so it is the one reader of any
+    other JSON spelling of a record and the one source of record errors. A drawn field generation cannot give (an
     object off that grid or unknown, the object or slot count, the template,
     the split) or a stored derived field other than the rebuilt one is a
     DatasetFormatError, and so is a value of another JSON type than the one
@@ -1005,6 +1051,60 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
         raise DatasetFormatError(f"malformed sample record at line {line_no}: {e}") from None
 
 
+@functools.cache
+def _question_table(k_max: int) -> dict:
+    """(template_id, slots) of every question generation can give, keyed by
+    the texts export writes for its _QUESTION_PATHS fields at this k_max:
+    the questions _sample_from_record accepts, each a known template with a
+    value of its kind in every slot, and a comparison two classes."""
+    table = {}
+    for template_id, template in enumerate(TEMPLATES):
+        for slots in itertools.product(*map(SLOT_VALUES.get, template.slot_names)):
+            if template.category == "comparison" and slots[0] == slots[1]:
+                continue
+            token_ids, n_tokens = _question_tokens(template_id, slots, k_max)
+            values = {"category": template.category, "n_tokens": n_tokens,
+                      "slots": slots, "template_id": template_id,
+                      "token_ids": token_ids}
+            key = tuple(_json_value(values[path]) for path in _QUESTION_PATHS)
+            table[key] = template_id, slots
+    return table
+
+
+def _sample_from_text(line: str, config: DatasetConfig, objects: _FragmentObjects,
+                      questions: dict, splits: dict) -> VQASample | None:
+    """The sample of a record line exactly as export writes it, read by its
+    text: objects, question and split are looked up among their canonical
+    renderings (objects, the _question_table of config.k_max, splits by
+    their JSON text), and the rebuilt sample's zone and answer must render
+    to the line's. None for any other line, which _sample_from_record then
+    reads: another spelling of the same record, or one that fails a check.
+
+    A line read here is _RECORD_LINE filled with the renderings of the
+    sample it gives, so its JSON value is a record _sample_from_record
+    accepts and rebuilds into an equal sample."""
+    match = _RECORD_TEXT.fullmatch(line)
+    if match is None:
+        return None
+    bodies, zone, answer, split, *question = _record_texts(match.groups())
+    question = questions.get(tuple(question))
+    split = splits.get(split)
+    if question is None or split is None:
+        return None
+    try:
+        scene_objects = tuple(map(objects.__getitem__, bodies.split("], [")))
+    except KeyError:
+        return None
+    if (len(scene_objects) > config.t_max
+            or len({(o.row, o.col) for o in scene_objects}) != len(scene_objects)):
+        return None
+    sample = _sample(config, _scene(config, scene_objects), *question, split)
+    if (_json_value(sample.scene.zone_label) != zone
+            or _json_value(sample.answer_index) != answer):
+        return None
+    return sample
+
+
 def export_dataset(dataset: Dataset, path) -> None:
     """One header line, then one record per sample. The header holds the
     format name, its version and the config echo, whose n_samples is the
@@ -1025,7 +1125,13 @@ def export_dataset(dataset: Dataset, path) -> None:
 
 
 def import_dataset(path) -> Dataset:
-    """Parse an exported dataset; raises DatasetFormatError, never a partial result."""
+    """Parse an exported dataset; raises DatasetFormatError, never a partial result.
+
+    A record line exactly as export writes it is read by its text
+    (_sample_from_text), without a JSON decode once its objects are known;
+    any other line is decoded with json.loads and read by
+    _sample_from_record, which gives the same sample for any JSON spelling
+    of the same record and raises every record error."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -1051,13 +1157,21 @@ def import_dataset(path) -> Dataset:
     except ValueError as e:
         raise DatasetFormatError(f"bad config echo in header: {e}") from None
     if config.n_samples != len(lines) - 1:
-        raise DatasetFormatError(f"truncated dataset: config echo says "
+        problem = ("truncated dataset" if config.n_samples > len(lines) - 1
+                   else "dataset has extra lines")
+        raise DatasetFormatError(f"{problem}: config echo says "
                                  f"{config.n_samples} samples, file has {len(lines) - 1}")
+    objects = _objects_by_fragment(config.grid_size)
+    questions = _question_table(config.k_max)
+    splits = {_json_value(name): name for name in config.splits()}
     samples = []
     for i, line in enumerate(lines[1:], start=2):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"malformed record at line {i}: {e}") from None
-        samples.append(_sample_from_record(rec, i, config))
+        sample = _sample_from_text(line, config, objects, questions, splits)
+        if sample is None:
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DatasetFormatError(f"malformed record at line {i}: {e}") from None
+            sample = _sample_from_record(rec, i, config)
+        samples.append(sample)
     return Dataset(config=config, samples=tuple(samples))

@@ -327,6 +327,8 @@ def test_train_config_error_is_reported_before_the_dataset_is_read(
      "category 'presence' share must be a finite number > 0, got -0.5"),
     ("category_mix = count:nan,presence:1",
      "category 'count' share must be a finite number > 0, got nan"),
+    ("category_mix = count:0.5, count:0.5, presence:0.5",
+     "key 'category_mix': duplicate category 'count'"),
     ("k_max = 4",
      "k_max must be at least 8, the longest question's token count; got 4"),
     ("seed = -1", "seed must be nonnegative, got -1"),
@@ -1066,7 +1068,7 @@ def _config_echo_without(*keys: str):
     (_config_echo_edit("n_samples", [120]),
      "bad config echo in header: DatasetConfig.n_samples must be int, got [120]"),
     (_config_echo_edit("n_samples", 7),
-     "truncated dataset: config echo says 7 samples, file has 120"),
+     "dataset has extra lines: config echo says 7 samples, file has 120"),
     (_config_echo_edit("n_samples", 5000),
      "truncated dataset: config echo says 5000 samples, file has 120"),
     (_header_edit("version", 99), "unsupported dataset version 99"),

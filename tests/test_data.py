@@ -707,8 +707,15 @@ def test_truncated_file_rejected_with_line_info(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     truncated = tmp_path / "cut.jsonl"
     truncated.write_text("".join(lines[:20]))
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            "truncated dataset: config echo says 50 samples, file has 19")):
         import_dataset(truncated)
+    # a trailing blank line is one line more than the echo's records
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            "dataset has extra lines: config echo says 50 samples, file has 51")):
+        import_dataset(padded)
 
 
 def test_malformed_record_names_line_number(tmp_path):
@@ -915,3 +922,234 @@ def test_import_checks_object_fields_and_stores_only_valid_objects(tmp_path):
     assert {grid: len(objects) for grid, objects in dt._OBJECT_STORES.items()} == sizes
     assert all(obj.cls in OBJECT_CLASSES for objects in dt._OBJECT_STORES.values()
                for obj in objects.values())
+
+
+# ---------------------------------------------------------------- record text
+
+
+def _import_outcome(path):
+    """import_dataset's Dataset, or the message of its DatasetFormatError."""
+    try:
+        return import_dataset(path)
+    except DatasetFormatError as e:
+        return str(e)
+
+
+def _json_path_outcome(path):
+    """_import_outcome with every record line decoded by json.loads and read
+    by _sample_from_record."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dt, "_sample_from_text", lambda *args: None)
+        return _import_outcome(path)
+
+
+def _replace_one(data, line: str, pattern: str, values, label: str) -> str:
+    """line with one drawn match of pattern's group 1 replaced by another of
+    values; line itself if pattern does not occur."""
+    spans = [m.span(1) for m in re.finditer(pattern, line)]
+    if not spans:
+        return line
+    start, end = data.draw(st.sampled_from(spans), label=label)
+    new = data.draw(_other(line[start:end], values), label=f"new {label}")
+    return line[:start] + new + line[end:]
+
+
+def _rederived(line: str, urban_threshold: int) -> str:
+    """The line's record as export writes it, every derived field (zone,
+    category, token ids and count, answer) recomputed from its drawn ones, as
+    a consistent forger would: only a check of a drawn field can reject it.
+    line itself where its drawn fields cannot be read."""
+    try:
+        record = json.loads(line)
+        objects = tuple(SceneObject(*entry) for entry in record["scene"]["objects"])
+        template = TEMPLATES[record["template_id"]]
+        slots = tuple(record["slots"])
+        scene = Scene(0, objects, zone_of(objects, urban_threshold))
+        token_ids, n_tokens = tokenize(template.render(slots), len(record["token_ids"]))
+        answer = ANSWER_INDEX[answer_oracle(scene, template, slots)]
+    except (KeyError, IndexError, TypeError, ValueError):
+        return line
+    record["scene"]["zone_label"] = scene.zone_label
+    record.update(category=template.category, token_ids=list(token_ids),
+                  n_tokens=n_tokens, answer_index=answer)
+    return json.dumps(record, sort_keys=True)
+
+
+def _value_edit(data, line: str, kind: str, grid: int) -> str:
+    """line with another digit, object class or slot class, size, split,
+    zone, answer or question (template and slots), or an object replaced by
+    one drawn on up to one cell past the grid, or that object put before
+    one."""
+    if kind == "digit":
+        return _replace_one(data, line, r"(\d)", "0123456789", "digit")
+    if kind == "class":
+        return _replace_one(data, line, f'"({"|".join(OBJECT_CLASSES)})"',
+                            OBJECT_CLASSES, "class")
+    if kind == "size":
+        return _replace_one(data, line, r'"(small|large)"', tuple(SIZE_CELLS), "size")
+    if kind == "split":
+        return _replace_one(data, line, r'"split": ("\w+")', ('"train"', '"test"',
+                                                              '"test2"', '"val"'), "split")
+    if kind == "zone":
+        return _replace_one(data, line, r'"zone_label": ("\w+")',
+                            ('"rural"', '"urban"', '"suburban"'), "zone")
+    if kind == "answer":
+        return _replace_one(data, line, r'"answer_index": (\d+)',
+                            [str(i) for i in range(len(ANSWERS) + 1)], "answer")
+    if kind == "question":
+        record = json.loads(line)
+        template_id = data.draw(st.integers(0, len(TEMPLATES) - 1), label="template")
+        record["template_id"] = template_id
+        record["slots"] = [data.draw(st.sampled_from(dt.SLOT_VALUES[name]), label=name)
+                           for name in TEMPLATES[template_id].slot_names]
+        return json.dumps(record, sort_keys=True)
+    fragment = json.dumps([data.draw(st.sampled_from(OBJECT_CLASSES), label="class"),
+                           data.draw(st.integers(0, grid), label="row"),
+                           data.draw(st.integers(0, grid), label="col"),
+                           data.draw(st.sampled_from(tuple(SIZE_CELLS)), label="size")])
+    spans = [m.span() for m in re.finditer(r'\["[a-z]+", \d+, \d+, "[a-z]+"\]', line)]
+    start, end = data.draw(st.sampled_from(spans), label="object")
+    if data.draw(st.booleans(), label="insert"):
+        return line[:start] + fragment + ", " + line[start:]
+    return line[:start] + fragment + line[end:]
+
+
+def _spelling_edit(data, line: str, kind: str) -> str:
+    """line with a space added or dropped, two keys of the record or its
+    scene swapped, or a letter written as a \\u escape."""
+    if kind == "add space":
+        at = data.draw(st.integers(0, len(line)), label="at")
+        return line[:at] + " " + line[at:]
+    if kind == "drop space":
+        at = data.draw(st.sampled_from([i for i, c in enumerate(line) if c == " "]),
+                       label="at")
+        return line[:at] + line[at + 1:]
+    if kind == "escape":
+        at = data.draw(st.sampled_from([i for i, c in enumerate(line) if c.isalpha()]),
+                       label="at")
+        return line[:at] + "\\u%04x" % ord(line[at]) + line[at + 1:]
+    record = json.loads(line)
+    target = data.draw(st.sampled_from([record, record["scene"]]), label="object")
+    keys = list(target)
+    i, j = data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=2, max_size=2,
+                              unique=True), label="keys")
+    keys[i], keys[j] = keys[j], keys[i]
+    target.update([(key, target.pop(key)) for key in keys])
+    return json.dumps(record)
+
+
+VALUE_EDITS = ("digit", "class", "size", "split", "zone", "answer", "question", "object")
+SPELLING_EDITS = ("add space", "drop space", "swap keys", "escape")
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_record_text_path_equals_the_json_path(exported, data):
+    # a line read by its text gives the sample the JSON path gives, and any
+    # other line falls through to that path, its errors included
+    directory, _ = exported
+    grid = data.draw(st.integers(1, 12), label="grid_size")
+    most = data.draw(st.integers(1, min(grid * grid, 16)), label="max_objects")
+    splits = data.draw(st.sampled_from(
+        [{}, {"train_fraction": 0.6, "test_fraction": 0.2, "test2_fraction": 0.2}]),
+        label="splits")
+    config = DatasetConfig(
+        n_samples=data.draw(st.integers(1, 12), label="n_samples"),
+        seed=data.draw(st.integers(0, 2**40), label="seed"),
+        grid_size=grid, max_objects=most, t_max=most,
+        min_objects=data.draw(st.integers(1, most), label="min_objects"),
+        urban_threshold=data.draw(st.integers(1, most), label="urban_threshold"),
+        variant=data.draw(st.sampled_from(sorted(dt.VARIANT_CATEGORIES)),
+                          label="variant"),
+        **splits)
+    path = directory / "record_text.jsonl"
+    export_dataset(generate_dataset(config), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edited = data.draw(st.lists(st.integers(1, len(lines) - 1), min_size=1,
+                                max_size=3, unique=True), label="edited lines")
+    for index in edited:
+        kind = data.draw(st.sampled_from(VALUE_EDITS + SPELLING_EDITS), label="edit")
+        if kind in SPELLING_EDITS:
+            lines[index] = _spelling_edit(data, lines[index], kind)
+            continue
+        lines[index] = _value_edit(data, lines[index], kind, grid)
+        if kind not in ("zone", "answer") and data.draw(st.booleans(), label="rederive"):
+            lines[index] = _rederived(lines[index], config.urban_threshold)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = _json_path_outcome(path)
+    if isinstance(expected, dt.Dataset):
+        assert expected.samples == reference_import_samples(path)
+    # the second import finds every valid object fragment known
+    assert _import_outcome(path) == expected == _import_outcome(path)
+    # only export's own renderings are kept: at most one per object
+    for body, obj in dt._objects_by_fragment(grid).items():
+        assert obj.json_fragment == f"[{body}]"
+
+
+def _objects_edit(edit):
+    def record_edit(record):
+        edit(record["scene"]["objects"])
+    return record_edit
+
+
+def _on_the_first_objects_cell(objects):
+    objects[1][1:3] = objects[0][1:3]
+
+
+def _seventeen_objects(objects):
+    taken = {(row, col) for _, row, col, _ in objects}
+    free = [(row, col) for row in range(8) for col in range(8) if (row, col) not in taken]
+    objects += [["tree", row, col, "small"] for row, col in free[:17 - len(objects)]]
+
+
+@pytest.mark.parametrize("edit,rederive,shown", [
+    (lambda record: record["scene"].update(
+        zone_label={"rural": "urban", "urban": "rural"}[record["scene"]["zone_label"]]),
+     False, "zone_label"),
+    (lambda record: record.update(answer_index=(record["answer_index"] + 1) % len(ANSWERS)),
+     False, "answer_index"),
+    (_objects_edit(_on_the_first_objects_cell), True, "10 objects on 9 grid cells"),
+    (_objects_edit(_seventeen_objects), True, "17 objects, expected 1 to t_max=16"),
+    (_objects_edit(lambda objects: objects[0].__setitem__(1, 8)), True,
+     "object at row 8, col"),
+    (lambda record: record.update(template_id=3, slots=["road", "road"]), True,
+     "comparison of 'road' with itself"),
+    (lambda record: record.update(split="test2"), False,
+     "split 'test2' is not among the header's splits"),
+], ids=["zone", "answer", "shared_cell", "past_t_max", "off_grid", "self_comparison",
+        "split"])
+def test_a_line_in_exports_spelling_that_fails_a_check_gets_its_error(
+        exported, edit, rederive, shown):
+    # every check of the JSON path holds on the text path too: a line as
+    # export would write it, but for one value, raises that path's error
+    directory, lines = exported
+    record = json.loads(lines[1])
+    edit(record)
+    line = json.dumps(record, sort_keys=True)
+    if rederive:
+        line = _rederived(line, DatasetConfig().urban_threshold)
+    assert dt._RECORD_TEXT.fullmatch(line)
+    path = directory / "one_check.jsonl"
+    path.write_text("\n".join([lines[0], line, *lines[2:]]) + "\n", encoding="utf-8")
+    message = _import_outcome(path)
+    assert message == _json_path_outcome(path)
+    assert message.startswith(f"malformed sample record at line 2: {shown}")
+
+
+def test_a_canonical_export_is_read_by_its_text(tmp_path, monkeypatch):
+    dataset = generate_dataset(DatasetConfig(n_samples=300, seed=37, grid_size=6,
+                                             test_fraction=0.1, test2_fraction=0.1,
+                                             train_fraction=0.8))
+    path = tmp_path / "ds.jsonl"
+    export_dataset(dataset, path)
+    assert import_dataset(path) == dataset      # every object of the file is known
+    decoded = []
+    loads = json.loads
+
+    def counted_loads(text, **kwargs):
+        decoded.append(text)
+        return loads(text, **kwargs)
+
+    monkeypatch.setattr(dt.json, "loads", counted_loads)
+    assert import_dataset(path) == dataset
+    assert decoded == path.read_text(encoding="utf-8").splitlines()[:1]
