@@ -173,10 +173,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise DimensionError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} "
                              f"do not chain")
-    return _node(x.data @ w.data + b.data[None, :], (x, w, b),
+    out = x.data @ w.data
+    out += b.data
+    return _node(out, (x, w, b),
                  lambda g: (g @ w.data.T if x.requires_grad else None,
                             x.data.T @ g if w.requires_grad else None,
-                            g.sum(axis=0)))
+                            np.add.reduce(g, axis=0)))
 
 
 def segment_mul(m: Tensor, v: Tensor) -> Tensor:
@@ -234,18 +236,22 @@ def tanh_recurrence(table: Tensor, w: Tensor, ids: np.ndarray) -> Tensor:
         raise DimensionError(f"tanh_recurrence: id out of range for {table.shape}")
     b, k = ids.shape
     w_t = w.data.T.copy()
-    inputs = table.data[ids.T]          # [k, B, d], time-major like states
-    states = np.empty((k, b, d))
-    q = np.zeros((b, d))
+    # the gathered inputs [k, B, d], time-major, become the states in place;
+    # step 0 multiplies the zero state like every other step
+    states = table.data[ids.T]
+    q, product = np.zeros((b, d)), np.empty((b, d))
     for j in range(k):
-        q = np.tanh(q @ w_t + inputs[j])
-        states[j] = q
+        np.matmul(q, w_t, out=product)
+        q = states[j]
+        np.add(product, q, out=q)
+        np.tanh(q, out=q)
 
     def vjp(g):
         # one contiguous time-major copy of g, turned in place into the
         # gradient of each step's tanh input
         dpre = g.reshape(b, k, d).transpose(1, 0, 2).copy()
-        slope = 1.0 - states * states
+        slope = states * states
+        np.subtract(1.0, slope, out=slope)
         carry = np.zeros((b, d))
         for j in range(k - 1, -1, -1):
             step = dpre[j]
@@ -253,8 +259,9 @@ def tanh_recurrence(table: Tensor, w: Tensor, ids: np.ndarray) -> Tensor:
             step *= slope[j]
             np.matmul(step, w.data, out=carry)
         dw = dpre[1:].reshape(-1, d).T @ states[:-1].reshape(-1, d)
-        # scatter-add of every step's rows into the table rows they read
-        cells = (ids.T.reshape(-1, 1) * d + np.arange(d)).ravel()
+        # scatter-add of every step's rows into the table rows they read:
+        # each row's flat cell numbers are gathered like its inputs were
+        cells = np.arange(table.data.size).reshape(table.shape)[ids.T].ravel()
         dtable = np.bincount(cells, weights=dpre.ravel(), minlength=table.data.size)
         return dtable.reshape(table.shape), dw
 
@@ -326,7 +333,11 @@ def attention_pool(rows: Tensor, scored_rows: Tensor, score_w: Tensor,
         d_weights = (r3 @ g[:, :, None]).reshape(b, n)
         d_logits = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
         d_logits = d_logits.reshape(b * n, 1)
-        d_pre = (d_logits @ score_head.data.T) * (pre > 0.0)
+        # the outer product d_logits @ score_head.T, entry by entry; a zero
+        # may keep a sign the k = 1 matmul dropped, which the two products
+        # below, summing from +0, drop again
+        d_pre = d_logits * score_head.data[:, 0]
+        d_pre *= pre > 0.0
         return ((weights[:, :, None] * g[:, None, :]).reshape(b * n, d)
                 if rows.requires_grad else None,
                 d_pre @ score_w.data.T if scored_rows.requires_grad else None,
@@ -410,10 +421,13 @@ def gaussian_skl(mean_p: Tensor, log_var_p: Tensor, mean_q: Tensor,
     out = np.asarray((two_kl_pq + two_kl_qp).sum()) * 0.25
 
     def vjp(g):
+        # as in matmul, a constant operand (such as a fixed prior) gets none
         c = 0.25 * float(g)
         d_mq = (2.0 * c) * dmean * (inv_var_q + inv_var_p)
-        return (-d_mq, c * (e_pq - e_qp - sq * inv_var_p),
-                d_mq, c * (e_qp - e_pq - sq * inv_var_q))
+        return (-d_mq if mean_p.requires_grad else None,
+                c * (e_pq - e_qp - sq * inv_var_p) if log_var_p.requires_grad else None,
+                d_mq if mean_q.requires_grad else None,
+                c * (e_qp - e_pq - sq * inv_var_q) if log_var_q.requires_grad else None)
 
     return _node(out, (mean_p, log_var_p, mean_q, log_var_q), vjp)
 

@@ -1141,7 +1141,7 @@ def import_dataset(path) -> Dataset:
         raise DatasetFormatError("empty dataset file")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise DatasetFormatError(f"malformed header line: {e}") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise DatasetFormatError("not a dataset file (bad format marker)")
@@ -1170,7 +1170,7 @@ def import_dataset(path) -> Dataset:
         if sample is None:
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise DatasetFormatError(f"malformed record at line {i}: {e}") from None
             sample = _sample_from_record(rec, i, config)
         samples.append(sample)

@@ -199,18 +199,28 @@ def train(config: TrainConfig, dataset: Dataset,
     step_records: list = []
     epoch_records: list = []
     n = len(samples)
+    # each epoch gathers the train inputs in shuffled order into these
+    # buffers once, so every step reads a contiguous slice of them
+    inputs = (samples.features.matrix, samples.features.object_mask,
+              samples.tokens.token_ids, samples.tokens.token_mask, samples.labels)
+    buffers = tuple(map(np.empty_like, inputs))
     for epoch in range(config.epochs):
         order = loop_rng.permutation(n)
+        for source, buffer in zip(inputs, buffers):
+            # a permutation of range(n) never clips; mode "raise" would
+            # gather into a temporary copy of the buffer first
+            np.take(source, order, axis=0, out=buffer, mode="clip")
         sums: dict = {}
         steps_this_epoch = 0
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            features, tokens, labels = samples.batch(idx)
-            breakdown = model.loss_batch(features, tokens, labels, config.lam,
-                                         loop_rng)
+            matrix, object_mask, token_ids, token_mask, labels = (
+                buffer[start:start + config.batch_size] for buffer in buffers)
+            breakdown = model.loss_batch(ImageObjectFeatures(matrix, object_mask),
+                                         QueryTokens(token_ids, token_mask),
+                                         labels, config.lam, loop_rng)
             values = breakdown.values()
             for term, value in values.items():
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise DivergenceError(term, value, optimizer.t + 1)
             optimizer.zero_grad()
             backward(breakdown.final)
@@ -486,16 +496,16 @@ _CKPT_LINES = (
 
 def _parse_line(lines: list, index: int, prefix: str, parse: Callable):
     """parse(the text after prefix on lines[index]); a missing line, another
-    prefix or a payload parse rejects (bad number, bad JSON, missing or
-    unknown config key, out-of-range value) is a CheckpointError naming the
-    line."""
+    prefix or a payload parse rejects (bad number, bad JSON, JSON nested
+    past the recursion limit, missing or unknown config key, out-of-range
+    value) is a CheckpointError naming the line."""
     if index == len(lines) or not lines[index].startswith(prefix):
         found = repr(lines[index][:60]) if index < len(lines) else "the end of the file"
         raise CheckpointError(f"line {index + 1} should be the {prefix.strip()!r} "
                               f"line, found {found}")
     try:
         return parse(lines[index][len(prefix):])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, RecursionError) as e:
         raise CheckpointError(
             f"malformed {prefix.strip()!r} payload on line {index + 1}: {e}") from None
 

@@ -5,9 +5,11 @@ published formulas with plain numpy — no Tensor, no graph, no code shared
 with the implementation under test.  Both attention suites and the
 acceptance gate compare against these.  The composed forms are the fused
 engine nodes' reference (test_attention, test_fusion, test_infomax), the
-per-sample model reference below is the batched model's correctness gate
-(tests/test_batched.py), and the data-path reference at the end is the
-generator's and the importer's (tests/test_data.py).
+allocating forms of the hot nodes that of their in-place kernels
+(test_autodiff), the per-sample model reference below is the batched
+model's correctness gate (tests/test_batched.py), and the data-path
+reference at the end is the generator's and the importer's
+(tests/test_data.py).
 """
 
 from __future__ import annotations
@@ -118,6 +120,93 @@ def composed_info_nce(z_q, z_h, critic):
     scores = ad.matmul(ad.matmul(z_q, critic), transpose(z_h))
     gap = sub(diag_part(scores), logsumexp_rows(scores))
     return add_scalar(mean_all(gap), math.log(z_q.shape[0]))
+
+
+# ---------------------------------------------------------------------------
+# allocating forms of the hot nodes
+#
+# tanh_recurrence, attention_pool, linear and gaussian_skl as the engine
+# computed them before they worked in place: every intermediate a fresh
+# array, the recurrence's state a new array each step, the attention
+# VJP's outer product a k = 1 matmul, the bias added as a broadcast row and
+# reduced by .sum, and the symmetrized KL's VJP forming all four gradients.
+# Each takes plain arrays and returns the node's value and a vjp(g) giving
+# the gradient of every operand the node differentiates; the nodes must
+# match them to the bit.
+
+
+def allocating_tanh_recurrence(table, w, ids):
+    b, k = ids.shape
+    d = table.shape[1]
+    w_t = w.T.copy()
+    inputs = table[ids.T]
+    states = np.empty((k, b, d))
+    q = np.zeros((b, d))
+    for j in range(k):
+        q = np.tanh(q @ w_t + inputs[j])
+        states[j] = q
+
+    def vjp(g):
+        dpre = g.reshape(b, k, d).transpose(1, 0, 2).copy()
+        slope = 1.0 - states * states
+        carry = np.zeros((b, d))
+        for j in range(k - 1, -1, -1):
+            step = dpre[j]
+            step += carry
+            step *= slope[j]
+            np.matmul(step, w, out=carry)
+        dw = dpre[1:].reshape(-1, d).T @ states[:-1].reshape(-1, d)
+        cells = (ids.T.reshape(-1, 1) * d + np.arange(d)).ravel()
+        dtable = np.bincount(cells, weights=dpre.ravel(), minlength=table.size)
+        return dtable.reshape(table.shape), dw
+
+    return states.transpose(1, 0, 2).reshape(b * k, d), vjp
+
+
+def allocating_attention_pool(rows, scored_rows, score_w, score_head, keep):
+    """(pooled, weights, vjp)."""
+    b, n = keep.shape
+    d = rows.shape[1]
+    pre = scored_rows @ score_w
+    hidden = np.maximum(pre, 0.0)
+    weights = np.where(keep, (hidden @ score_head).reshape(b, n), -1e30)
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    r3 = rows.reshape(b, n, d)
+    pooled = (weights[:, None, :] @ r3).reshape(b, d)
+
+    def vjp(g):
+        d_weights = (r3 @ g[:, :, None]).reshape(b, n)
+        d_logits = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
+        d_logits = d_logits.reshape(b * n, 1)
+        d_pre = (d_logits @ score_head.T) * (pre > 0.0)
+        return ((weights[:, :, None] * g[:, None, :]).reshape(b * n, d),
+                d_pre @ score_w.T, scored_rows.T @ d_pre, hidden.T @ d_logits)
+
+    return pooled, weights, vjp
+
+
+def allocating_linear(x, w, b):
+    return x @ w + b[None, :], lambda g: (g @ w.T, x.T @ g, g.sum(axis=0))
+
+
+def allocating_gaussian_skl(mp, lp, mq, lq):
+    dmean, dlv = mq - mp, lp - lq
+    sq = dmean * dmean
+    inv_var_p, inv_var_q = np.exp(lp * -1.0), np.exp(lq * -1.0)
+    e_pq, e_qp = np.exp(dlv), np.exp(-dlv)
+    two_kl_pq = e_pq - dlv + sq * inv_var_q + -1.0
+    two_kl_qp = e_qp + dlv + sq * inv_var_p + -1.0
+    out = np.asarray((two_kl_pq + two_kl_qp).sum()) * 0.25
+
+    def vjp(g):
+        c = 0.25 * float(g)
+        d_mq = (2.0 * c) * dmean * (inv_var_q + inv_var_p)
+        return (-d_mq, c * (e_pq - e_qp - sq * inv_var_p),
+                d_mq, c * (e_qp - e_pq - sq * inv_var_q))
+
+    return out, vjp
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers_ops
+import helpers_oracles
 from helpers_ops import (
     OP_SCENARIOS, add_row, add_scalar, grad_check, logsumexp_rows, mask_rows,
     mean_all, reshape, run_op_trials, softmax, sub, sum_all, take_per_row, tanh,
@@ -398,6 +399,77 @@ def test_grad_check_per_op_spot_sweep():
     for name in OP_SCENARIOS:
         worst = run_op_trials(name, n_trials=10, seed=123)
         assert worst < 1e-6, f"{name}: worst relative error {worst:.3e}"
+
+
+# ------------------------------------------------- in-place kernels vs oracles
+
+
+def _assert_same_bits(got, want) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(b=st.integers(1, 40), n=st.integers(1, 12),
+       widths=st.tuples(st.integers(1, 33), st.integers(1, 33), st.integers(1, 33)),
+       seed=st.integers(0, 2**32 - 1), skl_constant=st.tuples(*[st.booleans()] * 4),
+       zero_prior=st.booleans())
+@settings(max_examples=60)
+def test_in_place_kernels_match_their_allocating_forms_bit_for_bit(
+        b, n, widths, seed, skl_constant, zero_prior):
+    rng = np.random.default_rng(seed)
+    d, d_s, d_ff = widths
+    # a random mask with at least one kept entry per row
+    keep = rng.random((b, n)) < 0.5
+    keep[np.arange(b), rng.integers(n, size=b)] = True
+
+    def leaf(*shape):
+        return Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
+
+    def check(node, value, vjp, g):
+        _assert_same_bits(node.data, value)
+        for got, want in zip(node._vjp(g), vjp(g), strict=True):
+            _assert_same_bits(got, want)
+
+    # the recurrence over a table of d_s rows
+    table, w = leaf(d_s, d), leaf(d, d)
+    ids = rng.integers(d_s, size=(b, n))
+    check(ad.tanh_recurrence(table, w, ids),
+          *helpers_oracles.allocating_tanh_recurrence(table.data, w.data, ids),
+          rng.standard_normal((b * n, d)))
+
+    rows, scored, score_w, head = leaf(b * n, d), leaf(b * n, d_s), leaf(d_s, d_ff), \
+        leaf(d_ff, 1)
+    pooled, weights = ad.attention_pool(rows, scored, score_w, head, keep)
+    value, want_weights, vjp = helpers_oracles.allocating_attention_pool(
+        rows.data, scored.data, score_w.data, head.data, keep)
+    _assert_same_bits(weights, want_weights)
+    check(pooled, value, vjp, rng.standard_normal((b, d)))
+
+    x, lin_w, lin_b = leaf(b * n, d_s), leaf(d_s, d), leaf(d)
+    check(ad.linear(x, lin_w, lin_b),
+          *helpers_oracles.allocating_linear(x.data, lin_w.data, lin_b.data),
+          rng.standard_normal((b * n, d)))
+
+    # as info_loss passes it, or four operands each constant or not
+    if zero_prior:
+        prior = Tensor(np.zeros((b, d)))
+        operands = [leaf(b, d), leaf(b, d), prior, prior]
+    else:
+        operands = [Tensor(rng.uniform(-1.0, 1.0, (b, d)), requires_grad=not constant)
+                    for constant in skl_constant]
+    skl = ad.gaussian_skl(*operands)
+    value, vjp = helpers_oracles.allocating_gaussian_skl(*(t.data for t in operands))
+    _assert_same_bits(skl.data, value)
+    if skl._vjp is None:
+        assert not any(t.requires_grad for t in operands)
+        return
+    g = np.asarray(rng.standard_normal())
+    for t, got, want in zip(operands, skl._vjp(g), vjp(g), strict=True):
+        if t.requires_grad:
+            _assert_same_bits(got, want)
+        else:
+            assert got is None
 
 
 # ---------------------------------------------------------------- Adam

@@ -571,6 +571,45 @@ def test_eval_malformed_checkpoint_line_exits_with_one_error_line(
     assert len(err.strip().splitlines()) == 1
 
 
+# JSON nested far past the interpreter's recursion limit: json.loads raises
+# RecursionError on it, which must end as one error line, not a traceback
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("prefix", ["metrics ", "config model ", "answers "],
+                         ids=["metrics", "config_model", "answers"])
+def test_eval_deeply_nested_checkpoint_line_exits_with_one_error_line(
+        workdir, ckpt_path, data_path, capsys, prefix):
+    text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), prefix,
+                              lambda line: prefix + DEEP_JSON)
+    broken = workdir / "nested.ckpt"
+    broken.write_text(text, encoding="utf-8")
+    code = main(["eval", "--ckpt", str(broken), "--data", str(data_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and f"line {number}" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("index,shown", [
+    (0, "error: malformed header line: maximum recursion depth exceeded"),
+    (1, "error: malformed record at line 2: maximum recursion depth exceeded"),
+], ids=["header", "record"])
+def test_deeply_nested_dataset_line_exits_with_one_error_line(
+        tmp_path, data_path, capsys, index, shown):
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    lines[index] = DEEP_JSON
+    edited = tmp_path / "nested.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["train", "--data", str(edited),
+                 "--out", str(tmp_path / "never.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(shown)
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "never.ckpt").exists()
+
+
 def _first_block_nan(lines: list) -> list:
     index = next(i for i, line in enumerate(lines) if line.startswith("tensor ")) + 1
     values = np.frombuffer(base64.b64decode(lines[index]), dtype="<f8").copy()

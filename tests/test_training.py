@@ -216,6 +216,42 @@ def test_epoch_callback_can_stop_training(small_dataset):
     assert len(result.epoch_records) == 1
 
 
+def test_each_step_reads_the_batch_of_its_slice_of_the_shuffle(small_dataset,
+                                                                  monkeypatch):
+    # Without the bottleneck the loop stream draws only the epoch shuffles,
+    # so they replay here; each step must get exactly the samples the
+    # shuffle puts in its slice, as PreparedSplit.batch gives them.
+    config = quick_config(epochs=3, batch_size=24, seed=4)
+    seen = []
+    loss_batch = VQAModel.loss_batch
+
+    def recording(self, features, tokens, labels, lam, rng):
+        # copies: the loop reuses its buffers every epoch
+        seen.append(tuple(np.array(a) for a in (
+            features.matrix, features.object_mask, tokens.token_ids,
+            tokens.token_mask, labels)))
+        return loss_batch(self, features, tokens, labels, lam, rng)
+
+    monkeypatch.setattr(VQAModel, "loss_batch", recording)
+    train(config, small_dataset,
+          model_config=tiny_model_config(enable_infomax=False))
+    samples = training.prepare_split(small_dataset, "train")
+    loop_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+    expected = []
+    for _ in range(config.epochs):
+        order = loop_rng.permutation(len(samples))
+        for start in range(0, len(samples), config.batch_size):
+            features, tokens, labels = samples.batch(
+                order[start:start + config.batch_size])
+            expected.append((features.matrix, features.object_mask,
+                             tokens.token_ids, tokens.token_mask, labels))
+    assert len(samples) % config.batch_size and len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
 def test_a_split_without_samples_fails_before_the_first_step(monkeypatch):
     # 2% of 10 samples rounds to none: test2 is configured but empty
     dataset = dt.generate_dataset(dt.DatasetConfig(
