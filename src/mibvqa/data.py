@@ -3,15 +3,15 @@
 A scene is a symbolic list of objects (class, grid cell, size) on a small
 grid; questions are templated token sequences over a fixed vocabulary with
 question categories count / presence / comparison / rural_urban / area.
-Sample i is a pure function of (seed, i): it draws from PCG64 seeded by
-SeedSequence([seed, i]), as default_rng would seed it, so generation is
-reproducible and order-independent. Generation derives the PCG64 states
-of a chunk of indices in one vectorized pass, reads each stream's first
-raw outputs, and makes a whole chunk's scene draws with array operations,
-value for value as NumPy's Generator makes them (see "sample streams").
-Categories and split tags are interleaved by a Webster/Sainte-Lague
-apportionment schedule so every split carries every category in the
-configured proportions.
+Every draw comes from one PCG64 stream seeded with the dataset seed, and
+sample i reads its own fixed block of that stream's raw outputs, so it is a
+pure function of (seed, i) and generation is reproducible. A chunk of
+samples is one read of the stream, and its scene draws are array
+operations over fixed columns of the blocks (see "sample streams").
+Categories are interleaved by a Webster/Sainte-Lague apportionment
+schedule, and split tags by one such schedule within each category's
+samples, so every split carries every category in the configured
+proportions.
 """
 
 from __future__ import annotations
@@ -301,8 +301,11 @@ def config_from_json(config_class, value):
     return config_class(**value)
 
 
-# A sample's index is one uint32 word of its stream's entropy.
+# The most samples a config may ask for: more than a dataset held in memory
+# can have, and 2**32 blocks stay far inside PCG64's period of 2**128 outputs.
 MAX_SAMPLES = 1 << 32
+# The largest grid: its cells, grid_size**2, must fit one 32-bit draw.
+MAX_GRID_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -343,6 +346,10 @@ class DatasetConfig:
             raise ValueError("need 1 <= min_objects <= max_objects <= t_max")
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be positive, got {self.grid_size}")
+        if self.grid_size > MAX_GRID_SIZE:
+            raise ValueError(f"grid_size must be at most {MAX_GRID_SIZE}, whose "
+                             f"{MAX_GRID_SIZE ** 2} cells a 32-bit draw covers; "
+                             f"got {self.grid_size}")
         if self.max_objects > self.grid_size * self.grid_size:
             raise ValueError("more objects than grid cells")
         # outside this range every scene gets the same zone
@@ -502,63 +509,122 @@ def _scene(config: DatasetConfig, objects: tuple) -> Scene:
     return Scene(grid_size=config.grid_size, objects=objects, zone_label=zone)
 
 
-def _sample_scene(rng: np.random.Generator, config: DatasetConfig) -> Scene:
-    """A scene drawn through NumPy's Generator, for the configs whose cell
-    choice the chunked draws do not make (see _draws_in_chunks)."""
-    grid = config.grid_size
-    n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
-    cells = rng.choice(grid * grid, size=n_obj, replace=False).tolist()
-    classes = rng.integers(len(OBJECT_CLASSES), size=n_obj).tolist()
-    sizes = rng.integers(len(SIZES), size=n_obj).tolist()
-    objects = _objects_by_code(grid)
-    return _scene(config, tuple(
-        objects[(cell * len(OBJECT_CLASSES) + c) * len(SIZES) + z]
-        for cell, c, z in zip(cells, classes, sizes)))
+# ---------------------------------------------------------------------------
+# sample streams
+#
+# Every draw comes from one stream, np.random.PCG64(seed), which PCG64 seeds
+# through SeedSequence(seed). NEP 19 keeps a bit generator's raw outputs
+# fixed across NumPy versions, so a dataset's bytes do not depend on the
+# NumPy that made it. Sample i owns the raw outputs [i*W, (i+1)*W), read as
+# 2*W little-endian 32-bit words (each output's low half, then its high
+# half) at fixed columns, with M = max_objects:
+#   0                the object count, on [min_objects, max_objects];
+#   1 ... M          the cells, Floyd's algorithm over the n grid cells:
+#                    word 1+f draws t on [0, j] for j = n - count + f, and
+#                    the pick is t, or j if t was picked before;
+#   M+1 ... 2M       the classes;
+#   2M+1 ... 3M      the sizes;
+#   3M+1 ... 3M+3    the question's words (_sample_question).
+# A scene of fewer than M objects leaves the words of its missing objects
+# unused, so every sample reads the same block and sample i is a pure
+# function of (seed, i). The picks stay in draw order, unshuffled: the
+# model pools over a scene's objects.
+# A draw on [0, n), n up to 2**32, is multiply-shift without rejection,
+# (w * n) >> 32 (Lemire 2019, arXiv 1805.10941). Each value takes the floor
+# or the ceiling of 2**32 / n of the words, so its probability is off from
+# 1/n by a relative error below n / 2**32 (below 2e-8 on the default 64
+# cells). A coin is w < 2**31. A chunk of samples is one random_raw call,
+# its words reshaped to [chunk, 2W], and each scene draw one array
+# operation over a column of them.
+
+# Samples per raw read: bounds the chunk's arrays and per-sample lists.
+STREAM_CHUNK = 512
+# The question's words per sample: a presence question takes all three.
+QUESTION_WORDS = 3
 
 
-def _pick_balanced(rng, candidates_yes, candidates_no):
-    """Choose a question slot aiming at a 50/50 yes/no answer balance."""
-    want_yes = rng.random() < 0.5
+def _outputs_per_sample(config: DatasetConfig) -> int:
+    """W, the raw outputs of a sample's block: two 32-bit words each."""
+    return -(-(1 + 3 * config.max_objects + QUESTION_WORDS) // 2)
+
+
+def _below(words, n):
+    """Draws on [0, n) for n up to 2**32 from 32-bit words: (w * n) >> 32,
+    on Python ints or on uint64 arrays (and a uint64 n)."""
+    return words * n >> 32
+
+
+def _coin(word: int) -> bool:
+    """A fair coin from a 32-bit word: heads on the lower half of its range."""
+    return word < 1 << 31
+
+
+def _chunk_words(stream: np.random.PCG64, chunk: int, width: int) -> np.ndarray:
+    """The next chunk blocks of the stream as [chunk, 2 * width] uint32
+    words: each raw output's low half, then its high half."""
+    words = stream.random_raw(chunk * width).astype("<u8", copy=False).view("<u4")
+    return words.reshape(chunk, 2 * width)
+
+
+def _draw_objects(words: np.ndarray, config: DatasetConfig) -> tuple:
+    """Each sample's object count and [chunk, max_objects] object codes,
+    (cell * 5 + class) * 2 + size, from a chunk's [chunk, 2W] words; the
+    first count of each row are the scene's objects."""
+    m = config.max_objects
+    w = words[:, :1 + 3 * m].astype(np.uint64)
+    span = np.uint64(m - config.min_objects + 1)
+    count = config.min_objects + _below(w[:, 0], span).astype(np.int64)
+    n = config.grid_size ** 2
+    cells = np.zeros((len(w), m), dtype=np.int64)
+    for f in range(m):
+        j = n - count + f
+        # a row past its count draws on [0, 0]; the pick is never read
+        bound = np.where(f < count, j + 1, 1).astype(np.uint64)
+        drawn = _below(w[:, 1 + f], bound).astype(np.int64)
+        seen = (cells[:, :f] == drawn[:, None]).any(axis=1)
+        cells[:, f] = np.where(seen, j, drawn)
+    classes = _below(w[:, 1 + m:1 + 2 * m], np.uint64(len(OBJECT_CLASSES)))
+    sizes = _below(w[:, 1 + 2 * m:], np.uint64(len(SIZES)))
+    return count, ((cells * len(OBJECT_CLASSES) + classes.astype(np.int64)) * len(SIZES)
+                   + sizes.astype(np.int64))
+
+
+def _pick_balanced(want_word: int, pick_word: int, candidates_yes, candidates_no):
+    """Choose a question slot aiming at a 50/50 yes/no answer balance: a
+    coin for the wanted answer, then a draw among its candidates."""
+    want_yes = _coin(want_word)
     pool = candidates_yes if want_yes else candidates_no
     if not pool:
         pool = candidates_no if want_yes else candidates_yes
-    return pool[int(rng.integers(len(pool)))]
+    return pool[_below(pick_word, len(pool))]
 
 
-def _sample_question(rng, scene: Scene, category: str):
-    """Pick a template and slots for the category; returns (template_id, slots).
-    rng is the sample's Generator, or its _Stream where its scene stopped:
-    either one draws with random() and integers(high) alone."""
+def _sample_question(words, scene: Scene, category: str):
+    """Pick a template and slots for the category from the sample's
+    QUESTION_WORDS words, each read at most once; returns (template_id, slots)."""
+    first, second, third = words
     if category == "count":
-        cls = OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))]
-        return 0, (cls,)
+        return 0, (OBJECT_CLASSES[_below(first, len(OBJECT_CLASSES))],)
     if category == "presence":
-        if rng.random() < 0.5:
+        if _coin(first):
             present = sorted({o.cls for o in scene.objects})
             absent = sorted(set(OBJECT_CLASSES) - set(present))
-            cls = _pick_balanced(rng, present, absent)
-            return 1, (cls,)
+            return 1, (_pick_balanced(second, third, present, absent),)
         pairs = [(s, c) for s in SIZES for c in OBJECT_CLASSES]
         have = {(o.size, o.cls) for o in scene.objects}
         yes = [p for p in pairs if p in have]
         no = [p for p in pairs if p not in have]
-        return 2, tuple(_pick_balanced(rng, yes, no))
+        return 2, tuple(_pick_balanced(second, third, yes, no))
     if category == "comparison":
-        # the draws of choice(5, size=2, replace=False): Floyd's picks on
-        # [0, 3] and on [0, 4] (4 if that repeats the first), then the one
-        # swap draw of its Fisher-Yates pass, on [0, 1]
-        a = int(rng.integers(4))
-        b = int(rng.integers(5))
-        if b == a:
-            b = 4
-        if rng.integers(2) == 0:
-            a, b = b, a
+        # two distinct classes: b among the four that are not a
+        a = _below(first, len(OBJECT_CLASSES))
+        b = _below(second, len(OBJECT_CLASSES) - 1)
+        b += b >= a
         return 3, (OBJECT_CLASSES[a], OBJECT_CLASSES[b])
     if category == "rural_urban":
         return 4, ()
     if category == "area":
-        cls = OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))]
-        return 5, (cls,)
+        return 5, (OBJECT_CLASSES[_below(first, len(OBJECT_CLASSES))],)
     raise TemplateError(f"unknown category {category!r}")
 
 
@@ -582,301 +648,30 @@ def _sample(config: DatasetConfig, scene: Scene, template_id: int, slots: tuple,
                      split=split)
 
 
-# ---------------------------------------------------------------------------
-# sample streams
-#
-# Sample i draws from PCG64(SeedSequence([seed, i])), the stream default_rng
-# gives that seed sequence. Generation derives the PCG64 states of a chunk
-# of indices in one vectorized pass: SeedSequence's pool mix and
-# generate_state(4, uint64) over uint32 lanes (constants from
-# numpy/random/bit_generator.pyx), then PCG64's seeding with its 128-bit LCG
-# multiplier (numpy/random/src/pcg64/pcg64.h). It reseeds one PCG64 per
-# sample only to read the stream's first raw outputs, and makes the draws
-# itself, value for value as NumPy's Generator makes them
-# (numpy/random/src/distributions/distributions.c):
-# - A 32-bit draw (next_uint32) takes the low half of a raw output, then
-#   its high half. random() takes a whole fresh output x, as
-#   (x >> 11) * 2**-53, and leaves a pending high half for the next 32-bit
-#   draw.
-# - integers(high), high up to 2**32, is Lemire's method on 32-bit words w:
-#   m = w * high is rejected, and the next word tried, while
-#   m mod 2**32 < (2**32 - high) mod high; the value is m >> 32. A bound of
-#   1 takes no word and gives 0.
-# - choice(n, k, replace=False), for n <= 10000 or k <= n // 50, is Floyd's
-#   algorithm: a draw on [0, j] for j = n-k ... n-1, each pick the draw, or
-#   j where the draw was picked before; then a Fisher-Yates pass over the
-#   picks with draws on [0, i] for i = k-1 ... 1. Past those sizes NumPy
-#   shuffles a tail of range(n) instead, and a grid of more than 2**32
-#   cells takes 64-bit draws: configs that can reach either draw each
-#   sample through a Generator.
-# A scene's draws are all 32-bit, so one array op makes the same draw on
-# every stream of a chunk, each from its own word; each question then
-# takes its few draws, one sample at a time, from the words where its scene
-# stopped. Deriving a state costs about 1 us, reseeding and reading about
-# 3 us, where NumPy's SeedSequence and Generator constructors cost about
-# 20 us and each Generator call 2.5 to 12 us (2-core Xeon, NumPy 2.4).
-
-_MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875      # entropy mixing
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED      # generate_state
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
-_PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-# Indices per vectorized pass: bounds the pass's arrays and per-sample lists.
-STREAM_CHUNK = 512
-
-
-def _uint32_words(n: int) -> list:
-    """The entropy words SeedSequence reads from a nonnegative int: 32 bits
-    each, least significant first, at least one."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_mixer(const: int, mult: int):
-    """SeedSequence's hashmix over uint32 lanes: each call xors its words
-    with the running constant, steps the constant and multiplies by it."""
-    def hashmix(words: np.ndarray) -> np.ndarray:
-        nonlocal const
-        words = words ^ np.uint32(const)
-        const = const * mult & _MASK32
-        words = words * np.uint32(const)
-        return words ^ (words >> np.uint32(16))
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of hashed word y into pool word x."""
-    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return out ^ (out >> np.uint32(16))
-
-
-def _stream_states(seed: int, indices: np.ndarray) -> list:
-    """(state, inc) of PCG64(SeedSequence([seed, i])) for each uint32 index
-    i: SeedSequence's pool mix and generate_state(4, uint64), computed over
-    uint32 lanes of all indices at once, then PCG64's seeding, two steps of
-    its 128-bit LCG from state 0."""
-    entropy = [np.full(len(indices), word, dtype=np.uint32)
-               for word in _uint32_words(seed)] + [indices]
-    hashmix = _hash_mixer(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros_like(indices))
-            for k in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hash_mixer(_INIT_B, _MULT_B)
-    words = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
-    # four uint64 words, each a little-endian pair: state high and low, then
-    # the stream's increment high and low
-    halves = [(words[k] | words[k + 1] << np.uint64(32)).tolist()
-              for k in range(0, 8, 2)]
-    states = []
-    for state_hi, state_lo, inc_hi, inc_lo in zip(*halves):
-        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-        state = ((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc
-        states.append((state & _MASK128, inc))
-    return states
-
-
-def _chunk_states(seed: int, n: int):
-    """Yield (start, states) for each chunk of indices 0 ... n-1: the first
-    index and the _stream_states of the chunk's indices."""
-    for start in range(0, n, STREAM_CHUNK):
-        indices = np.arange(start, min(start + STREAM_CHUNK, n), dtype=np.uint32)
-        yield start, _stream_states(seed, indices)
-
-
-def _reseed(bit_generator: np.random.PCG64, state: int, inc: int) -> None:
-    """Set bit_generator to the start of the stream with this state and inc."""
-    bit_generator.state = {"bit_generator": "PCG64",
-                           "state": {"state": state, "inc": inc},
-                           "has_uint32": 0, "uinteger": 0}
-
-
-def _raw_outputs(bit_generator: np.random.PCG64, states: list,
-                 n_outputs: int) -> np.ndarray:
-    """[len(states), n_outputs] uint64: the first raw outputs of each stream."""
-    outputs = np.empty((len(states), n_outputs), dtype=np.uint64)
-    for row, (state, inc) in zip(outputs, states):
-        _reseed(bit_generator, state, inc)
-        row[:] = bit_generator.random_raw(n_outputs)
-    return outputs
-
-
-class _OutOfWords(Exception):
-    """A draw needs more of its stream than was read: Lemire's method
-    rejected words. The chunk is drawn again from longer reads."""
-
-
-def _outputs_per_stream(config: DatasetConfig) -> int:
-    """Raw outputs read per stream: the scene takes at most 4 words per
-    object (a Floyd pick, a shuffle swap, a class and a size, with the
-    object count's draw in place of the last swap), the question at most
-    3 outputs (two random() calls and one 32-bit draw), and one is spare.
-    Only Lemire rejections take more."""
-    return 2 * config.max_objects + 4
-
-
-class _Words:
-    """The 32-bit words of a chunk of streams, one row per stream, in the
-    order next_uint32 takes them from the raw outputs, and each stream's
-    next word. integers() makes one Generator draw on every stream at once."""
-
-    def __init__(self, outputs: np.ndarray):
-        self.words = outputs.astype("<u8", copy=False).view("<u4")
-        self.lanes = np.arange(len(outputs))
-        self.next = np.zeros(len(outputs), dtype=np.int64)
-
-    def _read(self, at: np.ndarray) -> np.ndarray:
-        if at.max() >= self.words.shape[1]:
-            raise _OutOfWords
-        return self.words[self.lanes, at].astype(np.uint64)
-
-    def integers(self, high) -> np.ndarray:
-        """Generator.integers(high) on each stream, for a bound of 1 to 2**32
-        (one int, or an array of one per stream): Lemire's method."""
-        high = np.asarray(high, dtype=np.uint64)
-        threshold = (np.uint64(1 << 32) - high) % high
-        at = self.next
-        m = self._read(at) * high
-        rejected = (m & np.uint64(_MASK32)) < threshold
-        while rejected.any():
-            at = at + rejected
-            m = np.where(rejected, self._read(at) * high, m)
-            rejected &= (m & np.uint64(_MASK32)) < threshold
-        self.next = at + (high > 1)
-        return (m >> np.uint64(32)).astype(np.int64)
-
-
-class _Stream:
-    """Generator.random() and .integers(high), for a bound of 1 to 2**32,
-    drawn from one stream's raw outputs (a uint64 array) from its word-th
-    32-bit word on."""
-
-    def __init__(self, outputs: np.ndarray, word: int):
-        self.outputs = outputs
-        self.next = (word + 1) // 2                   # the next whole output
-        # next_uint32's pending high half, if the scene stopped inside an output
-        self.half = int(outputs[word // 2]) >> 32 if word % 2 else None
-
-    def _output(self) -> int:
-        if self.next == len(self.outputs):
-            raise _OutOfWords
-        self.next += 1
-        return int(self.outputs[self.next - 1])
-
-    def _uint32(self) -> int:
-        if self.half is None:
-            out = self._output()
-            self.half = out >> 32
-            return out & _MASK32
-        word, self.half = self.half, None
-        return word
-
-    def random(self) -> float:
-        return (self._output() >> 11) * (1.0 / 9007199254740992.0)
-
-    def integers(self, high: int) -> int:
-        if high == 1:
-            return 0
-        threshold = ((1 << 32) - high) % high
-        m = self._uint32() * high
-        while m & _MASK32 < threshold:
-            m = self._uint32() * high
-        return m >> 32
-
-
-def _floyd_choice(words: _Words, n: int, count: np.ndarray, width: int) -> np.ndarray:
-    """Generator.choice(n, count, replace=False) on each stream, in NumPy's
-    Floyd branch with 32-bit draws: [streams, width] picks, the first count
-    of each row drawn. A row past its count draws on [0, 0], taking no word."""
-    picks = np.zeros((len(count), width), dtype=np.int64)
-    for f in range(width):
-        j = n - count + f
-        drawn = words.integers(np.where(f < count, j + 1, 1))
-        seen = (picks[:, :f] == drawn[:, None]).any(axis=1)
-        picks[:, f] = np.where(seen, j, drawn)
-    lanes = np.arange(len(count))
-    for step in range(width - 1):
-        i = np.maximum(count - 1 - step, 0)
-        j = words.integers(i + 1)
-        picks[lanes, i], picks[lanes, j] = picks[lanes, j], picks[lanes, i]
-    return picks
-
-
-def _draw_objects(words: _Words, config: DatasetConfig) -> tuple:
-    """Each stream's object count and [streams, max_objects] object codes,
-    the first count of each row drawn as _sample_scene's Generator calls
-    draw them: the count, the cells, then every class, then every size."""
-    width = config.max_objects
-    count = config.min_objects + words.integers(width - config.min_objects + 1)
-    cells = _floyd_choice(words, config.grid_size ** 2, count, width)
-    live = np.arange(width) < count[:, None]
-
-    def each_object(high: int) -> np.ndarray:
-        return np.stack([words.integers(np.where(live[:, f], high, 1))
-                         for f in range(width)], axis=1)
-
-    classes = each_object(len(OBJECT_CLASSES))
-    sizes = each_object(len(SIZES))
-    return count, (cells * len(OBJECT_CLASSES) + classes) * len(SIZES) + sizes
-
-
-def _draws_in_chunks(config: DatasetConfig) -> bool:
-    """Whether every cell choice the config makes is in NumPy's Floyd branch
-    with 32-bit draws, the choice _floyd_choice makes."""
-    n = config.grid_size ** 2
-    return n <= 10000 or (config.max_objects <= n // 50 and n <= 1 << 32)
-
-
-def _chunk_scenes(config: DatasetConfig, bit_generator: np.random.PCG64,
-                  states: list, n_outputs: int):
-    """Yield (scene, rng) for each stream of a chunk: its scene, and the
-    source of the draws that follow it, good until the next scene is taken
-    (a Generator is reseeded for it). Raises _OutOfWords if n_outputs raw
-    outputs of a stream are not enough."""
-    if not _draws_in_chunks(config):
-        rng = np.random.Generator(bit_generator)
-        for state, inc in states:
-            _reseed(bit_generator, state, inc)
-            yield _sample_scene(rng, config), rng
-        return
-    outputs = _raw_outputs(bit_generator, states, n_outputs)
-    words = _Words(outputs)
-    count, codes = _draw_objects(words, config)
-    objects = _objects_by_code(config.grid_size)
-    for row, n_obj, row_codes, word in zip(outputs, count.tolist(), codes.tolist(),
-                                           words.next.tolist()):
-        yield (_scene(config, tuple(map(objects.__getitem__, row_codes[:n_obj]))),
-               _Stream(row, word))
-
-
 def generate_dataset(config: DatasetConfig) -> Dataset:
-    """Seeded, reproducible dataset with interleaved category/split schedules."""
+    """Seeded, reproducible dataset: each sample drawn from its own block
+    of one stream (see "sample streams"), its category from an interleaved
+    schedule, and its split from one schedule within each category."""
     categories = apportion(config.mix(), config.n_samples)
-    splits = apportion(config.splits(), config.n_samples)
-    bit_generator = np.random.PCG64(0)
-    n_outputs = _outputs_per_stream(config)
+    per_category = {category: iter(apportion(config.splits(), categories.count(category)))
+                    for category in config.mix()}
+    splits = [next(per_category[category]) for category in categories]
+    width = _outputs_per_sample(config)
+    questions_at = 1 + 3 * config.max_objects
+    stream = np.random.PCG64(config.seed)
+    objects = _objects_by_code(config.grid_size)
     samples = []
-    for start, states in _chunk_states(config.seed, config.n_samples):
-        part = slice(start, start + len(states))
-        while True:
-            try:
-                samples += [
-                    _sample(config, scene, *_sample_question(rng, scene, category), split)
-                    for (scene, rng), category, split in zip(
-                        _chunk_scenes(config, bit_generator, states, n_outputs),
-                        categories[part], splits[part])]
-                break
-            except _OutOfWords:
-                n_outputs *= 2
+    for start in range(0, config.n_samples, STREAM_CHUNK):
+        part = slice(start, min(start + STREAM_CHUNK, config.n_samples))
+        words = _chunk_words(stream, part.stop - start, width)
+        count, codes = _draw_objects(words, config)
+        question_words = words[:, questions_at:questions_at + QUESTION_WORDS].tolist()
+        for n_obj, row, question, category, split in zip(
+                count.tolist(), codes.tolist(), question_words,
+                categories[part], splits[part]):
+            scene = _scene(config, tuple(map(objects.__getitem__, row[:n_obj])))
+            samples.append(_sample(config, scene,
+                                   *_sample_question(question, scene, category), split))
     return Dataset(config=config, samples=tuple(samples))
 
 

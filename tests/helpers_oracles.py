@@ -321,17 +321,18 @@ def reference_loss(model, features, tokens, labels, lam, noise):
 # ---------------------------------------------------------------------------
 # data-path reference
 #
-# Sample generation, export and record parsing as they were before scene
-# objects were shared and before generation made NumPy's draws itself: one
-# SeedSequence and one Generator per sample, every draw a Generator call
-# (cells, the comparison's classes and each presence slot by rng.choice or
-# rng.integers), every object a new SceneObject, classes and sizes indexed
-# as NumPy scalars, the zone from zone_of, every question rendered and
-# tokenized anew, the schedules from the max(key=...) form of apportion,
-# every exported line from its own json.dumps of a record built here, every
-# record field checked. The file layout is dataset version 2's, written out
-# in full: the header holds the config echo, the format name and the
-# version, and a record's objects lie on the echo's grid.
+# Sample generation, export and record parsing in their plainest form, one
+# sample at a time: sample i's block read by advancing a fresh PCG64(seed)
+# past the blocks before it, every word split from its raw output with
+# Python ints, every bounded draw a floor division, Floyd's cell picks
+# checked against a list, the comparison's second class picked from a list
+# of the other four, every object a new SceneObject, the zone from
+# zone_of, every question rendered and tokenized anew, the schedules from
+# the max(key=...) form of apportion, every exported line from its own
+# json.dumps of a record built here, every record field checked. The file
+# layout is dataset version 2's, written out in full: the header holds the
+# config echo, the format name and the version, and a record's objects lie
+# on the echo's grid.
 
 
 def reference_apportion(weights: dict, n: int) -> list:
@@ -351,61 +352,87 @@ def zone_of(objects, urban_threshold: int) -> str:
     return "urban" if buildings >= urban_threshold else "rural"
 
 
-def reference_sample_scene(rng: np.random.Generator, config: DatasetConfig) -> Scene:
-    n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
-    cells = rng.choice(config.grid_size * config.grid_size, size=n_obj, replace=False)
-    classes = rng.choice(len(OBJECT_CLASSES), size=n_obj)
-    sizes = rng.choice(2, size=n_obj)
+def reference_block(config: DatasetConfig, index: int) -> list:
+    """The 32-bit words of sample index's block: its W raw outputs, each
+    split into its low half, then its high half."""
+    width = math.ceil((4 + 3 * config.max_objects) / 2)
+    bit_generator = np.random.PCG64(np.random.SeedSequence(config.seed))
+    bit_generator.advance(index * width)
+    words = []
+    for output in bit_generator.random_raw(width).tolist():
+        words += [output % 2**32, output // 2**32]
+    return words
+
+
+def reference_below(word: int, n: int) -> int:
+    """The draw on [0, n) of one 32-bit word: floor(word * n / 2**32)."""
+    return word * n // 2**32
+
+
+def reference_sample_scene(words: list, config: DatasetConfig) -> Scene:
+    m = config.max_objects
+    n_obj = config.min_objects + reference_below(
+        words[0], config.max_objects - config.min_objects + 1)
+    n_cells = config.grid_size * config.grid_size
+    cells = []
+    for f in range(n_obj):
+        j = n_cells - n_obj + f
+        drawn = reference_below(words[1 + f], j + 1)
+        cells.append(j if drawn in cells else drawn)
     objects = tuple(
-        SceneObject(cls=OBJECT_CLASSES[classes[i]],
-                    row=int(cells[i]) // config.grid_size,
-                    col=int(cells[i]) % config.grid_size,
-                    size=SIZES[sizes[i]])
-        for i in range(n_obj))
+        SceneObject(cls=OBJECT_CLASSES[reference_below(words[1 + m + f], 5)],
+                    row=cells[f] // config.grid_size,
+                    col=cells[f] % config.grid_size,
+                    size=SIZES[reference_below(words[1 + 2 * m + f], 2)])
+        for f in range(n_obj))
     return Scene(grid_size=config.grid_size, objects=objects,
                  zone_label=zone_of(objects, config.urban_threshold))
 
 
-def _reference_pick_balanced(rng, candidates_yes, candidates_no):
-    want_yes = rng.random() < 0.5
+def _reference_pick_balanced(want_word, pick_word, candidates_yes, candidates_no):
+    want_yes = want_word < 2**31
     pool = candidates_yes if want_yes else candidates_no
     if not pool:
         pool = candidates_no if want_yes else candidates_yes
-    return pool[int(rng.integers(len(pool)))]
+    return pool[reference_below(pick_word, len(pool))]
 
 
-def reference_sample_question(rng: np.random.Generator, scene: Scene, category: str):
-    """(template_id, slots) of the category's question."""
+def reference_sample_question(words: list, scene: Scene, category: str):
+    """(template_id, slots) of the category's question, from the three
+    question words of the sample's block."""
     if category == "count":
-        return 0, (OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))],)
+        return 0, (OBJECT_CLASSES[reference_below(words[0], 5)],)
     if category == "presence":
-        if rng.random() < 0.5:
+        if words[0] < 2**31:
             present = sorted({o.cls for o in scene.objects})
             absent = sorted(set(OBJECT_CLASSES) - set(present))
-            return 1, (_reference_pick_balanced(rng, present, absent),)
+            return 1, (_reference_pick_balanced(words[1], words[2], present, absent),)
         pairs = [(s, c) for s in SIZES for c in OBJECT_CLASSES]
         have = {(o.size, o.cls) for o in scene.objects}
         yes = [p for p in pairs if p in have]
         no = [p for p in pairs if p not in have]
-        return 2, tuple(_reference_pick_balanced(rng, yes, no))
+        return 2, tuple(_reference_pick_balanced(words[1], words[2], yes, no))
     if category == "comparison":
-        a, b = rng.choice(len(OBJECT_CLASSES), size=2, replace=False)
+        a = reference_below(words[0], 5)
+        others = [k for k in range(5) if k != a]
+        b = others[reference_below(words[1], 4)]
         return 3, (OBJECT_CLASSES[a], OBJECT_CLASSES[b])
     if category == "rural_urban":
         return 4, ()
     if category == "area":
-        return 5, (OBJECT_CLASSES[int(rng.integers(len(OBJECT_CLASSES)))],)
+        return 5, (OBJECT_CLASSES[reference_below(words[0], 5)],)
     raise ValueError(f"unknown category {category!r}")
 
 
 def reference_make_sample(config: DatasetConfig, index: int, category: str,
                           split: str) -> VQASample:
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
-    scene = reference_sample_scene(rng, config)
-    template_id, slots = reference_sample_question(rng, scene, category)
+    words = reference_block(config, index)
+    scene = reference_sample_scene(words, config)
+    questions_at = 1 + 3 * config.max_objects
+    template_id, slots = reference_sample_question(
+        words[questions_at:questions_at + 3], scene, category)
     template = TEMPLATES[template_id]
-    words = template.render(slots)
-    token_ids, n_tokens = tokenize(words, config.k_max)
+    token_ids, n_tokens = tokenize(template.render(slots), config.k_max)
     answer = answer_oracle(scene, template, slots)
     return VQASample(scene=scene, category=category,
                      template_id=template_id, slots=slots,
@@ -414,8 +441,17 @@ def reference_make_sample(config: DatasetConfig, index: int, category: str,
 
 
 def reference_generate_dataset(config: DatasetConfig) -> Dataset:
+    """Categories from one schedule over all samples; the k-th sample of a
+    category takes the k-th split of a schedule over that category's."""
     categories = reference_apportion(config.mix(), config.n_samples)
-    splits = reference_apportion(config.splits(), config.n_samples)
+    split_schedules = {
+        category: reference_apportion(config.splits(), categories.count(category))
+        for category in set(categories)}
+    taken = {category: 0 for category in split_schedules}
+    splits = []
+    for category in categories:
+        splits.append(split_schedules[category][taken[category]])
+        taken[category] += 1
     samples = tuple(
         reference_make_sample(config, i, categories[i], splits[i])
         for i in range(config.n_samples))

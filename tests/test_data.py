@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import pickle
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mibvqa import data as dt
@@ -47,6 +49,7 @@ from helpers_oracles import (
     reference_export_text,
     reference_generate_dataset,
     reference_import_samples,
+    reference_make_sample,
     reference_sample_question,
     zone_of,
 )
@@ -390,6 +393,18 @@ def test_category_mix_respected_per_split():
         for category, share in mix.items():
             got = sum(1 for s in samples if s.category == category)
             assert abs(got - share * len(samples)) <= 1.0
+    # splits are apportioned within each category's samples: each split
+    # holds each category's share of it to within one sample, also where
+    # schedules over all samples would alias (test and test2 of 0.1 each)
+    cfg = DatasetConfig(train_fraction=0.8, test_fraction=0.1, test2_fraction=0.1)
+    ds = generate_dataset(cfg)
+    totals = Counter(s.category for s in ds.samples)
+    for category, share in cfg.mix().items():
+        assert abs(totals[category] - share * cfg.n_samples) <= 1.0
+    for split, fraction in cfg.splits().items():
+        got = Counter(s.category for s in ds.split(split))
+        for category in cfg.mix():
+            assert abs(got[category] - fraction * totals[category]) <= 1.0
 
 
 def test_variant_category_sets():
@@ -433,6 +448,12 @@ def test_config_validation():
         DatasetConfig(grid_size=-3, min_objects=1, max_objects=5)
     assert DatasetConfig(grid_size=1, min_objects=1, max_objects=1,
                          urban_threshold=1).grid_size == 1
+    # a draw covers at most 2**32 cells
+    with pytest.raises(ValueError, match="grid_size must be at most 65536, whose "
+                                         "4294967296 cells a 32-bit draw covers; "
+                                         "got 65537"):
+        DatasetConfig(grid_size=65537)
+    assert DatasetConfig(grid_size=65536).grid_size == 65536
     # a threshold below 1 makes every scene urban, one above max_objects
     # every scene rural
     for bad in (-2, 0, 11):
@@ -458,187 +479,87 @@ def test_config_validation():
 # ---------------------------------------------------------------- determinism
 
 
-def numpy_stream_state(seed: int, index: int) -> dict:
-    return np.random.PCG64(np.random.SeedSequence([seed, index])).state
-
-
 # one entropy word, the largest one-word seed, two and three words, and
 # more words than SeedSequence's pool of four
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5],
                          ids=["0", "1", "2^32-1", "2^32", "2^64+3", "2^128+5"])
 def test_sample_streams_start_where_numpy_seeds_them(seed):
-    # the chunks generation derives, across a chunk boundary; reseeding
-    # gives NumPy's state, and reading it NumPy's first raw outputs
-    n = dt.STREAM_CHUNK + 3
-    checked = (0, 1, dt.STREAM_CHUNK - 1, dt.STREAM_CHUNK, n - 1)
-    states = {start + k: state for start, chunk in dt._chunk_states(seed, n)
-              for k, state in enumerate(chunk) if start + k in checked}
-    assert sorted(states) == list(checked)
-    bit_generator = np.random.PCG64(0)
-    for i in checked:
-        dt._reseed(bit_generator, *states[i])
-        assert bit_generator.state == numpy_stream_state(seed, i)
-        expected = np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(6)
-        np.testing.assert_array_equal(
-            dt._raw_outputs(bit_generator, [states[i]], 6), [expected])
-
-
-@given(seed=st.integers(0, 2**130), index=st.integers(0, dt.MAX_SAMPLES - 1))
-@settings(max_examples=60)
-def test_stream_state_equals_numpys_for_any_seed_and_index(seed, index):
-    expected = numpy_stream_state(seed, index)["state"]
-    assert dt._stream_states(seed, np.array([index], dtype=np.uint32)) == [
-        (expected["state"], expected["inc"])]
+    # the blocks on both sides of a chunk boundary are those of
+    # PCG64(SeedSequence(seed)), advanced past the blocks before them
+    config = DatasetConfig(n_samples=dt.STREAM_CHUNK + 3, seed=seed)
+    samples = generate_dataset(config).samples
+    for i in (0, 1, dt.STREAM_CHUNK - 1, dt.STREAM_CHUNK, config.n_samples - 1):
+        assert samples[i] == reference_make_sample(config, i, samples[i].category,
+                                                   samples[i].split), i
 
 
 # ---------------------------------------------------------------- draws
 #
-# Generation makes NumPy's Generator draws itself, from each stream's raw
-# PCG64 outputs: one array op per draw for a chunk's scenes (dt._Words),
-# one sample at a time for its question (dt._Stream). Each property below
-# checks one equivalence that relies on against the Generator itself.
+# Generation and the reference share the block layout and the draw rules,
+# so a rule wrong in both passes every equality test. The tests below check
+# the rules themselves: the words a block is read as, the ends of a
+# bounded draw, and the distributions of every drawn field.
 
 SEEDS = st.integers(0, 2**64)
-MASK32 = 0xFFFF_FFFF
-
-
-def _outputs(seed: int, n: int) -> np.ndarray:
-    return np.random.PCG64(seed).random_raw(n)
-
-
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-def _words(seeds, n_outputs: int) -> dt._Words:
-    return dt._Words(np.array([_outputs(seed, n_outputs) for seed in seeds]))
-
-
-@given(seeds=st.lists(SEEDS, min_size=1, max_size=4), data=st.data())
-@settings(max_examples=80)
-def test_choice_is_floyd_then_a_shuffle(seeds, data):
-    # each stream of a chunk draws choice(n, k) with its own k, and the
-    # draw after it starts where NumPy's does
-    n = data.draw(st.integers(1, 10000) | st.integers(10001, 2**32), label="n")
-    most = min(n if n <= 10000 else n // 50, 40)
-    counts = data.draw(st.lists(st.integers(1, most), min_size=len(seeds),
-                                max_size=len(seeds)), label="counts")
-    words = _words(seeds, 2 * most + 8)
-    picks = dt._floyd_choice(words, n, np.array(counts), most)
-    after = words.integers(7)
-    for seed, k, row, next_draw in zip(seeds, counts, picks, after):
-        rng = _generator(seed)
-        assert row[:k].tolist() == rng.choice(n, size=k, replace=False).tolist()
-        assert next_draw == rng.integers(7)
-
-
-@given(seed=SEEDS)
-@settings(max_examples=40)
-def test_comparison_draws_are_a_choice_of_two_classes(seed):
-    scene = scene_of([("road", 0, 0, "small")])
-    expected = reference_sample_question(_generator(seed), scene, "comparison")
-    assert dt._sample_question(_generator(seed), scene, "comparison") == expected
-    stream = dt._Stream(_outputs(seed, 4), 0)
-    assert dt._sample_question(stream, scene, "comparison") == expected
-
-
-@given(seed=SEEDS, high=st.integers(2, 2**32))
-@settings(max_examples=40)
-def test_a_bound_of_one_takes_no_word(seed, high):
-    rng = _generator(seed)
-    bounds = (1, high, 1, 1, high)
-    expected = [int(rng.integers(h)) for h in bounds]
-    assert expected[0] == expected[2] == expected[3] == 0
-    words = _words([seed], 8)
-    assert [int(words.integers(h)[0]) for h in bounds] == expected
-    stream = dt._Stream(_outputs(seed, 8), 0)
-    assert [stream.integers(h) for h in bounds] == expected
+WORDS = st.integers(0, 2**32 - 1)
 
 
 @given(seed=SEEDS)
 @settings(max_examples=40)
 def test_32_bit_draws_take_the_low_half_then_the_high_half(seed):
-    first, second = _outputs(seed, 2).tolist()
-    halves = [first & MASK32, first >> 32, second & MASK32, second >> 32]
-    assert _generator(seed).integers(2**32, size=4).tolist() == halves
-    words = _words([seed], 2)
-    assert [int(words.integers(2**32)[0]) for _ in halves] == halves
-    stream = dt._Stream(_outputs(seed, 2), 0)
-    assert [stream.integers(2**32) for _ in halves] == halves
+    halves = [half for out in np.random.PCG64(seed).random_raw(6).tolist()
+              for half in (out & 0xFFFF_FFFF, out >> 32)]
+    words = dt._chunk_words(np.random.PCG64(seed), 2, 3)
+    assert words.tolist() == [halves[:6], halves[6:]]
 
 
-@given(seed=SEEDS, word=st.integers(0, 3),
-       draws=st.lists(st.sampled_from(["random", 2, 5, 2**32]), max_size=8))
+@given(n=st.integers(1, 2**32))
+@example(n=1)
+@example(n=2**32)
+def test_a_draw_takes_the_lowest_word_to_0_and_the_highest_to_n_minus_1(n):
+    assert (dt._below(0, n), dt._below(2**32 - 1, n)) == (0, n - 1)
+    words = np.array([0, 2**32 - 1], dtype=np.uint64)
+    assert dt._below(words, np.uint64(n)).tolist() == [0, n - 1]
+
+
+@given(first=WORDS, second=WORDS)
 @settings(max_examples=80)
-def test_random_takes_a_whole_fresh_output_and_leaves_the_pending_half(
-        seed, word, draws):
-    first, second = _outputs(seed, 2).tolist()
-    stream = dt._Stream(_outputs(seed, 2), 0)
-    assert stream.integers(2**32) == first & MASK32
-    assert stream.random() == (second >> 11) * 2.0**-53
-    assert stream.integers(2**32) == first >> 32
-    # from any word on, in any order of draws, as the Generator draws them
-    rng = _generator(seed)
-    for _ in range(word):
-        rng.integers(2**32)
-    stream = dt._Stream(_outputs(seed, 16), word)
-    for draw in draws:
-        if draw == "random":
-            assert stream.random() == rng.random()
-        else:
-            assert stream.integers(draw) == rng.integers(draw)
+def test_comparison_draws_are_a_choice_of_two_classes(first, second):
+    scene = scene_of([("road", 0, 0, "small")])
+    template_id, slots = dt._sample_question([first, second, 0], scene, "comparison")
+    assert template_id == 3 and slots[0] != slots[1]
+    assert (template_id, slots) == reference_sample_question(
+        [first, second, 0], scene, "comparison")
 
 
-@given(seed=SEEDS, high=st.integers(3, 2**32 - 1).filter(lambda h: h & (h - 1)))
-@settings(max_examples=40)
-def test_a_lemire_rejection_draws_again_from_the_next_word(seed, high):
-    # A pending word of 0 gives m = 0, which every bound but a power of 2
-    # rejects. Crafted outputs start with that word; a stream beside them
-    # in the chunk rejects nothing, or rejects on its own.
-    bit_generator = np.random.PCG64(seed)
-    bit_generator.state = {**bit_generator.state, "has_uint32": 1, "uinteger": 0}
-    rng = np.random.Generator(bit_generator)
-    expected = [int(rng.integers(high)) for _ in range(3)]
-    halves = [half for out in _outputs(seed, 8).tolist()
-              for half in (out & MASK32, out >> 32)]
-    words = [0] + halves
-    crafted = np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
-                       dtype=np.uint64)
-    chunk = dt._Words(np.array([crafted, _outputs(seed + 1, 8)]))
-    beside = _generator(seed + 1)
-    for value in expected:
-        assert chunk.integers(high).tolist() == [value, beside.integers(high)]
-    stream = dt._Stream(crafted, 0)
-    assert [stream.integers(high) for _ in expected] == expected
+def _within_5_sigma(drawn: Counter, values, trials: int) -> None:
+    """Each value occurs within 5 sigma of trials / len(values), as it would
+    in trials independent uniform draws."""
+    p = 1 / len(values)
+    sigma = math.sqrt(trials * p * (1 - p))
+    assert set(drawn) <= set(values)
+    for value in values:
+        assert abs(drawn[value] - trials * p) <= 5 * sigma, (value, drawn[value])
 
 
-def test_draws_past_the_outputs_read_raise_out_of_words():
-    words = _words([1, 2], 1)
-    words.integers(5), words.integers(5)
-    with pytest.raises(dt._OutOfWords):
-        words.integers(5)
-    stream = dt._Stream(_outputs(1, 1), 1)
-    stream.integers(5)
-    with pytest.raises(dt._OutOfWords):
-        stream.random()
-
-
-@pytest.mark.parametrize("n_outputs", [1, 20])
-def test_a_chunk_that_runs_out_of_words_is_drawn_again(monkeypatch, n_outputs):
-    # a default scene takes 39 words: with 1 output the scene runs out, with
-    # 20 a question; the chunk is read again with twice as many outputs
-    read = []
-    raw_outputs = dt._raw_outputs
-
-    def spy(bit_generator, states, n):
-        read.append(n)
-        return raw_outputs(bit_generator, states, n)
-
-    monkeypatch.setattr(dt, "_outputs_per_stream", lambda config: n_outputs)
-    monkeypatch.setattr(dt, "_raw_outputs", spy)
-    config = DatasetConfig(n_samples=300, seed=37)
-    assert generate_dataset(config).samples == reference_generate_dataset(config).samples
-    assert read[0] == n_outputs and read[-1] >= 2 * n_outputs
+@pytest.mark.parametrize("config", [
+    DatasetConfig(n_samples=20_000),
+    DatasetConfig(n_samples=20_000, seed=7, min_objects=1, max_objects=16),
+], ids=["default", "1_to_16_objects"])
+def test_every_cell_class_size_count_and_comparison_is_drawn_uniformly(config):
+    # a scene's cells are distinct, which only narrows their spread
+    samples = generate_dataset(config).samples
+    objects = [o for s in samples for o in s.scene.objects]
+    grid = config.grid_size
+    _within_5_sigma(Counter(o.row * grid + o.col for o in objects),
+                    range(grid * grid), len(objects))
+    _within_5_sigma(Counter(o.cls for o in objects), OBJECT_CLASSES, len(objects))
+    _within_5_sigma(Counter(o.size for o in objects), dt.SIZES, len(objects))
+    _within_5_sigma(Counter(len(s.scene.objects) for s in samples),
+                    range(config.min_objects, config.max_objects + 1), len(samples))
+    pairs = Counter(s.slots for s in samples if s.category == "comparison")
+    _within_5_sigma(pairs, list(itertools.permutations(OBJECT_CLASSES, 2)),
+                    sum(pairs.values()))
 
 
 @given(data=st.data())
@@ -781,14 +702,17 @@ REFERENCE_CONFIGS = {
                                        train_fraction=0.8, test_fraction=0.1,
                                        test2_fraction=0.1),
     "urban_threshold_1": DatasetConfig(urban_threshold=1),
-    # a three-word seed: the first entropy words are the seed's, not the index
+    # a seed wider than 64 bits, which SeedSequence takes whole
     "seed_2_64_plus_3": DatasetConfig(seed=2**64 + 3),
-    # more than 10000 cells: Floyd's choice up to n // 50 = 204 objects, and
-    # NumPy's tail shuffle past it, which only a Generator draws
+    # 10201 cells, with 1 to 16 objects and with 200 to 210: Floyd's picks
+    # far from the default's widths
     "grid_101_floyd": DatasetConfig(n_samples=400, grid_size=101, max_objects=16,
                                     min_objects=1, urban_threshold=1),
     "grid_101_tail_shuffle": DatasetConfig(n_samples=40, grid_size=101, t_max=210,
                                            min_objects=200, max_objects=210),
+    # the largest grid, 2**32 cells: Floyd's last picks draw on all of them
+    "grid_65536": DatasetConfig(n_samples=30, grid_size=65536, max_objects=16,
+                                min_objects=1, urban_threshold=1),
 }
 
 
