@@ -9,9 +9,8 @@ override config keys.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import get_type_hints
 
-from .data import DatasetConfig
+from .data import DatasetConfig, field_types
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -102,7 +101,7 @@ _COERCERS = {
 
 def _keys_of(config_class) -> dict:
     """key -> coercer for every field of a config dataclass, by field type."""
-    types = get_type_hints(config_class)
+    types = field_types(config_class)
     return {f.name: _COERCERS[types[f.name]] for f in fields(config_class)}
 
 

@@ -41,6 +41,7 @@ class DatasetFormatError(ValueError):
 OBJECT_CLASSES = ("building", "road", "water", "tree", "field")
 _CLASS_INDEX = {c: i for i, c in enumerate(OBJECT_CLASSES)}
 SIZES = ("small", "large")
+_SIZE_INDEX = {s: i for i, s in enumerate(SIZES)}
 SIZE_FEATURE = {"small": 0.5, "large": 1.0}
 # An object's descriptor row: one-hot class, then x, y and size.
 FEATURE_WIDTH = len(OBJECT_CLASSES) + 3
@@ -79,7 +80,7 @@ class SceneObject:
     """One object of a scene. Its two renderings are computed once per
     instance from its four fields and kept in its __dict__, outside the
     fields that ==, hash and repr read; equal objects are one instance (see
-    the object store), so each distinct object is rendered once."""
+    _CodedObjects), so each distinct object is rendered once."""
     cls: str
     row: int
     col: int
@@ -100,33 +101,22 @@ class SceneObject:
         return row.tobytes()
 
 
-# One store of canonical SceneObjects per grid size, keyed by
-# (cls, row, col, size) and filled as objects occur: generation and import
-# take every object from it, so equal objects are one shared instance. At
-# most 10 * grid_size**2 entries (5 classes, 2 sizes), and only objects
-# that passed validation: a hit proves the object is valid on that grid.
-_OBJECT_STORES: dict = {}
-
-
-def _object_store(grid_size: int) -> dict:
-    return _OBJECT_STORES.setdefault(grid_size, {})
-
-
 class _CodedObjects(dict):
-    """The objects of one grid's store by the code generation draws them
-    as, (cell * 5 + class) * 2 + size: one int per object. A code seen for
-    the first time takes the store's object, or makes it there."""
+    """The canonical SceneObjects of one grid by the code generation draws
+    them as, (cell * 5 + class) * 2 + size with cell = row * grid_size + col:
+    one int per object, at most 10 * grid_size**2 of them. Generation and
+    import take every object from this table, so equal objects are one
+    shared instance; a code seen for the first time makes its object."""
 
     def __init__(self, grid_size: int):
         super().__init__()
         self.grid_size = grid_size
-        self.store = _object_store(grid_size)
 
     def __missing__(self, code: int) -> SceneObject:
         cell, kind = divmod(code, len(OBJECT_CLASSES) * len(SIZES))
         c, z = divmod(kind, len(SIZES))
-        key = (OBJECT_CLASSES[c], *divmod(cell, self.grid_size), SIZES[z])
-        obj = self[code] = self.store.setdefault(key, SceneObject(*key))
+        obj = self[code] = SceneObject(OBJECT_CLASSES[c], *divmod(cell, self.grid_size),
+                                       SIZES[z])
         return obj
 
 
@@ -134,7 +124,7 @@ _objects_by_code = functools.cache(_CodedObjects)
 
 
 class _FragmentObjects(dict):
-    """The valid objects of one grid's store by their json_fragment's text
+    """The objects of one grid's code table by their json_fragment's text
     between its outer brackets ('"road", 3, 4, "small"'), as a record line
     exactly as export writes it lists them. A text seen for the first time
     is decoded and checked once through _record_object, and kept only if it
@@ -143,12 +133,11 @@ class _FragmentObjects(dict):
     def __init__(self, grid_size: int):
         super().__init__()
         self.grid_size = grid_size
-        self.store = _object_store(grid_size)
 
     def __missing__(self, body: str) -> SceneObject:
         fragment = "[" + body + "]"
         try:
-            obj = _record_object(self.store, self.grid_size, *json.loads(fragment))
+            obj = _record_object(self.grid_size, *json.loads(fragment))
         except (TypeError, ValueError, RecursionError):
             raise KeyError(body) from None
         if obj.json_fragment != fragment:
@@ -267,16 +256,17 @@ VARIANT_CATEGORIES = {
 }
 
 
-# get_type_hints evaluates every annotation string on each call (about
-# 0.1 ms for ModelConfig, paid by every checkpoint load), so once per class
-_field_types = functools.cache(get_type_hints)
+# The one reader of a config dataclass's field annotations. get_type_hints
+# evaluates every annotation string on each call (about 0.1 ms for
+# ModelConfig, paid by every checkpoint load), so once per class.
+field_types = functools.cache(get_type_hints)
 
 
 def check_field_types(config) -> None:
     """Raise ValueError unless every field of the dataclass config holds
     exactly its annotated type, or an int in a float field. type(), not
     isinstance: a bool is an int, but never a count, a seed or a rate."""
-    for name, kind in _field_types(type(config)).items():
+    for name, kind in field_types(type(config)).items():
         value = getattr(config, name)
         if type(value) is not kind and not (kind is float and type(value) is int):
             raise ValueError(f"{type(config).__name__}.{name} must be "
@@ -630,17 +620,22 @@ def _sample_question(words, scene: Scene, category: str):
 
 # Per k_max there are 46 (template, slots) questions: 5 count,
 # 5 + 10 presence, 20 comparison, 1 rural_urban and 5 area.
-@functools.lru_cache(maxsize=1024)
-def _question_tokens(template_id: int, slots: tuple, k_max: int) -> tuple:
-    """tokenize() of the rendered question, computed once per question."""
-    return tokenize(TEMPLATES[template_id].render(slots), k_max)
+@functools.cache
+def _questions(k_max: int) -> dict:
+    """tokenize() of the rendered question at this k_max, by (template_id,
+    slots), of every question generation can give: each a known template
+    with a value of its kind in every slot, and a comparison two classes."""
+    return {(template_id, slots): tokenize(template.render(slots), k_max)
+            for template_id, template in enumerate(TEMPLATES)
+            for slots in itertools.product(*map(SLOT_VALUES.get, template.slot_names))
+            if template.category != "comparison" or slots[0] != slots[1]}
 
 
 def _sample(config: DatasetConfig, scene: Scene, template_id: int, slots: tuple,
             split: str) -> VQASample:
     """Every sample, generated or imported, is built here from its drawn parts."""
     template = TEMPLATES[template_id]
-    token_ids, n_tokens = _question_tokens(template_id, slots, config.k_max)
+    token_ids, n_tokens = _questions(config.k_max)[template_id, slots]
     return VQASample(scene=scene, category=template.category,
                      template_id=template_id, slots=slots,
                      token_ids=token_ids, n_tokens=n_tokens,
@@ -677,6 +672,7 @@ def generate_dataset(config: DatasetConfig) -> Dataset:
 
 def audit_dataset(dataset: Dataset) -> int:
     """Recompute every answer and validate structural bounds; returns mismatches."""
+    config = dataset.config
     vocabulary_ids = frozenset(range(len(VOCABULARY)))
     mismatches = 0
     for s in dataset.samples:
@@ -684,9 +680,9 @@ def audit_dataset(dataset: Dataset) -> int:
         expected = ANSWER_INDEX.get(answer_oracle(s.scene, template, s.slots))
         if expected != s.answer_index:
             mismatches += 1
-        if s.n_tokens > dataset.config.k_max or len(s.token_ids) != dataset.config.k_max:
+        if s.n_tokens > config.k_max or len(s.token_ids) != config.k_max:
             mismatches += 1
-        if not 1 <= len(s.scene.objects) <= dataset.config.t_max:
+        if not config.min_objects <= len(s.scene.objects) <= config.max_objects:
             mismatches += 1
         if not vocabulary_ids.issuperset(s.token_ids):
             mismatches += 1
@@ -760,25 +756,22 @@ def _values(value: dict, keys: tuple, what: str) -> list:
     return list(map(value.__getitem__, keys))
 
 
-def _record_object(store: dict, grid_size: int, cls, row, col, size) -> SceneObject:
-    """The canonical object of one record entry. Once row and col are ints
-    (JSON true and 1.0 both equal 1, so either would hit the store), a store
-    hit is valid by construction; a miss (or an unhashable field) runs every
-    check and stores the object only if it passes."""
+def _record_object(grid_size: int, cls, row, col, size) -> SceneObject:
+    """The canonical object of one record entry: the checks of its class,
+    its size and its cell on the grid give its code in _objects_by_code."""
     if type(row) is not int or type(col) is not int:
         raise ValueError(f"object row {row!r}, col {col!r}: expected integers")
-    try:
-        return store[cls, row, col, size]
-    except (KeyError, TypeError):
-        pass
-    if cls not in _CLASS_INDEX:
+    c = _CLASS_INDEX.get(cls)
+    if c is None:
         raise ValueError(f"unknown object class {cls!r}")
-    if size not in SIZE_FEATURE:
+    z = _SIZE_INDEX.get(size)
+    if z is None:
         raise ValueError(f"unknown object size {size!r}")
     if not (0 <= row < grid_size and 0 <= col < grid_size):
         raise ValueError(f"object at row {row}, col {col} is off the "
                          f"{grid_size}x{grid_size} grid")
-    return store.setdefault((cls, row, col, size), SceneObject(cls, row, col, size))
+    cell = row * grid_size + col
+    return _objects_by_code(grid_size)[(cell * len(OBJECT_CLASSES) + c) * len(SIZES) + z]
 
 
 def _same(value, expected) -> bool:
@@ -789,32 +782,41 @@ def _same(value, expected) -> bool:
         if type(value) is list else type(value) is type(expected))
 
 
+def _record_scene(config: DatasetConfig, objects: tuple) -> Scene:
+    """The scene of a record's objects, as both readers build it: a count
+    generation draws, min_objects to max_objects, each object on its own
+    cell; raises ValueError otherwise."""
+    if not config.min_objects <= len(objects) <= config.max_objects:
+        raise ValueError(f"{len(objects)} objects, expected min_objects="
+                         f"{config.min_objects} to max_objects={config.max_objects}")
+    cells = {(o.row, o.col) for o in objects}
+    if len(cells) != len(objects):
+        raise ValueError(f"{len(objects)} objects on {len(cells)} grid "
+                         f"cells: generation puts each on its own cell")
+    return _scene(config, objects)
+
+
 def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
     """The sample of one decoded record, rebuilt from its objects, template,
     slots and split as generation builds it, on the grid of the config echo:
     a record states no grid of its own. import_dataset calls it for every
     line _sample_from_text does not read, so it is the one reader of any
-    other JSON spelling of a record and the one source of record errors. A drawn field generation cannot give (an
-    object off that grid or unknown, the object or slot count, the template,
-    the split) or a stored derived field other than the rebuilt one is a
-    DatasetFormatError, and so is a value of another JSON type than the one
-    export writes, or a record or scene object with other keys than export
-    writes. Each object must sit on its own cell, each slot hold a value of
-    its kind, and a comparison two classes."""
+    other JSON spelling of a record and the one source of record errors.
+
+    A drawn field generation cannot give (an object off that grid or
+    unknown, the object or slot count, the template, the split) or a stored
+    derived field other than the rebuilt one is a DatasetFormatError, and so
+    is a value of another JSON type than the one export writes, or a record
+    or scene object with other keys than export writes. Each object must sit
+    on its own cell, each slot hold a value of its kind, and a comparison
+    two classes."""
     try:
         (scene, category, template_id, slots, token_ids, n_tokens, answer_index,
          split) = _values(rec, RECORD_KEYS, "record")
         entries, zone_label = _values(scene, SCENE_KEYS, "scene")
-        store = _object_store(config.grid_size)
-        objects = tuple(_record_object(store, config.grid_size, cls, row, col, size)
-                        for cls, row, col, size in entries)
-        if not 1 <= len(objects) <= config.t_max:
-            raise ValueError(f"{len(objects)} objects, expected 1 to "
-                             f"t_max={config.t_max}")
-        cells = {(o.row, o.col) for o in objects}
-        if len(cells) != len(objects):
-            raise ValueError(f"{len(objects)} objects on {len(cells)} grid "
-                             f"cells: generation puts each on its own cell")
+        scene = _record_scene(config, tuple(
+            _record_object(config.grid_size, cls, row, col, size)
+            for cls, row, col, size in entries))
         if type(template_id) is not int or not 0 <= template_id < len(TEMPLATES):
             raise ValueError(f"unknown template_id {template_id!r}")
         template = TEMPLATES[template_id]
@@ -831,7 +833,7 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
             raise ValueError(f"comparison of {slots[0]!r} with itself")
         if split not in config.splits():
             raise ValueError(f"split {split!r} is not among the header's splits")
-        sample = _sample(config, _scene(config, objects), template_id, slots, split)
+        sample = _sample(config, scene, template_id, slots, split)
         for name, value, expected in (
                 ("zone_label", zone_label, sample.scene.zone_label),
                 ("category", category, sample.category),
@@ -848,21 +850,14 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
 
 @functools.cache
 def _question_table(k_max: int) -> dict:
-    """(template_id, slots) of every question generation can give, keyed by
-    the texts export writes for its _QUESTION_PATHS fields at this k_max:
-    the questions _sample_from_record accepts, each a known template with a
-    value of its kind in every slot, and a comparison two classes."""
+    """The keys of _questions(k_max), the questions _sample_from_record
+    accepts, by the texts export writes for their _QUESTION_PATHS fields."""
     table = {}
-    for template_id, template in enumerate(TEMPLATES):
-        for slots in itertools.product(*map(SLOT_VALUES.get, template.slot_names)):
-            if template.category == "comparison" and slots[0] == slots[1]:
-                continue
-            token_ids, n_tokens = _question_tokens(template_id, slots, k_max)
-            values = {"category": template.category, "n_tokens": n_tokens,
-                      "slots": slots, "template_id": template_id,
-                      "token_ids": token_ids}
-            key = tuple(_json_value(values[path]) for path in _QUESTION_PATHS)
-            table[key] = template_id, slots
+    for (template_id, slots), (token_ids, n_tokens) in _questions(k_max).items():
+        values = {"category": TEMPLATES[template_id].category, "n_tokens": n_tokens,
+                  "slots": slots, "template_id": template_id, "token_ids": token_ids}
+        table[tuple(_json_value(values[path]) for path in _QUESTION_PATHS)] = (
+            template_id, slots)
     return table
 
 
@@ -871,9 +866,10 @@ def _sample_from_text(line: str, config: DatasetConfig, objects: _FragmentObject
     """The sample of a record line exactly as export writes it, read by its
     text: objects, question and split are looked up among their canonical
     renderings (objects, the _question_table of config.k_max, splits by
-    their JSON text), and the rebuilt sample's zone and answer must render
-    to the line's. None for any other line, which _sample_from_record then
-    reads: another spelling of the same record, or one that fails a check.
+    their JSON text), the objects must make a scene _record_scene accepts,
+    and the rebuilt sample's zone and answer must render to the line's.
+    None for any other line, which _sample_from_record then reads: another
+    spelling of the same record, or one that fails a check.
 
     A line read here is _RECORD_LINE filled with the renderings of the
     sample it gives, so its JSON value is a record _sample_from_record
@@ -887,13 +883,11 @@ def _sample_from_text(line: str, config: DatasetConfig, objects: _FragmentObject
     if question is None or split is None:
         return None
     try:
-        scene_objects = tuple(map(objects.__getitem__, bodies.split("], [")))
-    except KeyError:
+        scene = _record_scene(config, tuple(map(objects.__getitem__,
+                                                bodies.split("], ["))))
+    except (KeyError, ValueError):
         return None
-    if (len(scene_objects) > config.t_max
-            or len({(o.row, o.col) for o in scene_objects}) != len(scene_objects)):
-        return None
-    sample = _sample(config, _scene(config, scene_objects), *question, split)
+    sample = _sample(config, scene, *question, split)
     if (_json_value(sample.scene.zone_label) != zone
             or _json_value(sample.answer_index) != answer):
         return None

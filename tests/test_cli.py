@@ -745,8 +745,8 @@ def _rebuild_derived_fields(record: dict, config: dict) -> None:
     ("token_id", 24, "token_ids [1, 2, 24, 3,"),
     ("n_tokens", 13, "n_tokens 13"),
     ("n_tokens", 7, "n_tokens 7 is not the rebuilt sample's 8"),
-    ("n_objects", 17, "17 objects, expected 1 to t_max=16"),
-    ("n_objects", 0, "0 objects, expected 1 to t_max=16"),
+    ("n_objects", 17, "17 objects, expected min_objects=10 to max_objects=10"),
+    ("n_objects", 0, "0 objects, expected min_objects=10 to max_objects=10"),
     ("n_token_ids", 11, "token_ids [1, 2, 27, 3, 4, 5, 6, 7, 0, 0, 0] is not"),
     ("row", 8, "row 8, col 7 is off the 8x8 grid"),
     ("answer_index", 99, "answer_index 99 is not the rebuilt sample's 4"),

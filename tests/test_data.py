@@ -215,6 +215,21 @@ def test_audit_counts_a_token_id_outside_the_vocabulary(bad_id):
     assert audit_dataset(hand_built) == 1
 
 
+@pytest.mark.parametrize("count", [5, 12])
+def test_audit_counts_an_object_count_generation_cannot_draw(count):
+    # the default config draws exactly 10 objects; the edited sample is
+    # rebuilt from its objects, so its answer still holds
+    ds = generate_dataset(DatasetConfig(n_samples=4, seed=22))
+    sample = ds.samples[0]
+    objects = sample.scene.objects[:count] + tuple(
+        SceneObject("tree", 7, col, "small") for col in range(count - 10))
+    assert len({(o.row, o.col) for o in objects}) == count
+    edited = dt._sample(ds.config, dt._scene(ds.config, objects), sample.template_id,
+                        sample.slots, sample.split)
+    hand_built = dt.Dataset(config=ds.config, samples=(edited,) + ds.samples[1:])
+    assert audit_dataset(hand_built) == 1
+
+
 # ---------------------------------------------------------------- scenes
 
 
@@ -344,6 +359,22 @@ def test_generated_queries_fit_token_budget_and_vocabulary():
                          sample.token_ids[sample.n_tokens :])
         assert all(1 <= t < len(VOCABULARY) for t in real)
         assert all(t == TOKEN_IDS[PAD_TOKEN] for t in padding)
+
+
+def test_the_question_table_holds_every_question_generation_gives():
+    k_max = DatasetConfig().k_max
+    questions = dt._questions(k_max)
+    assert len(questions) == 46
+    for (template_id, slots), tokens in questions.items():
+        assert tokens == tokenize(TEMPLATES[template_id].render(slots), k_max)
+    drawn = set()
+    for variant, categories in dt.VARIANT_CATEGORIES.items():
+        ds = generate_dataset(DatasetConfig(n_samples=20000, seed=38, variant=variant))
+        seen = {(s.template_id, s.slots) for s in ds.samples}
+        assert seen == {key for key in questions
+                        if TEMPLATES[key[0]].category in categories}, variant
+        drawn |= seen
+    assert drawn == set(questions)
 
 
 def test_pad_token_is_index_zero():
@@ -752,12 +783,16 @@ def test_equal_objects_are_one_shared_instance(tmp_path):
     path = tmp_path / "ds.jsonl"
     export_dataset(ds, path)
     imported = import_dataset(path)
-    store = dt._OBJECT_STORES[config.grid_size]
+    grid = config.grid_size
     for sample, back in zip(ds.samples, imported.samples):
         for obj, obj_back in zip(sample.scene.objects, back.scene.objects):
-            assert obj is obj_back is store[obj.cls, obj.row, obj.col, obj.size]
-    for grid_size, objects in dt._OBJECT_STORES.items():
-        assert len(objects) <= len(OBJECT_CLASSES) * len(SIZE_CELLS) * grid_size ** 2
+            assert obj is obj_back is dt._record_object(grid, *dataclasses.astuple(obj))
+    # each code names its own object: at most 10 per grid cell
+    table = dt._objects_by_code(grid)
+    assert len(table) <= len(OBJECT_CLASSES) * len(dt.SIZES) * grid ** 2
+    for code, obj in table.items():
+        kind = OBJECT_CLASSES.index(obj.cls) * len(dt.SIZES) + dt.SIZES.index(obj.size)
+        assert code == (obj.row * grid + obj.col) * len(OBJECT_CLASSES) * len(dt.SIZES) + kind
 
 
 @pytest.fixture(scope="module")
@@ -829,7 +864,9 @@ def test_import_checks_object_fields_and_stores_only_valid_objects(tmp_path):
     # a rejected object leaves no entry behind; export writes row and col as
     # JSON integers, so a string, a float or a boolean is rejected even where
     # it equals the stored value
-    sizes = {grid: len(objects) for grid, objects in dt._OBJECT_STORES.items()}
+    tables = (dt._objects_by_code(ds.config.grid_size),
+              dt._objects_by_fragment(ds.config.grid_size))
+    sizes = [len(table) for table in tables]
     for obj, shown in [(["castle", 0, 0, "small"], "castle"),
                        (["road", 8, 0, "small"], "row 8"),
                        (["road", float("inf"), 0, "small"], "row inf"),
@@ -843,9 +880,8 @@ def test_import_checks_object_fields_and_stores_only_valid_objects(tmp_path):
         edited = _edit_first_record(path, tmp_path / "bad.jsonl", _first_object(obj))
         with pytest.raises(DatasetFormatError, match=f"line 2: .*{shown}"):
             import_dataset(edited)
-    assert {grid: len(objects) for grid, objects in dt._OBJECT_STORES.items()} == sizes
-    assert all(obj.cls in OBJECT_CLASSES for objects in dt._OBJECT_STORES.values()
-               for obj in objects.values())
+    assert [len(table) for table in tables] == sizes
+    assert all(obj.cls in OBJECT_CLASSES for table in tables for obj in table.values())
 
 
 # ---------------------------------------------------------------- record text
@@ -1020,10 +1056,16 @@ def _on_the_first_objects_cell(objects):
     objects[1][1:3] = objects[0][1:3]
 
 
-def _seventeen_objects(objects):
-    taken = {(row, col) for _, row, col, _ in objects}
-    free = [(row, col) for row in range(8) for col in range(8) if (row, col) not in taken]
-    objects += [["tree", row, col, "small"] for row, col in free[:17 - len(objects)]]
+def _object_count(count: int):
+    """An objects edit to count objects: the first count of them, then
+    small trees on the free cells of the default 8x8 grid."""
+    def edit(objects):
+        taken = {(row, col) for _, row, col, _ in objects}
+        free = [(row, col) for row in range(8) for col in range(8)
+                if (row, col) not in taken]
+        del objects[count:]
+        objects += [["tree", row, col, "small"] for row, col in free[:count - len(objects)]]
+    return edit
 
 
 @pytest.mark.parametrize("edit,rederive,shown", [
@@ -1033,40 +1075,54 @@ def _seventeen_objects(objects):
     (lambda record: record.update(answer_index=(record["answer_index"] + 1) % len(ANSWERS)),
      False, "answer_index"),
     (_objects_edit(_on_the_first_objects_cell), True, "10 objects on 9 grid cells"),
-    (_objects_edit(_seventeen_objects), True, "17 objects, expected 1 to t_max=16"),
+    (_objects_edit(_object_count(17)), True,
+     "17 objects, expected min_objects=10 to max_objects=10"),
+    # counts under t_max that the default config, 10 objects, never draws
+    (_objects_edit(_object_count(5)), True,
+     "5 objects, expected min_objects=10 to max_objects=10"),
+    (_objects_edit(_object_count(12)), True,
+     "12 objects, expected min_objects=10 to max_objects=10"),
     (_objects_edit(lambda objects: objects[0].__setitem__(1, 8)), True,
      "object at row 8, col"),
     (lambda record: record.update(template_id=3, slots=["road", "road"]), True,
      "comparison of 'road' with itself"),
     (lambda record: record.update(split="test2"), False,
      "split 'test2' is not among the header's splits"),
-], ids=["zone", "answer", "shared_cell", "past_t_max", "off_grid", "self_comparison",
-        "split"])
+], ids=["zone", "answer", "shared_cell", "past_t_max", "under_min_objects",
+        "over_max_objects", "off_grid", "self_comparison", "split"])
 def test_a_line_in_exports_spelling_that_fails_a_check_gets_its_error(
         exported, edit, rederive, shown):
     # every check of the JSON path holds on the text path too: a line as
-    # export would write it, but for one value, raises that path's error
+    # export would write it, but for one value, raises that path's error,
+    # and so does the same record in another spelling
     directory, lines = exported
     record = json.loads(lines[1])
     edit(record)
     line = json.dumps(record, sort_keys=True)
     if rederive:
         line = _rederived(line, DatasetConfig().urban_threshold)
-    assert dt._RECORD_TEXT.fullmatch(line)
+    compact = json.dumps(json.loads(line), separators=(",", ":"))
+    assert dt._RECORD_TEXT.fullmatch(line) and not dt._RECORD_TEXT.fullmatch(compact)
     path = directory / "one_check.jsonl"
     path.write_text("\n".join([lines[0], line, *lines[2:]]) + "\n", encoding="utf-8")
     message = _import_outcome(path)
     assert message == _json_path_outcome(path)
     assert message.startswith(f"malformed sample record at line 2: {shown}")
+    path.write_text("\n".join([lines[0], compact, *lines[2:]]) + "\n", encoding="utf-8")
+    assert _import_outcome(path) == message
 
 
 def test_a_canonical_export_is_read_by_its_text(tmp_path, monkeypatch):
-    dataset = generate_dataset(DatasetConfig(n_samples=300, seed=37, grid_size=6,
-                                             test_fraction=0.1, test2_fraction=0.1,
-                                             train_fraction=0.8))
-    path = tmp_path / "ds.jsonl"
-    export_dataset(dataset, path)
-    assert import_dataset(path) == dataset      # every object of the file is known
+    # hr_like draws area questions, which lr_like never asks
+    datasets = [generate_dataset(DatasetConfig(n_samples=300, seed=37, grid_size=6,
+                                               test_fraction=0.1, test2_fraction=0.1,
+                                               train_fraction=0.8)),
+                generate_dataset(DatasetConfig(n_samples=300, seed=39, variant="hr_like",
+                                               min_objects=3, max_objects=12))]
+    paths = [tmp_path / f"ds{index}.jsonl" for index in range(len(datasets))]
+    for dataset, path in zip(datasets, paths):
+        export_dataset(dataset, path)
+        assert import_dataset(path) == dataset      # every object of the file is known
     decoded = []
     loads = json.loads
 
@@ -1075,5 +1131,8 @@ def test_a_canonical_export_is_read_by_its_text(tmp_path, monkeypatch):
         return loads(text, **kwargs)
 
     monkeypatch.setattr(dt.json, "loads", counted_loads)
-    assert import_dataset(path) == dataset
-    assert decoded == path.read_text(encoding="utf-8").splitlines()[:1]
+    for dataset, path in zip(datasets, paths):
+        decoded.clear()
+        assert import_dataset(path) == dataset
+        assert decoded == path.read_text(encoding="utf-8").splitlines()[:1]
+    assert {s.category for s in datasets[1].samples} == set(dt.VARIANT_CATEGORIES["hr_like"])
