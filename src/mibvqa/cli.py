@@ -1,7 +1,7 @@
 """Command-line interface: gen-data, train, eval, ablate.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 data or format error,
-4 numerical divergence during training.
+Exit codes: 0 success, 2 usage error (argparse), 3 data or format error
+(out of memory included), 4 numerical divergence during training.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import sys
 from .config_io import ConfigError, build_dataset_config, build_train_setup, read_config_file
 from .data import DatasetFormatError, export_dataset, generate_dataset, import_dataset
 from .training import (
-    CheckpointError, DivergenceError, Metrics, ablate, evaluate, load_checkpoint,
-    save_checkpoint, train,
+    ABLATION_VARIANTS, CheckpointError, DivergenceError, Metrics, ablate, evaluate,
+    load_checkpoint, save_checkpoint, train,
 )
 
 EXIT_OK = 0
@@ -33,11 +33,34 @@ def _metrics_text(metrics: Metrics, split: str) -> str:
     return "\n".join(lines)
 
 
-def _check_output_file(path) -> None:
+# The flags that name a command's input files.
+INPUT_FLAGS = ("data", "ckpt", "config")
+
+
+def _same_file(path, other) -> bool:
+    """Whether both paths exist and name one file."""
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return False
+
+
+def _check_not_an_input(path, args) -> None:
+    """Raise OSError if path is one of the command's input files, which
+    writing it would overwrite."""
+    for flag in INPUT_FLAGS:
+        source = getattr(args, flag, None)
+        if source is not None and _same_file(path, source):
+            raise OSError(f"output path {path!r} is the --{flag} input {source!r}")
+
+
+def _check_output_file(path, args) -> None:
     """Raise OSError unless a file can be written at path: its directory
-    exists and is writable, and path is not a directory."""
+    exists and is writable, path is not a directory, and it is none of the
+    command's input files."""
     if not os.path.basename(path) or os.path.isdir(path):
         raise OSError(f"output path {path!r} names a directory, not a file")
+    _check_not_an_input(path, args)
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise OSError(f"output directory {parent} does not exist "
@@ -60,7 +83,7 @@ def _check_output_dir(path) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    _check_output_file(args.out)
+    _check_output_file(args.out, args)
     kv = read_config_file(args.config) if args.config else {}
     config = build_dataset_config(kv, vars(args))
     dataset = generate_dataset(config)
@@ -73,9 +96,19 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _train_setup(args) -> tuple:
-    """(TrainConfig, ModelConfig) from --config and the flags that override it."""
+# The ModelConfig fields ablate sets per variant, so it takes neither as
+# a flag nor as a config key.
+ABLATION_FLAGS = ("enable_cross_attention", "enable_infomax")
+
+
+def _train_setup(args, fixed=()) -> tuple:
+    """(TrainConfig, ModelConfig) from --config and the flags that override
+    it; a config key among fixed, which the command sets per variant, fails."""
     kv = read_config_file(args.config) if args.config else {}
+    given = [key for key in fixed if key in kv]
+    if given:
+        raise ConfigError(f"{args.command} sets {', '.join(given)} per variant; "
+                          f"remove it from the config file {args.config}")
     return build_train_setup(kv, vars(args))
 
 
@@ -88,7 +121,7 @@ def _print_epoch(epoch: int, model, record: dict) -> None:
 
 
 def _cmd_train(args) -> int:
-    _check_output_file(args.out)
+    _check_output_file(args.out, args)
     config, mc = _train_setup(args)
     dataset = import_dataset(args.data)
     result = train(config, dataset, model_config=mc, epoch_callback=_print_epoch)
@@ -102,7 +135,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.json_out:
-        _check_output_file(args.json_out)
+        _check_output_file(args.json_out, args)
     checkpoint = load_checkpoint(args.ckpt)
     dataset = import_dataset(args.data)
     metrics = evaluate(checkpoint, dataset, args.split)
@@ -118,19 +151,23 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     _check_output_dir(args.out)
-    config, mc = _train_setup(args)
+    table_path = os.path.join(args.out, "ablation.txt")
+    json_path = os.path.join(args.out, "ablation.json")
+    ckpt_paths = {name: os.path.join(args.out, f"{name}.ckpt")
+                  for name, _, _ in ABLATION_VARIANTS}
+    for path in (table_path, json_path, *ckpt_paths.values()):
+        _check_not_an_input(path, args)
+    config, mc = _train_setup(args, fixed=ABLATION_FLAGS)
     dataset = import_dataset(args.data)
     result = ablate(dataset, config, split=args.split, model_config=mc)
     os.makedirs(args.out, exist_ok=True)
-    table_path = os.path.join(args.out, "ablation.txt")
     with open(table_path, "w", encoding="utf-8") as f:
         f.write(result.table)
-    json_path = os.path.join(args.out, "ablation.json")
     with open(json_path, "w", encoding="utf-8") as f:
         json.dump(result.to_dict(), f, sort_keys=True, indent=2)
         f.write("\n")
     for name, checkpoint in result.checkpoints.items():
-        save_checkpoint(checkpoint, os.path.join(args.out, f"{name}.ckpt"))
+        save_checkpoint(checkpoint, ckpt_paths[name])
     print(result.table, end="")
     print(f"wrote {table_path}, {json_path}, and 4 checkpoints")
     return EXIT_OK
@@ -139,14 +176,6 @@ def _cmd_ablate(args) -> int:
 def _add_train_flags(parser) -> None:
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--no-cross-attention", dest="enable_cross_attention",
-                        action="store_false", default=None,
-                        help="replace both attention blocks with masked mean pooling")
-    parser.add_argument("--no-infomax", dest="enable_infomax",
-                        action="store_false", default=None,
-                        help="drop the information bottleneck: the classifier "
-                             "reads the fused vector, and the loss is the "
-                             "cross-entropy alone")
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="the bottleneck's beta: weight of the KL between "
                              "its latent and the standard normal prior")
@@ -172,6 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset path from gen-data")
     p.add_argument("--out", required=True, help="output checkpoint path")
     _add_train_flags(p)
+    p.add_argument("--no-cross-attention", dest="enable_cross_attention",
+                   action="store_false", default=None,
+                   help="replace both attention blocks with masked mean pooling")
+    p.add_argument("--no-infomax", dest="enable_infomax",
+                   action="store_false", default=None,
+                   help="drop the information bottleneck: the classifier "
+                        "reads the fused vector, and the loss is the "
+                        "cross-entropy alone")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -198,6 +235,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, DatasetFormatError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -30,10 +30,6 @@ import numpy as np
 from .encoders import ImageObjectFeatures, QueryTokens
 
 
-class TemplateError(ValueError):
-    """A template emitted an invalid token sequence."""
-
-
 class DatasetFormatError(ValueError):
     """A dataset file failed to parse or validate."""
 
@@ -60,8 +56,6 @@ ZONE_LABELS = ("rural", "urban")
 # The one answer space of every category; a label is an index into it.
 ANSWERS = ("no", "yes") + COUNT_LABELS + ZONE_LABELS + AREA_BIN_LABELS
 ANSWER_INDEX = {a: i for i, a in enumerate(ANSWERS)}
-
-CATEGORIES = ("count", "presence", "comparison", "rural_urban", "area")
 
 PAD_TOKEN = "<pad>"
 VOCABULARY = (
@@ -137,8 +131,8 @@ class _FragmentObjects(dict):
     def __missing__(self, body: str) -> SceneObject:
         fragment = "[" + body + "]"
         try:
-            obj = _record_object(self.grid_size, *json.loads(fragment))
-        except (TypeError, ValueError, RecursionError):
+            obj = _record_object(self.grid_size, *decode_json(fragment))
+        except (TypeError, ValueError):
             raise KeyError(body) from None
         if obj.json_fragment != fragment:
             raise KeyError(body)
@@ -221,6 +215,9 @@ TEMPLATES = (
 SLOT_VALUES = {"cls": OBJECT_CLASSES, "cls_a": OBJECT_CLASSES,
                "cls_b": OBJECT_CLASSES, "size": SIZES}
 
+# The question categories, in the order of their first template.
+CATEGORIES = tuple(dict.fromkeys(t.category for t in TEMPLATES))
+
 # Each slot renders to one token, so a question has its pattern's length.
 MAX_QUESTION_TOKENS = max(len(t.pattern) for t in TEMPLATES)
 
@@ -241,9 +238,7 @@ def answer_oracle(scene: Scene, template: QueryTemplate, slots: tuple) -> str:
         return "yes" if more else "no"
     if template.category == "rural_urban":
         return scene.zone_label
-    if template.category == "area":
-        return area_label(class_area(scene, values["cls"]))
-    raise TemplateError(f"unknown category {template.category!r}")
+    return area_label(class_area(scene, values["cls"]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +279,27 @@ def check_keys(value, keys: Sequence, what: str) -> None:
         raise ValueError(f"{what} keys: missing {missing}, unknown {unknown}")
 
 
+def _object_once(pairs: list) -> dict:
+    """A JSON object's dict; raises ValueError naming a key it gives twice."""
+    value = dict(pairs)
+    if len(value) != len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for at, key in enumerate(keys) if key in keys[:at])
+        raise ValueError(f"key {twice!r} given twice")
+    return value
+
+
+def decode_json(text: str):
+    """json.loads(text), but every failure is a ValueError: an object that
+    names a key twice, whose last value json.loads would keep, fails naming
+    the key (a reader never skips a key it does not read), and JSON nested
+    past the recursion limit fails with RecursionError's message."""
+    try:
+        return json.loads(text, object_pairs_hook=_object_once)
+    except RecursionError as e:
+        raise ValueError(str(e)) from None
+
+
 def config_from_json(config_class, value):
     """config_class from the JSON object a file echoes it as. Its keys must
     be exactly the class's fields: a reader never fills in a default."""
@@ -296,6 +312,9 @@ def config_from_json(config_class, value):
 MAX_SAMPLES = 1 << 32
 # The largest grid: its cells, grid_size**2, must fit one 32-bit draw.
 MAX_GRID_SIZE = 1 << 16
+# The widest model layer: a weight of two such widths has 2**32 values, far
+# inside NumPy's size limit, so an oversized config fails here, not in NumPy.
+MAX_WIDTH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -452,18 +471,6 @@ def query_tokens(samples: Sequence[VQASample], k_max: int) -> QueryTokens:
     return QueryTokens(token_ids=ids, token_mask=mask)
 
 
-def tokenize(words: tuple, k_max: int) -> tuple:
-    """Map words to padded id tuple; raises TemplateError if too long."""
-    if len(words) > k_max:
-        raise TemplateError(f"question of {len(words)} tokens exceeds k_max={k_max}")
-    try:
-        ids = [TOKEN_IDS[w] for w in words]
-    except KeyError as e:
-        raise TemplateError(f"word {e.args[0]!r} not in vocabulary") from None
-    ids += [TOKEN_IDS[PAD_TOKEN]] * (k_max - len(words))
-    return tuple(ids), len(words)
-
-
 # ---------------------------------------------------------------------------
 # generation
 
@@ -613,22 +620,26 @@ def _sample_question(words, scene: Scene, category: str):
         return 3, (OBJECT_CLASSES[a], OBJECT_CLASSES[b])
     if category == "rural_urban":
         return 4, ()
-    if category == "area":
-        return 5, (OBJECT_CLASSES[_below(first, len(OBJECT_CLASSES))],)
-    raise TemplateError(f"unknown category {category!r}")
+    return 5, (OBJECT_CLASSES[_below(first, len(OBJECT_CLASSES))],)
 
 
 # Per k_max there are 46 (template, slots) questions: 5 count,
 # 5 + 10 presence, 20 comparison, 1 rural_urban and 5 area.
 @functools.cache
 def _questions(k_max: int) -> dict:
-    """tokenize() of the rendered question at this k_max, by (template_id,
-    slots), of every question generation can give: each a known template
-    with a value of its kind in every slot, and a comparison two classes."""
-    return {(template_id, slots): tokenize(template.render(slots), k_max)
-            for template_id, template in enumerate(TEMPLATES)
-            for slots in itertools.product(*map(SLOT_VALUES.get, template.slot_names))
-            if template.category != "comparison" or slots[0] != slots[1]}
+    """The token ids, padded to k_max, and the token count of the rendered
+    question, by (template_id, slots), of every question generation can
+    give: each a known template with a value of its kind in every slot, and
+    a comparison two classes. Every word is in VOCABULARY and DatasetConfig
+    keeps k_max at least MAX_QUESTION_TOKENS."""
+    table = {}
+    for template_id, template in enumerate(TEMPLATES):
+        for slots in itertools.product(*map(SLOT_VALUES.get, template.slot_names)):
+            if template.category != "comparison" or slots[0] != slots[1]:
+                ids = [TOKEN_IDS[word] for word in template.render(slots)]
+                padding = [TOKEN_IDS[PAD_TOKEN]] * (k_max - len(ids))
+                table[template_id, slots] = tuple(ids + padding), len(ids)
+    return table
 
 
 def _sample(config: DatasetConfig, scene: Scene, template_id: int, slots: tuple,
@@ -918,7 +929,7 @@ def import_dataset(path) -> Dataset:
 
     A record line exactly as export writes it is read by its text
     (_sample_from_text), without a JSON decode once its objects are known;
-    any other line is decoded with json.loads and read by
+    any other line is decoded with decode_json and read by
     _sample_from_record, which gives the same sample for any JSON spelling
     of the same record and raises every record error."""
     try:
@@ -929,8 +940,8 @@ def import_dataset(path) -> Dataset:
     if not lines:
         raise DatasetFormatError("empty dataset file")
     try:
-        header = json.loads(lines[0])
-    except (json.JSONDecodeError, RecursionError) as e:
+        header = decode_json(lines[0])
+    except ValueError as e:
         raise DatasetFormatError(f"malformed header line: {e}") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise DatasetFormatError("not a dataset file (bad format marker)")
@@ -958,8 +969,8 @@ def import_dataset(path) -> Dataset:
         sample = _sample_from_text(line, config, objects, questions, splits)
         if sample is None:
             try:
-                rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:
+                rec = decode_json(line)
+            except ValueError as e:
                 raise DatasetFormatError(f"malformed record at line {i}: {e}") from None
             sample = _sample_from_record(rec, i, config)
         samples.append(sample)

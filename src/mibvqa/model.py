@@ -19,7 +19,7 @@ import numpy as np
 
 from .attention import AttentionParams, image_attention, query_attention
 from .autodiff import Tensor, hadamard, no_grad
-from .data import ANSWERS, FEATURE_WIDTH, VOCABULARY, check_field_types
+from .data import ANSWERS, FEATURE_WIDTH, MAX_WIDTH, VOCABULARY, check_field_types
 from .encoders import (
     EncoderParams, ImageObjectFeatures, QueryTokens, encode_image, encode_query,
     masked_mean,
@@ -55,6 +55,9 @@ class ModelConfig:
             value = getattr(self, f.name)
             if type(value) is int and value <= 0:
                 raise ValueError(f"ModelConfig.{f.name} must be positive")
+            if type(value) is int and value > MAX_WIDTH:
+                raise ValueError(f"ModelConfig.{f.name} must be at most {MAX_WIDTH}, "
+                                 f"got {value}")
 
 
 class VQAModel:

@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import Adam, NonFiniteGradientError, backward
 from .data import (
     ANSWERS, CATEGORIES, Dataset, DatasetFormatError, check_field_types,
-    check_keys, config_from_json, query_tokens, scene_features,
+    check_keys, config_from_json, decode_json, query_tokens, scene_features,
 )
 from .encoders import ImageObjectFeatures, QueryTokens
 from .model import ModelConfig, VQAModel
@@ -103,14 +103,12 @@ class Metrics:
     n_samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "average_accuracy": self.average_accuracy,
-            "per_category_accuracy": dict(self.per_category_accuracy),
-            "confusion": {str(t): {str(p): c for p, c in row.items()}
-                          for t, row in self.confusion.items()},
-            "n_samples": self.n_samples,
-        }
+        """Every field by name, as JSON holds it: the confusion's answer
+        indices become string keys."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "per_category_accuracy": dict(self.per_category_accuracy),
+                "confusion": {str(t): {str(p): c for p, c in row.items()}
+                              for t, row in self.confusion.items()}}
 
 
 @dataclass(frozen=True)
@@ -414,17 +412,15 @@ def ablate(dataset: Dataset, base_config: TrainConfig, split: str = "test",
 
 def format_ablation_table(rows: list) -> str:
     """Fixed-width text table: variant, per-category accuracies, OA, AA."""
-    categories = sorted({c for r in rows for c in r["per_category_accuracy"]},
-                        key=lambda c: CATEGORIES.index(c) if c in CATEGORIES else 99)
+    # every row is train()'s metrics of one split, so all hold its categories
+    categories = sorted(rows[0]["per_category_accuracy"], key=CATEGORIES.index)
     name_w = max(len("variant"), max(len(r["name"]) for r in rows))
     headers = ["variant".ljust(name_w)] + [f"{c:>12}" for c in categories]
     headers += [f"{'OA':>8}", f"{'AA':>8}"]
     lines = ["  ".join(headers)]
     for r in rows:
         cells = [r["name"].ljust(name_w)]
-        for c in categories:
-            acc = r["per_category_accuracy"].get(c)
-            cells.append(f"{acc:>12.4f}" if acc is not None else f"{'-':>12}")
+        cells += [f"{r['per_category_accuracy'][c]:>12.4f}" for c in categories]
         cells.append(f"{r['overall_accuracy']:>8.4f}")
         cells.append(f"{r['average_accuracy']:>8.4f}")
         lines.append("  ".join(cells))
@@ -440,32 +436,6 @@ CKPT_VERSION = 6
 CKPT_DTYPE = "<f8"
 
 
-def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Plain-text format, bit-exact under round-trip.
-
-    Header `ckpt v6 <n_tensors>`: the count of parameter tensors.
-    `meta`/`config`/`metrics`/`answers` lines carry JSON payloads (`config
-    model` holds the ModelConfig: seven widths and two flags; `config train`
-    the recipe, seed included); each `tensor <name> <dims...>` line (no dims
-    for a scalar) is followed by exactly one line, the base64 of the
-    tensor's little-endian float64 bytes in C order.
-    """
-    lines = [f"{CKPT_MAGIC} v{CKPT_VERSION} {len(checkpoint.parameters)}"]
-    lines.append(f"meta step_count {checkpoint.step_count}")
-    lines.append("config model " + json.dumps(asdict(checkpoint.model_config),
-                                              sort_keys=True))
-    lines.append("config train " + json.dumps(asdict(checkpoint.train_config),
-                                              sort_keys=True))
-    lines.append("metrics " + json.dumps(checkpoint.metrics, sort_keys=True))
-    lines.append("answers " + json.dumps(list(checkpoint.answers)))
-    for name, array in checkpoint.parameters.items():
-        lines.append(" ".join(["tensor", name, *map(str, array.shape)]))
-        raw = np.ascontiguousarray(array, dtype=CKPT_DTYPE).tobytes()
-        lines.append(base64.b64encode(raw).decode("ascii"))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def _step_count(payload: str) -> int:
     step_count = int(payload)
     if step_count < 0:
@@ -475,7 +445,7 @@ def _step_count(payload: str) -> int:
 
 def _metrics(payload: str) -> dict:
     """Each split's Metrics.to_dict(): exactly the Metrics fields."""
-    metrics = json.loads(payload)
+    metrics = decode_json(payload)
     if not isinstance(metrics, dict):
         raise ValueError("expected an object mapping splits to objects")
     names = [f.name for f in fields(Metrics)]
@@ -484,14 +454,38 @@ def _metrics(payload: str) -> dict:
     return metrics
 
 
-# The lines save_checkpoint writes after the header, in order: prefix, parser.
+# The lines after the header, in order: each line's prefix, the payload
+# save_checkpoint renders from the checkpoint, and the parser
+# load_checkpoint applies to it.
 _CKPT_LINES = (
-    ("meta step_count ", _step_count),
-    ("config model ", lambda p: config_from_json(ModelConfig, json.loads(p))),
-    ("config train ", lambda p: config_from_json(TrainConfig, json.loads(p))),
-    ("metrics ", _metrics),
-    ("answers ", lambda p: tuple(json.loads(p))),
+    ("meta step_count ", lambda c: str(c.step_count), _step_count),
+    ("config model ", lambda c: json.dumps(asdict(c.model_config), sort_keys=True),
+     lambda p: config_from_json(ModelConfig, decode_json(p))),
+    ("config train ", lambda c: json.dumps(asdict(c.train_config), sort_keys=True),
+     lambda p: config_from_json(TrainConfig, decode_json(p))),
+    ("metrics ", lambda c: json.dumps(c.metrics, sort_keys=True), _metrics),
+    ("answers ", lambda c: json.dumps(c.answers), lambda p: tuple(decode_json(p))),
 )
+
+
+def save_checkpoint(checkpoint: Checkpoint, path) -> None:
+    """Plain-text format, bit-exact under round-trip.
+
+    Header `ckpt v6 <n_tensors>`: the count of parameter tensors. The
+    _CKPT_LINES follow: `meta`/`config`/`metrics`/`answers` lines carry JSON
+    payloads (`config model` holds the ModelConfig: seven widths and two
+    flags; `config train` the recipe, seed included); each `tensor <name>
+    <dims...>` line (no dims for a scalar) is followed by exactly one line,
+    the base64 of the tensor's little-endian float64 bytes in C order.
+    """
+    lines = [f"{CKPT_MAGIC} v{CKPT_VERSION} {len(checkpoint.parameters)}"]
+    lines += [prefix + render(checkpoint) for prefix, render, _ in _CKPT_LINES]
+    for name, array in checkpoint.parameters.items():
+        lines.append(" ".join(["tensor", name, *map(str, array.shape)]))
+        raw = np.ascontiguousarray(array, dtype=CKPT_DTYPE).tobytes()
+        lines.append(base64.b64encode(raw).decode("ascii"))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _parse_line(lines: list, index: int, prefix: str, parse: Callable):
@@ -505,7 +499,7 @@ def _parse_line(lines: list, index: int, prefix: str, parse: Callable):
                               f"line, found {found}")
     try:
         return parse(lines[index][len(prefix):])
-    except (TypeError, ValueError, RecursionError) as e:
+    except (TypeError, ValueError) as e:
         raise CheckpointError(
             f"malformed {prefix.strip()!r} payload on line {index + 1}: {e}") from None
 
@@ -534,7 +528,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     step_count, model_config, train_config, metrics, answers = (
         _parse_line(lines, index, prefix, parse)
-        for index, (prefix, parse) in enumerate(_CKPT_LINES, start=1))
+        for index, (prefix, _, parse) in enumerate(_CKPT_LINES, start=1))
     parameters: dict = {}
     end = len(_CKPT_LINES) + 1 + 2 * n_tensors
     for index in range(len(_CKPT_LINES) + 1, end, 2):

@@ -26,9 +26,9 @@ from helpers_ops import (
 )
 from mibvqa import autodiff as ad
 from mibvqa.data import (
-    _CLASS_INDEX, ANSWERS, OBJECT_CLASSES, SIZE_FEATURE, SIZES, TEMPLATES,
-    VOCABULARY, Dataset, DatasetConfig, DatasetFormatError, Scene, SceneObject,
-    VQASample, answer_oracle, tokenize,
+    _CLASS_INDEX, ANSWERS, OBJECT_CLASSES, PAD_TOKEN, SIZE_FEATURE, SIZES,
+    TEMPLATES, VOCABULARY, Dataset, DatasetConfig, DatasetFormatError, Scene,
+    SceneObject, VQASample, answer_oracle,
 )
 from mibvqa.fusion import cross_entropy
 from mibvqa.infomax import LOG_VAR_MAX, LOG_VAR_MIN, LossBreakdown, total_loss
@@ -424,6 +424,14 @@ def reference_sample_question(words: list, scene: Scene, category: str):
     raise ValueError(f"unknown category {category!r}")
 
 
+def reference_tokenize(words: tuple, k_max: int) -> tuple:
+    """The token ids of a question's words, padded to k_max, and its token
+    count; the question must fit k_max and every word be in VOCABULARY."""
+    assert len(words) <= k_max and set(words) <= set(VOCABULARY), (words, k_max)
+    padding = (VOCABULARY.index(PAD_TOKEN),) * (k_max - len(words))
+    return tuple(map(VOCABULARY.index, words)) + padding, len(words)
+
+
 def reference_make_sample(config: DatasetConfig, index: int, category: str,
                           split: str) -> VQASample:
     words = reference_block(config, index)
@@ -432,7 +440,7 @@ def reference_make_sample(config: DatasetConfig, index: int, category: str,
     template_id, slots = reference_sample_question(
         words[questions_at:questions_at + 3], scene, category)
     template = TEMPLATES[template_id]
-    token_ids, n_tokens = tokenize(template.render(slots), config.k_max)
+    token_ids, n_tokens = reference_tokenize(template.render(slots), config.k_max)
     answer = answer_oracle(scene, template, slots)
     return VQASample(scene=scene, category=category,
                      template_id=template_id, slots=slots,

@@ -31,13 +31,13 @@ from mibvqa.cli import build_parser, main
 from mibvqa.data import (
     ANSWER_INDEX, CATEGORIES, FORMAT_NAME, TEMPLATES, VARIANT_CATEGORIES,
     VOCABULARY, DatasetConfig, Scene, SceneObject, answer_oracle, import_dataset,
-    tokenize,
 )
 from mibvqa.model import ModelConfig
 from mibvqa.training import (
     ABLATION_VARIANTS, TrainConfig, build_model, evaluate, evaluate_model,
     load_checkpoint,
 )
+from helpers_oracles import reference_tokenize
 
 DATASET_CFG = """\
 # tiny deterministic scene/question corpus for CLI tests
@@ -304,6 +304,44 @@ def test_train_rejects_a_nonpositive_model_width(tmp_path, data_path, capsys):
     assert code == 3
     assert err.startswith("error:") and "d_h" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("where", ["train_config", "checkpoint"])
+def test_a_model_width_past_the_bound_exits_with_one_error_line(
+        tmp_path, ckpt_path, data_path, capsys, where):
+    # 2**62 is past NumPy's size limit for an array of two such widths; the
+    # config check rejects it before any weight is allocated
+    if where == "train_config":
+        bad = tmp_path / "wide.cfg"
+        bad.write_text(f"epochs = 1\nd_h = {2 ** 62}\n", encoding="utf-8")
+        argv = ["train", "--data", str(data_path),
+                "--out", str(tmp_path / "never.ckpt"), "--config", str(bad)]
+        shown = f"error: ModelConfig.d_h must be at most 65536, got {2 ** 62}\n"
+    else:
+        text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), "config model ",
+                                  _set_config_field("model", "d_h", 2 ** 62))
+        bad = tmp_path / "wide.ckpt"
+        bad.write_text(text, encoding="utf-8")
+        argv = ["eval", "--ckpt", str(bad), "--data", str(data_path)]
+        shown = (f"error: malformed 'config model' payload on line {number}: "
+                 f"ModelConfig.d_h must be at most 65536, got {2 ** 62}\n")
+    code = main(argv)
+    assert code == 3
+    assert capsys.readouterr().err == shown
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+def test_out_of_memory_exits_with_one_error_line(tmp_path, data_path, capsys,
+                                                 monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli, "train", out_of_memory)
+    code = main(["train", "--data", str(data_path), "--out", str(tmp_path / "never.ckpt")])
+    assert code == 3
+    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate "
+                                       "8.00 EiB for an array\n")
+    assert not (tmp_path / "never.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -613,6 +651,48 @@ def test_deeply_nested_dataset_line_exits_with_one_error_line(
     assert not (tmp_path / "never.ckpt").exists()
 
 
+# An object that names a key twice: json.loads would keep the last value,
+# so every reader rejects it, naming the key.
+@pytest.mark.parametrize("index,old,new,shown", [
+    (0, '"version": 2', '"version": 2, "version": 2',
+     "error: malformed header line: key 'version' given twice"),
+    (0, '"seed": 11', '"seed": 11, "seed": 12',
+     "error: malformed header line: key 'seed' given twice"),
+    (1, '"split": ', '"split": "test", "split": ',
+     "error: malformed record at line 2: key 'split' given twice"),
+], ids=["header_version", "config_echo_seed", "record_split"])
+def test_a_dataset_line_that_names_a_key_twice_exits_with_one_error_line(
+        tmp_path, data_path, capsys, index, old, new, shown):
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    assert old in lines[index]
+    lines[index] = lines[index].replace(old, new, 1)
+    edited = tmp_path / "twice.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["train", "--data", str(edited), "--out", str(tmp_path / "never.ckpt")])
+    assert code == 3
+    assert capsys.readouterr().err == shown + "\n"
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("prefix,old,new,key", [
+    ("config model ", '"d_h": 12', '"d_h": 12, "d_h": 13', "d_h"),
+    ("config train ", '"seed": 5', '"seed": 5, "seed": 6', "seed"),
+    ("metrics ", '"n_samples": ', '"n_samples": 1, "n_samples": ', "n_samples"),
+    ("answers ", '["no", ', '[{"no": 0, "no": 0}, ', "no"),
+], ids=["config_model", "config_train", "metrics", "answers"])
+def test_a_checkpoint_line_that_names_a_key_twice_exits_with_one_error_line(
+        tmp_path, ckpt_path, data_path, capsys, prefix, old, new, key):
+    text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), prefix,
+                              lambda line: line.replace(old, new, 1))
+    assert new in text
+    broken = tmp_path / "twice.ckpt"
+    broken.write_text(text, encoding="utf-8")
+    code = main(["eval", "--ckpt", str(broken), "--data", str(data_path)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"error: malformed {prefix.strip()!r} payload "
+                                       f"on line {number}: key {key!r} given twice\n")
+
+
 def _first_block_nan(lines: list) -> list:
     index = next(i for i, line in enumerate(lines) if line.startswith("tensor ")) + 1
     values = np.frombuffer(base64.b64decode(lines[index]), dtype="<f8").copy()
@@ -730,7 +810,7 @@ def _rebuild_derived_fields(record: dict, config: dict) -> None:
     sc = record["scene"]
     scene = Scene(config["grid_size"], tuple(SceneObject(*o) for o in sc["objects"]),
                   sc["zone_label"])
-    token_ids, n_tokens = tokenize(template.render(slots), config["k_max"])
+    token_ids, n_tokens = reference_tokenize(template.render(slots), config["k_max"])
     record.update(category=template.category, token_ids=list(token_ids),
                   n_tokens=n_tokens,
                   answer_index=ANSWER_INDEX[answer_oracle(scene, template, slots)])
@@ -1261,6 +1341,40 @@ def test_output_that_cannot_be_written_fails_before_any_work(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("train", "data"), ("train", "config"), ("eval", "ckpt"), ("eval", "data"),
+    ("gen-data", "config"),
+])
+def test_an_output_that_is_one_of_the_inputs_fails_before_any_work(
+        tmp_path, data_path, ckpt_path, train_cfg_path, dataset_cfg_path, capsys,
+        monkeypatch, command, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} worked before checking its output path")
+
+    for name in ("generate_dataset", "import_dataset", "load_checkpoint", "train"):
+        monkeypatch.setattr(cli, name, no_work)
+    sources = {"data": data_path, "ckpt": ckpt_path,
+               "config": dataset_cfg_path if command == "gen-data" else train_cfg_path}
+    inputs = {name: tmp_path / source.name for name, source in sources.items()}
+    for name, source in sources.items():
+        inputs[name].write_bytes(source.read_bytes())
+    # another spelling of the input's path: the check compares files, not text
+    out = str(tmp_path / "." / inputs[flag].name)
+    argv = {"train": ["train", "--data", str(inputs["data"]), "--out", out,
+                      "--config", str(inputs["config"])],
+            "eval": ["eval", "--ckpt", str(inputs["ckpt"]), "--data", str(inputs["data"]),
+                     "--json-out", out],
+            "gen-data": ["gen-data", "--config", str(inputs["config"]), "--out", out],
+            }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == (f"error: output path {out!r} is the --{flag} input "
+                            f"{str(inputs[flag])!r}\n")
+    assert captured.out == ""
+    assert inputs[flag].read_bytes() == sources[flag].read_bytes()
+
+
 def test_ablate_writes_table_json_and_all_four_checkpoints(workdir, data_path,
                                                            train_cfg_path,
                                                            capsys):
@@ -1295,6 +1409,51 @@ def test_ablate_of_a_split_the_dataset_lacks_fails_before_training(
     assert code == 3
     assert err.startswith("error:") and "bogus" in err
     assert len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["ablation.txt", "ablation.json", "baseline.ckpt"])
+def test_ablate_output_that_is_an_input_fails_before_training(
+        tmp_path, data_path, capsys, monkeypatch, name):
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained before checking its output files")
+
+    monkeypatch.setattr(training, "train", no_training)
+    out_dir = tmp_path / "ablation"
+    out_dir.mkdir()
+    inside = out_dir / name
+    inside.write_bytes(data_path.read_bytes())
+    code = main(["ablate", "--data", str(inside), "--out", str(out_dir)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"error: output path {str(inside)!r} is the "
+                                       f"--data input {str(inside)!r}\n")
+    assert inside.read_bytes() == data_path.read_bytes()
+    assert [path.name for path in out_dir.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("flag", ["--no-cross-attention", "--no-infomax"])
+def test_ablate_takes_no_flag_it_sets_per_variant(workdir, data_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--data", str(data_path), "--out", str(workdir / "never"), flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["enable_cross_attention", "enable_infomax"])
+def test_ablate_rejects_a_config_key_it_sets_per_variant(
+        tmp_path, data_path, capsys, monkeypatch, key):
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained with a flag it sets per variant")
+
+    monkeypatch.setattr(training, "train", no_training)
+    config = tmp_path / "flag.cfg"
+    config.write_text(f"epochs = 1\n{key} = false\n", encoding="utf-8")
+    out_dir = tmp_path / "ablation"
+    code = main(["ablate", "--data", str(data_path), "--out", str(out_dir),
+                 "--config", str(config)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"error: ablate sets {key} per variant; remove "
+                                       f"it from the config file {config}\n")
     assert not out_dir.exists()
 
 

@@ -31,7 +31,6 @@ from mibvqa.data import (
     DatasetFormatError,
     Scene,
     SceneObject,
-    TemplateError,
     answer_oracle,
     apportion,
     area_label,
@@ -42,7 +41,6 @@ from mibvqa.data import (
     generate_dataset,
     import_dataset,
     scene_features,
-    tokenize,
 )
 from helpers_oracles import (
     reference_apportion,
@@ -51,6 +49,7 @@ from helpers_oracles import (
     reference_import_samples,
     reference_make_sample,
     reference_sample_question,
+    reference_tokenize,
     zone_of,
 )
 
@@ -331,25 +330,6 @@ def test_query_tokens_equal_the_cut_id_array(data):
 # ---------------------------------------------------------------- questions
 
 
-def test_tokenizer_round_trip_and_padding():
-    words = ("how", "many", "water", "objects", "are", "in", "the", "scene")
-    ids, n = tokenize(words, k_max=12)
-    assert n == len(words) and len(ids) == 12
-    assert all(VOCABULARY[i] == w for i, w in zip(ids[:n], words))
-    assert all(i == TOKEN_IDS[PAD_TOKEN] for i in ids[n:])
-
-
-def test_tokenizer_rejects_overlong_query():
-    words = tuple(["the"] * 13)
-    with pytest.raises(TemplateError):
-        tokenize(words, k_max=12)
-
-
-def test_tokenizer_rejects_unknown_word():
-    with pytest.raises(TemplateError):
-        tokenize(("how", "many", "zeppelins"), k_max=12)
-
-
 def test_generated_queries_fit_token_budget_and_vocabulary():
     ds = generate_dataset(DatasetConfig(n_samples=400, seed=24))
     for sample in ds.samples:
@@ -366,7 +346,7 @@ def test_the_question_table_holds_every_question_generation_gives():
     questions = dt._questions(k_max)
     assert len(questions) == 46
     for (template_id, slots), tokens in questions.items():
-        assert tokens == tokenize(TEMPLATES[template_id].render(slots), k_max)
+        assert tokens == reference_tokenize(TEMPLATES[template_id].render(slots), k_max)
     drawn = set()
     for variant, categories in dt.VARIANT_CATEGORIES.items():
         ds = generate_dataset(DatasetConfig(n_samples=20000, seed=38, variant=variant))
@@ -652,6 +632,22 @@ def test_round_trip_equality_and_stable_bytes(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("text,shown", [
+    ('{"a": 1, "b": 2, "a": 3}', "key 'a' given twice"),
+    ('[{"scene": {"zone_label": "x", "zone_label": "y"}}]', "key 'zone_label' given twice"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ('{"a": 1', "Expecting ',' delimiter"),
+], ids=["top_level", "nested", "too_deep", "malformed"])
+def test_decode_json_fails_with_a_value_error(text, shown):
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        dt.decode_json(text)
+
+
+def test_decode_json_reads_what_json_loads_reads():
+    text = '{"b": [1, 2.5, {"c": null}], "a": "\\u00e9", "d": {}}'
+    assert dt.decode_json(text) == json.loads(text)
+
+
 def test_truncated_file_rejected_with_line_info(tmp_path):
     ds = generate_dataset(DatasetConfig(n_samples=50, seed=32))
     path = tmp_path / "ds.jsonl"
@@ -925,9 +921,12 @@ def _rederived(line: str, urban_threshold: int) -> str:
         template = TEMPLATES[record["template_id"]]
         slots = tuple(record["slots"])
         scene = Scene(0, objects, zone_of(objects, urban_threshold))
-        token_ids, n_tokens = tokenize(template.render(slots), len(record["token_ids"]))
+        token_ids, n_tokens = reference_tokenize(template.render(slots),
+                                                 len(record["token_ids"]))
         answer = ANSWER_INDEX[answer_oracle(scene, template, slots)]
-    except (KeyError, IndexError, TypeError, ValueError):
+    # reference_tokenize asserts: a question longer than the record's ids,
+    # or a slot of another template left unfilled
+    except (KeyError, IndexError, TypeError, ValueError, AssertionError):
         return line
     record["scene"]["zone_label"] = scene.zone_label
     record.update(category=template.category, token_ids=list(token_ids),
