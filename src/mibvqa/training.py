@@ -15,6 +15,7 @@ import base64
 import json
 import math
 import warnings
+import weakref
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
@@ -134,7 +135,8 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class PreparedSplit:
-    """One dataset split as model inputs, built once and reused every epoch.
+    """One split as model inputs: train and evaluate_model share one per split
+    and Dataset object, read-only while it lives; prepare_split's is private.
 
     features: matrix [N, t, d_raw] and object_mask [N, t]; tokens:
     token_ids and token_mask [N, k]; labels: answer indices [N]; categories:
@@ -149,6 +151,10 @@ class PreparedSplit:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def arrays(self) -> tuple:
+        return (self.features.matrix, self.features.object_mask,
+                self.tokens.token_ids, self.tokens.token_mask, self.labels)
+
     def batch(self, idx) -> tuple:
         """(features, tokens, labels) of the samples at idx, an index array
         or a slice."""
@@ -159,9 +165,12 @@ class PreparedSplit:
 
 
 def prepare_split(dataset: Dataset, split: str) -> PreparedSplit:
-    """The model inputs of one split, cut to its largest scene and longest
-    question: padding is a suffix on both axes and the model reads t and k
-    from the batch shape, so the cut changes shapes only."""
+    """A split's model inputs, cut to its largest scene and longest question
+    (padding is a suffix on both axes and the model reads t and k from the
+    batch shape); each call builds a private, writable copy and keeps none."""
+    if split not in dataset.config.splits():
+        raise DatasetFormatError(f"dataset has no split {split!r} "
+                                 f"(splits: {', '.join(dataset.config.splits())})")
     samples = dataset.split(split)
     if not samples:
         raise DatasetFormatError(f"dataset has no samples in split {split!r}")
@@ -174,6 +183,24 @@ def prepare_split(dataset: Dataset, split: str) -> PreparedSplit:
         categories=tuple(s.category for s in samples))
 
 
+_SHARED: dict = {}  # id(Dataset object) -> {split: its shared PreparedSplit}
+
+
+def _shared_split(dataset: Dataset, split: str) -> PreparedSplit:
+    """The split's inputs, prepared on the first call for this Dataset object
+    with their arrays read-only, so writing into a batch raises ValueError
+    instead of changing later evaluations. A failure is not kept; finalize
+    drops the entry as the object is collected, before its id is reused."""
+    if id(dataset) not in _SHARED:
+        weakref.finalize(dataset, _SHARED.pop, id(dataset), None)
+    memo = _SHARED.setdefault(id(dataset), {})
+    if split not in memo:
+        prepared = memo[split] = prepare_split(dataset, split)
+        for array in prepared.arrays():
+            array.setflags(write=False)
+    return memo[split]
+
+
 def train(config: TrainConfig, dataset: Dataset,
           model_config: ModelConfig = ModelConfig(),
           epoch_callback: Optional[Callable] = None) -> TrainResult:
@@ -184,10 +211,10 @@ def train(config: TrainConfig, dataset: Dataset,
     the surrounding harness cut the run short after a completed epoch.
     Raises DivergenceError as soon as any loss term or gradient goes
     non-finite, before the optimizer step that would use it. Every split
-    is prepared before the first step, so one without samples raises
-    DatasetFormatError before any training.
+    is prepared once per Dataset object and shared read-only (_shared_split)
+    before the first step: one without samples fails before any training.
     """
-    prepared = {split: prepare_split(dataset, split)
+    prepared = {split: _shared_split(dataset, split)
                 for split in dataset.config.splits()}
     model = VQAModel(model_config, seed=config.seed)
     samples = prepared["train"]
@@ -199,8 +226,7 @@ def train(config: TrainConfig, dataset: Dataset,
     n = len(samples)
     # each epoch gathers the train inputs in shuffled order into these
     # buffers once, so every step reads a contiguous slice of them
-    inputs = (samples.features.matrix, samples.features.object_mask,
-              samples.tokens.token_ids, samples.tokens.token_mask, samples.labels)
+    inputs = samples.arrays()
     buffers = tuple(map(np.empty_like, inputs))
     for epoch in range(config.epochs):
         order = loop_rng.permutation(n)
@@ -239,8 +265,8 @@ def train(config: TrainConfig, dataset: Dataset,
         if epoch_callback is not None and epoch_callback(epoch, model, epoch_record):
             break
 
-    metrics = {split: _evaluate_prepared(model, split_samples, dataset, split).to_dict()
-               for split, split_samples in prepared.items()}
+    metrics = {split: evaluate_model(model, dataset, split).to_dict()
+               for split in prepared}
     checkpoint = Checkpoint(
         model_config=model_config, train_config=config,
         parameters={name: p.data.copy() for name, p in model.parameters().items()},
@@ -301,28 +327,20 @@ EVAL_CHUNK = 128
 
 
 def evaluate_model(model: VQAModel, dataset: Dataset, split: str) -> Metrics:
-    """Deterministic evaluation: predictions come from logits alone.
-
-    Categories configured for the dataset but absent from the split are
-    omitted from AA with a warning.
+    """Deterministic evaluation: predictions come from logits alone, on the
+    split's inputs shared read-only per Dataset object while it lives
+    (_shared_split). Categories configured for the dataset but absent from
+    the split are omitted from AA with a warning.
     """
-    return _evaluate_prepared(model, prepare_split(dataset, split), dataset, split)
-
-
-def _evaluate_prepared(model: VQAModel, samples: PreparedSplit,
-                       dataset: Dataset, split: str) -> Metrics:
-    """evaluate_model on a split already prepared from dataset."""
+    samples = _shared_split(dataset, split)
     predictions = []
     for start in range(0, len(samples), EVAL_CHUNK):
         features, tokens, _ = samples.batch(slice(start, start + EVAL_CHUNK))
         predictions.extend(model.predict(features, tokens).tolist())
-    categories = samples.categories
-    expected = set(dataset.config.mix())
-    present = set(categories)
-    for missing in sorted(expected - present):
+    for missing in sorted(set(dataset.config.mix()) - set(samples.categories)):
         warnings.warn(f"category {missing!r} absent from split {split!r}; "
                       f"omitted from average accuracy")
-    return compute_metrics(samples.labels.tolist(), predictions, categories)
+    return compute_metrics(samples.labels.tolist(), predictions, samples.categories)
 
 
 def evaluate(checkpoint: Checkpoint, dataset: Dataset, split: str) -> Metrics:
@@ -381,12 +399,9 @@ def ablate(dataset: Dataset, base_config: TrainConfig, split: str = "test",
     Each variant is model_config with its two flags set. Variant i trains
     with seed base_config.seed + i, so the four runs are independently
     seeded yet fully reproducible from that master seed. Each row is the
-    metrics train() computed on split.
+    metrics train() computed on split, prepared before any training.
     """
-    if split not in dataset.config.splits():
-        raise DatasetFormatError(
-            f"dataset has no split {split!r} "
-            f"(splits: {', '.join(dataset.config.splits())})")
+    _shared_split(dataset, split)
     rows = []
     checkpoints = {}
     for index, (name, cross, infomax) in enumerate(ABLATION_VARIANTS):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from mibvqa import data as dt
+from mibvqa import training
 from mibvqa.model import ModelConfig
 
 
@@ -21,6 +22,14 @@ TINY_WIDTHS = dict(d_h=12, d_q=12, d_ff=6, d_p=8, d_f=16, d_mlp=16, d_z=6)
 
 def tiny_model_config(**flags) -> ModelConfig:
     return ModelConfig(**TINY_WIDTHS, **flags)
+
+
+@pytest.fixture(autouse=True)
+def no_shared_splits():
+    """Every test starts with no split prepared and shared: a session
+    dataset would otherwise carry one test's shared splits into the next,
+    past a later test's counted or replaced prepare_split."""
+    training._SHARED.clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import gc
 import json
 import math
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -375,6 +377,137 @@ def test_evaluation_is_deterministic(small_dataset):
     a = evaluate_model(result.model, small_dataset, "test")
     b = evaluate_model(result.model, small_dataset, "test")
     assert a == b
+
+
+# ---------------------------------------------------------------- shared splits
+
+
+def count_preparations(monkeypatch) -> list:
+    """The split of every later prepare_split call, in order."""
+    calls = []
+    prepare = training.prepare_split
+
+    def counting(dataset, split):
+        calls.append(split)
+        return prepare(dataset, split)
+
+    monkeypatch.setattr(training, "prepare_split", counting)
+    return calls
+
+
+def test_a_second_evaluation_reuses_the_prepared_split(small_dataset, monkeypatch):
+    result = run_quick(small_dataset, epochs=1)
+    dataset = dataclasses.replace(small_dataset)  # a new object, nothing prepared
+    calls = count_preparations(monkeypatch)
+    first = evaluate_model(result.model, dataset, "test")
+    second = evaluate_model(result.model, dataset, "test")
+    assert calls == ["test"]
+    assert first == second
+    assert first.to_dict() == result.checkpoint.metrics["test"]
+
+
+def test_train_and_its_per_epoch_probes_prepare_each_split_once(small_dataset,
+                                                                 monkeypatch):
+    calls = count_preparations(monkeypatch)
+    probes = []
+
+    def probe(epoch, model, record):
+        probes.append(evaluate_model(model, small_dataset, "test"))
+
+    result = train(quick_config(epochs=3), small_dataset,
+                   model_config=tiny_model_config(), epoch_callback=probe)
+    assert calls == list(small_dataset.config.splits())
+    assert len(probes) == 3
+    assert probes[-1].to_dict() == result.checkpoint.metrics["test"]
+    # a second run on the same dataset object prepares nothing
+    train(quick_config(epochs=1), small_dataset, model_config=tiny_model_config())
+    assert calls == list(small_dataset.config.splits())
+
+
+def test_ablate_prepares_each_split_once(micro_dataset, monkeypatch):
+    calls = count_preparations(monkeypatch)
+    ablate(micro_dataset, quick_config(epochs=1), model_config=tiny_model_config())
+    assert sorted(calls) == sorted(micro_dataset.config.splits())
+
+
+def test_writing_into_a_shared_split_raises(small_dataset):
+    evaluate_model(VQAModel(tiny_model_config(), seed=0), small_dataset, "test")
+    shared = training._shared_split(small_dataset, "test")
+    features, tokens, labels = shared.batch(slice(0, 4))
+    for array in (*shared.arrays(), features.matrix, tokens.token_mask, labels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_prepare_split_returns_a_private_writable_copy(small_dataset, monkeypatch):
+    shared = training._shared_split(small_dataset, "test")
+    first, second = (training.prepare_split(small_dataset, "test") for _ in range(2))
+    for mine, other, kept in zip(first.arrays(), second.arrays(), shared.arrays(),
+                                 strict=True):
+        assert mine.flags.writeable and mine.flags.owndata
+        assert not np.shares_memory(mine, other)
+        assert not np.shares_memory(mine, kept)
+        assert mine.tobytes() == kept.tobytes()
+    # prepare_split stores nothing: the shared train split is still unprepared
+    training.prepare_split(small_dataset, "train")
+    calls = count_preparations(monkeypatch)
+    assert training._shared_split(small_dataset, "test") is shared
+    training._shared_split(small_dataset, "train")
+    assert calls == ["train"]
+
+
+def test_a_shared_split_lives_as_long_as_its_dataset():
+    dataset = dt.generate_dataset(dt.DatasetConfig(n_samples=40, seed=5))
+    shared = weakref.ref(training._shared_split(dataset, "test"))
+    key = id(dataset)
+    gc.collect()
+    assert shared() is not None and key in training._SHARED
+    del dataset
+    gc.collect()
+    assert shared() is None and key not in training._SHARED
+
+
+def hash_or_error(obj):
+    """hash(obj), or the message of the TypeError it raises."""
+    try:
+        return hash(obj)
+    except TypeError as e:
+        return str(e)
+
+
+def test_the_memo_leaves_equality_hash_and_repr_alone(small_dataset, monkeypatch):
+    # a dataset's config holds its category mix, a dict, so hash raises
+    before = (hash_or_error(small_dataset), repr(small_dataset))
+    twin = dt.generate_dataset(small_dataset.config)
+    train(quick_config(epochs=1), small_dataset, model_config=tiny_model_config())
+    assert small_dataset == twin
+    assert (hash_or_error(small_dataset), repr(small_dataset)) == before
+    assert pickle.dumps(small_dataset) == pickle.dumps(twin)
+    # a copy is a new object: it starts with nothing prepared
+    calls = count_preparations(monkeypatch)
+    model = VQAModel(tiny_model_config(), seed=0)
+    for copy in (dataclasses.replace(small_dataset),
+                 pickle.loads(pickle.dumps(small_dataset))):
+        evaluate_model(model, copy, "test")
+    assert calls == ["test", "test"]
+
+
+@pytest.mark.parametrize("split,shown", [
+    ("test2", "dataset has no samples in split 'test2'"),
+    ("tset", "dataset has no split 'tset' (splits: train, test, test2)"),
+])
+def test_a_split_that_fails_to_prepare_fails_on_every_call(split, shown,
+                                                           monkeypatch):
+    # 2% of 10 samples rounds to none: test2 is configured but empty
+    dataset = dt.generate_dataset(dt.DatasetConfig(
+        n_samples=10, seed=3, train_fraction=0.78, test_fraction=0.2,
+        test2_fraction=0.02))
+    model = VQAModel(tiny_model_config(), seed=0)
+    calls = count_preparations(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(dt.DatasetFormatError, match=re.escape(shown)):
+            evaluate_model(model, dataset, split)
+    assert calls == [split, split]
 
 
 # ---------------------------------------------------------------- checkpoints
