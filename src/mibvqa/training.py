@@ -155,14 +155,6 @@ class PreparedSplit:
         return (self.features.matrix, self.features.object_mask,
                 self.tokens.token_ids, self.tokens.token_mask, self.labels)
 
-    def batch(self, idx) -> tuple:
-        """(features, tokens, labels) of the samples at idx, an index array
-        or a slice."""
-        return (ImageObjectFeatures(self.features.matrix[idx],
-                                    self.features.object_mask[idx]),
-                QueryTokens(self.tokens.token_ids[idx], self.tokens.token_mask[idx]),
-                self.labels[idx])
-
 
 def prepare_split(dataset: Dataset, split: str) -> PreparedSplit:
     """A split's model inputs, cut to its largest scene and longest question
@@ -308,35 +300,16 @@ def compute_metrics(labels: Sequence[int], predictions: Sequence[int],
                    n_samples=len(labels))
 
 
-# Samples per forward pass in evaluation. Prediction records no graph, but
-# a pass still holds several [chunk * t, d] intermediates at once, so
-# memory grows with the chunk. Median time of one pass over the 500-sample
-# test split after one epoch of the default recipe (40 interleaved
-# repetitions, 2-core x86-64, NumPy 2.4, one BLAS thread; the second row
-# in a slower phase of the host):
-#   chunk   32      64      128     256     512
-#   ms      3.78    2.83    2.82    4.16    5.17
-#   ms      6.29    4.73    4.30    6.33    6.77
-# Past 128 a pass's intermediates no longer fit in the memory the allocator
-# kept from the last pass, and every pass maps fresh pages: a pass over
-# 2,000 samples takes no minor page fault at chunk 128, about 4,100 at 256
-# and 4,800 at 512 (getrusage ru_minflt), and each fault costs more than
-# the per-call overhead the larger chunk saves. The benchmark's eval_split
-# peaks at 47.6 MB with 128.
-EVAL_CHUNK = 128
-
-
 def evaluate_model(model: VQAModel, dataset: Dataset, split: str) -> Metrics:
     """Deterministic evaluation: predictions come from logits alone, on the
     split's inputs shared read-only per Dataset object while it lives
-    (_shared_split). Categories configured for the dataset but absent from
-    the split are omitted from AA with a warning.
+    (_shared_split), in one VQAModel.predict call: the question half runs
+    once per distinct question, the image half in chunks. Categories
+    configured for the dataset but absent from the split are omitted from
+    AA with a warning.
     """
     samples = _shared_split(dataset, split)
-    predictions = []
-    for start in range(0, len(samples), EVAL_CHUNK):
-        features, tokens, _ = samples.batch(slice(start, start + EVAL_CHUNK))
-        predictions.extend(model.predict(features, tokens).tolist())
+    predictions = model.predict(samples.features, samples.tokens).tolist()
     for missing in sorted(set(dataset.config.mix()) - set(samples.categories)):
         warnings.warn(f"category {missing!r} absent from split {split!r}; "
                       f"omitted from average accuracy")

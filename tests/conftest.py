@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from mibvqa import data as dt
 from mibvqa import training
+from mibvqa.encoders import ImageObjectFeatures, QueryTokens
 from mibvqa.model import ModelConfig
 
 
@@ -22,6 +23,15 @@ TINY_WIDTHS = dict(d_h=12, d_q=12, d_ff=6, d_p=8, d_f=16, d_mlp=16, d_z=6)
 
 def tiny_model_config(**flags) -> ModelConfig:
     return ModelConfig(**TINY_WIDTHS, **flags)
+
+
+def split_batch(split, idx) -> tuple:
+    """(features, tokens, labels) of a PreparedSplit's samples at idx, an
+    index array or a slice."""
+    return (ImageObjectFeatures(split.features.matrix[idx],
+                                split.features.object_mask[idx]),
+            QueryTokens(split.tokens.token_ids[idx], split.tokens.token_mask[idx]),
+            split.labels[idx])
 
 
 @pytest.fixture(autouse=True)

@@ -6,8 +6,9 @@ parameter gradient must agree within TOL, for every flag variant and for
 batches at the padding extremes. A prepared split, cut to its largest scene
 and longest question, must give what the same samples give at the full
 t_max/k_max width. Garbage in padded image rows must change nothing.
-Evaluation must predict what the reference predicts, and training must stay
-bit-for-bit reproducible.
+Evaluation must predict what the reference predicts; predict, which runs the
+question half once per distinct question, must predict what the per-row
+logits predict. Training must stay bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from conftest import split_batch, tiny_model_config
 from helpers_oracles import reference_forward, reference_loss
 from mibvqa import autodiff
 from mibvqa import data as dt
 from mibvqa import model as model_module
-from mibvqa.autodiff import backward
+from mibvqa.autodiff import DimensionError, backward
 from mibvqa.data import query_tokens, scene_features
 from mibvqa.encoders import ImageObjectFeatures, QueryTokens, encode_image
 from mibvqa.fusion import predict
@@ -81,7 +82,7 @@ def test_random_batches_match_reference(small_dataset, cross, infomax):
     rng = np.random.default_rng(17)
     for size in (8, 5):
         idx = rng.choice(len(split), size=size, replace=False)
-        assert_matches_reference(model, *split.batch(idx), rng)
+        assert_matches_reference(model, *split_batch(split, idx), rng)
 
 
 def synthetic_batch(t, k, n_objects, n_tokens, rng):
@@ -259,6 +260,126 @@ def test_predict_records_no_graph_and_matches_the_graph_path(
     assert predictions.tolist() == predict(graph_logits).tolist()
 
 
+@pytest.fixture(scope="module")
+def default_dataset():
+    """The default config: 2,000 train and 500 test samples, each split
+    asking 41 distinct questions."""
+    return dt.generate_dataset(dt.DatasetConfig())
+
+
+def n_distinct_questions(tokens) -> int:
+    return len(np.unique(np.column_stack((tokens.token_ids, tokens.token_mask)),
+                         axis=0))
+
+
+def whole_split(dataset, split):
+    prepared = prepare_split(dataset, split)
+    return prepared.features, prepared.tokens
+
+
+def one_question_batch(dataset):
+    """300 test scenes, every one asked the first sample's question."""
+    features, tokens, _ = split_batch(prepare_split(dataset, "test"), slice(0, 300))
+    return features, QueryTokens(np.repeat(tokens.token_ids[:1], 300, axis=0),
+                                 np.repeat(tokens.token_mask[:1], 300, axis=0))
+
+
+def masks_apart_batch():
+    """Two synthetic rows asking the same token ids under different masks:
+    the second reads the first's PAD suffix as real tokens."""
+    features, tokens, _ = synthetic_batch(16, 12, [5, 9], [7, 7],
+                                          np.random.default_rng(31))
+    ids = np.repeat(tokens.token_ids[:1], 2, axis=0)
+    mask = tokens.token_mask.copy()
+    mask[1] = True
+    return features, QueryTokens(ids, mask)
+
+
+# name -> (inputs(default dataset, HR-like dataset), distinct questions)
+PREDICT_INPUTS = {
+    "default-train": (lambda d, hr: whole_split(d, "train"), 41),
+    "hr-like-train": (lambda d, hr: whole_split(hr, "train"), 36),
+    "one-question": (lambda d, hr: one_question_batch(d), 1),
+    "one-sample": (lambda d, hr: split_batch(prepare_split(d, "test"), [0])[:2], 1),
+    "masks-apart": (lambda d, hr: masks_apart_batch(), 2),
+}
+
+
+@pytest.mark.parametrize("cross,infomax", VARIANTS)
+@pytest.mark.parametrize("case", sorted(PREDICT_INPUTS))
+def test_predict_matches_the_per_row_path(
+        default_dataset, hr_dataset, case, cross, infomax, monkeypatch):
+    # The per-row path, one question half per sample, is the oracle of
+    # predict's one question half per distinct question.
+    model = make_model(cross, infomax)
+    inputs, n_questions = PREDICT_INPUTS[case]
+    features, tokens = inputs(default_dataset, hr_dataset)
+    oracle = model.logits(features, tokens)
+    queries, chunk_logits = [], []
+
+    def recording_encode_query(tokens, params):
+        queries.append(tokens.token_ids.shape[0])
+        return real_encode_query(tokens, params)
+
+    def recording_predict(logits):
+        chunk_logits.append(logits.data)
+        return real_predict(logits)
+
+    real_encode_query, real_predict = model_module.encode_query, model_module.predict
+    monkeypatch.setattr(model_module, "encode_query", recording_encode_query)
+    monkeypatch.setattr(model_module, "predict", recording_predict)
+    predictions = model.predict(features, tokens)
+    assert predictions.tolist() == predict(oracle).tolist()
+    assert queries == [n_questions] == [n_distinct_questions(tokens)]
+    assert len(chunk_logits) == -(-len(predictions) // model_module.EVAL_CHUNK)
+    assert np.abs(np.concatenate(chunk_logits) - oracle.data).max() < TOL
+
+
+def test_predict_and_train_run_the_question_half_once_per_split(
+        default_dataset, small_dataset, monkeypatch):
+    queries = []
+
+    def recording_encode_query(tokens, params):
+        queries.append(tokens.token_ids.shape[0])
+        return real_encode_query(tokens, params)
+
+    real_encode_query = model_module.encode_query
+    monkeypatch.setattr(model_module, "encode_query", recording_encode_query)
+    test = prepare_split(default_dataset, "test")
+    make_model(True, True).predict(test.features, test.tokens)
+    assert queries == [41]
+
+    # the one epoch's steps run it per batch; the callback marks where
+    # train()'s end-of-run metrics begin
+    cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=2e-3, seed=5)
+    start = []
+    train(cfg, small_dataset, model_config=tiny_model_config(),
+          epoch_callback=lambda *_: start.append(len(queries)))
+    splits = small_dataset.config.splits()
+    assert queries[start[0]:] == [
+        n_distinct_questions(prepare_split(small_dataset, split).tokens)
+        for split in splits]
+
+
+@pytest.mark.parametrize("cross,infomax", VARIANTS)
+def test_mismatched_inputs_fail_with_a_dimension_error(small_dataset, cross, infomax):
+    model = make_model(cross, infomax)
+    features, tokens, _ = split_batch(prepare_split(small_dataset, "test"), slice(0, 6))
+    ids, mask = tokens.token_ids, tokens.token_mask
+    short = ImageObjectFeatures(features.matrix[:4], features.object_mask[:4])
+    cases = [
+        (features, QueryTokens(ids, np.ones((6, ids.shape[1] + 1), dtype=bool))),
+        (features, QueryTokens(ids, mask.T.copy())),
+        (features, QueryTokens(ids, mask[:4])),
+        (short, tokens),
+        (features, QueryTokens(ids[:4], mask[:4])),
+    ]
+    for batch in cases:
+        for forward in (model.logits, model.predict):
+            with pytest.raises(DimensionError):
+                forward(*batch)
+
+
 class ZeroNoise:
     """A stand-in loop stream whose standard-normal draws are all zero."""
 
@@ -270,8 +391,8 @@ class ZeroNoise:
 def test_training_at_zero_noise_reads_the_latent_evaluation_reads(
         small_dataset, cross, monkeypatch):
     model = make_model(cross, infomax=True)
-    features, tokens, labels = prepare_split(small_dataset, "train").batch(
-        np.arange(9))
+    features, tokens, labels = split_batch(prepare_split(small_dataset, "train"),
+                                           np.arange(9))
     seen = []
 
     def recording_cross_entropy(logits, labels):
@@ -289,8 +410,8 @@ def test_training_at_zero_noise_reads_the_latent_evaluation_reads(
 def test_lambda_zero_still_trains_the_mean_head_through_the_cross_entropy(
         small_dataset):
     model = make_model(True, infomax=True)
-    features, tokens, labels = prepare_split(small_dataset, "train").batch(
-        np.arange(9))
+    features, tokens, labels = split_batch(prepare_split(small_dataset, "train"),
+                                           np.arange(9))
     loss = model.loss_batch(features, tokens, labels, 0.0,
                             np.random.default_rng(2))
     assert loss.final.item() == loss.ce.item()

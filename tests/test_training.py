@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import tiny_model_config
+from conftest import split_batch, tiny_model_config
 from mibvqa import autodiff as ad
 from mibvqa import data as dt
 from mibvqa import training
@@ -222,7 +222,7 @@ def test_each_step_reads_the_batch_of_its_slice_of_the_shuffle(small_dataset,
                                                                   monkeypatch):
     # Without the bottleneck the loop stream draws only the epoch shuffles,
     # so they replay here; each step must get exactly the samples the
-    # shuffle puts in its slice, as PreparedSplit.batch gives them.
+    # shuffle puts in its slice, as indexing the prepared split gives them.
     config = quick_config(epochs=3, batch_size=24, seed=4)
     seen = []
     loss_batch = VQAModel.loss_batch
@@ -243,8 +243,8 @@ def test_each_step_reads_the_batch_of_its_slice_of_the_shuffle(small_dataset,
     for _ in range(config.epochs):
         order = loop_rng.permutation(len(samples))
         for start in range(0, len(samples), config.batch_size):
-            features, tokens, labels = samples.batch(
-                order[start:start + config.batch_size])
+            features, tokens, labels = split_batch(
+                samples, order[start:start + config.batch_size])
             expected.append((features.matrix, features.object_mask,
                              tokens.token_ids, tokens.token_mask, labels))
     assert len(samples) % config.batch_size and len(seen) == len(expected)
@@ -433,7 +433,7 @@ def test_ablate_prepares_each_split_once(micro_dataset, monkeypatch):
 def test_writing_into_a_shared_split_raises(small_dataset):
     evaluate_model(VQAModel(tiny_model_config(), seed=0), small_dataset, "test")
     shared = training._shared_split(small_dataset, "test")
-    features, tokens, labels = shared.batch(slice(0, 4))
+    features, tokens, labels = split_batch(shared, slice(0, 4))
     for array in (*shared.arrays(), features.matrix, tokens.token_mask, labels):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
