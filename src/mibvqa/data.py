@@ -6,12 +6,19 @@ question categories count / presence / comparison / rural_urban / area.
 Every draw comes from one PCG64 stream seeded with the dataset seed, and
 sample i reads its own fixed block of that stream's raw outputs, so it is a
 pure function of (seed, i) and generation is reproducible. A chunk of
-samples is one read of the stream, and its scene draws are array
-operations over fixed columns of the blocks (see "sample streams").
+samples is one read of the stream, and its scene and question draws are
+array operations over fixed columns of the blocks (see "sample streams").
 Categories are interleaved by a Webster/Sainte-Lague apportionment
 schedule, and split tags by one such schedule within each category's
 samples, so every split carries every category in the configured
 proportions.
+
+Generation and import build samples a chunk of STREAM_CHUNK at a time
+through one builder, _chunk_samples (see "chunk builder"). It takes the
+chunk's object codes, one int per object as generation draws them or
+import reads them from a record's text, and one array tally of each
+scene's objects of each (class, size) gives every zone and every answer.
+audit_dataset checks them independently, walking each scene's objects.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import math
 import operator
 import re
 from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence, get_type_hints
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -38,6 +45,8 @@ OBJECT_CLASSES = ("building", "road", "water", "tree", "field")
 _CLASS_INDEX = {c: i for i, c in enumerate(OBJECT_CLASSES)}
 SIZES = ("small", "large")
 _SIZE_INDEX = {s: i for i, s in enumerate(SIZES)}
+# The kinds of object, class * 2 + size: an object's code modulo KINDS.
+KINDS = len(OBJECT_CLASSES) * len(SIZES)
 SIZE_FEATURE = {"small": 0.5, "large": 1.0}
 # An object's descriptor row: one-hot class, then x, y and size.
 FEATURE_WIDTH = len(OBJECT_CLASSES) + 3
@@ -97,17 +106,18 @@ class SceneObject:
 
 class _CodedObjects(dict):
     """The canonical SceneObjects of one grid by the code generation draws
-    them as, (cell * 5 + class) * 2 + size with cell = row * grid_size + col:
-    one int per object, at most 10 * grid_size**2 of them. Generation and
-    import take every object from this table, so equal objects are one
-    shared instance; a code seen for the first time makes its object."""
+    them as, cell * KINDS + class * 2 + size with cell = row * grid_size +
+    col: one int per object, at most 10 * grid_size**2 of them. Generation
+    and import build every scene from codes through this table, so equal
+    objects are one shared instance; a code seen for the first time makes
+    its object."""
 
     def __init__(self, grid_size: int):
         super().__init__()
         self.grid_size = grid_size
 
     def __missing__(self, code: int) -> SceneObject:
-        cell, kind = divmod(code, len(OBJECT_CLASSES) * len(SIZES))
+        cell, kind = divmod(code, KINDS)
         c, z = divmod(kind, len(SIZES))
         obj = self[code] = SceneObject(OBJECT_CLASSES[c], *divmod(cell, self.grid_size),
                                        SIZES[z])
@@ -117,35 +127,36 @@ class _CodedObjects(dict):
 _objects_by_code = functools.cache(_CodedObjects)
 
 
-class _FragmentObjects(dict):
-    """The objects of one grid's code table by their json_fragment's text
-    between its outer brackets ('"road", 3, 4, "small"'), as a record line
-    exactly as export writes it lists them. A text seen for the first time
-    is decoded and checked once through _record_object, and kept only if it
-    is the object's own rendering; a text that is not raises KeyError."""
+class _FragmentCodes(dict):
+    """The codes of one grid's objects by their json_fragment's text between
+    its outer brackets ('"road", 3, 4, "small"'), as a record line exactly
+    as export writes it lists them. A text seen for the first time is
+    decoded and checked once through _record_code, and kept only if it is
+    its object's own rendering; a text that is not raises KeyError."""
 
     def __init__(self, grid_size: int):
         super().__init__()
         self.grid_size = grid_size
 
-    def __missing__(self, body: str) -> SceneObject:
+    def __missing__(self, body: str) -> int:
         fragment = "[" + body + "]"
         try:
-            obj = _record_object(self.grid_size, *decode_json(fragment))
+            code = _record_code(self.grid_size, *decode_json(fragment))
         except (TypeError, ValueError):
             raise KeyError(body) from None
-        if obj.json_fragment != fragment:
+        if _objects_by_code(self.grid_size)[code].json_fragment != fragment:
             raise KeyError(body)
-        self[body] = obj
-        return obj
+        self[body] = code
+        return code
 
 
-_objects_by_fragment = functools.cache(_FragmentObjects)
+_codes_by_fragment = functools.cache(_FragmentCodes)
 
 
-@dataclass(frozen=True)
-class Scene:
-    """Symbolic grid scene; zone_label is derived from building density."""
+class Scene(NamedTuple):
+    """Symbolic grid scene; zone_label is derived from building density.
+    A NamedTuple, as VQASample: immutable, compared, hashed and shown field
+    by field, and built at a fraction of a frozen dataclass's cost."""
     grid_size: int
     objects: tuple
     zone_label: str
@@ -399,8 +410,7 @@ class DatasetConfig:
         return out
 
 
-@dataclass(frozen=True)
-class VQASample:
+class VQASample(NamedTuple):
     scene: Scene
     category: str
     template_id: int
@@ -499,13 +509,6 @@ def apportion(weights: dict, n: int) -> list:
     return out
 
 
-def _scene(config: DatasetConfig, objects: tuple) -> Scene:
-    """The scene of drawn objects: urban from urban_threshold buildings on."""
-    buildings = sum(1 for o in objects if o.cls == "building")
-    zone = "urban" if buildings >= config.urban_threshold else "rural"
-    return Scene(grid_size=config.grid_size, objects=objects, zone_label=zone)
-
-
 # ---------------------------------------------------------------------------
 # sample streams
 #
@@ -521,7 +524,7 @@ def _scene(config: DatasetConfig, objects: tuple) -> Scene:
 #                    the pick is t, or j if t was picked before;
 #   M+1 ... 2M       the classes;
 #   2M+1 ... 3M      the sizes;
-#   3M+1 ... 3M+3    the question's words (_sample_question).
+#   3M+1 ... 3M+3    the question's words (_draw_questions).
 # A scene of fewer than M objects leaves the words of its missing objects
 # unused, so every sample reads the same block and sample i is a pure
 # function of (seed, i). The picks stay in draw order, unshuffled: the
@@ -532,9 +535,13 @@ def _scene(config: DatasetConfig, objects: tuple) -> Scene:
 # 1/n by a relative error below n / 2**32 (below 2e-8 on the default 64
 # cells). A coin is w < 2**31. A chunk of samples is one random_raw call,
 # its words reshaped to [chunk, 2W], and each scene draw one array
-# operation over a column of them.
+# operation over a column of them. The chunk's object codes, cell * KINDS +
+# class * 2 + size, give its tally (_tally); the question words and the
+# tally give each sample's question (_draw_questions); and codes, tally and
+# questions go to _chunk_samples, which builds the chunk's samples.
 
-# Samples per raw read: bounds the chunk's arrays and per-sample lists.
+# Samples per raw read, and record lines per import chunk: bounds the
+# chunk's arrays and per-sample lists.
 STREAM_CHUNK = 512
 # The question's words per sample: a presence question takes all three.
 QUESTION_WORDS = 3
@@ -551,9 +558,9 @@ def _below(words, n):
     return words * n >> 32
 
 
-def _coin(word: int) -> bool:
-    """A fair coin from a 32-bit word: heads on the lower half of its range."""
-    return word < 1 << 31
+def _coin(words: np.ndarray) -> np.ndarray:
+    """Fair coins from 32-bit words: heads on the lower half of their range."""
+    return words < 1 << 31
 
 
 def _chunk_words(stream: np.random.PCG64, chunk: int, width: int) -> np.ndarray:
@@ -565,7 +572,7 @@ def _chunk_words(stream: np.random.PCG64, chunk: int, width: int) -> np.ndarray:
 
 def _draw_objects(words: np.ndarray, config: DatasetConfig) -> tuple:
     """Each sample's object count and [chunk, max_objects] object codes,
-    (cell * 5 + class) * 2 + size, from a chunk's [chunk, 2W] words; the
+    cell * KINDS + class * 2 + size, from a chunk's [chunk, 2W] words; the
     first count of each row are the scene's objects."""
     m = config.max_objects
     w = words[:, :1 + 3 * m].astype(np.uint64)
@@ -586,78 +593,58 @@ def _draw_objects(words: np.ndarray, config: DatasetConfig) -> tuple:
                    + sizes.astype(np.int64))
 
 
-def _pick_balanced(want_word: int, pick_word: int, candidates_yes, candidates_no):
-    """Choose a question slot aiming at a 50/50 yes/no answer balance: a
-    coin for the wanted answer, then a draw among its candidates."""
-    want_yes = _coin(want_word)
-    pool = candidates_yes if want_yes else candidates_no
-    if not pool:
-        pool = candidates_no if want_yes else candidates_yes
-    return pool[_below(pick_word, len(pool))]
+def _pick_balanced(want: np.ndarray, pick: np.ndarray, has: np.ndarray) -> np.ndarray:
+    """Each row's pick among its candidates, the columns of its row of the
+    [n, k] booleans has (True where the candidate's answer is yes), aiming
+    at a 50/50 yes/no answer balance: a coin of its want word for the
+    wanted answer, then a draw of its pick word among the candidates that
+    give it, or among all of them where none does."""
+    pool = has == _coin(want).reshape(-1, 1)
+    size = pool.sum(axis=1)
+    pool |= (size == 0).reshape(-1, 1)
+    size = np.where(size == 0, has.shape[1], size)
+    at = _below(pick, size.astype(np.uint64)).astype(np.int64)
+    return (np.cumsum(pool, axis=1) > at.reshape(-1, 1)).argmax(axis=1)
 
 
-def _sample_question(words, scene: Scene, category: str):
-    """Pick a template and slots for the category from the sample's
-    QUESTION_WORDS words, each read at most once; returns (template_id, slots)."""
-    first, second, third = words
-    if category == "count":
-        return 0, (OBJECT_CLASSES[_below(first, len(OBJECT_CLASSES))],)
-    if category == "presence":
-        if _coin(first):
-            present = sorted({o.cls for o in scene.objects})
-            absent = sorted(set(OBJECT_CLASSES) - set(present))
-            return 1, (_pick_balanced(second, third, present, absent),)
-        pairs = [(s, c) for s in SIZES for c in OBJECT_CLASSES]
-        have = {(o.size, o.cls) for o in scene.objects}
-        yes = [p for p in pairs if p in have]
-        no = [p for p in pairs if p not in have]
-        return 2, tuple(_pick_balanced(second, third, yes, no))
-    if category == "comparison":
-        # two distinct classes: b among the four that are not a
-        a = _below(first, len(OBJECT_CLASSES))
-        b = _below(second, len(OBJECT_CLASSES) - 1)
-        b += b >= a
-        return 3, (OBJECT_CLASSES[a], OBJECT_CLASSES[b])
-    if category == "rural_urban":
-        return 4, ()
-    return 5, (OBJECT_CLASSES[_below(first, len(OBJECT_CLASSES))],)
+# Presence pools list classes by name: the class index of each name in order.
+_BY_NAME = np.argsort(OBJECT_CLASSES)
 
 
-# Per k_max there are 46 (template, slots) questions: 5 count,
-# 5 + 10 presence, 20 comparison, 1 rural_urban and 5 area.
-@functools.cache
-def _questions(k_max: int) -> dict:
-    """The token ids, padded to k_max, and the token count of the rendered
-    question, by (template_id, slots), of every question generation can
-    give: each a known template with a value of its kind in every slot, and
-    a comparison two classes. Every word is in VOCABULARY and DatasetConfig
-    keeps k_max at least MAX_QUESTION_TOKENS."""
-    table = {}
-    for template_id, template in enumerate(TEMPLATES):
-        for slots in itertools.product(*map(SLOT_VALUES.get, template.slot_names)):
-            if template.category != "comparison" or slots[0] != slots[1]:
-                ids = [TOKEN_IDS[word] for word in template.render(slots)]
-                padding = [TOKEN_IDS[PAD_TOKEN]] * (k_max - len(ids))
-                table[template_id, slots] = tuple(ids + padding), len(ids)
-    return table
-
-
-def _sample(config: DatasetConfig, scene: Scene, template_id: int, slots: tuple,
-            split: str) -> VQASample:
-    """Every sample, generated or imported, is built here from its drawn parts."""
-    template = TEMPLATES[template_id]
-    token_ids, n_tokens = _questions(config.k_max)[template_id, slots]
-    return VQASample(scene=scene, category=template.category,
-                     template_id=template_id, slots=slots,
-                     token_ids=token_ids, n_tokens=n_tokens,
-                     answer_index=ANSWER_INDEX[answer_oracle(scene, template, slots)],
-                     split=split)
+def _draw_questions(words: np.ndarray, tally: np.ndarray,
+                    categories: Sequence[str]) -> np.ndarray:
+    """Each row's question, an index into _QUESTIONS, for its category from
+    its QUESTION_WORDS of the [n, QUESTION_WORDS] words, each read at most
+    once, and its row of the tally (see _tally). A presence question asks
+    of a class, its candidates the classes by name, on a coin of its first
+    word, or else of a (size, class) pair, its candidates by size, then
+    class."""
+    first, second, third = words.astype(np.uint64).T
+    cls = _below(first, np.uint64(len(OBJECT_CLASSES))).astype(np.int64)
+    # two distinct classes: b among the four that are not a
+    other = _below(second, np.uint64(len(OBJECT_CLASSES) - 1)).astype(np.int64)
+    other += other >= cls
+    present = tally.sum(axis=2)[:, _BY_NAME] > 0
+    pairs = tally.transpose(0, 2, 1).reshape(len(tally), -1) > 0
+    count, presence, sized, comparison, rural_urban, area = _QUESTION_GRIDS
+    candidates = {
+        "count": count[cls],
+        "presence": np.where(_coin(first),
+                             presence[_BY_NAME[_pick_balanced(second, third, present)]],
+                             sized.ravel()[_pick_balanced(second, third, pairs)]),
+        "comparison": comparison[cls, other],
+        "rural_urban": rural_urban,
+        "area": area[cls]}
+    drawn = np.array(categories)
+    return np.select([drawn == category for category in candidates],
+                     list(candidates.values()))
 
 
 def generate_dataset(config: DatasetConfig) -> Dataset:
     """Seeded, reproducible dataset: each sample drawn from its own block
     of one stream (see "sample streams"), its category from an interleaved
-    schedule, and its split from one schedule within each category."""
+    schedule, and its split from one schedule within each category. Each
+    chunk's drawn codes and questions go to _chunk_samples."""
     categories = apportion(config.mix(), config.n_samples)
     per_category = {category: iter(apportion(config.splits(), categories.count(category)))
                     for category in config.mix()}
@@ -665,37 +652,187 @@ def generate_dataset(config: DatasetConfig) -> Dataset:
     width = _outputs_per_sample(config)
     questions_at = 1 + 3 * config.max_objects
     stream = np.random.PCG64(config.seed)
-    objects = _objects_by_code(config.grid_size)
     samples = []
     for start in range(0, config.n_samples, STREAM_CHUNK):
         part = slice(start, min(start + STREAM_CHUNK, config.n_samples))
         words = _chunk_words(stream, part.stop - start, width)
         count, codes = _draw_objects(words, config)
-        question_words = words[:, questions_at:questions_at + QUESTION_WORDS].tolist()
-        for n_obj, row, question, category, split in zip(
-                count.tolist(), codes.tolist(), question_words,
-                categories[part], splits[part]):
-            scene = _scene(config, tuple(map(objects.__getitem__, row[:n_obj])))
-            samples.append(_sample(config, scene,
-                                   *_sample_question(question, scene, category), split))
+        tally = _tally(count, codes)
+        questions = _draw_questions(words[:, questions_at:questions_at + QUESTION_WORDS],
+                                    tally, categories[part])
+        samples += _chunk_samples(config, count, codes, tally, questions.tolist(),
+                                  splits[part])
     return Dataset(config=config, samples=tuple(samples))
 
 
+# ---------------------------------------------------------------------------
+# chunk builder
+#
+# Every sample, generated or imported, is built by _chunk_samples from its
+# chunk's [n, width] object codes: row i's first count[i] codes are its
+# scene's objects, in order, and width is at least the largest count. One
+# array pass over the codes, _tally, counts each scene's objects of each
+# kind (code % KINDS is class * 2 + size). A scene is urban from
+# urban_threshold buildings on, and each of the _QUESTIONS answers by its
+# category's rule applied to one readout of the scene's tally row, a
+# weighted sum of its counts (_readout, _answers). Import's check of one
+# object per cell sorts each row's cells (code // KINDS, _distinct_cells).
+# answer_oracle, which walks a scene's objects, stays the independent
+# check of both (audit_dataset and the tests).
+
+# Every question generation can give, (template_id, slots): each a known
+# template with a value of its kind in every slot, and a comparison two
+# classes. 46 of them: 5 count, 5 + 10 presence, 20 comparison, 1
+# rural_urban and 5 area.
+_QUESTIONS = tuple(
+    (template_id, slots) for template_id, template in enumerate(TEMPLATES)
+    for slots in itertools.product(*map(SLOT_VALUES.get, template.slot_names))
+    if template.category != "comparison" or slots[0] != slots[1])
+_QUESTION_INDEX = {question: q for q, question in enumerate(_QUESTIONS)}
+
+
+def _question_grid(template_id: int) -> np.ndarray:
+    """The index in _QUESTIONS of each question of a template, over the
+    indices of its slots' values in SLOT_VALUES; -1 where there is none."""
+    names = TEMPLATES[template_id].slot_names
+    grid = np.full([len(SLOT_VALUES[name]) for name in names], -1)
+    for at in np.ndindex(grid.shape):
+        slots = tuple(SLOT_VALUES[name][i] for name, i in zip(names, at))
+        grid[at] = _QUESTION_INDEX.get((template_id, slots), -1)
+    return grid
+
+
+_QUESTION_GRIDS = tuple(map(_question_grid, range(len(TEMPLATES))))
+
+
+@functools.cache
+def _questions(k_max: int) -> dict:
+    """The token ids, padded to k_max, and the token count of each of the
+    _QUESTIONS, rendered, by (template_id, slots) in _QUESTIONS order.
+    Every word is in VOCABULARY and DatasetConfig keeps k_max at least
+    MAX_QUESTION_TOKENS."""
+    table = {}
+    for template_id, slots in _QUESTIONS:
+        ids = [TOKEN_IDS[word] for word in TEMPLATES[template_id].render(slots)]
+        padding = [TOKEN_IDS[PAD_TOKEN]] * (k_max - len(ids))
+        table[template_id, slots] = tuple(ids + padding), len(ids)
+    return table
+
+
+def _readout(template_id: int, slots: tuple) -> np.ndarray:
+    """The [classes, sizes] weights of the tally counts whose sum a
+    question's rule reads: the objects of its class (count, presence), of
+    its size and class (sized presence), of cls_a less those of cls_b
+    (comparison), the buildings (rural_urban), or its class's cells (area)."""
+    template = TEMPLATES[template_id]
+    values = dict(zip(template.slot_names, slots))
+    weights = np.zeros((len(OBJECT_CLASSES), len(SIZES)), dtype=np.int64)
+    if template.category == "rural_urban":
+        weights[_CLASS_INDEX["building"]] = 1
+    elif template.category == "comparison":
+        weights[_CLASS_INDEX[values["cls_a"]]] = 1
+        weights[_CLASS_INDEX[values["cls_b"]]] = -1
+    elif template.category == "area":
+        weights[_CLASS_INDEX[values["cls"]]] = [SIZE_CELLS[size] for size in SIZES]
+    elif "size" in values:
+        weights[_CLASS_INDEX[values["cls"]], _SIZE_INDEX[values["size"]]] = 1
+    else:
+        weights[_CLASS_INDEX[values["cls"]]] = 1
+    return weights
+
+
+# Each category's rule, an index into the choices of _answers: the count's
+# label, "yes" on a positive readout, the zone, the area bin.
+_RULE_OF = {"count": 0, "presence": 1, "comparison": 1, "rural_urban": 2, "area": 3}
+_READOUTS = np.array([_readout(*question) for question in _QUESTIONS])
+_RULES = np.array([_RULE_OF[TEMPLATES[template_id].category]
+                   for template_id, _ in _QUESTIONS])
+
+
+def _tally(count: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """[n, classes, sizes]: each row's objects of each kind, counted over
+    the first count[i] codes of row i of [n, width] codes as a sum of
+    boolean one-hot rows; padding is kind KINDS, which none matches."""
+    objects = np.arange(codes.shape[1]) < count.reshape(-1, 1)
+    kinds = np.where(objects, codes % KINDS, KINDS)
+    one_hot = kinds[:, :, None] == np.arange(KINDS)
+    return one_hot.sum(axis=1).reshape(-1, len(OBJECT_CLASSES), len(SIZES))
+
+
+def _answers(tally: np.ndarray, questions, urban_threshold: int) -> np.ndarray:
+    """The answer index of each row's question, an index into _QUESTIONS,
+    by its rule on its readout of the row's tally."""
+    questions = np.asarray(questions, dtype=np.int64)
+    readout = (tally * _READOUTS[questions]).sum(axis=(1, 2))
+    return np.choose(_RULES[questions], (
+        ANSWER_INDEX[COUNT_LABELS[0]] + np.minimum(readout, len(COUNT_LABELS) - 1),
+        ANSWER_INDEX["no"] + (readout > 0),
+        ANSWER_INDEX[ZONE_LABELS[0]] + (readout >= urban_threshold),
+        ANSWER_INDEX[AREA_BIN_LABELS[0]] + np.searchsorted(AREA_BIN_EDGES, readout,
+                                                           side="right")))
+
+
+def _distinct_cells(count: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The number of distinct grid cells among each row's objects, the
+    first count[i] codes of row i, from the row's sorted cells; padding
+    sorts first as cell -1."""
+    objects = np.arange(codes.shape[1]) < count.reshape(-1, 1)
+    cells = np.sort(np.where(objects, codes // KINDS, -1), axis=1)
+    repeats = (cells[:, 1:] == cells[:, :-1]) & (cells[:, 1:] >= 0)
+    return count - repeats.sum(axis=1)
+
+
+def _chunk_samples(config: DatasetConfig, count: np.ndarray, codes: np.ndarray,
+                   tally: np.ndarray, questions, splits: Sequence[str]) -> list:
+    """The samples of a chunk, generated or imported: row i's scene holds
+    the objects of the first count[i] of its [n, width] codes on config's
+    grid, its question is _QUESTIONS[questions[i]] and its split splits[i];
+    tally is _tally(count, codes), which gives every zone and answer. The
+    builder checks nothing: the reader of the codes does."""
+    urban = tally[:, _CLASS_INDEX["building"]].sum(axis=1) >= config.urban_threshold
+    answers = _answers(tally, questions, config.urban_threshold)
+    object_of = _objects_by_code(config.grid_size).__getitem__
+    parts = [(TEMPLATES[template_id].category, template_id, slots, token_ids, n_tokens)
+             for (template_id, slots), (token_ids, n_tokens)
+             in _questions(config.k_max).items()]
+    samples = []
+    for n, row, zone, question, answer, split in zip(
+            count.tolist(), codes.tolist(), urban.tolist(), questions,
+            answers.tolist(), splits):
+        scene = Scene(config.grid_size, tuple(map(object_of, row[:n])), ZONE_LABELS[zone])
+        samples.append(VQASample(scene, *parts[question], answer, split))
+    return samples
+
+
 def audit_dataset(dataset: Dataset) -> int:
-    """Recompute every answer and validate structural bounds; returns mismatches."""
+    """The number of failed checks over every sample, each recomputed from
+    the sample's own drawn fields by walking its scene's objects in Python:
+    the independent check of the array path that built them. A sample
+    fails a check when its zone is not the one its buildings give, its
+    question is not one of _QUESTIONS or its category, token ids and count
+    are not its template's and that question's, its answer is not
+    answer_oracle's on its scene with the recomputed zone, or its object
+    count is one generation cannot draw."""
     config = dataset.config
-    vocabulary_ids = frozenset(range(len(VOCABULARY)))
+    questions = _questions(config.k_max)
     mismatches = 0
     for s in dataset.samples:
-        template = TEMPLATES[s.template_id]
-        expected = ANSWER_INDEX.get(answer_oracle(s.scene, template, s.slots))
-        if expected != s.answer_index:
+        scene = s.scene
+        buildings = count_class(scene, "building")
+        zone = ZONE_LABELS[buildings >= config.urban_threshold]
+        if zone != scene.zone_label:
             mismatches += 1
-        if s.n_tokens > config.k_max or len(s.token_ids) != config.k_max:
+            scene = scene._replace(zone_label=zone)
+        tokens = questions.get((s.template_id, s.slots))
+        if tokens is None:
             mismatches += 1
-        if not config.min_objects <= len(s.scene.objects) <= config.max_objects:
-            mismatches += 1
-        if not vocabulary_ids.issuperset(s.token_ids):
+        else:
+            template = TEMPLATES[s.template_id]
+            if (s.category, s.token_ids, s.n_tokens) != (template.category, *tokens):
+                mismatches += 1
+            if ANSWER_INDEX[answer_oracle(scene, template, s.slots)] != s.answer_index:
+                mismatches += 1
+        if not config.min_objects <= len(scene.objects) <= config.max_objects:
             mismatches += 1
     return mismatches
 
@@ -767,9 +904,9 @@ def _values(value: dict, keys: tuple, what: str) -> list:
     return list(map(value.__getitem__, keys))
 
 
-def _record_object(grid_size: int, cls, row, col, size) -> SceneObject:
-    """The canonical object of one record entry: the checks of its class,
-    its size and its cell on the grid give its code in _objects_by_code."""
+def _record_code(grid_size: int, cls, row, col, size) -> int:
+    """The code of one record entry, its object's key in _objects_by_code,
+    from the checks of its class, its size and its cell on the grid."""
     if type(row) is not int or type(col) is not int:
         raise ValueError(f"object row {row!r}, col {col!r}: expected integers")
     c = _CLASS_INDEX.get(cls)
@@ -781,8 +918,7 @@ def _record_object(grid_size: int, cls, row, col, size) -> SceneObject:
     if not (0 <= row < grid_size and 0 <= col < grid_size):
         raise ValueError(f"object at row {row}, col {col} is off the "
                          f"{grid_size}x{grid_size} grid")
-    cell = row * grid_size + col
-    return _objects_by_code(grid_size)[(cell * len(OBJECT_CLASSES) + c) * len(SIZES) + z]
+    return (row * grid_size + col) * KINDS + c * len(SIZES) + z
 
 
 def _same(value, expected) -> bool:
@@ -793,25 +929,12 @@ def _same(value, expected) -> bool:
         if type(value) is list else type(value) is type(expected))
 
 
-def _record_scene(config: DatasetConfig, objects: tuple) -> Scene:
-    """The scene of a record's objects, as both readers build it: a count
-    generation draws, min_objects to max_objects, each object on its own
-    cell; raises ValueError otherwise."""
-    if not config.min_objects <= len(objects) <= config.max_objects:
-        raise ValueError(f"{len(objects)} objects, expected min_objects="
-                         f"{config.min_objects} to max_objects={config.max_objects}")
-    cells = {(o.row, o.col) for o in objects}
-    if len(cells) != len(objects):
-        raise ValueError(f"{len(objects)} objects on {len(cells)} grid "
-                         f"cells: generation puts each on its own cell")
-    return _scene(config, objects)
-
-
 def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
     """The sample of one decoded record, rebuilt from its objects, template,
-    slots and split as generation builds it, on the grid of the config echo:
-    a record states no grid of its own. import_dataset calls it for every
-    line _sample_from_text does not read, so it is the one reader of any
+    slots and split by _chunk_samples as a one-row chunk, on the grid of
+    the config echo: a record states no grid of its own. import_dataset
+    calls it for every line _sample_from_text does not read, or whose
+    rebuilt zone or answer is not its text's, so it is the one reader of any
     other JSON spelling of a record and the one source of record errors.
 
     A drawn field generation cannot give (an object off that grid or
@@ -825,9 +948,16 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
         (scene, category, template_id, slots, token_ids, n_tokens, answer_index,
          split) = _values(rec, RECORD_KEYS, "record")
         entries, zone_label = _values(scene, SCENE_KEYS, "scene")
-        scene = _record_scene(config, tuple(
-            _record_object(config.grid_size, cls, row, col, size)
-            for cls, row, col, size in entries))
+        codes = [_record_code(config.grid_size, cls, row, col, size)
+                 for cls, row, col, size in entries]
+        if not config.min_objects <= len(codes) <= config.max_objects:
+            raise ValueError(f"{len(codes)} objects, expected min_objects="
+                             f"{config.min_objects} to max_objects={config.max_objects}")
+        count, codes = np.array([len(codes)]), np.array([codes], dtype=np.int64)
+        cells = _distinct_cells(count, codes).item()
+        if cells != count.item():
+            raise ValueError(f"{count.item()} objects on {cells} grid "
+                             f"cells: generation puts each on its own cell")
         if type(template_id) is not int or not 0 <= template_id < len(TEMPLATES):
             raise ValueError(f"unknown template_id {template_id!r}")
         template = TEMPLATES[template_id]
@@ -844,7 +974,8 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
             raise ValueError(f"comparison of {slots[0]!r} with itself")
         if split not in config.splits():
             raise ValueError(f"split {split!r} is not among the header's splits")
-        sample = _sample(config, scene, template_id, slots, split)
+        sample, = _chunk_samples(config, count, codes, _tally(count, codes),
+                                 [_QUESTION_INDEX[template_id, slots]], [split])
         for name, value, expected in (
                 ("zone_label", zone_label, sample.scene.zone_label),
                 ("category", category, sample.category),
@@ -861,30 +992,33 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
 
 @functools.cache
 def _question_table(k_max: int) -> dict:
-    """The keys of _questions(k_max), the questions _sample_from_record
-    accepts, by the texts export writes for their _QUESTION_PATHS fields."""
+    """The index in _QUESTIONS of each question _sample_from_record
+    accepts, by the texts export writes for its _QUESTION_PATHS fields."""
     table = {}
-    for (template_id, slots), (token_ids, n_tokens) in _questions(k_max).items():
+    for question, ((template_id, slots), (token_ids, n_tokens)) in enumerate(
+            _questions(k_max).items()):
         values = {"category": TEMPLATES[template_id].category, "n_tokens": n_tokens,
                   "slots": slots, "template_id": template_id, "token_ids": token_ids}
-        table[tuple(_json_value(values[path]) for path in _QUESTION_PATHS)] = (
-            template_id, slots)
+        table[tuple(_json_value(values[path]) for path in _QUESTION_PATHS)] = question
     return table
 
 
-def _sample_from_text(line: str, config: DatasetConfig, objects: _FragmentObjects,
-                      questions: dict, splits: dict) -> VQASample | None:
-    """The sample of a record line exactly as export writes it, read by its
-    text: objects, question and split are looked up among their canonical
-    renderings (objects, the _question_table of config.k_max, splits by
-    their JSON text), the objects must make a scene _record_scene accepts,
-    and the rebuilt sample's zone and answer must render to the line's.
-    None for any other line, which _sample_from_record then reads: another
-    spelling of the same record, or one that fails a check.
+def _sample_from_text(line: str, config: DatasetConfig, codes: _FragmentCodes,
+                      questions: dict, splits: dict) -> tuple | None:
+    """The parts of the sample of a record line exactly as export writes
+    it, read by its text: its object codes, its question's index in
+    _QUESTIONS, its split, and the texts of its zone and answer. Objects,
+    question and split are looked up among their canonical renderings
+    (codes by _codes_by_fragment, the _question_table of config.k_max,
+    splits by their JSON text), and the object count must be one
+    generation draws. None for any other line, which _sample_from_record
+    then reads: another spelling of the same record, or one that fails a
+    check.
 
-    A line read here is _RECORD_LINE filled with the renderings of the
-    sample it gives, so its JSON value is a record _sample_from_record
-    accepts and rebuilds into an equal sample."""
+    A line read here, whose objects lie on distinct cells and whose
+    rebuilt zone and answer render to its texts, is _RECORD_LINE filled
+    with the renderings of the sample it gives, so its JSON value is a
+    record _sample_from_record accepts and rebuilds into an equal sample."""
     match = _RECORD_TEXT.fullmatch(line)
     if match is None:
         return None
@@ -894,15 +1028,47 @@ def _sample_from_text(line: str, config: DatasetConfig, objects: _FragmentObject
     if question is None or split is None:
         return None
     try:
-        scene = _record_scene(config, tuple(map(objects.__getitem__,
-                                                bodies.split("], ["))))
-    except (KeyError, ValueError):
+        row = list(map(codes.__getitem__, bodies.split("], [")))
+    except KeyError:
         return None
-    sample = _sample(config, scene, *question, split)
-    if (_json_value(sample.scene.zone_label) != zone
-            or _json_value(sample.answer_index) != answer):
+    if not config.min_objects <= len(row) <= config.max_objects:
         return None
-    return sample
+    return row, question, split, zone, answer
+
+
+def _read_chunk(lines: list, line_no: int, config: DatasetConfig, tables: tuple) -> list:
+    """The samples of a chunk of record lines, the first at line_no, with
+    tables the _sample_from_text lookups. The lines read by their text are
+    built as one chunk; a line that is not, or whose objects share a cell
+    or whose rebuilt zone or answer is not its text's, is decoded and read
+    by _sample_from_record, in file order, so the first bad line raises."""
+    parts = [_sample_from_text(line, config, *tables) for line in lines]
+    read = [part for part in parts if part is not None]
+    built = iter(())
+    if read:
+        rows, questions, splits, zones, answers = zip(*read)
+        count = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        codes = np.zeros((len(rows), config.max_objects), dtype=np.int64)
+        codes[np.arange(config.max_objects) < count.reshape(-1, 1)] = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=np.int64, count=int(count.sum()))
+        own_cells = (_distinct_cells(count, codes) == count).tolist()
+        built = iter([
+            sample if own and _json_value(sample.scene.zone_label) == zone
+            and _json_value(sample.answer_index) == answer else None
+            for sample, own, zone, answer in zip(
+                _chunk_samples(config, count, codes, _tally(count, codes), questions,
+                               splits), own_cells, zones, answers)])
+    samples = []
+    for at, (line, part) in enumerate(zip(lines, parts), start=line_no):
+        sample = None if part is None else next(built)
+        if sample is None:
+            try:
+                rec = decode_json(line)
+            except ValueError as e:
+                raise DatasetFormatError(f"malformed record at line {at}: {e}") from None
+            sample = _sample_from_record(rec, at, config)
+        samples.append(sample)
+    return samples
 
 
 def export_dataset(dataset: Dataset, path) -> None:
@@ -927,11 +1093,13 @@ def export_dataset(dataset: Dataset, path) -> None:
 def import_dataset(path) -> Dataset:
     """Parse an exported dataset; raises DatasetFormatError, never a partial result.
 
-    A record line exactly as export writes it is read by its text
-    (_sample_from_text), without a JSON decode once its objects are known;
-    any other line is decoded with decode_json and read by
-    _sample_from_record, which gives the same sample for any JSON spelling
-    of the same record and raises every record error."""
+    The records are read STREAM_CHUNK lines at a time (_read_chunk). A
+    record line exactly as export writes it is read by its text
+    (_sample_from_text), without a JSON decode once its objects are known,
+    and the chunk's such lines are built by _chunk_samples; any other line
+    is decoded with decode_json and read by _sample_from_record, which
+    gives the same sample for any JSON spelling of the same record and
+    raises every record error."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -961,17 +1129,9 @@ def import_dataset(path) -> Dataset:
                    else "dataset has extra lines")
         raise DatasetFormatError(f"{problem}: config echo says "
                                  f"{config.n_samples} samples, file has {len(lines) - 1}")
-    objects = _objects_by_fragment(config.grid_size)
-    questions = _question_table(config.k_max)
-    splits = {_json_value(name): name for name in config.splits()}
+    tables = (_codes_by_fragment(config.grid_size), _question_table(config.k_max),
+              {_json_value(name): name for name in config.splits()})
     samples = []
-    for i, line in enumerate(lines[1:], start=2):
-        sample = _sample_from_text(line, config, objects, questions, splits)
-        if sample is None:
-            try:
-                rec = decode_json(line)
-            except ValueError as e:
-                raise DatasetFormatError(f"malformed record at line {i}: {e}") from None
-            sample = _sample_from_record(rec, i, config)
-        samples.append(sample)
+    for start in range(1, len(lines), STREAM_CHUNK):
+        samples += _read_chunk(lines[start:start + STREAM_CHUNK], start + 1, config, tables)
     return Dataset(config=config, samples=tuple(samples))

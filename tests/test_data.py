@@ -209,7 +209,7 @@ def test_audit_counts_a_token_id_outside_the_vocabulary(bad_id):
     ds = generate_dataset(DatasetConfig(n_samples=4, seed=22))
     sample = ds.samples[0]
     token_ids = (bad_id,) + sample.token_ids[1:]
-    edited = dataclasses.replace(sample, token_ids=token_ids)
+    edited = sample._replace(token_ids=token_ids)
     hand_built = dt.Dataset(config=ds.config, samples=(edited,) + ds.samples[1:])
     assert audit_dataset(hand_built) == 1
 
@@ -223,10 +223,106 @@ def test_audit_counts_an_object_count_generation_cannot_draw(count):
     objects = sample.scene.objects[:count] + tuple(
         SceneObject("tree", 7, col, "small") for col in range(count - 10))
     assert len({(o.row, o.col) for o in objects}) == count
-    edited = dt._sample(ds.config, dt._scene(ds.config, objects), sample.template_id,
-                        sample.slots, sample.split)
+    codes = np.array([[dt._record_code(ds.config.grid_size, *dataclasses.astuple(o))
+                       for o in objects]])
+    n = np.array([count])
+    edited, = dt._chunk_samples(ds.config, n, codes, dt._tally(n, codes),
+                                [dt._QUESTION_INDEX[sample.template_id, sample.slots]],
+                                [sample.split])
     hand_built = dt.Dataset(config=ds.config, samples=(edited,) + ds.samples[1:])
     assert audit_dataset(hand_built) == 1
+
+
+def test_audit_recomputes_each_zone_from_the_scene_objects():
+    # a zone flipped together with the rural_urban answer that reads it
+    # still contradicts the scene's building count: two failed checks
+    ds = generate_dataset(DatasetConfig(n_samples=200, seed=22))
+    flipped = {"rural": "urban", "urban": "rural"}
+    for category, edit, failed in [
+            ("rural_urban", lambda s: s._replace(
+                scene=s.scene._replace(zone_label=flipped[s.scene.zone_label]),
+                answer_index=ANSWER_INDEX[flipped[s.scene.zone_label]]), 2),
+            ("count", lambda s: s._replace(
+                scene=s.scene._replace(zone_label=flipped[s.scene.zone_label])), 1)]:
+        index = next(i for i, s in enumerate(ds.samples) if s.category == category)
+        samples = list(ds.samples)
+        samples[index] = edit(samples[index])
+        assert audit_dataset(dt.Dataset(config=ds.config, samples=tuple(samples))) == failed
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s._replace(category="area"),
+    lambda s: s._replace(n_tokens=s.n_tokens - 1),
+    lambda s: s._replace(token_ids=(TOKEN_IDS["road"],) + s.token_ids[1:]),
+    lambda s: s._replace(slots=("castle",)),
+], ids=["category", "n_tokens", "token_ids", "slots"])
+def test_audit_counts_a_question_field_its_template_does_not_give(edit):
+    # the first sample asks a count question; each edit keeps every token
+    # id in the vocabulary and the count within k_max
+    ds = generate_dataset(DatasetConfig(n_samples=4, seed=22))
+    assert ds.samples[0].category == "count"
+    edited = edit(ds.samples[0])
+    hand_built = dt.Dataset(config=ds.config, samples=(edited,) + ds.samples[1:])
+    assert audit_dataset(hand_built) == 1
+
+
+# ---------------------------------------------------------------- chunk builder
+
+
+# A class's (small, large) object counts at the edges of the rules: 9, 10
+# and 11 objects (count labels "9", "10+", "10+") and 1, 2, 4, 5, 7 and 8
+# cells (the area bins 0-1 | 2-4 | 5-7 | 8+ meet between them).
+EDGE_COUNTS = [(9, 0), (10, 0), (11, 0), (6, 5), (1, 0), (2, 0), (0, 1), (4, 0),
+               (1, 1), (5, 0), (3, 1), (0, 2), (4, 1)]
+
+
+@st.composite
+def _edge_scene(draw, grid: int) -> list:
+    """The codes of a scene of 1 to min(16, grid**2) objects on distinct
+    cells of the grid, in a drawn order: one class's counts at an edge of
+    EDGE_COUNTS, at times a second class with as many objects (a comparison
+    tie), and further objects of the other classes."""
+    room = min(16, grid * grid)
+    a, b, *others = draw(st.permutations(range(len(OBJECT_CLASSES))))
+    small, large = draw(st.sampled_from([e for e in EDGE_COUNTS if sum(e) <= room]))
+    kinds = [a * 2] * small + [a * 2 + 1] * large
+    if draw(st.booleans()) and 2 * len(kinds) <= room:
+        tied_small = draw(st.integers(0, len(kinds)))
+        kinds += [b * 2] * tied_small + [b * 2 + 1] * (len(kinds) - tied_small)
+    kinds += draw(st.lists(st.sampled_from([c * 2 + z for c in others for z in (0, 1)]),
+                           max_size=room - len(kinds)))
+    kinds = draw(st.permutations(kinds))
+    cells = draw(st.permutations(range(grid * grid)))[:len(kinds)]
+    return [cell * dt.KINDS + kind for cell, kind in zip(cells, kinds)]
+
+
+@given(data=st.data())
+@settings(max_examples=60)
+def test_the_tally_gives_the_oracles_zone_and_every_answer(data):
+    # every question of the table on each scene of one chunk; the padding
+    # past each scene's count is code 0, a small building, which no tally
+    # may count
+    grid = data.draw(st.integers(1, 9), label="grid_size")
+    most = min(16, grid * grid)
+    scenes = data.draw(st.lists(_edge_scene(grid), min_size=1, max_size=3), label="scenes")
+    threshold = data.draw(st.integers(1, most), label="urban_threshold")
+    config = DatasetConfig(grid_size=grid, min_objects=1, max_objects=most,
+                           urban_threshold=threshold)
+    rows = [(codes, q) for codes in scenes for q in range(len(dt._QUESTIONS))]
+    count = np.array([len(codes) for codes, _ in rows])
+    codes = np.zeros((len(rows), most), dtype=np.int64)
+    for i, (scene_codes, _) in enumerate(rows):
+        codes[i, :len(scene_codes)] = scene_codes
+    samples = dt._chunk_samples(config, count, codes, dt._tally(count, codes),
+                                [q for _, q in rows], ["train"] * len(rows))
+    for sample, (scene_codes, q) in zip(samples, rows):
+        objects = tuple(dt._objects_by_code(grid)[code] for code in scene_codes)
+        scene = Scene(grid, objects, zone_of(objects, threshold))
+        template_id, slots = dt._QUESTIONS[q]
+        assert sample.scene == scene
+        assert (sample.template_id, sample.slots) == (template_id, slots)
+        assert sample.answer_index == ANSWER_INDEX[answer_oracle(
+            scene, TEMPLATES[template_id], slots)], (template_id, slots)
 
 
 # ---------------------------------------------------------------- scenes
@@ -537,7 +633,10 @@ def test_a_draw_takes_the_lowest_word_to_0_and_the_highest_to_n_minus_1(n):
 @settings(max_examples=80)
 def test_comparison_draws_are_a_choice_of_two_classes(first, second):
     scene = scene_of([("road", 0, 0, "small")])
-    template_id, slots = dt._sample_question([first, second, 0], scene, "comparison")
+    question, = dt._draw_questions(np.array([[first, second, 0]], dtype=np.uint32),
+                                   np.zeros((1, len(OBJECT_CLASSES), 2), dtype=np.int64),
+                                   ["comparison"])
+    template_id, slots = dt._QUESTIONS[question]
     assert template_id == 3 and slots[0] != slots[1]
     assert (template_id, slots) == reference_sample_question(
         [first, second, 0], scene, "comparison")
@@ -630,6 +729,43 @@ def test_round_trip_equality_and_stable_bytes(tmp_path):
     path2 = tmp_path / "ds2.jsonl"
     export_dataset(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("n_samples", [1, dt.STREAM_CHUNK - 1, dt.STREAM_CHUNK,
+                                       dt.STREAM_CHUNK + 1, 2 * dt.STREAM_CHUNK + 1])
+@pytest.mark.parametrize("config", [
+    DatasetConfig(seed=44),
+    DatasetConfig(seed=45, variant="hr_like", min_objects=3, max_objects=16),
+], ids=["default", "hr_like_3_to_16_objects"])
+def test_import_equals_generation_across_chunk_boundaries(tmp_path, config, n_samples):
+    config = dataclasses.replace(config, n_samples=n_samples)
+    ds = generate_dataset(config)
+    assert ds.samples == reference_generate_dataset(config).samples
+    path = tmp_path / "ds.jsonl"
+    export_dataset(ds, path)
+    assert import_dataset(path) == ds
+
+
+@pytest.mark.parametrize("line", [3, dt.STREAM_CHUNK + 1, dt.STREAM_CHUNK + 3],
+                         ids=["first_chunk", "last_line_of_a_chunk", "second_chunk"])
+def test_import_names_the_first_bad_line_across_chunks(tmp_path, line):
+    # line k is in export's spelling but for its answer, so it is read by
+    # its text until its rebuilt answer disagrees; line k + 1 is not JSON
+    ds = generate_dataset(DatasetConfig(n_samples=dt.STREAM_CHUNK + 8, seed=46))
+    path = tmp_path / "ds.jsonl"
+    export_dataset(ds, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[line - 1])
+    right = record["answer_index"]
+    record["answer_index"] = wrong = (right + 1) % len(ANSWERS)
+    lines[line - 1] = json.dumps(record, sort_keys=True)
+    assert dt._RECORD_TEXT.fullmatch(lines[line - 1])
+    lines[line] = "this is not json"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"malformed sample record at line {line}: answer_index {wrong} is not "
+            f"the rebuilt sample's {right}")):
+        import_dataset(path)
 
 
 @pytest.mark.parametrize("text,shown", [
@@ -758,6 +894,24 @@ def test_data_path_equals_the_reference_sample_for_sample(tmp_path, name):
     assert imported.samples == reference_import_samples(path) == reference.samples
 
 
+def test_samples_and_scenes_are_immutable_hashable_records(tmp_path):
+    ds = generate_dataset(DatasetConfig(n_samples=8, seed=43))
+    sample = ds.samples[0]
+    for record, name in ((sample, "answer_index"), (sample.scene, "zone_label")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.note = "x"
+        assert hash(record) == hash(pickle.loads(pickle.dumps(record)))
+    assert repr(sample).startswith(
+        "VQASample(scene=Scene(grid_size=8, objects=(SceneObject(cls=")
+    path = tmp_path / "ds.jsonl"
+    export_dataset(ds, path)
+    imported = import_dataset(path).samples
+    assert imported == ds.samples
+    assert list(map(hash, imported)) == list(map(hash, ds.samples))
+
+
 def test_scene_object_renderings_change_no_identity():
     obj = SceneObject("road", 3, 4, "small")
     twin = SceneObject("road", 3, 4, "small")
@@ -782,7 +936,8 @@ def test_equal_objects_are_one_shared_instance(tmp_path):
     grid = config.grid_size
     for sample, back in zip(ds.samples, imported.samples):
         for obj, obj_back in zip(sample.scene.objects, back.scene.objects):
-            assert obj is obj_back is dt._record_object(grid, *dataclasses.astuple(obj))
+            code = dt._record_code(grid, *dataclasses.astuple(obj))
+            assert obj is obj_back is dt._objects_by_code(grid)[code]
     # each code names its own object: at most 10 per grid cell
     table = dt._objects_by_code(grid)
     assert len(table) <= len(OBJECT_CLASSES) * len(dt.SIZES) * grid ** 2
@@ -861,7 +1016,7 @@ def test_import_checks_object_fields_and_stores_only_valid_objects(tmp_path):
     # JSON integers, so a string, a float or a boolean is rejected even where
     # it equals the stored value
     tables = (dt._objects_by_code(ds.config.grid_size),
-              dt._objects_by_fragment(ds.config.grid_size))
+              dt._codes_by_fragment(ds.config.grid_size))
     sizes = [len(table) for table in tables]
     for obj, shown in [(["castle", 0, 0, "small"], "castle"),
                        (["road", 8, 0, "small"], "row 8"),
@@ -877,7 +1032,9 @@ def test_import_checks_object_fields_and_stores_only_valid_objects(tmp_path):
         with pytest.raises(DatasetFormatError, match=f"line 2: .*{shown}"):
             import_dataset(edited)
     assert [len(table) for table in tables] == sizes
-    assert all(obj.cls in OBJECT_CLASSES for table in tables for obj in table.values())
+    objects = tables[0]
+    assert all(obj.cls in OBJECT_CLASSES for obj in objects.values())
+    assert all(code in objects for code in tables[1].values())
 
 
 # ---------------------------------------------------------------- record text
@@ -1041,8 +1198,8 @@ def test_record_text_path_equals_the_json_path(exported, data):
     # the second import finds every valid object fragment known
     assert _import_outcome(path) == expected == _import_outcome(path)
     # only export's own renderings are kept: at most one per object
-    for body, obj in dt._objects_by_fragment(grid).items():
-        assert obj.json_fragment == f"[{body}]"
+    for body, code in dt._codes_by_fragment(grid).items():
+        assert dt._objects_by_code(grid)[code].json_fragment == f"[{body}]"
 
 
 def _objects_edit(edit):
