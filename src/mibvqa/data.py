@@ -348,7 +348,9 @@ class DatasetConfig:
     train_fraction: float = 0.8
     test_fraction: float = 0.2
     test2_fraction: float = 0.0
-    category_mix: dict = field(default_factory=dict)
+    # a dict, so outside the hash: a config hashes by its other fields, a
+    # subset of those == compares, and equal configs hash equal
+    category_mix: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         check_field_types(self)
@@ -706,17 +708,18 @@ _QUESTION_GRIDS = tuple(map(_question_grid, range(len(TEMPLATES))))
 
 
 @functools.cache
-def _questions(k_max: int) -> dict:
-    """The token ids, padded to k_max, and the token count of each of the
-    _QUESTIONS, rendered, by (template_id, slots) in _QUESTIONS order.
-    Every word is in VOCABULARY and DatasetConfig keeps k_max at least
-    MAX_QUESTION_TOKENS."""
-    table = {}
+def _questions(k_max: int) -> tuple:
+    """The one question table: the VQASample fields each of the _QUESTIONS
+    fills, by its index, as (category, template_id, slots, token_ids padded
+    to k_max, n_tokens). Every word is in VOCABULARY and DatasetConfig
+    keeps k_max at least MAX_QUESTION_TOKENS."""
+    table = []
     for template_id, slots in _QUESTIONS:
-        ids = [TOKEN_IDS[word] for word in TEMPLATES[template_id].render(slots)]
+        template = TEMPLATES[template_id]
+        ids = [TOKEN_IDS[word] for word in template.render(slots)]
         padding = [TOKEN_IDS[PAD_TOKEN]] * (k_max - len(ids))
-        table[template_id, slots] = tuple(ids + padding), len(ids)
-    return table
+        table.append((template.category, template_id, slots, tuple(ids + padding), len(ids)))
+    return tuple(table)
 
 
 def _readout(template_id: int, slots: tuple) -> np.ndarray:
@@ -792,15 +795,13 @@ def _chunk_samples(config: DatasetConfig, count: np.ndarray, codes: np.ndarray,
     urban = tally[:, _CLASS_INDEX["building"]].sum(axis=1) >= config.urban_threshold
     answers = _answers(tally, questions, config.urban_threshold)
     object_of = _objects_by_code(config.grid_size).__getitem__
-    parts = [(TEMPLATES[template_id].category, template_id, slots, token_ids, n_tokens)
-             for (template_id, slots), (token_ids, n_tokens)
-             in _questions(config.k_max).items()]
+    fields_of = _questions(config.k_max)
     samples = []
     for n, row, zone, question, answer, split in zip(
             count.tolist(), codes.tolist(), urban.tolist(), questions,
             answers.tolist(), splits):
         scene = Scene(config.grid_size, tuple(map(object_of, row[:n])), ZONE_LABELS[zone])
-        samples.append(VQASample(scene, *parts[question], answer, split))
+        samples.append(VQASample(scene, *fields_of[question], answer, split))
     return samples
 
 
@@ -823,13 +824,14 @@ def audit_dataset(dataset: Dataset) -> int:
         if zone != scene.zone_label:
             mismatches += 1
             scene = scene._replace(zone_label=zone)
-        tokens = questions.get((s.template_id, s.slots))
-        if tokens is None:
+        question = _QUESTION_INDEX.get((s.template_id, s.slots))
+        if question is None:
             mismatches += 1
         else:
-            template = TEMPLATES[s.template_id]
-            if (s.category, s.token_ids, s.n_tokens) != (template.category, *tokens):
+            if (s.category, s.template_id, s.slots, s.token_ids,
+                    s.n_tokens) != questions[question]:
                 mismatches += 1
+            template = TEMPLATES[s.template_id]
             if ANSWER_INDEX[answer_oracle(scene, template, s.slots)] != s.answer_index:
                 mismatches += 1
         if not config.min_objects <= len(scene.objects) <= config.max_objects:
@@ -875,16 +877,17 @@ _record_values = operator.attrgetter(*_RECORD_PATHS[:_OBJECTS_AT],
 # The same line as a regex, without its newline: a group for each %s, in
 # _RECORD_PATHS order. Each value export writes there is a list with no
 # list inside, or a scalar with no comma or bracket; the objects list opens
-# with "[[" and closes with "]]", and its group holds the objects' fragments
-# without their outer brackets, joined by "], [". _record_texts takes the
-# groups in the order _sample_from_text reads them: the question's last, the
-# key of its table.
-_QUESTION_PATHS = ("category", "n_tokens", "slots", "template_id", "token_ids")
+# with "[[" and closes with the first "]]", and its group holds the
+# objects' fragments without their outer brackets, joined by "], [" (no
+# "]" in it is followed by another, so it never runs past the list and
+# backs off). _record_texts takes the groups in the order _chunk_from_text
+# reads them: the question's last, in the order of its _questions entry.
+_QUESTION_PATHS = ("category", "template_id", "slots", "token_ids", "n_tokens")
 _RECORD_TEXT = re.compile("".join(
     re.escape(literal) + group for literal, group in zip(
         _RECORD_LINE.rstrip("\n").split("%s"),
-        [r"\[\[([^{}]*)\]\]" if at == _OBJECTS_AT else r"(\[[^\]]*\]|[^,\[]*)"
-         for at in range(len(_RECORD_PATHS))] + [""])))
+        [r"\[\[([^\]]*(?:\][^\]][^\]]*)*)\]\]" if at == _OBJECTS_AT
+         else r"(\[[^\]]*\]|[^,\[]*)" for at in range(len(_RECORD_PATHS))] + [""])))
 _record_texts = operator.itemgetter(*map(_RECORD_PATHS.index, (
     "scene.objects", "scene.zone_label", "answer_index", "split", *_QUESTION_PATHS)))
 
@@ -933,9 +936,9 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
     """The sample of one decoded record, rebuilt from its objects, template,
     slots and split by _chunk_samples as a one-row chunk, on the grid of
     the config echo: a record states no grid of its own. import_dataset
-    calls it for every line _sample_from_text does not read, or whose
-    rebuilt zone or answer is not its text's, so it is the one reader of any
-    other JSON spelling of a record and the one source of record errors.
+    calls it for every line of a chunk _chunk_from_text does not read, so it
+    is the one reader of any other JSON spelling of a record and the one
+    source of record errors.
 
     A drawn field generation cannot give (an object off that grid or
     unknown, the object or slot count, the template, the split) or a stored
@@ -994,80 +997,67 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
 def _question_table(k_max: int) -> dict:
     """The index in _QUESTIONS of each question _sample_from_record
     accepts, by the texts export writes for its _QUESTION_PATHS fields."""
-    table = {}
-    for question, ((template_id, slots), (token_ids, n_tokens)) in enumerate(
-            _questions(k_max).items()):
-        values = {"category": TEMPLATES[template_id].category, "n_tokens": n_tokens,
-                  "slots": slots, "template_id": template_id, "token_ids": token_ids}
-        table[tuple(_json_value(values[path]) for path in _QUESTION_PATHS)] = question
-    return table
+    return {tuple(map(_json_value, fields)): question
+            for question, fields in enumerate(_questions(k_max))}
 
 
-def _sample_from_text(line: str, config: DatasetConfig, codes: _FragmentCodes,
-                      questions: dict, splits: dict) -> tuple | None:
-    """The parts of the sample of a record line exactly as export writes
-    it, read by its text: its object codes, its question's index in
-    _QUESTIONS, its split, and the texts of its zone and answer. Objects,
-    question and split are looked up among their canonical renderings
-    (codes by _codes_by_fragment, the _question_table of config.k_max,
-    splits by their JSON text), and the object count must be one
-    generation draws. None for any other line, which _sample_from_record
-    then reads: another spelling of the same record, or one that fails a
-    check.
+def _chunk_from_text(lines: list, config: DatasetConfig, fragment_codes: _FragmentCodes,
+                     questions: dict, splits: dict) -> list | None:
+    """The samples of a chunk of record lines, each exactly as export
+    writes it, read by their text and built by one _chunk_samples call; None
+    unless the whole chunk can be vouched for, and _read_chunk then reads
+    every line of it as JSON. Each line's objects, question and split are
+    looked up among their canonical renderings (fragment_codes, the
+    _codes_by_fragment of config.grid_size; the _question_table of
+    config.k_max; splits by their JSON text); its object count must be one generation draws, its objects
+    must lie on distinct cells, and its rebuilt zone and answer must render
+    to its texts.
 
-    A line read here, whose objects lie on distinct cells and whose
-    rebuilt zone and answer render to its texts, is _RECORD_LINE filled
-    with the renderings of the sample it gives, so its JSON value is a
-    record _sample_from_record accepts and rebuilds into an equal sample."""
-    match = _RECORD_TEXT.fullmatch(line)
-    if match is None:
+    Such a line is _RECORD_LINE filled with the renderings of the sample
+    it gives, so its JSON value is a record _sample_from_record accepts and
+    rebuilds into an equal sample."""
+    matches = list(map(_RECORD_TEXT.fullmatch, lines))
+    if None in matches:
         return None
-    bodies, zone, answer, split, *question = _record_texts(match.groups())
-    question = questions.get(tuple(question))
-    split = splits.get(split)
-    if question is None or split is None:
-        return None
+    bodies, zones, answers, split_texts, *question_texts = zip(
+        *[_record_texts(match.groups()) for match in matches])
     try:
-        row = list(map(codes.__getitem__, bodies.split("], [")))
+        rows = [list(map(fragment_codes.__getitem__, body.split("], [")))
+                for body in bodies]
+        picks = list(map(questions.__getitem__, zip(*question_texts)))
+        names = list(map(splits.__getitem__, split_texts))
     except KeyError:
         return None
-    if not config.min_objects <= len(row) <= config.max_objects:
+    count = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    if count.min() < config.min_objects or count.max() > config.max_objects:
         return None
-    return row, question, split, zone, answer
+    codes = np.zeros((len(rows), config.max_objects), dtype=np.int64)
+    codes[np.arange(config.max_objects) < count.reshape(-1, 1)] = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.int64, count=int(count.sum()))
+    if (_distinct_cells(count, codes) != count).any():
+        return None
+    samples = _chunk_samples(config, count, codes, _tally(count, codes), picks, names)
+    if [(_json_value(s.scene.zone_label), _json_value(s.answer_index))
+            for s in samples] != list(zip(zones, answers)):
+        return None
+    return samples
 
 
 def _read_chunk(lines: list, line_no: int, config: DatasetConfig, tables: tuple) -> list:
     """The samples of a chunk of record lines, the first at line_no, with
-    tables the _sample_from_text lookups. The lines read by their text are
-    built as one chunk; a line that is not, or whose objects share a cell
-    or whose rebuilt zone or answer is not its text's, is decoded and read
-    by _sample_from_record, in file order, so the first bad line raises."""
-    parts = [_sample_from_text(line, config, *tables) for line in lines]
-    read = [part for part in parts if part is not None]
-    built = iter(())
-    if read:
-        rows, questions, splits, zones, answers = zip(*read)
-        count = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        codes = np.zeros((len(rows), config.max_objects), dtype=np.int64)
-        codes[np.arange(config.max_objects) < count.reshape(-1, 1)] = np.fromiter(
-            itertools.chain.from_iterable(rows), dtype=np.int64, count=int(count.sum()))
-        own_cells = (_distinct_cells(count, codes) == count).tolist()
-        built = iter([
-            sample if own and _json_value(sample.scene.zone_label) == zone
-            and _json_value(sample.answer_index) == answer else None
-            for sample, own, zone, answer in zip(
-                _chunk_samples(config, count, codes, _tally(count, codes), questions,
-                               splits), own_cells, zones, answers)])
+    tables the _chunk_from_text lookups: the chunk read by its text, or
+    else every line of it decoded and read by _sample_from_record, in file
+    order, so the first bad line raises."""
+    samples = _chunk_from_text(lines, config, *tables)
+    if samples is not None:
+        return samples
     samples = []
-    for at, (line, part) in enumerate(zip(lines, parts), start=line_no):
-        sample = None if part is None else next(built)
-        if sample is None:
-            try:
-                rec = decode_json(line)
-            except ValueError as e:
-                raise DatasetFormatError(f"malformed record at line {at}: {e}") from None
-            sample = _sample_from_record(rec, at, config)
-        samples.append(sample)
+    for at, line in enumerate(lines, start=line_no):
+        try:
+            rec = decode_json(line)
+        except ValueError as e:
+            raise DatasetFormatError(f"malformed record at line {at}: {e}") from None
+        samples.append(_sample_from_record(rec, at, config))
     return samples
 
 
@@ -1094,12 +1084,12 @@ def import_dataset(path) -> Dataset:
     """Parse an exported dataset; raises DatasetFormatError, never a partial result.
 
     The records are read STREAM_CHUNK lines at a time (_read_chunk). A
-    record line exactly as export writes it is read by its text
-    (_sample_from_text), without a JSON decode once its objects are known,
-    and the chunk's such lines are built by _chunk_samples; any other line
-    is decoded with decode_json and read by _sample_from_record, which
-    gives the same sample for any JSON spelling of the same record and
-    raises every record error."""
+    chunk whose every line is exactly as export writes it is read by its
+    text (_chunk_from_text), without a JSON decode once its objects are
+    known, and built by one _chunk_samples call; every line of any other
+    chunk is decoded with decode_json and read by _sample_from_record,
+    which gives the same sample for any JSON spelling of the same record
+    and raises every record error."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()

@@ -440,17 +440,21 @@ def test_generated_queries_fit_token_budget_and_vocabulary():
 def test_the_question_table_holds_every_question_generation_gives():
     k_max = DatasetConfig().k_max
     questions = dt._questions(k_max)
-    assert len(questions) == 46
-    for (template_id, slots), tokens in questions.items():
-        assert tokens == reference_tokenize(TEMPLATES[template_id].render(slots), k_max)
+    assert len(questions) == len(dt._QUESTIONS) == 46
+    # each question's VQASample fields, at its index in _QUESTIONS
+    for (template_id, slots), fields in zip(dt._QUESTIONS, questions):
+        template = TEMPLATES[template_id]
+        assert fields == (template.category, template_id, slots,
+                          *reference_tokenize(template.render(slots), k_max))
+    keys = set(dt._QUESTIONS)
     drawn = set()
     for variant, categories in dt.VARIANT_CATEGORIES.items():
         ds = generate_dataset(DatasetConfig(n_samples=20000, seed=38, variant=variant))
         seen = {(s.template_id, s.slots) for s in ds.samples}
-        assert seen == {key for key in questions
+        assert seen == {key for key in keys
                         if TEMPLATES[key[0]].category in categories}, variant
         drawn |= seen
-    assert drawn == set(questions)
+    assert drawn == keys
 
 
 def test_pad_token_is_index_zero():
@@ -749,8 +753,10 @@ def test_import_equals_generation_across_chunk_boundaries(tmp_path, config, n_sa
 @pytest.mark.parametrize("line", [3, dt.STREAM_CHUNK + 1, dt.STREAM_CHUNK + 3],
                          ids=["first_chunk", "last_line_of_a_chunk", "second_chunk"])
 def test_import_names_the_first_bad_line_across_chunks(tmp_path, line):
-    # line k is in export's spelling but for its answer, so it is read by
-    # its text until its rebuilt answer disagrees; line k + 1 is not JSON
+    # line k is in export's spelling but for its answer, so its chunk's text
+    # read gives up once its rebuilt answer disagrees; line k + 1 is not
+    # JSON, or a valid record in another spelling, which alone sends its
+    # chunk to the JSON reader
     ds = generate_dataset(DatasetConfig(n_samples=dt.STREAM_CHUNK + 8, seed=46))
     path = tmp_path / "ds.jsonl"
     export_dataset(ds, path)
@@ -760,12 +766,13 @@ def test_import_names_the_first_bad_line_across_chunks(tmp_path, line):
     record["answer_index"] = wrong = (right + 1) % len(ANSWERS)
     lines[line - 1] = json.dumps(record, sort_keys=True)
     assert dt._RECORD_TEXT.fullmatch(lines[line - 1])
-    lines[line] = "this is not json"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match=re.escape(
-            f"malformed sample record at line {line}: answer_index {wrong} is not "
-            f"the rebuilt sample's {right}")):
-        import_dataset(path)
+    for later in ("this is not json", lines[line].replace('"split": ', '"split":  ')):
+        lines[line] = later
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"malformed sample record at line {line}: answer_index {wrong} is not "
+                f"the rebuilt sample's {right}")):
+            import_dataset(path)
 
 
 @pytest.mark.parametrize("text,shown", [
@@ -879,6 +886,15 @@ REFERENCE_CONFIGS = {
 }
 
 
+# The record pattern before its objects group was unrolled: that group ran
+# on to the scene's closing brace and backed off to the last "]]".
+BACKTRACKING_RECORD_TEXT = re.compile("".join(
+    re.escape(literal) + group for literal, group in zip(
+        dt._RECORD_LINE.rstrip("\n").split("%s"),
+        [r"\[\[([^{}]*)\]\]" if at == dt._OBJECTS_AT else r"(\[[^\]]*\]|[^,\[]*)"
+         for at in range(len(dt._RECORD_PATHS))] + [""])))
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
 def test_data_path_equals_the_reference_sample_for_sample(tmp_path, name):
     config = REFERENCE_CONFIGS[name]
@@ -892,6 +908,11 @@ def test_data_path_equals_the_reference_sample_for_sample(tmp_path, name):
     assert path.read_bytes() == reference_export_text(reference).encode("utf-8")
     imported = import_dataset(path)
     assert imported.samples == reference_import_samples(path) == reference.samples
+    # the record pattern reads every exported line into the same groups as
+    # the backtracking one
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+        groups = dt._RECORD_TEXT.fullmatch(line).groups()
+        assert groups == BACKTRACKING_RECORD_TEXT.fullmatch(line).groups()
 
 
 def test_samples_and_scenes_are_immutable_hashable_records(tmp_path):
@@ -907,9 +928,14 @@ def test_samples_and_scenes_are_immutable_hashable_records(tmp_path):
         "VQASample(scene=Scene(grid_size=8, objects=(SceneObject(cls=")
     path = tmp_path / "ds.jsonl"
     export_dataset(ds, path)
-    imported = import_dataset(path).samples
-    assert imported == ds.samples
-    assert list(map(hash, imported)) == list(map(hash, ds.samples))
+    imported = import_dataset(path)
+    assert imported.samples == ds.samples
+    assert list(map(hash, imported.samples)) == list(map(hash, ds.samples))
+    # a config's category mix is a dict, outside its hash
+    assert imported == ds and hash(imported) == hash(ds)
+    mix = {"count": 0.4, "presence": 0.2, "comparison": 0.2, "rural_urban": 0.2}
+    assert hash(DatasetConfig()) == hash(DatasetConfig())
+    assert hash(DatasetConfig(category_mix=mix)) == hash(DatasetConfig(category_mix=dict(mix)))
 
 
 def test_scene_object_renderings_change_no_identity():
@@ -1052,7 +1078,7 @@ def _json_path_outcome(path):
     """_import_outcome with every record line decoded by json.loads and read
     by _sample_from_record."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dt, "_sample_from_text", lambda *args: None)
+        patch.setattr(dt, "_chunk_from_text", lambda *args: None)
         return _import_outcome(path)
 
 
@@ -1286,9 +1312,27 @@ def test_a_canonical_export_is_read_by_its_text(tmp_path, monkeypatch):
         decoded.append(text)
         return loads(text, **kwargs)
 
+    # one line of the middle of three chunks re-spelled, a space after a
+    # colon: that chunk alone is decoded, and the file reads as the same
+    # dataset, which re-exports as the original
+    chunked = generate_dataset(DatasetConfig(n_samples=2 * dt.STREAM_CHUNK + 5, seed=48))
+    original = tmp_path / "chunked.jsonl"
+    export_dataset(chunked, original)
+    lines = original.read_text(encoding="utf-8").splitlines()
+    lines[dt.STREAM_CHUNK + 7] = lines[dt.STREAM_CHUNK + 7].replace('"split": ', '"split":  ')
+    respelled = tmp_path / "respelled.jsonl"
+    respelled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert import_dataset(original) == chunked      # every object of the file is known
+
     monkeypatch.setattr(dt.json, "loads", counted_loads)
     for dataset, path in zip(datasets, paths):
         decoded.clear()
         assert import_dataset(path) == dataset
         assert decoded == path.read_text(encoding="utf-8").splitlines()[:1]
     assert {s.category for s in datasets[1].samples} == set(dt.VARIANT_CATEGORIES["hr_like"])
+    decoded.clear()
+    imported = import_dataset(respelled)
+    assert decoded == lines[:1] + lines[1 + dt.STREAM_CHUNK:1 + 2 * dt.STREAM_CHUNK]
+    assert imported == chunked
+    export_dataset(imported, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == original.read_bytes()

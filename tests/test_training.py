@@ -476,7 +476,8 @@ def hash_or_error(obj):
 
 
 def test_the_memo_leaves_equality_hash_and_repr_alone(small_dataset, monkeypatch):
-    # a dataset's config holds its category mix, a dict, so hash raises
+    # a dataset hashes by its config, whose category mix (a dict) is outside
+    # the hash, and by its samples
     before = (hash_or_error(small_dataset), repr(small_dataset))
     twin = dt.generate_dataset(small_dataset.config)
     train(quick_config(epochs=1), small_dataset, model_config=tiny_model_config())
