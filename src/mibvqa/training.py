@@ -11,7 +11,6 @@ the bottleneck's mean and draws nothing.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import warnings
@@ -420,7 +419,7 @@ def format_ablation_table(rows: list) -> str:
 
 
 CKPT_MAGIC = "ckpt"
-CKPT_VERSION = 6
+CKPT_VERSION = 7
 CKPT_DTYPE = "<f8"
 
 
@@ -457,99 +456,137 @@ _CKPT_LINES = (
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Plain-text format, bit-exact under round-trip.
+    """Text lines and raw float64 blocks, bit-exact under round-trip.
 
-    Header `ckpt v6 <n_tensors>`: the count of parameter tensors. The
+    Header `ckpt v7 <n_tensors>`: the count of parameter tensors. The
     _CKPT_LINES follow: `meta`/`config`/`metrics`/`answers` lines carry JSON
     payloads (`config model` holds the ModelConfig: seven widths and two
     flags; `config train` the recipe, seed included); each `tensor <name>
-    <dims...>` line (no dims for a scalar) is followed by exactly one line,
-    the base64 of the tensor's little-endian float64 bytes in C order.
+    <dims...>` line (no dims for a scalar) is followed by the tensor's raw
+    little-endian float64 bytes in C order (8 bytes a value) and one newline.
+    The header and tensor lines are ASCII text; each block is raw `<f8`
+    bytes, which may hold any byte, newlines included.
     """
     lines = [f"{CKPT_MAGIC} v{CKPT_VERSION} {len(checkpoint.parameters)}"]
     lines += [prefix + render(checkpoint) for prefix, render, _ in _CKPT_LINES]
+    lines = [line.encode() for line in lines]
     for name, array in checkpoint.parameters.items():
-        lines.append(" ".join(["tensor", name, *map(str, array.shape)]))
-        raw = np.ascontiguousarray(array, dtype=CKPT_DTYPE).tobytes()
-        lines.append(base64.b64encode(raw).decode("ascii"))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        lines.append(" ".join(["tensor", name, *map(str, array.shape)]).encode())
+        lines.append(np.ascontiguousarray(array, dtype=CKPT_DTYPE).tobytes())
+    with open(path, "wb") as f:
+        f.write(b"\n".join(lines) + b"\n")
 
 
-def _parse_line(lines: list, index: int, prefix: str, parse: Callable):
-    """parse(the text after prefix on lines[index]); a missing line, another
-    prefix or a payload parse rejects (bad number, bad JSON, JSON nested
-    past the recursion limit, missing or unknown config key, out-of-range
-    value) is a CheckpointError naming the line."""
-    if index == len(lines) or not lines[index].startswith(prefix):
-        found = repr(lines[index][:60]) if index < len(lines) else "the end of the file"
-        raise CheckpointError(f"line {index + 1} should be the {prefix.strip()!r} "
-                              f"line, found {found}")
-    try:
-        return parse(lines[index][len(prefix):])
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(
-            f"malformed {prefix.strip()!r} payload on line {index + 1}: {e}") from None
+class _CheckpointLines:
+    """A cursor over a checkpoint file's bytes. It decodes the text lines one
+    at a time and reads each raw block in place by its byte count; a block
+    counts as one line, so every error names the line a reader would count.
+    `number` is the number of the line last read (or found missing)."""
+
+    def __init__(self, data: bytes, path):
+        self.data, self.path, self.pos, self.number = data, path, 0, 0
+
+    def text(self) -> Optional[str]:
+        """The next line up to its newline (or the end of the file),
+        decoded; None at the end of the file."""
+        self.number += 1
+        if self.pos >= len(self.data):
+            return None
+        end = self.data.find(b"\n", self.pos)
+        if end < 0:
+            end = len(self.data)
+        line, self.pos = self.data[self.pos:end], end + 1
+        try:
+            return line.decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"line {self.number} of checkpoint file "
+                                  f"{self.path} is not UTF-8 text") from None
+
+    def parse(self, prefix: str, parse: Callable):
+        """parse(the text after prefix on the next line); a missing line,
+        another prefix or a payload parse reject (bad number, bad JSON, JSON
+        nested past the recursion limit, missing or unknown config key,
+        out-of-range value) is a CheckpointError naming the line."""
+        line = self.text()
+        if line is None or not line.startswith(prefix):
+            found = repr(line[:60]) if line is not None else "the end of the file"
+            raise CheckpointError(f"line {self.number} should be the "
+                                  f"{prefix.strip()!r} line, found {found}")
+        try:
+            return parse(line[len(prefix):])
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"malformed {prefix.strip()!r} payload on line "
+                                  f"{self.number}: {e}") from None
+
+    def block(self, name: str, size: int) -> np.ndarray:
+        """The next line: size raw float64 values and a newline, as a
+        read-only view of the file's bytes."""
+        self.number += 1
+        start, end = self.pos, self.pos + 8 * size
+        if start >= len(self.data):
+            raise CheckpointError(f"truncated file: no values line for parameter {name!r}")
+        if end >= len(self.data):  # the block or its newline runs past the end
+            raise CheckpointError(
+                f"truncated file: the values line for parameter {name!r} needs "
+                f"{8 * size} bytes ({size} float64 values) and a newline, "
+                f"{len(self.data) - start} bytes remain")
+        if self.data[end] != ord("\n"):
+            raise CheckpointError(
+                f"values line for parameter {name!r} does not end after its "
+                f"{8 * size} bytes ({size} float64 values): byte {end - start} "
+                f"is {self.data[end:end + 1]!r}, not a newline")
+        self.pos = end + 1
+        return np.frombuffer(self.data, dtype=CKPT_DTYPE, count=size, offset=start)
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse and validate in the order save_checkpoint writes; errors name
     the offending parameter or line. The version is checked first, so a
-    file of another version fails with its version whatever its layout."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError:
-        raise CheckpointError(f"checkpoint file {path} is not UTF-8 text") from None
-    if not lines or not lines[0].startswith(CKPT_MAGIC + " "):
+    file of another version fails with its version whatever its layout.
+    The file is read as bytes once: only its text lines are decoded, and
+    each block is copied straight from those bytes."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.startswith(CKPT_MAGIC.encode() + b" "):
         raise CheckpointError("not a checkpoint file (bad magic)")
-    head = lines[0].split()
+    lines = _CheckpointLines(data, path)
+    header = lines.text()
+    head = header.split()
     version = head[1] if len(head) > 1 else ""
     if version != f"v{CKPT_VERSION}":
         raise CheckpointError(f"unsupported checkpoint version {version!r}")
     try:
         (n_tensors,) = (int(field) for field in head[2:])
     except ValueError:  # not one integer after the version
-        raise CheckpointError(f"malformed header line: {lines[0]!r}") from None
+        raise CheckpointError(f"malformed header line: {header!r}") from None
     if n_tensors < 0:
-        raise CheckpointError(f"negative tensor count in header line: {lines[0]!r}")
+        raise CheckpointError(f"negative tensor count in header line: {header!r}")
 
     step_count, model_config, train_config, metrics, answers = (
-        _parse_line(lines, index, prefix, parse)
-        for index, (prefix, _, parse) in enumerate(_CKPT_LINES, start=1))
+        lines.parse(prefix, parse) for prefix, _, parse in _CKPT_LINES)
     parameters: dict = {}
-    end = len(_CKPT_LINES) + 1 + 2 * n_tensors
-    for index in range(len(_CKPT_LINES) + 1, end, 2):
-        tokens = _parse_line(lines, index, "tensor ", str.split)
+    for _ in range(n_tensors):
+        shape = lines.parse("tensor ", str)
+        tokens = shape.split()
         name = tokens[0] if tokens else ""
         if name in parameters:
-            raise CheckpointError(f"parameter {name!r} repeated on line {index + 1}")
+            raise CheckpointError(f"parameter {name!r} repeated on line {lines.number}")
         try:
             dims = tuple(int(d) for d in tokens[1:])
         except ValueError:
-            raise CheckpointError(
-                f"malformed shape line for parameter {name!r}: {lines[index]!r}") from None
+            raise CheckpointError(f"malformed shape line for parameter {name!r}: "
+                                  f"{'tensor ' + shape!r}") from None
         if any(d <= 0 for d in dims):
             raise CheckpointError(f"nonpositive dim in shape of parameter {name!r}")
-        if index + 1 == len(lines):
-            raise CheckpointError(f"truncated file: no values line for parameter {name!r}")
-        try:
-            raw = base64.b64decode(lines[index + 1], validate=True)
-        except ValueError as e:
-            raise CheckpointError(
-                f"malformed values line for parameter {name!r}: {e}") from None
-        size = math.prod(dims)
-        if len(raw) != 8 * size:
-            raise CheckpointError(
-                f"values line for parameter {name!r} holds {len(raw)} bytes, "
-                f"expected {8 * size} ({size} float64 values)")
-        values = np.frombuffer(raw, dtype=CKPT_DTYPE).reshape(dims)
+        values = lines.block(name, math.prod(dims))
+        values = values.reshape(dims).astype(np.float64)  # a native, writable copy
         if not np.isfinite(values).all():
             raise CheckpointError(f"non-finite value in parameter {name!r}")
-        parameters[name] = values.astype(np.float64)  # a native, writable copy
-    if len(lines) > end:
-        raise CheckpointError(f"line {end + 1} follows the header's last tensor: "
-                              f"{lines[end][:60]!r}")
+        parameters[name] = values
+    if lines.pos < len(data):
+        extra = data[lines.pos:lines.pos + 60].split(b"\n", 1)[0]
+        raise CheckpointError(f"line {lines.number + 1} follows the header's last "
+                              f"tensor: {extra.decode(errors='replace')!r}")
     return Checkpoint(model_config=model_config,
                       train_config=train_config, parameters=parameters,
                       step_count=step_count, metrics=metrics, answers=answers)

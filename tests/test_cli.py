@@ -34,9 +34,10 @@ from mibvqa.data import (
 )
 from mibvqa.model import ModelConfig
 from mibvqa.training import (
-    ABLATION_VARIANTS, TrainConfig, build_model, evaluate, evaluate_model,
-    load_checkpoint,
+    ABLATION_VARIANTS, CheckpointError, TrainConfig, build_model, evaluate,
+    evaluate_model, load_checkpoint,
 )
+from helpers_ckpt import checkpoint_lines, line_index, write_lines
 from helpers_oracles import reference_tokenize
 
 DATASET_CFG = """\
@@ -318,10 +319,10 @@ def test_a_model_width_past_the_bound_exits_with_one_error_line(
                 "--out", str(tmp_path / "never.ckpt"), "--config", str(bad)]
         shown = f"error: ModelConfig.d_h must be at most 65536, got {2 ** 62}\n"
     else:
-        text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), "config model ",
-                                  _set_config_field("model", "d_h", 2 ** 62))
+        lines, number = _edit_line(ckpt_path, "config model ",
+                                   _set_config_field("model", "d_h", 2 ** 62))
         bad = tmp_path / "wide.ckpt"
-        bad.write_text(text, encoding="utf-8")
+        write_lines(bad, lines)
         argv = ["eval", "--ckpt", str(bad), "--data", str(data_path)]
         shown = (f"error: malformed 'config model' payload on line {number}: "
                  f"ModelConfig.d_h must be at most 65536, got {2 ** 62}\n")
@@ -556,20 +557,20 @@ def test_eval_missing_checkpoint_exits_with_the_data_error_code(
 def test_eval_corrupt_checkpoint_exits_with_the_data_error_code(
         workdir, ckpt_path, data_path, capsys):
     mangled = workdir / "mangled.ckpt"
-    text = ckpt_path.read_text(encoding="utf-8")
-    mangled.write_text("junk v9" + text[7:], encoding="utf-8")
+    mangled.write_bytes(b"junk v9" + ckpt_path.read_bytes()[7:])
     code = main(["eval", "--ckpt", str(mangled), "--data", str(data_path)])
     err = capsys.readouterr().err
     assert code == 3
     assert "error:" in err
 
 
-def _edit_line(text: str, prefix: str, edit) -> tuple:
-    """(text with edit applied to the line starting with prefix, its number)."""
-    lines = text.splitlines()
-    index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+def _edit_line(ckpt, prefix: str, edit) -> tuple:
+    """(the lines of the checkpoint at ckpt with edit applied to the line
+    starting with prefix, that line's number)."""
+    lines = checkpoint_lines(ckpt)
+    index = line_index(lines, prefix)
     lines[index] = edit(lines[index])
-    return "\n".join(lines) + "\n", index + 1
+    return lines, index + 1
 
 
 def _add_bogus_key(line: str) -> str:
@@ -602,9 +603,9 @@ def _set_config_field(section: str, name: str, value):
         "train_epochs_float", "train_batch_size_bool", "train_rate_bool"])
 def test_eval_malformed_checkpoint_line_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, prefix, edit):
-    text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), prefix, edit)
+    lines, number = _edit_line(ckpt_path, prefix, edit)
     broken = workdir / "broken.ckpt"
-    broken.write_text(text, encoding="utf-8")
+    write_lines(broken, lines)
     code = main(["eval", "--ckpt", str(broken), "--data", str(data_path)])
     err = capsys.readouterr().err
     assert code == 3
@@ -621,10 +622,9 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
                          ids=["metrics", "config_model", "answers"])
 def test_eval_deeply_nested_checkpoint_line_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, prefix):
-    text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), prefix,
-                              lambda line: prefix + DEEP_JSON)
+    lines, number = _edit_line(ckpt_path, prefix, lambda line: prefix + DEEP_JSON)
     broken = workdir / "nested.ckpt"
-    broken.write_text(text, encoding="utf-8")
+    write_lines(broken, lines)
     code = main(["eval", "--ckpt", str(broken), "--data", str(data_path)])
     err = capsys.readouterr().err
     assert code == 3
@@ -682,11 +682,10 @@ def test_a_dataset_line_that_names_a_key_twice_exits_with_one_error_line(
 ], ids=["config_model", "config_train", "metrics", "answers"])
 def test_a_checkpoint_line_that_names_a_key_twice_exits_with_one_error_line(
         tmp_path, ckpt_path, data_path, capsys, prefix, old, new, key):
-    text, number = _edit_line(ckpt_path.read_text(encoding="utf-8"), prefix,
-                              lambda line: line.replace(old, new, 1))
-    assert new in text
+    lines, number = _edit_line(ckpt_path, prefix, lambda line: line.replace(old, new, 1))
+    assert new in lines[number - 1]
     broken = tmp_path / "twice.ckpt"
-    broken.write_text(text, encoding="utf-8")
+    write_lines(broken, lines)
     code = main(["eval", "--ckpt", str(broken), "--data", str(data_path)])
     assert code == 3
     assert capsys.readouterr().err == (f"error: malformed {prefix.strip()!r} payload "
@@ -694,10 +693,10 @@ def test_a_checkpoint_line_that_names_a_key_twice_exits_with_one_error_line(
 
 
 def _first_block_nan(lines: list) -> list:
-    index = next(i for i, line in enumerate(lines) if line.startswith("tensor ")) + 1
-    values = np.frombuffer(base64.b64decode(lines[index]), dtype="<f8").copy()
+    index = line_index(lines, "tensor ") + 1
+    values = np.frombuffer(lines[index], dtype="<f8").copy()
     values[0] = np.nan
-    lines[index] = base64.b64encode(values.tobytes()).decode()
+    lines[index] = values.tobytes()
     return lines
 
 
@@ -711,27 +710,29 @@ def _header_field(position: int, value: str):
 
 
 def _first_shape_dim_text(lines: list) -> list:
-    index = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
-    lines[index] += " x"
+    lines[line_index(lines, "tensor ")] += " x"
     return lines
 
 
 def _payload_edit(prefix: str, change):
     """Apply change to the JSON payload of the line starting with prefix."""
     def edit(lines: list) -> list:
-        index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        index = line_index(lines, prefix)
         lines[index] = prefix + json.dumps(change(json.loads(lines[index][len(prefix):])))
         return lines
     return edit
 
 
 def _without(prefix: str):
-    return lambda lines: [line for line in lines if not line.startswith(prefix)]
+    def edit(lines: list) -> list:
+        del lines[line_index(lines, prefix)]
+        return lines
+    return edit
 
 
 def _repeated(prefix: str):
     def edit(lines: list) -> list:
-        index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        index = line_index(lines, prefix)
         return lines[:index + 1] + lines[index:]
     return edit
 
@@ -742,14 +743,14 @@ def _config_lines_swapped(lines: list) -> list:
 
 
 def _first_block_twice(lines: list) -> list:
-    index = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
+    index = line_index(lines, "tensor ")
     return lines[:index + 2] + lines[index:]
 
 
 @pytest.mark.parametrize("edit,shown", [
     (_header_field(1, "v2"), "unsupported checkpoint version 'v2'"),
     (_header_field(1, "v3"), "unsupported checkpoint version 'v3'"),
-    (_header_field(2, "-5"), "negative tensor count in header line: 'ckpt v6 -5'"),
+    (_header_field(2, "-5"), "negative tensor count in header line: 'ckpt v7 -5'"),
     (_first_block_nan, "non-finite value in parameter"),
     (_first_shape_dim_text, "malformed shape line for parameter 'enc.embed'"),
     (_payload_edit("config model ", lambda mc: {**mc, "d_h": mc["d_h"] + 1}),
@@ -775,14 +776,58 @@ def _first_block_twice(lines: list) -> list:
         "config_train_no_epochs"])
 def test_eval_rejected_checkpoint_exits_with_one_error_line(
         workdir, ckpt_path, data_path, capsys, edit, shown):
-    lines = edit(ckpt_path.read_text(encoding="utf-8").splitlines())
+    lines = edit(checkpoint_lines(ckpt_path))
     broken = workdir / "rejected.ckpt"
-    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(broken, lines)
     code = main(["eval", "--ckpt", str(broken), "--data", str(data_path)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and shown in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _text_offsets(lines: list) -> list:
+    """The byte offset of every byte of the text lines, newlines included,
+    in the file write_lines makes of lines."""
+    offsets, pos = [], 0
+    for line in lines:
+        size = len(line.encode() if isinstance(line, str) else line) + 1
+        if isinstance(line, str):
+            offsets.extend(range(pos, pos + size))
+        pos += size
+    return offsets
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_a_truncated_flipped_or_random_checkpoint_exits_with_one_error_line(
+        workdir, ckpt_path, data_path, data):
+    # the loader reads each block by the byte count its tensor line gives:
+    # a file cut short, a text byte gone non-ASCII (its high bit set) or
+    # bytes that were never a checkpoint fail with one CheckpointError, not
+    # a decode error or a read past the end of the file
+    saved = ckpt_path.read_bytes()
+    kind = data.draw(st.sampled_from(["truncated", "flipped", "random"]), label="kind")
+    if kind == "truncated":
+        damaged = saved[:data.draw(st.integers(0, len(saved) - 1), label="length")]
+    elif kind == "flipped":
+        at = data.draw(st.sampled_from(_text_offsets(checkpoint_lines(ckpt_path))),
+                       label="offset")
+        flipped = saved[at] ^ data.draw(st.integers(0x80, 0xFF), label="mask")
+        damaged = saved[:at] + bytes([flipped]) + saved[at + 1:]
+    else:
+        damaged = (data.draw(st.sampled_from([b"", b"ckpt v7 "]), label="head")
+                   + data.draw(st.binary(max_size=300), label="bytes"))
+    path = workdir / "damaged.ckpt"
+    path.write_bytes(damaged)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--ckpt", str(path), "--data", str(data_path)])
+    assert code == 3
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+    assert len(err.getvalue().strip().splitlines()) == 1
 
 
 def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
@@ -980,6 +1025,13 @@ EXTRA_KEY_LINES = {
 HEADER_WORDS = {FORMAT_NAME, *VARIANT_CATEGORIES}
 
 
+def _file_lines(file: str, path) -> list:
+    """The lines of the checkpoint ("ckpt") or dataset ("data") at path."""
+    if file == "ckpt":
+        return checkpoint_lines(path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
 def _token_value(token: str):
     """The JSON value a header token spells, or the token itself ("v4")."""
     try:
@@ -1014,7 +1066,7 @@ def test_eval_with_one_bad_header_field_exits_with_one_error_line(
     targets = EXTRA_KEY_LINES if kind == "extra key" else HEADER_LINES
     target = data.draw(st.sampled_from(sorted(targets)), label="target")
     file, index, prefix = targets[target]
-    lines = paths[file].read_text(encoding="utf-8").splitlines()
+    lines = _file_lines(file, paths[file])
     text = lines[index][len(prefix):]
     tokens = file == "ckpt" and index < 2
     if tokens:
@@ -1045,7 +1097,7 @@ def test_eval_with_one_bad_header_field_exits_with_one_error_line(
     lines[index] = prefix + (" ".join(holder) if tokens
                              else json.dumps(payload, sort_keys=True))
     paths[file] = workdir / f"bad_header.{file}"
-    paths[file].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(paths[file], lines)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["eval", "--ckpt", str(paths["ckpt"]),
@@ -1100,7 +1152,7 @@ def test_eval_of_an_equivalently_rewritten_line_prints_the_same_metrics(
     paths = {"ckpt": ckpt_path, "data": data_path}
     target = data.draw(st.sampled_from(sorted(JSON_LINES)), label="target")
     file, index, prefix = JSON_LINES[target]
-    lines = paths[file].read_text(encoding="utf-8").splitlines()
+    lines = _file_lines(file, paths[file])
     if index is None:
         index = data.draw(st.integers(1, len(lines) - 1), label="record")
     payload = _reordered(json.loads(lines[index][len(prefix):]), data)
@@ -1108,15 +1160,24 @@ def test_eval_of_an_equivalently_rewritten_line_prints_the_same_metrics(
                   data.draw(st.sampled_from([":", ": ", " : ", ":\t"]), label="key"))
     lines[index] = prefix + json.dumps(payload, separators=separators)
     paths[file] = workdir / f"rewritten.{file}"
-    paths[file].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(paths[file], lines)
     assert unedited_eval[0] == 0
     assert _eval_output(paths["ckpt"], paths["data"],
                         workdir / "same_metrics.json") == unedited_eval
 
 
+def _as_v6(lines: list) -> list:
+    """The lines in checkpoint v6's layout: text only, each block as the
+    base64 of its bytes."""
+    lines[0] = lines[0].replace(" v7 ", " v6 ")
+    return [line if isinstance(line, str) else base64.b64encode(line).decode()
+            for line in lines]
+
+
 def _as_v4(lines: list) -> list:
-    """The lines in checkpoint v4's layout: the train seed in the header and
-    each tensor's rank before its dims."""
+    """The lines in checkpoint v4's layout: v6's, but with the train seed in
+    the header and each tensor's rank before its dims."""
+    lines = _as_v6(lines)
     seed = json.loads(lines[3][len("config train "):])["seed"]
     lines[0] = lines[0].replace(" v6 ", f" v4 {seed} ")
     for index, line in enumerate(lines):
@@ -1129,6 +1190,7 @@ def _as_v4(lines: list) -> list:
 def _as_v5(lines: list) -> list:
     """The lines under checkpoint v5's header. v5 had v6's layout but the
     parameters of another bottleneck, so only its header tells it apart."""
+    lines = _as_v6(lines)
     lines[0] = lines[0].replace(" v6 ", " v5 ")
     return lines
 
@@ -1149,11 +1211,12 @@ def _as_dataset_v1(lines: list) -> list:
     ("data", _as_dataset_v1, "error: unsupported dataset version 1\n"),
     ("ckpt", _as_v4, "error: unsupported checkpoint version 'v4'\n"),
     ("ckpt", _as_v5, "error: unsupported checkpoint version 'v5'\n"),
-], ids=["dataset_v1", "checkpoint_v4", "checkpoint_v5"])
+    ("ckpt", _as_v6, "error: unsupported checkpoint version 'v6'\n"),
+], ids=["dataset_v1", "checkpoint_v4", "checkpoint_v5", "checkpoint_v6"])
 def test_a_file_in_the_previous_format_exits_with_its_version(
         workdir, ckpt_path, data_path, capsys, file, convert, shown):
     paths = {"ckpt": ckpt_path, "data": data_path}
-    lines = convert(paths[file].read_text(encoding="utf-8").splitlines())
+    lines = convert(_file_lines(file, paths[file]))
     paths[file] = workdir / f"previous.{file}"
     paths[file].write_text("\n".join(lines) + "\n", encoding="utf-8")
     code = main(["eval", "--ckpt", str(paths["ckpt"]), "--data", str(paths["data"])])
@@ -1242,9 +1305,13 @@ def test_file_that_is_not_utf8_text_exits_with_one_error_line(
         tmp_path, ckpt_path, data_path, capsys, flag):
     binary = tmp_path / "binary.bin"
     binary.write_bytes(bytes(range(256)))
+    # a checkpoint's blocks are raw bytes, so its text lines carry the bytes
+    lines = checkpoint_lines(ckpt_path)
+    lines[1] = lines[1].encode() + bytes(range(128, 256))
+    write_lines(tmp_path / "binary.ckpt", lines)
     never = str(tmp_path / "never.ckpt")
     argv = {
-        "--ckpt": ["eval", "--ckpt", str(binary), "--data", str(data_path)],
+        "--ckpt": ["eval", "--ckpt", str(tmp_path / "binary.ckpt"), "--data", str(data_path)],
         "--data": ["train", "--data", str(binary), "--out", never],
         "--config": ["train", "--data", str(data_path), "--out", never,
                      "--config", str(binary)],

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import gc
 import json
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import split_batch, tiny_model_config
+from helpers_ckpt import checkpoint_lines, line_index, read_checkpoint, write_lines
 from mibvqa import autodiff as ad
 from mibvqa import data as dt
 from mibvqa import training
@@ -159,9 +159,8 @@ def assert_parameters_named(flag, prefix, dataset, tmp_path):
     assert list(result.checkpoint.parameters) == expected
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    tensor_lines = [line.split()[1] for line in path.read_text().splitlines()
-                    if line.startswith("tensor ")]
-    assert tensor_lines == expected
+    _, records = read_checkpoint(path)
+    assert [line.split()[1] for line, _ in records] == expected
 
 
 def test_flag_isolation_no_bottleneck_parameters(micro_dataset, tmp_path):
@@ -549,13 +548,15 @@ def test_checkpoint_header_shape(tmp_path, small_dataset):
     checkpoint = dataclasses.replace(result.checkpoint, parameters=parameters)
     path = tmp_path / "model.ckpt"
     save_checkpoint(checkpoint, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"ckpt v6 {len(parameters)}"
-    # each tensor line holds its name and its dims, nothing else
-    shapes = [line.split()[1:] for line in lines if line.startswith("tensor ")]
-    assert shapes == [[name, *map(str, array.shape)]
-                      for name, array in parameters.items()]
-    assert shapes[-1] == ["x.scalar"]
+    head, records = read_checkpoint(path)
+    assert head[0] == f"ckpt v7 {len(parameters)}"
+    # each tensor line holds its name and its dims, nothing else, and its
+    # block the array's little-endian float64 bytes in C order
+    assert [line.split()[1:] for line, _ in records] == [
+        [name, *map(str, array.shape)] for name, array in parameters.items()]
+    assert [block for _, block in records] == [
+        array.astype("<f8").tobytes() for array in parameters.values()]
+    assert records[-1] == ("tensor x.scalar", np.float64(0.25).tobytes())
     scalar = load_checkpoint(path).parameters["x.scalar"]
     assert scalar.shape == () and scalar == 0.25
 
@@ -571,14 +572,13 @@ def test_checkpoint_tampered_shape_names_parameter(tmp_path, small_dataset):
     result = run_quick(small_dataset)
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    lines = path.read_text().splitlines(keepends=True)
-    idx = next(i for i, l in enumerate(lines)
-               if l.startswith("tensor fus.mlp_b2 "))
+    lines = checkpoint_lines(path)
+    idx = line_index(lines, "tensor fus.mlp_b2 ")
     parts = lines[idx].split()
     parts[-1] = str(int(parts[-1]) + 1)  # claim one more column than stored
-    lines[idx] = " ".join(parts) + "\n"
+    lines[idx] = " ".join(parts)
     bad = tmp_path / "tampered.ckpt"
-    bad.write_text("".join(lines))
+    write_lines(bad, lines)
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(bad)
     assert "fus.mlp_b2" in str(info.value)
@@ -588,9 +588,9 @@ def test_checkpoint_truncated_values_rejected(tmp_path, small_dataset):
     result = run_quick(small_dataset)
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    text = path.read_text()
+    data = path.read_bytes()
     cut = tmp_path / "cut.ckpt"
-    cut.write_text(text[: int(len(text) * 0.7)])
+    cut.write_bytes(data[: int(len(data) * 0.7)])
     with pytest.raises(CheckpointError):
         load_checkpoint(cut)
 
@@ -599,11 +599,10 @@ def test_checkpoint_malformed_float_rejected(tmp_path, small_dataset):
     result = run_quick(small_dataset)
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    lines = path.read_text().splitlines(keepends=True)
-    idx = next(i for i, l in enumerate(lines) if l.startswith("tensor ")) + 1
-    lines[idx] = lines[idx].replace(lines[idx].split()[0], "bogus", 1)
+    lines = checkpoint_lines(path)
+    lines[line_index(lines, "tensor ") + 1] = b"bogus"  # the first block, replaced whole
     bad = tmp_path / "badfloat.ckpt"
-    bad.write_text("".join(lines))
+    write_lines(bad, lines)
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
 
@@ -612,13 +611,14 @@ def test_checkpoint_version_mismatch_rejected(tmp_path, small_dataset):
     result = run_quick(small_dataset)
     path = tmp_path / "model.ckpt"
     save_checkpoint(result.checkpoint, path)
-    text = path.read_text()
+    data = path.read_bytes()
     bad = tmp_path / "other.ckpt"
     # the version is checked before the layout: v4's header held the seed
-    # too, and v5 held another model's parameters in v6's layout
-    for head, version in (("ckpt v9 ", "v9"), ("ckpt v4 13 ", "v4"),
-                          ("ckpt v5 ", "v5")):
-        bad.write_text(text.replace("ckpt v6 ", head, 1))
+    # too, v5 held another model's parameters in v6's layout, and v6 held
+    # each block as a base64 text line
+    for head, version in ((b"ckpt v9 ", "v9"), (b"ckpt v4 13 ", "v4"),
+                          (b"ckpt v5 ", "v5"), (b"ckpt v6 ", "v6")):
+        bad.write_bytes(data.replace(b"ckpt v7 ", head, 1))
         with pytest.raises(CheckpointError,
                            match=f"^unsupported checkpoint version '{version}'$"):
             load_checkpoint(bad)
@@ -662,39 +662,34 @@ def test_checkpoint_blocks_round_trip_bit_exact_and_writable(block_dir, arrays):
 def saved_lines(tmp_path_factory, small_dataset) -> list:
     path = tmp_path_factory.mktemp("saved") / "model.ckpt"
     save_checkpoint(run_quick(small_dataset).checkpoint, path)
-    return path.read_text().splitlines()
+    return checkpoint_lines(path)
 
 
-def _recoded(edit):
-    """An edit of a block line that decodes it, applies edit to its bytes
-    and encodes the result again."""
-    return lambda block: [base64.b64encode(edit(base64.b64decode(block))).decode()]
-
-
-def _first_value_nan(raw: bytes) -> bytes:
-    values = np.frombuffer(raw, dtype="<f8").copy()
+def _first_value_nan(block: bytes) -> list:
+    values = np.frombuffer(block, dtype="<f8").copy()
     values[0] = np.nan
-    return values.tobytes()
+    return [values.tobytes()]
 
 
 @pytest.mark.parametrize("target,edit,shown", [
-    ("fus.mlp_b2", _recoded(lambda raw: raw[:-8]), "bytes"),
-    ("fus.mlp_b2", _recoded(lambda raw: raw + bytes(8)), "bytes"),
-    ("fus.mlp_b2", lambda block: [block[:4] + "!" + block[4:]],
-     "malformed values line"),
-    ("fus.mlp_b2", _recoded(_first_value_nan), "non-finite value"),
+    ("fus.mlp_b2", lambda block: [block[:-8]], "bytes"),
+    ("fus.mlp_b2", lambda block: [block + bytes(8)], "bytes"),
+    # the byte after the block, where its newline belongs, is another byte
+    ("fus.mlp_b2", lambda block: [block + b"!"], "is b'!', not a newline"),
+    ("fus.mlp_b2", _first_value_nan, "non-finite value"),
     ("last", lambda block: [], "no values line"),
-], ids=["one_value_short", "one_value_long", "not_base64", "nan", "missing_line"])
+], ids=["one_value_short", "one_value_long", "no_newline", "nan", "missing_line"])
 def test_checkpoint_bad_block_names_the_parameter(tmp_path, saved_lines, target,
                                                   edit, shown):
-    shape_lines = [i for i, line in enumerate(saved_lines) if line.startswith("tensor ")]
+    shape_lines = [i for i, line in enumerate(saved_lines)
+                   if isinstance(line, str) and line.startswith("tensor ")]
     index = shape_lines[-1] if target == "last" else next(
         i for i in shape_lines if saved_lines[i].split()[1] == target)
     name = saved_lines[index].split()[1]
     lines = (saved_lines[:index + 1] + edit(saved_lines[index + 1])
              + saved_lines[index + 2:])
     bad = tmp_path / "bad_block.ckpt"
-    bad.write_text("\n".join(lines) + "\n")
+    write_lines(bad, lines)
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(bad)
     assert repr(name) in str(info.value) and shown in str(info.value)
@@ -703,7 +698,8 @@ def test_checkpoint_bad_block_names_the_parameter(tmp_path, saved_lines, target,
 @given(data=st.data())
 @settings(max_examples=25)
 def test_load_rejects_a_deleted_duplicated_or_swapped_line(block_dir, saved_lines, data):
-    # the loader reads the lines in the order save_checkpoint writes them
+    # the loader reads the lines in the order save_checkpoint writes them,
+    # each block right after its own tensor line
     lines = list(saved_lines)
     index = data.draw(st.integers(1, len(lines) - 1), label="index")
     edits = ["delete", "duplicate"] + (["swap"] if index + 1 < len(lines) else [])
@@ -715,7 +711,7 @@ def test_load_rejects_a_deleted_duplicated_or_swapped_line(block_dir, saved_line
     else:
         lines[index], lines[index + 1] = lines[index + 1], lines[index]
     edited = block_dir / "edited.ckpt"
-    edited.write_text("\n".join(lines) + "\n")
+    write_lines(edited, lines)
     with pytest.raises(CheckpointError):
         load_checkpoint(edited)
 
@@ -726,7 +722,7 @@ def test_load_rejects_a_deleted_duplicated_or_swapped_line(block_dir, saved_line
 ], ids=["missing_key", "extra_key"])
 def test_load_rejects_metrics_without_exactly_the_metrics_fields(
         tmp_path, saved_lines, edit, shown):
-    index = next(i for i, line in enumerate(saved_lines) if line.startswith("metrics "))
+    index = line_index(saved_lines, "metrics ")
     metrics = json.loads(saved_lines[index][len("metrics "):])
     names = sorted(f.name for f in dataclasses.fields(Metrics))
     assert [sorted(split) for split in metrics.values()] == [names] * len(metrics)
@@ -734,7 +730,7 @@ def test_load_rejects_metrics_without_exactly_the_metrics_fields(
     lines = list(saved_lines)
     lines[index] = "metrics " + json.dumps(metrics, sort_keys=True)
     bad = tmp_path / "bad_metrics.ckpt"
-    bad.write_text("\n".join(lines) + "\n")
+    write_lines(bad, lines)
     with pytest.raises(CheckpointError, match=f"metrics of split 'test' keys: {re.escape(shown)}"):
         load_checkpoint(bad)
 
