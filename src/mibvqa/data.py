@@ -28,7 +28,6 @@ import itertools
 import json
 import math
 import operator
-import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Sequence, get_type_hints
 
@@ -865,40 +864,56 @@ def _json_pattern(keys: tuple, nested: dict) -> str:
 
 # A record line, and the sample attribute each of its %s stands for, in
 # the pattern's order: the record keys', with the scene keys' in the
-# scene's place. The objects list is rendered from the objects' own
-# fragments, every other value by _json_value.
-_RECORD_LINE = _json_pattern(RECORD_KEYS, {"scene": _json_pattern(SCENE_KEYS, {})}) + "\n"
+# scene's place.
+_RECORD_LINE = _json_pattern(RECORD_KEYS, {"scene": _json_pattern(SCENE_KEYS, {})})
 _RECORD_PATHS = [path for key in sorted(RECORD_KEYS) for path in (
     [f"scene.{k}" for k in sorted(SCENE_KEYS)] if key == "scene" else [key])]
 _OBJECTS_AT = _RECORD_PATHS.index("scene.objects")
-_record_values = operator.attrgetter(*_RECORD_PATHS[:_OBJECTS_AT],
-                                     *_RECORD_PATHS[_OBJECTS_AT + 1:])
 
-# The same line as a regex, without its newline: a group for each %s, in
-# _RECORD_PATHS order. Each value export writes there is a list with no
-# list inside, or a scalar with no comma or bracket; the objects list opens
-# with "[[" and closes with the first "]]", and its group holds the
-# objects' fragments without their outer brackets, joined by "], [" (no
-# "]" in it is followed by another, so it never runs past the list and
-# backs off). _record_texts takes the groups in the order _chunk_from_text
-# reads them: the question's last, in the order of its _questions entry.
-_QUESTION_PATHS = ("category", "template_id", "slots", "token_ids", "n_tokens")
-_RECORD_TEXT = re.compile("".join(
-    re.escape(literal) + group for literal, group in zip(
-        _RECORD_LINE.rstrip("\n").split("%s"),
-        [r"\[\[([^\]]*(?:\][^\]][^\]]*)*)\]\]" if at == _OBJECTS_AT
-         else r"(\[[^\]]*\]|[^,\[]*)" for at in range(len(_RECORD_PATHS))] + [""])))
-_record_texts = operator.itemgetter(*map(_RECORD_PATHS.index, (
-    "scene.objects", "scene.zone_label", "answer_index", "split", *_QUESTION_PATHS)))
+# The line cut at its objects list: the head, from its start through the
+# list's "[", and the tail, from the "]" that closes the list to its end.
+# A dataset's lines share a few hundred heads and tails: its answers by its
+# questions' (category, n_tokens) pairs, and its zones by its questions by
+# its splits. Each object's own fragment fills the list between them.
+_pieces = _RECORD_LINE.split("%s")
+_HEAD = "%s".join(_pieces[:_OBJECTS_AT + 1]) + "["
+_TAIL = "]" + "%s".join(_pieces[_OBJECTS_AT + 1:])
+_head_values = operator.attrgetter(*_RECORD_PATHS[:_OBJECTS_AT])
+_tail_values = operator.attrgetter(*_RECORD_PATHS[_OBJECTS_AT + 1:])
+# import cuts a line after the list's "[" that opens its first object, and
+# at the first tail's start after that
+_OBJECTS_OPEN = _HEAD[_HEAD.rindex(json.dumps("objects")):] + "["
+_OBJECTS_CLOSE = _TAIL.split("%s")[0]
+
+# The most texts a renderer keeps: a dataset needs under 400.
+_RENDERED_MAX = 1024
 
 
-# A dataset repeats few distinct values per field: under 50 questions' slots
-# and token ids per k_max, and a handful of categories, zones, splits and
-# small ints. typed: json.dumps(True) is "true", where 1's is "1".
-@functools.lru_cache(maxsize=1024, typed=True)
-def _json_value(value) -> str:
-    """json.dumps(value) of a hashable value, a tuple written as a list."""
-    return json.dumps(value)
+def _renderer(pattern: str):
+    """The function from a tuple of values to pattern with each %s filled by
+    json.dumps of its value, a tuple written as a list, memoized by value.
+    A kept text is reused only for the very objects it was rendered from:
+    an equal value of another JSON spelling (True or 1.0 where 1 was, also
+    inside a tuple, or -0.0 where 0.0 was) is rendered anew. Every sample
+    generation or import builds shares its question's tuples and its zone,
+    split and category strings, so it renders each distinct head or tail
+    once."""
+    texts = {}
+
+    def render(values: tuple) -> str:
+        kept = texts.get(values)
+        if kept is not None and all(map(operator.is_, kept[0], values)):
+            return kept[1]
+        if len(texts) >= _RENDERED_MAX:
+            texts.clear()
+        text = pattern % tuple(map(json.dumps, values))
+        texts[values] = values, text
+        return text
+    return render
+
+
+_head = _renderer(_HEAD)
+_tail = _renderer(_TAIL)
 
 
 def _values(value: dict, keys: tuple, what: str) -> list:
@@ -977,6 +992,9 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
             raise ValueError(f"comparison of {slots[0]!r} with itself")
         if split not in config.splits():
             raise ValueError(f"split {split!r} is not among the header's splits")
+        # the config's own string, as every other builder's split is, so
+        # that export's memo of record tails knows it (_renderer)
+        split = next(name for name in config.splits() if name == split)
         sample, = _chunk_samples(config, count, codes, _tally(count, codes),
                                  [_QUESTION_INDEX[template_id, slots]], [split])
         for name, value, expected in (
@@ -994,61 +1012,82 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
 
 
 @functools.cache
-def _question_table(k_max: int) -> dict:
-    """The index in _QUESTIONS of each question _sample_from_record
-    accepts, by the texts export writes for its _QUESTION_PATHS fields."""
-    return {tuple(map(_json_value, fields)): question
-            for question, fields in enumerate(_questions(k_max))}
+def _record_ends(k_max: int, splits: tuple) -> tuple:
+    """The dicts of every head and tail export writes for a dataset of this
+    k_max and these splits, by their text, rendered by _head and _tail. A
+    head gives (answer_index, (category, n_tokens)), any answer with any
+    pair of a question; a tail gives (zone_label, the question's index in
+    _QUESTIONS, split, (category, n_tokens) of that question)."""
+    questions = _questions(k_max)
+    pairs = {(category, n_tokens) for category, *_, n_tokens in questions}
+    heads = {_head((answer, *pair)): (answer, pair)
+             for answer in range(len(ANSWERS)) for pair in pairs}
+    tails = {_tail((zone, slots, split, template_id, token_ids)):
+             (zone, question, split, (category, n_tokens))
+             for question, (category, template_id, slots, token_ids, n_tokens)
+             in enumerate(questions) for zone in ZONE_LABELS for split in splits}
+    return heads, tails
 
 
-def _chunk_from_text(lines: list, config: DatasetConfig, fragment_codes: _FragmentCodes,
-                     questions: dict, splits: dict) -> list | None:
+def _chunk_from_text(lines: list, config: DatasetConfig) -> list | None:
     """The samples of a chunk of record lines, each exactly as export
     writes it, read by their text and built by one _chunk_samples call; None
     unless the whole chunk can be vouched for, and _read_chunk then reads
-    every line of it as JSON. Each line's objects, question and split are
-    looked up among their canonical renderings (fragment_codes, the
-    _codes_by_fragment of config.grid_size; the _question_table of
-    config.k_max; splits by their JSON text); its object count must be one generation draws, its objects
-    must lie on distinct cells, and its rebuilt zone and answer must render
-    to its texts.
+    every line of it as JSON.
 
-    Such a line is _RECORD_LINE filled with the renderings of the sample
+    Each line is cut after the "[" that opens its first object and at the
+    first tail's start after that. Its head and tail must be among the
+    _record_ends of config.k_max and its splits, and the head's category
+    and n_tokens the tail's question's; its objects, joined as export joins
+    them, must each be the json_fragment of an object on config's grid
+    (_codes_by_fragment); its object count must be one generation draws, its
+    objects must lie on distinct cells, and its rebuilt zone and answer
+    must be its tail's and its head's.
+
+    Such a line is the head, objects and tail export writes for the sample
     it gives, so its JSON value is a record _sample_from_record accepts and
     rebuilds into an equal sample."""
-    matches = list(map(_RECORD_TEXT.fullmatch, lines))
-    if None in matches:
-        return None
-    bodies, zones, answers, split_texts, *question_texts = zip(
-        *[_record_texts(match.groups()) for match in matches])
+    heads, tails = _record_ends(config.k_max, tuple(config.splits()))
+    fragment_codes = _codes_by_fragment(config.grid_size)
+    line_heads, line_tails, counts, bodies = [], [], [], []
     try:
-        rows = [list(map(fragment_codes.__getitem__, body.split("], [")))
-                for body in bodies]
-        picks = list(map(questions.__getitem__, zip(*question_texts)))
-        names = list(map(splits.__getitem__, split_texts))
+        for line in lines:
+            # a line without either cut gives a head or tail text that no
+            # line export writes has
+            start = line.find(_OBJECTS_OPEN) + len(_OBJECTS_OPEN)
+            stop = line.find(_OBJECTS_CLOSE, start)
+            head, tail = heads[line[:start - 1]], tails[line[stop:]]
+            if head[1] != tail[3] or line[stop - 1] != "]":
+                return None
+            line_heads.append(head)
+            line_tails.append(tail)
+            objects = line[start:stop - 1].split("], [")
+            counts.append(len(objects))
+            bodies += objects
+        flat = list(map(fragment_codes.__getitem__, bodies))
     except KeyError:
         return None
-    count = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    count = np.array(counts, dtype=np.int64)
     if count.min() < config.min_objects or count.max() > config.max_objects:
         return None
-    codes = np.zeros((len(rows), config.max_objects), dtype=np.int64)
-    codes[np.arange(config.max_objects) < count.reshape(-1, 1)] = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.int64, count=int(count.sum()))
+    codes = np.zeros((len(lines), config.max_objects), dtype=np.int64)
+    codes[np.arange(config.max_objects) < count.reshape(-1, 1)] = flat
     if (_distinct_cells(count, codes) != count).any():
         return None
-    samples = _chunk_samples(config, count, codes, _tally(count, codes), picks, names)
-    if [(_json_value(s.scene.zone_label), _json_value(s.answer_index))
-            for s in samples] != list(zip(zones, answers)):
+    answers, _ = zip(*line_heads)
+    zones, questions, splits, _ = zip(*line_tails)
+    samples = _chunk_samples(config, count, codes, _tally(count, codes), questions, splits)
+    rebuilt = operator.attrgetter("scene.zone_label", "answer_index")
+    if list(map(rebuilt, samples)) != list(zip(zones, answers)):
         return None
     return samples
 
 
-def _read_chunk(lines: list, line_no: int, config: DatasetConfig, tables: tuple) -> list:
-    """The samples of a chunk of record lines, the first at line_no, with
-    tables the _chunk_from_text lookups: the chunk read by its text, or
-    else every line of it decoded and read by _sample_from_record, in file
-    order, so the first bad line raises."""
-    samples = _chunk_from_text(lines, config, *tables)
+def _read_chunk(lines: list, line_no: int, config: DatasetConfig) -> list:
+    """The samples of a chunk of record lines, the first at line_no: the
+    chunk read by its text, or else every line of it decoded and read by
+    _sample_from_record, in file order, so the first bad line raises."""
+    samples = _chunk_from_text(lines, config)
     if samples is not None:
         return samples
     samples = []
@@ -1067,29 +1106,31 @@ def export_dataset(dataset: Dataset, path) -> None:
     record count.
 
     Each line is what json.dumps(sort_keys=True) writes, assembled from
-    cached fragments (SceneObject.json_fragment and _json_value) and written
-    as it is built: the file is never held whole in memory."""
+    cached texts, its head (_head), its objects' json_fragments and its tail
+    (_tail), and each STREAM_CHUNK lines are written at once: the file is
+    never held whole in memory."""
     header = dict(zip(HEADER_KEYS, (asdict(dataset.config), FORMAT_NAME,
                                     FORMAT_VERSION), strict=True))
+    samples = dataset.samples
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        for s in dataset.samples:
-            values = list(map(_json_value, _record_values(s)))
-            values.insert(_OBJECTS_AT, "[" + ", ".join(
-                [obj.json_fragment for obj in s.scene.objects]) + "]")
-            f.write(_RECORD_LINE % tuple(values))
+        for start in range(0, len(samples), STREAM_CHUNK):
+            f.write("\n".join([
+                _head(_head_values(s)) + ", ".join([obj.json_fragment for obj in s.scene.objects])
+                + _tail(_tail_values(s)) for s in samples[start:start + STREAM_CHUNK]]) + "\n")
 
 
 def import_dataset(path) -> Dataset:
     """Parse an exported dataset; raises DatasetFormatError, never a partial result.
 
     The records are read STREAM_CHUNK lines at a time (_read_chunk). A
-    chunk whose every line is exactly as export writes it is read by its
-    text (_chunk_from_text), without a JSON decode once its objects are
-    known, and built by one _chunk_samples call; every line of any other
-    chunk is decoded with decode_json and read by _sample_from_record,
-    which gives the same sample for any JSON spelling of the same record
-    and raises every record error."""
+    chunk whose every line is exactly as export writes it is read by the
+    texts of each line's head, objects and tail (_chunk_from_text), without
+    a JSON decode once its objects are known, and built by one
+    _chunk_samples call; every line of any other chunk is decoded with
+    decode_json and read by _sample_from_record, which gives the same sample
+    for any JSON spelling of the same record and raises every record
+    error."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -1119,9 +1160,7 @@ def import_dataset(path) -> Dataset:
                    else "dataset has extra lines")
         raise DatasetFormatError(f"{problem}: config echo says "
                                  f"{config.n_samples} samples, file has {len(lines) - 1}")
-    tables = (_codes_by_fragment(config.grid_size), _question_table(config.k_max),
-              {_json_value(name): name for name in config.splits()})
     samples = []
     for start in range(1, len(lines), STREAM_CHUNK):
-        samples += _read_chunk(lines[start:start + STREAM_CHUNK], start + 1, config, tables)
+        samples += _read_chunk(lines[start:start + STREAM_CHUNK], start + 1, config)
     return Dataset(config=config, samples=tuple(samples))

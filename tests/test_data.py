@@ -735,6 +735,55 @@ def test_round_trip_equality_and_stable_bytes(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("first,second", [
+    (int, bool), (int, float), (float, lambda value: float(value) if value else -0.0),
+], ids=["bool", "float", "negative_zero"])
+def test_export_writes_equal_values_of_another_type_in_their_own_spelling(
+        tmp_path, first, second):
+    # a hand-built sample whose token ids and answer are those of the one
+    # before or after it, as bools, floats or a -0.0, shares no cached text
+    # with it: each line is what json.dumps(sort_keys=True) writes
+    generated = generate_dataset(DatasetConfig(n_samples=1, seed=49))
+    sample = generated.samples[0]
+    ids = (1, 0, 1)
+    samples = tuple(sample._replace(token_ids=tuple(map(kind, ids)), answer_index=kind(1))
+                    for kind in (first, second))
+    path = tmp_path / "ds.jsonl"
+    for order in (samples, samples[::-1]):
+        dataset = dt.Dataset(dataclasses.replace(generated.config, n_samples=2), order)
+        export_dataset(dataset, path)
+        assert path.read_text(encoding="utf-8") == reference_export_text(dataset)
+
+
+def test_every_reader_builds_samples_whose_texts_export_has_cached(tmp_path, monkeypatch):
+    # generation, the text reader and the JSON reader (here of a compact
+    # spelling) give samples the same question tuples and strings, so once
+    # one of them is exported no other renders a head or tail anew: export
+    # calls json.dumps for its header alone
+    monkeypatch.setattr(dt, "_RENDERED_MAX", 1 << 20)
+    ds = generate_dataset(DatasetConfig(n_samples=300, seed=50, train_fraction=0.6,
+                                        test_fraction=0.2, test2_fraction=0.2))
+    path, compact, again = (tmp_path / f"{name}.jsonl" for name in ("ds", "compact", "again"))
+    export_dataset(ds, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = [json.dumps(json.loads(line), separators=(",", ":")) for line in lines[1:]]
+    compact.write_text("\n".join([lines[0], *records]) + "\n", encoding="utf-8")
+    dumped = []
+    dumps = json.dumps
+
+    def counted_dumps(value, **kwargs):
+        dumped.append(value)
+        return dumps(value, **kwargs)
+
+    for dataset in (ds, import_dataset(path), import_dataset(compact)):
+        assert dataset == ds
+        monkeypatch.setattr(dt.json, "dumps", counted_dumps)
+        export_dataset(dataset, again)
+        monkeypatch.setattr(dt.json, "dumps", dumps)
+        assert len(dumped) == 1 and again.read_bytes() == path.read_bytes()
+        dumped.clear()
+
+
 @pytest.mark.parametrize("n_samples", [1, dt.STREAM_CHUNK - 1, dt.STREAM_CHUNK,
                                        dt.STREAM_CHUNK + 1, 2 * dt.STREAM_CHUNK + 1])
 @pytest.mark.parametrize("config", [
@@ -765,7 +814,7 @@ def test_import_names_the_first_bad_line_across_chunks(tmp_path, line):
     right = record["answer_index"]
     record["answer_index"] = wrong = (right + 1) % len(ANSWERS)
     lines[line - 1] = json.dumps(record, sort_keys=True)
-    assert dt._RECORD_TEXT.fullmatch(lines[line - 1])
+    assert lines[line - 1] == json.dumps(json.loads(lines[line - 1]), sort_keys=True)
     for later in ("this is not json", lines[line].replace('"split": ', '"split":  ')):
         lines[line] = later
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -886,15 +935,6 @@ REFERENCE_CONFIGS = {
 }
 
 
-# The record pattern before its objects group was unrolled: that group ran
-# on to the scene's closing brace and backed off to the last "]]".
-BACKTRACKING_RECORD_TEXT = re.compile("".join(
-    re.escape(literal) + group for literal, group in zip(
-        dt._RECORD_LINE.rstrip("\n").split("%s"),
-        [r"\[\[([^{}]*)\]\]" if at == dt._OBJECTS_AT else r"(\[[^\]]*\]|[^,\[]*)"
-         for at in range(len(dt._RECORD_PATHS))] + [""])))
-
-
 @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
 def test_data_path_equals_the_reference_sample_for_sample(tmp_path, name):
     config = REFERENCE_CONFIGS[name]
@@ -908,11 +948,9 @@ def test_data_path_equals_the_reference_sample_for_sample(tmp_path, name):
     assert path.read_bytes() == reference_export_text(reference).encode("utf-8")
     imported = import_dataset(path)
     assert imported.samples == reference_import_samples(path) == reference.samples
-    # the record pattern reads every exported line into the same groups as
-    # the backtracking one
+    # every line is in export's spelling, which the text reader reads
     for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-        groups = dt._RECORD_TEXT.fullmatch(line).groups()
-        assert groups == BACKTRACKING_RECORD_TEXT.fullmatch(line).groups()
+        assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
 def test_samples_and_scenes_are_immutable_hashable_records(tmp_path):
@@ -1234,6 +1272,17 @@ def _objects_edit(edit):
     return record_edit
 
 
+def _asking(template_id: int, slots: list, edit):
+    """A record edit: the record made to ask this question, with every
+    field it derives rebuilt, and then edit applied."""
+    def record_edit(record):
+        record.update(template_id=template_id, slots=slots)
+        record.update(json.loads(_rederived(json.dumps(record),
+                                            DatasetConfig().urban_threshold)))
+        edit(record)
+    return record_edit
+
+
 def _on_the_first_objects_cell(objects):
     objects[1][1:3] = objects[0][1:3]
 
@@ -1270,8 +1319,15 @@ def _object_count(count: int):
      "comparison of 'road' with itself"),
     (lambda record: record.update(split="test2"), False,
      "split 'test2' is not among the header's splits"),
+    # a count question's 8 tokens are a comparison's too, and a presence
+    # question of 7 tokens has a sized form of 8
+    (_asking(0, ["road"], lambda record: record.update(category="comparison")), False,
+     "category 'comparison' is not the rebuilt sample's 'count'"),
+    (_asking(1, ["road"], lambda record: record.update(n_tokens=8)), False,
+     "n_tokens 8 is not the rebuilt sample's 7"),
 ], ids=["zone", "answer", "shared_cell", "past_t_max", "under_min_objects",
-        "over_max_objects", "off_grid", "self_comparison", "split"])
+        "over_max_objects", "off_grid", "self_comparison", "split", "category",
+        "n_tokens"])
 def test_a_line_in_exports_spelling_that_fails_a_check_gets_its_error(
         exported, edit, rederive, shown):
     # every check of the JSON path holds on the text path too: a line as
@@ -1284,7 +1340,11 @@ def test_a_line_in_exports_spelling_that_fails_a_check_gets_its_error(
     if rederive:
         line = _rederived(line, DatasetConfig().urban_threshold)
     compact = json.dumps(json.loads(line), separators=(",", ":"))
-    assert dt._RECORD_TEXT.fullmatch(line) and not dt._RECORD_TEXT.fullmatch(compact)
+    assert line == json.dumps(json.loads(line), sort_keys=True) != compact
+    # its (category, n_tokens) is a question's, so its head is one export writes
+    final = json.loads(line)
+    assert (final["category"], final["n_tokens"]) in {
+        (category, n_tokens) for category, *_, n_tokens in dt._questions(DatasetConfig().k_max)}
     path = directory / "one_check.jsonl"
     path.write_text("\n".join([lines[0], line, *lines[2:]]) + "\n", encoding="utf-8")
     message = _import_outcome(path)
@@ -1292,6 +1352,22 @@ def test_a_line_in_exports_spelling_that_fails_a_check_gets_its_error(
     assert message.startswith(f"malformed sample record at line 2: {shown}")
     path.write_text("\n".join([lines[0], compact, *lines[2:]]) + "\n", encoding="utf-8")
     assert _import_outcome(path) == message
+
+
+@pytest.mark.parametrize("closing", ['"', "}", "x"])
+def test_a_line_whose_last_object_is_left_open_gets_the_json_readers_error(
+        exported, closing):
+    # the text reader cuts the objects list at its first tail; the text
+    # before the cut must end in the "]" of the last object, or the line is
+    # not JSON even where each object's text is an object's
+    directory, lines = exported
+    at = lines[1].index("]], ")
+    line = lines[1][:at] + closing + lines[1][at + 1:]
+    path = directory / "left_open.jsonl"
+    path.write_text("\n".join([lines[0], line, *lines[2:]]) + "\n", encoding="utf-8")
+    message = _import_outcome(path)
+    assert message == _json_path_outcome(path)
+    assert message.startswith("malformed record at line 2: ")
 
 
 def test_a_canonical_export_is_read_by_its_text(tmp_path, monkeypatch):
