@@ -843,77 +843,55 @@ def audit_dataset(dataset: Dataset) -> int:
 
 
 FORMAT_NAME = "mibvqa-dataset"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# The keys of each kind of JSON object in a dataset file, stated once:
-# export writes exactly these, sorted, and import reads them in this order
-# and rejects an object with a key missing or one more.
+# The keys of each kind of JSON object in a dataset file, stated once and
+# sorted: export writes exactly these, and import reads them in this order
+# and rejects an object with a key missing or one more. A record holds what
+# generation draws for its sample; import derives the rest (_chunk_samples).
 HEADER_KEYS = ("config", "format", "version")
-RECORD_KEYS = ("scene", "category", "template_id", "slots", "token_ids",
-               "n_tokens", "answer_index", "split")
-SCENE_KEYS = ("objects", "zone_label")
+RECORD_KEYS = ("objects", "slots", "split", "template_id")
 
 
-def _json_pattern(keys: tuple, nested: dict) -> str:
+def _json_pattern(keys: tuple) -> str:
     """The %-format pattern of a JSON object with these keys as
-    json.dumps(sort_keys=True) writes it: a %s for each key's value, or
-    nested[key], the pattern of a nested object, in its place."""
-    return "{" + ", ".join(f"{json.dumps(key)}: {nested.get(key, '%s')}"
-                           for key in sorted(keys)) + "}"
+    json.dumps(sort_keys=True) writes it, a %s for each key's value."""
+    return "{" + ", ".join(f"{json.dumps(key)}: %s" for key in sorted(keys)) + "}"
 
 
-# A record line, and the sample attribute each of its %s stands for, in
-# the pattern's order: the record keys', with the scene keys' in the
-# scene's place.
-_RECORD_LINE = _json_pattern(RECORD_KEYS, {"scene": _json_pattern(SCENE_KEYS, {})})
-_RECORD_PATHS = [path for key in sorted(RECORD_KEYS) for path in (
-    [f"scene.{k}" for k in sorted(SCENE_KEYS)] if key == "scene" else [key])]
-_OBJECTS_AT = _RECORD_PATHS.index("scene.objects")
-
-# The line cut at its objects list: the head, from its start through the
-# list's "[", and the tail, from the "]" that closes the list to its end.
-# A dataset's lines share a few hundred heads and tails: its answers by its
-# questions' (category, n_tokens) pairs, and its zones by its questions by
-# its splits. Each object's own fragment fills the list between them.
-_pieces = _RECORD_LINE.split("%s")
-_HEAD = "%s".join(_pieces[:_OBJECTS_AT + 1]) + "["
-_TAIL = "]" + "%s".join(_pieces[_OBJECTS_AT + 1:])
-_head_values = operator.attrgetter(*_RECORD_PATHS[:_OBJECTS_AT])
-_tail_values = operator.attrgetter(*_RECORD_PATHS[_OBJECTS_AT + 1:])
-# import cuts a line after the list's "[" that opens its first object, and
-# at the first tail's start after that
-_OBJECTS_OPEN = _HEAD[_HEAD.rindex(json.dumps("objects")):] + "["
+# A record line cut inside its objects list, its first value: the head,
+# through the list's "[", is the same on every line, and the tail, from the
+# "]" that closes the list to the line's end, is one of a few per dataset,
+# one for each question and split (_record_tails). Each object's own
+# fragment fills the list between them.
+_HEAD, _TAIL = _json_pattern(RECORD_KEYS).replace("%s", "[%s]", 1).split("%s", 1)
+_tail_values = operator.attrgetter(*RECORD_KEYS[1:])
+# import cuts a line after the "[" that opens its first object, and at the
+# first tail's start after that
+_OBJECTS_OPEN = _HEAD + "["
 _OBJECTS_CLOSE = _TAIL.split("%s")[0]
 
-# The most texts a renderer keeps: a dataset needs under 400.
+# The most tails _tail keeps: a dataset has 46 questions times its splits.
 _RENDERED_MAX = 1024
+_tails = {}
 
 
-def _renderer(pattern: str):
-    """The function from a tuple of values to pattern with each %s filled by
-    json.dumps of its value, a tuple written as a list, memoized by value.
-    A kept text is reused only for the very objects it was rendered from:
-    an equal value of another JSON spelling (True or 1.0 where 1 was, also
-    inside a tuple, or -0.0 where 0.0 was) is rendered anew. Every sample
-    generation or import builds shares its question's tuples and its zone,
-    split and category strings, so it renders each distinct head or tail
+def _tail(values: tuple) -> str:
+    """_TAIL with each %s filled by json.dumps of its value, a tuple written
+    as a list, memoized by value. A kept text is reused only for the very
+    objects it was rendered from: an equal value of another JSON spelling
+    (True or 1.0 where 1 was, or -0.0 where 0 was) is rendered anew. Every
+    sample generation or import builds shares its question's slots tuple
+    and its config's split string, so export renders each distinct tail
     once."""
-    texts = {}
-
-    def render(values: tuple) -> str:
-        kept = texts.get(values)
-        if kept is not None and all(map(operator.is_, kept[0], values)):
-            return kept[1]
-        if len(texts) >= _RENDERED_MAX:
-            texts.clear()
-        text = pattern % tuple(map(json.dumps, values))
-        texts[values] = values, text
-        return text
-    return render
-
-
-_head = _renderer(_HEAD)
-_tail = _renderer(_TAIL)
+    kept = _tails.get(values)
+    if kept is not None and all(map(operator.is_, kept[0], values)):
+        return kept[1]
+    if len(_tails) >= _RENDERED_MAX:
+        _tails.clear()
+    text = _TAIL % tuple(map(json.dumps, values))
+    _tails[values] = values, text
+    return text
 
 
 def _values(value: dict, keys: tuple, what: str) -> list:
@@ -939,33 +917,22 @@ def _record_code(grid_size: int, cls, row, col, size) -> int:
     return (row * grid_size + col) * KINDS + c * len(SIZES) + z
 
 
-def _same(value, expected) -> bool:
-    """value == expected, with the same type item by item: to ==, JSON true
-    is 1 and 1.0 is 1."""
-    return value == expected and (
-        list(map(type, value)) == list(map(type, expected))
-        if type(value) is list else type(value) is type(expected))
-
-
 def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASample:
-    """The sample of one decoded record, rebuilt from its objects, template,
-    slots and split by _chunk_samples as a one-row chunk, on the grid of
-    the config echo: a record states no grid of its own. import_dataset
-    calls it for every line of a chunk _chunk_from_text does not read, so it
-    is the one reader of any other JSON spelling of a record and the one
-    source of record errors.
+    """The sample of one decoded record, built from its objects, template,
+    slots and split by _chunk_samples as a one-row chunk, on the grid of the
+    config echo: a record states no grid of its own. import_dataset calls it
+    for every line of a chunk _chunk_from_text does not read, so it is the
+    one reader of any other JSON spelling of a record and the one source of
+    record errors.
 
-    A drawn field generation cannot give (an object off that grid or
-    unknown, the object or slot count, the template, the split) or a stored
-    derived field other than the rebuilt one is a DatasetFormatError, and so
-    is a value of another JSON type than the one export writes, or a record
-    or scene object with other keys than export writes. Each object must sit
-    on its own cell, each slot hold a value of its kind, and a comparison
-    two classes."""
+    A field generation cannot give (an object off that grid or unknown, the
+    object or slot count, the template, the split) is a DatasetFormatError,
+    and so is a value of another JSON type than the one export writes, or a
+    record with other keys than export writes. Each object must sit on its
+    own cell, each slot hold a value of its kind, and a comparison two
+    classes."""
     try:
-        (scene, category, template_id, slots, token_ids, n_tokens, answer_index,
-         split) = _values(rec, RECORD_KEYS, "record")
-        entries, zone_label = _values(scene, SCENE_KEYS, "scene")
+        entries, slots, split, template_id = _values(rec, RECORD_KEYS, "record")
         codes = [_record_code(config.grid_size, cls, row, col, size)
                  for cls, row, col, size in entries]
         if not config.min_objects <= len(codes) <= config.max_objects:
@@ -993,40 +960,23 @@ def _sample_from_record(rec: dict, line_no: int, config: DatasetConfig) -> VQASa
         if split not in config.splits():
             raise ValueError(f"split {split!r} is not among the header's splits")
         # the config's own string, as every other builder's split is, so
-        # that export's memo of record tails knows it (_renderer)
+        # that export's memo of record tails knows it (_tail)
         split = next(name for name in config.splits() if name == split)
         sample, = _chunk_samples(config, count, codes, _tally(count, codes),
                                  [_QUESTION_INDEX[template_id, slots]], [split])
-        for name, value, expected in (
-                ("zone_label", zone_label, sample.scene.zone_label),
-                ("category", category, sample.category),
-                ("token_ids", token_ids, list(sample.token_ids)),
-                ("n_tokens", n_tokens, sample.n_tokens),
-                ("answer_index", answer_index, sample.answer_index)):
-            if not _same(value, expected):
-                raise ValueError(f"{name} {value!r} is not the rebuilt sample's "
-                                 f"{expected!r}")
         return sample
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
         raise DatasetFormatError(f"malformed sample record at line {line_no}: {e}") from None
 
 
 @functools.cache
-def _record_ends(k_max: int, splits: tuple) -> tuple:
-    """The dicts of every head and tail export writes for a dataset of this
-    k_max and these splits, by their text, rendered by _head and _tail. A
-    head gives (answer_index, (category, n_tokens)), any answer with any
-    pair of a question; a tail gives (zone_label, the question's index in
-    _QUESTIONS, split, (category, n_tokens) of that question)."""
-    questions = _questions(k_max)
-    pairs = {(category, n_tokens) for category, *_, n_tokens in questions}
-    heads = {_head((answer, *pair)): (answer, pair)
-             for answer in range(len(ANSWERS)) for pair in pairs}
-    tails = {_tail((zone, slots, split, template_id, token_ids)):
-             (zone, question, split, (category, n_tokens))
-             for question, (category, template_id, slots, token_ids, n_tokens)
-             in enumerate(questions) for zone in ZONE_LABELS for split in splits}
-    return heads, tails
+def _record_tails(splits: tuple) -> dict:
+    """Every tail export writes for a dataset of these splits, by its text,
+    rendered by _tail: each gives its question's index in _QUESTIONS and
+    its split."""
+    return {_tail((slots, split, template_id)): (question, split)
+            for question, (template_id, slots) in enumerate(_QUESTIONS)
+            for split in splits}
 
 
 def _chunk_from_text(lines: list, config: DatasetConfig) -> list | None:
@@ -1035,32 +985,28 @@ def _chunk_from_text(lines: list, config: DatasetConfig) -> list | None:
     unless the whole chunk can be vouched for, and _read_chunk then reads
     every line of it as JSON.
 
-    Each line is cut after the "[" that opens its first object and at the
-    first tail's start after that. Its head and tail must be among the
-    _record_ends of config.k_max and its splits, and the head's category
-    and n_tokens the tail's question's; its objects, joined as export joins
-    them, must each be the json_fragment of an object on config's grid
-    (_codes_by_fragment); its object count must be one generation draws, its
-    objects must lie on distinct cells, and its rebuilt zone and answer
-    must be its tail's and its head's.
+    Each line must open with _OBJECTS_OPEN, and is cut there and at the
+    first tail's start after that. Its tail must be among the _record_tails
+    of config's splits; its objects, joined as export joins them, must each
+    be the json_fragment of an object on config's grid (_codes_by_fragment);
+    its object count must be one generation draws, and its objects must lie
+    on distinct cells.
 
     Such a line is the head, objects and tail export writes for the sample
     it gives, so its JSON value is a record _sample_from_record accepts and
-    rebuilds into an equal sample."""
-    heads, tails = _record_ends(config.k_max, tuple(config.splits()))
+    builds into an equal sample."""
+    tails = _record_tails(tuple(config.splits()))
     fragment_codes = _codes_by_fragment(config.grid_size)
-    line_heads, line_tails, counts, bodies = [], [], [], []
+    start = len(_OBJECTS_OPEN)
+    line_tails, counts, bodies = [], [], []
     try:
         for line in lines:
-            # a line without either cut gives a head or tail text that no
+            # a line without the cut at the tail gives a tail text that no
             # line export writes has
-            start = line.find(_OBJECTS_OPEN) + len(_OBJECTS_OPEN)
             stop = line.find(_OBJECTS_CLOSE, start)
-            head, tail = heads[line[:start - 1]], tails[line[stop:]]
-            if head[1] != tail[3] or line[stop - 1] != "]":
+            if not line.startswith(_OBJECTS_OPEN) or line[stop - 1] != "]":
                 return None
-            line_heads.append(head)
-            line_tails.append(tail)
+            line_tails.append(tails[line[stop:]])
             objects = line[start:stop - 1].split("], [")
             counts.append(len(objects))
             bodies += objects
@@ -1074,13 +1020,8 @@ def _chunk_from_text(lines: list, config: DatasetConfig) -> list | None:
     codes[np.arange(config.max_objects) < count.reshape(-1, 1)] = flat
     if (_distinct_cells(count, codes) != count).any():
         return None
-    answers, _ = zip(*line_heads)
-    zones, questions, splits, _ = zip(*line_tails)
-    samples = _chunk_samples(config, count, codes, _tally(count, codes), questions, splits)
-    rebuilt = operator.attrgetter("scene.zone_label", "answer_index")
-    if list(map(rebuilt, samples)) != list(zip(zones, answers)):
-        return None
-    return samples
+    questions, splits = zip(*line_tails)
+    return _chunk_samples(config, count, codes, _tally(count, codes), questions, splits)
 
 
 def _read_chunk(lines: list, line_no: int, config: DatasetConfig) -> list:
@@ -1103,10 +1044,11 @@ def _read_chunk(lines: list, line_no: int, config: DatasetConfig) -> list:
 def export_dataset(dataset: Dataset, path) -> None:
     """One header line, then one record per sample. The header holds the
     format name, its version and the config echo, whose n_samples is the
-    record count.
+    record count; a record holds the sample's objects, template, slots and
+    split, from which import derives the rest.
 
-    Each line is what json.dumps(sort_keys=True) writes, assembled from
-    cached texts, its head (_head), its objects' json_fragments and its tail
+    Each line is what json.dumps(sort_keys=True) writes, assembled from the
+    constant _HEAD, its objects' cached json_fragments and its cached tail
     (_tail), and each STREAM_CHUNK lines are written at once: the file is
     never held whole in memory."""
     header = dict(zip(HEADER_KEYS, (asdict(dataset.config), FORMAT_NAME,
@@ -1116,26 +1058,32 @@ def export_dataset(dataset: Dataset, path) -> None:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for start in range(0, len(samples), STREAM_CHUNK):
             f.write("\n".join([
-                _head(_head_values(s)) + ", ".join([obj.json_fragment for obj in s.scene.objects])
+                _HEAD + ", ".join([obj.json_fragment for obj in s.scene.objects])
                 + _tail(_tail_values(s)) for s in samples[start:start + STREAM_CHUNK]]) + "\n")
 
 
 def import_dataset(path) -> Dataset:
     """Parse an exported dataset; raises DatasetFormatError, never a partial result.
 
-    The records are read STREAM_CHUNK lines at a time (_read_chunk). A
-    chunk whose every line is exactly as export writes it is read by the
-    texts of each line's head, objects and tail (_chunk_from_text), without
-    a JSON decode once its objects are known, and built by one
-    _chunk_samples call; every line of any other chunk is decoded with
-    decode_json and read by _sample_from_record, which gives the same sample
-    for any JSON spelling of the same record and raises every record
-    error."""
+    Lines end at a newline only, as in JSON Lines, not at a lone carriage
+    return or the other line boundaries str.splitlines knows; a carriage
+    return before a newline is JSON whitespace at the end of its line,
+    dropped before any line is read, and the newline that ends the last
+    line ends no line after it. The records are read STREAM_CHUNK lines at
+    a time (_read_chunk). A chunk whose every line is exactly as export
+    writes it is read by the texts of each line's objects and tail
+    (_chunk_from_text), without a JSON decode once its objects are known,
+    and built by one _chunk_samples call; every line of any other chunk is
+    decoded with decode_json and read by _sample_from_record, which gives
+    the same sample for any JSON spelling of the same record and raises
+    every record error."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            lines = f.read().replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError:
         raise DatasetFormatError(f"dataset file {path} is not UTF-8 text") from None
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise DatasetFormatError("empty dataset file")
     try:

@@ -467,34 +467,32 @@ def reference_generate_dataset(config: DatasetConfig) -> Dataset:
 
 
 def reference_record(s: VQASample) -> dict:
+    """A sample's record: the fields generation draws, and nothing derived."""
     return {
-        "scene": {
-            "objects": [[o.cls, o.row, o.col, o.size] for o in s.scene.objects],
-            "zone_label": s.scene.zone_label,
-        },
-        "category": s.category,
+        "objects": [[o.cls, o.row, o.col, o.size] for o in s.scene.objects],
         "template_id": s.template_id,
         "slots": list(s.slots),
-        "token_ids": list(s.token_ids),
-        "n_tokens": s.n_tokens,
-        "answer_index": s.answer_index,
         "split": s.split,
     }
 
 
 def reference_export_text(dataset: Dataset) -> str:
-    header = {"format": "mibvqa-dataset", "version": 2,
+    header = {"format": "mibvqa-dataset", "version": 3,
               "config": asdict(dataset.config)}
     lines = [json.dumps(header, sort_keys=True)]
     lines += [json.dumps(reference_record(s), sort_keys=True) for s in dataset.samples]
     return "".join(line + "\n" for line in lines)
 
 
-def reference_sample_from_record(rec: dict, line_no: int, grid_size: int) -> VQASample:
+def reference_sample_from_record(rec: dict, line_no: int, config: dict) -> VQASample:
+    """The sample of one record of a dataset whose header echoes config:
+    its objects read on the echo's grid, and every derived field rebuilt,
+    the zone from its buildings, the category from its template, the token
+    ids from its rendered question and the answer from answer_oracle."""
+    grid_size = config["grid_size"]
     try:
-        sc = rec["scene"]
         objects = []
-        for cls, row, col, size in sc["objects"]:
+        for cls, row, col, size in rec["objects"]:
             row, col = int(row), int(col)
             if cls not in _CLASS_INDEX:
                 raise ValueError(f"unknown object class {cls!r}")
@@ -504,31 +502,38 @@ def reference_sample_from_record(rec: dict, line_no: int, grid_size: int) -> VQA
                 raise ValueError(f"object at row {row}, col {col} is off the "
                                  f"{grid_size}x{grid_size} grid")
             objects.append(SceneObject(cls, row, col, size))
-        scene = Scene(grid_size=grid_size, objects=tuple(objects),
-                      zone_label=sc["zone_label"])
-        token_ids = tuple(int(t) for t in rec["token_ids"])
-        for t in (min(token_ids), max(token_ids)):
-            if not 0 <= t < len(VOCABULARY):
-                raise ValueError(f"token id {t} outside vocabulary of size "
-                                 f"{len(VOCABULARY)}")
-        n_tokens = int(rec["n_tokens"])
-        if not 1 <= n_tokens <= len(token_ids):
-            raise ValueError(f"n_tokens {n_tokens} outside [1, {len(token_ids)}]")
-        return VQASample(scene=scene, category=rec["category"],
-                         template_id=int(rec["template_id"]),
-                         slots=tuple(rec["slots"]), token_ids=token_ids,
-                         n_tokens=n_tokens, answer_index=int(rec["answer_index"]),
+        objects = tuple(objects)
+        scene = Scene(grid_size=grid_size, objects=objects,
+                      zone_label=zone_of(objects, config["urban_threshold"]))
+        template_id = int(rec["template_id"])
+        if not 0 <= template_id < len(TEMPLATES):
+            raise ValueError(f"unknown template_id {template_id}")
+        template, slots = TEMPLATES[template_id], tuple(rec["slots"])
+        token_ids, n_tokens = reference_tokenize(template.render(slots), config["k_max"])
+        return VQASample(scene=scene, category=template.category,
+                         template_id=template_id, slots=slots, token_ids=token_ids,
+                         n_tokens=n_tokens,
+                         answer_index=ANSWERS.index(answer_oracle(scene, template, slots)),
                          split=rec["split"])
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise DatasetFormatError(f"malformed sample record at line {line_no}: {e}") from None
 
 
+def reference_derived_fields(rec: dict, config: dict) -> dict:
+    """The five fields a version 2 record also stored, derived from a
+    record's own drawn fields by reference_sample_from_record: export
+    writes none of them since version 3."""
+    s = reference_sample_from_record(rec, 0, config)
+    return {"answer_index": s.answer_index, "category": s.category, "n_tokens": s.n_tokens,
+            "token_ids": list(s.token_ids), "zone_label": s.scene.zone_label}
+
+
 def reference_import_samples(path) -> tuple:
-    """The samples of an exported dataset file, every record through
-    reference_sample_from_record on the grid of the header's config echo
-    (the only header field read)."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    grid_size = json.loads(lines[0])["config"]["grid_size"]
-    return tuple(reference_sample_from_record(json.loads(line), i, grid_size)
+    """The samples of an exported dataset file, its lines split at "\\n",
+    every record through reference_sample_from_record with the header's
+    config echo (the only header field read)."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        lines = f.read().split("\n")[:-1]
+    config = json.loads(lines[0])["config"]
+    return tuple(reference_sample_from_record(json.loads(line), i, config)
                  for i, line in enumerate(lines[1:], start=2))

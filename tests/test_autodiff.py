@@ -48,7 +48,14 @@ def test_rank_above_two_rejected():
 def test_item_requires_scalar():
     with pytest.raises(RankError):
         Tensor(np.zeros(3)).item()
+    with pytest.raises(RankError):
+        Tensor(np.zeros((1, 2))).item()
 
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_reads_a_one_element_tensor_of_any_rank(shape):
+    value = Tensor(np.full(shape, 2.5)).item()
+    assert value == 2.5 and type(value) is float
 
 # ---------------------------------------------------------------- matmul
 

@@ -29,8 +29,7 @@ from hypothesis import strategies as st
 from mibvqa import autodiff, cli, training
 from mibvqa.cli import build_parser, main
 from mibvqa.data import (
-    ANSWER_INDEX, CATEGORIES, FORMAT_NAME, TEMPLATES, VARIANT_CATEGORIES,
-    VOCABULARY, DatasetConfig, Scene, SceneObject, answer_oracle, import_dataset,
+    CATEGORIES, FORMAT_NAME, VARIANT_CATEGORIES, VOCABULARY, DatasetConfig, import_dataset,
 )
 from mibvqa.model import ModelConfig
 from mibvqa.training import (
@@ -38,7 +37,7 @@ from mibvqa.training import (
     evaluate_model, load_checkpoint,
 )
 from helpers_ckpt import checkpoint_lines, line_index, write_lines
-from helpers_oracles import reference_tokenize
+from helpers_oracles import reference_derived_fields
 
 DATASET_CFG = """\
 # tiny deterministic scene/question corpus for CLI tests
@@ -176,7 +175,7 @@ def test_default_gen_data_output_keeps_its_digest(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["gen-data", "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "30e28c051fc433ea84a8e29a25424bef4666a388f701de9ef8917b43c25764a9")
+        "fdb0f7aa9c75b0bef2846a29a987c6940626e7d75de2658faf9313d56cdddf88")
 
 
 def test_gen_data_seed_flag_overrides_the_config_file(workdir,
@@ -654,7 +653,7 @@ def test_deeply_nested_dataset_line_exits_with_one_error_line(
 # An object that names a key twice: json.loads would keep the last value,
 # so every reader rejects it, naming the key.
 @pytest.mark.parametrize("index,old,new,shown", [
-    (0, '"version": 2', '"version": 2, "version": 2',
+    (0, '"version": 3', '"version": 3, "version": 3',
      "error: malformed header line: key 'version' given twice"),
     (0, '"seed": 11', '"seed": 11, "seed": 12',
      "error: malformed header line: key 'seed' given twice"),
@@ -832,33 +831,46 @@ def test_a_truncated_flipped_or_random_checkpoint_exits_with_one_error_line(
 
 def test_eval_token_id_outside_the_vocabulary_exits_with_the_data_error_code(
         workdir, ckpt_path, data_path, capsys):
+    # a record states no token ids, so a word outside the vocabulary can only
+    # reach it as a slot, which import checks against the slot's kind
+    assert "castle" not in VOCABULARY
     lines = data_path.read_text(encoding="utf-8").splitlines()
     index = next(i for i, line in enumerate(lines[1:], start=1)
                  if json.loads(line)["split"] == "test")
     record = json.loads(lines[index])
-    record["token_ids"][0] = 999
+    record.update(template_id=0, slots=["castle"])
     lines[index] = json.dumps(record, sort_keys=True)
     edited = workdir / "bad_token.jsonl"
     edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code = main(["eval", "--ckpt", str(ckpt_path), "--data", str(edited)])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("error:") and "999" in err
+    assert err.startswith("error:") and "'castle'" in err
     assert len(err.strip().splitlines()) == 1
 
 
-def _rebuild_derived_fields(record: dict, config: dict) -> None:
-    """Set the category, token ids and answer of a record to the ones its
-    scene, template and slots give on the grid and k_max of the config
-    echo, so only a drawn field can be wrong."""
-    template, slots = TEMPLATES[record["template_id"]], tuple(record["slots"])
-    sc = record["scene"]
-    scene = Scene(config["grid_size"], tuple(SceneObject(*o) for o in sc["objects"]),
-                  sc["zone_label"])
-    token_ids, n_tokens = reference_tokenize(template.render(slots), config["k_max"])
-    record.update(category=template.category, token_ids=list(token_ids),
-                  n_tokens=n_tokens,
-                  answer_index=ANSWER_INDEX[answer_oracle(scene, template, slots)])
+# The fields a version 2 record stated beside the ones generation draws.
+DERIVED_FIELDS = ("answer_index", "category", "n_tokens", "token_ids", "zone_label")
+
+
+@pytest.mark.parametrize("field", DERIVED_FIELDS)
+def test_eval_of_a_record_carrying_a_derived_field_exits_with_one_error_line(
+        workdir, ckpt_path, data_path, capsys, field):
+    # version 2 records also stated these five fields; import derives them,
+    # so a record that states one, even with the derived value, is rejected
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    index = next(i for i, line in enumerate(lines[1:], start=1)
+                 if json.loads(line)["split"] == "test")
+    record = json.loads(lines[index])
+    record[field] = reference_derived_fields(record, json.loads(lines[0])["config"])[field]
+    lines[index] = json.dumps(record, sort_keys=True)
+    edited = workdir / "derived_field.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["eval", "--ckpt", str(ckpt_path), "--data", str(edited)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (f"error: malformed sample record at line {index + 1}: "
+                            f"record keys: missing [], unknown ['{field}']\n")
 
 
 @pytest.mark.parametrize("field,value,shown", [
@@ -866,25 +878,28 @@ def _rebuild_derived_fields(record: dict, config: dict) -> None:
     ("size", "huge", "huge"),
     ("row", 99, "row 99"),
     ("col", -1, "col -1"),
-    ("token_id", 29, "token_ids [1, 2, 29, 3,"),
-    ("token_id", 24, "token_ids [1, 2, 24, 3,"),
-    ("n_tokens", 13, "n_tokens 13"),
-    ("n_tokens", 7, "n_tokens 7 is not the rebuilt sample's 8"),
+    # a field import derives names itself as a key it does not read, whatever
+    # its value: here token ids past the vocabulary, another word's, cut short
+    ("token_id", 29, "token_ids"),
+    ("token_id", 24, "token_ids"),
+    ("n_tokens", 13, "n_tokens"),
+    ("n_tokens", 7, "n_tokens"),
     ("n_objects", 17, "17 objects, expected min_objects=10 to max_objects=10"),
     ("n_objects", 0, "0 objects, expected min_objects=10 to max_objects=10"),
-    ("n_token_ids", 11, "token_ids [1, 2, 27, 3, 4, 5, 6, 7, 0, 0, 0] is not"),
+    ("n_token_ids", 11, "token_ids"),
     ("row", 8, "row 8, col 7 is off the 8x8 grid"),
-    ("answer_index", 99, "answer_index 99 is not the rebuilt sample's 4"),
-    ("answer_index", -1, "answer_index -1 is not the rebuilt sample's 4"),
-    ("answer_index", 5, "answer_index 5 is not the rebuilt sample's 4"),
+    ("answer_index", 4, "answer_index"),
+    ("template_id", True, "unknown template_id True"),
+    ("template_id", -1, "unknown template_id -1"),
     ("template_id", 99, "unknown template_id 99"),
-    ("slots", ["road"], "token_ids [1, 2, 27, 3, 4, 5, 6, 7, 0, 0, 0, 0] is not the "
-                        "rebuilt sample's [1, 2, 25,"),
+    ("slots", [7], "slot cls 7 is not one of building, road, water, tree, field"),
     ("slots", ["water", "road"], "2 slots for template 0"),
+    ("slots", "tree", "slots 'tree' is not a list"),
+    ("split", "test2", "split 'test2' is not among the header's splits"),
     ("split", "bogus", "split 'bogus' is not among the header's splits"),
-    ("category", "bogus", "category 'bogus' is not the rebuilt sample's 'count'"),
-    ("zone_label", "x", "zone_label 'x' is not the rebuilt sample's 'rural'"),
-    ("zone_label", "urban", "zone_label 'urban' is not the rebuilt sample's 'rural'"),
+    ("category", "bogus", "category"),
+    ("zone_label", "x", "zone_label"),
+    ("zone_label", "urban", "zone_label"),
     ("question", (0, ["small"]),
      "slot cls 'small' is not one of building, road, water, tree, field"),
     ("question", (1, ["how"]), "slot cls 'how' is not one of building,"),
@@ -898,23 +913,18 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
     record = json.loads(lines[1])
     object_fields = ("cls", "row", "col", "size")
     if field in object_fields:
-        record["scene"]["objects"][0][object_fields.index(field)] = value
-    elif field == "token_id":
-        record["token_ids"][2] = value
+        record["objects"][0][object_fields.index(field)] = value
     elif field == "n_objects":
-        record["scene"]["objects"] = [["road", i // 8, i % 8, "small"]
-                                      for i in range(value)]
+        record["objects"] = [["road", i // 8, i % 8, "small"] for i in range(value)]
     elif field == "shared_cell":
-        # answers read classes and sizes only, so the derived fields still hold
-        objects = record["scene"]["objects"]
+        objects = record["objects"]
         objects[value][1:3] = objects[0][1:3]
-    elif field == "n_token_ids":
-        record["token_ids"] = record["token_ids"][:value]
-    elif field == "zone_label":
-        record["scene"][field] = value
+    elif field in ("token_id", "n_token_ids"):
+        ids = reference_derived_fields(record, json.loads(lines[0])["config"])["token_ids"]
+        record["token_ids"] = ids[:value] if field == "n_token_ids" else [*ids[:2], value,
+                                                                            *ids[3:]]
     elif field == "question":
         record["template_id"], record["slots"] = value
-        _rebuild_derived_fields(record, json.loads(lines[0])["config"])
     else:
         record[field] = value
     lines[1] = json.dumps(record, sort_keys=True)
@@ -929,8 +939,8 @@ def test_dataset_record_outside_the_model_inputs_exits_with_one_error_line(
     assert not (tmp_path / "never.ckpt").exists()
 
 
-# Every string a field of a valid record can hold: words, categories, splits.
-RECORD_WORDS = set(VOCABULARY) | set(CATEGORIES) | {"train", "test", "test2"}
+# Every string a field of a valid record can hold: words and splits.
+RECORD_WORDS = set(VOCABULARY) | {"train", "test", "test2"}
 
 # A value of each JSON type; a wrong-type edit draws one of another type.
 ANY_JSON_VALUE = st.one_of(
@@ -971,11 +981,10 @@ def test_eval_of_a_record_with_one_bad_field_exits_with_one_error_line(
     kind = data.draw(st.sampled_from(
         ["wrong type", "out of range", "non-finite", "deleted key", "extra key"]),
         label="kind")
-    if kind == "extra key":  # one more key in the record or in its scene
-        holder = data.draw(st.sampled_from([record, record["scene"]]), label="object")
-        new_key = data.draw(st.text(max_size=8).filter(lambda k: k not in holder),
+    if kind == "extra key":  # one more key in the record
+        new_key = data.draw(st.text(max_size=8).filter(lambda k: k not in record),
                             label="new key")
-        holder[new_key] = data.draw(ANY_JSON_VALUE, label="value")
+        record[new_key] = data.draw(ANY_JSON_VALUE, label="value")
     else:
         paths = list(_paths(record))
         if kind == "deleted key":
@@ -1195,13 +1204,28 @@ def _as_v5(lines: list) -> list:
     return lines
 
 
-def _as_dataset_v1(lines: list) -> list:
-    """The lines in dataset version 1's layout: the seed and the sample count
-    beside the config echo in the header, and the grid in each record."""
+def _as_dataset_v2(lines: list) -> list:
+    """The lines in dataset version 2's layout: each record's objects in a
+    scene beside its zone, and its answer, category and tokens beside them."""
     header = json.loads(lines[0])
+    header["version"] = 2
+    records = []
+    for line in lines[1:]:
+        record = json.loads(line)
+        derived = reference_derived_fields(record, header["config"])
+        record["scene"] = {"objects": record.pop("objects"),
+                           "zone_label": derived.pop("zone_label")}
+        records.append({**record, **derived})
+    return [json.dumps(value, sort_keys=True) for value in [header, *records]]
+
+
+def _as_dataset_v1(lines: list) -> list:
+    """The lines in dataset version 1's layout: version 2's, with the seed
+    and the sample count beside the config echo in the header, and the grid
+    in each record's scene."""
+    header, *records = map(json.loads, _as_dataset_v2(lines))
     config = header["config"]
     header.update(version=1, seed=config["seed"], n_samples=config["n_samples"])
-    records = [json.loads(line) for line in lines[1:]]
     for record in records:
         record["scene"]["grid_size"] = config["grid_size"]
     return [json.dumps(value, sort_keys=True) for value in [header, *records]]
@@ -1209,10 +1233,11 @@ def _as_dataset_v1(lines: list) -> list:
 
 @pytest.mark.parametrize("file,convert,shown", [
     ("data", _as_dataset_v1, "error: unsupported dataset version 1\n"),
+    ("data", _as_dataset_v2, "error: unsupported dataset version 2\n"),
     ("ckpt", _as_v4, "error: unsupported checkpoint version 'v4'\n"),
     ("ckpt", _as_v5, "error: unsupported checkpoint version 'v5'\n"),
     ("ckpt", _as_v6, "error: unsupported checkpoint version 'v6'\n"),
-], ids=["dataset_v1", "checkpoint_v4", "checkpoint_v5", "checkpoint_v6"])
+], ids=["dataset_v1", "dataset_v2", "checkpoint_v4", "checkpoint_v5", "checkpoint_v6"])
 def test_a_file_in_the_previous_format_exits_with_its_version(
         workdir, ckpt_path, data_path, capsys, file, convert, shown):
     paths = {"ckpt": ckpt_path, "data": data_path}
@@ -1257,6 +1282,7 @@ def _config_echo_without(*keys: str):
     (_config_echo_edit("n_samples", 5000),
      "truncated dataset: config echo says 5000 samples, file has 120"),
     (_header_edit("version", 99), "unsupported dataset version 99"),
+    (_header_edit("version", 2), "unsupported dataset version 2"),
     (_header_edit("version", True), "unsupported dataset version True"),
     (_header_edit("format", "other"), "bad format marker"),
     (_header_edit("config", {"bogus": 1}), "bad config echo in header"),
@@ -1281,7 +1307,7 @@ def _config_echo_without(*keys: str):
     (_header_edit("config", [8]),
      "bad config echo in header: DatasetConfig must be a JSON object, got [8]"),
 ], ids=["n_samples_text", "n_samples_list", "n_samples_wrong", "n_samples_5000",
-        "version", "version_true", "format", "config", "config_seed_float",
+        "version", "version_2", "version_true", "format", "config", "config_seed_float",
         "config_grid_size_float", "config_seed_bool", "config_k_max_short",
         "config_seed_negative", "config_mix_null", "config_mix_pairs",
         "config_without_keys", "config_list"])
