@@ -3,7 +3,10 @@
 Both blocks score elements with a small relu bottleneck (score head of
 width d_ff), normalize with a masked softmax, and pool the ORIGINAL rows
 with the resulting weights (the image block fuses projections only to
-compute the scores, never the pooled output).
+compute the scores, never the pooled output). Each block is one engine
+node: query attention an attention_pool, image attention a
+cross_attention_pool that also holds both projections and their Hadamard
+fusion.
 
 Weight orientation convention: element vectors are rows, so every weight
 matrix is stored [in_width, out_width] and applied on the right. Both blocks
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, DimensionError, Tensor, attention_pool, matmul,
-    segment_mul, uniform_init,
+    SIGNAL_INIT_SCALE, Tensor, attention_pool, cross_attention_pool,
+    uniform_init,
 )
 
 
@@ -60,12 +63,6 @@ class AttentionParams:
         self.img_score = weight(d_ff, 1)
 
 
-def _score_pool(rows: Tensor, scored_rows: Tensor, score_w: Tensor,
-                score_head: Tensor, mask: np.ndarray) -> AttentionResult:
-    pooled, weights = attention_pool(rows, scored_rows, score_w, score_head, mask)
-    return AttentionResult(weights=Tensor(weights), pooled=pooled)
-
-
 def query_attention(q: Tensor, mask: np.ndarray,
                     params: AttentionParams) -> AttentionResult:
     """Attend over query token embeddings and pool them.
@@ -74,7 +71,8 @@ def query_attention(q: Tensor, mask: np.ndarray,
     score_head . relu(q_k @ query_w); weights are the masked softmax of each
     query's scores; pooled[b] = sum_k weight_bk * q_bk.
     """
-    return _score_pool(q, q, params.query_w, params.query_score, mask)
+    pooled, weights = attention_pool(q, q, params.query_w, params.query_score, mask)
+    return AttentionResult(weights=Tensor(weights), pooled=pooled)
 
 
 def image_attention(h: Tensor, q_star: Tensor, mask: np.ndarray,
@@ -85,12 +83,12 @@ def image_attention(h: Tensor, q_star: Tensor, mask: np.ndarray,
     row and its query summary are projected to a common width d_p and fused
     by Hadamard product; the fused rows are scored like the query block.
     The pooled output weights the ORIGINAL object rows h_t, not the fused
-    projections.
+    projections. The whole block, projections included, is one
+    cross_attention_pool node, whose VJP hands h the sum of its two
+    contributions (pooling, then projection); mismatched shapes, q_star's
+    row count against the mask's included, are a DimensionError.
     """
-    if q_star.shape[0] != np.shape(mask)[0]:
-        raise DimensionError(
-            f"{q_star.shape[0]} query summaries for {np.shape(mask)[0]} scenes")
-    h_proj = matmul(h, params.img_proj_w)
-    q_proj = matmul(q_star, params.qstar_proj_w)
-    fused = segment_mul(h_proj, q_proj)
-    return _score_pool(h, fused, params.img_score_w, params.img_score, mask)
+    pooled, weights = cross_attention_pool(
+        h, q_star, params.img_proj_w, params.qstar_proj_w, params.img_score_w,
+        params.img_score, mask)
+    return AttentionResult(weights=Tensor(weights), pooled=pooled)

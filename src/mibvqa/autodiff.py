@@ -4,12 +4,15 @@ Exactly the operations the VQA model needs, on float64 numpy storage,
 rank <= 2, no broadcasting (row-wise ops are explicit, named operations).
 A batch of B elements with n rows each is laid out as one [B*n, d] matrix
 whose rows b*n .. b*n + n - 1 belong to element b; the segment ops
-(tanh_recurrence, segment_pool, segment_mul, attention_pool) read and
-write that layout. The graph is rebuilt on every forward pass
-(define-by-run), and not built at all inside `no_grad()`. `backward`
-accumulates gradients additively into the leaves of the graph
-(requires_grad tensors that no op produced, such as parameters);
-intermediate results keep grad None.
+(tanh_recurrence, segment_pool, attention_pool, cross_attention_pool) read
+and write that layout. Each block of the model is one node with a
+hand-written VJP (linear_relu, linear_clamp, the two attention pools,
+prior_skl, add_scaled), computed in the operation order of the composition
+of general ops it replaced, so values and gradients keep their bits. The
+graph is rebuilt on every forward pass (define-by-run), and not built at
+all inside `no_grad()`. `backward` accumulates gradients additively into
+the leaves of the graph (requires_grad tensors that no op produced, such
+as parameters); intermediate results keep grad None.
 """
 
 from __future__ import annotations
@@ -135,11 +138,6 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # elementwise and linear-algebra operations
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
-
-
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     _same_shape(a, b, "hadamard")
@@ -147,92 +145,80 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g * b.data, g * a.data))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar (the only sanctioned broadcast)."""
-    return _node(a.data * c, (a,), lambda g: (g * c,))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise RankError(f"matmul needs rank-2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
-    # a constant operand gets no gradient, so none is formed for it
-    return _node(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T if a.requires_grad else None,
-                            a.data.T @ g if b.requires_grad else None))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b, the bias row added to every row of the product; one node.
-
-    As in matmul, a constant x gets no gradient and none is formed for it.
-    """
+def _affine(x: Tensor, w: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """x @ w + b as a new array, the bias row added to every row."""
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise RankError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}")
+        raise RankError(f"{op}: x {x.shape}, w {w.shape}, b {b.shape}")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise DimensionError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} "
+        raise DimensionError(f"{op}: x {x.shape}, w {w.shape} and b {b.shape} "
                              f"do not chain")
     out = x.data @ w.data
     out += b.data
-    return _node(out, (x, w, b),
-                 lambda g: (g @ w.data.T if x.requires_grad else None,
-                            x.data.T @ g if w.requires_grad else None,
-                            np.add.reduce(g, axis=0)))
+    return out
 
 
-def segment_mul(m: Tensor, v: Tensor) -> Tensor:
-    """Multiply each row of segment b of m elementwise by row b of v.
-
-    m is [B*n, d], read as B consecutive segments of n rows; v is [B, d].
-    """
-    if m.data.ndim != 2 or v.data.ndim != 2 or m.shape[1] != v.shape[1] \
-            or v.shape[0] == 0 or m.shape[0] % v.shape[0]:
-        raise DimensionError(f"segment_mul: {m.shape} incompatible with {v.shape}")
-    b, d = v.shape
-    m3 = m.data.reshape(b, -1, d)
-    out = (m3 * v.data[:, None, :]).reshape(m.shape)
-
-    def vjp(g):
-        g3 = g.reshape(m3.shape)
-        return (g3 * v.data[:, None, :]).reshape(m.shape), (g3 * m3).sum(axis=1)
-
-    return _node(out, (m, v), vjp)
+def _affine_grads(x: Tensor, w: Tensor, g: np.ndarray) -> tuple:
+    """The gradients of x, w and b of x @ w + b for its adjoint g; as with a
+    matrix product, a constant x gets no gradient and none is formed."""
+    return (g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            np.add.reduce(g, axis=0))
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); subgradient at 0 is 0."""
-    out = np.maximum(x.data, 0.0)
-    pos = x.data > 0.0
-    return _node(out, (x,), lambda g: (g * pos,))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b, the bias row added to every row of the product; one node."""
+    return _node(_affine(x, w, b, "linear"), (x, w, b),
+                 lambda g: _affine_grads(x, w, g))
 
 
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient passes only through the interior."""
-    out = np.clip(x.data, lo, hi)
-    inside = (x.data >= lo) & (x.data <= hi)
-    return _node(out, (x,), lambda g: (g * inside,))
+def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(x @ w + b), the elementwise max(0, .) of linear; one node. The
+    subgradient at 0 is 0."""
+    out = _affine(x, w, b, "linear_relu")
+    np.maximum(out, 0.0, out=out)
+    # out > 0 exactly where the pre-activation is
+    return _node(out, (x, w, b), lambda g: _affine_grads(x, w, g * (out > 0.0)))
+
+
+def linear_clamp(x: Tensor, w: Tensor, b: Tensor, lo: float, hi: float) -> Tensor:
+    """x @ w + b clipped to [lo, hi]; one node. The gradient passes only
+    through the interior, where clipping leaves the value unchanged."""
+    pre = _affine(x, w, b, "linear_clamp")
+    out = np.maximum(pre, lo)
+    np.minimum(out, hi, out=out)
+    return _node(out, (x, w, b), lambda g: _affine_grads(x, w, g * (out == pre)))
+
+
+def add_scaled(a: Tensor, b: Tensor, c: float) -> Tensor:
+    """a + c * b for two same-shape tensors and a python scalar c; one node."""
+    _same_shape(a, b, "add_scaled")
+    return _node(a.data + b.data * c, (a, b), lambda g: (g, g * c))
 
 
 def tanh_recurrence(table: Tensor, w: Tensor, ids: np.ndarray) -> Tensor:
     """States of q_j = tanh(q_{j-1} @ w.T + table[ids[:, j]]), q_{-1} = 0.
 
-    table is [V, d], w is [d, d] and ids is an int [B, k] array; the result
-    is [B*k, d] in segment layout, row b*k + j holding q_j of element b.
+    table is [V, d], w is [d, d] and ids is an integer [B, k] array; ids of
+    any other dtype or out of range are a DimensionError. The result is
+    [B*k, d] in segment layout, row b*k + j holding q_j of element b.
     One graph node for the whole recurrence: the VJP runs back through time
     by hand, then forms dw in one product and scatter-adds every step's
     gradient into dtable at once, so an id used several times receives the
     sum of its contributions. States are kept time-major ([k, B, d]) so
     each step reads and writes one contiguous block.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise DimensionError(f"tanh_recurrence: ids must be integers, got {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
     if table.data.ndim != 2 or w.data.ndim != 2 or ids.ndim != 2:
         raise RankError(f"tanh_recurrence: table {table.shape}, w {w.shape}, "
                         f"ids {ids.shape}")
     d = table.shape[1]
     if w.shape != (d, d):
         raise DimensionError(f"tanh_recurrence: w {w.shape} vs table {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+    if ids.size and (np.minimum.reduce(ids, axis=None) < 0
+                     or np.maximum.reduce(ids, axis=None) >= table.shape[0]):
         raise DimensionError(f"tanh_recurrence: id out of range for {table.shape}")
     b, k = ids.shape
     w_t = w.data.T.copy()
@@ -260,9 +246,10 @@ def tanh_recurrence(table: Tensor, w: Tensor, ids: np.ndarray) -> Tensor:
             np.matmul(step, w.data, out=carry)
         dw = dpre[1:].reshape(-1, d).T @ states[:-1].reshape(-1, d)
         # scatter-add of every step's rows into the table rows they read:
-        # each row's flat cell numbers are gathered like its inputs were
-        cells = np.arange(table.data.size).reshape(table.shape)[ids.T].ravel()
-        dtable = np.bincount(cells, weights=dpre.ravel(), minlength=table.data.size)
+        # the flat cell of row id, column c is id * d + c
+        cells = ids.T[:, :, None] * d + np.arange(d)
+        dtable = np.bincount(cells.ravel(), weights=dpre.ravel(),
+                             minlength=table.data.size)
         return dtable.reshape(table.shape), dw
 
     return _node(states.transpose(1, 0, 2).reshape(b * k, d), (table, w), vjp)
@@ -272,7 +259,7 @@ def segment_pool(weights: Tensor, rows: Tensor) -> Tensor:
     """Weighted row-sum per segment: out[b] = sum_j weights[b, j] * rows[b*n + j].
 
     weights is [B, n] and rows is [B*n, d]; the result is [B, d]. This is
-    the attention pooling of a whole batch.
+    masked_mean's pooling of a whole batch.
     """
     if weights.data.ndim != 2 or rows.data.ndim != 2 \
             or weights.data.size != rows.shape[0]:
@@ -290,6 +277,52 @@ def segment_pool(weights: Tensor, rows: Tensor) -> Tensor:
     return _node(out, (weights, rows), vjp)
 
 
+# ---------------------------------------------------------------------------
+# attention: one node per block, forward in the operation order of the
+# composition it replaced
+
+
+def _score_pool(op: str, rows: np.ndarray, scored: np.ndarray,
+                score_w: np.ndarray, score_head: np.ndarray, keep: np.ndarray):
+    """The score, masked softmax and pool of both attention nodes, on plain
+    arrays of checked shapes: pooled [B, d], the weights [B, n] and
+    back(g, *needed), which gives the gradients of rows, scored, score_w
+    and score_head for the adjoint g of pooled, each None where its flag
+    in needed is False."""
+    filled = np.logical_or.reduce(keep, axis=1)
+    if not np.logical_and.reduce(filled):
+        raise InvalidMaskError(
+            f"{op}: every entry of row {int(np.argmin(filled))} is masked")
+    b, n = keep.shape
+    d = rows.shape[1]
+    pre = scored @ score_w
+    hidden = np.maximum(pre, 0.0)
+    weights = np.where(keep, (hidden @ score_head).reshape(b, n), -1e30)
+    weights -= np.maximum.reduce(weights, axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    r3 = rows.reshape(b, n, d)
+    pooled = (weights[:, None, :] @ r3).reshape(b, d)
+
+    def back(g, rows_needed, scored_needed, score_w_needed, score_head_needed):
+        d_weights = (r3 @ g[:, :, None]).reshape(b, n)
+        d_logits = weights * (d_weights - np.add.reduce(d_weights * weights, axis=1,
+                                                        keepdims=True))
+        d_logits = d_logits.reshape(b * n, 1)
+        # the outer product d_logits @ score_head.T, entry by entry; a zero
+        # may keep a sign the k = 1 matmul dropped, which the two products
+        # below, summing from +0, drop again
+        d_pre = d_logits * score_head[:, 0]
+        d_pre *= pre > 0.0
+        return ((weights[:, :, None] * g[:, None, :]).reshape(b * n, d)
+                if rows_needed else None,
+                d_pre @ score_w.T if scored_needed else None,
+                scored.T @ d_pre if score_w_needed else None,
+                hidden.T @ d_logits if score_head_needed else None)
+
+    return pooled, weights, back
+
+
 def attention_pool(rows: Tensor, scored_rows: Tensor, score_w: Tensor,
                    score_head: Tensor, mask: np.ndarray) -> tuple:
     """Score, normalize and pool one batch of attention blocks; one node.
@@ -301,7 +334,9 @@ def attention_pool(rows: Tensor, scored_rows: Tensor, score_w: Tensor,
     mask is a plain [B, n] bool array (True = keep), excluded logits are
     replaced by -1e30 before the row-max subtraction, so their weights
     underflow to exactly 0 and they get zero gradient; every row needs a
-    kept entry. pooled[b] = sum_j weights[b, j] * rows[b*n + j].
+    kept entry. pooled[b] = sum_j weights[b, j] * rows[b*n + j]. For
+    self-attention the VJP hands the tensor the sum of its two
+    contributions, pooled rows first.
 
     Returns the pooled [B, d] Tensor and the weights as a plain [B, n]
     array outside the graph: gradients reach the scores through pooled.
@@ -314,63 +349,111 @@ def attention_pool(rows: Tensor, scored_rows: Tensor, score_w: Tensor,
         raise DimensionError(f"attention_pool: rows {rows.shape}, scored rows "
                              f"{scored_rows.shape}, score_w {score_w.shape}, "
                              f"score_head {score_head.shape}, mask {keep.shape}")
-    filled = keep.any(axis=1)
-    if not filled.all():
-        raise InvalidMaskError(
-            f"attention_pool: every entry of row {int(np.argmin(filled))} is masked")
-    b, n = keep.shape
-    d = rows.shape[1]
-    pre = scored_rows.data @ score_w.data
-    hidden = np.maximum(pre, 0.0)
-    weights = np.where(keep, (hidden @ score_head.data).reshape(b, n), -1e30)
-    weights -= weights.max(axis=1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=1, keepdims=True)
-    r3 = rows.data.reshape(b, n, d)
-    pooled = (weights[:, None, :] @ r3).reshape(b, d)
+    pooled, weights, back = _score_pool("attention_pool", rows.data, scored_rows.data,
+                                        score_w.data, score_head.data, keep)
 
     def vjp(g):
-        d_weights = (r3 @ g[:, :, None]).reshape(b, n)
-        d_logits = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
-        d_logits = d_logits.reshape(b * n, 1)
-        # the outer product d_logits @ score_head.T, entry by entry; a zero
-        # may keep a sign the k = 1 matmul dropped, which the two products
-        # below, summing from +0, drop again
-        d_pre = d_logits * score_head.data[:, 0]
-        d_pre *= pre > 0.0
-        return ((weights[:, :, None] * g[:, None, :]).reshape(b * n, d)
-                if rows.requires_grad else None,
-                d_pre @ score_w.data.T if scored_rows.requires_grad else None,
-                scored_rows.data.T @ d_pre if score_w.requires_grad else None,
-                hidden.T @ d_logits if score_head.requires_grad else None)
+        d_rows, d_scored, d_score_w, d_score_head = back(
+            g, rows.requires_grad, scored_rows.requires_grad,
+            score_w.requires_grad, score_head.requires_grad)
+        if rows is scored_rows and d_rows is not None:
+            d_rows += d_scored
+            d_scored = None
+        return d_rows, d_scored, d_score_w, d_score_head
 
     return _node(pooled, (rows, scored_rows, score_w, score_head), vjp), weights
+
+
+def cross_attention_pool(rows: Tensor, query: Tensor, rows_w: Tensor,
+                         query_w: Tensor, score_w: Tensor, score_head: Tensor,
+                         mask: np.ndarray) -> tuple:
+    """Attention over rows [B*n, d] conditioned on one query row per
+    segment, query [B, d_q]; one node.
+
+    The scored rows fuse both projections by Hadamard product:
+    scored[b*n + j] = (rows[b*n + j] @ rows_w) * (query[b] @ query_w) with
+    rows_w [d, d_p] and query_w [d_q, d_p]. They are scored, normalized and
+    pooled as in attention_pool, with score_w [d_p, d_ff] and score_head
+    [d_ff, 1], and the pooled output weights the ORIGINAL rows. rows
+    receive the sum of two contributions, the pooled rows' first and the
+    projection's second. Returns the pooled [B, d] Tensor and the weights
+    as a plain [B, n] array outside the graph.
+    """
+    keep = np.asarray(mask, dtype=bool)
+    if rows.data.ndim != 2 or query.data.ndim != 2 or keep.ndim != 2 \
+            or rows_w.data.ndim != 2 or query_w.data.ndim != 2 \
+            or score_w.data.ndim != 2 or rows.shape[0] != keep.size \
+            or query.shape[0] != keep.shape[0] or rows_w.shape[0] != rows.shape[1] \
+            or query_w.shape != (query.shape[1], rows_w.shape[1]) \
+            or score_w.shape[0] != rows_w.shape[1] \
+            or score_head.shape != (score_w.shape[1], 1):
+        raise DimensionError(f"cross_attention_pool: rows {rows.shape}, query "
+                             f"{query.shape}, rows_w {rows_w.shape}, query_w "
+                             f"{query_w.shape}, score_w {score_w.shape}, "
+                             f"score_head {score_head.shape}, mask {keep.shape}")
+    b, n = keep.shape
+    rows_proj = rows.data @ rows_w.data
+    query_proj = query.data @ query_w.data
+    proj3 = rows_proj.reshape(b, n, rows_w.shape[1])
+    scored = (proj3 * query_proj[:, None, :]).reshape(rows_proj.shape)
+    pooled, weights, back = _score_pool("cross_attention_pool", rows.data, scored,
+                                        score_w.data, score_head.data, keep)
+    projections_needed = (rows.requires_grad or query.requires_grad
+                          or rows_w.requires_grad or query_w.requires_grad)
+
+    def vjp(g):
+        d_rows, d_scored, d_score_w, d_score_head = back(
+            g, rows.requires_grad, projections_needed,
+            score_w.requires_grad, score_head.requires_grad)
+        if d_scored is None:
+            return d_rows, None, None, None, d_score_w, d_score_head
+        g3 = d_scored.reshape(proj3.shape)
+        d_rows_proj = (g3 * query_proj[:, None, :]).reshape(rows_proj.shape)
+        d_query_proj = np.add.reduce(g3 * proj3, axis=1)
+        if d_rows is not None:
+            d_rows += d_rows_proj @ rows_w.data.T
+        return (d_rows,
+                d_query_proj @ query_w.data.T if query.requires_grad else None,
+                rows.data.T @ d_rows_proj if rows_w.requires_grad else None,
+                query.data.T @ d_query_proj if query_w.requires_grad else None,
+                d_score_w, d_score_head)
+
+    return _node(pooled, (rows, query, rows_w, query_w, score_w, score_head),
+                 vjp), weights
+
+
+# ---------------------------------------------------------------------------
+# loss terms: one node each, forward in the operation order of the
+# elementwise composition it replaced
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean over rows of logsumexp(logits[i]) - logits[i, labels[i]]: the
     cross-entropy of each row's softmax against an int label; one node.
 
-    logits is [B, C] with B >= 1 and labels an int [B] array with values in
-    [0, C); anything else is a DimensionError.
+    logits is [B, C] with B >= 1 and labels an integer [B] array with values
+    in [0, C); anything else, another dtype included, is a DimensionError.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise DimensionError(f"softmax_cross_entropy: labels must be integers, "
+                             f"got {labels.dtype}")
     if logits.data.ndim != 2 or logits.shape[0] == 0 \
             or labels.shape != (logits.shape[0],):
         raise DimensionError(f"softmax_cross_entropy: logits {logits.shape}, "
                              f"labels {labels.shape}")
     b, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
         bad = labels[(labels < 0) | (labels >= c)][0]
         raise DimensionError(f"softmax_cross_entropy: label {bad} out of range "
                              f"for {c} classes")
     m = logits.data
     rows = np.arange(b)
-    mx = m.max(axis=1, keepdims=True)
+    mx = np.maximum.reduce(m, axis=1, keepdims=True)
     e = np.exp(m - mx)
-    s = e.sum(axis=1, keepdims=True)
+    s = np.add.reduce(e, axis=1, keepdims=True)
     lse = (mx + np.log(s)).ravel()
-    out = np.asarray((lse - m[rows, labels]).sum()) * (1.0 / b)
+    out = np.asarray(np.add.reduce(lse - m[rows, labels])) * (1.0 / b)
 
     def vjp(g):
         per_row = float(g) * (1.0 / b)
@@ -396,68 +479,36 @@ def gaussian_sample(mean: Tensor, log_var: Tensor, eps: np.ndarray) -> Tensor:
                  lambda g: (g, g * eps * std * 0.5))
 
 
-# ---------------------------------------------------------------------------
-# fused bottleneck terms: one node each, forward in the operation order of
-# the elementwise composition they replace
+def prior_skl(mean: Tensor, log_var: Tensor) -> Tensor:
+    """Batch mean of the symmetrized KL between each row's diagonal
+    Gaussian N(mean, exp(log_var)) and the standard normal N(0, I); one node.
 
-
-def gaussian_skl(mean_p: Tensor, log_var_p: Tensor, mean_q: Tensor,
-                 log_var_q: Tensor) -> Tensor:
-    """Symmetrized KL between diagonal Gaussians p and q, summed over entries.
-
-    0.25 * sum(t_pq + t_qp), where t_pq = e^(lp-lq) - (lp-lq)
-    + (mq-mp)^2 e^(-lq) - 1 is twice the elementwise KL(p || q).
+    mean and log_var are [B, d]. The value is 0.25 / B * sum(t_pq + t_qp)
+    over every entry, where t_pq = e^lv - lv + m^2 - 1 is twice the
+    elementwise KL(p || N(0, 1)) and t_qp = e^-lv + lv + m^2 e^-lv - 1
+    twice KL(N(0, 1) || p): the general two-Gaussian form with the prior's
+    zeros put in, which leaves each kept operation's result unchanged.
     """
-    for other in (log_var_p, mean_q, log_var_q):
-        _same_shape(mean_p, other, "gaussian_skl")
-    mp, lp, mq, lq = mean_p.data, log_var_p.data, mean_q.data, log_var_q.data
-    # negation is exact, so one difference and one square serve both terms
-    dmean, dlv = mq - mp, lp - lq
-    sq = dmean * dmean
-    inv_var_p, inv_var_q = np.exp(lp * -1.0), np.exp(lq * -1.0)
-    e_pq, e_qp = np.exp(dlv), np.exp(-dlv)
-    two_kl_pq = e_pq - dlv + sq * inv_var_q + -1.0
-    two_kl_qp = e_qp + dlv + sq * inv_var_p + -1.0
-    out = np.asarray((two_kl_pq + two_kl_qp).sum()) * 0.25
+    _same_shape(mean, log_var, "prior_skl")
+    if mean.data.ndim != 2:
+        raise DimensionError(f"prior_skl: latent {mean.shape} is not [B, d]")
+    b = mean.shape[0]
+    m, lv = mean.data, log_var.data
+    sq = m * m
+    # e^-lv is also the inverse variance of p
+    e_pos, e_neg = np.exp(lv), np.exp(-lv)
+    two_kl_pq = e_pos - lv + sq + -1.0
+    two_kl_qp = e_neg + lv + sq * e_neg + -1.0
+    out = np.asarray(np.add.reduce(two_kl_pq + two_kl_qp, axis=None)) * 0.25 * (1.0 / b)
 
     def vjp(g):
-        # as in matmul, a constant operand (such as a fixed prior) gets none
-        c = 0.25 * float(g)
-        d_mq = (2.0 * c) * dmean * (inv_var_q + inv_var_p)
-        return (-d_mq if mean_p.requires_grad else None,
-                c * (e_pq - e_qp - sq * inv_var_p) if log_var_p.requires_grad else None,
-                d_mq if mean_q.requires_grad else None,
-                c * (e_qp - e_pq - sq * inv_var_q) if log_var_q.requires_grad else None)
+        c = 0.25 * float(g * (1.0 / b))
+        d_mean = (2.0 * c) * (0.0 - m) * (1.0 + e_neg)
+        np.negative(d_mean, out=d_mean)
+        return (d_mean if mean.requires_grad else None,
+                c * (e_pos - e_neg - sq * e_neg) if log_var.requires_grad else None)
 
-    return _node(out, (mean_p, log_var_p, mean_q, log_var_q), vjp)
-
-
-def info_nce(z_q: Tensor, z_h: Tensor, critic: Tensor) -> Tensor:
-    """InfoNCE estimate mean_i [s_ii - logsumexp_j s_ij] + ln B of the
-    bilinear scores s = z_q @ critic @ z_h.T of a [B, d] latent pair.
-
-    A contrastive mutual-information lower bound kept beside the model,
-    which does not call it."""
-    if z_q.data.ndim != 2 or z_h.shape != z_q.shape \
-            or critic.shape != (z_q.shape[1],) * 2:
-        raise DimensionError(f"info_nce: z_q {z_q.shape}, z_h {z_h.shape}, "
-                             f"critic {critic.shape}")
-    b = z_q.shape[0]
-    proj = z_q.data @ critic.data
-    scores = proj @ z_h.data.T.copy()   # contiguous, as the transpose node made
-    mx = scores.max(axis=1, keepdims=True)
-    e = np.exp(scores - mx)
-    s = e.sum(axis=1, keepdims=True)
-    gap = np.diagonal(scores) - (mx + np.log(s)).ravel()
-    out = np.asarray(gap.mean()) + math.log(b)
-
-    def vjp(g):
-        d_scores = (e / s) * (-float(g) / b)
-        d_scores[np.diag_indices(b)] += float(g) / b
-        d_proj = d_scores @ z_h.data
-        return (d_proj @ critic.data.T, d_scores.T @ proj, z_q.data.T @ d_proj)
-
-    return _node(out, (z_q, z_h, critic), vjp)
+    return _node(out, (mean, log_var), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +541,8 @@ def backward(loss: Tensor) -> None:
     zeroing accumulate additively; intermediate results get no .grad.
     A leaf an `Adam` owns gets its gradient in its slice of the optimizer's
     gradient buffer: the first contribution is copied there and .grad
-    becomes that view, later ones are added in place. Every contribution
-    is reshaped to the leaf's shape, so a wrong-size one raises.
+    becomes that view, later ones are added in place. A contribution not
+    of the leaf's shape is reshaped to it, so a wrong-size one raises.
     """
     if loss.shape != ():
         raise RankError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -507,7 +558,8 @@ def backward(loss: Tensor) -> None:
                     g = np.array(g, dtype=np.float64).reshape(node.shape)
                     node.grad = g if node.grad is None else node.grad + g
                 else:
-                    g = np.asarray(g).reshape(node.shape)
+                    if g.shape != node.shape:
+                        g = np.asarray(g).reshape(node.shape)
                     if node.grad is None:
                         view[...] = g
                     else:

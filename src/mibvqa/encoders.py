@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, DimensionError, InvalidMaskError, Tensor, linear, relu,
+    SIGNAL_INIT_SCALE, DimensionError, InvalidMaskError, Tensor, linear_relu,
     segment_pool, tanh_recurrence, uniform_init,
 )
 
@@ -62,7 +62,7 @@ class EncoderParams:
 
 
 def encode_image(features: ImageObjectFeatures, params: EncoderParams) -> Tensor:
-    """Per-object rows relu(raw @ img_w + img_b).
+    """Per-object rows relu(raw @ img_w + img_b), one linear_relu node.
 
     Output [B*t, d_h], rows b*t .. b*t + t - 1 for scene b. Rows at padded
     objects are computed (relu(img_b) for all-zero padding) but, as on the
@@ -73,8 +73,7 @@ def encode_image(features: ImageObjectFeatures, params: EncoderParams) -> Tensor
     if matrix.ndim != 3:
         raise DimensionError(f"features must be [B, t, d_raw], got {matrix.shape}")
     b, t, d_raw = matrix.shape
-    return relu(linear(Tensor(matrix.reshape(b * t, d_raw)),
-                       params.img_w, params.img_b))
+    return linear_relu(Tensor(matrix.reshape(b * t, d_raw)), params.img_w, params.img_b)
 
 
 def encode_query(tokens: QueryTokens, params: EncoderParams) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    SIGNAL_INIT_SCALE, DimensionError, Tensor, linear, relu,
+    SIGNAL_INIT_SCALE, DimensionError, Tensor, linear, linear_relu,
     softmax_cross_entropy, uniform_init,
 )
 
@@ -47,8 +47,8 @@ def project_image(h_star: Tensor, params: FusionParams) -> Tensor:
 
 def classify(x: Tensor, params: FusionParams) -> Tensor:
     """Two-layer MLP logits [B, C] of x [B, d_in] over the answer space (no
-    softmax baked in)."""
-    hidden = relu(linear(x, params.mlp_w1, params.mlp_b1))
+    softmax baked in); the hidden layer is one linear_relu node."""
+    hidden = linear_relu(x, params.mlp_w1, params.mlp_b1)
     return linear(hidden, params.mlp_w2, params.mlp_b2)
 
 

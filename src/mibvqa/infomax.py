@@ -6,17 +6,19 @@ latent, and the classifier reads that latent (Alemi et al. 2017, arXiv
 drawn with caller-supplied noise, and the objective adds lam times the
 closed-form symmetrized KL between the latent's Gaussian and the standard
 normal prior, so lam is the bottleneck's beta. In evaluation the classifier
-reads the latent mean.
+reads the latent mean. The log-variance head is one linear_clamp node, the
+batch-mean KL to the prior one prior_skl node and the objective one
+add_scaled node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, clamp, gaussian_sample, gaussian_skl, linear, scale,
+    Tensor, add_scaled, gaussian_sample, linear, linear_clamp, prior_skl,
     uniform_init,
 )
 
@@ -47,7 +49,8 @@ class LossBreakdown:
 
     def values(self) -> dict:
         """Each term's float value by field name, in field order."""
-        return {f.name: getattr(self, f.name).item() for f in fields(self)}
+        return {"ce": self.ce.item(), "skl": self.skl.item(),
+                "final": self.final.item()}
 
 
 class BottleneckParams:
@@ -77,21 +80,21 @@ def encode_latent(x: Tensor, params: BottleneckParams,
     Only training runs this; evaluation runs latent_mean.
     """
     mean = latent_mean(x, params)
-    log_var = clamp(linear(x, params.logvar_w, params.logvar_b),
-                    LOG_VAR_MIN, LOG_VAR_MAX)
+    log_var = linear_clamp(x, params.logvar_w, params.logvar_b,
+                           LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianLatent(mean=mean, log_var=log_var,
                           sample=gaussian_sample(mean, log_var, noise))
 
 
 def info_loss(latent: GaussianLatent) -> Tensor:
     """Batch mean of the symmetrized KL between the latent's Gaussian and
-    the standard normal prior N(0, I). The node checks that the mean and
-    the log-variance agree in shape (DimensionError)."""
-    prior = Tensor(np.zeros(latent.mean.shape))
-    skl = gaussian_skl(latent.mean, latent.log_var, prior, prior)
-    return scale(skl, 1.0 / latent.mean.shape[0])
+    the standard normal prior N(0, I), one prior_skl node: the 1/B mean is
+    folded into the node and the prior is no tensor. The node checks that
+    the mean and the log-variance agree in shape (DimensionError)."""
+    return prior_skl(latent.mean, latent.log_var)
 
 
 def total_loss(ce: Tensor, info: Tensor, lam: float) -> Tensor:
-    """ce + lam * info; lam = 0 recovers cross-entropy-only training."""
-    return add(ce, scale(info, lam))
+    """ce + lam * info, one add_scaled node; lam = 0 recovers
+    cross-entropy-only training."""
+    return add_scaled(ce, info, lam)

@@ -7,10 +7,13 @@ closure that recomputes a scalar loss from the parameters' *current* data, so
 
 The general ops that the model no longer calls (add_row, mask_rows,
 transpose, diag_part, mean_all, add_scalar, tanh, sub, exp, softmax,
-logsumexp_rows, reshape, take_per_row, sum_all) live here, built on the
-engine's node constructor: the per-sample reference and the composed forms
-of the fused nodes in helpers_oracles are written with them, and their
-scenarios keep them checked like every engine op. `grad_check`, the
+logsumexp_rows, reshape, take_per_row, sum_all, add, scale, matmul,
+segment_mul, relu, clamp) and the fused nodes it no longer calls
+(gaussian_skl, the symmetrized KL between two diagonal Gaussians, and
+info_nce, the contrastive mutual-information estimate) live here, built on
+the engine's node constructor: the per-sample reference and the composed
+forms of the fused nodes in helpers_oracles are written with them, and
+their scenarios keep them checked like every engine op. `grad_check`, the
 finite-difference oracle itself, lives here too.
 
 Inputs are drawn bounded away from the kinks and clip boundaries of piecewise
@@ -20,6 +23,7 @@ otherwise and report a spurious mismatch that says nothing about the VJPs.
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +37,60 @@ from mibvqa import autodiff as ad
 
 def add_scalar(a: ad.Tensor, c: float) -> ad.Tensor:
     return ad._node(a.data + c, (a,), lambda g: (g,))
+
+
+def add(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    ad._same_shape(a, b, "add")
+    return ad._node(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def scale(a: ad.Tensor, c: float) -> ad.Tensor:
+    """Multiply by a python scalar."""
+    return ad._node(a.data * c, (a,), lambda g: (g * c,))
+
+
+def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ad.RankError(f"matmul needs rank-2 operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ad.DimensionError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
+    # a constant operand gets no gradient, so none is formed for it
+    return ad._node(a.data @ b.data, (a, b),
+                    lambda g: (g @ b.data.T if a.requires_grad else None,
+                               a.data.T @ g if b.requires_grad else None))
+
+
+def segment_mul(m: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
+    """Multiply each row of segment b of m elementwise by row b of v.
+
+    m is [B*n, d], read as B consecutive segments of n rows; v is [B, d].
+    """
+    if m.data.ndim != 2 or v.data.ndim != 2 or m.shape[1] != v.shape[1] \
+            or v.shape[0] == 0 or m.shape[0] % v.shape[0]:
+        raise ad.DimensionError(f"segment_mul: {m.shape} incompatible with {v.shape}")
+    b, d = v.shape
+    m3 = m.data.reshape(b, -1, d)
+    out = (m3 * v.data[:, None, :]).reshape(m.shape)
+
+    def vjp(g):
+        g3 = g.reshape(m3.shape)
+        return (g3 * v.data[:, None, :]).reshape(m.shape), (g3 * m3).sum(axis=1)
+
+    return ad._node(out, (m, v), vjp)
+
+
+def relu(x: ad.Tensor) -> ad.Tensor:
+    """Elementwise max(0, x); subgradient at 0 is 0."""
+    out = np.maximum(x.data, 0.0)
+    pos = x.data > 0.0
+    return ad._node(out, (x,), lambda g: (g * pos,))
+
+
+def clamp(x: ad.Tensor, lo: float, hi: float) -> ad.Tensor:
+    """Clip to [lo, hi]; gradient passes only through the interior."""
+    out = np.clip(x.data, lo, hi)
+    inside = (x.data >= lo) & (x.data <= hi)
+    return ad._node(out, (x,), lambda g: (g * inside,))
 
 
 def add_row(m: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
@@ -166,6 +224,64 @@ def mean_all(x: ad.Tensor) -> ad.Tensor:
                     lambda g: (np.full(shape, float(g) / n),))
 
 
+def gaussian_skl(mean_p: ad.Tensor, log_var_p: ad.Tensor, mean_q: ad.Tensor,
+                 log_var_q: ad.Tensor) -> ad.Tensor:
+    """Symmetrized KL between diagonal Gaussians p and q, summed over entries;
+    one node.
+
+    0.25 * sum(t_pq + t_qp), where t_pq = e^(lp-lq) - (lp-lq)
+    + (mq-mp)^2 e^(-lq) - 1 is twice the elementwise KL(p || q).
+    """
+    for other in (log_var_p, mean_q, log_var_q):
+        ad._same_shape(mean_p, other, "gaussian_skl")
+    mp, lp, mq, lq = mean_p.data, log_var_p.data, mean_q.data, log_var_q.data
+    # negation is exact, so one difference and one square serve both terms
+    dmean, dlv = mq - mp, lp - lq
+    sq = dmean * dmean
+    inv_var_p, inv_var_q = np.exp(lp * -1.0), np.exp(lq * -1.0)
+    e_pq, e_qp = np.exp(dlv), np.exp(-dlv)
+    two_kl_pq = e_pq - dlv + sq * inv_var_q + -1.0
+    two_kl_qp = e_qp + dlv + sq * inv_var_p + -1.0
+    out = np.asarray((two_kl_pq + two_kl_qp).sum()) * 0.25
+
+    def vjp(g):
+        # as in matmul, a constant operand (such as a fixed prior) gets none
+        c = 0.25 * float(g)
+        d_mq = (2.0 * c) * dmean * (inv_var_q + inv_var_p)
+        return (-d_mq if mean_p.requires_grad else None,
+                c * (e_pq - e_qp - sq * inv_var_p) if log_var_p.requires_grad else None,
+                d_mq if mean_q.requires_grad else None,
+                c * (e_qp - e_pq - sq * inv_var_q) if log_var_q.requires_grad else None)
+
+    return ad._node(out, (mean_p, log_var_p, mean_q, log_var_q), vjp)
+
+
+def info_nce(z_q: ad.Tensor, z_h: ad.Tensor, critic: ad.Tensor) -> ad.Tensor:
+    """InfoNCE estimate mean_i [s_ii - logsumexp_j s_ij] + ln B of the
+    bilinear scores s = z_q @ critic @ z_h.T of a [B, d] latent pair; one
+    node. A contrastive mutual-information lower bound, at most ln B."""
+    if z_q.data.ndim != 2 or z_h.shape != z_q.shape \
+            or critic.shape != (z_q.shape[1],) * 2:
+        raise ad.DimensionError(f"info_nce: z_q {z_q.shape}, z_h {z_h.shape}, "
+                                f"critic {critic.shape}")
+    b = z_q.shape[0]
+    proj = z_q.data @ critic.data
+    scores = proj @ z_h.data.T.copy()   # contiguous, as the transpose node made
+    mx = scores.max(axis=1, keepdims=True)
+    e = np.exp(scores - mx)
+    s = e.sum(axis=1, keepdims=True)
+    gap = np.diagonal(scores) - (mx + np.log(s)).ravel()
+    out = np.asarray(gap.mean()) + math.log(b)
+
+    def vjp(g):
+        d_scores = (e / s) * (-float(g) / b)
+        d_scores[np.diag_indices(b)] += float(g) / b
+        d_proj = d_scores @ z_h.data
+        return (d_proj @ critic.data.T, d_scores.T @ proj, z_q.data.T @ d_proj)
+
+    return ad._node(out, (z_q, z_h, critic), vjp)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 
@@ -237,7 +353,7 @@ def _keep_mask(rng: np.random.Generator, n: int) -> np.ndarray:
 def _scenario_add(rng):
     a, b = _param(rng, (2, 3)), _param(rng, (2, 3))
     out = _readout(rng, (2, 3))
-    return lambda ps: out(ad.add(ps[0], ps[1])), [a, b]
+    return lambda ps: out(add(ps[0], ps[1])), [a, b]
 
 
 def _scenario_sub(rng):
@@ -256,7 +372,7 @@ def _scenario_scale(rng):
     a = _param(rng, (2, 3))
     c = float(_signed(rng, ()))
     out = _readout(rng, (2, 3))
-    return lambda ps: out(ad.scale(ps[0], c)), [a]
+    return lambda ps: out(scale(ps[0], c)), [a]
 
 
 def _scenario_add_scalar(rng):
@@ -269,7 +385,7 @@ def _scenario_add_scalar(rng):
 def _scenario_matmul(rng):
     a, b = _param(rng, (2, 3)), _param(rng, (3, 4))
     out = _readout(rng, (2, 4))
-    return lambda ps: out(ad.matmul(ps[0], ps[1])), [a, b]
+    return lambda ps: out(matmul(ps[0], ps[1])), [a, b]
 
 
 def _scenario_add_row(rng):
@@ -293,7 +409,7 @@ def _positive_param(rng: np.random.Generator, shape) -> ad.Tensor:
 def _scenario_segment_mul(rng):
     m, v = _positive_param(rng, (6, 4)), _param(rng, (2, 4))
     out = _readout(rng, (6, 4))
-    return lambda ps: out(ad.segment_mul(ps[0], ps[1])), [m, v]
+    return lambda ps: out(segment_mul(ps[0], ps[1])), [m, v]
 
 
 def _scenario_mask_rows(rng):
@@ -306,7 +422,7 @@ def _scenario_mask_rows(rng):
 def _scenario_relu(rng):
     a = _param(rng, (3, 4))  # |entries| >= 0.2: off the kink
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.relu(ps[0])), [a]
+    return lambda ps: out(relu(ps[0])), [a]
 
 
 def _scenario_tanh(rng):
@@ -330,7 +446,7 @@ def _scenario_clamp(rng):
     data = mag * rng.choice([-1.0, 1.0], size=(3, 4))
     a = ad.Tensor(data, requires_grad=True)
     out = _readout(rng, (3, 4))
-    return lambda ps: out(ad.clamp(ps[0], -1.0, 1.0)), [a]
+    return lambda ps: out(clamp(ps[0], -1.0, 1.0)), [a]
 
 
 def _softmax_case(rng: np.random.Generator, keep: np.ndarray):
@@ -443,7 +559,7 @@ def _scenario_gaussian_skl(rng):
         params = [_param(rng, (2, 3)) for _ in range(4)]
 
         def f(ps):
-            return ad.scale(ad.gaussian_skl(*ps), c)
+            return scale(gaussian_skl(*ps), c)
 
         if _gradients_clear(f, params):
             return f, params
@@ -459,7 +575,7 @@ def _scenario_info_nce(rng):
                   _param(rng, (2, 2))]                      # critic
 
         def f(ps):
-            return ad.scale(ad.info_nce(*ps), c)
+            return scale(info_nce(*ps), c)
 
         if _gradients_clear(f, params):
             return f, params
@@ -503,12 +619,83 @@ def _scenario_attention_pool_shared(rng):
     return _attention_case(rng, shared=True)
 
 
+def _scenario_cross_attention_pool(rng):
+    """Rows, query, both projections, score weights and readout of
+    cross_attention_pool over 3 elements of 3 rows each; row 0 of the mask
+    keeps a single entry. Redrawn like attention_pool's."""
+    keep = np.stack([_keep_mask(rng, 3) for _ in range(3)])
+    keep[0] = False
+    keep[0, int(rng.integers(3))] = True
+    while True:
+        params = [_positive_param(rng, (9, 2)), _param(rng, (3, 2)),   # rows, query
+                  _param(rng, (2, 3)), _param(rng, (2, 3)),           # rows_w, query_w
+                  _param(rng, (3, 3)), _param(rng, (3, 1))]           # score_w, head
+        rows, query, rows_w, query_w, score_w, _ = (p.data for p in params)
+        scored = ((rows @ rows_w).reshape(3, 3, 3)
+                  * (query @ query_w)[:, None, :]).reshape(9, 3)
+        out = _readout(rng, (3, 2))
+
+        def f(ps):
+            return out(ad.cross_attention_pool(*ps, keep)[0])
+
+        if (np.abs(scored @ score_w) >= 1e-2).all() and _gradients_clear(f, params):
+            return f, params
+
+
+def _linear_case(rng, node, edges):
+    """x, w, b and readout of a linear node followed by an elementwise kink
+    at each of edges: redrawn until every pre-activation is at least 1e-2
+    from every edge, both sides of the first edge occur, and the gradients
+    are clear (each sums signed terms over rows)."""
+    while True:
+        params = [_param(rng, (3, 4)), _param(rng, (4, 2)), _param(rng, (2,))]
+        pre = params[0].data @ params[1].data + params[2].data
+        out = _readout(rng, (3, 2))
+
+        def f(ps):
+            return out(node(*ps))
+
+        if all((np.abs(pre - edge) >= 1e-2).all() for edge in edges) \
+                and (pre > edges[0]).any() and (pre < edges[0]).any() \
+                and _gradients_clear(f, params):
+            return f, params
+
+
+def _scenario_linear_relu(rng):
+    return _linear_case(rng, ad.linear_relu, (0.0,))
+
+
+def _scenario_linear_clamp(rng):
+    return _linear_case(rng, lambda x, w, b: ad.linear_clamp(x, w, b, -1.0, 1.0),
+                        (1.0, -1.0))
+
+
+def _scenario_prior_skl(rng):
+    """Means and log-variances redrawn as for gaussian_skl."""
+    c = float(rng.uniform(0.5, 1.5))
+    while True:
+        params = [_param(rng, (2, 3)), _param(rng, (2, 3))]
+
+        def f(ps):
+            return scale(ad.prior_skl(*ps), c)
+
+        if _gradients_clear(f, params):
+            return f, params
+
+
+def _scenario_add_scaled(rng):
+    a, b = _param(rng, (2, 3)), _param(rng, (2, 3))
+    c = float(_signed(rng, ()))
+    out = _readout(rng, (2, 3))
+    return lambda ps: out(ad.add_scaled(ps[0], ps[1], c)), [a, b]
+
+
 def _scenario_softmax_cross_entropy(rng):
     a = _param(rng, (4, 5))
     labels = rng.integers(0, 5, size=4)
     labels[2] = labels[0]  # a repeated label
     c = float(rng.uniform(0.5, 1.5))
-    return lambda ps: ad.scale(ad.softmax_cross_entropy(ps[0], labels), c), [a]
+    return lambda ps: scale(ad.softmax_cross_entropy(ps[0], labels), c), [a]
 
 
 def _scenario_gaussian_sample(rng):
@@ -528,13 +715,13 @@ def _scenario_segment_pool(rng):
 def _scenario_sum_all(rng):
     a = _param(rng, (3, 4))
     c = float(rng.uniform(0.5, 1.5))
-    return lambda ps: ad.scale(sum_all(ps[0]), c), [a]
+    return lambda ps: scale(sum_all(ps[0]), c), [a]
 
 
 def _scenario_mean_all(rng):
     a = _param(rng, (3, 4))
     c = float(rng.uniform(0.5, 1.5))
-    return lambda ps: ad.scale(mean_all(ps[0]), c), [a]
+    return lambda ps: scale(mean_all(ps[0]), c), [a]
 
 
 OP_SCENARIOS = {
@@ -546,6 +733,9 @@ OP_SCENARIOS = {
     "matmul": _scenario_matmul,
     "add_row": _scenario_add_row,
     "linear": _scenario_linear,
+    "linear_relu": _scenario_linear_relu,
+    "linear_clamp": _scenario_linear_clamp,
+    "add_scaled": _scenario_add_scaled,
     "segment_mul": _scenario_segment_mul,
     "mask_rows": _scenario_mask_rows,
     "relu": _scenario_relu,
@@ -567,6 +757,8 @@ OP_SCENARIOS = {
     "info_nce": _scenario_info_nce,
     "attention_pool": _scenario_attention_pool,
     "attention_pool_shared": _scenario_attention_pool_shared,
+    "cross_attention_pool": _scenario_cross_attention_pool,
+    "prior_skl": _scenario_prior_skl,
     "softmax_cross_entropy": _scenario_softmax_cross_entropy,
     "gaussian_sample": _scenario_gaussian_sample,
 }

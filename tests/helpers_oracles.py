@@ -21,8 +21,9 @@ from dataclasses import asdict
 import numpy as np
 
 from helpers_ops import (
-    add_row, add_scalar, diag_part, exp, logsumexp_rows, mask_rows, mean_all,
-    reshape, softmax, sub, sum_all, take_per_row, tanh, transpose,
+    add, add_row, add_scalar, clamp, diag_part, exp, gaussian_skl,
+    logsumexp_rows, mask_rows, matmul, mean_all, relu, reshape, scale,
+    segment_mul, softmax, sub, sum_all, take_per_row, tanh, transpose,
 )
 from mibvqa import autodiff as ad
 from mibvqa.data import (
@@ -31,7 +32,7 @@ from mibvqa.data import (
     SceneObject, VQASample, answer_oracle,
 )
 from mibvqa.fusion import cross_entropy
-from mibvqa.infomax import LOG_VAR_MAX, LOG_VAR_MIN, LossBreakdown, total_loss
+from mibvqa.infomax import LOG_VAR_MAX, LOG_VAR_MIN, LossBreakdown
 
 NEG_INF = -1e30  # same additive mask constant the engine documents
 
@@ -79,12 +80,67 @@ def oracle_image_attention(h, q_star, mask, img_proj_w, qstar_proj_w,
 # them before each became one engine node: a graph of elementwise and
 # linear-algebra ops. The fused nodes must agree with these forward and in
 # their gradients.
+#
+# The layers fused later keep the operation order of their composed forms,
+# so those nodes must equal them byte for byte in value and in every
+# gradient: linear_relu, linear_clamp, cross_attention_pool (the image
+# block), prior_skl (the batch-mean KL to N(0, I)) and add_scaled (the
+# objective).
+
+
+def assert_same_bits(got, want) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_fused_equals_composed(fused, composed, operands, readout=None) -> None:
+    """Run both forms on the same operand tensors and compare the value and
+    the gradient of every operand that requires one, byte for byte. A
+    readout tensor collapses a non-scalar value to sum(value * readout)."""
+    results = []
+    for form in (fused, composed):
+        for t in operands:
+            t.grad = None
+        out = form(*operands)
+        ad.backward(out if readout is None else sum_all(ad.hadamard(out, readout)))
+        results.append((out.data, [t.grad for t in operands if t.requires_grad]))
+    (value, grads), (ref_value, ref_grads) = results
+    assert_same_bits(value, ref_value)
+    for grad, ref in zip(grads, ref_grads, strict=True):
+        assert_same_bits(grad, ref)
+
+
+def composed_linear_relu(x, w, b):
+    return relu(ad.linear(x, w, b))
+
+
+def composed_linear_clamp(x, w, b, lo, hi):
+    return clamp(ad.linear(x, w, b), lo, hi)
+
+
+def composed_cross_attention_pool(rows, query, rows_w, query_w, score_w,
+                                  score_head, mask):
+    """Pooled rows and weights: both projections, their segment product,
+    then attention_pool."""
+    scored = segment_mul(matmul(rows, rows_w), matmul(query, query_w))
+    return ad.attention_pool(rows, scored, score_w, score_head, mask)
+
+
+def composed_prior_skl(mean, log_var):
+    """gaussian_skl to an all-zeros prior, scaled by 1/B."""
+    prior = ad.Tensor(np.zeros(mean.shape))
+    return scale(gaussian_skl(mean, log_var, prior, prior), 1.0 / mean.shape[0])
+
+
+def composed_add_scaled(a, b, c):
+    return add(a, scale(b, c))
 
 
 def composed_attention_pool(rows, scored_rows, score_w, score_head, mask):
     """Pooled rows and weights, both Tensors on the graph."""
     keep = np.asarray(mask, dtype=bool)
-    logits = reshape(ad.matmul(ad.relu(ad.matmul(scored_rows, score_w)), score_head),
+    logits = reshape(matmul(relu(matmul(scored_rows, score_w)), score_head),
                      keep.shape)
     weights = softmax(logits, keep)
     return ad.segment_pool(weights, rows), weights
@@ -92,32 +148,32 @@ def composed_attention_pool(rows, scored_rows, score_w, score_head, mask):
 
 def composed_softmax_cross_entropy(logits, labels):
     picked = take_per_row(logits, labels)
-    return ad.scale(sum_all(sub(logsumexp_rows(logits), picked)), 1.0 / len(labels))
+    return scale(sum_all(sub(logsumexp_rows(logits), picked)), 1.0 / len(labels))
 
 
 def composed_gaussian_sample(mean, log_var, eps):
-    return ad.add(mean, ad.hadamard(exp(ad.scale(log_var, 0.5)), ad.Tensor(eps)))
+    return add(mean, ad.hadamard(exp(scale(log_var, 0.5)), ad.Tensor(eps)))
 
 
 def _two_kl_terms(mean_p, log_var_p, mean_q, log_var_q):
     # elementwise 2*KL(p || q): e^(lp-lq) + (mq-mp)^2 e^(-lq) + lq - lp - 1
     dlv = sub(log_var_p, log_var_q)
     dmean = sub(mean_q, mean_p)
-    inv_var_q = exp(ad.scale(log_var_q, -1.0))
+    inv_var_q = exp(scale(log_var_q, -1.0))
     quad = ad.hadamard(ad.hadamard(dmean, dmean), inv_var_q)
-    return add_scalar(ad.add(sub(exp(dlv), dlv), quad), -1.0)
+    return add_scalar(add(sub(exp(dlv), dlv), quad), -1.0)
 
 
 def composed_gaussian_skl(mean_p, log_var_p, mean_q, log_var_q):
     """Symmetrized KL summed over every entry: 0.5 * (KL(p||q) + KL(q||p))."""
     two_kl_pq = _two_kl_terms(mean_p, log_var_p, mean_q, log_var_q)
     two_kl_qp = _two_kl_terms(mean_q, log_var_q, mean_p, log_var_p)
-    return ad.scale(sum_all(ad.add(two_kl_pq, two_kl_qp)), 0.25)
+    return scale(sum_all(add(two_kl_pq, two_kl_qp)), 0.25)
 
 
 def composed_info_nce(z_q, z_h, critic):
     """mean_i [s_ii - logsumexp_j s_ij] + ln B of s = z_q @ critic @ z_h.T."""
-    scores = ad.matmul(ad.matmul(z_q, critic), transpose(z_h))
+    scores = matmul(matmul(z_q, critic), transpose(z_h))
     gap = sub(diag_part(scores), logsumexp_rows(scores))
     return add_scalar(mean_all(gap), math.log(z_q.shape[0]))
 
@@ -227,21 +283,21 @@ def _stack(parts):
     for i, part in enumerate(parts):
         pick = np.zeros((len(parts), 1))
         pick[i, 0] = 1.0
-        term = ad.matmul(ad.Tensor(pick), part)
-        out = term if out is None else ad.add(out, term)
+        term = matmul(ad.Tensor(pick), part)
+        out = term if out is None else add(out, term)
     return out
 
 
 def _softmax_row(logits, mask):
     """Masked softmax of a [1, n] logit row."""
     n = logits.shape[1]
-    shifted = ad.add(logits, ad.Tensor(np.where(mask, 0.0, NEG_INF)[None, :]))
+    shifted = add(logits, ad.Tensor(np.where(mask, 0.0, NEG_INF)[None, :]))
     lse = reshape(logsumexp_rows(shifted), (1, 1))
-    return exp(sub(shifted, ad.matmul(lse, ad.Tensor(np.ones((1, n))))))
+    return exp(sub(shifted, matmul(lse, ad.Tensor(np.ones((1, n))))))
 
 
 def _dense(x, w, b):
-    return add_row(ad.matmul(x, w), b)
+    return add_row(matmul(x, w), b)
 
 
 def reference_forward(model, matrix, object_mask, token_ids, token_mask,
@@ -255,7 +311,7 @@ def reference_forward(model, matrix, object_mask, token_ids, token_mask,
     ib = model.bottleneck
     # padded rows zeroed here, unlike the model, which leaves them to the
     # pooling masks: the two must still agree
-    h = mask_rows(ad.relu(_dense(ad.Tensor(matrix), enc.img_w, enc.img_b)),
+    h = mask_rows(relu(_dense(ad.Tensor(matrix), enc.img_w, enc.img_b)),
                   object_mask)
     vocab = enc.embed.shape[0]
     rec_t = transpose(enc.rec_w)
@@ -264,35 +320,32 @@ def reference_forward(model, matrix, object_mask, token_ids, token_mask,
     for tok in token_ids:
         onehot = np.zeros((1, vocab))
         onehot[0, tok] = 1.0
-        prev = tanh(ad.add(ad.matmul(prev, rec_t),
-                              ad.matmul(ad.Tensor(onehot), enc.embed)))
+        prev = tanh(add(matmul(prev, rec_t), matmul(ad.Tensor(onehot), enc.embed)))
         rows.append(prev)
     q = _stack(rows)
     if att is not None:
-        scores = ad.matmul(ad.relu(ad.matmul(q, att.query_w)),
-                           att.query_score)
+        scores = matmul(relu(matmul(q, att.query_w)), att.query_score)
         alpha = _softmax_row(reshape(scores, (1, len(token_ids))), token_mask)
-        q_star = ad.matmul(alpha, q)
-        q_proj = ad.matmul(q_star, att.qstar_proj_w)
-        fused = ad.hadamard(ad.matmul(h, att.img_proj_w),
-                            ad.matmul(ad.Tensor(np.ones((h.shape[0], 1))), q_proj))
-        scores = ad.matmul(ad.relu(ad.matmul(fused, att.img_score_w)),
-                           att.img_score)
+        q_star = matmul(alpha, q)
+        q_proj = matmul(q_star, att.qstar_proj_w)
+        fused = ad.hadamard(matmul(h, att.img_proj_w),
+                            matmul(ad.Tensor(np.ones((h.shape[0], 1))), q_proj))
+        scores = matmul(relu(matmul(fused, att.img_score_w)), att.img_score)
         beta = _softmax_row(reshape(scores, (1, h.shape[0])), object_mask)
-        h_star = ad.matmul(beta, h)
+        h_star = matmul(beta, h)
     else:
-        q_star = ad.matmul(ad.Tensor(token_mask[None, :] / token_mask.sum()), q)
-        h_star = ad.matmul(ad.Tensor(object_mask[None, :] / object_mask.sum()), h)
+        q_star = matmul(ad.Tensor(token_mask[None, :] / token_mask.sum()), q)
+        h_star = matmul(ad.Tensor(object_mask[None, :] / object_mask.sum()), h)
     fused = ad.hadamard(_dense(q_star, fus.q_w, fus.q_b),
                         _dense(h_star, fus.h_w, fus.h_b))
     mean = log_var = None
     if ib is not None:
         mean = _dense(fused, ib.mean_w, ib.mean_b)
-        log_var = ad.clamp(_dense(fused, ib.logvar_w, ib.logvar_b),
-                           LOG_VAR_MIN, LOG_VAR_MAX)
+        log_var = clamp(_dense(fused, ib.logvar_w, ib.logvar_b),
+                        LOG_VAR_MIN, LOG_VAR_MAX)
         fused = (mean if noise is None
                  else composed_gaussian_sample(mean, log_var, noise[None, :]))
-    hidden = ad.relu(_dense(fused, fus.mlp_w1, fus.mlp_b1))
+    hidden = relu(_dense(fused, fus.mlp_w1, fus.mlp_b1))
     return _dense(hidden, fus.mlp_w2, fus.mlp_b2), mean, log_var
 
 
@@ -314,8 +367,8 @@ def reference_loss(model, features, tokens, labels, lam, noise):
     train_logits, mean, log_var = (_stack(list(part)) for part in zip(*per_sample))
     ce = cross_entropy(train_logits, labels)
     prior = ad.Tensor(np.zeros(mean.shape))
-    skl = ad.scale(composed_gaussian_skl(mean, log_var, prior, prior), 1.0 / b)
-    return logits, LossBreakdown(ce, skl, total_loss(ce, skl, lam))
+    skl = scale(composed_gaussian_skl(mean, log_var, prior, prior), 1.0 / b)
+    return logits, LossBreakdown(ce, skl, add(ce, scale(skl, lam)))
 
 
 # ---------------------------------------------------------------------------

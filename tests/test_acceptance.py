@@ -24,10 +24,12 @@ import pytest
 
 from conftest import tiny_model_config
 from helpers_oracles import oracle_image_attention, oracle_query_attention
-from helpers_ops import OP_SCENARIOS, grad_check, run_op_trials
+from helpers_ops import (
+    OP_SCENARIOS, gaussian_skl, grad_check, info_nce, run_op_trials,
+)
 
 from mibvqa.attention import AttentionParams, image_attention, query_attention
-from mibvqa.autodiff import Tensor, gaussian_skl, info_nce
+from mibvqa.autodiff import Tensor
 from mibvqa.data import (
     DatasetConfig, audit_dataset, export_dataset, generate_dataset,
     import_dataset, query_tokens, scene_features,

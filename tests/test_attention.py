@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers_ops import sum_all
+from helpers_ops import reshape, sum_all
 from helpers_oracles import (
-    composed_attention_pool, oracle_image_attention, oracle_query_attention,
+    assert_fused_equals_composed, assert_same_bits, composed_attention_pool,
+    composed_cross_attention_pool, oracle_image_attention, oracle_query_attention,
 )
 from mibvqa import autodiff as ad
 from mibvqa.attention import AttentionParams, image_attention, query_attention
@@ -275,3 +276,63 @@ def test_attention_pool_rejects_bad_shapes_and_empty_rows():
     with pytest.raises(DimensionError):  # scored rows of the wrong width
         ad.attention_pool(rows, Tensor(np.ones((6, 3))), w, head,
                           np.ones((2, 3), dtype=bool))
+
+
+def _batch_mask(rng: np.random.Generator, b: int, n: int) -> np.ndarray:
+    """A [b, n] mask with masked entries; row 0 keeps a single entry."""
+    mask = np.stack([random_mask(rng, n) for _ in range(b)])
+    mask[0] = False
+    mask[0, int(rng.integers(n))] = True
+    return mask
+
+
+@pytest.mark.parametrize("constant", [None, "rows", "query"])
+@pytest.mark.parametrize("b", [1, 2, 9, 32])
+def test_cross_attention_pool_node_equals_the_composed_form_bit_for_bit(b, constant):
+    # the image block: projections, their segment product and attention_pool
+    rng = np.random.default_rng(60 + b)
+    params = make_params(b)
+    weights = (params.img_proj_w, params.qstar_proj_w, params.img_score_w,
+               params.img_score)
+    for _ in range(10):
+        n = int(rng.integers(1, 7))
+        mask = _batch_mask(rng, b, n)
+        rows = Tensor(rng.standard_normal((b * n, D_H)), requires_grad=constant != "rows")
+        query = Tensor(rng.standard_normal((b, D_Q)), requires_grad=constant != "query")
+        readout = Tensor(rng.standard_normal((b, D_H)))
+        assert_fused_equals_composed(
+            lambda *ops: ad.cross_attention_pool(*ops, mask)[0],
+            lambda *ops: composed_cross_attention_pool(*ops, mask)[0],
+            [rows, query, *weights], readout)
+        assert_same_bits(ad.cross_attention_pool(rows, query, *weights, mask)[1],
+                         composed_cross_attention_pool(rows, query, *weights, mask)[1])
+
+
+@pytest.mark.parametrize("b", [1, 2, 9, 32])
+def test_self_attention_sums_its_two_contributions_as_backward_does_bit_for_bit(b):
+    # scoring a pass-through node of q makes backward add the two
+    # contributions to q itself, the pooled rows' first
+    rng = np.random.default_rng(70 + b)
+    params = make_params(b)
+    for _ in range(10):
+        n = int(rng.integers(1, 7))
+        mask = _batch_mask(rng, b, n)
+        q = Tensor(rng.standard_normal((b * n, D_Q)), requires_grad=True)
+        readout = Tensor(rng.standard_normal((b, D_Q)))
+        assert_fused_equals_composed(
+            lambda q, *w: ad.attention_pool(q, q, *w, mask)[0],
+            lambda q, *w: ad.attention_pool(q, reshape(q, q.shape), *w, mask)[0],
+            [q, params.query_w, params.query_score], readout)
+
+
+def test_cross_attention_pool_rejects_a_query_per_scene_mismatch():
+    params = make_params()
+    rows = Tensor(np.ones((6, D_H)))
+    weights = (params.img_proj_w, params.qstar_proj_w, params.img_score_w,
+               params.img_score)
+    with pytest.raises(DimensionError):  # 3 query rows for 2 scenes
+        ad.cross_attention_pool(rows, Tensor(np.ones((3, D_Q))), *weights,
+                                np.ones((2, 3), dtype=bool))
+    with pytest.raises(InvalidMaskError, match="row 1"):
+        ad.cross_attention_pool(rows, Tensor(np.ones((2, D_Q))), *weights,
+                                np.array([[True, False, True], [False, False, False]]))

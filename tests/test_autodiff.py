@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import helpers_ops
 import helpers_oracles
 from helpers_ops import (
-    OP_SCENARIOS, add_row, add_scalar, grad_check, logsumexp_rows, mask_rows,
-    mean_all, reshape, run_op_trials, softmax, sub, sum_all, take_per_row, tanh,
+    OP_SCENARIOS, add, add_row, add_scalar, clamp, gaussian_skl, grad_check,
+    logsumexp_rows, mask_rows, matmul, mean_all, relu, reshape, run_op_trials,
+    segment_mul, softmax, sub, sum_all, take_per_row, tanh,
 )
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import (
@@ -62,7 +63,7 @@ def test_item_reads_a_one_element_tensor_of_any_rank(shape):
 
 def test_matmul_identity():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.matmul(Tensor(np.eye(2)), Tensor(m))
+    out = matmul(Tensor(np.eye(2)), Tensor(m))
     np.testing.assert_array_equal(out.data, m)
 
 
@@ -70,13 +71,13 @@ def test_matmul_hand_product():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = Tensor(np.array([[5.0, 6.0], [7.0, 8.0]]))
     np.testing.assert_array_equal(
-        ad.matmul(a, b).data, np.array([[19.0, 22.0], [43.0, 50.0]])
+        matmul(a, b).data, np.array([[19.0, 22.0], [43.0, 50.0]])
     )
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(DimensionError) as info:
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
     assert "(2, 3)" in str(info.value) and "(4, 2)" in str(info.value)
 
 
@@ -86,9 +87,9 @@ def test_matmul_vjp_skips_the_constant_operand(constant_side):
     a_data, b_data = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
     g = rng.standard_normal((3, 2))
     operands = [Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)]
-    both = ad.matmul(*operands)._vjp(g)
+    both = matmul(*operands)._vjp(g)
     operands[constant_side] = Tensor(operands[constant_side].data)
-    contribs = ad.matmul(*operands)._vjp(g)
+    contribs = matmul(*operands)._vjp(g)
     assert contribs[constant_side] is None
     np.testing.assert_array_equal(contribs[1 - constant_side], both[1 - constant_side])
 
@@ -98,7 +99,7 @@ def test_linear_equals_add_row_of_matmul_bit_for_bit():
     x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
                for s in ((5, 4), (4, 3), (3,)))
     fused = ad.linear(x, w, b)
-    composed = add_row(ad.matmul(x, w), b)
+    composed = add_row(matmul(x, w), b)
     np.testing.assert_array_equal(fused.data, composed.data)
     readout = Tensor(rng.standard_normal((5, 3)))
     grads = []
@@ -168,13 +169,13 @@ def test_hadamard_shape_mismatch():
 
 
 def test_relu_definition():
-    out = ad.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
+    out = relu(Tensor(np.array([-1.0, 0.0, 2.0])))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
 def test_relu_dead_region_zero_output_and_gradient():
     p = Tensor(np.array([-3.0, -1.0, -0.5]), requires_grad=True)
-    out = ad.relu(p)
+    out = relu(p)
     np.testing.assert_array_equal(out.data, np.zeros(3))
     ad.backward(sum_all(out))
     np.testing.assert_array_equal(p.grad, np.zeros(3))
@@ -249,13 +250,13 @@ def test_logsumexp_rows_stable_at_large_values():
 
 
 def test_clamp_values():
-    out = ad.clamp(Tensor(np.array([-20.0, 0.5, 20.0])), -10.0, 10.0)
+    out = clamp(Tensor(np.array([-20.0, 0.5, 20.0])), -10.0, 10.0)
     np.testing.assert_array_equal(out.data, [-10.0, 0.5, 10.0])
 
 
 def test_clamp_gradient_zero_outside_range():
     p = Tensor(np.array([-20.0, 0.5, 20.0]), requires_grad=True)
-    ad.backward(sum_all(ad.clamp(p, -10.0, 10.0)))
+    ad.backward(sum_all(clamp(p, -10.0, 10.0)))
     np.testing.assert_array_equal(p.grad, [0.0, 1.0, 0.0])
 
 
@@ -286,6 +287,39 @@ def test_tanh_recurrence_rejects_out_of_range_ids():
                            np.array([[0, 3]]))
 
 
+@pytest.mark.parametrize("ids", [[[0.9, 3.2]], [[1.0, 2.0]], [[True, False]]],
+                         ids=["fractional", "integral_floats", "bool"])
+def test_tanh_recurrence_rejects_ids_that_are_not_integers(ids):
+    # a float id would be truncated to another row, a bool read as 0/1
+    with pytest.raises(DimensionError, match="ids must be integers"):
+        ad.tanh_recurrence(Tensor(np.zeros((4, 2))), Tensor(np.eye(2)), ids)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+def test_tanh_recurrence_reads_ids_of_any_integer_dtype(dtype):
+    # the VJP's flat cell index id * d + column must not wrap in a narrow dtype
+    rng = np.random.default_rng(7)
+    table = Tensor(rng.standard_normal((128, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4)) * 0.3, requires_grad=True)
+    ids = np.array([[1, 120], [127, 3]])
+    results = []
+    for given in (ids, ids.astype(dtype)):
+        table.grad = w.grad = None
+        out = ad.tanh_recurrence(table, w, given)
+        ad.backward(sum_all(out))
+        results.append((out.data, table.grad, w.grad))
+    for got, want in zip(*results):
+        helpers_oracles.assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("labels", [[1.7, 0.2], [1.0, 0.0], [True, False]],
+                         ids=["fractional", "integral_floats", "bool"])
+def test_softmax_cross_entropy_rejects_labels_that_are_not_integers(labels):
+    # [1.7, 0.2] would train on labels [1, 0]
+    with pytest.raises(DimensionError, match="labels must be integers"):
+        ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array(labels))
+
+
 def test_segment_pool_and_segment_mul_hand_values():
     rows = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]))
     weights = Tensor(np.array([[0.25, 0.75], [1.0, 0.0]]))
@@ -293,7 +327,7 @@ def test_segment_pool_and_segment_mul_hand_values():
                                   [[2.5, 3.5], [5.0, 6.0]])
     v = Tensor(np.array([[2.0, 0.0], [-1.0, 1.0]]))
     np.testing.assert_array_equal(
-        ad.segment_mul(rows, v).data,
+        segment_mul(rows, v).data,
         [[2.0, 0.0], [6.0, 0.0], [-5.0, 6.0], [-7.0, 8.0]])
 
 
@@ -328,7 +362,7 @@ def test_backward_accumulates_across_reuse():
     # y = sum(x*x) + sum(x): both branches read x, grads must add to 2x + 1.
     x = np.array([0.5, -1.25, 2.0])
     p = Tensor(x, requires_grad=True)
-    loss = ad.add(sum_all(ad.hadamard(p, p)), sum_all(p))
+    loss = add(sum_all(ad.hadamard(p, p)), sum_all(p))
     ad.backward(loss)
     np.testing.assert_allclose(p.grad, 2 * x + 1.0, rtol=1e-15)
 
@@ -336,14 +370,14 @@ def test_backward_accumulates_across_reuse():
 def test_backward_requires_scalar_loss():
     p = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(RankError):
-        ad.backward(ad.relu(p))
+        ad.backward(relu(p))
 
 
 def test_backward_writes_grad_on_leaves_only_and_accumulates():
     a = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
     b = Tensor(np.array([[0.25, 1.5], [-1.0, 0.75]]), requires_grad=True)
-    prod = ad.matmul(a, b)
-    hidden = tanh(ad.add(prod, b))
+    prod = matmul(a, b)
+    hidden = tanh(add(prod, b))
     loss = sum_all(hidden)
     ad.backward(loss)
     assert prod.grad is None and hidden.grad is None and loss.grad is None
@@ -383,7 +417,7 @@ def test_grad_check_softmax_cross_entropy_toy():
     labels = np.array([0, 2])
 
     def f(params):
-        logits = ad.matmul(x, params[0])
+        logits = matmul(x, params[0])
         picked = take_per_row(logits, labels)
         return mean_all(sub(logsumexp_rows(logits), picked))
 
@@ -411,12 +445,6 @@ def test_grad_check_per_op_spot_sweep():
 # ------------------------------------------------- in-place kernels vs oracles
 
 
-def _assert_same_bits(got, want) -> None:
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
 @given(b=st.integers(1, 40), n=st.integers(1, 12),
        widths=st.tuples(st.integers(1, 33), st.integers(1, 33), st.integers(1, 33)),
        seed=st.integers(0, 2**32 - 1), skl_constant=st.tuples(*[st.booleans()] * 4),
@@ -434,9 +462,9 @@ def test_in_place_kernels_match_their_allocating_forms_bit_for_bit(
         return Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
 
     def check(node, value, vjp, g):
-        _assert_same_bits(node.data, value)
+        helpers_oracles.assert_same_bits(node.data, value)
         for got, want in zip(node._vjp(g), vjp(g), strict=True):
-            _assert_same_bits(got, want)
+            helpers_oracles.assert_same_bits(got, want)
 
     # the recurrence over a table of d_s rows
     table, w = leaf(d_s, d), leaf(d, d)
@@ -450,7 +478,7 @@ def test_in_place_kernels_match_their_allocating_forms_bit_for_bit(
     pooled, weights = ad.attention_pool(rows, scored, score_w, head, keep)
     value, want_weights, vjp = helpers_oracles.allocating_attention_pool(
         rows.data, scored.data, score_w.data, head.data, keep)
-    _assert_same_bits(weights, want_weights)
+    helpers_oracles.assert_same_bits(weights, want_weights)
     check(pooled, value, vjp, rng.standard_normal((b, d)))
 
     x, lin_w, lin_b = leaf(b * n, d_s), leaf(d_s, d), leaf(d)
@@ -465,16 +493,16 @@ def test_in_place_kernels_match_their_allocating_forms_bit_for_bit(
     else:
         operands = [Tensor(rng.uniform(-1.0, 1.0, (b, d)), requires_grad=not constant)
                     for constant in skl_constant]
-    skl = ad.gaussian_skl(*operands)
+    skl = gaussian_skl(*operands)
     value, vjp = helpers_oracles.allocating_gaussian_skl(*(t.data for t in operands))
-    _assert_same_bits(skl.data, value)
+    helpers_oracles.assert_same_bits(skl.data, value)
     if skl._vjp is None:
         assert not any(t.requires_grad for t in operands)
         return
     g = np.asarray(rng.standard_normal())
     for t, got, want in zip(operands, skl._vjp(g), vjp(g), strict=True):
         if t.requires_grad:
-            _assert_same_bits(got, want)
+            helpers_oracles.assert_same_bits(got, want)
         else:
             assert got is None
 
@@ -649,8 +677,8 @@ def _flat_offset(view: np.ndarray, flat: np.ndarray) -> int:
 
 def _reuse_loss(a: Tensor, b: Tensor) -> Tensor:
     """A scalar graph that reads a three times and b twice."""
-    prod = ad.matmul(a, b)
-    return ad.add(sum_all(tanh(ad.add(prod, b))), sum_all(ad.hadamard(a, a)))
+    prod = matmul(a, b)
+    return add(sum_all(tanh(add(prod, b))), sum_all(ad.hadamard(a, a)))
 
 
 def test_adam_binds_data_and_backward_grads_to_two_flat_buffers_in_name_order():
@@ -661,7 +689,7 @@ def test_adam_binds_data_and_backward_grads_to_two_flat_buffers_in_name_order():
     opt = Adam(params, lr=1e-2)
     loss = sum_all(ad.hadamard(params["w"], params["w"]))
     for name in ("s", "v", "m"):
-        loss = ad.add(loss, sum_all(ad.hadamard(params[name], params[name])))
+        loss = add(loss, sum_all(ad.hadamard(params[name], params[name])))
     ad.backward(loss)
     offset = 0
     for name, p in params.items():
@@ -723,7 +751,7 @@ def test_owned_leaf_the_walk_misses_makes_step_name_it():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     b = Tensor(np.array(3.0), requires_grad=True)
     opt = Adam({"a": a, "b": b}, lr=0.1)
-    ad.backward(ad.add(sum_all(a), sum_all(b)))
+    ad.backward(add(sum_all(a), sum_all(b)))
     opt.step()
     before = (a.data.copy(), b.data.copy())
     opt.zero_grad()
@@ -744,15 +772,15 @@ def test_no_grad_records_no_graph_and_restores_the_previous_state():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     with ad.no_grad():
         with ad.no_grad():
-            inner = ad.relu(p)
-        outer = ad.relu(p)
+            inner = relu(p)
+        outer = relu(p)
     assert not inner.requires_grad and inner._parents == ()
     assert not outer.requires_grad
-    assert ad.relu(p).requires_grad
+    assert relu(p).requires_grad
     with pytest.raises(RuntimeError):
         with ad.no_grad():
             raise RuntimeError("inside no_grad")
-    assert ad.relu(p).requires_grad
+    assert relu(p).requires_grad
 
 
 # ---------------------------------------------------------------- init helper

@@ -239,6 +239,37 @@ def test_evaluate_model_predicts_what_the_reference_predicts(small_dataset):
         assert result.checkpoint.metrics[split_name] == reference.to_dict()
 
 
+# (enable_cross_attention, enable_infomax) -> op nodes and all nodes of one
+# training step's graph. The other nodes are its leaves: the parameters,
+# the feature matrix and, without attention, the two masked-mean weights.
+STEP_GRAPHS = {(True, True): (15, 38), (True, False): (10, 29),
+               (False, True): (15, 34), (False, False): (10, 25)}
+
+
+@pytest.mark.parametrize("cross,infomax", VARIANTS)
+def test_a_training_step_builds_its_pinned_graph(small_dataset, cross, infomax,
+                                                 monkeypatch):
+    # a change that splits a fused node, or adds one, fails here
+    model = make_model(cross, infomax)
+    features, tokens, labels = split_batch(prepare_split(small_dataset, "train"),
+                                           slice(0, 8))
+    recorded = []
+    node = autodiff._node
+
+    def counting_node(*args):
+        out = node(*args)
+        recorded.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(autodiff, "_node", counting_node)
+    loss = model.loss_batch(features, tokens, labels, LAM,
+                            np.random.default_rng(0)).final
+    graph = autodiff._toposort(loss)
+    ops = sum(1 for t in graph if t._vjp is not None)
+    assert (ops, len(graph)) == STEP_GRAPHS[cross, infomax]
+    assert recorded.count(True) == len(recorded) == ops
+
+
 @pytest.mark.parametrize("cross,infomax", VARIANTS)
 def test_predict_records_no_graph_and_matches_the_graph_path(
         small_dataset, cross, infomax, monkeypatch):

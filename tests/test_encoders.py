@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers_ops import sum_all
+from helpers_oracles import assert_fused_equals_composed, composed_linear_relu
 from mibvqa import autodiff as ad
 from mibvqa.encoders import (
     EncoderParams,
@@ -91,6 +92,25 @@ def test_image_gradients_flow_to_weights():
     feats = random_features(np.random.default_rng(4), n_objects=3)
     ad.backward(sum_all(encode_image(feats, params)))
     assert params.img_w.grad is not None and np.abs(params.img_w.grad).sum() > 0
+
+
+@pytest.mark.parametrize("constant_x", [True, False], ids=["features", "hidden"])
+@pytest.mark.parametrize("b", [1, 2, 9, 32])
+def test_linear_relu_node_equals_the_composed_form_bit_for_bit(b, constant_x):
+    # image-encoder rows of b scenes, each with padded (all-zero) rows past
+    # its real objects, so relu(img_b) rows and dead units both occur
+    rng = np.random.default_rng(40 + b)
+    for _ in range(10):
+        n_real = rng.integers(1, CFG.t_max + 1, size=b)
+        x = rng.uniform(-1.0, 1.0, (b, CFG.t_max, CFG.d_raw))
+        x[np.arange(CFG.t_max) >= n_real[:, None]] = 0.0
+        operands = [ad.Tensor(x.reshape(b * CFG.t_max, CFG.d_raw),
+                              requires_grad=not constant_x),
+                    ad.Tensor(rng.standard_normal((CFG.d_raw, CFG.d_h)), requires_grad=True),
+                    ad.Tensor(rng.standard_normal(CFG.d_h) * 0.5, requires_grad=True)]
+        readout = ad.Tensor(rng.standard_normal((b * CFG.t_max, CFG.d_h)))
+        assert_fused_equals_composed(ad.linear_relu, composed_linear_relu, operands,
+                                     readout)
 
 
 # ---------------------------------------------------------------- query

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from helpers_ops import grad_check
-from helpers_oracles import composed_softmax_cross_entropy
+from helpers_oracles import (
+    assert_fused_equals_composed, composed_linear_relu,
+    composed_softmax_cross_entropy,
+)
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import DimensionError, Tensor
 from mibvqa.encoders import (
@@ -93,6 +96,25 @@ def test_zero_weights_logits_equal_output_bias():
     params.mlp_b2.data[:] = np.arange(N_CLASSES, dtype=float)
     logits = classify(Tensor(np.ones((2, D_F))), params).data
     np.testing.assert_array_equal(logits, np.tile(np.arange(N_CLASSES, dtype=float), (2, 1)))
+
+
+@pytest.mark.parametrize("b", [1, 2, 9, 32])
+def test_classify_equals_its_composed_form_bit_for_bit(b):
+    # the hidden layer is one linear_relu node; the input needs a gradient
+    # like the fused vector or the latent sample the model feeds it
+    rng = np.random.default_rng(50 + b)
+    for _ in range(10):
+        params = make_params(int(rng.integers(1 << 30)))
+        x = Tensor(rng.standard_normal((b, D_F)), requires_grad=True)
+        readout = Tensor(rng.standard_normal((b, N_CLASSES)))
+
+        def composed(x, *_):
+            hidden = composed_linear_relu(x, params.mlp_w1, params.mlp_b1)
+            return ad.linear(hidden, params.mlp_w2, params.mlp_b2)
+
+        assert_fused_equals_composed(
+            lambda x, *_: classify(x, params), composed,
+            [x, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2], readout)
 
 
 # ---------------------------------------------------------------- cross-entropy

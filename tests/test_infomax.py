@@ -8,13 +8,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers_ops import sum_all
+from helpers_ops import gaussian_skl, info_nce, sum_all
 from helpers_oracles import (
-    composed_gaussian_sample, composed_gaussian_skl, composed_info_nce,
+    assert_fused_equals_composed, composed_add_scaled, composed_gaussian_sample,
+    composed_gaussian_skl, composed_info_nce, composed_linear_clamp,
+    composed_prior_skl,
 )
 from mibvqa import autodiff as ad
 from mibvqa.autodiff import DimensionError, Tensor
 from mibvqa.infomax import (
+    LOG_VAR_MAX,
+    LOG_VAR_MIN,
     BottleneckParams,
     GaussianLatent,
     encode_latent,
@@ -37,7 +41,7 @@ def latent_from(mean: np.ndarray, log_var: np.ndarray) -> GaussianLatent:
 
 def skl(p: GaussianLatent, q: GaussianLatent) -> Tensor:
     """The fused symmetrized KL of two latents, summed over the batch."""
-    return ad.gaussian_skl(p.mean, p.log_var, q.mean, q.log_var)
+    return gaussian_skl(p.mean, p.log_var, q.mean, q.log_var)
 
 
 def mc_skl(mean_p, lv_p, mean_q, lv_q, n_samples: int, rng) -> float:
@@ -142,14 +146,14 @@ def test_infonce_single_pair_is_exactly_zero():
     rng = np.random.default_rng(7)
     z = Tensor(rng.standard_normal((1, D_Z)))
     critic = Tensor(rng.standard_normal((D_Z, D_Z)))
-    assert ad.info_nce(z, Tensor(rng.standard_normal((1, D_Z))), critic).item() == 0.0
+    assert info_nce(z, Tensor(rng.standard_normal((1, D_Z))), critic).item() == 0.0
 
 
 def test_infonce_zero_critic_is_exactly_zero():
     rng = np.random.default_rng(8)
     z_q = Tensor(rng.standard_normal((5, D_Z)))
     z_h = Tensor(rng.standard_normal((5, D_Z)))
-    assert ad.info_nce(z_q, z_h, Tensor(np.zeros((D_Z, D_Z)))).item() == 0.0
+    assert info_nce(z_q, z_h, Tensor(np.zeros((D_Z, D_Z)))).item() == 0.0
 
 
 def test_infonce_bounded_by_log_batch():
@@ -159,21 +163,21 @@ def test_infonce_bounded_by_log_batch():
         z_q = Tensor(rng.standard_normal((b, d)) * rng.uniform(0.5, 3))
         z_h = Tensor(rng.standard_normal((b, d)) * rng.uniform(0.5, 3))
         critic = Tensor(rng.standard_normal((d, d)))
-        assert ad.info_nce(z_q, z_h, critic).item() <= math.log(b) + 1e-9
+        assert info_nce(z_q, z_h, critic).item() <= math.log(b) + 1e-9
 
 
 def test_infonce_saturates_at_log_batch_for_diagonal_scores():
     b = 4
     z = Tensor(np.eye(b))
     critic = Tensor(50.0 * np.eye(b))
-    est = ad.info_nce(z, z, critic).item()
+    est = info_nce(z, z, critic).item()
     assert math.log(b) - 1e-3 < est <= math.log(b)
 
 
 def test_infonce_batch_mismatch_rejected():
     rng = np.random.default_rng(10)
     with pytest.raises(DimensionError):
-        ad.info_nce(
+        info_nce(
             Tensor(rng.standard_normal((3, D_Z))),
             Tensor(rng.standard_normal((4, D_Z))),
             Tensor(np.eye(D_Z)),
@@ -210,7 +214,7 @@ def test_gaussian_skl_node_equals_the_composed_form(shape):
                   Tensor(rng.uniform(-3, 3, shape), requires_grad=True),
                   Tensor(rng.uniform(-2, 2, shape), requires_grad=True),
                   Tensor(rng.uniform(-3, 3, shape), requires_grad=True)]
-        _assert_fused_matches_composed(ad.gaussian_skl, composed_gaussian_skl, params)
+        _assert_fused_matches_composed(gaussian_skl, composed_gaussian_skl, params)
 
 
 @pytest.mark.parametrize("b", [1, 2, 9])
@@ -222,7 +226,7 @@ def test_info_nce_node_equals_the_composed_form(b):
         params = [Tensor(rng.standard_normal((b, D_Z)) * scale, requires_grad=True),
                   Tensor(rng.standard_normal((b, D_Z)) * scale, requires_grad=True),
                   Tensor(rng.standard_normal((D_Z, D_Z)), requires_grad=True)]
-        _assert_fused_matches_composed(ad.info_nce, composed_info_nce, params)
+        _assert_fused_matches_composed(info_nce, composed_info_nce, params)
 
 
 @pytest.mark.parametrize("shape", [(D_Z,), (1, D_Z), (7, D_Z)])
@@ -246,13 +250,57 @@ def test_gaussian_sample_node_equals_the_composed_form(shape):
             assert np.abs(grad - ref).max() < FUSED_TOL
 
 
+@pytest.mark.parametrize("b", [1, 2, 9, 32])
+def test_linear_clamp_node_equals_the_composed_form_bit_for_bit(b):
+    # a bias spread past both edges, so clipped and interior entries occur
+    rng = np.random.default_rng(80 + b)
+    for _ in range(10):
+        operands = [Tensor(rng.standard_normal((b, D_F)), requires_grad=True),
+                    Tensor(rng.standard_normal((D_F, D_Z)), requires_grad=True),
+                    Tensor(rng.uniform(-14.0, 14.0, D_Z), requires_grad=True)]
+        readout = Tensor(rng.standard_normal((b, D_Z)))
+        assert_fused_equals_composed(
+            lambda x, w, bias: ad.linear_clamp(x, w, bias, LOG_VAR_MIN, LOG_VAR_MAX),
+            lambda x, w, bias: composed_linear_clamp(x, w, bias, LOG_VAR_MIN,
+                                                     LOG_VAR_MAX),
+            operands, readout)
+
+
+@pytest.mark.parametrize("constant", [None, 0, 1])
+@pytest.mark.parametrize("b", [1, 2, 9, 32])
+def test_prior_skl_node_equals_the_composed_form_bit_for_bit(b, constant):
+    rng = np.random.default_rng(90 + b)
+    for _ in range(10):
+        operands = [Tensor(rng.uniform(-2, 2, (b, D_Z)), requires_grad=constant != 0),
+                    Tensor(rng.uniform(-3, 3, (b, D_Z)), requires_grad=constant != 1)]
+        assert_fused_equals_composed(ad.prior_skl, composed_prior_skl, operands)
+
+
+@pytest.mark.parametrize("b", [1, 2, 9, 32])
+def test_add_scaled_node_equals_the_composed_form_bit_for_bit(b):
+    # the objective's scalars, and [b, d] operands
+    rng = np.random.default_rng(100 + b)
+    for shape in ((), (b, D_Z)):
+        for lam in (0.0, 1.0, float(rng.uniform(0.0, 2.0))):
+            operands = [Tensor(rng.standard_normal(shape), requires_grad=True),
+                        Tensor(rng.standard_normal(shape), requires_grad=True)]
+            readout = Tensor(rng.standard_normal(shape)) if shape else None
+            assert_fused_equals_composed(
+                lambda a, c: ad.add_scaled(a, c, lam),
+                lambda a, c: composed_add_scaled(a, c, lam), operands, readout)
+
+
 def test_fused_nodes_reject_mismatched_shapes():
     with pytest.raises(DimensionError):
-        ad.gaussian_skl(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
-                        Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        gaussian_skl(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                     Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
     with pytest.raises(DimensionError):
-        ad.info_nce(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
-                    Tensor(np.zeros((2, 2))))
+        info_nce(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                 Tensor(np.zeros((2, 2))))
+    with pytest.raises(DimensionError):
+        ad.prior_skl(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ad.add_scaled(Tensor(np.zeros(())), Tensor(np.zeros(1)), 0.5)
     with pytest.raises(DimensionError):
         ad.gaussian_sample(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
                            np.zeros((3, 2)))
